@@ -97,7 +97,6 @@ _REGISTRY = {
     "limit.samples_per_replica": (_integer, None),
     "limit.explicit_matrix": (_matrix, None),
     "output.dir": (_string, _REQ),
-    "output.format": (_string, "csv"),
     "output.dump_trajectories": (_boolean, False),
     "init.position_mean": (_number, 0.0),
     "init.position_std": (_number, 1.0),
@@ -231,8 +230,6 @@ def _cross_validate(v):
         raise ConfigError(f"limit.modes: unknown modes {bad}")
     if "explicit" in v["limit.modes"] and v["limit.explicit_matrix"] is None:
         raise ConfigError("limit.explicit_matrix is required for the explicit mode")
-    if v["output.format"] not in ("csv", "json"):
-        raise ConfigError(f"output.format must be csv or json, got {v['output.format']!r}")
     if v["noise.gamma"] <= 0.0:
         raise ConfigError("noise.gamma must be > 0")
     if v["run.samples_per_replica"] > v["run.N"]:

@@ -127,51 +127,80 @@ class InitialLaw:
         ).astype(float).copy()
 
 
-def _drift_grad(pot: PotentialSpec, X: np.ndarray) -> np.ndarray:
+def _drift_grad(pot: PotentialSpec, X: np.ndarray, out=None, tmp=None) -> np.ndarray:
     """Gradient drift for builtin kinds, batched over leading axes of X.
 
     The empirical mean is taken over the particle axis of each replica
-    with the deterministic pairwise fold.
+    with the deterministic pairwise fold.  ``out`` and ``tmp`` are optional
+    buffers shaped like X; ``out`` receives the result.
     """
-    if pot.kind == "quadratic":
-        return pot.lam * X
+    if pot.kind not in ("quadratic", "curie-weiss"):
+        raise UsageError("custom potentials are supported only through the single-ensemble API")
+    out = np.multiply(X, pot.lam, out=out)
     if pot.kind == "curie-weiss":
         mean = pairwise_mean(X, axis=-2)
-        return pot.lam * X + pot.kappa * (X - mean[..., None, :])
-    raise UsageError("custom potentials are supported only through the single-ensemble API")
+        tmp = np.subtract(X, mean[..., None, :], out=tmp)
+        tmp *= pot.kappa
+        out += tmp
+    return out
 
 
-def _total_force(model, pot, X, xi, inv_sqrt_eps):
+def _total_force(model, pot, X, xi, inv_sqrt_eps, out=None, tmp=None):
     """F_i = -grad_v(X_i, mu_hat) + eps^{-1/2} * law-averaged field.
 
     The forcing part is computed once and shared by every particle of a
     replica.  Returns (force, scaled_forcing) with the latter kept for the
-    step report.
+    step report; the force is written to ``out`` when given.
     """
     if pot.kind == "custom":
         from .core import grad_v_batch
 
         grad = grad_v_batch(pot, X, EmpiricalMeasure(X))
     else:
-        grad = _drift_grad(pot, X)
+        grad = _drift_grad(pot, X, out, tmp)
     bar = averaged_forcing_xi(model, xi, X)  # (..., d)
     scaled = inv_sqrt_eps * bar
-    return -grad + scaled[..., None, :], scaled
+    return np.subtract(scaled[..., None, :], grad, out=grad), scaled
 
 
-def _advance_particles(kind, X, Y, F, h, eps, alpha):
-    """One scheme step on arrays; leading batch axes broadcast."""
-    if kind == "exponential":
-        a = alpha * h / eps
-        r = math.exp(-a)
-        one_minus_r = -math.expm1(-a)
-        Fa = F / alpha
-        X2 = X + (eps / alpha) * Y * one_minus_r + Fa * (h - (eps / alpha) * one_minus_r)
-        Y2 = Y * r + Fa * one_minus_r
-    else:
-        X2 = X + h * Y
-        Y2 = Y + (h / eps) * (-alpha * Y + F)
-    return X2, Y2
+class _Advance:
+    """One scheme step on arrays, in place; leading batch axes broadcast.
+
+    The step constants are computed once.  Each call overwrites X, Y, the
+    force F and the scratch buffer ``tmp`` (all of one shape), with the
+    floating-point operations in the order of the closed forms in the
+    module docstring, so the results do not depend on buffering.
+    """
+
+    def __init__(self, kind: str, h: float, eps: float, alpha: float):
+        self.kind, self.h, self.alpha = kind, h, alpha
+        if kind == "exponential":
+            a = alpha * h / eps
+            self.r = math.exp(-a)
+            self.one_minus_r = -math.expm1(-a)
+            self.eps_alpha = eps / alpha
+            self.x_force = h - (eps / alpha) * self.one_minus_r
+        else:
+            self.h_eps = h / eps
+
+    def __call__(self, X, Y, F, tmp):
+        if self.kind == "exponential":
+            F /= self.alpha
+            np.multiply(Y, self.eps_alpha, out=tmp)
+            tmp *= self.one_minus_r
+            X += tmp
+            np.multiply(F, self.x_force, out=tmp)
+            X += tmp
+            Y *= self.r
+            np.multiply(F, self.one_minus_r, out=tmp)
+            Y += tmp
+        else:
+            np.multiply(Y, self.h, out=tmp)
+            X += tmp
+            np.multiply(Y, -self.alpha, out=tmp)
+            tmp += F
+            tmp *= self.h_eps
+            Y += tmp
 
 
 def step(ens: ParticleEnsemble, model: NoiseModel, drv: DriverState,
@@ -193,8 +222,8 @@ def step(ens: ParticleEnsemble, model: NoiseModel, drv: DriverState,
         )
     inv_sqrt_eps = 1.0 / math.sqrt(eps)
     F, scaled = _total_force(model, pot, ens.positions, drv.xi, inv_sqrt_eps)
-    X2, Y2 = _advance_particles(sch.kind, ens.positions, ens.velocities, F,
-                                sch.h, eps, alpha)
+    X2, Y2 = ens.positions.copy(), ens.velocities.copy()
+    _Advance(sch.kind, sch.h, eps, alpha)(X2, Y2, F, np.empty_like(X2))
     z = rng.standard_normal(drv.xi.shape)
     xi2 = advance_xi(drv.xi, model, sch.h / eps, z)
     out = ParticleEnsemble(positions=X2, velocities=Y2, time=ens.time + sch.h, eps=eps)
@@ -246,10 +275,20 @@ def simulate_eps(cfg: RunConfig, model: NoiseModel, pot: PotentialSpec,
     return ens, reports
 
 
+def _particle_local(model: NoiseModel, pot: PotentialSpec, recorder) -> bool:
+    """Whether each particle's path depends on no other particle's.
+
+    A quadratic potential has no mean-field term and scalar-ou forcing is
+    the driver value itself, so particles share only the driver path.  A
+    recorder may look at every particle, so it turns the test off.
+    """
+    return pot.kind == "quadratic" and model.kind == "scalar-ou" and recorder is None
+
+
 def run_eps_replicas(cfg: RunConfig, model: NoiseModel, pot: PotentialSpec,
                      sch_kind: str, init: InitialLaw, replica_ids,
                      stream_path, *, batch_size: int = 64, recorder=None,
-                     keep_velocities: bool = False):
+                     keep_velocities: bool = False, keep: int | None = None):
     """Replica sweep of the second-order system, advanced in fixed batches.
 
     ``stream_path`` is a tuple prefix (purpose code plus optional indices);
@@ -258,40 +297,53 @@ def run_eps_replicas(cfg: RunConfig, model: NoiseModel, pot: PotentialSpec,
     normals are pre-drawn from its own stream in the same order the
     sequential path consumes them.  ``recorder``, when given, is called as
     ``recorder(replica_ids_batch, step_index, time, X, Y)`` after the
-    initial state and after every step.
+    initial state and after every step; X and Y are updated in place
+    afterwards, so a recorder copies whatever it keeps.
 
-    Returns terminal positions of shape (R, N, d) (and velocities when
-    requested).
+    ``keep`` is the number of leading particles per replica the caller
+    needs.  When the dynamics are particle-local (quadratic potential,
+    scalar-ou noise, no recorder) only those are integrated, from the same
+    draws, so they are bit-identical to the leading particles of a full
+    run.  Otherwise all N are integrated and the caller slices.
+
+    Returns terminal positions of shape (R, M, d), with M = ``keep`` on the
+    particle-local path and N otherwise (and velocities when requested).
     """
     if pot.kind == "custom":
         raise UsageError("the replica sweep supports builtin potential kinds only")
+    if keep is not None and not 1 <= keep <= cfg.N:
+        raise UsageError(f"keep must lie in [1, N={cfg.N}], got {keep}")
     replica_ids = list(replica_ids)
+    M = keep if keep is not None and _particle_local(model, pot, recorder) else cfg.N
     sch = build_scheme(cfg, sch_kind)
     n = _n_steps(cfg.T, sch.h)
     delta_s = sch.h / cfg.eps
     inv_sqrt_eps = 1.0 / math.sqrt(cfg.eps)
+    advance = _Advance(sch.kind, sch.h, cfg.eps, cfg.alpha)
     ds = model.driver_shape
-    out_pos = np.empty((len(replica_ids), cfg.N, cfg.d))
+    Y0 = init.velocities(cfg.N, cfg.d)[:M]
+    out_pos = np.empty((len(replica_ids), M, cfg.d))
     out_vel = np.empty_like(out_pos) if keep_velocities else None
     for start in range(0, len(replica_ids), batch_size):
         ids = replica_ids[start : start + batch_size]
         B = len(ids)
-        X = np.empty((B, cfg.N, cfg.d))
+        X = np.empty((B, M, cfg.d))
         xi = np.empty((B,) + ds)
         Z = np.empty((B, n) + ds)
         for j, r in enumerate(ids):
             gen = _rng.stream(cfg.seed, *stream_path, r)
-            X[j] = init.draw_positions(cfg.N, cfg.d, gen)
+            X[j] = init.draw_positions(cfg.N, cfg.d, gen)[:M]
             xi[j] = stationary_xi(model, gen)
             Z[j] = gen.standard_normal((n,) + ds)
-        Y = np.broadcast_to(init.velocities(cfg.N, cfg.d), X.shape).copy()
+        Y = np.broadcast_to(Y0, X.shape).copy()
+        F, tmp = np.empty_like(X), np.empty_like(X)
         t = 0.0
         if recorder is not None:
             recorder(ids, 0, t, X, Y)
         for k in range(n):
-            F, _ = _total_force(model, pot, X, xi, inv_sqrt_eps)
-            X, Y = _advance_particles(sch.kind, X, Y, F, sch.h, cfg.eps, cfg.alpha)
-            xi = advance_xi(xi, model, delta_s, Z[:, k])
+            _total_force(model, pot, X, xi, inv_sqrt_eps, F, tmp)
+            advance(X, Y, F, tmp)
+            advance_xi(xi, model, delta_s, Z[:, k], out=xi)
             t += sch.h
             if recorder is not None:
                 recorder(ids, k + 1, t, X, Y)
@@ -303,7 +355,7 @@ def run_eps_replicas(cfg: RunConfig, model: NoiseModel, pot: PotentialSpec,
         out_pos[start : start + B] = X
         if keep_velocities:
             out_vel[start : start + B] = Y
-    return (out_pos, out_vel) if keep_velocities else (out_pos, None)
+    return out_pos, out_vel
 
 
 def paired_scheme_gap(cfg: RunConfig, model: NoiseModel, pot: PotentialSpec,
@@ -338,13 +390,17 @@ def paired_scheme_gap(cfg: RunConfig, model: NoiseModel, pot: PotentialSpec,
 
     Xe, Ye = X0.copy(), Y0.copy()
     Xu, Yu = X0.copy(), Y0.copy()
+    F, tmp = np.empty_like(X0), np.empty_like(X0)
+    adv_e = _Advance("exponential", h_c, cfg.eps, cfg.alpha)
+    adv_u = _Advance("euler", h_f, cfg.eps, cfg.alpha)
     for k in range(n_c):
-        Fe, _ = _total_force(model, pot, Xe, xi, inv_sqrt_eps)
-        Xe, Ye = _advance_particles("exponential", Xe, Ye, Fe, h_c, cfg.eps, cfg.alpha)
+        _total_force(model, pot, Xe, xi, inv_sqrt_eps, F, tmp)
+        adv_e(Xe, Ye, F, tmp)
         bar_u = inv_sqrt_eps * averaged_forcing_xi(model, xi, Xu)
         for _ in range(ratio):
-            F_u = -_drift_grad(pot, Xu) + bar_u[..., None, :]
-            Xu, Yu = _advance_particles("euler", Xu, Yu, F_u, h_f, cfg.eps, cfg.alpha)
+            _drift_grad(pot, Xu, F, tmp)
+            np.subtract(bar_u[..., None, :], F, out=F)
+            adv_u(Xu, Yu, F, tmp)
         xi = advance_xi(xi, model, h0_coarse, Z[k])
     t_end = n_c * h_c
     ens_e = ParticleEnsemble(positions=Xe, velocities=Ye, time=t_end, eps=cfg.eps)

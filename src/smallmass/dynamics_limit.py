@@ -31,8 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as _rng
-from .core import ParticleEnsemble, PotentialSpec, RunConfig, pairwise_mean
-from .dynamics_eps import InitialLaw
+from .core import ParticleEnsemble, PotentialSpec, RunConfig
+from .dynamics_eps import InitialLaw, _drift_grad
 from .errors import NumericError, UsageError
 from .noise import NoiseModel, mixing_metadata, sigma_matrix
 
@@ -146,14 +146,15 @@ def step_em(ens: ParticleEnsemble, pot: PotentialSpec, diff: DiffusionSpec,
 
 
 def _limit_drift(pot, X, ens=None):
-    if pot.kind == "quadratic":
-        return pot.lam * X
-    if pot.kind == "curie-weiss":
-        mean = pairwise_mean(X, axis=-2)
-        return pot.lam * X + pot.kappa * (X - mean[..., None, :])
-    from .core import grad_v_batch
+    if pot.kind == "custom":
+        from .core import grad_v_batch
 
-    return grad_v_batch(pot, X, ens.measure())
+        return grad_v_batch(pot, X, ens.measure())
+    return _drift_grad(pot, X)
+
+
+def _n_limit_steps(T: float, h: float) -> int:
+    return max(1, int(round(T / h)))
 
 
 def simulate_limit(cfg: RunConfig, pot: PotentialSpec, diff: DiffusionSpec,
@@ -167,7 +168,7 @@ def simulate_limit(cfg: RunConfig, pot: PotentialSpec, diff: DiffusionSpec,
     sch.validate(cfg.alpha, pot)
     X = init.draw_positions(cfg.N, cfg.d, rng)
     ens = ParticleEnsemble(positions=X, velocities=None, time=0.0, eps=None)
-    n = max(1, int(round(cfg.T / sch.h)))
+    n = _n_limit_steps(cfg.T, sch.h)
     for k in range(n):
         try:
             ens = step_em(ens, pot, diff, sch, cfg.alpha, rng)
@@ -176,17 +177,68 @@ def simulate_limit(cfg: RunConfig, pot: PotentialSpec, diff: DiffusionSpec,
     return ens
 
 
+# Normals drawn per generator call in the limit pre-draw, to bound the
+# transient (steps, N, d) block when only a few particles are kept.
+_DRAW_CHUNK = 1 << 16
+
+
 def run_limit_replicas(cfg: RunConfig, pot: PotentialSpec, diff: DiffusionSpec,
                        init: InitialLaw, replica_ids, stream_path,
-                       sch: LimitScheme | None = None) -> np.ndarray:
-    """Terminal positions (R, N, d) over independent replicas."""
+                       sch: LimitScheme | None = None, *, keep: int | None = None,
+                       recorder=None) -> np.ndarray:
+    """Terminal positions over independent replicas, stepped in lock-step.
+
+    Replica r draws from ``stream(seed, *stream_path, r)`` in the order
+    ``simulate_limit`` consumes it (positions, then one (N, d) normal block
+    per step), so every replica is bit-identical to its sequential run.
+    ``recorder``, when given, is called as ``recorder(replica_ids, step_index,
+    time, X)`` after the initial state and after every step; X is updated
+    in place afterwards.
+
+    ``keep`` is the number of leading particles per replica the caller
+    needs.  Under a quadratic potential without a recorder the particles do
+    not interact, so only those are integrated and only their normals are
+    stored.  Otherwise all N are integrated and the caller slices.  Returns
+    shape (R, M, d) with M the number integrated.
+    """
+    if pot.kind == "custom":
+        raise UsageError("the replica sweep supports builtin potential kinds only")
+    if keep is not None and not 1 <= keep <= cfg.N:
+        raise UsageError(f"keep must lie in [1, N={cfg.N}], got {keep}")
+    replica_ids = list(replica_ids)
     sch = sch or default_limit_scheme(cfg, pot)
-    out = np.empty((len(replica_ids), cfg.N, cfg.d))
-    for i, r in enumerate(replica_ids):
+    sch.validate(cfg.alpha, pot)
+    N, d = cfg.N, cfg.d
+    M = N
+    if keep is not None and pot.kind == "quadratic" and recorder is None:
+        # For d > 1 a one-row block would take BLAS's vector-matrix path,
+        # which rounds differently from the matrix path of the full run.
+        M = min(N, max(keep, 2 if d > 1 else 1))
+    n = _n_limit_steps(cfg.T, sch.h)
+    chunk = max(1, _DRAW_CHUNK // (N * d))
+    X = np.empty((len(replica_ids), M, d))
+    Z = np.empty((n,) + X.shape)
+    for j, r in enumerate(replica_ids):
         gen = _rng.stream(cfg.seed, *stream_path, r)
-        try:
-            ens = simulate_limit(cfg, pot, diff, init=init, rng=gen, sch=sch)
-        except NumericError as err:
-            raise NumericError(str(err), replica=r) from err
-        out[i] = ens.positions
-    return out
+        X[j] = init.draw_positions(N, d, gen)[:M]
+        for k in range(0, n, chunk):
+            Z[k : k + chunk, j] = gen.standard_normal((min(chunk, n - k), N, d))[:, :M]
+    Z *= math.sqrt(sch.h)
+    ST = diff.sqrt.T
+    G, tmp = np.empty_like(X), np.empty_like(X)
+    t = 0.0
+    if recorder is not None:
+        recorder(replica_ids, 0, t, X)
+    for k in range(n):
+        _drift_grad(pot, X, G, tmp)
+        G *= sch.h / cfg.alpha
+        X -= G
+        X += np.matmul(Z[k], ST, out=tmp)
+        t += sch.h
+        if recorder is not None:
+            recorder(replica_ids, k + 1, t, X)
+    finite = np.isfinite(X).all(axis=(1, 2))
+    if not finite.all():
+        raise NumericError("limit replica sweep produced non-finite state",
+                           replica=replica_ids[int(np.argmin(finite))])
+    return X

@@ -21,6 +21,8 @@ sixteen emit byte-identical files.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 import os
@@ -35,7 +37,7 @@ from .config import Config
 from .core import EmpiricalMeasure
 from .diagnostics import GkEstimate, green_kubo, moment_table, uv_check
 from .dynamics_eps import run_eps_replicas
-from .dynamics_limit import (DiffusionSpec, build_diffusion,
+from .dynamics_limit import (DiffusionSpec, LimitScheme, build_diffusion,
                              default_limit_scheme, run_limit_replicas)
 from .errors import UsageError
 from .transport import ASSIGNMENT_MAX_N, w2_auto
@@ -89,34 +91,27 @@ def _eps_batch_worker(args):
     rc = cfg.run_config(eps)
     pos, _ = run_eps_replicas(rc, cfg.noise_model(), cfg.potential(),
                               values["run.scheme"], cfg.init_law(), ids,
-                              (_rng.EPS_RUN, eps_index), batch_size=EPS_BATCH)
+                              (_rng.EPS_RUN, eps_index), batch_size=EPS_BATCH,
+                              keep=spr)
     return pos[:, :spr, :].reshape(-1, rc.d)
 
 
+def _limit_scheme(cfg: Config, rc, pot) -> LimitScheme:
+    """The configured limit step (``limit.h``), else the default step law."""
+    h = cfg.values["limit.h"]
+    return LimitScheme(h) if h is not None else default_limit_scheme(rc, pot)
+
+
 def _limit_batch_worker(args):
-    values, matrix, mode, mode_index, ids, spr = args
+    """Limit-law samples for one batch; both the limit sample and the
+    self-test sample come from here, on their own stream paths."""
+    values, matrix, mode, stream_path, ids, spr = args
     cfg = Config(values=values)
     rc = cfg.run_config(cfg.eps_grid[0])
     diff = DiffusionSpec(mode=mode, matrix=np.asarray(matrix))
     pot = cfg.potential()
-    sch = None
-    if values["limit.h"] is not None:
-        from .dynamics_limit import LimitScheme
-
-        sch = LimitScheme(values["limit.h"])
-        sch.validate(rc.alpha, pot)
-    pos = run_limit_replicas(rc, pot, diff, cfg.init_law(), ids,
-                             (_rng.LIMIT_RUN, mode_index), sch=sch)
-    return pos[:, :spr, :].reshape(-1, rc.d)
-
-
-def _self_test_batch_worker(args):
-    values, matrix, mode, eps_index, ids, spr = args
-    cfg = Config(values=values)
-    rc = cfg.run_config(cfg.eps_grid[0])
-    diff = DiffusionSpec(mode=mode, matrix=np.asarray(matrix))
-    pos = run_limit_replicas(rc, cfg.potential(), diff, cfg.init_law(), ids,
-                             (_rng.SELF_TEST, eps_index))
+    pos = run_limit_replicas(rc, pot, diff, cfg.init_law(), ids, stream_path,
+                             _limit_scheme(cfg, rc, pot), keep=spr)
     return pos[:, :spr, :].reshape(-1, rc.d)
 
 
@@ -150,14 +145,15 @@ def _fmt(x) -> str:
 
 def write_table(path, metadata: dict, header, rows):
     """CSV with a '#'-prefixed metadata block; fixed 17-significant-digit
-    decimal formatting so identical runs are byte-identical."""
-    lines = []
+    decimal formatting so identical runs are byte-identical.  Fields that
+    contain a comma or a quote are quoted the way the csv module does."""
+    buf = io.StringIO()
     for key in sorted(metadata):
-        lines.append(f"# {key} = {metadata[key]}")
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    text = "\n".join(lines) + "\n"
+        buf.write(f"# {key} = {metadata[key]}\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([_fmt(v) for v in row] for row in rows)
+    text = buf.getvalue()
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
     return text
@@ -220,7 +216,7 @@ def pool_limit_samples(cfg: Config, mode: str, mode_index: int,
                        diff: DiffusionSpec) -> np.ndarray:
     reps, spr = cfg.limit_pooling()
     spr = min(spr, cfg.values["run.N"])
-    items = [(cfg.values, diff.matrix.tolist(), mode, mode_index, ids, spr)
+    items = [(cfg.values, diff.matrix.tolist(), mode, (_rng.LIMIT_RUN, mode_index), ids, spr)
              for ids in _batched(reps, EPS_BATCH)]
     parts = _parallel_map(_limit_batch_worker, items)
     return np.concatenate(parts, axis=0)
@@ -231,9 +227,9 @@ def _pool_self_test_samples(cfg: Config, eps_index: int, diff: DiffusionSpec,
     spr = cfg.values["run.samples_per_replica"]
     reps = cfg.values["run.replicas"]
     spr = min(spr, cfg.values["run.N"])
-    items = [(cfg.values, diff.matrix.tolist(), mode, eps_index, ids, spr)
+    items = [(cfg.values, diff.matrix.tolist(), mode, (_rng.SELF_TEST, eps_index), ids, spr)
              for ids in _batched(reps, EPS_BATCH)]
-    parts = _parallel_map(_self_test_batch_worker, items)
+    parts = _parallel_map(_limit_batch_worker, items)
     return np.concatenate(parts, axis=0)
 
 
@@ -256,8 +252,7 @@ def run_convergence(cfg: Config) -> ConvergenceReport:
     diffs = build_mode_diffusions(cfg)
     meta = _base_metadata(cfg)
     for mode, diff in diffs.items():
-        meta[f"diffusion.{mode}.D_eff"] = np.array2string(
-            diff.matrix, separator=",", max_line_width=10**9)
+        meta[f"diffusion.{mode}.D_eff"] = json.dumps(diff.matrix.tolist())
     mode_list = cfg.modes
     limit_samples = {}
     for mode_index, mode in enumerate(mode_list):
@@ -369,32 +364,18 @@ def run_simulate_eps(cfg: Config, out_dir: str):
 
 
 def _dump_eps_trajectory(cfg: Config, eps: float, path: str):
+    """Every step of replica 0 at ``eps``, on the step grid of the pooled samples."""
     rc = cfg.run_config(eps)
-    gen = _rng.stream(cfg.seed, _rng.EPS_RUN, 0, 0)
-    from .core import ParticleEnsemble
-    from .dynamics_eps import build_scheme, step
-    from .noise import DriverState, stationary_xi
-
-    init = cfg.init_law()
-    model, pot = cfg.noise_model(), cfg.potential()
-    sch = build_scheme(rc, cfg.values["run.scheme"])
-    X = init.draw_positions(rc.N, rc.d, gen)
-    ens = ParticleEnsemble(X, init.velocities(rc.N, rc.d), 0.0, eps)
-    drv = DriverState(xi=stationary_xi(model, gen), fast_time=0.0)
     d = rc.d
     header = ["t", "i"] + [f"x_{k + 1}" for k in range(d)] + [f"y_{k + 1}" for k in range(d)]
     rows = []
 
-    def emit(e):
+    def record(ids, k, t, X, Y):
         for i in range(rc.N):
-            rows.append([e.time, i] + list(map(float, e.positions[i]))
-                        + list(map(float, e.velocities[i])))
+            rows.append([t, i] + list(map(float, X[0, i])) + list(map(float, Y[0, i])))
 
-    emit(ens)
-    n = max(1, int(round(rc.T / sch.h)))
-    for _ in range(n):
-        ens, drv, _rep = step(ens, model, drv, pot, sch, rc.alpha, gen)
-        emit(ens)
+    run_eps_replicas(rc, cfg.noise_model(), cfg.potential(), cfg.values["run.scheme"],
+                     cfg.init_law(), [0], (_rng.EPS_RUN, 0), recorder=record)
     write_table(path, {"trajectory.replica": "0"}, header, rows)
 
 
@@ -405,8 +386,7 @@ def run_simulate_limit(cfg: Config, out_dir: str):
     sample = pool_limit_samples(cfg, mode, 0, diffs[mode])
     meta = _base_metadata(cfg)
     meta["limit.mode"] = mode
-    meta["limit.D_eff"] = np.array2string(diffs[mode].matrix, separator=",",
-                                          max_line_width=10**9)
+    meta["limit.D_eff"] = json.dumps(diffs[mode].matrix.tolist())
     header = ["sample"] + [f"x_{i + 1}" for i in range(cfg.values["run.d"])]
     rows = [[i] + list(map(float, p)) for i, p in enumerate(sample)]
     path = os.path.join(out_dir, "samples_limit.csv")
@@ -417,28 +397,18 @@ def run_simulate_limit(cfg: Config, out_dir: str):
 
 
 def _dump_limit_trajectory(cfg: Config, diff: DiffusionSpec, path: str):
+    """Every step of replica 0 of the first mode's limit sample."""
     rc = cfg.run_config(cfg.eps_grid[0])
-    gen = _rng.stream(cfg.seed, _rng.LIMIT_RUN, 0, 0)
-    from .core import ParticleEnsemble
-    from .dynamics_limit import step_em
-
-    init = cfg.init_law()
     pot = cfg.potential()
-    sch = default_limit_scheme(rc, pot)
-    ens = ParticleEnsemble(init.draw_positions(rc.N, rc.d, gen), None, 0.0, None)
-    d = rc.d
-    header = ["t", "i"] + [f"x_{k + 1}" for k in range(d)]
+    header = ["t", "i"] + [f"x_{k + 1}" for k in range(rc.d)]
     rows = []
 
-    def emit(e):
+    def record(ids, k, t, X):
         for i in range(rc.N):
-            rows.append([e.time, i] + list(map(float, e.positions[i])))
+            rows.append([t, i] + list(map(float, X[0, i])))
 
-    emit(ens)
-    n = max(1, int(round(rc.T / sch.h)))
-    for _ in range(n):
-        ens = step_em(ens, pot, diff, sch, rc.alpha, gen)
-        emit(ens)
+    run_limit_replicas(rc, pot, diff, cfg.init_law(), [0], (_rng.LIMIT_RUN, 0),
+                       _limit_scheme(cfg, rc, pot), recorder=record)
     write_table(path, {"trajectory.replica": "0"}, header, rows)
 
 

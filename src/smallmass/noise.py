@@ -212,18 +212,23 @@ def advance(state: DriverState, model: NoiseModel, delta_s: float, rng) -> Drive
     return DriverState(xi=xi, fast_time=state.fast_time + delta_s)
 
 
-def advance_xi(xi: np.ndarray, model: NoiseModel, delta_s: float, z: np.ndarray) -> np.ndarray:
-    """Array form of the exact update; ``xi`` may carry leading batch axes."""
+def advance_xi(xi: np.ndarray, model: NoiseModel, delta_s: float, z: np.ndarray,
+               out: np.ndarray | None = None) -> np.ndarray:
+    """Array form of the exact update; ``xi`` may carry leading batch axes.
+
+    The result is written to ``out`` when given, which may be ``xi`` itself.
+    """
     r = math.exp(-model.gamma * delta_s)
-    out = xi * r + model.sigma * math.sqrt(max(0.0, 1.0 - r * r)) * z
+    out = np.multiply(xi, r, out=out)
+    out += model.sigma * math.sqrt(max(0.0, 1.0 - r * r)) * z
     if model.clip:
-        out = _clip(out, model)
+        _clip(out, model, out=out)
     return out
 
 
-def _clip(xi, model):
+def _clip(xi, model, out=None):
     bound = _CLIP_SDS * model.sigma
-    return np.clip(xi, -bound, bound)
+    return np.clip(xi, -bound, bound, out=out)
 
 
 def eval_field(model: NoiseModel, state: DriverState, x) -> np.ndarray:

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from . import rng as _rng
 from .errors import UsageError
@@ -63,6 +62,10 @@ def w2_assignment(a, b) -> W2Result:
         raise UsageError(
             f"n={n} exceeds the exact-assignment budget ({ASSIGNMENT_MAX_N}); use w2_sliced"
         )
+    # Imported here: scipy.optimize costs about half a second to import and
+    # only this route needs it.
+    from scipy.optimize import linear_sum_assignment
+
     cost = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
     rows, cols = linear_sum_assignment(cost)
     return W2Result(value=float(np.sqrt(cost[rows, cols].mean())), method="assignment")

@@ -1,3 +1,5 @@
+import csv
+import json
 import os
 import subprocess
 import sys
@@ -5,10 +7,15 @@ import sys
 import numpy as np
 import pytest
 
+from smallmass import rng as _rng
+from smallmass.cli import main as cli_main
 from smallmass.config import load_config, parse_config, serialize_config
+from smallmass.dynamics_limit import DiffusionSpec, LimitScheme, run_limit_replicas
 from smallmass.errors import ConfigError
-from smallmass.harness import (load_sample_file, run_convergence,
-                               run_diagnose, run_estimate_gk, worker_count)
+from smallmass.harness import (CONVERGE_COLUMNS, _pool_self_test_samples,
+                               build_mode_diffusions, load_sample_file,
+                               run_convergence, run_diagnose, run_estimate_gk,
+                               run_simulate_eps, run_simulate_limit, worker_count)
 from smallmass.transport import w2_1d
 
 from conftest import write_config
@@ -39,6 +46,12 @@ class TestConfig:
     def test_sampling_cannot_exceed_particles(self, small_config_dict):
         doc = dict(small_config_dict, **{"run.samples_per_replica": 99})
         with pytest.raises(ConfigError, match="samples_per_replica"):
+            parse_config(doc)
+
+    def test_output_format_key_is_gone(self, small_config_dict):
+        # nothing ever wrote anything but CSV, so the key is no longer accepted
+        doc = dict(small_config_dict, **{"output.format": "csv"})
+        with pytest.raises(ConfigError, match="unrecognized.*output.format"):
             parse_config(doc)
 
     def test_missing_file_names_path(self, tmp_path):
@@ -127,6 +140,37 @@ class TestConvergenceHarness:
                                                            + np.std(floors))
 
 
+    def test_self_test_sample_uses_the_limit_step(self, small_config_dict):
+        doc = dict(small_config_dict, **{"run.self_test": True, "limit.h": 0.003})
+        cfg = parse_config(doc)
+        diff = DiffusionSpec("paper", np.array([[0.5]]))
+        got = _pool_self_test_samples(cfg, 1, diff, "paper")
+        ref = run_limit_replicas(cfg.run_config(0.2), cfg.potential(), diff, cfg.init_law(),
+                                 range(24), (_rng.SELF_TEST, 1), sch=LimitScheme(0.003))
+        assert np.array_equal(got, ref[:, :2].reshape(-1, 1))
+
+    def test_matrix_metadata_stays_on_comment_lines(self, small_config_dict, tmp_path):
+        doc = dict(small_config_dict, **{
+            "run.d": 2, "run.N": 4, "run.eps_grid": [0.2], "run.replicas": 8,
+            "run.samples_per_replica": 1, "limit.replicas": 8,
+            "limit.samples_per_replica": 1,
+        })
+        cfg = parse_config(doc)
+        run_convergence(cfg).write_csv(tmp_path / "converge.csv")
+        run_simulate_limit(cfg, str(tmp_path))
+        diffs = build_mode_diffusions(cfg)
+        for name, header, keys in (
+                ("converge.csv", ",".join(CONVERGE_COLUMNS),
+                 {f"diffusion.{m}.D_eff": m for m in diffs}),
+                ("samples_limit.csv", "sample,x_1,x_2", {"limit.D_eff": "paper"})):
+            lines = (tmp_path / name).read_text().splitlines()
+            at = lines.index(header)
+            assert all(line.startswith("# ") for line in lines[:at])
+            meta = dict(line[2:].split(" = ", 1) for line in lines[:at])
+            for key, mode in keys.items():
+                assert json.loads(meta[key]) == diffs[mode].matrix.tolist()
+
+
 class TestOtherEntryPoints:
     def test_estimate_gk(self, small_config_dict):
         cfg = parse_config(small_config_dict)
@@ -144,6 +188,35 @@ class TestOtherEntryPoints:
         modules = {r[0] for r in rows}
         assert {"moment_table", "uv", "bm_proxy", "green_kubo"} <= modules
         assert "config.run.seed" in meta
+
+    def test_diagnose_csv_rows_have_five_fields(self, small_config_dict, tmp_path):
+        doc = dict(small_config_dict, **{
+            "run.d": 2, "diag.reps": 128, "diag.moment_reps": 16, "diag.N": 2,
+            "run.eps_grid": [0.1], "diag.lag_hi": 0.2,
+        })
+        cfg_path = write_config(tmp_path, doc)
+        assert cli_main(["diagnose", str(cfg_path), "--out", str(tmp_path)]) == 0
+        with open(tmp_path / "diagnose.csv", newline="") as fh:
+            rows = list(csv.reader(line for line in fh if not line.startswith("#")))
+        assert rows[0] == ["module", "eps", "stat", "value", "ci"]
+        assert all(len(row) == 5 for row in rows)
+        assert {"G[0,0]", "G[0,1]", "G[1,0]", "G[1,1]"} <= {row[2] for row in rows}
+
+    def test_trajectory_dumps_end_on_the_sample_step_grid(self, small_config_dict, tmp_path):
+        # h = 0.05 * 0.03 does not divide T = 5, and neither does limit.h
+        doc = dict(small_config_dict, **{
+            "output.dump_trajectories": True, "run.N": 2, "run.replicas": 1,
+            "run.samples_per_replica": 2, "run.eps_grid": [0.03], "run.T": 5.0,
+            "limit.h": 0.003, "limit.replicas": 1, "limit.modes": ["paper"],
+        })
+        cfg = parse_config(doc)
+        run_simulate_eps(cfg, str(tmp_path))
+        run_simulate_limit(cfg, str(tmp_path))
+        for kind in ("eps", "limit"):
+            sample = load_sample_file(tmp_path / f"samples_{kind}.csv")
+            traj = load_sample_file(tmp_path / f"trajectory_{kind}.csv")
+            assert np.array_equal(traj[-2:, 2:3], sample)
+            assert traj[-1, 0] >= 5.0 - 1e-9
 
     def test_load_sample_file(self, tmp_path):
         p = tmp_path / "samples.csv"

@@ -194,3 +194,57 @@ class TestSchemeCrossCheck:
         with pytest.raises(UsageError):
             paired_scheme_gap(cfg, model, PotentialSpec.quadratic(1.0),
                               h0_coarse=0.05, h0_fine=0.03)
+
+
+class TestKeptParticles:
+    """``keep`` integrates only the leading particles when they do not interact."""
+
+    @staticmethod
+    def _sweep(cfg, model, pot, kind, **kw):
+        return run_eps_replicas(cfg, model, pot, kind, InitialLaw(velocity=0.3), range(5),
+                                (_rng.EPS_RUN, 2), batch_size=3, keep_velocities=True, **kw)
+
+    @pytest.mark.parametrize("kind", ["exponential", "euler"])
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("clip", [False, True])
+    def test_kept_block_is_the_full_run_sliced(self, kind, d, clip):
+        cfg = RunConfig(d=d, N=6, eps=0.1, alpha=1.2, T=0.4, h0=0.05, seed=17)
+        model = NoiseModel.scalar_ou(d, gamma=1.5, sigma=0.8, clip=clip)
+        pot = PotentialSpec.quadratic(0.7)
+        full_x, full_y = self._sweep(cfg, model, pot, kind)
+        for k in (1, 4):
+            x, y = self._sweep(cfg, model, pot, kind, keep=k)
+            assert x.shape == y.shape == (5, k, d)
+            assert np.array_equal(x, full_x[:, :k])
+            assert np.array_equal(y, full_y[:, :k])
+
+    @pytest.mark.parametrize("model, pot", [
+        (NoiseModel.scalar_ou(2, gamma=1.0, sigma=1.0), PotentialSpec.curie_weiss(1.0, 0.5)),
+        (NoiseModel.fourier_field(2, gamma=1.0, sigma=1.0, omegas=[[1.0, 0.0], [0.0, 1.0]],
+                                  a=[1.0, 0.5], b=[0.0, 0.5]), PotentialSpec.quadratic(1.0)),
+        (NoiseModel.separable(2, gamma=1.0, sigma=1.0, g_name="gauss"),
+         PotentialSpec.quadratic(1.0)),
+    ], ids=["curie-weiss", "fourier-field", "separable"])
+    def test_interacting_dynamics_integrate_all_particles(self, model, pot):
+        cfg = RunConfig(d=2, N=6, eps=0.1, alpha=1.0, T=0.2, h0=0.05, seed=3)
+        full_x, _ = self._sweep(cfg, model, pot, "exponential")
+        x, _ = self._sweep(cfg, model, pot, "exponential", keep=2)
+        assert x.shape == (5, 6, 2)
+        assert np.array_equal(x, full_x)
+
+    def test_recorder_sees_every_particle(self):
+        cfg = RunConfig(d=1, N=6, eps=0.1, alpha=1.0, T=0.1, h0=0.05, seed=3)
+        model = NoiseModel.scalar_ou(1, gamma=1.0, sigma=1.0)
+        shapes = set()
+        x, _ = run_eps_replicas(cfg, model, PotentialSpec.quadratic(1.0), "exponential",
+                                InitialLaw(), range(2), (_rng.EPS_RUN, 0), keep=1,
+                                recorder=lambda ids, k, t, X, Y: shapes.add(X.shape))
+        assert shapes == {(2, 6, 1)} and x.shape == (2, 6, 1)
+
+    def test_keep_out_of_range_rejected(self):
+        cfg = RunConfig(d=1, N=4, eps=0.1, alpha=1.0, T=0.1, h0=0.05, seed=0)
+        model = NoiseModel.scalar_ou(1, gamma=1.0, sigma=1.0)
+        for keep in (0, 5):
+            with pytest.raises(UsageError, match="keep"):
+                run_eps_replicas(cfg, model, PotentialSpec.quadratic(1.0), "exponential",
+                                 InitialLaw(), range(2), (_rng.EPS_RUN, 0), keep=keep)

@@ -8,8 +8,8 @@ from smallmass.core import ParticleEnsemble, PotentialSpec, RunConfig
 from smallmass.dynamics_eps import InitialLaw
 from smallmass.dynamics_limit import (DiffusionSpec, LimitScheme,
                                       build_diffusion, default_limit_scheme,
-                                      simulate_limit, step_em)
-from smallmass.errors import UsageError
+                                      run_limit_replicas, simulate_limit, step_em)
+from smallmass.errors import NumericError, UsageError
 from smallmass.noise import NoiseModel
 
 ZERO_POT = PotentialSpec.custom(lambda x, m: np.zeros_like(x), 1.0)
@@ -132,3 +132,55 @@ class TestSimulateLimit:
         sch = default_limit_scheme(
             RunConfig(d=1, N=1, eps=0.5, alpha=1.0, T=1.0, h0=0.05, seed=0), pot)
         assert sch.h <= 0.001 * (1.0 + 1e-12)
+
+
+class TestLimitReplicaSweep:
+    """The lock-step kernel against the per-replica reference ``simulate_limit``."""
+
+    @staticmethod
+    def _reference(cfg, pot, diff, init, ids, path, sch):
+        return np.stack([simulate_limit(cfg, pot, diff, init=init, sch=sch,
+                                        rng=_rng.stream(cfg.seed, *path, r)).positions
+                         for r in ids])
+
+    @pytest.mark.parametrize("d, keep", [(1, 3), (1, 1), (2, 1), (2, 3)])
+    def test_quadratic_kept_particles_match_sequential(self, d, keep):
+        cfg = RunConfig(d=d, N=8, eps=0.5, alpha=1.0, T=0.3, h0=0.05, seed=11)
+        pot = PotentialSpec.quadratic(1.0)
+        diff = DiffusionSpec("explicit", np.array([[0.7, 0.2], [0.2, 0.5]])[:d, :d])
+        init, ids, path = InitialLaw(position_std=0.5), [4, 0, 9], (_rng.LIMIT_RUN, 1)
+        sch = default_limit_scheme(cfg, pot)
+        ref = self._reference(cfg, pot, diff, init, ids, path, sch)
+        got = run_limit_replicas(cfg, pot, diff, init, ids, path, sch, keep=keep)
+        assert got.shape[1] < cfg.N
+        assert np.array_equal(got[:, :keep], ref[:, :keep])
+
+    def test_curie_weiss_matches_sequential(self):
+        cfg = RunConfig(d=2, N=6, eps=0.5, alpha=1.0, T=0.2, h0=0.05, seed=5)
+        pot = PotentialSpec.curie_weiss(1.0, 0.5)
+        diff = DiffusionSpec("explicit", np.array([[1.0, -0.3], [-0.3, 0.8]]))
+        init, ids, path = InitialLaw(), range(3), (_rng.SELF_TEST, 2)
+        sch = LimitScheme(0.003)  # does not divide T
+        ref = self._reference(cfg, pot, diff, init, ids, path, sch)
+        got = run_limit_replicas(cfg, pot, diff, init, ids, path, sch, keep=2)
+        assert got.shape == (3, 6, 2)
+        assert np.array_equal(got, ref)
+
+    def test_non_finite_state_names_the_replica(self):
+        class OneBadReplica:
+            calls = 0
+
+            def draw_positions(self, n, d, rng):
+                x = InitialLaw().draw_positions(n, d, rng)
+                if self.calls == 1:
+                    x[0] = np.inf
+                self.calls += 1
+                return x
+
+        cfg = RunConfig(d=1, N=4, eps=0.5, alpha=1.0, T=0.1, h0=0.05, seed=0)
+        with pytest.raises(NumericError, match="replica=8") as err, \
+                np.errstate(invalid="ignore"):
+            run_limit_replicas(cfg, PotentialSpec.quadratic(1.0),
+                               DiffusionSpec("explicit", np.array([[1.0]])),
+                               OneBadReplica(), [7, 8, 9], (_rng.LIMIT_RUN, 0))
+        assert err.value.replica == 8
