@@ -228,6 +228,13 @@ def _cross_validate(v):
     bad = [m for m in v["limit.modes"] if m not in _MODES]
     if bad:
         raise ConfigError(f"limit.modes: unknown modes {bad}")
+    if len(set(v["limit.modes"])) < len(v["limit.modes"]):
+        raise ConfigError(f"limit.modes: {v['limit.modes']} repeats a mode; each run of "
+                          "a mode overwrites the W2 column of the one before")
+    if "green-kubo" in v["limit.modes"] and "explicit" in v["limit.modes"]:
+        raise ConfigError("limit.modes: green-kubo and explicit both report in the "
+                          "w2_gk_mode column, so one would overwrite the other; "
+                          "configure one of them")
     if "explicit" in v["limit.modes"] and v["limit.explicit_matrix"] is None:
         raise ConfigError("limit.explicit_matrix is required for the explicit mode")
     if v["noise.gamma"] <= 0.0:

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import rng as _rng
 from .core import ParticleEnsemble, PotentialSpec, RunConfig
-from .dynamics_eps import InitialLaw, _drift_grad
+from .dynamics_eps import InitialLaw, _drift_grad, _n_steps
 from .errors import NumericError, UsageError
 from .noise import NoiseModel, mixing_metadata, sigma_matrix
 
@@ -69,8 +69,10 @@ class DiffusionSpec:
         if np.min(w) < _EIG_CLAMP * scale:
             raise UsageError(f"diffusion matrix has negative eigenvalue {np.min(w):g}")
         w = np.clip(w, 0.0, None)
-        object.__setattr__(self, "matrix", (v * w) @ v.T)
-        object.__setattr__(self, "_sqrt", (v * np.sqrt(w)) @ v.T)
+        # The reconstruction rounds its two triangles differently.
+        mat, root = (v * w) @ v.T, (v * np.sqrt(w)) @ v.T
+        object.__setattr__(self, "matrix", 0.5 * (mat + mat.T))
+        object.__setattr__(self, "_sqrt", 0.5 * (root + root.T))
 
     @property
     def sqrt(self) -> np.ndarray:
@@ -153,14 +155,14 @@ def _limit_drift(pot, X, ens=None):
     return _drift_grad(pot, X)
 
 
-def _n_limit_steps(T: float, h: float) -> int:
-    return max(1, int(round(T / h)))
-
-
 def simulate_limit(cfg: RunConfig, pot: PotentialSpec, diff: DiffusionSpec,
                    init: InitialLaw | None = None, rng=None,
                    sch: LimitScheme | None = None) -> ParticleEnsemble:
-    """Euler-Maruyama to the horizon; deterministic given the seed."""
+    """Euler-Maruyama to the horizon; deterministic given the seed.
+
+    The step count follows the eps system's rule: when ``h`` does not
+    divide ``T`` the last step ends past ``T``, never before it.
+    """
     init = init or InitialLaw()
     if rng is None:
         rng = _rng.stream(cfg.seed, _rng.LIMIT_RUN, 0, 0)
@@ -168,7 +170,7 @@ def simulate_limit(cfg: RunConfig, pot: PotentialSpec, diff: DiffusionSpec,
     sch.validate(cfg.alpha, pot)
     X = init.draw_positions(cfg.N, cfg.d, rng)
     ens = ParticleEnsemble(positions=X, velocities=None, time=0.0, eps=None)
-    n = _n_limit_steps(cfg.T, sch.h)
+    n = _n_steps(cfg.T, sch.h)
     for k in range(n):
         try:
             ens = step_em(ens, pot, diff, sch, cfg.alpha, rng)
@@ -214,7 +216,7 @@ def run_limit_replicas(cfg: RunConfig, pot: PotentialSpec, diff: DiffusionSpec,
         # For d > 1 a one-row block would take BLAS's vector-matrix path,
         # which rounds differently from the matrix path of the full run.
         M = min(N, max(keep, 2 if d > 1 else 1))
-    n = _n_limit_steps(cfg.T, sch.h)
+    n = _n_steps(cfg.T, sch.h)
     chunk = max(1, _DRAW_CHUNK // (N * d))
     X = np.empty((len(replica_ids), M, d))
     Z = np.empty((n,) + X.shape)

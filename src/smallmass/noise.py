@@ -20,6 +20,12 @@ Three concrete field shapes are provided:
                      + b_k sin(w_k . x)) with independent per-dimension,
                      per-mode drivers.
 
+Every particle feels the same forcing, the field averaged over the law.
+For all three shapes that average is linear in the driver, so it is
+computed without forming the field at each point: the x-dependent factor
+(1, g, or the Fourier basis a_k cos(w_k . x) + b_k sin(w_k . x)) is
+averaged over the points first and then contracted with the driver.
+
 Gaussian drivers are unbounded, so the uniform field bounds hold in mean
 rather than almost surely; set ``clip=True`` to truncate the driver at six
 standard deviations when strict almost-sure boundedness is wanted.
@@ -243,6 +249,8 @@ def eval_field_points(model: NoiseModel, xi: np.ndarray, points: np.ndarray) -> 
     """Field values at ``points`` (..., n, d) for driver values ``xi``.
 
     Leading batch axes of ``xi`` broadcast against those of ``points``.
+    This is the point evaluator behind ``eval_field``; the law-averaged
+    forcing never forms the per-point field (see ``averaged_forcing_xi``).
     """
     if model.kind == "scalar-ou":
         return np.broadcast_to(
@@ -251,9 +259,13 @@ def eval_field_points(model: NoiseModel, xi: np.ndarray, points: np.ndarray) -> 
     if model.kind == "separable":
         gvals = model.g(points)  # (..., n)
         return xi[..., None, :] * gvals[..., :, None]
-    phase = points @ model.omegas.T  # (..., n, K)
-    basis = model.a * np.cos(phase) + model.b * np.sin(phase)
-    return np.einsum("...nk,...dk->...nd", basis, xi)
+    return np.einsum("...nk,...dk->...nd", _fourier_basis(model, points), xi)
+
+
+def _fourier_basis(model: NoiseModel, points: np.ndarray) -> np.ndarray:
+    """a_k cos(w_k . x) + b_k sin(w_k . x) at ``points`` (..., n, d); shape (..., n, K)."""
+    phase = points @ model.omegas.T
+    return model.a * np.cos(phase) + model.b * np.sin(phase)
 
 
 def averaged_forcing(model: NoiseModel, state: DriverState, m: EmpiricalMeasure) -> np.ndarray:
@@ -270,14 +282,26 @@ def averaged_forcing(model: NoiseModel, state: DriverState, m: EmpiricalMeasure)
 
 
 def averaged_forcing_xi(model: NoiseModel, xi: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Array form of ``averaged_forcing``; batch axes broadcast."""
+    """Array form of ``averaged_forcing``; batch axes broadcast.
+
+    The average is linear in the driver, so the x-dependent factor is
+    averaged over the points (pairwise fold) and then contracted with
+    ``xi``: for fourier-field, sum_k xi[..., :, k] * mean_n basis_k(x_n).
+    The contraction over k runs in a fixed order, elementwise, so the
+    result of one replica does not depend on how many are batched with it.
+    The per-point field, of shape (..., n, d), is never formed.
+    """
     if model.kind == "scalar-ou":
         # x-independent field: the law average is the driver value itself.
         return xi
     if model.kind == "separable":
         gbar = pairwise_mean(model.g(points), axis=-1)
         return xi * gbar[..., None]
-    return pairwise_mean(eval_field_points(model, xi, points), axis=-2)
+    gbar = pairwise_mean(_fourier_basis(model, points), axis=-2)  # (..., K)
+    out = xi[..., 0] * gbar[..., None, 0]
+    for k in range(1, gbar.shape[-1]):
+        out += xi[..., k] * gbar[..., None, k]
+    return out
 
 
 def sigma_matrix(model: NoiseModel, m: EmpiricalMeasure | None = None, *,
@@ -287,7 +311,9 @@ def sigma_matrix(model: NoiseModel, m: EmpiricalMeasure | None = None, *,
     scalar-ou and separable kinds are closed-form; the fourier-field value
     is a Monte Carlo estimate over the driver's stationary law (the field's
     law dependence makes it an estimate, not an identity, and it is
-    recorded as such wherever it enters a report).
+    recorded as such wherever it enters a report).  The Fourier basis is
+    averaged over ``m`` once and contracted with each of the
+    ``mc_samples`` driver draws, so no (mc_samples, n, d) field is formed.
     """
     s2 = model.sigma**2
     eye = np.eye(model.d)

@@ -54,6 +54,16 @@ class TestConfig:
         with pytest.raises(ConfigError, match="unrecognized.*output.format"):
             parse_config(doc)
 
+    @pytest.mark.parametrize("modes, reason", [
+        (["green-kubo", "explicit"], "green-kubo and explicit.*w2_gk_mode"),
+        (["paper", "green-kubo", "paper"], "repeats a mode"),
+    ])
+    def test_modes_sharing_a_column_are_rejected(self, small_config_dict, modes, reason):
+        doc = dict(small_config_dict, **{"limit.modes": modes,
+                                         "limit.explicit_matrix": [[1.0]]})
+        with pytest.raises(ConfigError, match=reason):
+            parse_config(doc)
+
     def test_missing_file_names_path(self, tmp_path):
         with pytest.raises(ConfigError, match="nope.json"):
             load_config(tmp_path / "nope.json")

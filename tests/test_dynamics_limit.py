@@ -50,6 +50,19 @@ class TestBuildDiffusion:
             diff = DiffusionSpec("explicit", m)
             assert np.max(np.abs(diff.sqrt @ diff.sqrt.T - m)) <= 1e-10
 
+    def test_reconstruction_is_exactly_symmetric(self):
+        # green-kubo off-diagonals once differed in the last bit
+        m = np.array([[0.7, -0.07561688556334193], [-0.07561688556334193, 0.4]])
+        diff = DiffusionSpec("green-kubo", m)
+        assert np.array_equal(diff.matrix, diff.matrix.T)
+        assert np.array_equal(diff.sqrt, diff.sqrt.T)
+
+    def test_one_dimensional_value_is_kept_bitwise(self):
+        for x in (0.5, 1.0 / 3.0, 0.07561688556334193, 2.0**-30):
+            diff = DiffusionSpec("explicit", [[x]])
+            assert diff.matrix[0, 0] == x
+            assert diff.sqrt[0, 0] == math.sqrt(x)
+
 
 class TestStepEm:
     def test_identity_with_zero_drift_and_diffusion(self):
@@ -165,6 +178,18 @@ class TestLimitReplicaSweep:
         got = run_limit_replicas(cfg, pot, diff, init, ids, path, sch, keep=2)
         assert got.shape == (3, 6, 2)
         assert np.array_equal(got, ref)
+
+    def test_non_dividing_step_reaches_the_horizon(self):
+        # round(T/h) gave 149 steps, ending at t = 0.9983 before the horizon;
+        # the eps system's rule rounds up to 150.
+        cfg = RunConfig(d=1, N=2, eps=0.5, alpha=1.0, T=1.0, h0=0.05, seed=3)
+        times = []
+        run_limit_replicas(cfg, PotentialSpec.quadratic(1.0),
+                           DiffusionSpec("explicit", np.array([[1.0]])), InitialLaw(),
+                           [0], (_rng.LIMIT_RUN, 0), LimitScheme(0.0067),
+                           recorder=lambda ids, k, t, X: times.append((k, t)))
+        k, t = times[-1]
+        assert k == 150 and t >= cfg.T
 
     def test_non_finite_state_names_the_replica(self):
         class OneBadReplica:

@@ -1,14 +1,16 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from smallmass import rng as _rng
-from smallmass.core import EmpiricalMeasure
+from smallmass.core import EmpiricalMeasure, pairwise_mean
 from smallmass.errors import UsageError
 from smallmass.noise import (DriverState, NoiseModel, advance,
-                             averaged_forcing, eval_field, init_stationary,
+                             averaged_forcing, averaged_forcing_xi, eval_field,
+                             eval_field_points, init_stationary,
                              mixing_metadata, sigma_matrix)
 
 
@@ -153,6 +155,52 @@ class TestAveragedForcing:
         st = init_stationary(model, 7)
         m = EmpiricalMeasure.from_points([[-0.5], [0.5]])
         assert averaged_forcing(model, st, m) == pytest.approx([0.0], abs=1e-15)
+
+
+def _fourier(d, K):
+    gen = np.random.default_rng(10 * d + K)
+    return NoiseModel.fourier_field(d, gamma=1.0, sigma=1.0,
+                                    omegas=gen.standard_normal((K, d)),
+                                    a=gen.standard_normal(K), b=gen.standard_normal(K))
+
+
+class TestFourierAveragedForcing:
+    """The linear route (average the basis, then contract) against the field."""
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("K", [1, 3])
+    @pytest.mark.parametrize("batch", [(), (5,), (2, 3)])
+    def test_matches_mean_of_point_field(self, d, K, batch):
+        model = _fourier(d, K)
+        gen = np.random.default_rng(1)
+        xi = gen.standard_normal(batch + (d, K))
+        points = gen.standard_normal(batch + (17, d))
+        got = averaged_forcing_xi(model, xi, points)
+        ref = pairwise_mean(eval_field_points(model, xi, points), axis=-2)
+        assert got.shape == batch + (d,)
+        assert np.max(np.abs(got - ref)) <= 1e-13
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_batch_equals_each_replica_alone(self, d):
+        model = _fourier(d, 3)
+        gen = np.random.default_rng(2)
+        xi = gen.standard_normal((64, d, 3))
+        points = gen.standard_normal((64, 32, d))
+        batched = averaged_forcing_xi(model, xi, points)
+        for r in range(64):
+            assert np.array_equal(batched[r], averaged_forcing_xi(model, xi[r], points[r]))
+
+    def test_sigma_matrix_forms_no_per_point_field(self):
+        # The old route built a (mc_samples, 1024, 2) field: 64 MB.
+        model = _fourier(2, 3)
+        m = EmpiricalMeasure.from_points(np.random.default_rng(3).standard_normal((1024, 2)))
+        tracemalloc.start()
+        try:
+            sigma_matrix(model, m)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20
 
 
 class TestMixingMetadata:
