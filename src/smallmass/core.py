@@ -234,19 +234,32 @@ def grad_v(p: PotentialSpec, x, m: EmpiricalMeasure) -> np.ndarray:
     return out
 
 
-def grad_v_batch(p: PotentialSpec, xs: np.ndarray, m: EmpiricalMeasure) -> np.ndarray:
-    """Vectorized ``grad_v`` over rows of ``xs``; used by the integrators.
+def grad_v_batch(p: PotentialSpec, xs: np.ndarray, m: EmpiricalMeasure | None = None,
+                 out: np.ndarray | None = None, tmp: np.ndarray | None = None) -> np.ndarray:
+    """Vectorized ``grad_v`` over rows of ``xs``; the drift of both integrators.
 
-    ``xs`` may carry leading batch axes; the measure applies to all rows.
+    With a measure ``m`` it applies to every row, and ``xs`` may carry
+    leading batch axes.  With ``m=None`` each (n, d) set along the last
+    two axes of ``xs`` is its own measure, averaged over the particle axis
+    with the deterministic pairwise fold.  Builtin kinds batch over leading
+    axes and, when given, write the result to ``out`` using ``tmp`` as
+    scratch (both shaped like ``xs``).  Custom kinds take one (n, d) set
+    when ``m`` is None and always return a new array, so callers use the
+    return value.
     """
     xs = np.asarray(xs, dtype=float)
-    if xs.shape[-1] != m.d:
+    if m is not None and xs.shape[-1] != m.d:
         raise UsageError(f"dimension mismatch: points d={xs.shape[-1]}, measure d={m.d}")
-    if p.kind == "quadratic":
-        return p.lam * xs
+    if p.kind == "custom":
+        m = m if m is not None else EmpiricalMeasure(xs)
+        return np.stack([p.grad(row, m) for row in xs.reshape(-1, m.d)]).reshape(xs.shape)
+    out = np.multiply(xs, p.lam, out=out)
     if p.kind == "curie-weiss":
-        return p.lam * xs + p.kappa * (xs - empirical_mean(m))
-    return np.stack([p.grad(row, m) for row in xs.reshape(-1, m.d)]).reshape(xs.shape)
+        mean = pairwise_mean(xs, axis=-2)[..., None, :] if m is None else empirical_mean(m)
+        tmp = np.subtract(xs, mean, out=tmp)
+        tmp *= p.kappa
+        out += tmp
+    return out
 
 
 def probe_lipschitz(p: PotentialSpec, sampler, trials: int) -> float:

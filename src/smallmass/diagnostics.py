@@ -7,9 +7,11 @@ limit falsifiable at desk scale:
   E||sqrt(eps) Y||^{2,4} stay bounded uniformly over the eps grid;
 * ``uv_check``: the integrated forcing u and its exponentially filtered
   part v, computed with the integrator's own quadrature (left-endpoint
-  forcing, exact exponential weights for v).  E||v(T)||^2 must vanish
-  linearly in eps, and the fourth-moment increment ratio
-  E||u(t) - u(s)||^4 / |t - s| must stay bounded across dyadic lags;
+  forcing, exact exponential weights for v).  For law-dependent fields
+  the paths are recorded from the lock-step eps kernel
+  (``run_eps_replicas``).  E||v(T)||^2 must vanish linearly in eps, and
+  the fourth-moment increment ratio E||u(t) - u(s)||^4 / |t - s| must
+  stay bounded across dyadic lags;
 * ``green_kubo``: the effective diffusion of the law-averaged forcing,
   G = 2 * integral of its stationary autocovariance, the executable
   surrogate for the limit noise normalization;
@@ -30,8 +32,7 @@ from . import rng as _rng
 from .core import EmpiricalMeasure, PotentialSpec, RunConfig
 from .dynamics_eps import InitialLaw, _n_steps, build_scheme, run_eps_replicas
 from .errors import UsageError
-from .noise import (DriverState, NoiseModel, advance_xi, averaged_forcing,
-                    averaged_forcing_xi, stationary_xi)
+from .noise import NoiseModel, advance_xi, averaged_forcing_xi, stationary_xi
 
 __all__ = [
     "GkEstimate",
@@ -100,9 +101,8 @@ class _MomentRecorder:
         self.eps = eps
         self.values = np.zeros((n_replicas, len(self.idx), 4))
         self.times = np.zeros(len(self.idx))
-        self._cursor = {}
 
-    def __call__(self, ids, k, t, X, Y):
+    def __call__(self, ids, k, t, X, Y, xi):
         slot = self.lookup.get(k)
         if slot is None:
             return
@@ -113,13 +113,7 @@ class _MomentRecorder:
             [sx.mean(axis=-1), (sx * sx).mean(axis=-1),
              sy.mean(axis=-1), (sy * sy).mean(axis=-1)], axis=-1
         )
-        rows = [self._row(r) for r in ids]
-        self.values[rows, slot] = block
-
-    def _row(self, replica_id):
-        if replica_id not in self._cursor:
-            self._cursor[replica_id] = len(self._cursor)
-        return self._cursor[replica_id]
+        self.values[ids, slot] = block
 
 
 def moment_table(cfg: RunConfig, model: NoiseModel, pot: PotentialSpec,
@@ -170,7 +164,12 @@ def uv_check(cfg: RunConfig, model: NoiseModel, *, reps: int = 512,
     v(t) = the same integral filtered by exp(-(alpha/eps)(t-s)); both use
     the integrator's quadrature (forcing frozen at step left endpoints,
     exact exponential weights for v) so that diagnostic and dynamics share
-    one discretization error.
+    one discretization error.  For the x-independent ``scalar-ou`` field
+    only the driver is simulated; law-dependent fields ride the particle
+    system, recorded from the lock-step eps kernel ``run_eps_replicas``
+    under the exponential scheme.  Custom potentials are not supported:
+    with a law-dependent field they raise ``UsageError`` before anything
+    is drawn.
 
     E||v||^2 is estimated by averaging over replicas and over the second
     half of the horizon; v is stationary there up to an exp(-alpha T /
@@ -209,66 +208,62 @@ def uv_check(cfg: RunConfig, model: NoiseModel, *, reps: int = 512,
                     u_increment_ratios=ratios, bm_stats=stats, n_replicas=reps)
 
 
+class _UvPaths:
+    """u and late-time v paths under the integrator's quadrature.
+
+    ``add`` folds the left-endpoint forcing of step k into u (weight
+    h / (alpha sqrt(eps))) and into v (exact exponential weights), for the
+    replica rows ``rows``.
+    """
+
+    def __init__(self, cfg, d, reps, n):
+        h = cfg.eps_step
+        a = cfg.alpha * h / cfg.eps
+        self.cu = h / (cfg.alpha * math.sqrt(cfg.eps))
+        self.r_fac = math.exp(-a)
+        self.cv = math.sqrt(cfg.eps) * (-math.expm1(-a)) / cfg.alpha**2
+        self.n_late_from = n // 2
+        self.u = np.zeros((reps, n + 1, d))
+        self.v = np.zeros((reps, d))
+        self.v_late = np.zeros((reps, n - self.n_late_from, d))
+
+    def add(self, rows, k, eta):
+        self.u[rows, k + 1] = self.u[rows, k] + self.cu * eta
+        v = self.v[rows] * self.r_fac + self.cv * eta
+        self.v[rows] = v
+        if k >= self.n_late_from:
+            self.v_late[rows, k - self.n_late_from] = v
+
+
 def _u_paths_scalar(cfg, model, reps, n, eps_index):
     """Vectorized u/v paths for the x-independent field (standalone driver)."""
-    h = cfg.eps_step
     ds = model.driver_shape
-    d = model.d
     xi = np.empty((reps,) + ds)
     Z = np.empty((reps, n) + ds)
     for r in range(reps):
         gen = _rng.stream(cfg.seed, _rng.UV_RUN, eps_index, r)
         xi[r] = stationary_xi(model, gen)
         Z[r] = gen.standard_normal((n,) + ds)
-    cu = h / (cfg.alpha * math.sqrt(cfg.eps))
-    a = cfg.alpha * h / cfg.eps
-    r_fac = math.exp(-a)
-    cv = math.sqrt(cfg.eps) * (-math.expm1(-a)) / cfg.alpha**2
-    u = np.zeros((reps, n + 1, d))
-    v = np.zeros((reps, d))
-    n_late_from = n // 2
-    v_late = np.zeros((reps, n - n_late_from, d))
-    delta_s = h / cfg.eps
+    paths = _UvPaths(cfg, model.d, reps, n)
+    delta_s = cfg.eps_step / cfg.eps
     for k in range(n):
-        eta = xi  # scalar-ou: law-averaged field equals the driver value
-        u[:, k + 1] = u[:, k] + cu * eta
-        v = v * r_fac + cv * eta
-        if k >= n_late_from:
-            v_late[:, k - n_late_from] = v
+        paths.add(slice(None), k, xi)  # scalar-ou: the law average is the driver value
         xi = advance_xi(xi, model, delta_s, Z[:, k])
-    return u, v_late
+    return paths.u, paths.v_late
 
 
 def _u_paths_ensemble(cfg, model, reps, n, eps_index, init, pot):
     """u/v paths riding on the full particle system (law-dependent fields)."""
-    from .core import ParticleEnsemble
-    from .dynamics_eps import EpsScheme, step
+    paths = _UvPaths(cfg, model.d, reps, n)
 
-    init = init or InitialLaw()
-    pot = pot or PotentialSpec.quadratic(1.0)
-    h = cfg.eps_step
-    sch = EpsScheme("exponential", h)
-    cu = h / (cfg.alpha * math.sqrt(cfg.eps))
-    a = cfg.alpha * h / cfg.eps
-    r_fac = math.exp(-a)
-    cv = math.sqrt(cfg.eps) * (-math.expm1(-a)) / cfg.alpha**2
-    u = np.zeros((reps, n + 1, cfg.d))
-    n_late_from = n // 2
-    v_late = np.zeros((reps, n - n_late_from, cfg.d))
-    for rix in range(reps):
-        gen = _rng.stream(cfg.seed, _rng.UV_RUN, eps_index, rix)
-        X = init.draw_positions(cfg.N, cfg.d, gen)
-        ens = ParticleEnsemble(X, init.velocities(cfg.N, cfg.d), 0.0, cfg.eps)
-        drv = DriverState(xi=stationary_xi(model, gen), fast_time=0.0)
-        v = np.zeros(cfg.d)
-        for k in range(n):
-            eta = averaged_forcing(model, drv, ens.measure())
-            u[rix, k + 1] = u[rix, k] + cu * eta
-            v = v * r_fac + cv * eta
-            if k >= n_late_from:
-                v_late[rix, k - n_late_from] = v
-            ens, drv, _ = step(ens, model, drv, pot, sch, cfg.alpha, gen)
-    return u, v_late
+    def record(ids, k, t, X, Y, xi):
+        if k < n:
+            paths.add(ids, k, averaged_forcing_xi(model, xi, X))
+
+    run_eps_replicas(cfg, model, pot or PotentialSpec.quadratic(1.0), "exponential",
+                     init or InitialLaw(), range(reps), (_rng.UV_RUN, eps_index),
+                     recorder=record)
+    return paths.u, paths.v_late
 
 
 def green_kubo(model: NoiseModel, m_source: EmpiricalMeasure | None = None,

@@ -34,13 +34,12 @@ replicas one at a time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import rng as _rng
-from .core import (EmpiricalMeasure, ParticleEnsemble, PotentialSpec,
-                   RunConfig, pairwise_mean)
+from .core import ParticleEnsemble, PotentialSpec, RunConfig, grad_v_batch
 from .errors import NumericError, UsageError
 from .noise import (DriverState, NoiseModel, advance_xi, averaged_forcing_xi,
                     stationary_xi)
@@ -127,37 +126,15 @@ class InitialLaw:
         ).astype(float).copy()
 
 
-def _drift_grad(pot: PotentialSpec, X: np.ndarray, out=None, tmp=None) -> np.ndarray:
-    """Gradient drift for builtin kinds, batched over leading axes of X.
-
-    The empirical mean is taken over the particle axis of each replica
-    with the deterministic pairwise fold.  ``out`` and ``tmp`` are optional
-    buffers shaped like X; ``out`` receives the result.
-    """
-    if pot.kind not in ("quadratic", "curie-weiss"):
-        raise UsageError("custom potentials are supported only through the single-ensemble API")
-    out = np.multiply(X, pot.lam, out=out)
-    if pot.kind == "curie-weiss":
-        mean = pairwise_mean(X, axis=-2)
-        tmp = np.subtract(X, mean[..., None, :], out=tmp)
-        tmp *= pot.kappa
-        out += tmp
-    return out
-
-
 def _total_force(model, pot, X, xi, inv_sqrt_eps, out=None, tmp=None):
     """F_i = -grad_v(X_i, mu_hat) + eps^{-1/2} * law-averaged field.
 
     The forcing part is computed once and shared by every particle of a
     replica.  Returns (force, scaled_forcing) with the latter kept for the
-    step report; the force is written to ``out`` when given.
+    step report; for builtin potentials the force is written to ``out``
+    when given (see ``grad_v_batch``), so callers use the returned force.
     """
-    if pot.kind == "custom":
-        from .core import grad_v_batch
-
-        grad = grad_v_batch(pot, X, EmpiricalMeasure(X))
-    else:
-        grad = _drift_grad(pot, X, out, tmp)
+    grad = grad_v_batch(pot, X, out=out, tmp=tmp)
     bar = averaged_forcing_xi(model, xi, X)  # (..., d)
     scaled = inv_sqrt_eps * bar
     return np.subtract(scaled[..., None, :], grad, out=grad), scaled
@@ -296,9 +273,11 @@ def run_eps_replicas(cfg: RunConfig, model: NoiseModel, pot: PotentialSpec,
     bit-identical to running replicas one at a time because every replica's
     normals are pre-drawn from its own stream in the same order the
     sequential path consumes them.  ``recorder``, when given, is called as
-    ``recorder(replica_ids_batch, step_index, time, X, Y)`` after the
-    initial state and after every step; X and Y are updated in place
-    afterwards, so a recorder copies whatever it keeps.
+    ``recorder(replica_ids_batch, step_index, time, X, Y, xi)`` after the
+    initial state and after every step, with ``xi`` the driver values at
+    that time (shape (B,) + driver shape); X, Y and xi are updated in place
+    afterwards, so a recorder copies whatever it keeps.  Only builtin
+    potential kinds are supported.
 
     ``keep`` is the number of leading particles per replica the caller
     needs.  When the dynamics are particle-local (quadratic potential,
@@ -339,14 +318,14 @@ def run_eps_replicas(cfg: RunConfig, model: NoiseModel, pot: PotentialSpec,
         F, tmp = np.empty_like(X), np.empty_like(X)
         t = 0.0
         if recorder is not None:
-            recorder(ids, 0, t, X, Y)
+            recorder(ids, 0, t, X, Y, xi)
         for k in range(n):
             _total_force(model, pot, X, xi, inv_sqrt_eps, F, tmp)
             advance(X, Y, F, tmp)
             advance_xi(xi, model, delta_s, Z[:, k], out=xi)
             t += sch.h
             if recorder is not None:
-                recorder(ids, k + 1, t, X, Y)
+                recorder(ids, k + 1, t, X, Y, xi)
         finite = np.isfinite(X).all(axis=(1, 2)) & np.isfinite(Y).all(axis=(1, 2))
         if not finite.all():
             bad = int(np.argmin(finite))
@@ -394,11 +373,11 @@ def paired_scheme_gap(cfg: RunConfig, model: NoiseModel, pot: PotentialSpec,
     adv_e = _Advance("exponential", h_c, cfg.eps, cfg.alpha)
     adv_u = _Advance("euler", h_f, cfg.eps, cfg.alpha)
     for k in range(n_c):
-        _total_force(model, pot, Xe, xi, inv_sqrt_eps, F, tmp)
+        F, _ = _total_force(model, pot, Xe, xi, inv_sqrt_eps, F, tmp)
         adv_e(Xe, Ye, F, tmp)
         bar_u = inv_sqrt_eps * averaged_forcing_xi(model, xi, Xu)
         for _ in range(ratio):
-            _drift_grad(pot, Xu, F, tmp)
+            F = grad_v_batch(pot, Xu, out=F, tmp=tmp)
             np.subtract(bar_u[..., None, :], F, out=F)
             adv_u(Xu, Yu, F, tmp)
         xi = advance_xi(xi, model, h0_coarse, Z[k])

@@ -31,8 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as _rng
-from .core import ParticleEnsemble, PotentialSpec, RunConfig
-from .dynamics_eps import InitialLaw, _drift_grad, _n_steps
+from .core import ParticleEnsemble, PotentialSpec, RunConfig, grad_v_batch
+from .dynamics_eps import InitialLaw, _n_steps
 from .errors import NumericError, UsageError
 from .noise import NoiseModel, mixing_metadata, sigma_matrix
 
@@ -139,20 +139,12 @@ def step_em(ens: ParticleEnsemble, pot: PotentialSpec, diff: DiffusionSpec,
     if not ens.is_limit_mode:
         raise UsageError("step_em requires a limit-mode ensemble (no velocities)")
     X = ens.positions
-    grad = _limit_drift(pot, X, ens)
+    grad = grad_v_batch(pot, X)
     Z = rng.standard_normal(X.shape)
     X2 = X - (sch.h / alpha) * grad + math.sqrt(sch.h) * Z @ diff.sqrt.T
     out = ParticleEnsemble(positions=X2, velocities=None, time=ens.time + sch.h, eps=None)
     out.check_finite()
     return out
-
-
-def _limit_drift(pot, X, ens=None):
-    if pot.kind == "custom":
-        from .core import grad_v_batch
-
-        return grad_v_batch(pot, X, ens.measure())
-    return _drift_grad(pot, X)
 
 
 def simulate_limit(cfg: RunConfig, pot: PotentialSpec, diff: DiffusionSpec,
@@ -232,7 +224,7 @@ def run_limit_replicas(cfg: RunConfig, pot: PotentialSpec, diff: DiffusionSpec,
     if recorder is not None:
         recorder(replica_ids, 0, t, X)
     for k in range(n):
-        _drift_grad(pot, X, G, tmp)
+        grad_v_batch(pot, X, out=G, tmp=tmp)
         G *= sch.h / cfg.alpha
         X -= G
         X += np.matmul(Z[k], ST, out=tmp)

@@ -370,7 +370,7 @@ def _dump_eps_trajectory(cfg: Config, eps: float, path: str):
     header = ["t", "i"] + [f"x_{k + 1}" for k in range(d)] + [f"y_{k + 1}" for k in range(d)]
     rows = []
 
-    def record(ids, k, t, X, Y):
+    def record(ids, k, t, X, Y, xi):
         for i in range(rc.N):
             rows.append([t, i] + list(map(float, X[0, i])) + list(map(float, Y[0, i])))
 

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from smallmass.core import (EmpiricalMeasure, ParticleEnsemble, PotentialSpec,
                             RunConfig, default_pair_sampler, empirical_mean,
-                            grad_v, pairwise_mean, probe_lipschitz)
+                            grad_v, grad_v_batch, pairwise_mean, probe_lipschitz)
 from smallmass.errors import UsageError
 
 
@@ -75,6 +75,35 @@ class TestGradV:
         pot = PotentialSpec.quadratic(1.0)
         with pytest.raises(UsageError):
             grad_v(pot, [1.0, 2.0], EmpiricalMeasure.point_mass([0.0]))
+
+
+class TestGradVBatch:
+    """Without a measure, each ensemble of the batch is its own measure."""
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("pot", [
+        PotentialSpec.quadratic(0.7),
+        PotentialSpec.curie_weiss(0.7, 0.45),
+    ], ids=["quadratic", "curie-weiss"])
+    def test_batch_equals_each_ensemble_under_its_measure(self, pot, d):
+        X = np.random.default_rng(9).standard_normal((5, 13, d))
+        out, tmp = np.empty_like(X), np.empty_like(X)
+        batched = grad_v_batch(pot, X)
+        buffered = grad_v_batch(pot, X, out=out, tmp=tmp)
+        assert buffered is out
+        for b in range(X.shape[0]):
+            ref = grad_v_batch(pot, X[b], EmpiricalMeasure(X[b]))
+            assert np.array_equal(batched[b], ref)
+            assert np.array_equal(buffered[b], ref)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_custom_takes_one_ensemble_and_returns_a_new_array(self, d):
+        pot = PotentialSpec.custom(lambda x, m: x - 0.3 * m.mean(), 1.6)
+        X = np.random.default_rng(10).standard_normal((13, d))
+        out = np.zeros_like(X)
+        got = grad_v_batch(pot, X, out=out)
+        assert got is not out and not out.any()
+        assert np.array_equal(got, grad_v_batch(pot, X, EmpiricalMeasure(X)))
 
 
 class TestProbeLipschitz:

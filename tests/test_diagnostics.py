@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from smallmass.core import EmpiricalMeasure, PotentialSpec, RunConfig
-from smallmass.diagnostics import (bm_proxy, dyadic_lags, green_kubo,
-                                   moment_table, uv_check)
-from smallmass.dynamics_eps import InitialLaw
+from smallmass import rng as _rng
+from smallmass.core import EmpiricalMeasure, ParticleEnsemble, PotentialSpec, RunConfig
+from smallmass.diagnostics import (_u_paths_ensemble, bm_proxy, dyadic_lags,
+                                   green_kubo, moment_table, uv_check)
+from smallmass.dynamics_eps import EpsScheme, InitialLaw, _n_steps, step
 from smallmass.errors import UsageError
-from smallmass.noise import NoiseModel
+from smallmass.noise import DriverState, NoiseModel, averaged_forcing, stationary_xi
 
 FREE_POT = PotentialSpec.quadratic(1e-12)  # effectively potential-free
 
@@ -82,6 +83,62 @@ class TestUvCheck:
         uv_scal = uv_check(cfg, scalar, reps=128)
         assert uv_flat.v_msq == pytest.approx(uv_scal.v_msq, rel=0.15)
         assert uv_flat.v_msq == pytest.approx(0.1 / 3.0, rel=0.15)
+
+    @staticmethod
+    def _reference_paths(cfg, model, pot, reps, n, eps_index):
+        """u/v paths stepping one replica at a time through ``step``."""
+        h = cfg.eps_step
+        sch = EpsScheme("exponential", h)
+        cu = h / (cfg.alpha * math.sqrt(cfg.eps))
+        a = cfg.alpha * h / cfg.eps
+        r_fac = math.exp(-a)
+        cv = math.sqrt(cfg.eps) * (-math.expm1(-a)) / cfg.alpha**2
+        init = InitialLaw()
+        u = np.zeros((reps, n + 1, cfg.d))
+        n_late_from = n // 2
+        v_late = np.zeros((reps, n - n_late_from, cfg.d))
+        for rix in range(reps):
+            gen = _rng.stream(cfg.seed, _rng.UV_RUN, eps_index, rix)
+            X = init.draw_positions(cfg.N, cfg.d, gen)
+            ens = ParticleEnsemble(X, init.velocities(cfg.N, cfg.d), 0.0, cfg.eps)
+            drv = DriverState(xi=stationary_xi(model, gen), fast_time=0.0)
+            v = np.zeros(cfg.d)
+            for k in range(n):
+                eta = averaged_forcing(model, drv, ens.measure())
+                u[rix, k + 1] = u[rix, k] + cu * eta
+                v = v * r_fac + cv * eta
+                if k >= n_late_from:
+                    v_late[rix, k - n_late_from] = v
+                ens, drv, _ = step(ens, model, drv, pot, sch, cfg.alpha, gen)
+        return u, v_late
+
+    @pytest.mark.parametrize("model, pot", [
+        (NoiseModel.separable(1, gamma=2.0, sigma=1.0, g_name="gauss"),
+         PotentialSpec.quadratic(1.0)),
+        (NoiseModel.fourier_field(2, gamma=2.0, sigma=1.0,
+                                  omegas=[[1.0, 0.0], [0.0, 1.0], [0.7, -0.4]],
+                                  a=[1.0, 0.5, 0.3], b=[0.2, 0.4, 0.6]),
+         PotentialSpec.curie_weiss(1.0, 0.5)),
+    ], ids=["separable-d1", "fourier-field-curie-weiss-d2"])
+    def test_ensemble_paths_equal_the_per_replica_reference(self, model, pot):
+        # 70 replicas: one full kernel batch of 64 and a partial one
+        cfg = RunConfig(d=model.d, N=4, eps=0.1, alpha=1.0, T=0.2, h0=0.05, seed=13)
+        n = _n_steps(cfg.T, cfg.eps_step)
+        u, v_late = _u_paths_ensemble(cfg, model, 70, n, 2, None, pot)
+        u_ref, v_ref = self._reference_paths(cfg, model, pot, 70, n, 2)
+        assert np.array_equal(u, u_ref)
+        assert np.array_equal(v_late, v_ref)
+
+    def test_custom_potential_rejected_before_any_draw(self, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("a random stream was opened")
+
+        monkeypatch.setattr(_rng, "stream", no_draws)
+        cfg = RunConfig(d=1, N=4, eps=0.1, alpha=1.0, T=1.0, h0=0.05, seed=0)
+        model = NoiseModel.separable(1, gamma=2.0, sigma=1.0, g_name="gauss")
+        pot = PotentialSpec.custom(lambda x, m: x, 1.0)
+        with pytest.raises(UsageError, match="builtin"):
+            uv_check(cfg, model, reps=128, pot=pot)
 
     def test_dyadic_ladder(self):
         assert dyadic_lags(0.01, 1.0) == pytest.approx(

@@ -188,6 +188,17 @@ class TestSchemeCrossCheck:
         _, _, gap = paired_scheme_gap(cfg, model, PotentialSpec.quadratic(1.0))
         assert gap < 1e-2
 
+    def test_custom_potential_matches_its_builtin_twin(self):
+        cfg = RunConfig(d=2, N=5, eps=0.1, alpha=1.0, T=0.5, h0=0.05, seed=12)
+        model = NoiseModel.separable(2, gamma=1.0, sigma=1.0, g_name="gauss")
+        lam = 0.8
+        custom = PotentialSpec.custom(lambda x, m: lam * x, lam)
+        e_c, u_c, gap_c = paired_scheme_gap(cfg, model, custom)
+        e_q, u_q, gap_q = paired_scheme_gap(cfg, model, PotentialSpec.quadratic(lam))
+        assert gap_c == gap_q
+        assert np.array_equal(e_c.positions, e_q.positions)
+        assert np.array_equal(u_c.positions, u_q.positions)
+
     def test_non_integer_ratio_rejected(self):
         cfg = RunConfig(d=1, N=4, eps=0.1, alpha=1.0, T=1.0, h0=0.05, seed=0)
         model = NoiseModel.scalar_ou(1, gamma=1.0, sigma=1.0)
@@ -238,7 +249,7 @@ class TestKeptParticles:
         shapes = set()
         x, _ = run_eps_replicas(cfg, model, PotentialSpec.quadratic(1.0), "exponential",
                                 InitialLaw(), range(2), (_rng.EPS_RUN, 0), keep=1,
-                                recorder=lambda ids, k, t, X, Y: shapes.add(X.shape))
+                                recorder=lambda ids, k, t, X, Y, xi: shapes.add(X.shape))
         assert shapes == {(2, 6, 1)} and x.shape == (2, 6, 1)
 
     def test_keep_out_of_range_rejected(self):
