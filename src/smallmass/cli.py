@@ -42,54 +42,6 @@ def _out_dir(cfg, override):
     return out
 
 
-def _cmd_converge(cfg, out):
-    from .harness import run_convergence
-
-    report = run_convergence(cfg)
-    path = os.path.join(out, "converge.csv")
-    report.write_csv(path)
-    print(path)
-    return 0
-
-
-def _cmd_simulate_eps(cfg, out):
-    from .harness import run_simulate_eps
-
-    print(run_simulate_eps(cfg, out))
-    return 0
-
-
-def _cmd_simulate_limit(cfg, out):
-    from .harness import run_simulate_limit
-
-    print(run_simulate_limit(cfg, out))
-    return 0
-
-
-def _cmd_estimate_gk(cfg, out):
-    from .harness import _base_metadata, run_estimate_gk, write_table
-
-    gk = run_estimate_gk(cfg)
-    meta = _base_metadata(cfg)
-    meta["gk.truncation_lag"] = f"{gk.truncation_lag:.17g}"
-    meta["gk.ci_fro"] = f"{gk.ci_fro:.17g}"
-    rows = [[i, j, gk.G[i, j]] for i in range(gk.G.shape[0]) for j in range(gk.G.shape[1])]
-    path = os.path.join(out, "gk.csv")
-    write_table(path, meta, ["i", "j", "G"], rows)
-    print(path)
-    return 0
-
-
-def _cmd_diagnose(cfg, out):
-    from .harness import run_diagnose, write_table
-
-    rows, meta = run_diagnose(cfg)
-    path = os.path.join(out, "diagnose.csv")
-    write_table(path, meta, ["module", "eps", "stat", "value", "ci"], rows)
-    print(path)
-    return 0
-
-
 def _cmd_w2(args):
     from .harness import load_sample_file
     from .transport import w2_auto
@@ -110,18 +62,12 @@ def main(argv=None) -> int:
     try:
         if args.command == "w2":
             return _cmd_w2(args)
+        from . import harness
         from .config import load_config
 
         cfg = load_config(args.config)
-        out = _out_dir(cfg, args.out)
-        dispatch = {
-            "converge": _cmd_converge,
-            "simulate-eps": _cmd_simulate_eps,
-            "simulate-limit": _cmd_simulate_limit,
-            "estimate-gk": _cmd_estimate_gk,
-            "diagnose": _cmd_diagnose,
-        }
-        return dispatch[args.command](cfg, out)
+        print(harness.COMMANDS[args.command](cfg, _out_dir(cfg, args.out)))
+        return 0
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -184,11 +184,12 @@ class Config:
         return h if h is not None else 50.0 / self.values["noise.gamma"]
 
     def limit_pooling(self) -> tuple[int, int]:
-        """(replicas, samples per replica) for the limit-law sample."""
+        """(replicas, samples per replica) for the limit-law sample; the
+        samples per replica are capped at ``run.N``."""
         v = self.values
         reps = v["limit.replicas"] or v["run.replicas"]
         spr = v["limit.samples_per_replica"] or v["run.samples_per_replica"]
-        return reps, spr
+        return reps, min(spr, v["run.N"])
 
 
 def parse_config(doc) -> Config:
@@ -237,6 +238,10 @@ def _cross_validate(v):
                           "configure one of them")
     if "explicit" in v["limit.modes"] and v["limit.explicit_matrix"] is None:
         raise ConfigError("limit.explicit_matrix is required for the explicit mode")
+    mat, d = v["limit.explicit_matrix"], v["run.d"]
+    if mat is not None and (len(mat) != d or any(len(row) != d for row in mat)):
+        raise ConfigError(f"limit.explicit_matrix must be a run.d x run.d = {d} x {d} "
+                          f"matrix, got rows of lengths {[len(row) for row in mat]}")
     if v["noise.gamma"] <= 0.0:
         raise ConfigError("noise.gamma must be > 0")
     if v["run.samples_per_replica"] > v["run.N"]:

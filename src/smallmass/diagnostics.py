@@ -235,20 +235,33 @@ class _UvPaths:
             self.v_late[rows, k - self.n_late_from] = v
 
 
-def _u_paths_scalar(cfg, model, reps, n, eps_index):
-    """Vectorized u/v paths for the x-independent field (standalone driver)."""
+def _driver_paths(model, seed, path, reps, n, delta_s):
+    """Yield the driver values of ``reps`` stationary paths at steps 0..n-1.
+
+    Replica r draws its start and then its n normals from the stream
+    ``(seed, *path, r)``, into arrays preallocated for all replicas; the
+    paths are then advanced in lock-step by ``delta_s``.  Each yielded
+    (reps,) + driver_shape array is fresh: later steps do not overwrite it.
+    """
     ds = model.driver_shape
     xi = np.empty((reps,) + ds)
     Z = np.empty((reps, n) + ds)
     for r in range(reps):
-        gen = _rng.stream(cfg.seed, _rng.UV_RUN, eps_index, r)
+        gen = _rng.stream(seed, *path, r)
         xi[r] = stationary_xi(model, gen)
         Z[r] = gen.standard_normal((n,) + ds)
-    paths = _UvPaths(cfg, model.d, reps, n)
-    delta_s = cfg.eps_step / cfg.eps
     for k in range(n):
-        paths.add(slice(None), k, xi)  # scalar-ou: the law average is the driver value
+        yield xi
         xi = advance_xi(xi, model, delta_s, Z[:, k])
+
+
+def _u_paths_scalar(cfg, model, reps, n, eps_index):
+    """Vectorized u/v paths for the x-independent field (standalone driver)."""
+    paths = _UvPaths(cfg, model.d, reps, n)
+    drivers = _driver_paths(model, cfg.seed, (_rng.UV_RUN, eps_index), reps, n,
+                            cfg.eps_step / cfg.eps)
+    for k, xi in enumerate(drivers):
+        paths.add(slice(None), k, xi)  # scalar-ou: the law average is the driver value
     return paths.u, paths.v_late
 
 
@@ -290,19 +303,10 @@ def green_kubo(model: NoiseModel, m_source: EmpiricalMeasure | None = None,
         dt = 0.05 / model.gamma
     n = int(round(horizon_fast / dt))
     d = model.d
-    ds = model.driver_shape
-    # simulate the driver paths, vectorized across replicas
-    gens = [_rng.stream(seed, _rng.GK_RUN, r) for r in range(reps)]
-    xi = np.stack([stationary_xi(model, g) for g in gens])
-    Z = np.stack([g.standard_normal((n,) + ds) for g in gens])
     eta = np.empty((reps, n, d))
     pts = m_source.points if m_source is not None else None
-    for k in range(n):
-        if model.kind == "scalar-ou":
-            eta[:, k] = xi
-        else:
-            eta[:, k] = averaged_forcing_xi(model, xi, pts)
-        xi = advance_xi(xi, model, dt, Z[:, k])
+    for k, xi in enumerate(_driver_paths(model, seed, (_rng.GK_RUN,), reps, n, dt)):
+        eta[:, k] = averaged_forcing_xi(model, xi, pts)
     # empirical autocovariance per replica, FFT over time, no mean removal
     max_lag = n // 5
     cov = np.zeros((reps, max_lag + 1, d, d))

@@ -1,5 +1,8 @@
 """Experiment orchestration: the eps-sweep convergence study and friends.
 
+Every CLI command's output file is written here: ``COMMANDS`` maps each
+command name to a ``fn(cfg, out_dir) -> path`` writer.
+
 The convergence study samples the law of the terminal position twice --
 from the second-order system at each eps on the grid, and from the limit
 equation under each configured diffusion mode -- and reports the
@@ -24,7 +27,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -56,12 +58,18 @@ BOOTSTRAP_RESAMPLES = 24
 
 CONVERGE_COLUMNS = ("eps", "w2_paper_mode", "w2_gk_mode", "ci_halfwidth",
                     "n_samples", "w2_method")
+# The W2 column of each limit mode; the config admits at most one mode per column.
+MODE_COLUMN = {"paper": "w2_paper_mode", "green-kubo": "w2_gk_mode",
+               "explicit": "w2_gk_mode"}
 
 
 def worker_count() -> int:
-    """Worker pool size: the environment variable, else all available."""
+    """Worker pool size: the environment variable, else the CPUs this
+    process may run on (its affinity mask where the platform has one)."""
     raw = os.environ.get(WORKERS_ENV)
     if raw is None:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
     try:
         n = int(raw)
@@ -115,10 +123,6 @@ def _limit_batch_worker(args):
     return pos[:, :spr, :].reshape(-1, rc.d)
 
 
-def _batched(n, size):
-    return [list(range(a, min(a + size, n))) for a in range(0, n, size)]
-
-
 @dataclass(frozen=True)
 class ConvergenceReport:
     """One row per eps plus enough metadata to re-run the experiment."""
@@ -127,8 +131,8 @@ class ConvergenceReport:
     metadata: dict
 
     def write_csv(self, path):
-        write_table(path, self.metadata, CONVERGE_COLUMNS,
-                    [[r[c] for c in CONVERGE_COLUMNS] for r in self.rows])
+        return write_table(path, self.metadata, CONVERGE_COLUMNS,
+                           [[r[c] for c in CONVERGE_COLUMNS] for r in self.rows])
 
     @property
     def selected_mode(self) -> str:
@@ -146,7 +150,8 @@ def _fmt(x) -> str:
 def write_table(path, metadata: dict, header, rows):
     """CSV with a '#'-prefixed metadata block; fixed 17-significant-digit
     decimal formatting so identical runs are byte-identical.  Fields that
-    contain a comma or a quote are quoted the way the csv module does."""
+    contain a comma or a quote are quoted the way the csv module does.
+    Returns ``path``."""
     buf = io.StringIO()
     for key in sorted(metadata):
         buf.write(f"# {key} = {metadata[key]}\n")
@@ -156,7 +161,7 @@ def write_table(path, metadata: dict, header, rows):
     text = buf.getvalue()
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
-    return text
+    return path
 
 
 def _base_metadata(cfg: Config) -> dict:
@@ -193,10 +198,8 @@ def build_mode_diffusions(cfg: Config) -> dict[str, DiffusionSpec]:
         if mode == "paper":
             out[mode] = build_diffusion("paper", model=model, m=mref, alpha=alpha)
         elif mode == "green-kubo":
-            gk = green_kubo(model, m_source=mref, horizon_fast=cfg.gk_horizon(),
-                            reps=cfg.values["gk.reps"], seed=cfg.seed,
-                            dt=cfg.values["gk.dt"])
-            out[mode] = build_diffusion("green-kubo", gk_estimate=gk.G, alpha=alpha)
+            out[mode] = build_diffusion("green-kubo", gk_estimate=run_estimate_gk(cfg).G,
+                                        alpha=alpha)
         else:
             out[mode] = build_diffusion(
                 "explicit", explicit=np.asarray(cfg.values["limit.explicit_matrix"]),
@@ -204,33 +207,33 @@ def build_mode_diffusions(cfg: Config) -> dict[str, DiffusionSpec]:
     return out
 
 
+def _pooled(worker, head, reps, spr) -> np.ndarray:
+    """``spr`` samples from each of ``reps`` replicas, in replica order:
+    ``worker((*head, ids, spr))`` runs once per fixed batch of replica ids."""
+    items = [(*head, list(range(a, min(a + EPS_BATCH, reps))), spr)
+             for a in range(0, reps, EPS_BATCH)]
+    return np.concatenate(_parallel_map(worker, items), axis=0)
+
+
 def pool_eps_samples(cfg: Config, eps: float, eps_index: int) -> np.ndarray:
-    spr = cfg.values["run.samples_per_replica"]
-    reps = cfg.values["run.replicas"]
-    items = [(cfg.values, eps, eps_index, ids, spr) for ids in _batched(reps, EPS_BATCH)]
-    parts = _parallel_map(_eps_batch_worker, items)
-    return np.concatenate(parts, axis=0)
+    v = cfg.values
+    return _pooled(_eps_batch_worker, (v, eps, eps_index), v["run.replicas"],
+                   v["run.samples_per_replica"])
 
 
 def pool_limit_samples(cfg: Config, mode: str, mode_index: int,
                        diff: DiffusionSpec) -> np.ndarray:
-    reps, spr = cfg.limit_pooling()
-    spr = min(spr, cfg.values["run.N"])
-    items = [(cfg.values, diff.matrix.tolist(), mode, (_rng.LIMIT_RUN, mode_index), ids, spr)
-             for ids in _batched(reps, EPS_BATCH)]
-    parts = _parallel_map(_limit_batch_worker, items)
-    return np.concatenate(parts, axis=0)
+    return _pooled(_limit_batch_worker,
+                   (cfg.values, diff.matrix.tolist(), mode, (_rng.LIMIT_RUN, mode_index)),
+                   *cfg.limit_pooling())
 
 
 def _pool_self_test_samples(cfg: Config, eps_index: int, diff: DiffusionSpec,
                             mode: str) -> np.ndarray:
-    spr = cfg.values["run.samples_per_replica"]
-    reps = cfg.values["run.replicas"]
-    spr = min(spr, cfg.values["run.N"])
-    items = [(cfg.values, diff.matrix.tolist(), mode, (_rng.SELF_TEST, eps_index), ids, spr)
-             for ids in _batched(reps, EPS_BATCH)]
-    parts = _parallel_map(_limit_batch_worker, items)
-    return np.concatenate(parts, axis=0)
+    v = cfg.values
+    return _pooled(_limit_batch_worker,
+                   (v, diff.matrix.tolist(), mode, (_rng.SELF_TEST, eps_index)),
+                   v["run.replicas"], v["run.samples_per_replica"])
 
 
 def _block_bootstrap_ci(eps_sample: np.ndarray, spr: int, limit_sample: np.ndarray,
@@ -253,43 +256,30 @@ def run_convergence(cfg: Config) -> ConvergenceReport:
     meta = _base_metadata(cfg)
     for mode, diff in diffs.items():
         meta[f"diffusion.{mode}.D_eff"] = json.dumps(diff.matrix.tolist())
-    mode_list = cfg.modes
-    limit_samples = {}
-    for mode_index, mode in enumerate(mode_list):
-        limit_samples[mode] = pool_limit_samples(cfg, mode, mode_index, diffs[mode])
+    modes = cfg.modes
+    limit_samples = {mode: pool_limit_samples(cfg, mode, mode_index, diffs[mode])
+                     for mode_index, mode in enumerate(modes)}
+    spr = cfg.values["run.samples_per_replica"]
     rows = []
-    self_test = cfg.values["run.self_test"]
     for eps_index, eps in enumerate(cfg.eps_grid):
-        if self_test:
-            eps_sample = _pool_self_test_samples(cfg, eps_index, diffs[mode_list[0]],
-                                                 mode_list[0])
+        if cfg.values["run.self_test"]:
+            eps_sample = _pool_self_test_samples(cfg, eps_index, diffs[modes[0]], modes[0])
         else:
             eps_sample = pool_eps_samples(cfg, eps, eps_index)
-        spr = min(cfg.values["run.samples_per_replica"], cfg.values["run.N"])
         row = {"eps": eps, "w2_paper_mode": float("nan"), "w2_gk_mode": float("nan"),
                "n_samples": eps_sample.shape[0]}
         ci = 0.0
-        method = ""
-        for mode_index, mode in enumerate(mode_list):
+        for mode_index, mode in enumerate(modes):
             res = w2_auto(eps_sample, limit_samples[mode], seed=cfg.seed)
-            method = res.method
-            col = {"paper": "w2_paper_mode", "green-kubo": "w2_gk_mode",
-                   "explicit": "w2_gk_mode"}[mode]
-            row[col] = res.value
+            row[MODE_COLUMN[mode]] = res.value
             ci = max(ci, _block_bootstrap_ci(eps_sample, spr, limit_samples[mode],
                                              cfg.seed, eps_index, mode_index))
         row["ci_halfwidth"] = ci
-        row["w2_method"] = method
+        row["w2_method"] = res.method
         rows.append(row)
-    terminal = rows[-1]
-    candidates = {}
-    if not math.isnan(terminal["w2_paper_mode"]):
-        candidates["paper"] = terminal["w2_paper_mode"]
-    if not math.isnan(terminal["w2_gk_mode"]):
-        gk_mode = next((m for m in mode_list if m != "paper"), None)
-        if gk_mode:
-            candidates[gk_mode] = terminal["w2_gk_mode"]
-    meta["selected_mode"] = min(candidates, key=candidates.get) if candidates else ""
+    terminal = {mode: rows[-1][MODE_COLUMN[mode]] for mode in modes}
+    # The smaller terminal W2 wins; on a tie, paper.
+    meta["selected_mode"] = min(terminal, key=lambda m: (terminal[m], m != "paper"))
     meta["selected_mode_note"] = ("mode with the smaller terminal W2; settles the "
                                   "limit-noise normalization empirically")
     return ConvergenceReport(rows=rows, metadata=meta)
@@ -319,9 +309,7 @@ def run_diagnose(cfg: Config):
     from dataclasses import replace
 
     for eps_index, eps in enumerate(cfg.eps_grid):
-        rc = cfg.run_config(eps)
-        rc_small = replace(rc, N=v["diag.N"],
-                           samples_per_replica=min(rc.samples_per_replica, v["diag.N"]))
+        rc_small = replace(cfg.run_config(eps), N=v["diag.N"])
         mt = moment_table(rc_small, model, pot, v["run.scheme"],
                           reps=v["diag.moment_reps"], grid_points=v["diag.grid_points"],
                           init=init, eps_index=eps_index)
@@ -345,19 +333,40 @@ def run_diagnose(cfg: Config):
     return rows, meta
 
 
-# -- CLI-facing single-run helpers ----------------------------------------
+# -- one writer per CLI command ---------------------------------------------
+
+
+def _write_converge(cfg: Config, out_dir: str):
+    return run_convergence(cfg).write_csv(os.path.join(out_dir, "converge.csv"))
+
+
+def _write_estimate_gk(cfg: Config, out_dir: str):
+    gk = run_estimate_gk(cfg)
+    meta = _base_metadata(cfg)
+    meta["gk.truncation_lag"] = f"{gk.truncation_lag:.17g}"
+    meta["gk.ci_fro"] = f"{gk.ci_fro:.17g}"
+    rows = [[i, j, gk.G[i, j]] for i in range(gk.G.shape[0]) for j in range(gk.G.shape[1])]
+    return write_table(os.path.join(out_dir, "gk.csv"), meta, ["i", "j", "G"], rows)
+
+
+def _write_diagnose(cfg: Config, out_dir: str):
+    rows, meta = run_diagnose(cfg)
+    return write_table(os.path.join(out_dir, "diagnose.csv"), meta,
+                       ["module", "eps", "stat", "value", "ci"], rows)
+
+
+def _write_samples(cfg: Config, path: str, sample: np.ndarray, extra: dict):
+    """One row per pooled sample point under the base metadata plus ``extra``."""
+    header = ["sample"] + [f"x_{i + 1}" for i in range(cfg.values["run.d"])]
+    rows = [[i] + list(map(float, p)) for i, p in enumerate(sample)]
+    return write_table(path, {**_base_metadata(cfg), **extra}, header, rows)
 
 
 def run_simulate_eps(cfg: Config, out_dir: str):
     """Pool the eps-system terminal samples for the first grid value."""
     eps = cfg.eps_grid[0]
-    sample = pool_eps_samples(cfg, eps, 0)
-    meta = _base_metadata(cfg)
-    meta["run.eps"] = _fmt(eps)
-    header = ["sample"] + [f"x_{i + 1}" for i in range(cfg.values["run.d"])]
-    rows = [[i] + list(map(float, p)) for i, p in enumerate(sample)]
-    path = os.path.join(out_dir, "samples_eps.csv")
-    write_table(path, meta, header, rows)
+    path = _write_samples(cfg, os.path.join(out_dir, "samples_eps.csv"),
+                          pool_eps_samples(cfg, eps, 0), {"run.eps": _fmt(eps)})
     if cfg.values["output.dump_trajectories"]:
         _dump_eps_trajectory(cfg, eps, os.path.join(out_dir, "trajectory_eps.csv"))
     return path
@@ -383,14 +392,10 @@ def run_simulate_limit(cfg: Config, out_dir: str):
     """Pool limit-law terminal samples for the first configured mode."""
     diffs = build_mode_diffusions(cfg)
     mode = cfg.modes[0]
-    sample = pool_limit_samples(cfg, mode, 0, diffs[mode])
-    meta = _base_metadata(cfg)
-    meta["limit.mode"] = mode
-    meta["limit.D_eff"] = json.dumps(diffs[mode].matrix.tolist())
-    header = ["sample"] + [f"x_{i + 1}" for i in range(cfg.values["run.d"])]
-    rows = [[i] + list(map(float, p)) for i, p in enumerate(sample)]
-    path = os.path.join(out_dir, "samples_limit.csv")
-    write_table(path, meta, header, rows)
+    path = _write_samples(cfg, os.path.join(out_dir, "samples_limit.csv"),
+                          pool_limit_samples(cfg, mode, 0, diffs[mode]),
+                          {"limit.mode": mode,
+                           "limit.D_eff": json.dumps(diffs[mode].matrix.tolist())})
     if cfg.values["output.dump_trajectories"]:
         _dump_limit_trajectory(cfg, diffs[mode], os.path.join(out_dir, "trajectory_limit.csv"))
     return path
@@ -410,6 +415,15 @@ def _dump_limit_trajectory(cfg: Config, diff: DiffusionSpec, path: str):
     run_limit_replicas(rc, pot, diff, cfg.init_law(), [0], (_rng.LIMIT_RUN, 0),
                        _limit_scheme(cfg, rc, pot), recorder=record)
     write_table(path, {"trajectory.replica": "0"}, header, rows)
+
+
+COMMANDS = {
+    "converge": _write_converge,
+    "simulate-eps": run_simulate_eps,
+    "simulate-limit": run_simulate_limit,
+    "estimate-gk": _write_estimate_gk,
+    "diagnose": _write_diagnose,
+}
 
 
 def load_sample_file(path) -> np.ndarray:

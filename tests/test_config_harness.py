@@ -300,3 +300,63 @@ class TestCli:
         lim = [l for l in (out / "trajectory_limit.csv").read_text().splitlines()
                if not l.startswith("#")]
         assert lim[0] == "t,i,x_1"
+
+
+class TestExplicitMatrixShape:
+    @pytest.mark.parametrize("matrix", [[[1.0]], [[1.0, 0.0], [0.0]]],
+                             ids=["wrong-size", "ragged"])
+    def test_rejected_with_the_key_and_run_d(self, small_config_dict, matrix):
+        doc = dict(small_config_dict, **{
+            "run.d": 2, "limit.modes": ["explicit", "paper"],
+            "limit.explicit_matrix": matrix,
+        })
+        with pytest.raises(ConfigError, match=r"limit\.explicit_matrix.*run\.d.*2 x 2"):
+            parse_config(doc)
+
+
+class TestWorkerCount:
+    def test_follows_the_affinity_mask(self, monkeypatch):
+        monkeypatch.delenv("SMALLMASS_WORKERS", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
+        assert worker_count() == 2
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert worker_count() == 64
+
+
+class TestModeSelection:
+    @pytest.mark.parametrize("modes, extra", [
+        (["explicit", "paper"], {"limit.explicit_matrix": [[0.0]]}),
+        (["green-kubo", "paper"], {}),
+    ], ids=["explicit", "green-kubo"])
+    def test_exact_tie_selects_paper(self, small_config_dict, modes, extra):
+        # silent forcing and a point initial law: both limit laws are the
+        # same point mass, so the two W2 columns are exactly equal
+        doc = dict(small_config_dict, **{
+            "noise.sigma": 0.0, "init.position_mean": 1.0, "init.position_std": 0.0,
+            "limit.modes": modes,
+        }, **extra)
+        report = run_convergence(parse_config(doc))
+        terminal = report.rows[-1]
+        assert terminal["w2_paper_mode"] == terminal["w2_gk_mode"]
+        assert report.selected_mode == "paper"
+
+    def test_explicit_mode_reports_in_the_gk_column(self, small_config_dict):
+        from smallmass.harness import pool_eps_samples, pool_limit_samples
+        from smallmass.transport import w2_auto
+
+        doc = dict(small_config_dict, **{
+            "limit.modes": ["explicit", "paper"], "limit.explicit_matrix": [[0.7]],
+        })
+        cfg = parse_config(doc)
+        report = run_convergence(cfg)
+        diff = build_mode_diffusions(cfg)["explicit"]
+        limit = pool_limit_samples(cfg, "explicit", 0, diff)
+        for eps_index, (eps, row) in enumerate(zip(cfg.eps_grid, report.rows)):
+            sample = pool_eps_samples(cfg, eps, eps_index)
+            assert row["w2_gk_mode"] == w2_auto(sample, limit, seed=cfg.seed).value
+            assert np.isfinite(row["w2_paper_mode"])
+        terminal = report.rows[-1]
+        w2 = {"paper": terminal["w2_paper_mode"], "explicit": terminal["w2_gk_mode"]}
+        assert w2["paper"] != w2["explicit"]
+        assert report.selected_mode == min(w2, key=w2.get)

@@ -5,11 +5,12 @@ import pytest
 
 from smallmass import rng as _rng
 from smallmass.core import EmpiricalMeasure, ParticleEnsemble, PotentialSpec, RunConfig
-from smallmass.diagnostics import (_u_paths_ensemble, bm_proxy, dyadic_lags,
-                                   green_kubo, moment_table, uv_check)
+from smallmass.diagnostics import (_u_paths_ensemble, _u_paths_scalar, bm_proxy,
+                                   dyadic_lags, green_kubo, moment_table, uv_check)
 from smallmass.dynamics_eps import EpsScheme, InitialLaw, _n_steps, step
 from smallmass.errors import UsageError
-from smallmass.noise import DriverState, NoiseModel, averaged_forcing, stationary_xi
+from smallmass.noise import (DriverState, NoiseModel, advance_xi, averaged_forcing,
+                             averaged_forcing_xi, stationary_xi)
 
 FREE_POT = PotentialSpec.quadratic(1e-12)  # effectively potential-free
 
@@ -197,3 +198,77 @@ class TestBmProxy:
     def test_requires_enough_paths(self):
         with pytest.raises(UsageError):
             bm_proxy(np.zeros((50, 30)), np.linspace(0, 1, 30))
+
+
+class TestDriverPaths:
+    """The scalar u/v paths and the Green-Kubo forcing path step one shared
+    driver loop; both equal a per-step reference that pre-draws each
+    replica's start and normals and then advances all replicas together."""
+
+    @staticmethod
+    def _reference_drivers(model, seed, path, reps, n, delta_s):
+        gens = [_rng.stream(seed, *path, r) for r in range(reps)]
+        xi = np.stack([stationary_xi(model, g) for g in gens])
+        Z = np.stack([g.standard_normal((n,) + model.driver_shape) for g in gens])
+        out = []
+        for k in range(n):
+            out.append(xi)
+            xi = advance_xi(xi, model, delta_s, Z[:, k])
+        return out
+
+    @staticmethod
+    def _captured_forcing(monkeypatch):
+        # green_kubo transforms its sampled forcing path exactly once
+        seen = []
+        rfft = np.fft.rfft
+
+        def spy(a, *args, **kwargs):
+            seen.append(np.array(a))
+            return rfft(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "rfft", spy)
+        return seen
+
+    @pytest.mark.parametrize("clip", [False, True])
+    def test_scalar_paths_equal_the_reference(self, clip):
+        model = NoiseModel.scalar_ou(2, gamma=3.0, sigma=1.5, clip=clip)
+        cfg = RunConfig(d=2, N=4, eps=0.1, alpha=1.3, T=0.3, h0=0.05, seed=11)
+        n = _n_steps(cfg.T, cfg.eps_step)
+        u, v_late = _u_paths_scalar(cfg, model, 70, n, 3)
+        h = cfg.eps_step
+        a = cfg.alpha * h / cfg.eps
+        cu = h / (cfg.alpha * math.sqrt(cfg.eps))
+        r_fac = math.exp(-a)
+        cv = math.sqrt(cfg.eps) * (-math.expm1(-a)) / cfg.alpha**2
+        u_ref = np.zeros((70, n + 1, 2))
+        v = np.zeros((70, 2))
+        v_ref = np.zeros((70, n - n // 2, 2))
+        drivers = self._reference_drivers(model, cfg.seed, (_rng.UV_RUN, 3), 70, n,
+                                          cfg.eps_step / cfg.eps)
+        for k, xi in enumerate(drivers):
+            u_ref[:, k + 1] = u_ref[:, k] + cu * xi
+            v = v * r_fac + cv * xi
+            if k >= n // 2:
+                v_ref[:, k - n // 2] = v
+        assert np.array_equal(u, u_ref)
+        assert np.array_equal(v_late, v_ref)
+
+    def test_scalar_green_kubo_path_equals_the_reference(self, monkeypatch):
+        model = NoiseModel.scalar_ou(2, gamma=2.0, sigma=1.0)
+        seen = self._captured_forcing(monkeypatch)
+        green_kubo(model, horizon_fast=10.0, reps=9, seed=5)
+        ref = self._reference_drivers(model, 5, (_rng.GK_RUN,), 9, 400, 0.025)
+        assert len(seen) == 1
+        assert np.array_equal(seen[0], np.stack(ref, axis=1))
+
+    def test_fourier_green_kubo_path_equals_the_reference(self, monkeypatch):
+        model = NoiseModel.fourier_field(2, gamma=2.0, sigma=1.0,
+                                         omegas=[[1.0, 0.0], [0.0, 1.0], [0.7, -0.4]],
+                                         a=[1.0, 0.5, 0.3], b=[0.2, 0.4, 0.6])
+        m = EmpiricalMeasure(np.random.default_rng(0).standard_normal((16, 2)))
+        seen = self._captured_forcing(monkeypatch)
+        green_kubo(model, m_source=m, horizon_fast=10.0, reps=9, seed=5)
+        ref = self._reference_drivers(model, 5, (_rng.GK_RUN,), 9, 400, 0.025)
+        eta = np.stack([averaged_forcing_xi(model, xi, m.points) for xi in ref], axis=1)
+        assert len(seen) == 1
+        assert np.array_equal(seen[0], eta)
