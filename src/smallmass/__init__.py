@@ -12,8 +12,7 @@ from ._version import __version__
 from .core import (EmpiricalMeasure, ParticleEnsemble, PotentialSpec,
                    RunConfig, empirical_mean, grad_v, probe_lipschitz)
 from .dynamics_eps import EpsScheme, InitialLaw, StepReport, simulate_eps, step
-from .dynamics_limit import (DiffusionSpec, LimitScheme, build_diffusion,
-                             simulate_limit, step_em)
+from .dynamics_limit import DiffusionSpec, LimitScheme, simulate_limit, step_em
 from .errors import ConfigError, NumericError, UsageError
 from .noise import (DriverState, MixingMetadata, NoiseModel, advance,
                     averaged_forcing, eval_field, init_stationary,
@@ -40,7 +39,6 @@ __all__ = [
     "__version__",
     "advance",
     "averaged_forcing",
-    "build_diffusion",
     "empirical_mean",
     "eval_field",
     "grad_v",

@@ -244,8 +244,20 @@ def _cross_validate(v):
                           f"matrix, got rows of lengths {[len(row) for row in mat]}")
     if v["noise.gamma"] <= 0.0:
         raise ConfigError("noise.gamma must be > 0")
+    if v["run.alpha"] <= 0.0:
+        raise ConfigError("run.alpha must be > 0")
     if v["run.samples_per_replica"] > v["run.N"]:
         raise ConfigError("run.samples_per_replica cannot exceed run.N")
+    for key in ("limit.replicas", "limit.samples_per_replica"):
+        if v[key] is not None and v[key] < 1:
+            raise ConfigError(f"{key} must be >= 1 (omit it to use the run.* value)")
+    if v["gk.dt"] is not None and v["gk.dt"] <= 0.0:
+        raise ConfigError("gk.dt must be > 0")
+    if v["gk.reps"] < 2:
+        raise ConfigError("gk.reps must be >= 2: the confidence halfwidth needs two replicas")
+    if not 0.0 < v["diag.lag_lo"] <= v["diag.lag_hi"]:
+        raise ConfigError("diag.lag_lo must satisfy 0 < diag.lag_lo <= diag.lag_hi, got "
+                          f"{v['diag.lag_lo']!r} and {v['diag.lag_hi']!r}")
 
 
 def serialize_config(cfg: Config) -> str:

@@ -14,7 +14,7 @@ to call from any number of concurrent workers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -343,9 +343,6 @@ class RunConfig:
             raise UsageError("h0 must lie in (0, 0.2]")
         if self.replica_count < 1 or self.samples_per_replica < 1:
             raise UsageError("replica_count and samples_per_replica must be >= 1")
-
-    def with_eps(self, eps: float) -> "RunConfig":
-        return replace(self, eps=eps)
 
     @property
     def eps_step(self) -> float:

@@ -46,6 +46,8 @@ __all__ = [
 ]
 
 _MOMENT_KEYS = ("sx2", "sx4", "sy2", "sy4")
+# Points of the decimated time grid behind the Brownian-proxy statistics.
+_BM_GRID = 50
 
 
 @dataclass(frozen=True)
@@ -147,6 +149,8 @@ def moment_table(cfg: RunConfig, model: NoiseModel, pot: PotentialSpec,
 
 def dyadic_lags(lo: float = 0.01, hi: float = 1.0) -> list[float]:
     """The doubling ladder lo, 2*lo, 4*lo, ... capped at hi."""
+    if not lo > 0.0:
+        raise UsageError(f"the lag ladder needs lo > 0, got {lo!r}")
     lags, lag = [], lo
     while lag <= hi * (1.0 + 1e-12):
         lags.append(lag)
@@ -156,8 +160,7 @@ def dyadic_lags(lo: float = 0.01, hi: float = 1.0) -> list[float]:
 
 def uv_check(cfg: RunConfig, model: NoiseModel, *, reps: int = 512,
              lags: list[float] | None = None, init: InitialLaw | None = None,
-             pot: PotentialSpec | None = None, bm_grid: int = 50,
-             eps_index: int = 0) -> UvReport:
+             pot: PotentialSpec | None = None, eps_index: int = 0) -> UvReport:
     """Compute u and v paths and their decay/increment statistics.
 
     u(t) = (alpha sqrt(eps))^{-1} * integral_0^t of the averaged forcing,
@@ -201,7 +204,7 @@ def uv_check(cfg: RunConfig, model: NoiseModel, *, reps: int = 512,
     if not ratios:
         raise UsageError("no admissible lags: horizon too short for the lag ladder")
     # Brownian-proxy statistics on a decimated grid
-    every = max(1, n // bm_grid)
+    every = max(1, n // _BM_GRID)
     times = np.arange(0, n + 1, every) * h
     stats = bm_proxy(u[:, ::every], times)
     return UvReport(eps=cfg.eps, v_msq=v_msq, v_msq_ci=v_ci,

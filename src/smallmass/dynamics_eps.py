@@ -224,7 +224,7 @@ def _n_steps(T: float, h: float) -> int:
 
 def simulate_eps(cfg: RunConfig, model: NoiseModel, pot: PotentialSpec,
                  sch_kind: str = "exponential", init: InitialLaw | None = None,
-                 rng=None, keep_reports: bool = True):
+                 rng=None):
     """Integrate one replica to the horizon; returns (ensemble, reports).
 
     Bit-deterministic given (seed, N, scheme, step count): all randomness
@@ -247,8 +247,7 @@ def simulate_eps(cfg: RunConfig, model: NoiseModel, pot: PotentialSpec,
             ens, drv, rep = step(ens, model, drv, pot, sch, cfg.alpha, rng)
         except NumericError as err:
             raise NumericError(str(err), step=k, eps=cfg.eps) from err
-        if keep_reports:
-            reports.append(rep)
+        reports.append(rep)
     return ens, reports
 
 

@@ -9,7 +9,8 @@ mean-field coupling (the law in the drift is the same-step empirical
 measure).  ``D_eff`` is the per-unit-time covariance of the limit noise;
 the division by alpha is already absorbed into it.
 
-Two sources for D_eff are supported besides an explicit matrix:
+Two sources for D_eff are supported besides an explicit matrix (the
+mode names are resolved in ``harness.build_mode_diffusions``):
 
 * ``paper`` mode divides the stationary forcing covariance by the product
   of alpha^2 and the envelope decay rate at lag zero:
@@ -34,12 +35,10 @@ from . import rng as _rng
 from .core import ParticleEnsemble, PotentialSpec, RunConfig, grad_v_batch
 from .dynamics_eps import InitialLaw, _n_steps
 from .errors import NumericError, UsageError
-from .noise import NoiseModel, mixing_metadata, sigma_matrix
 
 __all__ = [
     "DiffusionSpec",
     "LimitScheme",
-    "build_diffusion",
     "default_limit_scheme",
     "run_limit_replicas",
     "simulate_limit",
@@ -82,30 +81,6 @@ class DiffusionSpec:
     @property
     def d(self) -> int:
         return self.matrix.shape[0]
-
-
-def build_diffusion(mode: str, model: NoiseModel | None = None, m=None,
-                    gk_estimate=None, alpha: float = 1.0,
-                    explicit=None) -> DiffusionSpec:
-    """Assemble the limit diffusion matrix for the requested mode."""
-    if alpha <= 0.0:
-        raise UsageError("alpha must be > 0")
-    if mode == "paper":
-        if model is None:
-            raise UsageError("paper mode needs a noise model")
-        meta = mixing_metadata(model)
-        sig = sigma_matrix(model, m)
-        return DiffusionSpec(mode=mode, matrix=sig / (alpha**2 * meta.beta))
-    if mode == "green-kubo":
-        if gk_estimate is None:
-            raise UsageError("green-kubo mode needs a G estimate from the diagnostics")
-        g = np.atleast_2d(np.asarray(gk_estimate, dtype=float))
-        return DiffusionSpec(mode=mode, matrix=g / alpha**2)
-    if mode == "explicit":
-        if explicit is None:
-            raise UsageError("explicit mode needs a matrix")
-        return DiffusionSpec(mode=mode, matrix=np.atleast_2d(np.asarray(explicit, dtype=float)))
-    raise UsageError(f"unknown diffusion mode: {mode!r}")
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,13 @@ from the second-order system at each eps on the grid, and from the limit
 equation under each configured diffusion mode -- and reports the
 Wasserstein-2 distance between the sample pairs, row per eps.
 
+A limit mode is nothing but its diffusion matrix: ``build_mode_diffusions``
+is the one place a mode name becomes a ``DiffusionSpec``, and every mode's
+limit sample is drawn on the same stream path (common random numbers), so
+the modes differ only by their matrices and the verdict does not depend on
+the order of ``limit.modes``.  The bootstrap likewise resamples the eps
+sample once per row and scores every mode on the same picks.
+
 Sampling the annealed law deserves care: particles within one replica
 share a driver path and an attracting drift, so they synchronize and are
 nearly redundant as samples.  Pooling therefore draws at most
@@ -39,9 +46,10 @@ from .config import Config
 from .core import EmpiricalMeasure
 from .diagnostics import GkEstimate, green_kubo, moment_table, uv_check
 from .dynamics_eps import run_eps_replicas
-from .dynamics_limit import (DiffusionSpec, LimitScheme, build_diffusion,
-                             default_limit_scheme, run_limit_replicas)
+from .dynamics_limit import (DiffusionSpec, LimitScheme, default_limit_scheme,
+                             run_limit_replicas)
 from .errors import UsageError
+from .noise import mixing_metadata, sigma_matrix
 from .transport import ASSIGNMENT_MAX_N, w2_auto
 
 __all__ = [
@@ -112,11 +120,12 @@ def _limit_scheme(cfg: Config, rc, pot) -> LimitScheme:
 
 def _limit_batch_worker(args):
     """Limit-law samples for one batch; both the limit sample and the
-    self-test sample come from here, on their own stream paths."""
-    values, matrix, mode, stream_path, ids, spr = args
+    self-test sample come from here, on their own stream paths.  ``diff``
+    is the parent's own spec: it pickles bit-exact, whereas rebuilding it
+    from its matrix would re-round the square root."""
+    values, diff, stream_path, ids, spr = args
     cfg = Config(values=values)
     rc = cfg.run_config(cfg.eps_grid[0])
-    diff = DiffusionSpec(mode=mode, matrix=np.asarray(matrix))
     pot = cfg.potential()
     pos = run_limit_replicas(rc, pot, diff, cfg.init_law(), ids, stream_path,
                              _limit_scheme(cfg, rc, pot), keep=spr)
@@ -189,21 +198,24 @@ def _reference_measure(cfg: Config) -> EmpiricalMeasure:
 
 
 def build_mode_diffusions(cfg: Config) -> dict[str, DiffusionSpec]:
-    """D_eff per configured mode, with the measured G where needed."""
+    """D_eff per configured mode; the one place a mode name becomes a matrix.
+
+    paper: Sigma / (alpha^2 * beta), the stationary forcing covariance at
+    the reference measure over the envelope decay rate; green-kubo:
+    G / alpha^2 with G measured; explicit: ``limit.explicit_matrix`` as is.
+    """
     model = cfg.noise_model()
     alpha = cfg.values["run.alpha"]
-    mref = _reference_measure(cfg)
     out = {}
     for mode in cfg.modes:
         if mode == "paper":
-            out[mode] = build_diffusion("paper", model=model, m=mref, alpha=alpha)
+            matrix = (sigma_matrix(model, _reference_measure(cfg))
+                      / (alpha**2 * mixing_metadata(model).beta))
         elif mode == "green-kubo":
-            out[mode] = build_diffusion("green-kubo", gk_estimate=run_estimate_gk(cfg).G,
-                                        alpha=alpha)
+            matrix = run_estimate_gk(cfg).G / alpha**2
         else:
-            out[mode] = build_diffusion(
-                "explicit", explicit=np.asarray(cfg.values["limit.explicit_matrix"]),
-                alpha=alpha)
+            matrix = cfg.values["limit.explicit_matrix"]
+        out[mode] = DiffusionSpec(mode=mode, matrix=matrix)
     return out
 
 
@@ -221,33 +233,34 @@ def pool_eps_samples(cfg: Config, eps: float, eps_index: int) -> np.ndarray:
                    v["run.samples_per_replica"])
 
 
-def pool_limit_samples(cfg: Config, mode: str, mode_index: int,
-                       diff: DiffusionSpec) -> np.ndarray:
-    return _pooled(_limit_batch_worker,
-                   (cfg.values, diff.matrix.tolist(), mode, (_rng.LIMIT_RUN, mode_index)),
+def pool_limit_samples(cfg: Config, diff: DiffusionSpec) -> np.ndarray:
+    """The limit-law sample under ``diff``; every mode draws on the same
+    stream path, so two modes differ only by their diffusion matrices."""
+    return _pooled(_limit_batch_worker, (cfg.values, diff, (_rng.LIMIT_RUN, 0)),
                    *cfg.limit_pooling())
 
 
-def _pool_self_test_samples(cfg: Config, eps_index: int, diff: DiffusionSpec,
-                            mode: str) -> np.ndarray:
+def _pool_self_test_samples(cfg: Config, eps_index: int, diff: DiffusionSpec) -> np.ndarray:
     v = cfg.values
-    return _pooled(_limit_batch_worker,
-                   (v, diff.matrix.tolist(), mode, (_rng.SELF_TEST, eps_index)),
+    return _pooled(_limit_batch_worker, (v, diff, (_rng.SELF_TEST, eps_index)),
                    v["run.replicas"], v["run.samples_per_replica"])
 
 
-def _block_bootstrap_ci(eps_sample: np.ndarray, spr: int, limit_sample: np.ndarray,
-                        seed: int, eps_index: int, mode_index: int) -> float:
-    """95% halfwidth of the W2 value under replica-block resampling."""
+def _block_bootstrap_ci(eps_sample: np.ndarray, spr: int, limit_samples,
+                        seed: int, eps_index: int) -> float:
+    """95% halfwidth of the W2 value under replica-block resampling: one
+    set of block picks per eps row, scored against each limit sample, and
+    the largest halfwidth over the samples."""
     n_blocks = eps_sample.shape[0] // spr
     blocks = eps_sample.reshape(n_blocks, spr, -1)
-    gen = _rng.stream(seed, _rng.BOOT, eps_index, mode_index)
-    vals = []
-    for _ in range(BOOTSTRAP_RESAMPLES):
+    gen = _rng.stream(seed, _rng.BOOT, eps_index)
+    vals = np.empty((len(limit_samples), BOOTSTRAP_RESAMPLES))
+    for b in range(BOOTSTRAP_RESAMPLES):
         pick = gen.integers(0, n_blocks, size=n_blocks)
         resampled = blocks[pick].reshape(-1, blocks.shape[2])
-        vals.append(w2_auto(resampled, limit_sample, seed=seed).value)
-    return float(1.96 * np.std(vals, ddof=1))
+        for m, lim in enumerate(limit_samples):
+            vals[m, b] = w2_auto(resampled, lim, seed=seed).value
+    return float(1.96 * np.max(np.std(vals, axis=1, ddof=1)))
 
 
 def run_convergence(cfg: Config) -> ConvergenceReport:
@@ -257,24 +270,21 @@ def run_convergence(cfg: Config) -> ConvergenceReport:
     for mode, diff in diffs.items():
         meta[f"diffusion.{mode}.D_eff"] = json.dumps(diff.matrix.tolist())
     modes = cfg.modes
-    limit_samples = {mode: pool_limit_samples(cfg, mode, mode_index, diffs[mode])
-                     for mode_index, mode in enumerate(modes)}
+    limit_samples = {mode: pool_limit_samples(cfg, diffs[mode]) for mode in modes}
     spr = cfg.values["run.samples_per_replica"]
     rows = []
     for eps_index, eps in enumerate(cfg.eps_grid):
         if cfg.values["run.self_test"]:
-            eps_sample = _pool_self_test_samples(cfg, eps_index, diffs[modes[0]], modes[0])
+            eps_sample = _pool_self_test_samples(cfg, eps_index, diffs[modes[0]])
         else:
             eps_sample = pool_eps_samples(cfg, eps, eps_index)
         row = {"eps": eps, "w2_paper_mode": float("nan"), "w2_gk_mode": float("nan"),
                "n_samples": eps_sample.shape[0]}
-        ci = 0.0
-        for mode_index, mode in enumerate(modes):
+        for mode in modes:
             res = w2_auto(eps_sample, limit_samples[mode], seed=cfg.seed)
             row[MODE_COLUMN[mode]] = res.value
-            ci = max(ci, _block_bootstrap_ci(eps_sample, spr, limit_samples[mode],
-                                             cfg.seed, eps_index, mode_index))
-        row["ci_halfwidth"] = ci
+        row["ci_halfwidth"] = _block_bootstrap_ci(eps_sample, spr, limit_samples.values(),
+                                                  cfg.seed, eps_index)
         row["w2_method"] = res.method
         rows.append(row)
     terminal = {mode: rows[-1][MODE_COLUMN[mode]] for mode in modes}
@@ -393,7 +403,7 @@ def run_simulate_limit(cfg: Config, out_dir: str):
     diffs = build_mode_diffusions(cfg)
     mode = cfg.modes[0]
     path = _write_samples(cfg, os.path.join(out_dir, "samples_limit.csv"),
-                          pool_limit_samples(cfg, mode, 0, diffs[mode]),
+                          pool_limit_samples(cfg, diffs[mode]),
                           {"limit.mode": mode,
                            "limit.D_eff": json.dumps(diffs[mode].matrix.tolist())})
     if cfg.values["output.dump_trajectories"]:

@@ -304,16 +304,14 @@ def averaged_forcing_xi(model: NoiseModel, xi: np.ndarray, points: np.ndarray) -
     return out
 
 
-def sigma_matrix(model: NoiseModel, m: EmpiricalMeasure | None = None, *,
-                 mc_samples: int = 4096, seed: int = 0) -> np.ndarray:
+def sigma_matrix(model: NoiseModel, m: EmpiricalMeasure | None = None) -> np.ndarray:
     """Stationary covariance of the law-averaged forcing, as a d x d matrix.
 
-    scalar-ou and separable kinds are closed-form; the fourier-field value
-    is a Monte Carlo estimate over the driver's stationary law (the field's
-    law dependence makes it an estimate, not an identity, and it is
-    recorded as such wherever it enters a report).  The Fourier basis is
-    averaged over ``m`` once and contracted with each of the
-    ``mc_samples`` driver draws, so no (mc_samples, n, d) field is formed.
+    Closed-form for every kind.  The average is linear in iid N(0, sigma^2)
+    driver components, so it is sigma^2 * I for scalar-ou, sigma^2 * gbar^2 * I
+    for separable (gbar the mean of g over ``m``), and sigma^2 * sum_k
+    gbar_k^2 * I for fourier-field (gbar_k the mean of the k-th basis
+    function a_k cos(w_k . x) + b_k sin(w_k . x) over ``m``).
     """
     s2 = model.sigma**2
     eye = np.eye(model.d)
@@ -324,10 +322,8 @@ def sigma_matrix(model: NoiseModel, m: EmpiricalMeasure | None = None, *,
     if model.kind == "separable":
         gbar = float(pairwise_mean(model.g(m.points), axis=-1))
         return s2 * gbar**2 * eye
-    gen = _as_generator(seed)
-    xis = model.sigma * gen.standard_normal((mc_samples,) + model.driver_shape)
-    etas = averaged_forcing_xi(model, xis, m.points)  # (mc, d)
-    return etas.T @ etas / mc_samples
+    gbar = pairwise_mean(_fourier_basis(model, m.points), axis=-2)  # (K,)
+    return s2 * float(np.sum(gbar * gbar)) * eye
 
 
 def _as_generator(seed_or_rng) -> np.random.Generator:

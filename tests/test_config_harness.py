@@ -20,6 +20,16 @@ from smallmass.transport import w2_1d
 
 from conftest import write_config
 
+FOURIER = {"noise.omegas": [[1.0, 0.0], [0.0, 1.0]], "noise.a": [1.0, 0.5],
+           "noise.b": [0.0, 0.5]}
+# The interacting path: curie-weiss drift, law-dependent fourier-field
+# forcing, d = 2; 72 replicas make two batches, so two workers share them.
+COUPLED = dict(FOURIER, **{
+    "run.d": 2, "run.N": 8, "run.replicas": 72, "run.samples_per_replica": 1,
+    "potential.kind": "curie-weiss", "potential.kappa": 0.5,
+    "noise.kind": "fourier-field", "gk.reps": 8, "gk.horizon_fast": 10.0,
+})
+
 
 class TestConfig:
     def test_round_trip_identity(self, small_config_dict):
@@ -64,6 +74,43 @@ class TestConfig:
         with pytest.raises(ConfigError, match=reason):
             parse_config(doc)
 
+    @pytest.mark.parametrize("key, value", [
+        ("diag.lag_lo", 0.0), ("diag.lag_lo", 2.0),
+        ("limit.replicas", 0), ("limit.replicas", -1),
+        ("limit.samples_per_replica", 0), ("limit.samples_per_replica", -2),
+        ("gk.dt", 0.0), ("gk.dt", -0.1), ("gk.reps", 1), ("run.alpha", 0.0),
+    ])
+    def test_out_of_range_values_are_rejected(self, small_config_dict, key, value):
+        # diag.lag_lo 2.0 lies above the default diag.lag_hi of 1.0
+        doc = dict(small_config_dict, **{key: value})
+        with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
+            parse_config(doc)
+
+    @pytest.mark.parametrize("extra, kind", [
+        ({"noise.g": "gauss"}, "separable"),
+        (FOURIER, "fourier-field"),
+    ])
+    def test_noise_model_from_config(self, small_config_dict, extra, kind):
+        doc = dict(small_config_dict, **{"run.d": 2, "noise.kind": kind}, **extra)
+        model = parse_config(doc).noise_model()
+        assert (model.kind, model.d, model.gamma, model.sigma) == (kind, 2, 2.0, 1.0)
+        if kind == "fourier-field":
+            assert np.array_equal(model.omegas, np.array(FOURIER["noise.omegas"]))
+            assert np.array_equal(model.b, np.array(FOURIER["noise.b"]))
+
+    @pytest.mark.parametrize("kind, missing, reason", [
+        ("separable", "noise.g", "noise.g is required"),
+        ("fourier-field", "noise.omegas", "needs noise.omegas, noise.a, noise.b"),
+        ("fourier-field", "noise.a", "needs noise.omegas, noise.a, noise.b"),
+        ("fourier-field", "noise.b", "needs noise.omegas, noise.a, noise.b"),
+    ])
+    def test_noise_model_missing_key(self, small_config_dict, kind, missing, reason):
+        doc = dict(small_config_dict, **{"run.d": 2, "noise.kind": kind,
+                                         "noise.g": "gauss"}, **FOURIER)
+        del doc[missing]
+        with pytest.raises(ConfigError, match=reason):
+            parse_config(doc).noise_model()
+
     def test_missing_file_names_path(self, tmp_path):
         with pytest.raises(ConfigError, match="nope.json"):
             load_config(tmp_path / "nope.json")
@@ -98,15 +145,17 @@ class TestConvergenceHarness:
 
     def test_worker_split_does_not_change_bytes(self, small_config_dict,
                                                 tmp_path, monkeypatch):
-        texts = {}
-        for w in ("1", "2"):
-            monkeypatch.setenv("SMALLMASS_WORKERS", w)
-            cfg = parse_config(small_config_dict)
-            report = run_convergence(cfg)
-            path = tmp_path / f"converge_{w}.csv"
-            report.write_csv(path)
-            texts[w] = path.read_text()
-        assert texts["1"] == texts["2"]
+        for name, doc in (("scalar-ou", small_config_dict),
+                          ("coupled", dict(small_config_dict, **COUPLED))):
+            texts = {}
+            for w in ("1", "2"):
+                monkeypatch.setenv("SMALLMASS_WORKERS", w)
+                cfg = parse_config(doc)
+                report = run_convergence(cfg)
+                path = tmp_path / f"converge_{name}_{w}.csv"
+                report.write_csv(path)
+                texts[w] = path.read_text()
+            assert texts["1"] == texts["2"], name
 
     def test_deterministic_limit_agrees_as_eps_shrinks(self, small_config_dict):
         # silent forcing and a point initial law make both laws point
@@ -140,7 +189,7 @@ class TestConvergenceHarness:
         diffs = build_mode_diffusions(cfg)
         floors = []
         gen = np.random.default_rng(123)
-        base = pool_limit_samples(cfg, "paper", 0, diffs["paper"])[:, 0]
+        base = pool_limit_samples(cfg, diffs["paper"])[:, 0]
         for _ in range(4):
             other = gen.normal(base.mean(), base.std(), size=base.size)
             fresh = gen.normal(base.mean(), base.std(), size=base.size)
@@ -154,7 +203,7 @@ class TestConvergenceHarness:
         doc = dict(small_config_dict, **{"run.self_test": True, "limit.h": 0.003})
         cfg = parse_config(doc)
         diff = DiffusionSpec("paper", np.array([[0.5]]))
-        got = _pool_self_test_samples(cfg, 1, diff, "paper")
+        got = _pool_self_test_samples(cfg, 1, diff)
         ref = run_limit_replicas(cfg.run_config(0.2), cfg.potential(), diff, cfg.init_law(),
                                  range(24), (_rng.SELF_TEST, 1), sch=LimitScheme(0.003))
         assert np.array_equal(got, ref[:, :2].reshape(-1, 1))
@@ -213,20 +262,27 @@ class TestOtherEntryPoints:
         assert {"G[0,0]", "G[0,1]", "G[1,0]", "G[1,1]"} <= {row[2] for row in rows}
 
     def test_trajectory_dumps_end_on_the_sample_step_grid(self, small_config_dict, tmp_path):
-        # h = 0.05 * 0.03 does not divide T = 5, and neither does limit.h
-        doc = dict(small_config_dict, **{
-            "output.dump_trajectories": True, "run.N": 2, "run.replicas": 1,
-            "run.samples_per_replica": 2, "run.eps_grid": [0.03], "run.T": 5.0,
-            "limit.h": 0.003, "limit.replicas": 1, "limit.modes": ["paper"],
-        })
-        cfg = parse_config(doc)
-        run_simulate_eps(cfg, str(tmp_path))
-        run_simulate_limit(cfg, str(tmp_path))
-        for kind in ("eps", "limit"):
-            sample = load_sample_file(tmp_path / f"samples_{kind}.csv")
-            traj = load_sample_file(tmp_path / f"trajectory_{kind}.csv")
-            assert np.array_equal(traj[-2:, 2:3], sample)
-            assert traj[-1, 0] >= 5.0 - 1e-9
+        # h = 0.05 * 0.03 does not divide T = 5, and neither does limit.h;
+        # the d = 2 matrix is non-diagonal, so a rebuilt spec would re-round
+        # its square root
+        for d, extra in ((1, {"limit.modes": ["paper"]}),
+                         (2, {"limit.modes": ["explicit"],
+                              "limit.explicit_matrix": [[1.0, 0.3], [0.3, 0.6]]})):
+            doc = dict(small_config_dict, **{
+                "output.dump_trajectories": True, "run.N": 2, "run.replicas": 1,
+                "run.samples_per_replica": 2, "run.eps_grid": [0.03], "run.T": 5.0,
+                "limit.h": 0.003, "limit.replicas": 1, "run.d": d,
+            }, **extra)
+            cfg = parse_config(doc)
+            out = tmp_path / f"d{d}"
+            out.mkdir()
+            run_simulate_eps(cfg, str(out))
+            run_simulate_limit(cfg, str(out))
+            for kind in ("eps", "limit"):
+                sample = load_sample_file(out / f"samples_{kind}.csv")
+                traj = load_sample_file(out / f"trajectory_{kind}.csv")
+                assert np.array_equal(traj[-2:, 2:2 + d], sample), (d, kind)
+                assert traj[-1, 0] >= 5.0 - 1e-9
 
     def test_load_sample_file(self, tmp_path):
         p = tmp_path / "samples.csv"
@@ -341,6 +397,18 @@ class TestModeSelection:
         assert terminal["w2_paper_mode"] == terminal["w2_gk_mode"]
         assert report.selected_mode == "paper"
 
+    def test_mode_order_does_not_change_the_verdict(self, small_config_dict):
+        # explicit [[0.5]] equals the paper D_eff (sigma^2 / (alpha^2 gamma)):
+        # on one shared limit stream the two samples are the same, whatever
+        # the order of limit.modes
+        reports = [run_convergence(parse_config(dict(small_config_dict, **{
+            "limit.modes": modes, "limit.explicit_matrix": [[0.5]]})))
+            for modes in (["paper", "explicit"], ["explicit", "paper"])]
+        for report in reports:
+            assert all(r["w2_paper_mode"] == r["w2_gk_mode"] for r in report.rows)
+            assert report.selected_mode == "paper"
+        assert reports[0].rows == reports[1].rows
+
     def test_explicit_mode_reports_in_the_gk_column(self, small_config_dict):
         from smallmass.harness import pool_eps_samples, pool_limit_samples
         from smallmass.transport import w2_auto
@@ -351,7 +419,7 @@ class TestModeSelection:
         cfg = parse_config(doc)
         report = run_convergence(cfg)
         diff = build_mode_diffusions(cfg)["explicit"]
-        limit = pool_limit_samples(cfg, "explicit", 0, diff)
+        limit = pool_limit_samples(cfg, diff)
         for eps_index, (eps, row) in enumerate(zip(cfg.eps_grid, report.rows)):
             sample = pool_eps_samples(cfg, eps, eps_index)
             assert row["w2_gk_mode"] == w2_auto(sample, limit, seed=cfg.seed).value

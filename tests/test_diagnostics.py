@@ -145,6 +145,12 @@ class TestUvCheck:
         assert dyadic_lags(0.01, 1.0) == pytest.approx(
             [0.01, 0.02, 0.04, 0.08, 0.16, 0.32, 0.64])
 
+    @pytest.mark.parametrize("lo", [0.0, -0.01])
+    def test_dyadic_ladder_needs_a_positive_start(self, lo):
+        # doubling a start of 0 never reaches hi
+        with pytest.raises(UsageError, match="lo > 0"):
+            dyadic_lags(lo, 1.0)
+
 
 class TestMomentTable:
     def test_null_dynamics(self):

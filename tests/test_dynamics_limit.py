@@ -6,29 +6,38 @@ import pytest
 from smallmass import rng as _rng
 from smallmass.core import ParticleEnsemble, PotentialSpec, RunConfig
 from smallmass.dynamics_eps import InitialLaw
-from smallmass.dynamics_limit import (DiffusionSpec, LimitScheme,
-                                      build_diffusion, default_limit_scheme,
+from smallmass import harness
+from smallmass.config import parse_config
+from smallmass.diagnostics import GkEstimate
+from smallmass.dynamics_limit import (DiffusionSpec, LimitScheme, default_limit_scheme,
                                       run_limit_replicas, simulate_limit, step_em)
 from smallmass.errors import NumericError, UsageError
-from smallmass.noise import NoiseModel
+from smallmass.harness import build_mode_diffusions
 
 ZERO_POT = PotentialSpec.custom(lambda x, m: np.zeros_like(x), 1.0)
 
 
 class TestBuildDiffusion:
-    def test_paper_mode_scalar_ou(self):
+    def test_paper_mode_scalar_ou(self, small_config_dict):
         # Sigma = sigma^2 = 1, beta = gamma = 2, alpha = 1 -> D = 1/2
-        model = NoiseModel.scalar_ou(1, gamma=2.0, sigma=1.0)
-        diff = build_diffusion("paper", model=model, alpha=1.0)
+        doc = dict(small_config_dict, **{"limit.modes": ["paper"]})
+        diff = build_mode_diffusions(parse_config(doc))["paper"]
         assert diff.matrix[0, 0] == pytest.approx(0.5)
         assert diff.mode == "paper"
 
-    def test_green_kubo_mode_uses_estimate(self):
-        diff = build_diffusion("green-kubo", gk_estimate=[[1.0]], alpha=2.0)
+    def test_green_kubo_mode_uses_estimate(self, small_config_dict, monkeypatch):
+        monkeypatch.setattr(harness, "run_estimate_gk",
+                            lambda cfg: GkEstimate(G=np.array([[1.0]]), horizon_fast=1.0,
+                                                   truncation_lag=1.0, reps=2, ci_fro=0.0))
+        doc = dict(small_config_dict, **{"run.alpha": 2.0, "limit.modes": ["green-kubo"]})
+        diff = build_mode_diffusions(parse_config(doc))["green-kubo"]
         assert diff.matrix[0, 0] == pytest.approx(0.25)
 
-    def test_explicit_zero_matrix(self):
-        diff = build_diffusion("explicit", explicit=np.zeros((2, 2)), alpha=1.0)
+    def test_explicit_zero_matrix(self, small_config_dict):
+        doc = dict(small_config_dict, **{
+            "run.d": 2, "limit.modes": ["explicit"],
+            "limit.explicit_matrix": [[0.0, 0.0], [0.0, 0.0]]})
+        diff = build_mode_diffusions(parse_config(doc))["explicit"]
         assert np.array_equal(diff.matrix, np.zeros((2, 2)))
         assert np.array_equal(diff.sqrt, np.zeros((2, 2)))
 

@@ -249,8 +249,8 @@ class TestSigmaMatrix:
                       + b[k] * np.sin(pts @ np.array(omegas[k])))
               for k in range(2)]
         expected = sum(c * c for c in ck)
-        est = sigma_matrix(model, m, mc_samples=200_000, seed=1)[0, 0]
-        assert est == pytest.approx(expected, rel=0.05)
+        est = sigma_matrix(model, m)[0, 0]
+        assert est == pytest.approx(expected, rel=1e-12)
 
 
 class TestFieldBounds:
