@@ -14,9 +14,7 @@ from .core import (EmpiricalMeasure, ParticleEnsemble, PotentialSpec,
 from .dynamics_eps import EpsScheme, InitialLaw, StepReport, simulate_eps, step
 from .dynamics_limit import DiffusionSpec, LimitScheme, simulate_limit, step_em
 from .errors import ConfigError, NumericError, UsageError
-from .noise import (DriverState, MixingMetadata, NoiseModel, advance,
-                    averaged_forcing, eval_field, init_stationary,
-                    mixing_metadata, sigma_matrix)
+from .noise import DriverState, NoiseModel, sigma_matrix
 from .transport import W2Result, w2_1d, w2_assignment, w2_auto, w2_sliced
 
 __all__ = [
@@ -27,7 +25,6 @@ __all__ = [
     "EpsScheme",
     "InitialLaw",
     "LimitScheme",
-    "MixingMetadata",
     "NoiseModel",
     "NumericError",
     "ParticleEnsemble",
@@ -37,13 +34,8 @@ __all__ = [
     "UsageError",
     "W2Result",
     "__version__",
-    "advance",
-    "averaged_forcing",
     "empirical_mean",
-    "eval_field",
     "grad_v",
-    "init_stationary",
-    "mixing_metadata",
     "probe_lipschitz",
     "sigma_matrix",
     "simulate_eps",

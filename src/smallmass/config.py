@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import PotentialSpec, RunConfig
+from .diagnostics import BM_PROXY_MIN_PATHS
 from .dynamics_eps import InitialLaw
 from .errors import ConfigError
 from .noise import NoiseModel
@@ -246,6 +247,9 @@ def _cross_validate(v):
         raise ConfigError("noise.gamma must be > 0")
     if v["run.alpha"] <= 0.0:
         raise ConfigError("run.alpha must be > 0")
+    for key in ("run.d", "run.N", "run.replicas", "run.samples_per_replica", "diag.N"):
+        if v[key] < 1:
+            raise ConfigError(f"{key} must be >= 1, got {v[key]}")
     if v["run.samples_per_replica"] > v["run.N"]:
         raise ConfigError("run.samples_per_replica cannot exceed run.N")
     for key in ("limit.replicas", "limit.samples_per_replica"):
@@ -255,6 +259,12 @@ def _cross_validate(v):
         raise ConfigError("gk.dt must be > 0")
     if v["gk.reps"] < 2:
         raise ConfigError("gk.reps must be >= 2: the confidence halfwidth needs two replicas")
+    if v["diag.moment_reps"] < 2:
+        raise ConfigError("diag.moment_reps must be >= 2: the confidence halfwidth needs "
+                          "two replicas")
+    if v["diag.reps"] < BM_PROXY_MIN_PATHS:
+        raise ConfigError(f"diag.reps must be >= {BM_PROXY_MIN_PATHS}: the Brownian-motion "
+                          "proxy needs that many independent u paths")
     if not 0.0 < v["diag.lag_lo"] <= v["diag.lag_hi"]:
         raise ConfigError("diag.lag_lo must satisfy 0 < diag.lag_lo <= diag.lag_hi, got "
                           f"{v['diag.lag_lo']!r} and {v['diag.lag_hi']!r}")

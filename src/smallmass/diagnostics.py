@@ -48,6 +48,8 @@ __all__ = [
 _MOMENT_KEYS = ("sx2", "sx4", "sy2", "sy4")
 # Points of the decimated time grid behind the Brownian-proxy statistics.
 _BM_GRID = 50
+# Fewest independent u paths the Brownian-proxy statistics accept.
+BM_PROXY_MIN_PATHS = 100
 
 
 @dataclass(frozen=True)
@@ -347,8 +349,8 @@ def bm_proxy(u_paths: np.ndarray, times: np.ndarray) -> dict:
     u = np.asarray(u_paths, dtype=float)
     if u.ndim == 2:
         u = u[:, :, None]
-    if u.shape[0] < 100:
-        raise UsageError("bm_proxy needs at least 100 independent paths")
+    if u.shape[0] < BM_PROXY_MIN_PATHS:
+        raise UsageError(f"bm_proxy needs at least {BM_PROXY_MIN_PATHS} independent paths")
     times = np.asarray(times, dtype=float)
     if times.shape[0] != u.shape[1]:
         raise UsageError("times must match the path grid")

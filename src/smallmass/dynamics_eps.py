@@ -4,10 +4,11 @@ The system integrated here is, per particle i with common law-averaged
 forcing,
 
     eps * x_i'' = -alpha * x_i' - grad_v(x_i, mu_hat)
-                  + eps^{-1/2} * averaged_forcing(mu_hat),
+                  + eps^{-1/2} * eta_bar(s, mu_hat),
 
-where mu_hat is the ensemble's empirical measure and the forcing is one
-shared draw of the mixing field evaluated under the fast clock s = t/eps.
+where mu_hat is the ensemble's empirical measure and eta_bar(s, mu_hat) is
+the mixing field averaged over mu_hat (``noise.averaged_forcing_xi``): one
+shared draw evaluated under the fast clock s = t/eps.
 
 Two schemes are provided.  The exponential scheme discretizes the
 variation-of-constants form of the velocity equation: with the total force

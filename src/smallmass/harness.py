@@ -8,8 +8,8 @@ from the second-order system at each eps on the grid, and from the limit
 equation under each configured diffusion mode -- and reports the
 Wasserstein-2 distance between the sample pairs, row per eps.
 
-A limit mode is nothing but its diffusion matrix: ``build_mode_diffusions``
-is the one place a mode name becomes a ``DiffusionSpec``, and every mode's
+A limit mode is nothing but its diffusion matrix: ``_mode_diffusion`` is
+the one place a mode name becomes a ``DiffusionSpec``, and every mode's
 limit sample is drawn on the same stream path (common random numbers), so
 the modes differ only by their matrices and the verdict does not depend on
 the order of ``limit.modes``.  The bootstrap likewise resamples the eps
@@ -49,8 +49,8 @@ from .dynamics_eps import run_eps_replicas
 from .dynamics_limit import (DiffusionSpec, LimitScheme, default_limit_scheme,
                              run_limit_replicas)
 from .errors import UsageError
-from .noise import mixing_metadata, sigma_matrix
-from .transport import ASSIGNMENT_MAX_N, w2_auto
+from .noise import sigma_matrix
+from .transport import W2_AUTO_RULE, w2_auto
 
 __all__ = [
     "ConvergenceReport",
@@ -180,7 +180,7 @@ def _base_metadata(cfg: Config) -> dict:
         "sampling.note": ("pooled at most samples_per_replica particles per replica; "
                           "within-replica particles share a driver path and are not "
                           "independent samples of the annealed law"),
-        "w2.auto_thresholds": f"d=1 quantile; d>1 n<={ASSIGNMENT_MAX_N} assignment; else sliced n_proj=128",
+        "w2.auto_thresholds": W2_AUTO_RULE,
     }
     for key in sorted(cfg.values):
         val = cfg.values[key]
@@ -197,26 +197,27 @@ def _reference_measure(cfg: Config) -> EmpiricalMeasure:
     return EmpiricalMeasure(pts)
 
 
-def build_mode_diffusions(cfg: Config) -> dict[str, DiffusionSpec]:
-    """D_eff per configured mode; the one place a mode name becomes a matrix.
+def _mode_diffusion(cfg: Config, mode: str) -> DiffusionSpec:
+    """D_eff of one mode; the one place a mode name becomes a matrix.
 
-    paper: Sigma / (alpha^2 * beta), the stationary forcing covariance at
-    the reference measure over the envelope decay rate; green-kubo:
+    paper: Sigma / (alpha^2 * gamma), the stationary forcing covariance at
+    the reference measure over the envelope decay rate gamma; green-kubo:
     G / alpha^2 with G measured; explicit: ``limit.explicit_matrix`` as is.
     """
-    model = cfg.noise_model()
     alpha = cfg.values["run.alpha"]
-    out = {}
-    for mode in cfg.modes:
-        if mode == "paper":
-            matrix = (sigma_matrix(model, _reference_measure(cfg))
-                      / (alpha**2 * mixing_metadata(model).beta))
-        elif mode == "green-kubo":
-            matrix = run_estimate_gk(cfg).G / alpha**2
-        else:
-            matrix = cfg.values["limit.explicit_matrix"]
-        out[mode] = DiffusionSpec(mode=mode, matrix=matrix)
-    return out
+    if mode == "paper":
+        model = cfg.noise_model()
+        matrix = sigma_matrix(model, _reference_measure(cfg)) / (alpha**2 * model.gamma)
+    elif mode == "green-kubo":
+        matrix = run_estimate_gk(cfg).G / alpha**2
+    else:
+        matrix = cfg.values["limit.explicit_matrix"]
+    return DiffusionSpec(mode=mode, matrix=matrix)
+
+
+def build_mode_diffusions(cfg: Config) -> dict[str, DiffusionSpec]:
+    """D_eff per configured mode, in ``limit.modes`` order."""
+    return {mode: _mode_diffusion(cfg, mode) for mode in cfg.modes}
 
 
 def _pooled(worker, head, reps, spr) -> np.ndarray:
@@ -399,15 +400,15 @@ def _dump_eps_trajectory(cfg: Config, eps: float, path: str):
 
 
 def run_simulate_limit(cfg: Config, out_dir: str):
-    """Pool limit-law terminal samples for the first configured mode."""
-    diffs = build_mode_diffusions(cfg)
+    """Pool limit-law terminal samples for the first configured mode; the
+    other modes are not built."""
     mode = cfg.modes[0]
+    diff = _mode_diffusion(cfg, mode)
     path = _write_samples(cfg, os.path.join(out_dir, "samples_limit.csv"),
-                          pool_limit_samples(cfg, diffs[mode]),
-                          {"limit.mode": mode,
-                           "limit.D_eff": json.dumps(diffs[mode].matrix.tolist())})
+                          pool_limit_samples(cfg, diff),
+                          {"limit.mode": mode, "limit.D_eff": json.dumps(diff.matrix.tolist())})
     if cfg.values["output.dump_trajectories"]:
-        _dump_limit_trajectory(cfg, diffs[mode], os.path.join(out_dir, "trajectory_limit.csv"))
+        _dump_limit_trajectory(cfg, diff, os.path.join(out_dir, "trajectory_limit.csv"))
     return path
 
 

@@ -1,14 +1,12 @@
-"""Stationary time-mixing random fields and their analytic mixing metadata.
+"""Stationary time-mixing random fields.
 
 The fast forcing is a stationary random field eta(s, x) driven by an
 exactly updatable Gauss-Markov process: each driver component relaxes at
 rate ``gamma`` (fast-time units) toward mean zero with stationary standard
-deviation ``sigma``.  The declared mixing envelope is exp(-gamma * s),
-which gives the closed-form metadata the rest of the toolkit consumes: the
-integrated envelope K = 1/gamma, the decay rate beta = gamma at lag zero,
-and the per-component stationary variance sigma^2.  The true strong-mixing
-coefficient of the driver is dominated by a constant multiple of this
-envelope; the envelope choice is recorded in every emitted report.
+deviation ``sigma``.  The declared mixing envelope is exp(-gamma * s); the
+true strong-mixing coefficient of the driver is dominated by a constant
+multiple of it, and the envelope choice is recorded in every emitted
+report.
 
 Three concrete field shapes are provided:
 
@@ -26,9 +24,8 @@ computed without forming the field at each point: the x-dependent factor
 (1, g, or the Fourier basis a_k cos(w_k . x) + b_k sin(w_k . x)) is
 averaged over the points first and then contracted with the driver.
 
-Gaussian drivers are unbounded, so the uniform field bounds hold in mean
-rather than almost surely; set ``clip=True`` to truncate the driver at six
-standard deviations when strict almost-sure boundedness is wanted.
+Gaussian drivers are unbounded; set ``clip=True`` to truncate the driver
+at six standard deviations when an almost-sure bound is wanted.
 """
 
 from __future__ import annotations
@@ -39,46 +36,29 @@ from typing import Callable
 
 import numpy as np
 
-from . import rng as _rng
 from .core import EmpiricalMeasure, pairwise_mean
 from .errors import UsageError
 
 __all__ = [
     "DriverState",
-    "MixingMetadata",
     "NoiseModel",
-    "advance",
-    "averaged_forcing",
-    "eval_field",
+    "advance_xi",
+    "averaged_forcing_xi",
     "eval_field_points",
-    "init_stationary",
-    "mixing_metadata",
-    "separable_profile",
     "sigma_matrix",
+    "stationary_xi",
 ]
 
 _CLIP_SDS = 6.0
 
 # Named separable profiles, so configurations stay serializable and worker
 # processes can rebuild models without shipping code objects around.
-# Each entry: (callable on the last axis, |g| bound, |grad g| bound, |hess g| bound).
-_PROFILES: dict[str, tuple[Callable[[np.ndarray], np.ndarray], float, float, float]] = {
-    "one": (lambda x: np.ones(x.shape[:-1]), 1.0, 0.0, 0.0),
-    "cos-sum": (lambda x: np.cos(np.sum(x, axis=-1)), 1.0, None, None),
-    "clip-linear": (lambda x: np.clip(x[..., 0], -1.0, 1.0), 1.0, 1.0, 0.0),
-    "gauss": (lambda x: np.exp(-0.5 * np.sum(x * x, axis=-1)), 1.0, 1.0, 2.0),
+_PROFILES: dict[str, Callable[[np.ndarray], np.ndarray]] = {
+    "one": lambda x: np.ones(x.shape[:-1]),
+    "cos-sum": lambda x: np.cos(np.sum(x, axis=-1)),
+    "clip-linear": lambda x: np.clip(x[..., 0], -1.0, 1.0),
+    "gauss": lambda x: np.exp(-0.5 * np.sum(x * x, axis=-1)),
 }
-
-
-def separable_profile(name: str, d: int):
-    """Resolve a named profile to (callable, bounds) for dimension ``d``."""
-    try:
-        fn, m0, m1, m2 = _PROFILES[name]
-    except KeyError:
-        raise UsageError(f"unknown separable profile {name!r}") from None
-    if name == "cos-sum":
-        m1, m2 = math.sqrt(d), float(d)
-    return fn, (m0, m1, m2)
 
 
 @dataclass(frozen=True)
@@ -91,8 +71,6 @@ class NoiseModel:
     sigma: float
     clip: bool = False
     g_name: str | None = None
-    g: Callable[[np.ndarray], np.ndarray] | None = None
-    g_bounds: tuple[float, float, float] | None = None
     omegas: np.ndarray | None = None  # (K, d)
     a: np.ndarray | None = None  # (K,)
     b: np.ndarray | None = None  # (K,)
@@ -103,18 +81,11 @@ class NoiseModel:
         if self.d < 1:
             raise UsageError("dimension must be >= 1")
         if self.gamma <= 0.0:
-            raise UsageError("mixing rate gamma must be > 0 (K = 1/gamma must be finite)")
+            raise UsageError("mixing rate gamma must be > 0")
         if self.sigma < 0.0:
             raise UsageError("driver amplitude sigma must be >= 0")
-        if self.kind == "separable":
-            if self.g is None:
-                if self.g_name is None:
-                    raise UsageError("separable models need g or g_name")
-                fn, bounds = separable_profile(self.g_name, self.d)
-                object.__setattr__(self, "g", fn)
-                object.__setattr__(self, "g_bounds", bounds)
-            elif self.g_bounds is None:
-                raise UsageError("separable models with a custom g need g_bounds")
+        if self.kind == "separable" and self.g_name not in _PROFILES:
+            raise UsageError(f"unknown separable profile {self.g_name!r}")
         if self.kind == "fourier-field":
             if self.omegas is None or self.a is None or self.b is None:
                 raise UsageError("fourier-field needs omegas, a and b")
@@ -132,9 +103,9 @@ class NoiseModel:
         return cls(kind="scalar-ou", d=d, gamma=gamma, sigma=sigma, clip=clip)
 
     @classmethod
-    def separable(cls, d, gamma, sigma, g_name=None, g=None, g_bounds=None, clip=False):
+    def separable(cls, d, gamma, sigma, g_name, clip=False):
         return cls(kind="separable", d=d, gamma=gamma, sigma=sigma, clip=clip,
-                   g_name=g_name, g=g, g_bounds=g_bounds)
+                   g_name=g_name)
 
     @classmethod
     def fourier_field(cls, d, gamma, sigma, omegas, a, b, clip=False):
@@ -142,44 +113,15 @@ class NoiseModel:
                    omegas=omegas, a=a, b=b)
 
     @property
+    def g(self) -> Callable[[np.ndarray], np.ndarray]:
+        """The separable profile named by ``g_name``."""
+        return _PROFILES[self.g_name]
+
+    @property
     def driver_shape(self) -> tuple[int, ...]:
         if self.kind == "fourier-field":
             return (self.d, self.omegas.shape[0])
         return (self.d,)
-
-    def field_scales(self) -> dict[str, float]:
-        """Analytic amplitude envelopes for the field and its derivatives.
-
-        Values are per-unit-driver scales: multiply by the realized driver
-        magnitude (about sigma in mean, at most 6 sigma when clipped) to
-        bound the field, its space gradient and its space Hessian.
-        """
-        if self.kind == "scalar-ou":
-            return {"field": 1.0, "dx": 0.0, "dxx": 0.0}
-        if self.kind == "separable":
-            m0, m1, m2 = self.g_bounds
-            return {"field": m0, "dx": m1, "dxx": m2}
-        amp = float(np.sum(np.abs(self.a) + np.abs(self.b)))
-        omega_max = float(np.max(np.linalg.norm(self.omegas, axis=1))) if self.omegas.size else 0.0
-        return {"field": amp, "dx": amp * omega_max, "dxx": amp * omega_max**2}
-
-
-@dataclass(frozen=True)
-class MixingMetadata:
-    """Closed-form mixing data of the exponential envelope."""
-
-    gamma: float
-    K: float
-    beta: float
-    sigma_sq: float
-
-    def envelope(self, s):
-        return np.exp(-self.gamma * np.asarray(s, dtype=float))
-
-
-def mixing_metadata(model: NoiseModel) -> MixingMetadata:
-    g = model.gamma
-    return MixingMetadata(gamma=g, K=1.0 / g, beta=g, sigma_sq=model.sigma**2)
 
 
 @dataclass(frozen=True)
@@ -195,34 +137,18 @@ class DriverState:
             raise UsageError("fast time must be nonnegative")
 
 
-def init_stationary(model: NoiseModel, seed_or_rng) -> DriverState:
-    """Draw the driver from its stationary marginal N(0, sigma^2)."""
-    gen = _as_generator(seed_or_rng)
-    return DriverState(xi=stationary_xi(model, gen), fast_time=0.0)
-
-
 def stationary_xi(model: NoiseModel, rng) -> np.ndarray:
     """One stationary driver draw (clipped when the model asks for it)."""
     xi = model.sigma * rng.standard_normal(model.driver_shape)
     return _clip(xi, model) if model.clip else xi
 
 
-def advance(state: DriverState, model: NoiseModel, delta_s: float, rng) -> DriverState:
-    """Exact one-step update of the Gauss-Markov driver over fast lag delta_s."""
-    if delta_s < 0.0:
-        raise UsageError("cannot advance the driver backwards")
-    if delta_s == 0.0:
-        return state
-    z = rng.standard_normal(state.xi.shape)
-    xi = advance_xi(state.xi, model, delta_s, z)
-    return DriverState(xi=xi, fast_time=state.fast_time + delta_s)
-
-
 def advance_xi(xi: np.ndarray, model: NoiseModel, delta_s: float, z: np.ndarray,
                out: np.ndarray | None = None) -> np.ndarray:
-    """Array form of the exact update; ``xi`` may carry leading batch axes.
+    """Exact update of the Gauss-Markov driver over fast lag ``delta_s``.
 
-    The result is written to ``out`` when given, which may be ``xi`` itself.
+    ``z`` holds the standard normals of the step, one per entry of ``xi``,
+    which may carry leading batch axes.  The result is written to ``out`` when given, which may be ``xi`` itself.
     """
     r = math.exp(-model.gamma * delta_s)
     out = np.multiply(xi, r, out=out)
@@ -237,20 +163,12 @@ def _clip(xi, model, out=None):
     return np.clip(xi, -bound, bound, out=out)
 
 
-def eval_field(model: NoiseModel, state: DriverState, x) -> np.ndarray:
-    """Field value at one point; returns a d-vector."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.shape[-1] != model.d:
-        raise UsageError(f"dimension mismatch: point d={x.shape[-1]}, model d={model.d}")
-    return eval_field_points(model, state.xi, x[None, :])[0]
-
-
 def eval_field_points(model: NoiseModel, xi: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Field values at ``points`` (..., n, d) for driver values ``xi``.
 
     Leading batch axes of ``xi`` broadcast against those of ``points``.
-    This is the point evaluator behind ``eval_field``; the law-averaged
-    forcing never forms the per-point field (see ``averaged_forcing_xi``).
+    The law-averaged forcing never forms the per-point field (see
+    ``averaged_forcing_xi``).
     """
     if model.kind == "scalar-ou":
         return np.broadcast_to(
@@ -268,21 +186,13 @@ def _fourier_basis(model: NoiseModel, points: np.ndarray) -> np.ndarray:
     return model.a * np.cos(phase) + model.b * np.sin(phase)
 
 
-def averaged_forcing(model: NoiseModel, state: DriverState, m: EmpiricalMeasure) -> np.ndarray:
-    """Mean of the field over the points of ``m``.
+def averaged_forcing_xi(model: NoiseModel, xi: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Mean of the field over ``points`` (..., n, d); batch axes broadcast.
 
     This realizes the law-averaged forcing applied identically to every
     particle: the common-noise reading of the fluctuating term, with the
     expectation over the state taken as the empirical average over the
     ensemble sharing one driver path.
-    """
-    if m.n < 1:
-        raise UsageError("empty measure")
-    return averaged_forcing_xi(model, state.xi, m.points)
-
-
-def averaged_forcing_xi(model: NoiseModel, xi: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Array form of ``averaged_forcing``; batch axes broadcast.
 
     The average is linear in the driver, so the x-dependent factor is
     averaged over the points (pairwise fold) and then contracted with
@@ -325,8 +235,3 @@ def sigma_matrix(model: NoiseModel, m: EmpiricalMeasure | None = None) -> np.nda
     gbar = pairwise_mean(_fourier_basis(model, m.points), axis=-2)  # (K,)
     return s2 * float(np.sum(gbar * gbar)) * eye
 
-
-def _as_generator(seed_or_rng) -> np.random.Generator:
-    if isinstance(seed_or_rng, np.random.Generator):
-        return seed_or_rng
-    return _rng.stream(int(seed_or_rng), _rng.DIRECT)

@@ -122,12 +122,17 @@ def _quantile_resample(sorted_cols: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
+# The routing rule of ``w2_auto``, as recorded in report headers.
+W2_AUTO_RULE = (f"equal counts: d=1 quantile, d>1 n<={ASSIGNMENT_MAX_N} assignment; "
+                f"else sliced n_proj={SLICED_DEFAULT_PROJECTIONS}")
+
+
 def w2_auto(a, b, seed: int = 0) -> W2Result:
     """Route to the exact or sliced solver the way the harness does.
 
-    d = 1 -> quantile coupling; d > 1 with n <= 512 and equal counts ->
-    assignment; anything larger -> sliced with the default projection
-    count.  Thresholds are recorded in report metadata by the caller.
+    Equal counts: d = 1 -> quantile coupling, d > 1 with n <= 512 ->
+    assignment.  Unequal counts, or larger n, -> sliced with the default
+    projection count.  ``W2_AUTO_RULE`` states the rule for report metadata.
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from smallmass import harness
 from smallmass import rng as _rng
 from smallmass.cli import main as cli_main
 from smallmass.config import load_config, parse_config, serialize_config
@@ -79,6 +80,9 @@ class TestConfig:
         ("limit.replicas", 0), ("limit.replicas", -1),
         ("limit.samples_per_replica", 0), ("limit.samples_per_replica", -2),
         ("gk.dt", 0.0), ("gk.dt", -0.1), ("gk.reps", 1), ("run.alpha", 0.0),
+        ("run.replicas", 0), ("run.replicas", -1), ("run.samples_per_replica", 0),
+        ("run.N", 0), ("run.d", 0), ("diag.N", 0), ("diag.moment_reps", 1),
+        ("diag.reps", 99),
     ])
     def test_out_of_range_values_are_rejected(self, small_config_dict, key, value):
         # diag.lag_lo 2.0 lies above the default diag.lag_hi of 1.0
@@ -145,16 +149,28 @@ class TestConvergenceHarness:
 
     def test_worker_split_does_not_change_bytes(self, small_config_dict,
                                                 tmp_path, monkeypatch):
-        for name, doc in (("scalar-ou", small_config_dict),
+        # 72 replicas make two batches per pooled phase; a single batch runs
+        # inline whatever the worker count, so the pool starts are counted.
+        starts = []
+
+        class CountingPool(harness.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                starts.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
+        for name, doc in (("scalar-ou", dict(small_config_dict, **{"run.replicas": 72})),
                           ("coupled", dict(small_config_dict, **COUPLED))):
             texts = {}
             for w in ("1", "2"):
                 monkeypatch.setenv("SMALLMASS_WORKERS", w)
+                starts.clear()
                 cfg = parse_config(doc)
                 report = run_convergence(cfg)
                 path = tmp_path / f"converge_{name}_{w}.csv"
                 report.write_csv(path)
                 texts[w] = path.read_text()
+                assert (len(starts) > 0) == (w == "2"), (name, w, len(starts))
             assert texts["1"] == texts["2"], name
 
     def test_deterministic_limit_agrees_as_eps_shrinks(self, small_config_dict):
@@ -283,6 +299,16 @@ class TestOtherEntryPoints:
                 traj = load_sample_file(out / f"trajectory_{kind}.csv")
                 assert np.array_equal(traj[-2:, 2:2 + d], sample), (d, kind)
                 assert traj[-1, 0] >= 5.0 - 1e-9
+
+    def test_simulate_limit_builds_only_the_first_mode(self, small_config_dict, tmp_path,
+                                                       monkeypatch):
+        def no_gk(cfg):
+            raise AssertionError("simulate-limit ran the Green-Kubo estimate")
+
+        monkeypatch.setattr(harness, "run_estimate_gk", no_gk)
+        cfg = parse_config(dict(small_config_dict, **{"limit.modes": ["paper", "green-kubo"]}))
+        run_simulate_limit(cfg, str(tmp_path))
+        assert "# limit.mode = paper\n" in (tmp_path / "samples_limit.csv").read_text()
 
     def test_load_sample_file(self, tmp_path):
         p = tmp_path / "samples.csv"

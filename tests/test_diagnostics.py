@@ -9,8 +9,8 @@ from smallmass.diagnostics import (_u_paths_ensemble, _u_paths_scalar, bm_proxy,
                                    dyadic_lags, green_kubo, moment_table, uv_check)
 from smallmass.dynamics_eps import EpsScheme, InitialLaw, _n_steps, step
 from smallmass.errors import UsageError
-from smallmass.noise import (DriverState, NoiseModel, advance_xi, averaged_forcing,
-                             averaged_forcing_xi, stationary_xi)
+from smallmass.noise import (DriverState, NoiseModel, advance_xi, averaged_forcing_xi,
+                             stationary_xi)
 
 FREE_POT = PotentialSpec.quadratic(1e-12)  # effectively potential-free
 
@@ -105,7 +105,7 @@ class TestUvCheck:
             drv = DriverState(xi=stationary_xi(model, gen), fast_time=0.0)
             v = np.zeros(cfg.d)
             for k in range(n):
-                eta = averaged_forcing(model, drv, ens.measure())
+                eta = averaged_forcing_xi(model, drv.xi, ens.positions)
                 u[rix, k + 1] = u[rix, k] + cu * eta
                 v = v * r_fac + cv * eta
                 if k >= n_late_from:
