@@ -11,8 +11,8 @@ distances plus moment, decay and increment diagnostics.
 from ._version import __version__
 from .core import (EmpiricalMeasure, ParticleEnsemble, PotentialSpec,
                    RunConfig, empirical_mean, grad_v, probe_lipschitz)
-from .dynamics_eps import EpsScheme, InitialLaw, StepReport, simulate_eps, step
-from .dynamics_limit import DiffusionSpec, LimitScheme, simulate_limit, step_em
+from .dynamics_eps import EpsScheme, InitialLaw, StepReport, step
+from .dynamics_limit import DiffusionSpec, LimitScheme, step_em
 from .errors import ConfigError, NumericError, UsageError
 from .noise import DriverState, NoiseModel, sigma_matrix
 from .transport import W2Result, w2_1d, w2_assignment, w2_auto, w2_sliced
@@ -38,8 +38,6 @@ __all__ = [
     "grad_v",
     "probe_lipschitz",
     "sigma_matrix",
-    "simulate_eps",
-    "simulate_limit",
     "step",
     "step_em",
     "w2_1d",

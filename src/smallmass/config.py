@@ -16,9 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import PotentialSpec, RunConfig
-from .diagnostics import BM_PROXY_MIN_PATHS
+from .diagnostics import BM_PROXY_MIN_PATHS, GK_MIN_HORIZON
 from .dynamics_eps import InitialLaw
-from .errors import ConfigError
+from .dynamics_limit import LimitScheme
+from .errors import ConfigError, UsageError
 from .noise import NoiseModel
 
 __all__ = ["Config", "load_config", "parse_config", "serialize_config"]
@@ -121,9 +122,6 @@ class Config:
     """Validated view over the flat document."""
 
     values: dict
-
-    def __getitem__(self, key):
-        return self.values[key]
 
     # -- typed views -------------------------------------------------------
 
@@ -243,10 +241,27 @@ def _cross_validate(v):
     if mat is not None and (len(mat) != d or any(len(row) != d for row in mat)):
         raise ConfigError(f"limit.explicit_matrix must be a run.d x run.d = {d} x {d} "
                           f"matrix, got rows of lengths {[len(row) for row in mat]}")
-    if v["noise.gamma"] <= 0.0:
-        raise ConfigError("noise.gamma must be > 0")
-    if v["run.alpha"] <= 0.0:
-        raise ConfigError("run.alpha must be > 0")
+    for key in ("noise.gamma", "run.alpha", "run.T"):
+        if v[key] <= 0.0:
+            raise ConfigError(f"{key} must be > 0")
+    for key in ("noise.sigma", "potential.lambda", "init.position_std"):
+        if v[key] < 0.0:
+            raise ConfigError(f"{key} must be >= 0, got {v[key]!r}")
+    if v["potential.kind"] == "quadratic" and v["potential.kappa"] != 0.0:
+        raise ConfigError("potential.kappa must be 0 under potential.kind quadratic, "
+                          "which has no coupling term")
+    if v["limit.h"] is not None:
+        pot = Config(values=v).potential()
+        try:
+            LimitScheme(v["limit.h"]).validate(v["run.alpha"], pot)
+        except UsageError as err:
+            raise ConfigError(f"limit.h: {err}") from None
+    horizon = v["gk.horizon_fast"]
+    if horizon is not None and horizon < GK_MIN_HORIZON / v["noise.gamma"]:
+        raise ConfigError(f"gk.horizon_fast must be >= {GK_MIN_HORIZON:g}/noise.gamma = "
+                          f"{GK_MIN_HORIZON / v['noise.gamma']:g}, got {horizon!r}")
+    if v["diag.grid_points"] < 2:
+        raise ConfigError(f"diag.grid_points must be >= 2, got {v['diag.grid_points']}")
     for key in ("run.d", "run.N", "run.replicas", "run.samples_per_replica", "diag.N"):
         if v[key] < 1:
             raise ConfigError(f"{key} must be >= 1, got {v[key]}")

@@ -148,19 +148,8 @@ class ParticleEnsemble:
             raise UsageError("time must be nonnegative")
 
     @property
-    def n_particles(self) -> int:
-        return self.positions.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.positions.shape[1]
-
-    @property
     def is_limit_mode(self) -> bool:
         return self.velocities is None
-
-    def measure(self) -> EmpiricalMeasure:
-        return EmpiricalMeasure(self.positions)
 
     def check_finite(self, **ctx):
         if not np.all(np.isfinite(self.positions)) or (
@@ -241,18 +230,28 @@ def grad_v_batch(p: PotentialSpec, xs: np.ndarray, m: EmpiricalMeasure | None = 
     With a measure ``m`` it applies to every row, and ``xs`` may carry
     leading batch axes.  With ``m=None`` each (n, d) set along the last
     two axes of ``xs`` is its own measure, averaged over the particle axis
-    with the deterministic pairwise fold.  Builtin kinds batch over leading
-    axes and, when given, write the result to ``out`` using ``tmp`` as
-    scratch (both shaped like ``xs``).  Custom kinds take one (n, d) set
-    when ``m`` is None and always return a new array, so callers use the
-    return value.
+    with the deterministic pairwise fold.  The result is written to ``out``
+    when given, with ``tmp`` as scratch (both shaped like ``xs``).  A custom
+    gradient is called once per row and raises ``NumericError`` on a
+    non-finite ``xs``.
     """
     xs = np.asarray(xs, dtype=float)
     if m is not None and xs.shape[-1] != m.d:
         raise UsageError(f"dimension mismatch: points d={xs.shape[-1]}, measure d={m.d}")
     if p.kind == "custom":
-        m = m if m is not None else EmpiricalMeasure(xs)
-        return np.stack([p.grad(row, m) for row in xs.reshape(-1, m.d)]).reshape(xs.shape)
+        if not np.isfinite(xs).all():
+            raise NumericError("custom potential evaluated at a non-finite state")
+        if m is not None:
+            rows = [p.grad(x, m) for x in xs.reshape(-1, m.d)]
+        else:
+            rows = []
+            for s in xs.reshape((-1,) + xs.shape[-2:]):
+                ms = EmpiricalMeasure(s)
+                rows.extend(p.grad(x, ms) for x in s)
+        if out is None:
+            out = np.empty_like(xs)
+        out[...] = np.stack(rows).reshape(xs.shape)
+        return out
     out = np.multiply(xs, p.lam, out=out)
     if p.kind == "curie-weiss":
         mean = pairwise_mean(xs, axis=-2)[..., None, :] if m is None else empirical_mean(m)

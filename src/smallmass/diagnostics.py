@@ -50,6 +50,8 @@ _MOMENT_KEYS = ("sx2", "sx4", "sy2", "sy4")
 _BM_GRID = 50
 # Fewest independent u paths the Brownian-proxy statistics accept.
 BM_PROXY_MIN_PATHS = 100
+# Shortest Green-Kubo horizon, in driver correlation times 1/gamma.
+GK_MIN_HORIZON = 20.0
 
 
 @dataclass(frozen=True)
@@ -97,7 +99,7 @@ class GkEstimate:
 
 class _MomentRecorder:
     def __init__(self, n_total_steps, grid_points, eps, n_replicas):
-        every = max(1, n_total_steps // max(1, grid_points - 1))
+        every = max(1, n_total_steps // (grid_points - 1))
         self.idx = list(range(0, n_total_steps + 1, every))
         if self.idx[-1] != n_total_steps:
             self.idx.append(n_total_steps)
@@ -130,6 +132,8 @@ def moment_table(cfg: RunConfig, model: NoiseModel, pot: PotentialSpec,
     sample size is the replica count; confidence halfwidths are computed
     across replicas.
     """
+    if grid_points < 2:
+        raise UsageError(f"grid_points must be >= 2, got {grid_points}")
     init = init or InitialLaw()
     sch = build_scheme(cfg, sch_kind)
     n = _n_steps(cfg.T, sch.h)
@@ -172,9 +176,8 @@ def uv_check(cfg: RunConfig, model: NoiseModel, *, reps: int = 512,
     one discretization error.  For the x-independent ``scalar-ou`` field
     only the driver is simulated; law-dependent fields ride the particle
     system, recorded from the lock-step eps kernel ``run_eps_replicas``
-    under the exponential scheme.  Custom potentials are not supported:
-    with a law-dependent field they raise ``UsageError`` before anything
-    is drawn.
+    under the exponential scheme with potential ``pot`` (default
+    ``quadratic(1.0)``).
 
     E||v||^2 is estimated by averaging over replicas and over the second
     half of the horizon; v is stationary there up to an exp(-alpha T /
@@ -298,10 +301,9 @@ def green_kubo(model: NoiseModel, m_source: EmpiricalMeasure | None = None,
     centered by construction, and subtracting a sample mean would bias the
     integral downward by order 1/horizon.
     """
-    if horizon_fast < 20.0 / model.gamma:
-        raise UsageError(
-            f"horizon_fast={horizon_fast:g} too short; need at least 20/gamma = {20.0 / model.gamma:g}"
-        )
+    if horizon_fast < GK_MIN_HORIZON / model.gamma:
+        raise UsageError(f"horizon_fast={horizon_fast:g} too short; need at least "
+                         f"{GK_MIN_HORIZON:g}/gamma = {GK_MIN_HORIZON / model.gamma:g}")
     if model.kind != "scalar-ou" and m_source is None:
         raise UsageError(f"{model.kind} needs a frozen measure for the estimator")
     if dt is None:

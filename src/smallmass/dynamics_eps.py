@@ -52,7 +52,6 @@ __all__ = [
     "build_scheme",
     "paired_scheme_gap",
     "run_eps_replicas",
-    "simulate_eps",
     "step",
 ]
 
@@ -132,8 +131,7 @@ def _total_force(model, pot, X, xi, inv_sqrt_eps, out=None, tmp=None):
 
     The forcing part is computed once and shared by every particle of a
     replica.  Returns (force, scaled_forcing) with the latter kept for the
-    step report; for builtin potentials the force is written to ``out``
-    when given (see ``grad_v_batch``), so callers use the returned force.
+    step report; the force is written to ``out`` when given.
     """
     grad = grad_v_batch(pot, X, out=out, tmp=tmp)
     bar = averaged_forcing_xi(model, xi, X)  # (..., d)
@@ -223,35 +221,6 @@ def _n_steps(T: float, h: float) -> int:
     return max(n, 1)
 
 
-def simulate_eps(cfg: RunConfig, model: NoiseModel, pot: PotentialSpec,
-                 sch_kind: str = "exponential", init: InitialLaw | None = None,
-                 rng=None):
-    """Integrate one replica to the horizon; returns (ensemble, reports).
-
-    Bit-deterministic given (seed, N, scheme, step count): all randomness
-    comes from the supplied stream in a fixed draw order (positions, driver
-    init, then one driver draw per step).
-    """
-    init = init or InitialLaw()
-    if rng is None:
-        rng = _rng.stream(cfg.seed, _rng.EPS_RUN, 0, 0)
-    sch = build_scheme(cfg, sch_kind)
-    X = init.draw_positions(cfg.N, cfg.d, rng)
-    Y = init.velocities(cfg.N, cfg.d)
-    xi = stationary_xi(model, rng)
-    ens = ParticleEnsemble(positions=X, velocities=Y, time=0.0, eps=cfg.eps)
-    drv = DriverState(xi=xi, fast_time=0.0)
-    n = _n_steps(cfg.T, sch.h)
-    reports: list[StepReport] = []
-    for k in range(n):
-        try:
-            ens, drv, rep = step(ens, model, drv, pot, sch, cfg.alpha, rng)
-        except NumericError as err:
-            raise NumericError(str(err), step=k, eps=cfg.eps) from err
-        reports.append(rep)
-    return ens, reports
-
-
 def _particle_local(model: NoiseModel, pot: PotentialSpec, recorder) -> bool:
     """Whether each particle's path depends on no other particle's.
 
@@ -265,19 +234,19 @@ def _particle_local(model: NoiseModel, pot: PotentialSpec, recorder) -> bool:
 def run_eps_replicas(cfg: RunConfig, model: NoiseModel, pot: PotentialSpec,
                      sch_kind: str, init: InitialLaw, replica_ids,
                      stream_path, *, batch_size: int = 64, recorder=None,
-                     keep_velocities: bool = False, keep: int | None = None):
+                     keep: int | None = None):
     """Replica sweep of the second-order system, advanced in fixed batches.
 
     ``stream_path`` is a tuple prefix (purpose code plus optional indices);
     replica r draws from ``stream(seed, *stream_path, r)``.  Results are
-    bit-identical to running replicas one at a time because every replica's
-    normals are pre-drawn from its own stream in the same order the
-    sequential path consumes them.  ``recorder``, when given, is called as
+    bit-identical to running replicas one at a time through ``step``,
+    because every replica's normals are pre-drawn from its own stream in
+    the order ``step`` consumes them (positions, driver start, then one
+    driver draw per step).  ``recorder``, when given, is called as
     ``recorder(replica_ids_batch, step_index, time, X, Y, xi)`` after the
     initial state and after every step, with ``xi`` the driver values at
     that time (shape (B,) + driver shape); X, Y and xi are updated in place
-    afterwards, so a recorder copies whatever it keeps.  Only builtin
-    potential kinds are supported.
+    afterwards, so a recorder copies whatever it keeps.
 
     ``keep`` is the number of leading particles per replica the caller
     needs.  When the dynamics are particle-local (quadratic potential,
@@ -285,11 +254,9 @@ def run_eps_replicas(cfg: RunConfig, model: NoiseModel, pot: PotentialSpec,
     draws, so they are bit-identical to the leading particles of a full
     run.  Otherwise all N are integrated and the caller slices.
 
-    Returns terminal positions of shape (R, M, d), with M = ``keep`` on the
-    particle-local path and N otherwise (and velocities when requested).
+    Returns terminal positions and velocities, each of shape (R, M, d),
+    with M = ``keep`` on the particle-local path and N otherwise.
     """
-    if pot.kind == "custom":
-        raise UsageError("the replica sweep supports builtin potential kinds only")
     if keep is not None and not 1 <= keep <= cfg.N:
         raise UsageError(f"keep must lie in [1, N={cfg.N}], got {keep}")
     replica_ids = list(replica_ids)
@@ -302,7 +269,7 @@ def run_eps_replicas(cfg: RunConfig, model: NoiseModel, pot: PotentialSpec,
     ds = model.driver_shape
     Y0 = init.velocities(cfg.N, cfg.d)[:M]
     out_pos = np.empty((len(replica_ids), M, cfg.d))
-    out_vel = np.empty_like(out_pos) if keep_velocities else None
+    out_vel = np.empty_like(out_pos)
     for start in range(0, len(replica_ids), batch_size):
         ids = replica_ids[start : start + batch_size]
         B = len(ids)
@@ -332,8 +299,7 @@ def run_eps_replicas(cfg: RunConfig, model: NoiseModel, pot: PotentialSpec,
             raise NumericError("replica sweep produced non-finite state",
                                replica=ids[bad], eps=cfg.eps)
         out_pos[start : start + B] = X
-        if keep_velocities:
-            out_vel[start : start + B] = Y
+        out_vel[start : start + B] = Y
     return out_pos, out_vel
 
 
@@ -373,11 +339,11 @@ def paired_scheme_gap(cfg: RunConfig, model: NoiseModel, pot: PotentialSpec,
     adv_e = _Advance("exponential", h_c, cfg.eps, cfg.alpha)
     adv_u = _Advance("euler", h_f, cfg.eps, cfg.alpha)
     for k in range(n_c):
-        F, _ = _total_force(model, pot, Xe, xi, inv_sqrt_eps, F, tmp)
+        _total_force(model, pot, Xe, xi, inv_sqrt_eps, F, tmp)
         adv_e(Xe, Ye, F, tmp)
         bar_u = inv_sqrt_eps * averaged_forcing_xi(model, xi, Xu)
         for _ in range(ratio):
-            F = grad_v_batch(pot, Xu, out=F, tmp=tmp)
+            grad_v_batch(pot, Xu, out=F, tmp=tmp)
             np.subtract(bar_u[..., None, :], F, out=F)
             adv_u(Xu, Yu, F, tmp)
         xi = advance_xi(xi, model, h0_coarse, Z[k])

@@ -41,7 +41,6 @@ __all__ = [
     "LimitScheme",
     "default_limit_scheme",
     "run_limit_replicas",
-    "simulate_limit",
     "step_em",
 ]
 
@@ -77,10 +76,6 @@ class DiffusionSpec:
     def sqrt(self) -> np.ndarray:
         """Symmetric square root S with S @ S.T = matrix."""
         return self._sqrt
-
-    @property
-    def d(self) -> int:
-        return self.matrix.shape[0]
 
 
 @dataclass(frozen=True)
@@ -122,30 +117,6 @@ def step_em(ens: ParticleEnsemble, pot: PotentialSpec, diff: DiffusionSpec,
     return out
 
 
-def simulate_limit(cfg: RunConfig, pot: PotentialSpec, diff: DiffusionSpec,
-                   init: InitialLaw | None = None, rng=None,
-                   sch: LimitScheme | None = None) -> ParticleEnsemble:
-    """Euler-Maruyama to the horizon; deterministic given the seed.
-
-    The step count follows the eps system's rule: when ``h`` does not
-    divide ``T`` the last step ends past ``T``, never before it.
-    """
-    init = init or InitialLaw()
-    if rng is None:
-        rng = _rng.stream(cfg.seed, _rng.LIMIT_RUN, 0, 0)
-    sch = sch or default_limit_scheme(cfg, pot)
-    sch.validate(cfg.alpha, pot)
-    X = init.draw_positions(cfg.N, cfg.d, rng)
-    ens = ParticleEnsemble(positions=X, velocities=None, time=0.0, eps=None)
-    n = _n_steps(cfg.T, sch.h)
-    for k in range(n):
-        try:
-            ens = step_em(ens, pot, diff, sch, cfg.alpha, rng)
-        except NumericError as err:
-            raise NumericError(str(err), step=k) from err
-    return ens
-
-
 # Normals drawn per generator call in the limit pre-draw, to bound the
 # transient (steps, N, d) block when only a few particles are kept.
 _DRAW_CHUNK = 1 << 16
@@ -157,9 +128,11 @@ def run_limit_replicas(cfg: RunConfig, pot: PotentialSpec, diff: DiffusionSpec,
                        recorder=None) -> np.ndarray:
     """Terminal positions over independent replicas, stepped in lock-step.
 
-    Replica r draws from ``stream(seed, *stream_path, r)`` in the order
-    ``simulate_limit`` consumes it (positions, then one (N, d) normal block
-    per step), so every replica is bit-identical to its sequential run.
+    Replica r draws from ``stream(seed, *stream_path, r)`` its positions
+    and then one (N, d) normal block per step, the order ``step_em``
+    consumes it, so every replica is bit-identical to stepping it alone.
+    The step count follows the eps system's rule: when ``h`` does not
+    divide ``T`` the last step ends past ``T``, never before it.
     ``recorder``, when given, is called as ``recorder(replica_ids, step_index,
     time, X)`` after the initial state and after every step; X is updated
     in place afterwards.
@@ -170,8 +143,6 @@ def run_limit_replicas(cfg: RunConfig, pot: PotentialSpec, diff: DiffusionSpec,
     stored.  Otherwise all N are integrated and the caller slices.  Returns
     shape (R, M, d) with M the number integrated.
     """
-    if pot.kind == "custom":
-        raise UsageError("the replica sweep supports builtin potential kinds only")
     if keep is not None and not 1 <= keep <= cfg.N:
         raise UsageError(f"keep must lie in [1, N={cfg.N}], got {keep}")
     replica_ids = list(replica_ids)

@@ -18,17 +18,14 @@ class ConfigError(UsageError):
 class NumericError(RuntimeError):
     """A computation produced non-finite or otherwise unusable values."""
 
-    def __init__(self, message, *, step=None, replica=None, eps=None):
+    def __init__(self, message, *, replica=None, eps=None):
         ctx = []
         if eps is not None:
             ctx.append(f"eps={eps:g}")
         if replica is not None:
             ctx.append(f"replica={replica}")
-        if step is not None:
-            ctx.append(f"step={step}")
         if ctx:
             message = f"{message} [{', '.join(ctx)}]"
         super().__init__(message)
-        self.step = step
         self.replica = replica
         self.eps = eps

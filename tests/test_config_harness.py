@@ -82,10 +82,15 @@ class TestConfig:
         ("gk.dt", 0.0), ("gk.dt", -0.1), ("gk.reps", 1), ("run.alpha", 0.0),
         ("run.replicas", 0), ("run.replicas", -1), ("run.samples_per_replica", 0),
         ("run.N", 0), ("run.d", 0), ("diag.N", 0), ("diag.moment_reps", 1),
-        ("diag.reps", 99),
+        ("diag.reps", 99), ("run.T", 0), ("noise.sigma", -1), ("potential.lambda", -1),
+        ("potential.kappa", 0.5), ("limit.h", 0), ("limit.h", -0.01), ("limit.h", 0.5),
+        ("init.position_std", -1), ("gk.horizon_fast", 1.0), ("diag.grid_points", 0),
+        ("diag.grid_points", 1),
     ])
     def test_out_of_range_values_are_rejected(self, small_config_dict, key, value):
-        # diag.lag_lo 2.0 lies above the default diag.lag_hi of 1.0
+        # diag.lag_lo 2.0 lies above the default diag.lag_hi of 1.0; the small
+        # config's quadratic potential has no coupling, so any potential.kappa
+        # but 0 is dropped, and with lambda 1 the limit step cap is 0.01
         doc = dict(small_config_dict, **{key: value})
         with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
             parse_config(doc)

@@ -84,7 +84,8 @@ class TestGradVBatch:
     @pytest.mark.parametrize("pot", [
         PotentialSpec.quadratic(0.7),
         PotentialSpec.curie_weiss(0.7, 0.45),
-    ], ids=["quadratic", "curie-weiss"])
+        PotentialSpec.custom(lambda x, m: x - 0.3 * m.mean(), 1.6),
+    ], ids=["quadratic", "curie-weiss", "custom"])
     def test_batch_equals_each_ensemble_under_its_measure(self, pot, d):
         X = np.random.default_rng(9).standard_normal((5, 13, d))
         out, tmp = np.empty_like(X), np.empty_like(X)
@@ -95,15 +96,6 @@ class TestGradVBatch:
             ref = grad_v_batch(pot, X[b], EmpiricalMeasure(X[b]))
             assert np.array_equal(batched[b], ref)
             assert np.array_equal(buffered[b], ref)
-
-    @pytest.mark.parametrize("d", [1, 2])
-    def test_custom_takes_one_ensemble_and_returns_a_new_array(self, d):
-        pot = PotentialSpec.custom(lambda x, m: x - 0.3 * m.mean(), 1.6)
-        X = np.random.default_rng(10).standard_normal((13, d))
-        out = np.zeros_like(X)
-        got = grad_v_batch(pot, X, out=out)
-        assert got is not out and not out.any()
-        assert np.array_equal(got, grad_v_batch(pot, X, EmpiricalMeasure(X)))
 
 
 class TestProbeLipschitz:

@@ -130,16 +130,12 @@ class TestUvCheck:
         assert np.array_equal(u, u_ref)
         assert np.array_equal(v_late, v_ref)
 
-    def test_custom_potential_rejected_before_any_draw(self, monkeypatch):
-        def no_draws(*args):
-            raise AssertionError("a random stream was opened")
-
-        monkeypatch.setattr(_rng, "stream", no_draws)
-        cfg = RunConfig(d=1, N=4, eps=0.1, alpha=1.0, T=1.0, h0=0.05, seed=0)
+    def test_custom_potential_matches_its_builtin_twin(self):
+        cfg = RunConfig(d=1, N=4, eps=0.1, alpha=1.0, T=0.5, h0=0.05, seed=0)
         model = NoiseModel.separable(1, gamma=2.0, sigma=1.0, g_name="gauss")
-        pot = PotentialSpec.custom(lambda x, m: x, 1.0)
-        with pytest.raises(UsageError, match="builtin"):
-            uv_check(cfg, model, reps=128, pot=pot)
+        custom = PotentialSpec.custom(lambda x, m: 1.0 * x, 1.0)
+        assert (uv_check(cfg, model, reps=128, pot=custom)
+                == uv_check(cfg, model, reps=128, pot=PotentialSpec.quadratic(1.0)))
 
     def test_dyadic_ladder(self):
         assert dyadic_lags(0.01, 1.0) == pytest.approx(
@@ -180,6 +176,14 @@ class TestMomentTable:
             mt = moment_table(cfg, model, FREE_POT, reps=512, init=init)
             vals[sigma] = mt.sup["sy2"]
         assert 3.0 < vals[2.0] / vals[1.0] < 5.0
+
+    @pytest.mark.parametrize("grid_points", [0, 1])
+    def test_grid_needs_two_points(self, grid_points):
+        # fewer points would still record t = 0 and t = T, not the grid asked for
+        cfg = RunConfig(d=1, N=2, eps=0.1, alpha=1.0, T=1.0, h0=0.05, seed=0)
+        with pytest.raises(UsageError, match="grid_points"):
+            moment_table(cfg, NoiseModel.scalar_ou(1, gamma=1.0, sigma=1.0), FREE_POT,
+                         reps=2, grid_points=grid_points)
 
 
 class TestBmProxy:

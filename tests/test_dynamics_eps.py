@@ -5,14 +5,37 @@ import pytest
 
 from smallmass import rng as _rng
 from smallmass.core import ParticleEnsemble, PotentialSpec, RunConfig
-from smallmass.dynamics_eps import (EpsScheme, InitialLaw, build_scheme,
-                                    paired_scheme_gap, run_eps_replicas,
-                                    simulate_eps, step, _total_force)
+from smallmass.dynamics_eps import (EpsScheme, InitialLaw, build_scheme, _n_steps,
+                                    paired_scheme_gap, run_eps_replicas, step,
+                                    _total_force)
 from smallmass.errors import NumericError, UsageError
-from smallmass.noise import DriverState, NoiseModel
+from smallmass.noise import DriverState, NoiseModel, stationary_xi
 
 ZERO_POT = PotentialSpec.custom(lambda x, m: np.zeros_like(x), 1.0)
 SILENT = NoiseModel.scalar_ou(1, gamma=1.0, sigma=0.0)
+
+
+def _step_loop(cfg, model, pot, init, gen):
+    """One replica to the horizon through ``step``; returns (ensemble, reports).
+
+    Draws from ``gen`` in the kernel's order: positions, driver start, then
+    one driver draw per step.
+    """
+    ens = ParticleEnsemble(init.draw_positions(cfg.N, cfg.d, gen),
+                           init.velocities(cfg.N, cfg.d), 0.0, cfg.eps)
+    drv = DriverState(stationary_xi(model, gen), 0.0)
+    sch = build_scheme(cfg, "exponential")
+    reports = []
+    for _ in range(_n_steps(cfg.T, sch.h)):
+        ens, drv, rep = step(ens, model, drv, pot, sch, cfg.alpha, gen)
+        reports.append(rep)
+    return ens, reports
+
+
+def _kernel(cfg, model, pot, init=InitialLaw()):
+    """Replica 0 on the stream path (EPS_RUN, 0); returns (positions, velocities)."""
+    X, Y = run_eps_replicas(cfg, model, pot, "exponential", init, [0], (_rng.EPS_RUN, 0))
+    return X[0], Y[0]
 
 
 def _free_run(eps, h, n_steps, alpha, x0, y0):
@@ -66,9 +89,8 @@ class TestDampedOscillatorBenchmark:
         errs = {}
         for h0 in (0.04, 0.02):
             cfg = RunConfig(d=1, N=1, eps=1.0, alpha=1.0, T=4.0, h0=h0, seed=0)
-            ens, _ = simulate_eps(cfg, SILENT, PotentialSpec.quadratic(1.0),
-                                  "exponential", init)
-            errs[h0] = abs(ens.positions[0, 0] - self._exact(4.0))
+            X, _ = _kernel(cfg, SILENT, PotentialSpec.quadratic(1.0), init)
+            errs[h0] = abs(X[0, 0] - self._exact(4.0))
         assert errs[0.04] < 0.05
         assert errs[0.02] < 0.7 * errs[0.04]
 
@@ -78,16 +100,15 @@ class TestDeterminism:
         cfg = RunConfig(d=2, N=8, eps=0.1, alpha=1.0, T=0.5, h0=0.05, seed=5)
         model = NoiseModel.scalar_ou(2, gamma=1.0, sigma=1.0)
         pot = PotentialSpec.curie_weiss(1.0, 0.2)
-        a, _ = simulate_eps(cfg, model, pot)
-        b, _ = simulate_eps(cfg, model, pot)
-        assert np.array_equal(a.positions, b.positions)
-        assert np.array_equal(a.velocities, b.velocities)
+        a, b = _kernel(cfg, model, pot), _kernel(cfg, model, pot)
+        assert np.array_equal(a[0], b[0])
+        assert np.array_equal(a[1], b[1])
 
     def test_noise_free_single_particle_repeatable(self):
         cfg = RunConfig(d=1, N=1, eps=0.2, alpha=1.0, T=1.0, h0=0.05, seed=9)
         init = InitialLaw(position_mean=1.0, position_std=0.0)
-        outs = [simulate_eps(cfg, SILENT, PotentialSpec.quadratic(1.0),
-                             init=init)[0].positions for _ in range(3)]
+        outs = [_kernel(cfg, SILENT, PotentialSpec.quadratic(1.0), init)[0]
+                for _ in range(3)]
         assert np.array_equal(outs[0], outs[1]) and np.array_equal(outs[1], outs[2])
 
     def test_batched_matches_sequential_bitwise(self):
@@ -95,8 +116,7 @@ class TestDeterminism:
         model = NoiseModel.scalar_ou(1, gamma=2.0, sigma=0.7)
         pot = PotentialSpec.curie_weiss(1.0, 0.4)
         init = InitialLaw()
-        ens, _ = simulate_eps(cfg, model, pot, "exponential", init,
-                              rng=_rng.stream(99, _rng.EPS_RUN, 5, 3))
+        ens, _ = _step_loop(cfg, model, pot, init, _rng.stream(99, _rng.EPS_RUN, 5, 3))
         pos, _ = run_eps_replicas(cfg, model, pot, "exponential", init, [3],
                                   (_rng.EPS_RUN, 5))
         assert np.array_equal(ens.positions, pos[0])
@@ -139,17 +159,39 @@ class TestStepContracts:
         with pytest.raises(UsageError, match="fast_time"):
             step(ens, SILENT, drv, ZERO_POT, sch, 1.0, _rng.stream(0, _rng.DIRECT))
 
-    def test_numeric_error_carries_step_index(self):
+    def test_exploding_custom_potential_raises_numeric_error(self):
+        # the first step sends the state to -inf; the next drift evaluation
+        # refuses it
         exploding = PotentialSpec.custom(
             lambda x, m: np.full_like(x, np.inf), 1.0)
         cfg = RunConfig(d=1, N=1, eps=0.5, alpha=1.0, T=1.0, h0=0.1, seed=0)
-        with pytest.raises(NumericError, match="step=0"):
-            simulate_eps(cfg, SILENT, exploding)
+        with pytest.raises(NumericError, match="non-finite"):
+            _kernel(cfg, SILENT, exploding)
+
+    def test_non_finite_state_names_the_replica_and_eps(self):
+        class OneBadReplica(InitialLaw):
+            calls = 0
+
+            def draw_positions(self, n, d, rng):
+                x = super().draw_positions(n, d, rng)
+                if self.calls == 1:
+                    x[0] = np.inf
+                self.calls += 1
+                return x
+
+        cfg = RunConfig(d=1, N=4, eps=0.5, alpha=1.0, T=0.1, h0=0.05, seed=0)
+        model = NoiseModel.scalar_ou(1, gamma=1.0, sigma=1.0)
+        with pytest.raises(NumericError, match=r"eps=0\.5, replica=8") as err, \
+                np.errstate(invalid="ignore"):
+            run_eps_replicas(cfg, model, PotentialSpec.quadratic(1.0), "exponential",
+                             OneBadReplica(), [7, 8, 9], (_rng.EPS_RUN, 0))
+        assert err.value.replica == 8 and err.value.eps == 0.5
 
     def test_step_report_fields(self):
         cfg = RunConfig(d=1, N=4, eps=0.2, alpha=1.0, T=0.2, h0=0.05, seed=1)
         model = NoiseModel.scalar_ou(1, gamma=1.0, sigma=1.0)
-        ens, reports = simulate_eps(cfg, model, PotentialSpec.quadratic(1.0))
+        ens, reports = _step_loop(cfg, model, PotentialSpec.quadratic(1.0), InitialLaw(),
+                                  _rng.stream(1, _rng.EPS_RUN, 0, 0))
         assert len(reports) == 20
         times = [r.time for r in reports]
         assert times == sorted(times)
@@ -174,7 +216,8 @@ class TestEnergyIntegralProxy:
             acc = 0.0
             reps = 24
             for r in range(reps):
-                _, reports = simulate_eps(cfg, model, pot, rng=_rng.stream(13, _rng.EPS_RUN, 9, r))
+                _, reports = _step_loop(cfg, model, pot, InitialLaw(),
+                                        _rng.stream(13, _rng.EPS_RUN, 9, r))
                 acc += sum(rep.energy_proxy for rep in reports) * cfg.eps_step / eps
             totals[eps] = cfg.alpha * math.sqrt(eps) * acc / reps
         ratio = totals[0.2] / totals[0.05]
@@ -213,7 +256,7 @@ class TestKeptParticles:
     @staticmethod
     def _sweep(cfg, model, pot, kind, **kw):
         return run_eps_replicas(cfg, model, pot, kind, InitialLaw(velocity=0.3), range(5),
-                                (_rng.EPS_RUN, 2), batch_size=3, keep_velocities=True, **kw)
+                                (_rng.EPS_RUN, 2), batch_size=3, **kw)
 
     @pytest.mark.parametrize("kind", ["exponential", "euler"])
     @pytest.mark.parametrize("d", [1, 2])
@@ -259,3 +302,29 @@ class TestKeptParticles:
             with pytest.raises(UsageError, match="keep"):
                 run_eps_replicas(cfg, model, PotentialSpec.quadratic(1.0), "exponential",
                                  InitialLaw(), range(2), (_rng.EPS_RUN, 0), keep=keep)
+
+
+class TestCustomPotentialInKernel:
+    """A custom potential runs through the kernel with the builtin arithmetic."""
+
+    @pytest.mark.parametrize("model", [
+        NoiseModel.scalar_ou(2, gamma=1.0, sigma=1.0),
+        NoiseModel.fourier_field(2, gamma=1.0, sigma=1.0, omegas=[[1.0, 0.0], [0.0, 1.0]],
+                                 a=[1.0, 0.5], b=[0.0, 0.5]),
+    ], ids=["scalar-ou", "fourier-field"])
+    def test_custom_curie_weiss_matches_builtin_and_step_loop(self, model):
+        cfg = RunConfig(d=2, N=5, eps=0.1, alpha=1.0, T=0.2, h0=0.05, seed=23)
+        lam, kappa = 1.0, 0.5
+        builtin = PotentialSpec.curie_weiss(lam, kappa)
+        custom = PotentialSpec.custom(lambda x, m: lam * x + kappa * (x - m.mean()),
+                                      builtin.lipschitz_bound)
+        init, path = InitialLaw(velocity=0.3), (_rng.EPS_RUN, 6)
+        X, Y = run_eps_replicas(cfg, model, custom, "exponential", init, range(7), path,
+                                batch_size=3)
+        Xb, Yb = run_eps_replicas(cfg, model, builtin, "exponential", init, range(7), path,
+                                  batch_size=3)
+        assert np.array_equal(X, Xb) and np.array_equal(Y, Yb)
+        for r in (0, 4, 6):
+            ens, _ = _step_loop(cfg, model, custom, init, _rng.stream(cfg.seed, *path, r))
+            assert np.array_equal(ens.positions, X[r])
+            assert np.array_equal(ens.velocities, Y[r])

@@ -5,12 +5,12 @@ import pytest
 
 from smallmass import rng as _rng
 from smallmass.core import ParticleEnsemble, PotentialSpec, RunConfig
-from smallmass.dynamics_eps import InitialLaw
+from smallmass.dynamics_eps import InitialLaw, _n_steps
 from smallmass import harness
 from smallmass.config import parse_config
 from smallmass.diagnostics import GkEstimate
 from smallmass.dynamics_limit import (DiffusionSpec, LimitScheme, default_limit_scheme,
-                                      run_limit_replicas, simulate_limit, step_em)
+                                      run_limit_replicas, step_em)
 from smallmass.errors import NumericError, UsageError
 from smallmass.harness import build_mode_diffusions
 
@@ -94,11 +94,9 @@ class TestStepEm:
         pot = PotentialSpec.quadratic(1.0)
         diff = DiffusionSpec("explicit", np.array([[2.0]]))
         cfg = RunConfig(d=1, N=1000, eps=0.5, alpha=1.0, T=8.0, h0=0.05, seed=0)
-        samples = []
-        for rep in range(16):
-            ens = simulate_limit(cfg, pot, diff,
-                                 rng=_rng.stream(0, _rng.LIMIT_RUN, 3, rep))
-            samples.append(ens.positions[:, 0])
+        # one replica per call keeps the pre-drawn normals small
+        samples = [run_limit_replicas(cfg, pot, diff, InitialLaw(), [rep],
+                                      (_rng.LIMIT_RUN, 3))[0, :, 0] for rep in range(16)]
         var = np.concatenate(samples).var()
         assert var == pytest.approx(1.0, rel=0.1)
 
@@ -109,16 +107,16 @@ class TestSimulateLimit:
         diff = DiffusionSpec("explicit", np.zeros((1, 1)))
         cfg = RunConfig(d=1, N=1, eps=0.5, alpha=1.0, T=5.0, h0=0.05, seed=0)
         init = InitialLaw(position_mean=1.0, position_std=0.0)
-        ens = simulate_limit(cfg, pot, diff, init=init)
-        assert ens.positions[0, 0] == pytest.approx(math.exp(-5.0), rel=0.05)
+        X = run_limit_replicas(cfg, pot, diff, init, [0], (_rng.LIMIT_RUN, 0))
+        assert X[0, 0, 0] == pytest.approx(math.exp(-5.0), rel=0.05)
 
     def test_same_seed_identical(self):
         pot = PotentialSpec.quadratic(1.0)
         diff = DiffusionSpec("explicit", np.array([[1.0]]))
         cfg = RunConfig(d=1, N=32, eps=0.5, alpha=1.0, T=1.0, h0=0.05, seed=21)
-        a = simulate_limit(cfg, pot, diff)
-        b = simulate_limit(cfg, pot, diff)
-        assert np.array_equal(a.positions, b.positions)
+        a, b = (run_limit_replicas(cfg, pot, diff, InitialLaw(), [0], (_rng.LIMIT_RUN, 0))
+                for _ in range(2))
+        assert np.array_equal(a, b)
 
     def test_curie_weiss_mean_decay_independent_of_coupling(self):
         # the ensemble mean follows d(mean)/dt = -(lam/alpha)*mean, kappa-free
@@ -128,9 +126,8 @@ class TestSimulateLimit:
         expected = math.exp(-cfg.T * 1.0 / cfg.alpha)
         for kappa in (0.0, 2.0):
             pot = PotentialSpec.curie_weiss(1.0, kappa)
-            ens = simulate_limit(cfg, pot, diff,
-                                 init=init, rng=_rng.stream(4, _rng.LIMIT_RUN, 7, 0))
-            assert ens.positions.mean() == pytest.approx(expected, abs=0.05)
+            X = run_limit_replicas(cfg, pot, diff, init, [0], (_rng.LIMIT_RUN, 7))
+            assert X.mean() == pytest.approx(expected, abs=0.05)
 
     def test_two_clusters_attract_under_positive_coupling(self):
         # zero diffusion makes the contraction deterministic and monotone
@@ -157,13 +154,18 @@ class TestSimulateLimit:
 
 
 class TestLimitReplicaSweep:
-    """The lock-step kernel against the per-replica reference ``simulate_limit``."""
+    """The lock-step kernel against a per-replica loop of ``step_em``."""
 
     @staticmethod
     def _reference(cfg, pot, diff, init, ids, path, sch):
-        return np.stack([simulate_limit(cfg, pot, diff, init=init, sch=sch,
-                                        rng=_rng.stream(cfg.seed, *path, r)).positions
-                         for r in ids])
+        out = []
+        for r in ids:
+            gen = _rng.stream(cfg.seed, *path, r)
+            ens = ParticleEnsemble(init.draw_positions(cfg.N, cfg.d, gen), None, 0.0, None)
+            for _ in range(_n_steps(cfg.T, sch.h)):
+                ens = step_em(ens, pot, diff, sch, cfg.alpha, gen)
+            out.append(ens.positions)
+        return np.stack(out)
 
     @pytest.mark.parametrize("d, keep", [(1, 3), (1, 1), (2, 1), (2, 3)])
     def test_quadratic_kept_particles_match_sequential(self, d, keep):
@@ -187,6 +189,19 @@ class TestLimitReplicaSweep:
         got = run_limit_replicas(cfg, pot, diff, init, ids, path, sch, keep=2)
         assert got.shape == (3, 6, 2)
         assert np.array_equal(got, ref)
+
+    def test_custom_curie_weiss_matches_builtin_and_step_loop(self):
+        cfg = RunConfig(d=2, N=6, eps=0.5, alpha=1.0, T=0.2, h0=0.05, seed=5)
+        lam, kappa = 1.0, 0.5
+        builtin = PotentialSpec.curie_weiss(lam, kappa)
+        custom = PotentialSpec.custom(lambda x, m: lam * x + kappa * (x - m.mean()),
+                                      builtin.lipschitz_bound)
+        diff = DiffusionSpec("explicit", np.array([[1.0, -0.3], [-0.3, 0.8]]))
+        init, ids, path = InitialLaw(), range(3), (_rng.LIMIT_RUN, 4)
+        sch = default_limit_scheme(cfg, builtin)
+        got = run_limit_replicas(cfg, custom, diff, init, ids, path, sch)
+        assert np.array_equal(got, run_limit_replicas(cfg, builtin, diff, init, ids, path, sch))
+        assert np.array_equal(got, self._reference(cfg, custom, diff, init, ids, path, sch))
 
     def test_non_dividing_step_reaches_the_horizon(self):
         # round(T/h) gave 149 steps, ending at t = 0.9983 before the horizon;
