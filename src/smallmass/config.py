@@ -11,6 +11,7 @@ parse is the identity on every recognized key.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +31,13 @@ _REQ = object()
 def _number(x, key):
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         raise ConfigError(f"{key}: expected a number, got {x!r}")
-    return float(x)
+    try:
+        value = float(x)
+    except OverflowError:  # an integer past the float range
+        value = math.inf
+    if not math.isfinite(value):  # JSON admits NaN, Infinity and 1e309
+        raise ConfigError(f"{key}: expected a finite number, got {x!r}")
+    return value
 
 
 def _integer(x, key):
@@ -115,6 +122,9 @@ _REGISTRY = {
 }
 
 _MODES = ("paper", "green-kubo", "explicit")
+# The noise keys each noise kind reads; a key of another kind is rejected.
+_NOISE_KIND_KEYS = {"scalar-ou": (), "separable": ("noise.g",),
+                    "fourier-field": ("noise.omegas", "noise.a", "noise.b")}
 
 
 @dataclass(frozen=True)
@@ -147,11 +157,12 @@ class Config:
     def potential(self) -> PotentialSpec:
         v = self.values
         kind = v["potential.kind"]
-        if kind == "quadratic":
-            return PotentialSpec.quadratic(v["potential.lambda"])
-        if kind == "curie-weiss":
-            return PotentialSpec.curie_weiss(v["potential.lambda"], v["potential.kappa"])
-        raise ConfigError(f"potential.kind: unsupported kind {kind!r} in configuration")
+        if kind not in ("quadratic", "curie-weiss"):
+            raise ConfigError(f"potential.kind: unsupported kind {kind!r} in configuration")
+        try:
+            return PotentialSpec(kind, v["potential.lambda"], v["potential.kappa"])
+        except UsageError as err:  # a zero Lipschitz bound
+            raise ConfigError(f"potential.lambda, potential.kappa: {err}") from None
 
     def noise_model(self) -> NoiseModel:
         v = self.values
@@ -160,17 +171,20 @@ class Config:
                       clip=v["noise.clip"])
         if kind == "scalar-ou":
             return NoiseModel.scalar_ou(**common)
-        if kind == "separable":
-            if v["noise.g"] is None:
-                raise ConfigError("noise.g is required for separable noise")
-            return NoiseModel.separable(g_name=v["noise.g"], **common)
-        if kind == "fourier-field":
-            if v["noise.omegas"] is None or v["noise.a"] is None or v["noise.b"] is None:
-                raise ConfigError("fourier-field noise needs noise.omegas, noise.a, noise.b")
+        if kind not in _NOISE_KIND_KEYS:
+            raise ConfigError(f"noise.kind: unknown kind {kind!r}")
+        if kind == "separable" and v["noise.g"] is None:
+            raise ConfigError("noise.g is required for separable noise")
+        if kind == "fourier-field" and None in (v["noise.omegas"], v["noise.a"], v["noise.b"]):
+            raise ConfigError("fourier-field noise needs noise.omegas, noise.a, noise.b")
+        try:
+            if kind == "separable":
+                return NoiseModel.separable(g_name=v["noise.g"], **common)
             return NoiseModel.fourier_field(
                 omegas=np.asarray(v["noise.omegas"]), a=np.asarray(v["noise.a"]),
                 b=np.asarray(v["noise.b"]), **common)
-        raise ConfigError(f"noise.kind: unknown kind {kind!r}")
+        except ValueError as err:  # a UsageError, or numpy refusing a ragged noise.omegas
+            raise ConfigError(f"{', '.join(_NOISE_KIND_KEYS[kind])}: {err}") from None
 
     def init_law(self) -> InitialLaw:
         v = self.values
@@ -250,12 +264,6 @@ def _cross_validate(v):
     if v["potential.kind"] == "quadratic" and v["potential.kappa"] != 0.0:
         raise ConfigError("potential.kappa must be 0 under potential.kind quadratic, "
                           "which has no coupling term")
-    if v["limit.h"] is not None:
-        pot = Config(values=v).potential()
-        try:
-            LimitScheme(v["limit.h"]).validate(v["run.alpha"], pot)
-        except UsageError as err:
-            raise ConfigError(f"limit.h: {err}") from None
     horizon = v["gk.horizon_fast"]
     if horizon is not None and horizon < GK_MIN_HORIZON / v["noise.gamma"]:
         raise ConfigError(f"gk.horizon_fast must be >= {GK_MIN_HORIZON:g}/noise.gamma = "
@@ -283,6 +291,22 @@ def _cross_validate(v):
     if not 0.0 < v["diag.lag_lo"] <= v["diag.lag_hi"]:
         raise ConfigError("diag.lag_lo must satisfy 0 < diag.lag_lo <= diag.lag_hi, got "
                           f"{v['diag.lag_lo']!r} and {v['diag.lag_hi']!r}")
+    # The objects are built last, so that each single-key check above keeps
+    # its own message, and a missing key is named before a foreign one.
+    cfg = Config(values=v)
+    cfg.noise_model()
+    pot = cfg.potential()
+    kind = v["noise.kind"]
+    for other, keys in _NOISE_KIND_KEYS.items():
+        for key in keys:
+            if other != kind and v[key] is not None:
+                raise ConfigError(f"{key} is a {other} key; noise.kind {kind} does not "
+                                  "read it")
+    if v["limit.h"] is not None:
+        try:
+            LimitScheme(v["limit.h"]).validate(v["run.alpha"], pot)
+        except UsageError as err:
+            raise ConfigError(f"limit.h: {err}") from None
 
 
 def serialize_config(cfg: Config) -> str:

@@ -208,8 +208,10 @@ class PotentialSpec:
 
     @property
     def stiffness(self) -> float:
-        """Largest linear drift rate, used for limit step-size control."""
-        return self.lam + abs(self.kappa)
+        """Largest linear drift rate, used for limit step-size control:
+        ``lam + |kappa|`` for a builtin kind, the declared Lipschitz bound
+        for a custom one, whose drift the toolkit cannot inspect."""
+        return self.lipschitz_bound if self.kind == "custom" else self.lam + abs(self.kappa)
 
 
 def grad_v(p: PotentialSpec, x, m: EmpiricalMeasure) -> np.ndarray:

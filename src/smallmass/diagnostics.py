@@ -30,7 +30,7 @@ import numpy as np
 
 from . import rng as _rng
 from .core import EmpiricalMeasure, PotentialSpec, RunConfig
-from .dynamics_eps import InitialLaw, _n_steps, build_scheme, run_eps_replicas
+from .dynamics_eps import InitialLaw, _Advance, _n_steps, run_eps_replicas
 from .errors import UsageError
 from .noise import NoiseModel, advance_xi, averaged_forcing_xi, stationary_xi
 
@@ -135,9 +135,7 @@ def moment_table(cfg: RunConfig, model: NoiseModel, pot: PotentialSpec,
     if grid_points < 2:
         raise UsageError(f"grid_points must be >= 2, got {grid_points}")
     init = init or InitialLaw()
-    sch = build_scheme(cfg, sch_kind)
-    n = _n_steps(cfg.T, sch.h)
-    rec = _MomentRecorder(n, grid_points, cfg.eps, reps)
+    rec = _MomentRecorder(_n_steps(cfg.T, cfg.eps_step), grid_points, cfg.eps, reps)
     run_eps_replicas(cfg, model, pot, sch_kind, init, range(reps),
                      (_rng.MOMENT_RUN, eps_index), batch_size=batch_size,
                      recorder=rec)
@@ -220,16 +218,16 @@ class _UvPaths:
     """u and late-time v paths under the integrator's quadrature.
 
     ``add`` folds the left-endpoint forcing of step k into u (weight
-    h / (alpha sqrt(eps))) and into v (exact exponential weights), for the
-    replica rows ``rows``.
+    h / (alpha sqrt(eps))) and into v (the exponential step's own weights
+    r and 1 - r), for the replica rows ``rows``.
     """
 
     def __init__(self, cfg, d, reps, n):
         h = cfg.eps_step
-        a = cfg.alpha * h / cfg.eps
+        step = _Advance("exponential", h, cfg.eps, cfg.alpha)
         self.cu = h / (cfg.alpha * math.sqrt(cfg.eps))
-        self.r_fac = math.exp(-a)
-        self.cv = math.sqrt(cfg.eps) * (-math.expm1(-a)) / cfg.alpha**2
+        self.r_fac = step.r
+        self.cv = math.sqrt(cfg.eps) * step.one_minus_r / cfg.alpha**2
         self.n_late_from = n // 2
         self.u = np.zeros((reps, n + 1, d))
         self.v = np.zeros((reps, d))

@@ -35,7 +35,7 @@ replicas one at a time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -221,6 +221,14 @@ def _n_steps(T: float, h: float) -> int:
     return max(n, 1)
 
 
+def _check_finite(message, ids, eps, *state):
+    """Raise ``NumericError(message)`` naming ``eps`` and the first replica
+    of ``ids`` (the first axis of each state array) with a non-finite value."""
+    finite = np.logical_and.reduce([np.isfinite(a).all(axis=(1, 2)) for a in state])
+    if not finite.all():
+        raise NumericError(message, replica=ids[int(np.argmin(finite))], eps=eps)
+
+
 def _particle_local(model: NoiseModel, pot: PotentialSpec, recorder) -> bool:
     """Whether each particle's path depends on no other particle's.
 
@@ -286,18 +294,18 @@ def run_eps_replicas(cfg: RunConfig, model: NoiseModel, pot: PotentialSpec,
         t = 0.0
         if recorder is not None:
             recorder(ids, 0, t, X, Y, xi)
-        for k in range(n):
-            _total_force(model, pot, X, xi, inv_sqrt_eps, F, tmp)
-            advance(X, Y, F, tmp)
-            advance_xi(xi, model, delta_s, Z[:, k], out=xi)
-            t += sch.h
-            if recorder is not None:
-                recorder(ids, k + 1, t, X, Y, xi)
-        finite = np.isfinite(X).all(axis=(1, 2)) & np.isfinite(Y).all(axis=(1, 2))
-        if not finite.all():
-            bad = int(np.argmin(finite))
-            raise NumericError("replica sweep produced non-finite state",
-                               replica=ids[bad], eps=cfg.eps)
+        try:
+            for k in range(n):
+                _total_force(model, pot, X, xi, inv_sqrt_eps, F, tmp)
+                advance(X, Y, F, tmp)
+                advance_xi(xi, model, delta_s, Z[:, k], out=xi)
+                t += sch.h
+                if recorder is not None:
+                    recorder(ids, k + 1, t, X, Y, xi)
+        except NumericError as err:
+            _check_finite(str(err), ids, cfg.eps, X, Y)
+            raise
+        _check_finite("replica sweep produced non-finite state", ids, cfg.eps, X, Y)
         out_pos[start : start + B] = X
         out_vel[start : start + B] = Y
     return out_pos, out_vel
@@ -308,11 +316,12 @@ def paired_scheme_gap(cfg: RunConfig, model: NoiseModel, pot: PotentialSpec,
                       init: InitialLaw | None = None, seed_index: int = 0):
     """Exponential vs Euler terminal ensembles on one shared driver path.
 
-    Both schemes consume the identical forcing realization: the driver is
-    frozen on the coarse grid (fast step h0_coarse) and the Euler run takes
-    h0_coarse/h0_fine substeps inside each frozen block, re-evaluating the
-    drift but holding the shared forcing value.  This isolates the
-    integrator difference from forcing-resolution noise, which is the
+    The exponential half is replica ``seed_index`` of ``run_eps_replicas``
+    on the path ``(PAIRED,)`` at step h0_coarse * eps (so h0_coarse <= 0.2);
+    its recorder keeps the initial state and each step's driver value.  The
+    Euler half takes h0_coarse/h0_fine substeps inside each of those steps,
+    re-evaluating the drift but holding the forcing value.  This isolates
+    the integrator difference from forcing-resolution noise, which is the
     point of the cross-check.
 
     Returns (exponential ensemble, euler ensemble, rms position gap).
@@ -321,33 +330,30 @@ def paired_scheme_gap(cfg: RunConfig, model: NoiseModel, pot: PotentialSpec,
     if abs(ratio - round(ratio)) > 1e-9:
         raise UsageError("h0_coarse must be an integer multiple of h0_fine")
     ratio = int(round(ratio))
-    init = init or InitialLaw()
-    h_c = h0_coarse * cfg.eps
-    h_f = h_c / ratio
-    EpsScheme("euler", h_f).validate(cfg.eps, cfg.alpha)
-    n_c = _n_steps(cfg.T, h_c)
-    gen = _rng.stream(cfg.seed, _rng.PAIRED, seed_index)
-    X0 = init.draw_positions(cfg.N, cfg.d, gen)
-    Y0 = init.velocities(cfg.N, cfg.d)
-    xi = stationary_xi(model, gen)
-    Z = gen.standard_normal((n_c,) + model.driver_shape)
-    inv_sqrt_eps = 1.0 / math.sqrt(cfg.eps)
+    coarse = replace(cfg, h0=h0_coarse)
+    adv_u = _Advance("euler", coarse.eps_step / ratio, cfg.eps, cfg.alpha)
+    EpsScheme("euler", adv_u.h).validate(cfg.eps, cfg.alpha)
+    start, drivers = [], []
 
-    Xe, Ye = X0.copy(), Y0.copy()
-    Xu, Yu = X0.copy(), Y0.copy()
-    F, tmp = np.empty_like(X0), np.empty_like(X0)
-    adv_e = _Advance("exponential", h_c, cfg.eps, cfg.alpha)
-    adv_u = _Advance("euler", h_f, cfg.eps, cfg.alpha)
-    for k in range(n_c):
-        _total_force(model, pot, Xe, xi, inv_sqrt_eps, F, tmp)
-        adv_e(Xe, Ye, F, tmp)
+    def record(ids, k, t, X, Y, xi):
+        if k == 0:
+            start.extend((X[0].copy(), Y[0].copy()))
+        drivers.append(xi[0].copy())
+
+    (Xe,), (Ye,) = run_eps_replicas(coarse, model, pot, "exponential",
+                                    init or InitialLaw(), [seed_index], (_rng.PAIRED,),
+                                    recorder=record)
+    del drivers[-1]  # the driver after the last step drives nothing
+    Xu, Yu = start
+    F, tmp = np.empty_like(Xu), np.empty_like(Xu)
+    inv_sqrt_eps = 1.0 / math.sqrt(cfg.eps)
+    for xi in drivers:
         bar_u = inv_sqrt_eps * averaged_forcing_xi(model, xi, Xu)
         for _ in range(ratio):
             grad_v_batch(pot, Xu, out=F, tmp=tmp)
             np.subtract(bar_u[..., None, :], F, out=F)
             adv_u(Xu, Yu, F, tmp)
-        xi = advance_xi(xi, model, h0_coarse, Z[k])
-    t_end = n_c * h_c
+    t_end = len(drivers) * coarse.eps_step
     ens_e = ParticleEnsemble(positions=Xe, velocities=Ye, time=t_end, eps=cfg.eps)
     ens_u = ParticleEnsemble(positions=Xu, velocities=Yu, time=t_end, eps=cfg.eps)
     gap = float(np.sqrt(np.mean(np.sum((Xe - Xu) ** 2, axis=-1))))

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import rng as _rng
 from .core import ParticleEnsemble, PotentialSpec, RunConfig, grad_v_batch
-from .dynamics_eps import InitialLaw, _n_steps
+from .dynamics_eps import InitialLaw, _check_finite, _n_steps
 from .errors import NumericError, UsageError
 
 __all__ = [
@@ -89,17 +89,21 @@ class LimitScheme:
             raise UsageError("step must be > 0")
 
     def validate(self, alpha: float, pot: PotentialSpec):
-        cap = 0.01 * alpha / max(pot.stiffness, 1e-300)
+        cap = _step_cap(alpha, pot)
         if self.h > cap * (1.0 + 1e-12):
             raise UsageError(
                 f"limit step h={self.h:g} exceeds 0.01*alpha/stiffness = {cap:g}"
             )
 
 
+def _step_cap(alpha: float, pot: PotentialSpec) -> float:
+    """The largest admissible limit step."""
+    return 0.01 * alpha / max(pot.stiffness, 1e-300)
+
+
 def default_limit_scheme(cfg: RunConfig, pot: PotentialSpec) -> LimitScheme:
     """Largest admissible step that divides the horizon evenly."""
-    cap = 0.01 * cfg.alpha / max(pot.stiffness, 1e-300)
-    n = max(1, math.ceil(cfg.T / cap - 1e-12))
+    n = max(1, math.ceil(cfg.T / _step_cap(cfg.alpha, pot) - 1e-12))
     return LimitScheme(h=cfg.T / n)
 
 
@@ -169,16 +173,17 @@ def run_limit_replicas(cfg: RunConfig, pot: PotentialSpec, diff: DiffusionSpec,
     t = 0.0
     if recorder is not None:
         recorder(replica_ids, 0, t, X)
-    for k in range(n):
-        grad_v_batch(pot, X, out=G, tmp=tmp)
-        G *= sch.h / cfg.alpha
-        X -= G
-        X += np.matmul(Z[k], ST, out=tmp)
-        t += sch.h
-        if recorder is not None:
-            recorder(replica_ids, k + 1, t, X)
-    finite = np.isfinite(X).all(axis=(1, 2))
-    if not finite.all():
-        raise NumericError("limit replica sweep produced non-finite state",
-                           replica=replica_ids[int(np.argmin(finite))])
+    try:
+        for k in range(n):
+            grad_v_batch(pot, X, out=G, tmp=tmp)
+            G *= sch.h / cfg.alpha
+            X -= G
+            X += np.matmul(Z[k], ST, out=tmp)
+            t += sch.h
+            if recorder is not None:
+                recorder(replica_ids, k + 1, t, X)
+    except NumericError as err:
+        _check_finite(str(err), replica_ids, None, X)
+        raise
+    _check_finite("limit replica sweep produced non-finite state", replica_ids, None, X)
     return X

@@ -26,7 +26,10 @@ report header.
 Scheduling never touches values: replicas are keyed to counter-based
 streams, work is split into fixed-size batches, and aggregation follows
 (eps index, replica index) order, so a run with one worker and a run with
-sixteen emit byte-identical files.
+sixteen emit byte-identical files.  The parent builds a sample's kernel
+arguments once (run, noise model, potential, initial law, scheme, stream
+path) and every batch worker only adds its replica ids and calls the
+kernel.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ import io
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -44,10 +47,9 @@ from . import rng as _rng
 from ._version import __version__ as _version
 from .config import Config
 from .core import EmpiricalMeasure
-from .diagnostics import GkEstimate, green_kubo, moment_table, uv_check
+from .diagnostics import GkEstimate, dyadic_lags, green_kubo, moment_table, uv_check
 from .dynamics_eps import run_eps_replicas
-from .dynamics_limit import (DiffusionSpec, LimitScheme, default_limit_scheme,
-                             run_limit_replicas)
+from .dynamics_limit import DiffusionSpec, LimitScheme, run_limit_replicas
 from .errors import UsageError
 from .noise import sigma_matrix
 from .transport import W2_AUTO_RULE, w2_auto
@@ -88,48 +90,27 @@ def worker_count() -> int:
     return n
 
 
-def _parallel_map(fn, items):
-    """Map a picklable function over items, preserving order.
-
-    Work items carry all state; the batch decomposition is fixed up front,
-    so the result is independent of the worker count by construction.
-    """
-    workers = worker_count()
-    if workers == 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def _eps_batch_worker(args):
-    values, eps, eps_index, ids, spr = args
-    cfg = Config(values=values)
-    rc = cfg.run_config(eps)
-    pos, _ = run_eps_replicas(rc, cfg.noise_model(), cfg.potential(),
-                              values["run.scheme"], cfg.init_law(), ids,
-                              (_rng.EPS_RUN, eps_index), batch_size=EPS_BATCH,
-                              keep=spr)
+    rc, model, pot, scheme, init, stream_path, ids, spr = args
+    pos, _ = run_eps_replicas(rc, model, pot, scheme, init, ids, stream_path,
+                              batch_size=EPS_BATCH, keep=spr)
     return pos[:, :spr, :].reshape(-1, rc.d)
-
-
-def _limit_scheme(cfg: Config, rc, pot) -> LimitScheme:
-    """The configured limit step (``limit.h``), else the default step law."""
-    h = cfg.values["limit.h"]
-    return LimitScheme(h) if h is not None else default_limit_scheme(rc, pot)
 
 
 def _limit_batch_worker(args):
-    """Limit-law samples for one batch; both the limit sample and the
-    self-test sample come from here, on their own stream paths.  ``diff``
-    is the parent's own spec: it pickles bit-exact, whereas rebuilding it
-    from its matrix would re-round the square root."""
-    values, diff, stream_path, ids, spr = args
-    cfg = Config(values=values)
-    rc = cfg.run_config(cfg.eps_grid[0])
-    pot = cfg.potential()
-    pos = run_limit_replicas(rc, pot, diff, cfg.init_law(), ids, stream_path,
-                             _limit_scheme(cfg, rc, pot), keep=spr)
+    rc, pot, diff, init, stream_path, sch, ids, spr = args
+    pos = run_limit_replicas(rc, pot, diff, init, ids, stream_path, sch, keep=spr)
     return pos[:, :spr, :].reshape(-1, rc.d)
+
+
+def _limit_args(cfg: Config, diff: DiffusionSpec, stream_path) -> tuple:
+    """The limit kernel's arguments except the replica ids.  Every limit
+    sample takes its step from here: ``limit.h``, else (``None``) the
+    kernel's default step law.  ``diff`` pickles bit-exact; rebuilt, its
+    root would be re-rounded."""
+    h = cfg.values["limit.h"]
+    return (cfg.run_config(cfg.eps_grid[0]), cfg.potential(), diff, cfg.init_law(),
+            stream_path, None if h is None else LimitScheme(h))
 
 
 @dataclass(frozen=True)
@@ -221,29 +202,40 @@ def build_mode_diffusions(cfg: Config) -> dict[str, DiffusionSpec]:
 
 
 def _pooled(worker, head, reps, spr) -> np.ndarray:
-    """``spr`` samples from each of ``reps`` replicas, in replica order:
-    ``worker((*head, ids, spr))`` runs once per fixed batch of replica ids."""
+    """``spr`` samples from each of ``reps`` replicas, in replica order.
+
+    ``worker((*head, ids, spr))`` runs once per batch of ``EPS_BATCH``
+    replica ids, in a process pool when there are several batches and
+    workers.  The batches are fixed up front, so the worker count cannot
+    change the bytes."""
     items = [(*head, list(range(a, min(a + EPS_BATCH, reps))), spr)
              for a in range(0, reps, EPS_BATCH)]
-    return np.concatenate(_parallel_map(worker, items), axis=0)
+    workers = worker_count()
+    if workers == 1 or len(items) == 1:
+        parts = [worker(item) for item in items]
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(worker, items))
+    return np.concatenate(parts, axis=0)
 
 
 def pool_eps_samples(cfg: Config, eps: float, eps_index: int) -> np.ndarray:
     v = cfg.values
-    return _pooled(_eps_batch_worker, (v, eps, eps_index), v["run.replicas"],
-                   v["run.samples_per_replica"])
+    head = (cfg.run_config(eps), cfg.noise_model(), cfg.potential(), v["run.scheme"],
+            cfg.init_law(), (_rng.EPS_RUN, eps_index))
+    return _pooled(_eps_batch_worker, head, v["run.replicas"], v["run.samples_per_replica"])
 
 
 def pool_limit_samples(cfg: Config, diff: DiffusionSpec) -> np.ndarray:
     """The limit-law sample under ``diff``; every mode draws on the same
     stream path, so two modes differ only by their diffusion matrices."""
-    return _pooled(_limit_batch_worker, (cfg.values, diff, (_rng.LIMIT_RUN, 0)),
+    return _pooled(_limit_batch_worker, _limit_args(cfg, diff, (_rng.LIMIT_RUN, 0)),
                    *cfg.limit_pooling())
 
 
 def _pool_self_test_samples(cfg: Config, eps_index: int, diff: DiffusionSpec) -> np.ndarray:
     v = cfg.values
-    return _pooled(_limit_batch_worker, (v, diff, (_rng.SELF_TEST, eps_index)),
+    return _pooled(_limit_batch_worker, _limit_args(cfg, diff, (_rng.SELF_TEST, eps_index)),
                    v["run.replicas"], v["run.samples_per_replica"])
 
 
@@ -309,16 +301,12 @@ def run_diagnose(cfg: Config):
     Returns (rows, metadata) where rows are module-tagged (module, eps,
     stat, value, ci) tuples ready for CSV.
     """
-    from .diagnostics import dyadic_lags
-
     model = cfg.noise_model()
     pot = cfg.potential()
     init = cfg.init_law()
     v = cfg.values
     rows = []
     lags = dyadic_lags(v["diag.lag_lo"], v["diag.lag_hi"])
-    from dataclasses import replace
-
     for eps_index, eps in enumerate(cfg.eps_grid):
         rc_small = replace(cfg.run_config(eps), N=v["diag.N"])
         mt = moment_table(rc_small, model, pot, v["run.scheme"],
@@ -414,8 +402,7 @@ def run_simulate_limit(cfg: Config, out_dir: str):
 
 def _dump_limit_trajectory(cfg: Config, diff: DiffusionSpec, path: str):
     """Every step of replica 0 of the first mode's limit sample."""
-    rc = cfg.run_config(cfg.eps_grid[0])
-    pot = cfg.potential()
+    rc, pot, diff, init, stream_path, sch = _limit_args(cfg, diff, (_rng.LIMIT_RUN, 0))
     header = ["t", "i"] + [f"x_{k + 1}" for k in range(rc.d)]
     rows = []
 
@@ -423,8 +410,7 @@ def _dump_limit_trajectory(cfg: Config, diff: DiffusionSpec, path: str):
         for i in range(rc.N):
             rows.append([t, i] + list(map(float, X[0, i])))
 
-    run_limit_replicas(rc, pot, diff, cfg.init_law(), [0], (_rng.LIMIT_RUN, 0),
-                       _limit_scheme(cfg, rc, pot), recorder=record)
+    run_limit_replicas(rc, pot, diff, init, [0], stream_path, sch, recorder=record)
     write_table(path, {"trajectory.replica": "0"}, header, rows)
 
 

@@ -21,6 +21,7 @@ from smallmass.transport import w2_1d
 
 from conftest import write_config
 
+NAN, INF = float("nan"), float("inf")
 FOURIER = {"noise.omegas": [[1.0, 0.0], [0.0, 1.0]], "noise.a": [1.0, 0.5],
            "noise.b": [0.0, 0.5]}
 # The interacting path: curie-weiss drift, law-dependent fourier-field
@@ -86,13 +87,42 @@ class TestConfig:
         ("potential.kappa", 0.5), ("limit.h", 0), ("limit.h", -0.01), ("limit.h", 0.5),
         ("init.position_std", -1), ("gk.horizon_fast", 1.0), ("diag.grid_points", 0),
         ("diag.grid_points", 1),
+        ("run.T", NAN), ("run.alpha", INF), ("noise.gamma", NAN), ("noise.sigma", NAN),
+        ("potential.lambda", NAN), ("gk.horizon_fast", NAN), ("limit.h", NAN),
+        ("init.position_mean", INF), ("init.position_mean", -INF), ("diag.lag_hi", INF),
+        ("limit.explicit_matrix", [[NAN]]), ("run.eps_grid", [0.2, NAN]),
+        pytest.param("run.T", 10**400, id="run.T-int-past-float-range"),
+        ("noise.g", "gauss"), ("noise.omegas", [[1.0]]), ("noise.a", [1.0]),
+        ("noise.b", [1.0]), ("noise.kind", "pink"), ("potential.kind", "double-well"),
     ])
     def test_out_of_range_values_are_rejected(self, small_config_dict, key, value):
         # diag.lag_lo 2.0 lies above the default diag.lag_hi of 1.0; the small
         # config's quadratic potential has no coupling, so any potential.kappa
-        # but 0 is dropped, and with lambda 1 the limit step cap is 0.01
+        # but 0 is dropped, and with lambda 1 the limit step cap is 0.01; its
+        # scalar-ou noise reads none of noise.g, noise.omegas, noise.a, noise.b
         doc = dict(small_config_dict, **{key: value})
         with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
+            parse_config(doc)
+
+    @pytest.mark.parametrize("extra, reason", [
+        ({"noise.kind": "separable", "noise.g": "nope"},
+         r"noise\.g: unknown separable profile"),
+        (dict(FOURIER, **{"noise.kind": "fourier-field", "noise.a": [1.0]}),
+         r"noise\.omegas, noise\.a, noise\.b: .*length K"),
+        (dict(FOURIER, **{"noise.kind": "fourier-field",
+                          "noise.omegas": [[1.0, 0.0], [1.0]]}),
+         r"noise\.omegas, noise\.a, noise\.b: .*inhomogeneous"),
+        ({"noise.kind": "separable", "noise.g": "gauss", "noise.a": [1.0]},
+         r"noise\.a is a fourier-field key; noise\.kind separable"),
+        (dict(FOURIER, **{"noise.kind": "fourier-field", "noise.g": "gauss"}),
+         r"noise\.g is a separable key; noise\.kind fourier-field"),
+        ({"potential.lambda": 0.0}, r"potential\.lambda.*Lipschitz bound"),
+    ], ids=["profile", "fourier-shape", "ragged-omegas", "a-under-separable",
+            "g-under-fourier", "zero-bound"])
+    def test_noise_and_potential_are_checked_at_parse(self, small_config_dict, extra,
+                                                      reason):
+        doc = dict(small_config_dict, **{"run.d": 2}, **extra)
+        with pytest.raises(ConfigError, match=reason):
             parse_config(doc)
 
     @pytest.mark.parametrize("extra, kind", [

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from smallmass import rng as _rng
-from smallmass.core import ParticleEnsemble, PotentialSpec, RunConfig
-from smallmass.dynamics_eps import (EpsScheme, InitialLaw, build_scheme, _n_steps,
+from smallmass.config import load_config
+from smallmass.core import ParticleEnsemble, PotentialSpec, RunConfig, grad_v_batch
+from smallmass.dynamics_eps import (EpsScheme, InitialLaw, build_scheme, _Advance, _n_steps,
                                     paired_scheme_gap, run_eps_replicas, step,
                                     _total_force)
 from smallmass.errors import NumericError, UsageError
-from smallmass.noise import DriverState, NoiseModel, stationary_xi
+from smallmass.noise import (DriverState, NoiseModel, advance_xi, averaged_forcing_xi,
+                             stationary_xi)
 
 ZERO_POT = PotentialSpec.custom(lambda x, m: np.zeros_like(x), 1.0)
 SILENT = NoiseModel.scalar_ou(1, gamma=1.0, sigma=0.0)
@@ -165,7 +167,7 @@ class TestStepContracts:
         exploding = PotentialSpec.custom(
             lambda x, m: np.full_like(x, np.inf), 1.0)
         cfg = RunConfig(d=1, N=1, eps=0.5, alpha=1.0, T=1.0, h0=0.1, seed=0)
-        with pytest.raises(NumericError, match="non-finite"):
+        with pytest.raises(NumericError, match=r"non-finite.*eps=0\.5, replica=0"):
             _kernel(cfg, SILENT, exploding)
 
     def test_non_finite_state_names_the_replica_and_eps(self):
@@ -224,7 +226,71 @@ class TestEnergyIntegralProxy:
         assert 1.0 / 3.0 < ratio < 3.0
 
 
+def _paired_reference(cfg, model, pot, h0_coarse=0.05, h0_fine=0.01, init=InitialLaw(),
+                     seed_index=0):
+    """The cross-check written out on its own frozen-forcing loop: one
+    stream, the exponential step at h0_coarse * eps, and h0_coarse/h0_fine
+    Euler substeps holding each coarse step's forcing."""
+    ratio = int(round(h0_coarse / h0_fine))
+    h_c = h0_coarse * cfg.eps
+    h_f = h_c / ratio
+    n_c = _n_steps(cfg.T, h_c)
+    gen = _rng.stream(cfg.seed, _rng.PAIRED, seed_index)
+    X0 = init.draw_positions(cfg.N, cfg.d, gen)
+    Y0 = init.velocities(cfg.N, cfg.d)
+    xi = stationary_xi(model, gen)
+    Z = gen.standard_normal((n_c,) + model.driver_shape)
+    inv_sqrt_eps = 1.0 / math.sqrt(cfg.eps)
+    Xe, Ye = X0.copy(), Y0.copy()
+    Xu, Yu = X0.copy(), Y0.copy()
+    F, tmp = np.empty_like(X0), np.empty_like(X0)
+    adv_e = _Advance("exponential", h_c, cfg.eps, cfg.alpha)
+    adv_u = _Advance("euler", h_f, cfg.eps, cfg.alpha)
+    for k in range(n_c):
+        _total_force(model, pot, Xe, xi, inv_sqrt_eps, F, tmp)
+        adv_e(Xe, Ye, F, tmp)
+        bar_u = inv_sqrt_eps * averaged_forcing_xi(model, xi, Xu)
+        for _ in range(ratio):
+            grad_v_batch(pot, Xu, out=F, tmp=tmp)
+            np.subtract(bar_u[..., None, :], F, out=F)
+            adv_u(Xu, Yu, F, tmp)
+        xi = advance_xi(xi, model, h0_coarse, Z[k])
+    gap = float(np.sqrt(np.mean(np.sum((Xe - Xu) ** 2, axis=-1))))
+    return (Xe, Ye), (Xu, Yu), gap
+
+
 class TestSchemeCrossCheck:
+    @staticmethod
+    def _assert_matches_reference(cfg, model, pot, init):
+        ens_e, ens_u, gap = paired_scheme_gap(cfg, model, pot, init=init)
+        (Xe, Ye), (Xu, Yu), ref_gap = _paired_reference(cfg, model, pot, init=init)
+        assert gap == ref_gap
+        assert np.array_equal(ens_e.positions, Xe) and np.array_equal(ens_e.velocities, Ye)
+        assert np.array_equal(ens_u.positions, Xu) and np.array_equal(ens_u.velocities, Yu)
+
+    @pytest.mark.parametrize("eps_index", range(4))
+    def test_benchmark_matches_frozen_forcing_reference(self, benchmark_config_path,
+                                                       eps_index):
+        cfg = load_config(benchmark_config_path)
+        rc = cfg.run_config(cfg.eps_grid[eps_index])
+        self._assert_matches_reference(rc, cfg.noise_model(), cfg.potential(),
+                                       cfg.init_law())
+
+    def test_coupled_matches_frozen_forcing_reference(self):
+        cfg = RunConfig(d=2, N=6, eps=0.1, alpha=1.0, T=1.0, h0=0.05, seed=8)
+        model = NoiseModel.fourier_field(2, gamma=1.0, sigma=1.0,
+                                         omegas=[[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]],
+                                         a=[1.0, 0.5, 0.5], b=[0.0, 0.5, 0.5])
+        self._assert_matches_reference(cfg, model, PotentialSpec.curie_weiss(1.0, 0.5),
+                                       InitialLaw(velocity=0.3))
+
+    def test_coarse_step_past_the_step_law_cap_rejected(self):
+        cfg = RunConfig(d=1, N=4, eps=0.1, alpha=1.0, T=1.0, h0=0.05, seed=0)
+        model = NoiseModel.scalar_ou(1, gamma=1.0, sigma=1.0)
+        with pytest.raises(UsageError, match="h0"):
+            paired_scheme_gap(cfg, model, PotentialSpec.quadratic(1.0),
+                              h0_coarse=0.25, h0_fine=0.05)
+
     def test_paired_gap_small_on_quadratic_benchmark(self):
         cfg = RunConfig(d=1, N=64, eps=0.05, alpha=1.0, T=5.0, h0=0.05, seed=11)
         model = NoiseModel.scalar_ou(1, gamma=1.0, sigma=1.0)

@@ -144,6 +144,18 @@ class TestSimulateLimit:
             spreads.append(ens.positions.std())
         assert all(b < a for a, b in zip(spreads, spreads[1:]))
 
+    def test_custom_twin_gets_the_builtin_step_and_cap(self):
+        # a custom potential's declared bound sets its step; before, its
+        # stiffness was 0 and the default step was the whole horizon
+        cfg = RunConfig(d=1, N=1, eps=0.5, alpha=1.0, T=5.0, h0=0.05, seed=0)
+        builtin = PotentialSpec.quadratic(3.0)
+        custom = PotentialSpec.custom(lambda x, m: 3.0 * x, 3.0)
+        assert default_limit_scheme(cfg, custom) == default_limit_scheme(cfg, builtin)
+        assert default_limit_scheme(cfg, custom).h == pytest.approx(0.01 / 3.0, rel=1e-3)
+        for pot in (builtin, custom):
+            with pytest.raises(UsageError, match="limit step"):
+                LimitScheme(5.0).validate(cfg.alpha, pot)
+
     def test_step_cap_enforced(self):
         pot = PotentialSpec.quadratic(10.0)
         with pytest.raises(UsageError, match="limit step"):
@@ -198,7 +210,9 @@ class TestLimitReplicaSweep:
                                       builtin.lipschitz_bound)
         diff = DiffusionSpec("explicit", np.array([[1.0, -0.3], [-0.3, 0.8]]))
         init, ids, path = InitialLaw(), range(3), (_rng.LIMIT_RUN, 4)
-        sch = default_limit_scheme(cfg, builtin)
+        # The custom twin's step follows its declared bound, lam + 2|kappa|,
+        # which is stricter than the builtin's lam + |kappa| and valid for both.
+        sch = default_limit_scheme(cfg, custom)
         got = run_limit_replicas(cfg, custom, diff, init, ids, path, sch)
         assert np.array_equal(got, run_limit_replicas(cfg, builtin, diff, init, ids, path, sch))
         assert np.array_equal(got, self._reference(cfg, custom, diff, init, ids, path, sch))
@@ -214,6 +228,15 @@ class TestLimitReplicaSweep:
                            recorder=lambda ids, k, t, X: times.append((k, t)))
         k, t = times[-1]
         assert k == 150 and t >= cfg.T
+
+    def test_exploding_custom_potential_names_the_replica(self):
+        # the first step sends the state to -inf; the next drift evaluation
+        # refuses it, and the kernel names the replica
+        exploding = PotentialSpec.custom(lambda x, m: np.full_like(x, np.inf), 1.0)
+        cfg = RunConfig(d=1, N=1, eps=0.5, alpha=1.0, T=1.0, h0=0.05, seed=0)
+        with pytest.raises(NumericError, match=r"custom potential.*non-finite.*replica=3"):
+            run_limit_replicas(cfg, exploding, DiffusionSpec("explicit", np.array([[1.0]])),
+                               InitialLaw(), [3], (_rng.LIMIT_RUN, 0))
 
     def test_non_finite_state_names_the_replica(self):
         class OneBadReplica:
