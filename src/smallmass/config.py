@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import rng as _rng
 from .core import PotentialSpec, RunConfig
 from .diagnostics import BM_PROXY_MIN_PATHS, GK_MIN_HORIZON
 from .dynamics_eps import InitialLaw
@@ -26,6 +27,30 @@ from .noise import NoiseModel
 __all__ = ["Config", "load_config", "parse_config", "serialize_config"]
 
 _REQ = object()
+
+# Replica counts index counter-based streams (one stream per replica), so
+# they share the stream index bound; every other count stays within a C int.
+_REPLICA_KEYS = ("run.replicas", "limit.replicas", "gk.reps", "diag.reps",
+                 "diag.moment_reps")
+_STREAMS_MAX = _rng._IDX_MAX + 1
+_COUNT_MAX = 2**31 - 1
+
+
+class _LongLiteral:
+    """A JSON integer literal past ``int``'s digit limit; no key accepts it."""
+
+    def __init__(self, text):
+        self.digits = len(text.lstrip("-"))
+
+    def __repr__(self):
+        return f"an integer literal of {self.digits} digits"
+
+
+def _json_int(text):
+    try:
+        return int(text)
+    except ValueError:  # past sys.get_int_max_str_digits()
+        return _LongLiteral(text)
 
 
 def _number(x, key):
@@ -209,8 +234,8 @@ def parse_config(doc) -> Config:
     """Validate a flat document (dict or JSON text) against the registry."""
     if isinstance(doc, str):
         try:
-            doc = json.loads(doc)
-        except json.JSONDecodeError as err:
+            doc = json.loads(doc, parse_int=_json_int)
+        except ValueError as err:
             raise ConfigError(f"invalid JSON: {err}") from None
     if not isinstance(doc, dict):
         raise ConfigError("configuration must be a JSON object of dotted keys")
@@ -230,7 +255,17 @@ def parse_config(doc) -> Config:
 
 
 def _cross_validate(v):
+    if not 0 <= v["run.seed"] < 2**64:
+        raise ConfigError(f"run.seed must lie in [0, 2**64), got {v['run.seed']}")
+    for key, (parse, _) in _REGISTRY.items():
+        if parse is _integer and key != "run.seed" and v[key] is not None:
+            top = _STREAMS_MAX if key in _REPLICA_KEYS else _COUNT_MAX
+            if v[key] > top:
+                raise ConfigError(f"{key} must be <= {top}, got {v[key]}")
     grid = v["run.eps_grid"]
+    if len(grid) > _STREAMS_MAX:
+        raise ConfigError(f"run.eps_grid may hold at most {_STREAMS_MAX} values, one "
+                          f"stream index each; got {len(grid)}")
     if any(e2 >= e1 for e1, e2 in zip(grid, grid[1:])):
         raise ConfigError("run.eps_grid must be strictly decreasing")
     if any(not 0.0 < e <= 1.0 for e in grid):

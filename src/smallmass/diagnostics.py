@@ -125,12 +125,15 @@ class _MomentRecorder:
 def moment_table(cfg: RunConfig, model: NoiseModel, pot: PotentialSpec,
                  sch_kind: str = "exponential", *, reps: int = 256,
                  grid_points: int = 48, init: InitialLaw | None = None,
-                 eps_index: int = 0, batch_size: int = 128) -> MomentTable:
+                 eps_index: int = 0, batch_size: int | None = None) -> MomentTable:
     """Estimate sup_t of the scaled moments over ``reps`` replicas.
 
     Particles within a replica share one driver path, so the effective
     sample size is the replica count; confidence halfwidths are computed
-    across replicas.
+    across replicas.  The replicas run through ``run_eps_replicas``
+    ``batch_size`` at a time, all in one lock-step batch by default: the
+    kernel's normals are drawn in windows under a fixed budget, so a larger
+    batch costs state memory only, and the values do not depend on it.
     """
     if grid_points < 2:
         raise UsageError(f"grid_points must be >= 2, got {grid_points}")
@@ -245,20 +248,19 @@ def _driver_paths(model, seed, path, reps, n, delta_s):
     """Yield the driver values of ``reps`` stationary paths at steps 0..n-1.
 
     Replica r draws its start and then its n normals from the stream
-    ``(seed, *path, r)``, into arrays preallocated for all replicas; the
-    paths are then advanced in lock-step by ``delta_s``.  Each yielded
-    (reps,) + driver_shape array is fresh: later steps do not overwrite it.
+    ``(seed, *path, r)``, the normals a window of steps at a time
+    (``rng.normal_windows``); the paths are advanced in lock-step by
+    ``delta_s``.  Each yielded (reps,) + driver_shape array is fresh:
+    later steps do not overwrite it.
     """
     ds = model.driver_shape
     xi = np.empty((reps,) + ds)
-    Z = np.empty((reps, n) + ds)
-    for r in range(reps):
-        gen = _rng.stream(seed, *path, r)
+    gens = [_rng.stream(seed, *path, r) for r in range(reps)]
+    for r, gen in enumerate(gens):
         xi[r] = stationary_xi(model, gen)
-        Z[r] = gen.standard_normal((n,) + ds)
-    for k in range(n):
+    for z in _rng.normal_windows(gens, n, ds):
         yield xi
-        xi = advance_xi(xi, model, delta_s, Z[:, k])
+        xi = advance_xi(xi, model, delta_s, z)
 
 
 def _u_paths_scalar(cfg, model, reps, n, eps_index):

@@ -27,9 +27,9 @@ h = h0 * eps with h0 <= 0.2, because the frozen forcing must resolve the
 driver's oscillation.  The exponential scheme is therefore the default.
 
 Per-replica randomness comes from counter-based streams; the replica sweep
-(`run_eps_replicas`) pre-draws each replica's normals in a fixed order and
-advances many replicas in lock-step, which is bit-identical to stepping the
-replicas one at a time.
+(`run_eps_replicas`) draws each replica's normals in a fixed order, a
+window of steps at a time, and advances many replicas in lock-step, which
+is bit-identical to stepping the replicas one at a time.
 """
 
 from __future__ import annotations
@@ -241,16 +241,20 @@ def _particle_local(model: NoiseModel, pot: PotentialSpec, recorder) -> bool:
 
 def run_eps_replicas(cfg: RunConfig, model: NoiseModel, pot: PotentialSpec,
                      sch_kind: str, init: InitialLaw, replica_ids,
-                     stream_path, *, batch_size: int = 64, recorder=None,
+                     stream_path, *, batch_size: int | None = None, recorder=None,
                      keep: int | None = None):
-    """Replica sweep of the second-order system, advanced in fixed batches.
+    """Replica sweep of the second-order system, advanced in lock-step.
 
     ``stream_path`` is a tuple prefix (purpose code plus optional indices);
-    replica r draws from ``stream(seed, *stream_path, r)``.  Results are
-    bit-identical to running replicas one at a time through ``step``,
-    because every replica's normals are pre-drawn from its own stream in
-    the order ``step`` consumes them (positions, driver start, then one
-    driver draw per step).  ``recorder``, when given, is called as
+    replica r draws from ``stream(seed, *stream_path, r)``.  The replicas
+    are advanced ``batch_size`` at a time, all of them in one batch when it
+    is ``None``.  Results are bit-identical to running replicas one at a
+    time through ``step``, whatever the batch, because every replica draws
+    from its own stream in the order ``step`` consumes it (positions,
+    driver start, then one driver draw per step).  The per-step draws come
+    a window of steps at a time (``rng.normal_windows``), so the normals
+    held at once stay under ``rng.DRAW_BUDGET`` whatever the batch size
+    and horizon.  ``recorder``, when given, is called as
     ``recorder(replica_ids_batch, step_index, time, X, Y, xi)`` after the
     initial state and after every step, with ``xi`` the driver values at
     that time (shape (B,) + driver shape); X, Y and xi are updated in place
@@ -278,27 +282,26 @@ def run_eps_replicas(cfg: RunConfig, model: NoiseModel, pot: PotentialSpec,
     Y0 = init.velocities(cfg.N, cfg.d)[:M]
     out_pos = np.empty((len(replica_ids), M, cfg.d))
     out_vel = np.empty_like(out_pos)
+    batch_size = batch_size or max(1, len(replica_ids))
     for start in range(0, len(replica_ids), batch_size):
         ids = replica_ids[start : start + batch_size]
         B = len(ids)
         X = np.empty((B, M, cfg.d))
         xi = np.empty((B,) + ds)
-        Z = np.empty((B, n) + ds)
-        for j, r in enumerate(ids):
-            gen = _rng.stream(cfg.seed, *stream_path, r)
+        gens = [_rng.stream(cfg.seed, *stream_path, r) for r in ids]
+        for j, gen in enumerate(gens):
             X[j] = init.draw_positions(cfg.N, cfg.d, gen)[:M]
             xi[j] = stationary_xi(model, gen)
-            Z[j] = gen.standard_normal((n,) + ds)
         Y = np.broadcast_to(Y0, X.shape).copy()
         F, tmp = np.empty_like(X), np.empty_like(X)
         t = 0.0
         if recorder is not None:
             recorder(ids, 0, t, X, Y, xi)
         try:
-            for k in range(n):
+            for k, z in enumerate(_rng.normal_windows(gens, n, ds)):
                 _total_force(model, pot, X, xi, inv_sqrt_eps, F, tmp)
                 advance(X, Y, F, tmp)
-                advance_xi(xi, model, delta_s, Z[:, k], out=xi)
+                advance_xi(xi, model, delta_s, z, out=xi)
                 t += sch.h
                 if recorder is not None:
                     recorder(ids, k + 1, t, X, Y, xi)

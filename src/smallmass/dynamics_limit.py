@@ -121,11 +121,6 @@ def step_em(ens: ParticleEnsemble, pot: PotentialSpec, diff: DiffusionSpec,
     return out
 
 
-# Normals drawn per generator call in the limit pre-draw, to bound the
-# transient (steps, N, d) block when only a few particles are kept.
-_DRAW_CHUNK = 1 << 16
-
-
 def run_limit_replicas(cfg: RunConfig, pot: PotentialSpec, diff: DiffusionSpec,
                        init: InitialLaw, replica_ids, stream_path,
                        sch: LimitScheme | None = None, *, keep: int | None = None,
@@ -134,7 +129,11 @@ def run_limit_replicas(cfg: RunConfig, pot: PotentialSpec, diff: DiffusionSpec,
 
     Replica r draws from ``stream(seed, *stream_path, r)`` its positions
     and then one (N, d) normal block per step, the order ``step_em``
-    consumes it, so every replica is bit-identical to stepping it alone.
+    consumes it, so every replica is bit-identical to stepping it alone,
+    whatever other replicas share the call.  The per-step blocks come a
+    window of steps at a time (``rng.normal_windows``), so the normals held
+    at once stay under ``rng.DRAW_BUDGET`` whatever the replica count and
+    horizon.
     The step count follows the eps system's rule: when ``h`` does not
     divide ``T`` the last step ends past ``T``, never before it.
     ``recorder``, when given, is called as ``recorder(replica_ids, step_index,
@@ -144,7 +143,7 @@ def run_limit_replicas(cfg: RunConfig, pot: PotentialSpec, diff: DiffusionSpec,
     ``keep`` is the number of leading particles per replica the caller
     needs.  Under a quadratic potential without a recorder the particles do
     not interact, so only those are integrated and only their normals are
-    stored.  Otherwise all N are integrated and the caller slices.  Returns
+    kept.  Otherwise all N are integrated and the caller slices.  Returns
     shape (R, M, d) with M the number integrated.
     """
     if keep is not None and not 1 <= keep <= cfg.N:
@@ -159,26 +158,23 @@ def run_limit_replicas(cfg: RunConfig, pot: PotentialSpec, diff: DiffusionSpec,
         # which rounds differently from the matrix path of the full run.
         M = min(N, max(keep, 2 if d > 1 else 1))
     n = _n_steps(cfg.T, sch.h)
-    chunk = max(1, _DRAW_CHUNK // (N * d))
     X = np.empty((len(replica_ids), M, d))
-    Z = np.empty((n,) + X.shape)
-    for j, r in enumerate(replica_ids):
-        gen = _rng.stream(cfg.seed, *stream_path, r)
+    gens = [_rng.stream(cfg.seed, *stream_path, r) for r in replica_ids]
+    for j, gen in enumerate(gens):
         X[j] = init.draw_positions(N, d, gen)[:M]
-        for k in range(0, n, chunk):
-            Z[k : k + chunk, j] = gen.standard_normal((min(chunk, n - k), N, d))[:, :M]
-    Z *= math.sqrt(sch.h)
+    root_h = math.sqrt(sch.h)
     ST = diff.sqrt.T
     G, tmp = np.empty_like(X), np.empty_like(X)
     t = 0.0
     if recorder is not None:
         recorder(replica_ids, 0, t, X)
     try:
-        for k in range(n):
+        for k, z in enumerate(_rng.normal_windows(gens, n, (N, d), M)):
             grad_v_batch(pot, X, out=G, tmp=tmp)
             G *= sch.h / cfg.alpha
             X -= G
-            X += np.matmul(Z[k], ST, out=tmp)
+            z *= root_h
+            X += np.matmul(z, ST, out=tmp)
             t += sch.h
             if recorder is not None:
                 recorder(replica_ids, k + 1, t, X)

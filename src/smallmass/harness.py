@@ -24,12 +24,14 @@ from a block bootstrap over replicas.  This bias note is recorded in the
 report header.
 
 Scheduling never touches values: replicas are keyed to counter-based
-streams, work is split into fixed-size batches, and aggregation follows
-(eps index, replica index) order, so a run with one worker and a run with
-sixteen emit byte-identical files.  The parent builds a sample's kernel
-arguments once (run, noise model, potential, initial law, scheme, stream
-path) and every batch worker only adds its replica ids and calls the
-kernel.
+streams, each worker advances one contiguous batch of replicas in
+lock-step, and aggregation follows (eps index, replica index) order, so a
+run with one worker and a run with sixteen emit byte-identical files.  The
+kernels draw their normals a window of steps at a time under a fixed
+budget, so memory does not bound the batch size.  The parent builds a
+sample's kernel arguments once (run, noise model, potential, initial law,
+scheme, stream path) and every batch worker only adds its replica ids and
+calls the kernel.
 """
 
 from __future__ import annotations
@@ -63,7 +65,6 @@ __all__ = [
 ]
 
 WORKERS_ENV = "SMALLMASS_WORKERS"
-EPS_BATCH = 64
 BOOTSTRAP_RESAMPLES = 24
 
 CONVERGE_COLUMNS = ("eps", "w2_paper_mode", "w2_gk_mode", "ci_halfwidth",
@@ -92,8 +93,7 @@ def worker_count() -> int:
 
 def _eps_batch_worker(args):
     rc, model, pot, scheme, init, stream_path, ids, spr = args
-    pos, _ = run_eps_replicas(rc, model, pot, scheme, init, ids, stream_path,
-                              batch_size=EPS_BATCH, keep=spr)
+    pos, _ = run_eps_replicas(rc, model, pot, scheme, init, ids, stream_path, keep=spr)
     return pos[:, :spr, :].reshape(-1, rc.d)
 
 
@@ -204,17 +204,20 @@ def build_mode_diffusions(cfg: Config) -> dict[str, DiffusionSpec]:
 def _pooled(worker, head, reps, spr) -> np.ndarray:
     """``spr`` samples from each of ``reps`` replicas, in replica order.
 
-    ``worker((*head, ids, spr))`` runs once per batch of ``EPS_BATCH``
-    replica ids, in a process pool when there are several batches and
-    workers.  The batches are fixed up front, so the worker count cannot
-    change the bytes."""
-    items = [(*head, list(range(a, min(a + EPS_BATCH, reps))), spr)
-             for a in range(0, reps, EPS_BATCH)]
-    workers = worker_count()
-    if workers == 1 or len(items) == 1:
-        parts = [worker(item) for item in items]
+    The replica ids are cut into ``min(workers, reps)`` contiguous batches,
+    in order, whose sizes differ by at most one, and
+    ``worker((*head, ids, spr))`` runs once per batch: inline when there is
+    one, else in a process pool with one process per batch.  Each batch is
+    one lock-step kernel call, and a kernel gives every replica the same
+    bits whatever batch it rides in, so the worker count cannot change the
+    bytes."""
+    n = min(worker_count(), reps)
+    cuts = [reps * i // n for i in range(n + 1)]
+    items = [(*head, list(range(a, b)), spr) for a, b in zip(cuts, cuts[1:])]
+    if n == 1:
+        parts = [worker(items[0])]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=n) as pool:
             parts = list(pool.map(worker, items))
     return np.concatenate(parts, axis=0)
 

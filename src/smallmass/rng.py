@@ -5,9 +5,15 @@ seed plus a short integer path (purpose code and up to three indices such
 as the eps-grid position and the replica number).  Streams are therefore
 independent, reproducible, and independent of scheduling: a replica's draws
 do not depend on how many workers or batches the run was split into.
+
+The kernels draw each step's normals through ``normal_windows``, a window
+of steps at a time under one fixed byte budget, so the memory they hold
+for normals does not grow with the horizon or the batch size.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -30,6 +36,9 @@ BOOT = 10
 _IDX_BITS = 16
 _IDX_MAX = (1 << _IDX_BITS) - 1
 
+# Normals (float64) held at once by one ``normal_windows`` caller: 2 MB.
+DRAW_BUDGET = 1 << 18
+
 
 def stream(seed: int, purpose: int, *indices: int) -> np.random.Generator:
     """Return the Generator for (seed, purpose, indices).
@@ -49,3 +58,25 @@ def stream(seed: int, purpose: int, *indices: int) -> np.random.Generator:
     key = np.array([np.uint64(seed) & np.uint64(0xFFFFFFFFFFFFFFFF), packed],
                    dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def normal_windows(gens, n: int, shape: tuple, kept: int | None = None):
+    """Yield the normals of steps 0..n-1, drawn a window of steps at a time.
+
+    Step k's array has shape ``(len(gens),) + shape``, with the first axis
+    of ``shape`` cut to its leading ``kept`` entries when ``kept`` is given;
+    row j holds generator j's k-th ``shape`` draw.  Each window, every
+    generator in turn draws a ``(W,) + shape`` block, which continues its
+    stream exactly as one ``(n,) + shape`` draw would, so the values do not
+    depend on W.  W is the most steps that fit ``DRAW_BUDGET`` doubles, both
+    for the kept window and for one generator's block.  A yielded array is
+    overwritten when the next window is drawn.
+    """
+    step = (len(gens),) + shape if kept is None else (len(gens), kept) + shape[1:]
+    width = max(1, min(n, DRAW_BUDGET // max(math.prod(step), math.prod(shape))))
+    window = np.empty((width,) + step)
+    for start in range(0, n, width):
+        w = min(width, n - start)
+        for j, gen in enumerate(gens):
+            window[:w, j] = gen.standard_normal((w,) + shape)[:, :kept]
+        yield from window[:w]

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -37,3 +38,16 @@ def write_config(tmp_path, doc, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return path
+
+
+def traced_peak_above(fn):
+    """Bytes of the ``tracemalloc`` peak during ``fn()`` above the arrays it
+    returns (an array, or a tuple of arrays)."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arrays = result if isinstance(result, tuple) else (result,)
+    return peak - sum(a.nbytes for a in arrays)

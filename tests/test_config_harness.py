@@ -22,10 +22,14 @@ from smallmass.transport import w2_1d
 from conftest import write_config
 
 NAN, INF = float("nan"), float("inf")
+
+
+class RawJson(str):
+    """A value written into the config's JSON text as is, unquoted."""
 FOURIER = {"noise.omegas": [[1.0, 0.0], [0.0, 1.0]], "noise.a": [1.0, 0.5],
            "noise.b": [0.0, 0.5]}
 # The interacting path: curie-weiss drift, law-dependent fourier-field
-# forcing, d = 2; 72 replicas make two batches, so two workers share them.
+# forcing, d = 2, 72 replicas.
 COUPLED = dict(FOURIER, **{
     "run.d": 2, "run.N": 8, "run.replicas": 72, "run.samples_per_replica": 1,
     "potential.kind": "curie-weiss", "potential.kappa": 0.5,
@@ -94,15 +98,34 @@ class TestConfig:
         pytest.param("run.T", 10**400, id="run.T-int-past-float-range"),
         ("noise.g", "gauss"), ("noise.omegas", [[1.0]]), ("noise.a", [1.0]),
         ("noise.b", [1.0]), ("noise.kind", "pink"), ("potential.kind", "double-well"),
+        pytest.param("run.N", RawJson("9" * 5001), id="run.N-5001-digit-literal"),
+        pytest.param("run.T", RawJson("-" + "9" * 5001), id="run.T-5001-digit-literal"),
+        pytest.param("run.N", 10**30, id="run.N-10**30"), ("run.d", 2**31),
+        ("diag.grid_points", 2**31), ("limit.samples_per_replica", 2**31),
+        ("run.seed", -1), pytest.param("run.seed", 2**64, id="run.seed-2**64"),
+        pytest.param("run.seed", 2**70, id="run.seed-2**70"),
+        ("run.replicas", 70000), ("run.replicas", 65537), ("limit.replicas", 65537),
+        ("gk.reps", 65537), ("diag.reps", 65537), ("diag.moment_reps", 65537),
+        pytest.param("run.eps_grid", [1.0 - i / 70000 for i in range(65537)],
+                     id="run.eps_grid-65537-values"),
     ])
     def test_out_of_range_values_are_rejected(self, small_config_dict, key, value):
         # diag.lag_lo 2.0 lies above the default diag.lag_hi of 1.0; the small
         # config's quadratic potential has no coupling, so any potential.kappa
         # but 0 is dropped, and with lambda 1 the limit step cap is 0.01; its
-        # scalar-ou noise reads none of noise.g, noise.omegas, noise.a, noise.b
+        # scalar-ou noise reads none of noise.g, noise.omegas, noise.a, noise.b.
+        # Replica counts and the eps grid index streams, so they stop at 65536.
         doc = dict(small_config_dict, **{key: value})
+        if isinstance(value, RawJson):  # a literal Python's json cannot write
+            doc = json.dumps(dict(doc, **{key: None})).replace(
+                f'"{key}": null', f'"{key}": {value}')
         with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
             parse_config(doc)
+
+    def test_range_bounds_are_inclusive(self, small_config_dict):
+        doc = dict(small_config_dict, **{"run.seed": 2**64 - 1, "run.replicas": 65536,
+                                         "gk.reps": 65536, "run.N": 2**31 - 1})
+        assert parse_config(doc).values["run.replicas"] == 65536
 
     @pytest.mark.parametrize("extra, reason", [
         ({"noise.kind": "separable", "noise.g": "nope"},
@@ -182,10 +205,40 @@ class TestConvergenceHarness:
         with pytest.raises(Exception):
             worker_count()
 
+    @pytest.mark.parametrize("workers, reps", [(1, 10), (2, 10), (3, 10), (4, 9), (16, 5)])
+    def test_pooled_runs_one_contiguous_batch_per_worker(self, monkeypatch, workers, reps):
+        class InlinePool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return [fn(item) for item in items]
+
+        calls = []
+
+        def worker(item):
+            head, ids, spr = item
+            calls.append(ids)
+            return np.repeat(np.asarray(ids, dtype=float), spr)[:, None]
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setenv("SMALLMASS_WORKERS", str(workers))
+        out = harness._pooled(worker, ("head",), reps, 2)
+        assert len(calls) == min(workers, reps)
+        assert [r for ids in calls for r in ids] == list(range(reps))
+        assert max(map(len, calls)) - min(map(len, calls)) <= 1
+        assert np.array_equal(out[:, 0], np.repeat(np.arange(reps), 2))
+
     def test_worker_split_does_not_change_bytes(self, small_config_dict,
                                                 tmp_path, monkeypatch):
-        # 72 replicas make two batches per pooled phase; a single batch runs
-        # inline whatever the worker count, so the pool starts are counted.
+        # At 2 workers each pooled phase runs two batches in a process pool,
+        # at 1 worker one batch inline; the pool starts are counted.
         starts = []
 
         class CountingPool(harness.ProcessPoolExecutor):

@@ -13,6 +13,8 @@ from smallmass.errors import NumericError, UsageError
 from smallmass.noise import (DriverState, NoiseModel, advance_xi, averaged_forcing_xi,
                              stationary_xi)
 
+from conftest import traced_peak_above
+
 ZERO_POT = PotentialSpec.custom(lambda x, m: np.zeros_like(x), 1.0)
 SILENT = NoiseModel.scalar_ou(1, gamma=1.0, sigma=0.0)
 
@@ -133,6 +135,74 @@ class TestDeterminism:
         b, _ = run_eps_replicas(cfg, model, pot, "exponential", init, range(7),
                                 (_rng.EPS_RUN, 4), batch_size=7)
         assert np.array_equal(a, b)
+
+
+
+class TestBatchesAndWindows:
+    """The bits depend on neither the batch size nor the draw window."""
+
+    @staticmethod
+    def _reference(cfg, model, pot, init, ids, path):
+        """Each replica alone, its n driver normals drawn in one block up
+        front; returns the (X, Y, xi) after each step, keyed (replica, k)."""
+        sch = build_scheme(cfg, "exponential")
+        n = _n_steps(cfg.T, sch.h)
+        advance = _Advance(sch.kind, sch.h, cfg.eps, cfg.alpha)
+        states = {}
+        for r in ids:
+            gen = _rng.stream(cfg.seed, *path, r)
+            X = init.draw_positions(cfg.N, cfg.d, gen)[None]
+            Y = init.velocities(cfg.N, cfg.d)[None]
+            xi = stationary_xi(model, gen)[None]
+            Z = gen.standard_normal((n,) + model.driver_shape)
+            states[r, 0] = X[0].copy(), Y[0].copy(), xi[0].copy()
+            for k in range(n):
+                F, _ = _total_force(model, pot, X, xi, 1.0 / math.sqrt(cfg.eps))
+                advance(X, Y, F, np.empty_like(X))
+                xi = advance_xi(xi, model, sch.h / cfg.eps, Z[k][None])
+                states[r, k + 1] = X[0].copy(), Y[0].copy(), xi[0].copy()
+        return states
+
+    def test_batches_and_windows_match_a_full_predraw(self, monkeypatch):
+        cfg = RunConfig(d=2, N=5, eps=0.1, alpha=1.0, T=0.205, h0=0.05, seed=41)
+        model = NoiseModel.fourier_field(2, gamma=1.0, sigma=1.0,
+                                         omegas=[[1.0, 0.0], [0.0, 1.0]],
+                                         a=[1.0, 0.5], b=[0.0, 0.5])
+        pot = PotentialSpec.curie_weiss(1.0, 0.5)
+        init, ids, path = InitialLaw(velocity=0.3), range(10), (_rng.EPS_RUN, 3)
+        n = _n_steps(cfg.T, cfg.eps_step)
+        # Windows of 25, 8 and 2 steps at batches of 1, 3 and 10 (driver
+        # shape (2, 2)); none of them divides the 41 steps.
+        monkeypatch.setattr(_rng, "DRAW_BUDGET", 100)
+        assert n == 41
+        ref = self._reference(cfg, model, pot, init, ids, path)
+        for batch in (1, 3, None):
+            states = {}
+
+            def record(rows, k, t, X, Y, xi):
+                for j, r in enumerate(rows):
+                    states[r, k] = X[j].copy(), Y[j].copy(), xi[j].copy()
+
+            X, Y = run_eps_replicas(cfg, model, pot, "exponential", init, ids, path,
+                                    batch_size=batch, recorder=record)
+            assert states.keys() == ref.keys()
+            for key, want in ref.items():
+                assert all(np.array_equal(a, b) for a, b in zip(states[key], want)), \
+                    (batch, key)
+            for r in ids:
+                assert np.array_equal(X[r], ref[r, n][0]) and np.array_equal(Y[r], ref[r, n][1])
+
+    def test_normals_memory_is_bounded(self):
+        # One batch of 512 replicas over 4000 steps: a full pre-draw of the
+        # driver normals is 16 MB; windows hold at most rng.DRAW_BUDGET
+        # doubles (2 MB).
+        cfg = RunConfig(d=1, N=256, eps=0.025, alpha=1.0, T=5.0, h0=0.05, seed=7)
+        assert _n_steps(cfg.T, cfg.eps_step) == 4000
+        extra = traced_peak_above(lambda: run_eps_replicas(
+            cfg, NoiseModel.scalar_ou(1, gamma=1.0, sigma=1.0), PotentialSpec.quadratic(1.0),
+            "exponential", InitialLaw(), range(512), (_rng.EPS_RUN, 0), batch_size=512,
+            keep=1))
+        assert extra < 4 * 2**20
 
 
 class TestStepContracts:

@@ -14,6 +14,8 @@ from smallmass.dynamics_limit import (DiffusionSpec, LimitScheme, default_limit_
 from smallmass.errors import NumericError, UsageError
 from smallmass.harness import build_mode_diffusions
 
+from conftest import traced_peak_above
+
 ZERO_POT = PotentialSpec.custom(lambda x, m: np.zeros_like(x), 1.0)
 
 
@@ -216,6 +218,33 @@ class TestLimitReplicaSweep:
         got = run_limit_replicas(cfg, custom, diff, init, ids, path, sch)
         assert np.array_equal(got, run_limit_replicas(cfg, builtin, diff, init, ids, path, sch))
         assert np.array_equal(got, self._reference(cfg, custom, diff, init, ids, path, sch))
+
+    @pytest.mark.parametrize("budget", [None, 500], ids=["default", "small-windows"])
+    def test_split_calls_match_one_call(self, budget, monkeypatch):
+        # The stacked d = 2 matmul with a non-diagonal root must round every
+        # replica alike whatever the replica count; the small budget gives
+        # windows of 4, 13 and 5 steps over the 30-step run.
+        if budget is not None:
+            monkeypatch.setattr(_rng, "DRAW_BUDGET", budget)
+        cfg = RunConfig(d=2, N=6, eps=0.5, alpha=1.0, T=0.2, h0=0.05, seed=8)
+        pot = PotentialSpec.curie_weiss(1.0, 0.5)
+        diff = DiffusionSpec("explicit", np.array([[1.0, 0.3], [0.3, 0.6]]))
+        init, path = InitialLaw(), (_rng.LIMIT_RUN, 0)
+        whole = run_limit_replicas(cfg, pot, diff, init, range(10), path)
+        parts = [run_limit_replicas(cfg, pot, diff, init, ids, path)
+                 for ids in (range(3), range(3, 10))]
+        assert np.array_equal(whole, np.concatenate(parts))
+
+    def test_normals_memory_is_bounded(self):
+        # A full pre-draw of 750 steps of (64, 32, 2) normals is 24.6 MB;
+        # windows hold at most rng.DRAW_BUDGET doubles (2 MB).
+        cfg = RunConfig(d=2, N=32, eps=0.5, alpha=1.0, T=5.0, h0=0.05, seed=2)
+        pot = PotentialSpec.curie_weiss(1.0, 0.5)
+        assert _n_steps(cfg.T, default_limit_scheme(cfg, pot).h) == 750
+        extra = traced_peak_above(lambda: run_limit_replicas(
+            cfg, pot, DiffusionSpec("explicit", np.eye(2)), InitialLaw(), range(64),
+            (_rng.LIMIT_RUN, 0)))
+        assert extra < 4 * 2**20
 
     def test_non_dividing_step_reaches_the_horizon(self):
         # round(T/h) gave 149 steps, ending at t = 0.9983 before the horizon;
