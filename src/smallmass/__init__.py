@@ -10,7 +10,7 @@ distances plus moment, decay and increment diagnostics.
 
 from ._version import __version__
 from .core import (EmpiricalMeasure, ParticleEnsemble, PotentialSpec,
-                   RunConfig, empirical_mean, grad_v, probe_lipschitz)
+                   RunConfig, probe_lipschitz)
 from .dynamics_eps import EpsScheme, InitialLaw, StepReport, step
 from .dynamics_limit import DiffusionSpec, LimitScheme, step_em
 from .errors import ConfigError, NumericError, UsageError
@@ -34,8 +34,6 @@ __all__ = [
     "UsageError",
     "W2Result",
     "__version__",
-    "empirical_mean",
-    "grad_v",
     "probe_lipschitz",
     "sigma_matrix",
     "step",

@@ -27,8 +27,6 @@ __all__ = [
     "PotentialSpec",
     "RunConfig",
     "as_point",
-    "empirical_mean",
-    "grad_v",
     "grad_v_batch",
     "pairwise_mean",
     "probe_lipschitz",
@@ -105,14 +103,8 @@ class EmpiricalMeasure:
         return self.points.shape[1]
 
     def mean(self) -> np.ndarray:
-        return empirical_mean(self)
-
-
-def empirical_mean(m: EmpiricalMeasure) -> np.ndarray:
-    """Coordinate-wise arithmetic mean of the measure's points."""
-    if m.n < 1:
-        raise UsageError("empty measure")
-    return pairwise_mean(m.points, axis=0)
+        """Coordinate-wise arithmetic mean of the points (pairwise fold)."""
+        return pairwise_mean(self.points, axis=0)
 
 
 @dataclass(frozen=True)
@@ -214,20 +206,9 @@ class PotentialSpec:
         return self.lipschitz_bound if self.kind == "custom" else self.lam + abs(self.kappa)
 
 
-def grad_v(p: PotentialSpec, x, m: EmpiricalMeasure) -> np.ndarray:
-    """Evaluate the drift gradient at a single point under the measure ``m``."""
-    xv = as_point(x)
-    if xv.shape[0] != m.d:
-        raise UsageError(f"dimension mismatch: point d={xv.shape[0]}, measure d={m.d}")
-    out = grad_v_batch(p, xv[None, :], m)[0]
-    if not np.all(np.isfinite(out)):
-        raise NumericError("potential gradient is non-finite")
-    return out
-
-
 def grad_v_batch(p: PotentialSpec, xs: np.ndarray, m: EmpiricalMeasure | None = None,
                  out: np.ndarray | None = None, tmp: np.ndarray | None = None) -> np.ndarray:
-    """Vectorized ``grad_v`` over rows of ``xs``; the drift of both integrators.
+    """The drift gradient at the rows of ``xs``; the drift of both integrators.
 
     With a measure ``m`` it applies to every row, and ``xs`` may carry
     leading batch axes.  With ``m=None`` each (n, d) set along the last
@@ -256,7 +237,7 @@ def grad_v_batch(p: PotentialSpec, xs: np.ndarray, m: EmpiricalMeasure | None = 
         return out
     out = np.multiply(xs, p.lam, out=out)
     if p.kind == "curie-weiss":
-        mean = pairwise_mean(xs, axis=-2)[..., None, :] if m is None else empirical_mean(m)
+        mean = pairwise_mean(xs, axis=-2)[..., None, :] if m is None else m.mean()
         tmp = np.subtract(xs, mean, out=tmp)
         tmp *= p.kappa
         out += tmp
@@ -292,7 +273,10 @@ def probe_lipschitz(p: PotentialSpec, sampler, trials: int) -> float:
         denom = float(np.linalg.norm(x - y)) + w2
         if denom < 1e-14:
             continue
-        num = float(np.linalg.norm(grad_v(p, x, mu) - grad_v(p, y, nu)))
+        num = float(np.linalg.norm(grad_v_batch(p, x[None], mu)[0]
+                                   - grad_v_batch(p, y[None], nu)[0]))
+        if not np.isfinite(num):
+            raise NumericError("potential gradient is non-finite")
         ratio = num / denom
         worst = ratio if worst is None else max(worst, ratio)
     if worst is None:

@@ -29,7 +29,9 @@ driver's oscillation.  The exponential scheme is therefore the default.
 Per-replica randomness comes from counter-based streams; the replica sweep
 (`run_eps_replicas`) draws each replica's normals in a fixed order, a
 window of steps at a time, and advances many replicas in lock-step, which
-is bit-identical to stepping the replicas one at a time.
+is bit-identical to stepping the replicas one at a time.  It integrates
+exactly the ``cfg.N`` particles it is handed: how many particles a sample
+needs is decided by the caller (``harness``), not here.
 """
 
 from __future__ import annotations
@@ -229,20 +231,9 @@ def _check_finite(message, ids, eps, *state):
         raise NumericError(message, replica=ids[int(np.argmin(finite))], eps=eps)
 
 
-def _particle_local(model: NoiseModel, pot: PotentialSpec, recorder) -> bool:
-    """Whether each particle's path depends on no other particle's.
-
-    A quadratic potential has no mean-field term and scalar-ou forcing is
-    the driver value itself, so particles share only the driver path.  A
-    recorder may look at every particle, so it turns the test off.
-    """
-    return pot.kind == "quadratic" and model.kind == "scalar-ou" and recorder is None
-
-
 def run_eps_replicas(cfg: RunConfig, model: NoiseModel, pot: PotentialSpec,
                      sch_kind: str, init: InitialLaw, replica_ids,
-                     stream_path, *, batch_size: int | None = None, recorder=None,
-                     keep: int | None = None):
+                     stream_path, *, batch_size: int | None = None, recorder=None):
     """Replica sweep of the second-order system, advanced in lock-step.
 
     ``stream_path`` is a tuple prefix (purpose code plus optional indices);
@@ -260,37 +251,27 @@ def run_eps_replicas(cfg: RunConfig, model: NoiseModel, pot: PotentialSpec,
     that time (shape (B,) + driver shape); X, Y and xi are updated in place
     afterwards, so a recorder copies whatever it keeps.
 
-    ``keep`` is the number of leading particles per replica the caller
-    needs.  When the dynamics are particle-local (quadratic potential,
-    scalar-ou noise, no recorder) only those are integrated, from the same
-    draws, so they are bit-identical to the leading particles of a full
-    run.  Otherwise all N are integrated and the caller slices.
-
-    Returns terminal positions and velocities, each of shape (R, M, d),
-    with M = ``keep`` on the particle-local path and N otherwise.
+    Returns terminal positions and velocities, each of shape (R, N, d).
     """
-    if keep is not None and not 1 <= keep <= cfg.N:
-        raise UsageError(f"keep must lie in [1, N={cfg.N}], got {keep}")
     replica_ids = list(replica_ids)
-    M = keep if keep is not None and _particle_local(model, pot, recorder) else cfg.N
     sch = build_scheme(cfg, sch_kind)
     n = _n_steps(cfg.T, sch.h)
     delta_s = sch.h / cfg.eps
     inv_sqrt_eps = 1.0 / math.sqrt(cfg.eps)
     advance = _Advance(sch.kind, sch.h, cfg.eps, cfg.alpha)
     ds = model.driver_shape
-    Y0 = init.velocities(cfg.N, cfg.d)[:M]
-    out_pos = np.empty((len(replica_ids), M, cfg.d))
+    Y0 = init.velocities(cfg.N, cfg.d)
+    out_pos = np.empty((len(replica_ids), cfg.N, cfg.d))
     out_vel = np.empty_like(out_pos)
     batch_size = batch_size or max(1, len(replica_ids))
     for start in range(0, len(replica_ids), batch_size):
         ids = replica_ids[start : start + batch_size]
         B = len(ids)
-        X = np.empty((B, M, cfg.d))
+        X = np.empty((B, cfg.N, cfg.d))
         xi = np.empty((B,) + ds)
         gens = [_rng.stream(cfg.seed, *stream_path, r) for r in ids]
         for j, gen in enumerate(gens):
-            X[j] = init.draw_positions(cfg.N, cfg.d, gen)[:M]
+            X[j] = init.draw_positions(cfg.N, cfg.d, gen)
             xi[j] = stationary_xi(model, gen)
         Y = np.broadcast_to(Y0, X.shape).copy()
         F, tmp = np.empty_like(X), np.empty_like(X)

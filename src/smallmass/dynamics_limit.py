@@ -15,13 +15,19 @@ mode names are resolved in ``harness.build_mode_diffusions``):
 * ``paper`` mode divides the stationary forcing covariance by the product
   of alpha^2 and the envelope decay rate at lag zero:
   D_eff = Sigma / (alpha^2 * beta);
-* ``green-kubo`` mode uses the measured effective diffusion of the
-  integrated forcing: D_eff = G / alpha^2 with
-  G = 2 * integral of the stationary forcing autocovariance.
+* ``green-kubo`` mode uses the effective diffusion of the integrated
+  forcing: D_eff = G / alpha^2 with G = 2 * integral of the stationary
+  forcing autocovariance.  Every built-in driver is an OU process with
+  rate gamma per component, so the integral is exactly G = 2 * Sigma / gamma
+  and the mode is taken in that closed form; ``diagnostics.green_kubo``
+  measures G independently.
 
 For an exponentially correlated driver the two differ by a factor of two;
 the convergence study reports the transport distance under both so the
 normalization is settled by measurement rather than by assumption.
+
+The kernel integrates exactly the ``cfg.N`` particles it is handed; how
+many a sample needs is decided by the caller (``harness``).
 """
 
 from __future__ import annotations
@@ -123,8 +129,7 @@ def step_em(ens: ParticleEnsemble, pot: PotentialSpec, diff: DiffusionSpec,
 
 def run_limit_replicas(cfg: RunConfig, pot: PotentialSpec, diff: DiffusionSpec,
                        init: InitialLaw, replica_ids, stream_path,
-                       sch: LimitScheme | None = None, *, keep: int | None = None,
-                       recorder=None) -> np.ndarray:
+                       sch: LimitScheme | None = None, *, recorder=None) -> np.ndarray:
     """Terminal positions over independent replicas, stepped in lock-step.
 
     Replica r draws from ``stream(seed, *stream_path, r)`` its positions
@@ -138,30 +143,17 @@ def run_limit_replicas(cfg: RunConfig, pot: PotentialSpec, diff: DiffusionSpec,
     divide ``T`` the last step ends past ``T``, never before it.
     ``recorder``, when given, is called as ``recorder(replica_ids, step_index,
     time, X)`` after the initial state and after every step; X is updated
-    in place afterwards.
-
-    ``keep`` is the number of leading particles per replica the caller
-    needs.  Under a quadratic potential without a recorder the particles do
-    not interact, so only those are integrated and only their normals are
-    kept.  Otherwise all N are integrated and the caller slices.  Returns
-    shape (R, M, d) with M the number integrated.
+    in place afterwards.  Returns shape (R, N, d).
     """
-    if keep is not None and not 1 <= keep <= cfg.N:
-        raise UsageError(f"keep must lie in [1, N={cfg.N}], got {keep}")
     replica_ids = list(replica_ids)
     sch = sch or default_limit_scheme(cfg, pot)
     sch.validate(cfg.alpha, pot)
     N, d = cfg.N, cfg.d
-    M = N
-    if keep is not None and pot.kind == "quadratic" and recorder is None:
-        # For d > 1 a one-row block would take BLAS's vector-matrix path,
-        # which rounds differently from the matrix path of the full run.
-        M = min(N, max(keep, 2 if d > 1 else 1))
     n = _n_steps(cfg.T, sch.h)
-    X = np.empty((len(replica_ids), M, d))
+    X = np.empty((len(replica_ids), N, d))
     gens = [_rng.stream(cfg.seed, *stream_path, r) for r in replica_ids]
     for j, gen in enumerate(gens):
-        X[j] = init.draw_positions(N, d, gen)[:M]
+        X[j] = init.draw_positions(N, d, gen)
     root_h = math.sqrt(sch.h)
     ST = diff.sqrt.T
     G, tmp = np.empty_like(X), np.empty_like(X)
@@ -169,7 +161,7 @@ def run_limit_replicas(cfg: RunConfig, pot: PotentialSpec, diff: DiffusionSpec,
     if recorder is not None:
         recorder(replica_ids, 0, t, X)
     try:
-        for k, z in enumerate(_rng.normal_windows(gens, n, (N, d), M)):
+        for k, z in enumerate(_rng.normal_windows(gens, n, (N, d))):
             grad_v_batch(pot, X, out=G, tmp=tmp)
             G *= sch.h / cfg.alpha
             X -= G

@@ -23,6 +23,12 @@ size is governed by the replica count; the confidence halfwidths come
 from a block bootstrap over replicas.  This bias note is recorded in the
 report header.
 
+Where particles do not interact, one particle's law does not depend on
+``run.N``, so a sample of ``spr`` particles per replica is drawn from a
+run at N = ``spr`` (``_sample_run`` is the one rule); interacting configs
+run all ``run.N`` and keep the leading ``spr``.  A trajectory dump runs
+its sample's N, so it ends on the sample.
+
 Scheduling never touches values: replicas are keyed to counter-based
 streams, each worker advances one contiguous batch of replicas in
 lock-step, and aggregation follows (eps index, replica index) order, so a
@@ -48,7 +54,7 @@ import numpy as np
 from . import rng as _rng
 from ._version import __version__ as _version
 from .config import Config
-from .core import EmpiricalMeasure
+from .core import EmpiricalMeasure, RunConfig
 from .diagnostics import GkEstimate, dyadic_lags, green_kubo, moment_table, uv_check
 from .dynamics_eps import run_eps_replicas
 from .dynamics_limit import DiffusionSpec, LimitScheme, run_limit_replicas
@@ -93,24 +99,39 @@ def worker_count() -> int:
 
 def _eps_batch_worker(args):
     rc, model, pot, scheme, init, stream_path, ids, spr = args
-    pos, _ = run_eps_replicas(rc, model, pot, scheme, init, ids, stream_path, keep=spr)
+    pos, _ = run_eps_replicas(rc, model, pot, scheme, init, ids, stream_path)
     return pos[:, :spr, :].reshape(-1, rc.d)
 
 
 def _limit_batch_worker(args):
     rc, pot, diff, init, stream_path, sch, ids, spr = args
-    pos = run_limit_replicas(rc, pot, diff, init, ids, stream_path, sch, keep=spr)
+    pos = run_limit_replicas(rc, pot, diff, init, ids, stream_path, sch)
     return pos[:, :spr, :].reshape(-1, rc.d)
 
 
-def _limit_args(cfg: Config, diff: DiffusionSpec, stream_path) -> tuple:
-    """The limit kernel's arguments except the replica ids.  Every limit
-    sample takes its step from here: ``limit.h``, else (``None``) the
-    kernel's default step law.  ``diff`` pickles bit-exact; rebuilt, its
-    root would be re-rounded."""
+def _sample_run(cfg: Config, eps: float, spr: int, system: str) -> RunConfig:
+    """The run a sample of ``spr`` particles per replica integrates.
+
+    In ``system`` "limit" a quadratic potential has no mean-field term; in
+    "eps" the forcing must also be scalar-ou, the driver itself rather than
+    a field averaged over the ensemble.  Then one particle's law does not
+    depend on N and the run is at N = ``spr``, else at ``run.N``.
+    """
+    v = cfg.values
+    rc = cfg.run_config(eps)
+    local = v["potential.kind"] == "quadratic" and (
+        system == "limit" or v["noise.kind"] == "scalar-ou")
+    return replace(rc, N=spr) if local else rc
+
+
+def _limit_args(cfg: Config, diff: DiffusionSpec, stream_path, spr: int) -> tuple:
+    """The limit kernel's arguments except the replica ids, for a sample of
+    ``spr`` particles per replica.  Every limit sample takes its step from
+    here: ``limit.h``, else (``None``) the kernel's default step law.
+    ``diff`` pickles bit-exact; rebuilt, its root would be re-rounded."""
     h = cfg.values["limit.h"]
-    return (cfg.run_config(cfg.eps_grid[0]), cfg.potential(), diff, cfg.init_law(),
-            stream_path, None if h is None else LimitScheme(h))
+    return (_sample_run(cfg, cfg.eps_grid[0], spr, "limit"), cfg.potential(), diff,
+            cfg.init_law(), stream_path, None if h is None else LimitScheme(h))
 
 
 @dataclass(frozen=True)
@@ -183,17 +204,16 @@ def _mode_diffusion(cfg: Config, mode: str) -> DiffusionSpec:
 
     paper: Sigma / (alpha^2 * gamma), the stationary forcing covariance at
     the reference measure over the envelope decay rate gamma; green-kubo:
-    G / alpha^2 with G measured; explicit: ``limit.explicit_matrix`` as is.
+    G / alpha^2 with G = 2 * Sigma / gamma, the exact Green-Kubo integral
+    of the OU driver, so twice paper's; explicit:
+    ``limit.explicit_matrix`` as is.
     """
-    alpha = cfg.values["run.alpha"]
-    if mode == "paper":
-        model = cfg.noise_model()
-        matrix = sigma_matrix(model, _reference_measure(cfg)) / (alpha**2 * model.gamma)
-    elif mode == "green-kubo":
-        matrix = run_estimate_gk(cfg).G / alpha**2
-    else:
-        matrix = cfg.values["limit.explicit_matrix"]
-    return DiffusionSpec(mode=mode, matrix=matrix)
+    if mode == "explicit":
+        return DiffusionSpec(mode=mode, matrix=cfg.values["limit.explicit_matrix"])
+    model = cfg.noise_model()
+    matrix = sigma_matrix(model, _reference_measure(cfg)) / (
+        cfg.values["run.alpha"]**2 * model.gamma)
+    return DiffusionSpec(mode=mode, matrix=2.0 * matrix if mode == "green-kubo" else matrix)
 
 
 def build_mode_diffusions(cfg: Config) -> dict[str, DiffusionSpec]:
@@ -224,22 +244,26 @@ def _pooled(worker, head, reps, spr) -> np.ndarray:
 
 def pool_eps_samples(cfg: Config, eps: float, eps_index: int) -> np.ndarray:
     v = cfg.values
-    head = (cfg.run_config(eps), cfg.noise_model(), cfg.potential(), v["run.scheme"],
-            cfg.init_law(), (_rng.EPS_RUN, eps_index))
-    return _pooled(_eps_batch_worker, head, v["run.replicas"], v["run.samples_per_replica"])
+    spr = v["run.samples_per_replica"]
+    head = (_sample_run(cfg, eps, spr, "eps"), cfg.noise_model(), cfg.potential(),
+            v["run.scheme"], cfg.init_law(), (_rng.EPS_RUN, eps_index))
+    return _pooled(_eps_batch_worker, head, v["run.replicas"], spr)
 
 
 def pool_limit_samples(cfg: Config, diff: DiffusionSpec) -> np.ndarray:
     """The limit-law sample under ``diff``; every mode draws on the same
     stream path, so two modes differ only by their diffusion matrices."""
-    return _pooled(_limit_batch_worker, _limit_args(cfg, diff, (_rng.LIMIT_RUN, 0)),
-                   *cfg.limit_pooling())
+    reps, spr = cfg.limit_pooling()
+    return _pooled(_limit_batch_worker, _limit_args(cfg, diff, (_rng.LIMIT_RUN, 0), spr),
+                   reps, spr)
 
 
 def _pool_self_test_samples(cfg: Config, eps_index: int, diff: DiffusionSpec) -> np.ndarray:
     v = cfg.values
-    return _pooled(_limit_batch_worker, _limit_args(cfg, diff, (_rng.SELF_TEST, eps_index)),
-                   v["run.replicas"], v["run.samples_per_replica"])
+    spr = v["run.samples_per_replica"]
+    return _pooled(_limit_batch_worker,
+                   _limit_args(cfg, diff, (_rng.SELF_TEST, eps_index), spr),
+                   v["run.replicas"], spr)
 
 
 def _block_bootstrap_ci(eps_sample: np.ndarray, spr: int, limit_samples,
@@ -375,8 +399,8 @@ def run_simulate_eps(cfg: Config, out_dir: str):
 
 
 def _dump_eps_trajectory(cfg: Config, eps: float, path: str):
-    """Every step of replica 0 at ``eps``, on the step grid of the pooled samples."""
-    rc = cfg.run_config(eps)
+    """Every step of replica 0 at ``eps``, in the run of the pooled sample."""
+    rc = _sample_run(cfg, eps, cfg.values["run.samples_per_replica"], "eps")
     d = rc.d
     header = ["t", "i"] + [f"x_{k + 1}" for k in range(d)] + [f"y_{k + 1}" for k in range(d)]
     rows = []
@@ -405,7 +429,8 @@ def run_simulate_limit(cfg: Config, out_dir: str):
 
 def _dump_limit_trajectory(cfg: Config, diff: DiffusionSpec, path: str):
     """Every step of replica 0 of the first mode's limit sample."""
-    rc, pot, diff, init, stream_path, sch = _limit_args(cfg, diff, (_rng.LIMIT_RUN, 0))
+    rc, pot, diff, init, stream_path, sch = _limit_args(cfg, diff, (_rng.LIMIT_RUN, 0),
+                                                        cfg.limit_pooling()[1])
     header = ["t", "i"] + [f"x_{k + 1}" for k in range(rc.d)]
     rows = []
 

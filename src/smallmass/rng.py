@@ -8,7 +8,8 @@ do not depend on how many workers or batches the run was split into.
 
 The kernels draw each step's normals through ``normal_windows``, a window
 of steps at a time under one fixed byte budget, so the memory they hold
-for normals does not grow with the horizon or the batch size.
+for normals does not grow with the horizon or the batch size.  Each
+generator draws whole per-step blocks and every normal drawn is used.
 """
 
 from __future__ import annotations
@@ -60,23 +61,21 @@ def stream(seed: int, purpose: int, *indices: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def normal_windows(gens, n: int, shape: tuple, kept: int | None = None):
+def normal_windows(gens, n: int, shape: tuple):
     """Yield the normals of steps 0..n-1, drawn a window of steps at a time.
 
-    Step k's array has shape ``(len(gens),) + shape``, with the first axis
-    of ``shape`` cut to its leading ``kept`` entries when ``kept`` is given;
-    row j holds generator j's k-th ``shape`` draw.  Each window, every
-    generator in turn draws a ``(W,) + shape`` block, which continues its
-    stream exactly as one ``(n,) + shape`` draw would, so the values do not
-    depend on W.  W is the most steps that fit ``DRAW_BUDGET`` doubles, both
-    for the kept window and for one generator's block.  A yielded array is
-    overwritten when the next window is drawn.
+    Step k's array has shape ``(len(gens),) + shape``; row j holds
+    generator j's k-th ``shape`` draw.  Each window, every generator in
+    turn draws a ``(W,) + shape`` block, which continues its stream exactly
+    as one ``(n,) + shape`` draw would, so the values do not depend on W.
+    W is the most steps that fit ``DRAW_BUDGET`` doubles.  A yielded array
+    is overwritten when the next window is drawn.
     """
-    step = (len(gens),) + shape if kept is None else (len(gens), kept) + shape[1:]
-    width = max(1, min(n, DRAW_BUDGET // max(math.prod(step), math.prod(shape))))
+    step = (len(gens),) + shape
+    width = max(1, min(n, DRAW_BUDGET // math.prod(step)))
     window = np.empty((width,) + step)
     for start in range(0, n, width):
         w = min(width, n - start)
         for j, gen in enumerate(gens):
-            window[:w, j] = gen.standard_normal((w,) + shape)[:, :kept]
+            window[:w, j] = gen.standard_normal((w,) + shape)
         yield from window[:w]

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -304,13 +305,41 @@ class TestConvergenceHarness:
 
 
     def test_self_test_sample_uses_the_limit_step(self, small_config_dict):
+        # quadratic potential: the 2 samples per replica are a run at N = 2
         doc = dict(small_config_dict, **{"run.self_test": True, "limit.h": 0.003})
         cfg = parse_config(doc)
         diff = DiffusionSpec("paper", np.array([[0.5]]))
         got = _pool_self_test_samples(cfg, 1, diff)
-        ref = run_limit_replicas(cfg.run_config(0.2), cfg.potential(), diff, cfg.init_law(),
-                                 range(24), (_rng.SELF_TEST, 1), sch=LimitScheme(0.003))
-        assert np.array_equal(got, ref[:, :2].reshape(-1, 1))
+        ref = run_limit_replicas(replace(cfg.run_config(0.2), N=2), cfg.potential(), diff,
+                                 cfg.init_law(), range(24), (_rng.SELF_TEST, 1),
+                                 sch=LimitScheme(0.003))
+        assert np.array_equal(got, ref.reshape(-1, 1))
+
+    def test_particle_local_samples_do_not_depend_on_run_n(self, small_config_dict,
+                                                           monkeypatch):
+        # quadratic potential, scalar-ou noise: one particle's law does not
+        # depend on N, so the samples are bit-identical at run.N = 2 and 64
+        monkeypatch.setenv("SMALLMASS_WORKERS", "1")
+        samples = []
+        for n in (2, 64):
+            cfg = parse_config(dict(small_config_dict, **{"run.N": n}))
+            diff = build_mode_diffusions(cfg)["paper"]
+            samples.append((harness.pool_eps_samples(cfg, 0.1, 1),
+                            harness.pool_limit_samples(cfg, diff)))
+        for a, b in zip(*samples):
+            assert a.shape == (48, 1) and np.array_equal(a, b)
+
+    @pytest.mark.parametrize("extra", [{}, dict(COUPLED, **{"run.replicas": 8})],
+                             ids=["scalar-ou", "fourier-field"])
+    def test_green_kubo_header_is_twice_paper(self, small_config_dict, extra, tmp_path):
+        cfg = parse_config(dict(small_config_dict, **extra))
+        run_convergence(cfg).write_csv(tmp_path / "converge.csv")
+        meta = dict(line[2:].split(" = ", 1)
+                    for line in (tmp_path / "converge.csv").read_text().splitlines()
+                    if line.startswith("# "))
+        paper = np.array(json.loads(meta["diffusion.paper.D_eff"]))
+        gk = np.array(json.loads(meta["diffusion.green-kubo.D_eff"]))
+        assert np.any(paper != 0.0) and np.array_equal(gk, 2.0 * paper)
 
     def test_matrix_metadata_stays_on_comment_lines(self, small_config_dict, tmp_path):
         doc = dict(small_config_dict, **{
@@ -368,35 +397,41 @@ class TestOtherEntryPoints:
     def test_trajectory_dumps_end_on_the_sample_step_grid(self, small_config_dict, tmp_path):
         # h = 0.05 * 0.03 does not divide T = 5, and neither does limit.h;
         # the d = 2 matrix is non-diagonal, so a rebuilt spec would re-round
-        # its square root
-        for d, extra in ((1, {"limit.modes": ["paper"]}),
-                         (2, {"limit.modes": ["explicit"],
-                              "limit.explicit_matrix": [[1.0, 0.3], [0.3, 0.6]]})):
+        # its square root; at run.N = 5 the dumps run the samples' N = 2
+        for d, n, extra in ((1, 2, {"limit.modes": ["paper"]}),
+                            (1, 5, {"limit.modes": ["paper"]}),
+                            (2, 5, {"limit.modes": ["explicit"],
+                                    "limit.explicit_matrix": [[1.0, 0.3], [0.3, 0.6]]})):
             doc = dict(small_config_dict, **{
-                "output.dump_trajectories": True, "run.N": 2, "run.replicas": 1,
+                "output.dump_trajectories": True, "run.N": n, "run.replicas": 1,
                 "run.samples_per_replica": 2, "run.eps_grid": [0.03], "run.T": 5.0,
                 "limit.h": 0.003, "limit.replicas": 1, "run.d": d,
             }, **extra)
             cfg = parse_config(doc)
-            out = tmp_path / f"d{d}"
+            out = tmp_path / f"d{d}_n{n}"
             out.mkdir()
             run_simulate_eps(cfg, str(out))
             run_simulate_limit(cfg, str(out))
             for kind in ("eps", "limit"):
                 sample = load_sample_file(out / f"samples_{kind}.csv")
                 traj = load_sample_file(out / f"trajectory_{kind}.csv")
-                assert np.array_equal(traj[-2:, 2:2 + d], sample), (d, kind)
+                assert np.array_equal(traj[-2:, 2:2 + d], sample), (d, n, kind)
                 assert traj[-1, 0] >= 5.0 - 1e-9
 
     def test_simulate_limit_builds_only_the_first_mode(self, small_config_dict, tmp_path,
                                                        monkeypatch):
+        # Neither command runs the Green-Kubo estimate: green-kubo is closed-form.
         def no_gk(cfg):
-            raise AssertionError("simulate-limit ran the Green-Kubo estimate")
+            raise AssertionError("the Green-Kubo estimate ran")
 
         monkeypatch.setattr(harness, "run_estimate_gk", no_gk)
         cfg = parse_config(dict(small_config_dict, **{"limit.modes": ["paper", "green-kubo"]}))
         run_simulate_limit(cfg, str(tmp_path))
         assert "# limit.mode = paper\n" in (tmp_path / "samples_limit.csv").read_text()
+        cfg = parse_config(dict(small_config_dict, **{"limit.modes": ["green-kubo", "paper"]}))
+        run_simulate_limit(cfg, str(tmp_path))
+        assert "# limit.mode = green-kubo\n" in (tmp_path / "samples_limit.csv").read_text()
+        run_convergence(cfg)
 
     def test_load_sample_file(self, tmp_path):
         p = tmp_path / "samples.csv"
@@ -465,7 +500,9 @@ class TestCli:
                  if not l.startswith("#")]
         assert lines[0] == "t,i,x_1,y_1"
         n_steps = round(0.2 / (0.05 * 0.2))
-        assert len(lines) == 1 + 3 * (n_steps + 1)
+        # quadratic potential, scalar-ou noise: the dump runs the sample's
+        # N = samples_per_replica = 1, not run.N = 3
+        assert len(lines) == 1 + 1 * (n_steps + 1)
         assert self._run("simulate-limit", str(cfg_path), "--out", str(out)).returncode == 0
         lim = [l for l in (out / "trajectory_limit.csv").read_text().splitlines()
                if not l.startswith("#")]

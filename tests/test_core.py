@@ -4,23 +4,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smallmass.core import (EmpiricalMeasure, ParticleEnsemble, PotentialSpec,
-                            RunConfig, default_pair_sampler, empirical_mean,
-                            grad_v, grad_v_batch, pairwise_mean, probe_lipschitz)
+                            RunConfig, default_pair_sampler, grad_v_batch,
+                            pairwise_mean, probe_lipschitz)
 from smallmass.errors import UsageError
 
 
 class TestEmpiricalMean:
     def test_scalar_points(self):
         m = EmpiricalMeasure.from_points([[1.0], [2.0], [3.0]])
-        assert empirical_mean(m) == pytest.approx([2.0])
+        assert m.mean() == pytest.approx([2.0])
 
     def test_singleton(self):
         m = EmpiricalMeasure.point_mass([0.0, 0.0])
-        assert np.array_equal(empirical_mean(m), [0.0, 0.0])
+        assert np.array_equal(m.mean(), [0.0, 0.0])
 
     def test_symmetry(self):
         m = EmpiricalMeasure.from_points([[-5.0], [5.0]])
-        assert empirical_mean(m) == pytest.approx([0.0])
+        assert m.mean() == pytest.approx([0.0])
 
     def test_empty_rejected(self):
         with pytest.raises(UsageError):
@@ -30,8 +30,8 @@ class TestEmpiricalMean:
     @settings(max_examples=30, deadline=None)
     def test_translation_equivariance(self, n, shift, seed):
         pts = np.random.default_rng(seed).standard_normal((n, 2))
-        base = empirical_mean(EmpiricalMeasure(pts))
-        moved = empirical_mean(EmpiricalMeasure(pts + shift))
+        base = EmpiricalMeasure(pts).mean()
+        moved = EmpiricalMeasure(pts + shift).mean()
         assert moved == pytest.approx(base + shift, abs=1e-9, rel=1e-9)
 
     def test_pairwise_mean_matches_numpy(self):
@@ -47,34 +47,36 @@ class TestEmpiricalMean:
 
 
 class TestGradV:
+    """``grad_v_batch`` at points under a given measure."""
+
     def test_quadratic(self):
         pot = PotentialSpec.quadratic(1.0)
         m = EmpiricalMeasure.point_mass([123.0])
-        assert grad_v(pot, [2.0], m) == pytest.approx([2.0])
+        assert grad_v_batch(pot, [[2.0]], m) == pytest.approx(np.array([[2.0]]))
 
     def test_curie_weiss(self):
         pot = PotentialSpec.curie_weiss(1.0, 0.5)
         m = EmpiricalMeasure.point_mass([0.0])
-        assert grad_v(pot, [1.0], m) == pytest.approx([1.5])
+        assert grad_v_batch(pot, [[1.0]], m) == pytest.approx(np.array([[1.5]]))
 
     def test_zero_coupling_reduces_to_quadratic(self):
         rng = np.random.default_rng(0)
         pot_cw = PotentialSpec.curie_weiss(0.7, 0.0)
         pot_q = PotentialSpec.quadratic(0.7)
         for _ in range(10):
-            x = rng.standard_normal(3)
+            x = rng.standard_normal((4, 3))
             m = EmpiricalMeasure(rng.standard_normal((5, 3)))
-            assert grad_v(pot_cw, x, m) == pytest.approx(grad_v(pot_q, x, m))
+            assert grad_v_batch(pot_cw, x, m) == pytest.approx(grad_v_batch(pot_q, x, m))
 
     def test_vanishes_at_origin_point_mass(self):
         for pot in (PotentialSpec.quadratic(2.0), PotentialSpec.curie_weiss(1.0, 0.3)):
             m = EmpiricalMeasure.point_mass([0.0, 0.0])
-            assert grad_v(pot, [0.0, 0.0], m) == pytest.approx([0.0, 0.0])
+            assert grad_v_batch(pot, [[0.0, 0.0]], m) == pytest.approx(np.zeros((1, 2)))
 
     def test_dimension_mismatch(self):
         pot = PotentialSpec.quadratic(1.0)
-        with pytest.raises(UsageError):
-            grad_v(pot, [1.0, 2.0], EmpiricalMeasure.point_mass([0.0]))
+        with pytest.raises(UsageError, match="dimension mismatch"):
+            grad_v_batch(pot, [[1.0, 2.0]], EmpiricalMeasure.point_mass([0.0]))
 
 
 class TestGradVBatch:

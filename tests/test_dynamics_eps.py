@@ -1,15 +1,18 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from smallmass import rng as _rng
-from smallmass.config import load_config
+from smallmass.config import load_config, parse_config
 from smallmass.core import ParticleEnsemble, PotentialSpec, RunConfig, grad_v_batch
 from smallmass.dynamics_eps import (EpsScheme, InitialLaw, build_scheme, _Advance, _n_steps,
                                     paired_scheme_gap, run_eps_replicas, step,
                                     _total_force)
+from smallmass.dynamics_limit import DiffusionSpec, run_limit_replicas
 from smallmass.errors import NumericError, UsageError
+from smallmass.harness import pool_eps_samples, pool_limit_samples
 from smallmass.noise import (DriverState, NoiseModel, advance_xi, averaged_forcing_xi,
                              stationary_xi)
 
@@ -196,12 +199,11 @@ class TestBatchesAndWindows:
         # One batch of 512 replicas over 4000 steps: a full pre-draw of the
         # driver normals is 16 MB; windows hold at most rng.DRAW_BUDGET
         # doubles (2 MB).
-        cfg = RunConfig(d=1, N=256, eps=0.025, alpha=1.0, T=5.0, h0=0.05, seed=7)
+        cfg = RunConfig(d=1, N=1, eps=0.025, alpha=1.0, T=5.0, h0=0.05, seed=7)
         assert _n_steps(cfg.T, cfg.eps_step) == 4000
         extra = traced_peak_above(lambda: run_eps_replicas(
             cfg, NoiseModel.scalar_ou(1, gamma=1.0, sigma=1.0), PotentialSpec.quadratic(1.0),
-            "exponential", InitialLaw(), range(512), (_rng.EPS_RUN, 0), batch_size=512,
-            keep=1))
+            "exponential", InitialLaw(), range(512), (_rng.EPS_RUN, 0), batch_size=512))
         assert extra < 4 * 2**20
 
 
@@ -387,57 +389,70 @@ class TestSchemeCrossCheck:
 
 
 class TestKeptParticles:
-    """``keep`` integrates only the leading particles when they do not interact."""
+    """The harness's kept-particle rule: a pooled sample of k particles per
+    replica is a whole kernel run at N = k where particles do not interact,
+    and the leading k particles of a run at ``run.N`` where they do."""
 
     @staticmethod
-    def _sweep(cfg, model, pot, kind, **kw):
-        return run_eps_replicas(cfg, model, pot, kind, InitialLaw(velocity=0.3), range(5),
-                                (_rng.EPS_RUN, 2), batch_size=3, **kw)
+    def _config(d, k, **extra):
+        return parse_config({
+            "run.d": d, "run.N": 6, "run.T": 0.4, "run.alpha": 1.2, "run.seed": 17,
+            "run.h0": 0.05, "run.eps_grid": [0.1], "run.replicas": 5,
+            "run.samples_per_replica": k, "potential.kind": "quadratic",
+            "potential.lambda": 0.7, "potential.kappa": 0.0, "noise.kind": "scalar-ou",
+            "noise.gamma": 1.5, "noise.sigma": 0.8, "limit.modes": ["paper"],
+            "init.velocity": 0.3, "output.dir": "out", **extra})
+
+    @staticmethod
+    def _kernel(cfg, N):
+        X, _ = run_eps_replicas(replace(cfg.run_config(0.1), N=N), cfg.noise_model(),
+                                cfg.potential(), cfg.values["run.scheme"], cfg.init_law(),
+                                range(5), (_rng.EPS_RUN, 0))
+        return X
 
     @pytest.mark.parametrize("kind", ["exponential", "euler"])
     @pytest.mark.parametrize("d", [1, 2])
     @pytest.mark.parametrize("clip", [False, True])
-    def test_kept_block_is_the_full_run_sliced(self, kind, d, clip):
-        cfg = RunConfig(d=d, N=6, eps=0.1, alpha=1.2, T=0.4, h0=0.05, seed=17)
-        model = NoiseModel.scalar_ou(d, gamma=1.5, sigma=0.8, clip=clip)
-        pot = PotentialSpec.quadratic(0.7)
-        full_x, full_y = self._sweep(cfg, model, pot, kind)
+    def test_kept_block_is_the_full_run_sliced(self, kind, d, clip, monkeypatch):
+        # The "full run" of a particle-local sample is the run at N = k, so
+        # the worker's slice keeps all of it.
+        monkeypatch.setenv("SMALLMASS_WORKERS", "1")
         for k in (1, 4):
-            x, y = self._sweep(cfg, model, pot, kind, keep=k)
-            assert x.shape == y.shape == (5, k, d)
-            assert np.array_equal(x, full_x[:, :k])
-            assert np.array_equal(y, full_y[:, :k])
+            cfg = self._config(d, k, **{"run.scheme": kind, "noise.clip": clip})
+            want = self._kernel(cfg, k)
+            assert want.shape == (5, k, d)
+            assert np.array_equal(pool_eps_samples(cfg, 0.1, 0), want.reshape(-1, d))
 
-    @pytest.mark.parametrize("model, pot", [
-        (NoiseModel.scalar_ou(2, gamma=1.0, sigma=1.0), PotentialSpec.curie_weiss(1.0, 0.5)),
-        (NoiseModel.fourier_field(2, gamma=1.0, sigma=1.0, omegas=[[1.0, 0.0], [0.0, 1.0]],
-                                  a=[1.0, 0.5], b=[0.0, 0.5]), PotentialSpec.quadratic(1.0)),
-        (NoiseModel.separable(2, gamma=1.0, sigma=1.0, g_name="gauss"),
-         PotentialSpec.quadratic(1.0)),
+    @pytest.mark.parametrize("extra", [
+        {"potential.kind": "curie-weiss", "potential.kappa": 0.5},
+        {"noise.kind": "fourier-field", "noise.omegas": [[1.0, 0.0], [0.0, 1.0]],
+         "noise.a": [1.0, 0.5], "noise.b": [0.0, 0.5]},
+        {"noise.kind": "separable", "noise.g": "gauss"},
     ], ids=["curie-weiss", "fourier-field", "separable"])
-    def test_interacting_dynamics_integrate_all_particles(self, model, pot):
-        cfg = RunConfig(d=2, N=6, eps=0.1, alpha=1.0, T=0.2, h0=0.05, seed=3)
-        full_x, _ = self._sweep(cfg, model, pot, "exponential")
-        x, _ = self._sweep(cfg, model, pot, "exponential", keep=2)
-        assert x.shape == (5, 6, 2)
-        assert np.array_equal(x, full_x)
+    def test_interacting_dynamics_integrate_all_particles(self, extra, monkeypatch):
+        # The limit particles interact only through a mean-field potential,
+        # so under fourier-field or separable forcing the limit sample is
+        # still a run at N = k.
+        monkeypatch.setenv("SMALLMASS_WORKERS", "1")
+        cfg = self._config(2, 2, **extra)
+        assert np.array_equal(pool_eps_samples(cfg, 0.1, 0),
+                              self._kernel(cfg, 6)[:, :2].reshape(-1, 2))
+        diff = DiffusionSpec("explicit", np.eye(2))
+        limit_n = 6 if extra.get("potential.kind") == "curie-weiss" else 2
+        lim = run_limit_replicas(replace(cfg.run_config(0.1), N=limit_n), cfg.potential(),
+                                 diff, cfg.init_law(), range(5), (_rng.LIMIT_RUN, 0))
+        assert np.array_equal(pool_limit_samples(cfg, diff), lim[:, :2].reshape(-1, 2))
 
     def test_recorder_sees_every_particle(self):
+        # The kernel integrates exactly the N particles it is handed, on a
+        # particle-local config too.
         cfg = RunConfig(d=1, N=6, eps=0.1, alpha=1.0, T=0.1, h0=0.05, seed=3)
         model = NoiseModel.scalar_ou(1, gamma=1.0, sigma=1.0)
         shapes = set()
         x, _ = run_eps_replicas(cfg, model, PotentialSpec.quadratic(1.0), "exponential",
-                                InitialLaw(), range(2), (_rng.EPS_RUN, 0), keep=1,
+                                InitialLaw(), range(2), (_rng.EPS_RUN, 0),
                                 recorder=lambda ids, k, t, X, Y, xi: shapes.add(X.shape))
         assert shapes == {(2, 6, 1)} and x.shape == (2, 6, 1)
-
-    def test_keep_out_of_range_rejected(self):
-        cfg = RunConfig(d=1, N=4, eps=0.1, alpha=1.0, T=0.1, h0=0.05, seed=0)
-        model = NoiseModel.scalar_ou(1, gamma=1.0, sigma=1.0)
-        for keep in (0, 5):
-            with pytest.raises(UsageError, match="keep"):
-                run_eps_replicas(cfg, model, PotentialSpec.quadratic(1.0), "exponential",
-                                 InitialLaw(), range(2), (_rng.EPS_RUN, 0), keep=keep)
 
 
 class TestCustomPotentialInKernel:

@@ -8,7 +8,6 @@ from smallmass.core import ParticleEnsemble, PotentialSpec, RunConfig
 from smallmass.dynamics_eps import InitialLaw, _n_steps
 from smallmass import harness
 from smallmass.config import parse_config
-from smallmass.diagnostics import GkEstimate
 from smallmass.dynamics_limit import (DiffusionSpec, LimitScheme, default_limit_scheme,
                                       run_limit_replicas, step_em)
 from smallmass.errors import NumericError, UsageError
@@ -27,13 +26,17 @@ class TestBuildDiffusion:
         assert diff.matrix[0, 0] == pytest.approx(0.5)
         assert diff.mode == "paper"
 
-    def test_green_kubo_mode_uses_estimate(self, small_config_dict, monkeypatch):
-        monkeypatch.setattr(harness, "run_estimate_gk",
-                            lambda cfg: GkEstimate(G=np.array([[1.0]]), horizon_fast=1.0,
-                                                   truncation_lag=1.0, reps=2, ci_fro=0.0))
-        doc = dict(small_config_dict, **{"run.alpha": 2.0, "limit.modes": ["green-kubo"]})
-        diff = build_mode_diffusions(parse_config(doc))["green-kubo"]
-        assert diff.matrix[0, 0] == pytest.approx(0.25)
+    def test_green_kubo_mode_is_twice_paper(self, small_config_dict, monkeypatch):
+        # G = 2 * sigma^2 / gamma = 1, alpha = 2 -> D = 1/4, in closed form
+        def no_gk(cfg):
+            raise AssertionError("the green-kubo mode ran the Green-Kubo estimate")
+
+        monkeypatch.setattr(harness, "run_estimate_gk", no_gk)
+        doc = dict(small_config_dict, **{"run.alpha": 2.0,
+                                         "limit.modes": ["green-kubo", "paper"]})
+        diffs = build_mode_diffusions(parse_config(doc))
+        assert diffs["green-kubo"].matrix[0, 0] == 0.25
+        assert diffs["paper"].matrix[0, 0] == 0.125
 
     def test_explicit_zero_matrix(self, small_config_dict):
         doc = dict(small_config_dict, **{
@@ -183,15 +186,17 @@ class TestLimitReplicaSweep:
 
     @pytest.mark.parametrize("d, keep", [(1, 3), (1, 1), (2, 1), (2, 3)])
     def test_quadratic_kept_particles_match_sequential(self, d, keep):
-        cfg = RunConfig(d=d, N=8, eps=0.5, alpha=1.0, T=0.3, h0=0.05, seed=11)
+        # A kept-particle sample is a run at N = keep; at N = 1 in d = 2 the
+        # one-row blocks of the kernel and of step_em round alike.
+        cfg = RunConfig(d=d, N=keep, eps=0.5, alpha=1.0, T=0.3, h0=0.05, seed=11)
         pot = PotentialSpec.quadratic(1.0)
         diff = DiffusionSpec("explicit", np.array([[0.7, 0.2], [0.2, 0.5]])[:d, :d])
         init, ids, path = InitialLaw(position_std=0.5), [4, 0, 9], (_rng.LIMIT_RUN, 1)
         sch = default_limit_scheme(cfg, pot)
         ref = self._reference(cfg, pot, diff, init, ids, path, sch)
-        got = run_limit_replicas(cfg, pot, diff, init, ids, path, sch, keep=keep)
-        assert got.shape[1] < cfg.N
-        assert np.array_equal(got[:, :keep], ref[:, :keep])
+        got = run_limit_replicas(cfg, pot, diff, init, ids, path, sch)
+        assert got.shape == (3, keep, d)
+        assert np.array_equal(got, ref)
 
     def test_curie_weiss_matches_sequential(self):
         cfg = RunConfig(d=2, N=6, eps=0.5, alpha=1.0, T=0.2, h0=0.05, seed=5)
@@ -200,7 +205,7 @@ class TestLimitReplicaSweep:
         init, ids, path = InitialLaw(), range(3), (_rng.SELF_TEST, 2)
         sch = LimitScheme(0.003)  # does not divide T
         ref = self._reference(cfg, pot, diff, init, ids, path, sch)
-        got = run_limit_replicas(cfg, pot, diff, init, ids, path, sch, keep=2)
+        got = run_limit_replicas(cfg, pot, diff, init, ids, path, sch)
         assert got.shape == (3, 6, 2)
         assert np.array_equal(got, ref)
 
