@@ -221,13 +221,26 @@ class Config:
         h = self.values["gk.horizon_fast"]
         return h if h is not None else 50.0 / self.values["noise.gamma"]
 
+    def particle_local(self, system: str) -> bool:
+        """Whether one particle's law in ``system`` ("eps" or "limit") does
+        not depend on ``run.N``.
+
+        In "limit" a quadratic potential has no mean-field term; in "eps"
+        the forcing must also be scalar-ou, the driver itself rather than a
+        field averaged over the ensemble.
+        """
+        v = self.values
+        return v["potential.kind"] == "quadratic" and (
+            system == "limit" or v["noise.kind"] == "scalar-ou")
+
     def limit_pooling(self) -> tuple[int, int]:
-        """(replicas, samples per replica) for the limit-law sample; the
-        samples per replica are capped at ``run.N``."""
+        """(replicas, samples per replica) for the limit-law sample; where
+        the limit run keeps ``run.N`` (particles interact) the samples per
+        replica are capped at ``run.N``."""
         v = self.values
         reps = v["limit.replicas"] or v["run.replicas"]
         spr = v["limit.samples_per_replica"] or v["run.samples_per_replica"]
-        return reps, min(spr, v["run.N"])
+        return reps, spr if self.particle_local("limit") else min(spr, v["run.N"])
 
 
 def parse_config(doc) -> Config:

@@ -195,20 +195,26 @@ def uv_check(cfg: RunConfig, model: NoiseModel, *, reps: int = 512,
     # v statistics from the late-time pool
     v_sq = np.sum(v_late * v_late, axis=-1)  # (R, n_late)
     per_rep = v_sq.mean(axis=1)
+    del v_late, v_sq
     v_msq = float(per_rep.mean())
     v_ci = float(1.96 * per_rep.std(ddof=1) / math.sqrt(len(per_rep)))
-    # increment ratios over dyadic lags
-    ratios = {}
-    for lag in lags:
-        m = max(1, int(round(lag / h)))
-        if m >= u.shape[1]:
-            continue
-        actual = m * h
-        du = u[:, m:] - u[:, :-m]
-        e4 = float(np.mean(np.sum(du * du, axis=-1) ** 2))
-        ratios[actual] = e4 / actual
-    if not ratios:
+    # increment ratios over dyadic lags; each lag's (R, n+1-m) increments
+    # live in the front of one flat buffer per quantity, sized for the
+    # shortest lag, and are reduced over that same contiguous layout
+    R, n_pts, d = u.shape
+    steps = [m for m in (max(1, int(round(lag / h))) for lag in lags) if m < n_pts]
+    if not steps:
         raise UsageError("no admissible lags: horizon too short for the lag ladder")
+    du_buf = np.empty(R * (n_pts - min(steps)) * d)
+    sq_buf = np.empty(R * (n_pts - min(steps)))
+    ratios = {}
+    for m in steps:
+        du = du_buf[:R * (n_pts - m) * d].reshape(R, n_pts - m, d)
+        sq = sq_buf[:R * (n_pts - m)].reshape(R, n_pts - m)
+        np.subtract(u[:, m:], u[:, :-m], out=du)
+        np.multiply(du, du, out=du)
+        np.square(np.sum(du, axis=-1, out=sq), out=sq)
+        ratios[m * h] = float(np.mean(sq)) / (m * h)
     # Brownian-proxy statistics on a decimated grid
     every = max(1, n // _BM_GRID)
     times = np.arange(0, n + 1, every) * h

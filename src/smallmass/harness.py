@@ -25,19 +25,25 @@ report header.
 
 Where particles do not interact, one particle's law does not depend on
 ``run.N``, so a sample of ``spr`` particles per replica is drawn from a
-run at N = ``spr`` (``_sample_run`` is the one rule); interacting configs
-run all ``run.N`` and keep the leading ``spr``.  A trajectory dump runs
-its sample's N, so it ends on the sample.
+run at N = ``spr`` (``Config.particle_local`` is the one rule, and
+``_sample_run`` the one place it sets N); interacting configs run all
+``run.N`` and keep the leading ``spr``, at most ``run.N``.  A trajectory
+dump runs its sample's N, so it ends on the sample.
 
 Scheduling never touches values: replicas are keyed to counter-based
 streams, each worker advances one contiguous batch of replicas in
 lock-step, and aggregation follows (eps index, replica index) order, so a
-run with one worker and a run with sixteen emit byte-identical files.  The
-kernels draw their normals a window of steps at a time under a fixed
-budget, so memory does not bound the batch size.  The parent builds a
-sample's kernel arguments once (run, noise model, potential, initial law,
-scheme, stream path) and every batch worker only adds its replica ids and
-calls the kernel.
+run with one worker and a run with sixteen emit byte-identical files.  A
+command starts at most one process pool: ``converge`` hands every limit
+mode's and every eps row's batches to it before scoring anything, and the
+parent scores row k's W2 as soon as row k's batches are back while the
+later rows run ahead in the workers.  Results are gathered in submission
+order, so no byte depends on which batch finishes first.  The kernels
+draw their normals a window of steps at a time under a fixed budget, so
+memory does not bound the batch size.  The parent builds a sample's
+kernel arguments once (run, noise model, potential, initial law, scheme,
+stream path) and every batch worker only adds its replica ids and calls
+the kernel.
 """
 
 from __future__ import annotations
@@ -47,6 +53,7 @@ import io
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -110,18 +117,11 @@ def _limit_batch_worker(args):
 
 
 def _sample_run(cfg: Config, eps: float, spr: int, system: str) -> RunConfig:
-    """The run a sample of ``spr`` particles per replica integrates.
-
-    In ``system`` "limit" a quadratic potential has no mean-field term; in
-    "eps" the forcing must also be scalar-ou, the driver itself rather than
-    a field averaged over the ensemble.  Then one particle's law does not
-    depend on N and the run is at N = ``spr``, else at ``run.N``.
-    """
-    v = cfg.values
+    """The run a sample of ``spr`` particles per replica integrates: at
+    N = ``spr`` where one particle's law in ``system`` does not depend on N
+    (``Config.particle_local``), else at ``run.N``."""
     rc = cfg.run_config(eps)
-    local = v["potential.kind"] == "quadratic" and (
-        system == "limit" or v["noise.kind"] == "scalar-ou")
-    return replace(rc, N=spr) if local else rc
+    return replace(rc, N=spr) if cfg.particle_local(system) else rc
 
 
 def _limit_args(cfg: Config, diff: DiffusionSpec, stream_path, spr: int) -> tuple:
@@ -221,49 +221,103 @@ def build_mode_diffusions(cfg: Config) -> dict[str, DiffusionSpec]:
     return {mode: _mode_diffusion(cfg, mode) for mode in cfg.modes}
 
 
-def _pooled(worker, head, reps, spr) -> np.ndarray:
-    """``spr`` samples from each of ``reps`` replicas, in replica order.
-
-    The replica ids are cut into ``min(workers, reps)`` contiguous batches,
-    in order, whose sizes differ by at most one, and
-    ``worker((*head, ids, spr))`` runs once per batch: inline when there is
-    one, else in a process pool with one process per batch.  Each batch is
-    one lock-step kernel call, and a kernel gives every replica the same
-    bits whatever batch it rides in, so the worker count cannot change the
-    bytes."""
+def _batches(head, reps: int, spr: int) -> list:
+    """The kernel items of one sample: its replica ids cut into
+    ``min(workers, reps)`` contiguous batches, in order, whose sizes differ
+    by at most one, each as ``(*head, ids, spr)``."""
     n = min(worker_count(), reps)
     cuts = [reps * i // n for i in range(n + 1)]
-    items = [(*head, list(range(a, b)), spr) for a, b in zip(cuts, cuts[1:])]
+    return [(*head, list(range(a, b)), spr) for a, b in zip(cuts, cuts[1:])]
+
+
+@contextmanager
+def _batch_pool(jobs):
+    """The one process pool for the batches of ``jobs``, with as many
+    processes as the largest job has batches; ``None`` when that is one, so
+    every batch runs inline.  On the way out, batches not yet started are
+    cancelled and every worker has ended, also when the body raised."""
+    n = min(worker_count(), max(reps for _, _, reps, _ in jobs))
     if n == 1:
-        parts = [worker(items[0])]
-    else:
-        with ProcessPoolExecutor(max_workers=n) as pool:
-            parts = list(pool.map(worker, items))
-    return np.concatenate(parts, axis=0)
+        yield None
+        return
+    pool = ProcessPoolExecutor(max_workers=n)
+    try:
+        yield pool
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
-def pool_eps_samples(cfg: Config, eps: float, eps_index: int) -> np.ndarray:
+class _Pending:
+    """One sample's batches, handed to ``pool`` at once in replica order;
+    without a pool they run inline, one after another, when the sample is
+    collected."""
+
+    def __init__(self, pool, job):
+        worker, head, reps, spr = job
+        self._worker, self._items = worker, _batches(head, reps, spr)
+        self._futures = None if pool is None else [pool.submit(worker, item)
+                                                    for item in self._items]
+
+    def collect(self) -> np.ndarray:
+        """The ``spr`` samples of each replica, in replica order."""
+        if self._futures is None:
+            parts = [self._worker(item) for item in self._items]
+        else:
+            parts = [f.result() for f in self._futures]
+        return np.concatenate(parts, axis=0)
+
+
+def _pooled(worker, head, reps: int, spr: int) -> np.ndarray:
+    """``spr`` samples from each of ``reps`` replicas, in replica order, on
+    a pool of its own.
+
+    ``worker((*head, ids, spr))`` runs once per batch of ``_batches``.  Each
+    batch is one lock-step kernel call, and a kernel gives every replica
+    the same bits whatever batch it rides in, so the worker count cannot
+    change the bytes."""
+    job = (worker, head, reps, spr)
+    with _batch_pool([job]) as pool:
+        return _Pending(pool, job).collect()
+
+
+def _eps_job(cfg: Config, eps: float, eps_index: int) -> tuple:
     v = cfg.values
     spr = v["run.samples_per_replica"]
     head = (_sample_run(cfg, eps, spr, "eps"), cfg.noise_model(), cfg.potential(),
             v["run.scheme"], cfg.init_law(), (_rng.EPS_RUN, eps_index))
-    return _pooled(_eps_batch_worker, head, v["run.replicas"], spr)
+    return _eps_batch_worker, head, v["run.replicas"], spr
 
 
-def pool_limit_samples(cfg: Config, diff: DiffusionSpec) -> np.ndarray:
-    """The limit-law sample under ``diff``; every mode draws on the same
-    stream path, so two modes differ only by their diffusion matrices."""
+def _limit_job(cfg: Config, diff: DiffusionSpec) -> tuple:
     reps, spr = cfg.limit_pooling()
-    return _pooled(_limit_batch_worker, _limit_args(cfg, diff, (_rng.LIMIT_RUN, 0), spr),
-                   reps, spr)
+    return (_limit_batch_worker, _limit_args(cfg, diff, (_rng.LIMIT_RUN, 0), spr),
+            reps, spr)
 
 
-def _pool_self_test_samples(cfg: Config, eps_index: int, diff: DiffusionSpec) -> np.ndarray:
+def _self_test_job(cfg: Config, eps_index: int, diff: DiffusionSpec) -> tuple:
     v = cfg.values
     spr = v["run.samples_per_replica"]
-    return _pooled(_limit_batch_worker,
-                   _limit_args(cfg, diff, (_rng.SELF_TEST, eps_index), spr),
-                   v["run.replicas"], spr)
+    return (_limit_batch_worker, _limit_args(cfg, diff, (_rng.SELF_TEST, eps_index), spr),
+            v["run.replicas"], spr)
+
+
+def pool_eps_samples(cfg: Config, eps: float, eps_index: int,
+                     pending: _Pending | None = None) -> np.ndarray:
+    """The eps sample of grid point ``eps_index``: ``pending``, its batches
+    already handed to the command's pool, or else run now."""
+    if pending is not None:
+        return pending.collect()
+    return _pooled(*_eps_job(cfg, eps, eps_index))
+
+
+def pool_limit_samples(cfg: Config, diff: DiffusionSpec,
+                       pending: _Pending | None = None) -> np.ndarray:
+    """The limit-law sample under ``diff``; every mode draws on the same
+    stream path, so two modes differ only by their diffusion matrices.
+    ``pending`` as in ``pool_eps_samples``."""
+    if pending is not None:
+        return pending.collect()
+    return _pooled(*_limit_job(cfg, diff))
 
 
 def _block_bootstrap_ci(eps_sample: np.ndarray, spr: int, limit_samples,
@@ -284,29 +338,43 @@ def _block_bootstrap_ci(eps_sample: np.ndarray, spr: int, limit_samples,
 
 
 def run_convergence(cfg: Config) -> ConvergenceReport:
-    """The eps-sweep study behind the headline convergence claim."""
+    """The eps-sweep study behind the headline convergence claim.
+
+    Every limit mode's and every eps row's batches go to one process pool
+    before anything is scored; row k is scored as soon as its batches are
+    back, while the later rows run on."""
     diffs = build_mode_diffusions(cfg)
     meta = _base_metadata(cfg)
     for mode, diff in diffs.items():
         meta[f"diffusion.{mode}.D_eff"] = json.dumps(diff.matrix.tolist())
     modes = cfg.modes
-    limit_samples = {mode: pool_limit_samples(cfg, diffs[mode]) for mode in modes}
+    self_test = cfg.values["run.self_test"]
+    if self_test:
+        row_jobs = [_self_test_job(cfg, i, diffs[modes[0]]) for i in range(len(cfg.eps_grid))]
+    else:
+        row_jobs = [_eps_job(cfg, eps, i) for i, eps in enumerate(cfg.eps_grid)]
+    limit_jobs = [_limit_job(cfg, diffs[mode]) for mode in modes]
     spr = cfg.values["run.samples_per_replica"]
     rows = []
-    for eps_index, eps in enumerate(cfg.eps_grid):
-        if cfg.values["run.self_test"]:
-            eps_sample = _pool_self_test_samples(cfg, eps_index, diffs[modes[0]])
-        else:
-            eps_sample = pool_eps_samples(cfg, eps, eps_index)
-        row = {"eps": eps, "w2_paper_mode": float("nan"), "w2_gk_mode": float("nan"),
-               "n_samples": eps_sample.shape[0]}
-        for mode in modes:
-            res = w2_auto(eps_sample, limit_samples[mode], seed=cfg.seed)
-            row[MODE_COLUMN[mode]] = res.value
-        row["ci_halfwidth"] = _block_bootstrap_ci(eps_sample, spr, limit_samples.values(),
-                                                  cfg.seed, eps_index)
-        row["w2_method"] = res.method
-        rows.append(row)
+    with _batch_pool(limit_jobs + row_jobs) as pool:
+        limit_pending = [_Pending(pool, job) for job in limit_jobs]
+        row_pending = [_Pending(pool, job) for job in row_jobs]
+        limit_samples = {mode: pool_limit_samples(cfg, diffs[mode], pending)
+                         for mode, pending in zip(modes, limit_pending)}
+        for eps_index, (eps, pending) in enumerate(zip(cfg.eps_grid, row_pending)):
+            if self_test:
+                eps_sample = pending.collect()
+            else:
+                eps_sample = pool_eps_samples(cfg, eps, eps_index, pending)
+            row = {"eps": eps, "w2_paper_mode": float("nan"), "w2_gk_mode": float("nan"),
+                   "n_samples": eps_sample.shape[0]}
+            for mode in modes:
+                res = w2_auto(eps_sample, limit_samples[mode], seed=cfg.seed)
+                row[MODE_COLUMN[mode]] = res.value
+            row["ci_halfwidth"] = _block_bootstrap_ci(eps_sample, spr, limit_samples.values(),
+                                                      cfg.seed, eps_index)
+            row["w2_method"] = res.method
+            rows.append(row)
     terminal = {mode: rows[-1][MODE_COLUMN[mode]] for mode in modes}
     # The smaller terminal W2 wins; on a tie, paper.
     meta["selected_mode"] = min(terminal, key=lambda m: (terminal[m], m != "paper"))

@@ -1,8 +1,10 @@
 import csv
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
+from concurrent.futures import Future
 from dataclasses import replace
 
 import numpy as np
@@ -14,15 +16,22 @@ from smallmass.cli import main as cli_main
 from smallmass.config import load_config, parse_config, serialize_config
 from smallmass.dynamics_limit import DiffusionSpec, LimitScheme, run_limit_replicas
 from smallmass.errors import ConfigError
-from smallmass.harness import (CONVERGE_COLUMNS, _pool_self_test_samples,
+from smallmass.harness import (CONVERGE_COLUMNS, _pooled, _self_test_job,
                                build_mode_diffusions, load_sample_file,
                                run_convergence, run_diagnose, run_estimate_gk,
                                run_simulate_eps, run_simulate_limit, worker_count)
-from smallmass.transport import w2_1d
+from smallmass.transport import w2_1d, w2_auto
 
 from conftest import write_config
 
 NAN, INF = float("nan"), float("inf")
+
+
+def _done(value) -> Future:
+    """A future that already holds ``value``."""
+    future = Future()
+    future.set_result(value)
+    return future
 
 
 class RawJson(str):
@@ -212,14 +221,11 @@ class TestConvergenceHarness:
             def __init__(self, max_workers):
                 pass
 
-            def __enter__(self):
-                return self
+            def submit(self, fn, item):
+                return _done(fn(item))
 
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return [fn(item) for item in items]
+            def shutdown(self, cancel_futures=False):
+                pass
 
         calls = []
 
@@ -238,8 +244,9 @@ class TestConvergenceHarness:
 
     def test_worker_split_does_not_change_bytes(self, small_config_dict,
                                                 tmp_path, monkeypatch):
-        # At 2 workers each pooled phase runs two batches in a process pool,
-        # at 1 worker one batch inline; the pool starts are counted.
+        # At 2 workers each pooled phase runs two batches in the command's
+        # one process pool, at 1 worker one batch inline; the pool starts
+        # are counted.
         starts = []
 
         class CountingPool(harness.ProcessPoolExecutor):
@@ -259,8 +266,49 @@ class TestConvergenceHarness:
                 path = tmp_path / f"converge_{name}_{w}.csv"
                 report.write_csv(path)
                 texts[w] = path.read_text()
-                assert (len(starts) > 0) == (w == "2"), (name, w, len(starts))
+                assert len(starts) == (1 if w == "2" else 0), (name, w, len(starts))
             assert texts["1"] == texts["2"], name
+
+    def test_every_row_is_submitted_before_the_first_score(self, small_config_dict,
+                                                           monkeypatch):
+        # A stand-in pool runs each batch when it is submitted and logs its
+        # stream path; scoring logs "w2".  Every eps row must be handed out
+        # before the parent scores the first one.
+        log = []
+
+        class LoggingPool:
+            def __init__(self, max_workers):
+                pass
+
+            def submit(self, fn, item):
+                log.append(next(a for a in item if isinstance(a, tuple)))
+                return _done(fn(item))
+
+            def shutdown(self, cancel_futures=False):
+                pass
+
+        def logging_w2(*args, **kwargs):
+            log.append("w2")
+            return w2_auto(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", LoggingPool)
+        monkeypatch.setattr(harness, "w2_auto", logging_w2)
+        monkeypatch.setenv("SMALLMASS_WORKERS", "2")
+        cfg = parse_config(small_config_dict)
+        run_convergence(cfg)
+        first_score = log.index("w2")
+        rows = [(_rng.EPS_RUN, i) for i in range(len(cfg.eps_grid))]
+        assert [p for p in log[:first_score] if p in rows] == [r for r in rows for _ in "ab"]
+
+    def test_no_worker_outlives_a_failing_row(self, small_config_dict, monkeypatch):
+        def failing_w2(*args, **kwargs):
+            raise RuntimeError("scoring failed")
+
+        monkeypatch.setattr(harness, "w2_auto", failing_w2)
+        monkeypatch.setenv("SMALLMASS_WORKERS", "2")
+        with pytest.raises(RuntimeError, match="scoring failed"):
+            run_convergence(parse_config(small_config_dict))
+        assert multiprocessing.active_children() == []
 
     def test_deterministic_limit_agrees_as_eps_shrinks(self, small_config_dict):
         # silent forcing and a point initial law make both laws point
@@ -309,7 +357,7 @@ class TestConvergenceHarness:
         doc = dict(small_config_dict, **{"run.self_test": True, "limit.h": 0.003})
         cfg = parse_config(doc)
         diff = DiffusionSpec("paper", np.array([[0.5]]))
-        got = _pool_self_test_samples(cfg, 1, diff)
+        got = _pooled(*_self_test_job(cfg, 1, diff))
         ref = run_limit_replicas(replace(cfg.run_config(0.2), N=2), cfg.potential(), diff,
                                  cfg.init_law(), range(24), (_rng.SELF_TEST, 1),
                                  sch=LimitScheme(0.003))
@@ -318,16 +366,18 @@ class TestConvergenceHarness:
     def test_particle_local_samples_do_not_depend_on_run_n(self, small_config_dict,
                                                            monkeypatch):
         # quadratic potential, scalar-ou noise: one particle's law does not
-        # depend on N, so the samples are bit-identical at run.N = 2 and 64
+        # depend on N, so the samples are bit-identical at run.N = 2 and 64,
+        # also where the limit sample keeps more particles than run.N = 2
         monkeypatch.setenv("SMALLMASS_WORKERS", "1")
-        samples = []
-        for n in (2, 64):
-            cfg = parse_config(dict(small_config_dict, **{"run.N": n}))
-            diff = build_mode_diffusions(cfg)["paper"]
-            samples.append((harness.pool_eps_samples(cfg, 0.1, 1),
-                            harness.pool_limit_samples(cfg, diff)))
-        for a, b in zip(*samples):
-            assert a.shape == (48, 1) and np.array_equal(a, b)
+        for extra, limit_size in (({}, 48), ({"limit.samples_per_replica": 8}, 192)):
+            samples = []
+            for n in (2, 64):
+                cfg = parse_config(dict(small_config_dict, **extra, **{"run.N": n}))
+                diff = build_mode_diffusions(cfg)["paper"]
+                samples.append((harness.pool_eps_samples(cfg, 0.1, 1),
+                                harness.pool_limit_samples(cfg, diff)))
+            for (a, b), size in zip(zip(*samples), (48, limit_size)):
+                assert a.shape == (size, 1) and np.array_equal(a, b), extra
 
     @pytest.mark.parametrize("extra", [{}, dict(COUPLED, **{"run.replicas": 8})],
                              ids=["scalar-ou", "fourier-field"])
