@@ -9,7 +9,9 @@ limit falsifiable at desk scale:
   part v, computed with the integrator's own quadrature (left-endpoint
   forcing, exact exponential weights for v).  For law-dependent fields
   the paths are recorded from the lock-step eps kernel
-  (``run_eps_replicas``).  E||v(T)||^2 must vanish linearly in eps, and
+  (``run_eps_replicas``).  Each step's u and v values go into a small
+  time-major window, copied into the replica-major paths once every
+  ``_UV_WINDOW`` steps.  E||v(T)||^2 must vanish linearly in eps, and
   the fourth-moment increment ratio E||u(t) - u(s)||^4 / |t - s| must
   stay bounded across dyadic lags;
 * ``green_kubo``: the effective diffusion of the law-averaged forcing,
@@ -52,6 +54,9 @@ _BM_GRID = 50
 BM_PROXY_MIN_PATHS = 100
 # Shortest Green-Kubo horizon, in driver correlation times 1/gamma.
 GK_MIN_HORIZON = 20.0
+# Steps of u and v that ``_UvPaths`` holds time-major before copying them
+# into the replica-major paths.
+_UV_WINDOW = 64
 
 
 @dataclass(frozen=True)
@@ -137,6 +142,9 @@ def moment_table(cfg: RunConfig, model: NoiseModel, pot: PotentialSpec,
     """
     if grid_points < 2:
         raise UsageError(f"grid_points must be >= 2, got {grid_points}")
+    if reps < 2:
+        raise UsageError(f"moment_table needs reps >= 2 for its confidence halfwidths, "
+                         f"got {reps}")
     init = init or InitialLaw()
     rec = _MomentRecorder(_n_steps(cfg.T, cfg.eps_step), grid_points, cfg.eps, reps)
     run_eps_replicas(cfg, model, pot, sch_kind, init, range(reps),
@@ -185,35 +193,44 @@ def uv_check(cfg: RunConfig, model: NoiseModel, *, reps: int = 512,
     (2 eps)) transient, and the time average tightens the estimate without
     changing what is estimated.
     """
+    if reps < BM_PROXY_MIN_PATHS:
+        raise UsageError(f"uv_check needs reps >= {BM_PROXY_MIN_PATHS} for the "
+                         f"Brownian-proxy statistics, got {reps}")
     lags = lags if lags is not None else dyadic_lags()
     h = cfg.eps_step
     n = _n_steps(cfg.T, h)
+    steps = [m for m in (max(1, int(round(lag / h))) for lag in lags) if m <= n]
+    if not steps:
+        raise UsageError("no admissible lags: horizon too short for the lag ladder")
     if model.kind == "scalar-ou":
         u, v_late = _u_paths_scalar(cfg, model, reps, n, eps_index)
     else:
         u, v_late = _u_paths_ensemble(cfg, model, reps, n, eps_index, init, pot)
-    # v statistics from the late-time pool
-    v_sq = np.sum(v_late * v_late, axis=-1)  # (R, n_late)
+    R, n_pts, d = u.shape
+    # v statistics from the late-time pool; in d = 1 the squared value
+    # already is the squared norm
+    np.multiply(v_late, v_late, out=v_late)
+    v_sq = np.sum(v_late, axis=-1) if d > 1 else v_late.reshape(R, -1)  # (R, n_late)
     per_rep = v_sq.mean(axis=1)
     del v_late, v_sq
     v_msq = float(per_rep.mean())
     v_ci = float(1.96 * per_rep.std(ddof=1) / math.sqrt(len(per_rep)))
     # increment ratios over dyadic lags; each lag's (R, n+1-m) increments
     # live in the front of one flat buffer per quantity, sized for the
-    # shortest lag, and are reduced over that same contiguous layout
-    R, n_pts, d = u.shape
-    steps = [m for m in (max(1, int(round(lag / h))) for lag in lags) if m < n_pts]
-    if not steps:
-        raise UsageError("no admissible lags: horizon too short for the lag ladder")
-    du_buf = np.empty(R * (n_pts - min(steps)) * d)
+    # shortest lag, and are reduced over that same contiguous layout.  In
+    # d = 1 the squared increment is its own coordinate sum, so it is
+    # formed in the sum's buffer.
     sq_buf = np.empty(R * (n_pts - min(steps)))
+    du_buf = np.empty(R * (n_pts - min(steps)) * d) if d > 1 else sq_buf
     ratios = {}
     for m in steps:
         du = du_buf[:R * (n_pts - m) * d].reshape(R, n_pts - m, d)
         sq = sq_buf[:R * (n_pts - m)].reshape(R, n_pts - m)
         np.subtract(u[:, m:], u[:, :-m], out=du)
         np.multiply(du, du, out=du)
-        np.square(np.sum(du, axis=-1, out=sq), out=sq)
+        if d > 1:
+            np.sum(du, axis=-1, out=sq)
+        np.square(sq, out=sq)
         ratios[m * h] = float(np.mean(sq)) / (m * h)
     # Brownian-proxy statistics on a decimated grid
     every = max(1, n // _BM_GRID)
@@ -226,9 +243,14 @@ def uv_check(cfg: RunConfig, model: NoiseModel, *, reps: int = 512,
 class _UvPaths:
     """u and late-time v paths under the integrator's quadrature.
 
-    ``add`` folds the left-endpoint forcing of step k into u (weight
-    h / (alpha sqrt(eps))) and into v (the exponential step's own weights
-    r and 1 - r), for the replica rows ``rows``.
+    ``add`` folds the left-endpoint forcing ``eta`` of step k into u
+    (weight h / (alpha sqrt(eps))) and into v (the exponential step's own
+    weights r and 1 - r), for the replica rows ``rows``; ``eta`` holds one
+    row per replica of ``rows``.  Each set of rows must bring its steps
+    0..n-1 in order, and step 0 starts them at u = v = 0.  The values are
+    held in a time-major window of ``_UV_WINDOW`` steps, one (rows, d) slab
+    per step, and copied into the replica-major ``u`` and ``v_late`` when
+    the window is full and after step n-1.
     """
 
     def __init__(self, cfg, d, reps, n):
@@ -237,17 +259,37 @@ class _UvPaths:
         self.cu = h / (cfg.alpha * math.sqrt(cfg.eps))
         self.r_fac = step.r
         self.cv = math.sqrt(cfg.eps) * step.one_minus_r / cfg.alpha**2
+        self.n = n
         self.n_late_from = n // 2
         self.u = np.zeros((reps, n + 1, d))
-        self.v = np.zeros((reps, d))
-        self.v_late = np.zeros((reps, n - self.n_late_from, d))
+        self.v_late = np.empty((reps, n - self.n_late_from, d))
+        width = min(n, _UV_WINDOW)
+        self.u_win = np.empty((width, reps, d))  # slot k % width: u(k + 1)
+        self.v_win = np.empty((width, reps, d))  # slot k % width: v after step k
+        self.tmp = np.empty((reps, d))
 
     def add(self, rows, k, eta):
-        self.u[rows, k + 1] = self.u[rows, k] + self.cu * eta
-        v = self.v[rows] * self.r_fac + self.cv * eta
-        self.v[rows] = v
-        if k >= self.n_late_from:
-            self.v_late[rows, k - self.n_late_from] = v
+        B, width = len(eta), len(self.u_win)
+        slot = k % width
+        if k == 0:  # the rows start at u = v = 0, held in the slot before 0
+            self.u_win[-1, :B] = 0.0
+            self.v_win[-1, :B] = 0.0
+        u_prev, v_prev = self.u_win[slot - 1, :B], self.v_win[slot - 1, :B]
+        u, v, tmp = self.u_win[slot, :B], self.v_win[slot, :B], self.tmp[:B]
+        np.add(u_prev, np.multiply(eta, self.cu, out=tmp), out=u)
+        np.multiply(v_prev, self.r_fac, out=v)
+        v += np.multiply(eta, self.cv, out=tmp)
+        if slot == width - 1 or k == self.n - 1:
+            self._flush(rows, k - slot, k + 1, B)
+
+    def _flush(self, rows, k0, k1, B):
+        """Copy steps k0..k1-1, held in the window's first B rows, out."""
+        self.u[rows, k0 + 1:k1 + 1] = self.u_win[:k1 - k0, :B].swapaxes(0, 1)
+        late = self.n_late_from
+        lo = max(k0, late)
+        if lo < k1:
+            self.v_late[rows, lo - late:k1 - late] = \
+                self.v_win[lo - k0:k1 - k0, :B].swapaxes(0, 1)
 
 
 def _driver_paths(model, seed, path, reps, n, delta_s):
@@ -307,6 +349,8 @@ def green_kubo(model: NoiseModel, m_source: EmpiricalMeasure | None = None,
     centered by construction, and subtracting a sample mean would bias the
     integral downward by order 1/horizon.
     """
+    if reps < 2:
+        raise UsageError(f"green_kubo needs reps >= 2 for its confidence halfwidth, got {reps}")
     if horizon_fast < GK_MIN_HORIZON / model.gamma:
         raise UsageError(f"horizon_fast={horizon_fast:g} too short; need at least "
                          f"{GK_MIN_HORIZON:g}/gamma = {GK_MIN_HORIZON / model.gamma:g}")

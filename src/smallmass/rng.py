@@ -8,8 +8,10 @@ do not depend on how many workers or batches the run was split into.
 
 The kernels draw each step's normals through ``normal_windows``, a window
 of steps at a time under one fixed byte budget, so the memory they hold
-for normals does not grow with the horizon or the batch size.  Each
-generator draws whole per-step blocks and every normal drawn is used.
+for normals does not grow with the horizon or the batch size.  The window
+is laid out one row per stream: each generator draws its steps straight
+into its own contiguous row, and step k is the strided view of every
+row's entry k.  Every normal drawn is used.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ BOOT = 10
 
 _IDX_BITS = 16
 _IDX_MAX = (1 << _IDX_BITS) - 1
+_SEED_MAX = (1 << 64) - 1
 
 # Normals (float64) held at once by one ``normal_windows`` caller: 2 MB.
 DRAW_BUDGET = 1 << 18
@@ -44,20 +47,22 @@ DRAW_BUDGET = 1 << 18
 def stream(seed: int, purpose: int, *indices: int) -> np.random.Generator:
     """Return the Generator for (seed, purpose, indices).
 
+    ``seed`` is the first Philox key word, so it must lie in [0, 2**64).
     ``purpose`` is one of the module-level codes; up to three indices of at
     most 16 bits each are packed into the second Philox key word.
     """
+    if not 0 <= seed <= _SEED_MAX:
+        raise UsageError(f"seed out of range [0, 2**64): {seed}")
     if not 0 <= purpose < 256:
         raise UsageError(f"purpose code out of range: {purpose}")
     if len(indices) > 3:
         raise UsageError("at most three stream indices are supported")
-    packed = np.uint64(purpose) << np.uint64(48)
+    packed = purpose << 48
     for slot, idx in enumerate(indices):
         if not 0 <= idx <= _IDX_MAX:
             raise UsageError(f"stream index out of range: {idx}")
-        packed |= np.uint64(idx) << np.uint64(48 - _IDX_BITS * (slot + 1))
-    key = np.array([np.uint64(seed) & np.uint64(0xFFFFFFFFFFFFFFFF), packed],
-                   dtype=np.uint64)
+        packed |= idx << (48 - _IDX_BITS * (slot + 1))
+    key = np.array([seed, packed], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -66,16 +71,17 @@ def normal_windows(gens, n: int, shape: tuple):
 
     Step k's array has shape ``(len(gens),) + shape``; row j holds
     generator j's k-th ``shape`` draw.  Each window, every generator in
-    turn draws a ``(W,) + shape`` block, which continues its stream exactly
-    as one ``(n,) + shape`` draw would, so the values do not depend on W.
-    W is the most steps that fit ``DRAW_BUDGET`` doubles.  A yielded array
-    is overwritten when the next window is drawn.
+    turn draws its ``(W,) + shape`` block straight into its own contiguous
+    row of one ``(len(gens), W) + shape`` buffer, which continues its stream
+    exactly as one ``(n,) + shape`` draw would, so the values do not depend
+    on W.  W is the most steps that fit ``DRAW_BUDGET`` doubles.  Step k is
+    the view ``rows[:, k]``, strided by the row length; it is overwritten
+    when the next window is drawn.
     """
-    step = (len(gens),) + shape
-    width = max(1, min(n, DRAW_BUDGET // math.prod(step)))
-    window = np.empty((width,) + step)
+    width = max(1, min(n, DRAW_BUDGET // (len(gens) * math.prod(shape))))
+    rows = np.empty((len(gens), width) + shape)
     for start in range(0, n, width):
         w = min(width, n - start)
         for j, gen in enumerate(gens):
-            window[:w, j] = gen.standard_normal((w,) + shape)
-        yield from window[:w]
+            gen.standard_normal(out=rows[j, :w])
+        yield from rows.swapaxes(0, 1)[:w]

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from smallmass import diagnostics
 from smallmass import rng as _rng
 from smallmass.core import EmpiricalMeasure, ParticleEnsemble, PotentialSpec, RunConfig
-from smallmass.diagnostics import (_u_paths_ensemble, _u_paths_scalar, bm_proxy,
+from smallmass.diagnostics import (_u_paths_ensemble, _u_paths_scalar, _UvPaths, bm_proxy,
                                    dyadic_lags, green_kubo, moment_table, uv_check)
 from smallmass.dynamics_eps import EpsScheme, InitialLaw, _n_steps, step
 from smallmass.errors import UsageError
@@ -13,6 +14,95 @@ from smallmass.noise import (DriverState, NoiseModel, advance_xi, averaged_forci
                              stationary_xi)
 
 FREE_POT = PotentialSpec.quadratic(1e-12)  # effectively potential-free
+FOURIER_D2 = NoiseModel.fourier_field(2, gamma=2.0, sigma=1.0,
+                                      omegas=[[1.0, 0.0], [0.0, 1.0], [0.7, -0.4]],
+                                      a=[1.0, 0.5, 0.3], b=[0.2, 0.4, 0.6])
+FOURIER_D3 = NoiseModel.fourier_field(3, gamma=2.0, sigma=1.0,
+                                      omegas=[[1.0, 0.0, 0.0], [0.0, 1.0, 0.5],
+                                              [0.3, 0.0, 1.0]],
+                                      a=[1.0, 0.5, 0.4], b=[0.2, 0.5, 0.3])
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class _StepwisePaths:
+    """The u/v recorder writing each step straight into the replica-major
+    paths, with its coefficients computed here: the reference for the
+    windowed ``_UvPaths``."""
+
+    def __init__(self, cfg, d, reps, n):
+        h = cfg.eps_step
+        a = cfg.alpha * h / cfg.eps
+        self.cu = h / (cfg.alpha * math.sqrt(cfg.eps))
+        self.r_fac = math.exp(-a)
+        self.cv = math.sqrt(cfg.eps) * (-math.expm1(-a)) / cfg.alpha**2
+        self.n_late_from = n // 2
+        self.u = np.zeros((reps, n + 1, d))
+        self.v = np.zeros((reps, d))
+        self.v_late = np.zeros((reps, n - self.n_late_from, d))
+
+    def add(self, rows, k, eta):
+        self.u[rows, k + 1] = self.u[rows, k] + self.cu * eta
+        v = self.v[rows] * self.r_fac + self.cv * eta
+        self.v[rows] = v
+        if k >= self.n_late_from:
+            self.v_late[rows, k - self.n_late_from] = v
+
+
+def _reference_drivers(model, seed, path, reps, n, delta_s):
+    """Driver values at steps 0..n-1: each replica's start and normals
+    pre-drawn, then all replicas advanced together."""
+    gens = [_rng.stream(seed, *path, r) for r in range(reps)]
+    xi = np.stack([stationary_xi(model, g) for g in gens])
+    Z = np.stack([g.standard_normal((n,) + model.driver_shape) for g in gens])
+    out = []
+    for k in range(n):
+        out.append(xi)
+        xi = advance_xi(xi, model, delta_s, Z[:, k])
+    return out
+
+
+def _scalar_reference_paths(cfg, model, reps, n, eps_index):
+    """Standalone-driver u/v paths, recorded step by step."""
+    paths = _StepwisePaths(cfg, model.d, reps, n)
+    drivers = _reference_drivers(model, cfg.seed, (_rng.UV_RUN, eps_index), reps, n,
+                                 cfg.eps_step / cfg.eps)
+    for k, xi in enumerate(drivers):
+        paths.add(slice(None), k, xi)
+    return paths.u, paths.v_late
+
+
+def _ensemble_reference_paths(cfg, model, pot, reps, n, eps_index):
+    """u/v paths stepping one replica at a time through ``step``."""
+    sch = EpsScheme("exponential", cfg.eps_step)
+    init = InitialLaw()
+    paths = _StepwisePaths(cfg, cfg.d, reps, n)
+    for rix in range(reps):
+        gen = _rng.stream(cfg.seed, _rng.UV_RUN, eps_index, rix)
+        X = init.draw_positions(cfg.N, cfg.d, gen)
+        ens = ParticleEnsemble(X, init.velocities(cfg.N, cfg.d), 0.0, cfg.eps)
+        drv = DriverState(xi=stationary_xi(model, gen), fast_time=0.0)
+        for k in range(n):
+            paths.add(rix, k, averaged_forcing_xi(model, drv.xi, ens.positions))
+            ens, drv, _ = step(ens, model, drv, pot, sch, cfg.alpha, gen)
+    return paths.u, paths.v_late
+
+
+def _reference_report(u, v_late, lags, h, n):
+    """uv_check's statistics of given paths, each formed in a fresh array."""
+    per_rep = np.sum(v_late * v_late, axis=-1).mean(axis=1)
+    v_msq = float(per_rep.mean())
+    v_ci = float(1.96 * per_rep.std(ddof=1) / math.sqrt(len(per_rep)))
+    ratios = {}
+    for m in (max(1, int(round(lag / h))) for lag in lags):
+        if m <= n:
+            du = u[:, m:] - u[:, :-m]
+            ratios[m * h] = float(np.mean(np.square(np.sum(du * du, axis=-1)))) / (m * h)
+    every = max(1, n // 50)
+    stats = bm_proxy(u[:, ::every], np.arange(0, n + 1, every) * h)
+    return v_msq, v_ci, ratios, stats
 
 
 class TestGreenKubo:
@@ -41,6 +131,12 @@ class TestGreenKubo:
         with pytest.raises(UsageError, match="measure"):
             green_kubo(NoiseModel.separable(1, gamma=2.0, sigma=1.0, g_name="one"),
                        horizon_fast=25.0, reps=4, seed=0)
+
+    def test_needs_two_replicas(self):
+        # one replica gives ci_fro = nan
+        with pytest.raises(UsageError, match="reps >= 2"):
+            green_kubo(NoiseModel.scalar_ou(1, gamma=2.0, sigma=1.0), horizon_fast=25.0,
+                       reps=1, seed=0)
 
     def test_invariant_under_horizon_doubling(self):
         model = NoiseModel.scalar_ou(1, gamma=2.0, sigma=1.0)
@@ -85,50 +181,44 @@ class TestUvCheck:
         assert uv_flat.v_msq == pytest.approx(uv_scal.v_msq, rel=0.15)
         assert uv_flat.v_msq == pytest.approx(0.1 / 3.0, rel=0.15)
 
-    @staticmethod
-    def _reference_paths(cfg, model, pot, reps, n, eps_index):
-        """u/v paths stepping one replica at a time through ``step``."""
-        h = cfg.eps_step
-        sch = EpsScheme("exponential", h)
-        cu = h / (cfg.alpha * math.sqrt(cfg.eps))
-        a = cfg.alpha * h / cfg.eps
-        r_fac = math.exp(-a)
-        cv = math.sqrt(cfg.eps) * (-math.expm1(-a)) / cfg.alpha**2
-        init = InitialLaw()
-        u = np.zeros((reps, n + 1, cfg.d))
-        n_late_from = n // 2
-        v_late = np.zeros((reps, n - n_late_from, cfg.d))
-        for rix in range(reps):
-            gen = _rng.stream(cfg.seed, _rng.UV_RUN, eps_index, rix)
-            X = init.draw_positions(cfg.N, cfg.d, gen)
-            ens = ParticleEnsemble(X, init.velocities(cfg.N, cfg.d), 0.0, cfg.eps)
-            drv = DriverState(xi=stationary_xi(model, gen), fast_time=0.0)
-            v = np.zeros(cfg.d)
-            for k in range(n):
-                eta = averaged_forcing_xi(model, drv.xi, ens.positions)
-                u[rix, k + 1] = u[rix, k] + cu * eta
-                v = v * r_fac + cv * eta
-                if k >= n_late_from:
-                    v_late[rix, k - n_late_from] = v
-                ens, drv, _ = step(ens, model, drv, pot, sch, cfg.alpha, gen)
-        return u, v_late
+    @pytest.mark.parametrize("model, pot", [
+        (NoiseModel.separable(1, gamma=2.0, sigma=1.0, g_name="gauss"),
+         PotentialSpec.quadratic(1.0)),
+        (FOURIER_D2, PotentialSpec.curie_weiss(1.0, 0.5)),
+    ], ids=["separable-d1", "fourier-field-curie-weiss-d2"])
+    def test_ensemble_paths_equal_the_per_replica_reference(self, model, pot):
+        cfg = RunConfig(d=model.d, N=4, eps=0.1, alpha=1.0, T=0.2, h0=0.05, seed=13)
+        n = _n_steps(cfg.T, cfg.eps_step)
+        u, v_late = _u_paths_ensemble(cfg, model, 70, n, 2, None, pot)
+        u_ref, v_ref = _ensemble_reference_paths(cfg, model, pot, 70, n, 2)
+        assert _same_bits(u, u_ref)
+        assert _same_bits(v_late, v_ref)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_scalar_report_equals_the_reference(self, d):
+        model = NoiseModel.scalar_ou(d, gamma=3.0, sigma=1.5)
+        cfg = RunConfig(d=d, N=4, eps=0.1, alpha=1.3, T=0.3, h0=0.05, seed=11)
+        n = _n_steps(cfg.T, cfg.eps_step)
+        lags = dyadic_lags()
+        uv = uv_check(cfg, model, reps=100, lags=lags, eps_index=1)
+        want = _reference_report(*_scalar_reference_paths(cfg, model, 100, n, 1), lags,
+                                 cfg.eps_step, n)
+        assert (uv.v_msq, uv.v_msq_ci, uv.u_increment_ratios, uv.bm_stats) == want
 
     @pytest.mark.parametrize("model, pot", [
         (NoiseModel.separable(1, gamma=2.0, sigma=1.0, g_name="gauss"),
          PotentialSpec.quadratic(1.0)),
-        (NoiseModel.fourier_field(2, gamma=2.0, sigma=1.0,
-                                  omegas=[[1.0, 0.0], [0.0, 1.0], [0.7, -0.4]],
-                                  a=[1.0, 0.5, 0.3], b=[0.2, 0.4, 0.6]),
-         PotentialSpec.curie_weiss(1.0, 0.5)),
-    ], ids=["separable-d1", "fourier-field-curie-weiss-d2"])
-    def test_ensemble_paths_equal_the_per_replica_reference(self, model, pot):
-        # 70 replicas: one full kernel batch of 64 and a partial one
+        (FOURIER_D2, PotentialSpec.curie_weiss(1.0, 0.5)),
+        (FOURIER_D3, PotentialSpec.quadratic(1.0)),
+    ], ids=["separable-d1", "fourier-field-d2", "fourier-field-d3"])
+    def test_ensemble_report_equals_the_reference(self, model, pot):
         cfg = RunConfig(d=model.d, N=4, eps=0.1, alpha=1.0, T=0.2, h0=0.05, seed=13)
         n = _n_steps(cfg.T, cfg.eps_step)
-        u, v_late = _u_paths_ensemble(cfg, model, 70, n, 2, None, pot)
-        u_ref, v_ref = self._reference_paths(cfg, model, pot, 70, n, 2)
-        assert np.array_equal(u, u_ref)
-        assert np.array_equal(v_late, v_ref)
+        lags = dyadic_lags()
+        uv = uv_check(cfg, model, reps=100, lags=lags, pot=pot, eps_index=2)
+        want = _reference_report(*_ensemble_reference_paths(cfg, model, pot, 100, n, 2),
+                                 lags, cfg.eps_step, n)
+        assert (uv.v_msq, uv.v_msq_ci, uv.u_increment_ratios, uv.bm_stats) == want
 
     def test_custom_potential_matches_its_builtin_twin(self):
         cfg = RunConfig(d=1, N=4, eps=0.1, alpha=1.0, T=0.5, h0=0.05, seed=0)
@@ -136,6 +226,22 @@ class TestUvCheck:
         custom = PotentialSpec.custom(lambda x, m: 1.0 * x, 1.0)
         assert (uv_check(cfg, model, reps=128, pot=custom)
                 == uv_check(cfg, model, reps=128, pot=PotentialSpec.quadratic(1.0)))
+
+    @staticmethod
+    def _no_simulation(*args, **kwargs):
+        raise AssertionError("the paths were simulated before the arguments were checked")
+
+    @pytest.mark.parametrize("model", [NoiseModel.scalar_ou(1, gamma=1.0, sigma=1.0),
+                                       FOURIER_D2], ids=["scalar", "ensemble"])
+    def test_bad_arguments_fail_before_the_simulation(self, model, monkeypatch):
+        monkeypatch.setattr(diagnostics, "_u_paths_scalar", self._no_simulation)
+        monkeypatch.setattr(diagnostics, "_u_paths_ensemble", self._no_simulation)
+        cfg = RunConfig(d=model.d, N=2, eps=0.1, alpha=1.0, T=0.2, h0=0.05, seed=0)
+        with pytest.raises(UsageError, match="reps >= 100"):
+            uv_check(cfg, model, reps=50)
+        # the 0.2 horizon has 40 steps, the lag 1.0 needs 200
+        with pytest.raises(UsageError, match="no admissible lags"):
+            uv_check(cfg, model, reps=100, lags=[1.0])
 
     def test_dyadic_ladder(self):
         assert dyadic_lags(0.01, 1.0) == pytest.approx(
@@ -177,6 +283,13 @@ class TestMomentTable:
             vals[sigma] = mt.sup["sy2"]
         assert 3.0 < vals[2.0] / vals[1.0] < 5.0
 
+    def test_needs_two_replicas(self):
+        # one replica gives a NaN confidence halfwidth
+        cfg = RunConfig(d=1, N=2, eps=0.1, alpha=1.0, T=1.0, h0=0.05, seed=0)
+        with pytest.raises(UsageError, match="reps >= 2"):
+            moment_table(cfg, NoiseModel.scalar_ou(1, gamma=1.0, sigma=1.0), FREE_POT,
+                         reps=1)
+
     @pytest.mark.parametrize("grid_points", [0, 1])
     def test_grid_needs_two_points(self, grid_points):
         # fewer points would still record t = 0 and t = T, not the grid asked for
@@ -216,17 +329,6 @@ class TestDriverPaths:
     replica's start and normals and then advances all replicas together."""
 
     @staticmethod
-    def _reference_drivers(model, seed, path, reps, n, delta_s):
-        gens = [_rng.stream(seed, *path, r) for r in range(reps)]
-        xi = np.stack([stationary_xi(model, g) for g in gens])
-        Z = np.stack([g.standard_normal((n,) + model.driver_shape) for g in gens])
-        out = []
-        for k in range(n):
-            out.append(xi)
-            xi = advance_xi(xi, model, delta_s, Z[:, k])
-        return out
-
-    @staticmethod
     def _captured_forcing(monkeypatch):
         # green_kubo transforms its sampled forcing path exactly once
         seen = []
@@ -245,29 +347,15 @@ class TestDriverPaths:
         cfg = RunConfig(d=2, N=4, eps=0.1, alpha=1.3, T=0.3, h0=0.05, seed=11)
         n = _n_steps(cfg.T, cfg.eps_step)
         u, v_late = _u_paths_scalar(cfg, model, 70, n, 3)
-        h = cfg.eps_step
-        a = cfg.alpha * h / cfg.eps
-        cu = h / (cfg.alpha * math.sqrt(cfg.eps))
-        r_fac = math.exp(-a)
-        cv = math.sqrt(cfg.eps) * (-math.expm1(-a)) / cfg.alpha**2
-        u_ref = np.zeros((70, n + 1, 2))
-        v = np.zeros((70, 2))
-        v_ref = np.zeros((70, n - n // 2, 2))
-        drivers = self._reference_drivers(model, cfg.seed, (_rng.UV_RUN, 3), 70, n,
-                                          cfg.eps_step / cfg.eps)
-        for k, xi in enumerate(drivers):
-            u_ref[:, k + 1] = u_ref[:, k] + cu * xi
-            v = v * r_fac + cv * xi
-            if k >= n // 2:
-                v_ref[:, k - n // 2] = v
-        assert np.array_equal(u, u_ref)
-        assert np.array_equal(v_late, v_ref)
+        u_ref, v_ref = _scalar_reference_paths(cfg, model, 70, n, 3)
+        assert _same_bits(u, u_ref)
+        assert _same_bits(v_late, v_ref)
 
     def test_scalar_green_kubo_path_equals_the_reference(self, monkeypatch):
         model = NoiseModel.scalar_ou(2, gamma=2.0, sigma=1.0)
         seen = self._captured_forcing(monkeypatch)
         green_kubo(model, horizon_fast=10.0, reps=9, seed=5)
-        ref = self._reference_drivers(model, 5, (_rng.GK_RUN,), 9, 400, 0.025)
+        ref = _reference_drivers(model, 5, (_rng.GK_RUN,), 9, 400, 0.025)
         assert len(seen) == 1
         assert np.array_equal(seen[0], np.stack(ref, axis=1))
 
@@ -278,7 +366,32 @@ class TestDriverPaths:
         m = EmpiricalMeasure(np.random.default_rng(0).standard_normal((16, 2)))
         seen = self._captured_forcing(monkeypatch)
         green_kubo(model, m_source=m, horizon_fast=10.0, reps=9, seed=5)
-        ref = self._reference_drivers(model, 5, (_rng.GK_RUN,), 9, 400, 0.025)
+        ref = _reference_drivers(model, 5, (_rng.GK_RUN,), 9, 400, 0.025)
         eta = np.stack([averaged_forcing_xi(model, xi, m.points) for xi in ref], axis=1)
         assert len(seen) == 1
         assert np.array_equal(seen[0], eta)
+
+
+class TestWindowedPaths:
+    """``_UvPaths`` keeps a window of steps time-major and copies it out;
+    its paths equal the step-by-step reference for any horizon, late start
+    and split of the replicas into row sets."""
+
+    W = diagnostics._UV_WINDOW
+
+    @pytest.mark.parametrize("n", [1, W // 2 + 3, W, 2 * W + 1, 3 * W + 37],
+                             ids=["n=1", "n<W", "n=W", "n=2W+1", "late-start-mid-window"])
+    @pytest.mark.parametrize("row_sets", [None, [[0, 1, 2], [3, 4, 5, 6]], [[4], [0, 1, 2, 3]]],
+                             ids=["all-rows", "two-batches", "unequal-batches"])
+    def test_equals_the_stepwise_reference(self, n, row_sets):
+        cfg = RunConfig(d=2, N=2, eps=0.1, alpha=1.3, T=1.0, h0=0.05, seed=0)
+        reps = 7 if row_sets is None else sum(map(len, row_sets))
+        eta = np.random.default_rng(n).standard_normal((n, reps, 2))
+        eta[0, ::2, 0] = -0.0  # the first step adds to u = v = 0
+        got, ref = _UvPaths(cfg, 2, reps, n), _StepwisePaths(cfg, 2, reps, n)
+        for rows in row_sets or [slice(None)]:
+            for k in range(n):
+                got.add(rows, k, eta[k, rows])
+                ref.add(rows, k, eta[k, rows])
+        assert _same_bits(got.u, ref.u)
+        assert _same_bits(got.v_late, ref.v_late)
