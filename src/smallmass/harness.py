@@ -51,6 +51,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
@@ -521,21 +522,25 @@ COMMANDS = {
 
 def load_sample_file(path) -> np.ndarray:
     """Read a numeric CSV of sample points ('#' comments and an optional
-    header line are skipped; a leading 'sample' index column is dropped)."""
+    header line are skipped; a leading 'sample' index column is dropped).
+    A non-finite value is an error naming the file and the line."""
     rows = []
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, 1):
                 line = line.strip()
                 if not line or line.startswith("#"):
                     continue
                 parts = line.split(",")
                 try:
-                    rows.append([float(p) for p in parts])
+                    row = [float(p) for p in parts]
                 except ValueError:
                     if not rows:
                         continue  # header line
                     raise UsageError(f"non-numeric row in {path}: {line!r}") from None
+                if not all(map(math.isfinite, row)):
+                    raise UsageError(f"non-finite value in {path}, line {lineno}: {line!r}")
+                rows.append(row)
     except OSError as err:
         raise UsageError(f"cannot read sample file {path}: {err}") from None
     if not rows:

@@ -18,7 +18,12 @@ records the choice in the result.
 
 from __future__ import annotations
 
+import functools
+import os
+import sys
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+from importlib.util import module_from_spec
 
 import numpy as np
 
@@ -39,10 +44,50 @@ class W2Result:
     ci_halfwidth: float | None = None
 
 
+def _points(x, name: str) -> np.ndarray:
+    """A sample as an (n, d) array of finite points; a 1-d sample of n
+    values is n points on the line."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim > 2:
+        raise UsageError(f"{name} needs (n,) or (n, d) samples, got shape {x.shape}")
+    if x.ndim < 2:
+        x = x.reshape(-1, 1)
+    if not np.isfinite(x).all():
+        raise UsageError(f"{name} needs finite samples")
+    return x
+
+
+@functools.cache
+def _assignment_solver():
+    """scipy's compiled rectangular assignment solver (Crouse 2016).
+
+    The extension is loaded from its file, so ``scipy/optimize/__init__.py``
+    (about half a second of imports) never runs; ``importlib.util.find_spec``
+    would run it, because it imports the parent package.  Where scipy's
+    layout has no such file, the public function is imported instead.
+    """
+    import scipy
+
+    finder = FileFinder(os.path.join(scipy.__path__[0], "optimize"),
+                        (ExtensionFileLoader, EXTENSION_SUFFIXES))
+    spec = finder.find_spec("scipy.optimize._lsap")
+    if spec is None:
+        from scipy.optimize import linear_sum_assignment
+        return linear_sum_assignment
+    loaded = spec.name in sys.modules
+    module = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    if not loaded:
+        # CPython enters a single-phase extension in sys.modules itself; left
+        # there, a later scipy.optimize import would not bind it as _lsap.
+        sys.modules.pop(spec.name, None)
+    return module.linear_sum_assignment
+
+
 def w2_1d(a, b) -> W2Result:
     """Exact 1-d W2 between equal-size samples (monotone coupling)."""
-    a = np.asarray(a, dtype=float).reshape(-1)
-    b = np.asarray(b, dtype=float).reshape(-1)
+    a = _points(a, "w2_1d").reshape(-1)
+    b = _points(b, "w2_1d").reshape(-1)
     if a.size != b.size or a.size == 0:
         raise UsageError(
             f"w2_1d needs equal nonempty sample counts, got {a.size} and {b.size}"
@@ -53,8 +98,8 @@ def w2_1d(a, b) -> W2Result:
 
 def w2_assignment(a, b) -> W2Result:
     """Exact W2 between equal-size point sets via optimal assignment."""
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    b = np.atleast_2d(np.asarray(b, dtype=float))
+    a = _points(a, "w2_assignment")
+    b = _points(b, "w2_assignment")
     if a.shape != b.shape or a.shape[0] == 0:
         raise UsageError(f"w2_assignment needs matching (n, d) inputs, got {a.shape} and {b.shape}")
     n = a.shape[0]
@@ -62,12 +107,8 @@ def w2_assignment(a, b) -> W2Result:
         raise UsageError(
             f"n={n} exceeds the exact-assignment budget ({ASSIGNMENT_MAX_N}); use w2_sliced"
         )
-    # Imported here: scipy.optimize costs about half a second to import and
-    # only this route needs it.
-    from scipy.optimize import linear_sum_assignment
-
     cost = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
-    rows, cols = linear_sum_assignment(cost)
+    rows, cols = _assignment_solver()(cost)
     return W2Result(value=float(np.sqrt(cost[rows, cols].mean())), method="assignment")
 
 
@@ -79,8 +120,8 @@ def w2_sliced(a, b, n_proj: int = SLICED_DEFAULT_PROJECTIONS, seed: int = 0) -> 
     through the quantile function.  The halfwidth is the 95% normal
     interval of the mean of squares, propagated to the root.
     """
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    b = np.atleast_2d(np.asarray(b, dtype=float))
+    a = _points(a, "w2_sliced")
+    b = _points(b, "w2_sliced")
     if a.shape[0] == 0 or b.shape[0] == 0:
         raise UsageError("w2_sliced needs nonempty samples")
     if a.shape[1] != b.shape[1]:
@@ -134,8 +175,8 @@ def w2_auto(a, b, seed: int = 0) -> W2Result:
     assignment.  Unequal counts, or larger n, -> sliced with the default
     projection count.  ``W2_AUTO_RULE`` states the rule for report metadata.
     """
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    b = np.atleast_2d(np.asarray(b, dtype=float))
+    a = _points(a, "w2_auto")
+    b = _points(b, "w2_auto")
     if a.shape[1] != b.shape[1]:
         raise UsageError(f"dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
     if a.shape[1] == 1:

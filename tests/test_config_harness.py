@@ -508,6 +508,29 @@ class TestCli:
         assert r.returncode == 0
         assert float(r.stdout.strip()) == 0.0
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_w2_rejects_non_finite_samples(self, tmp_path, capsys, bad, d):
+        good = tmp_path / "good.csv"
+        np.savetxt(good, np.random.default_rng(0).standard_normal((5, d)), delimiter=",")
+        lines = good.read_text().splitlines()
+        lines[2] = ",".join([bad] * d)
+        broken = tmp_path / "broken.csv"
+        broken.write_text("# comment\n" + "\n".join(lines) + "\n")
+        for argv in (["w2", str(good), str(broken)], ["w2", str(broken), str(good)]):
+            assert cli_main(argv) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"non-finite value in {broken}, line 4" in captured.err
+
+    def test_w2_reads_2d_sample_files(self, tmp_path, capsys):
+        rng = np.random.default_rng(1)
+        a, b = rng.standard_normal((6, 2)), rng.standard_normal((6, 2))
+        np.savetxt(tmp_path / "a.csv", a, delimiter=",")
+        np.savetxt(tmp_path / "b.csv", b, delimiter=",")
+        assert cli_main(["w2", str(tmp_path / "a.csv"), str(tmp_path / "b.csv")]) == 0
+        assert float(capsys.readouterr().out) == w2_auto(a, b).value
+
     def test_missing_config_exit_code(self):
         r = self._run("converge", "definitely_not_here.json")
         assert r.returncode == 1

@@ -1,11 +1,17 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from smallmass import transport
 from smallmass.errors import UsageError
 from smallmass.transport import (ASSIGNMENT_MAX_N, w2_1d, w2_assignment,
                                  w2_auto, w2_sliced)
@@ -146,3 +152,139 @@ class TestAutoSelection:
         assert w2_auto(small, small).method == "assignment"
         big = rng.standard_normal((ASSIGNMENT_MAX_N + 1, 3))
         assert w2_auto(big, big).method == "sliced"
+
+
+class TestSampleShapes:
+    def test_1d_sample_is_points_on_the_line(self):
+        # Equal multisets: every route reads [0, 1, 2] as three points.
+        assert w2_auto([0, 1, 2], [2, 1, 0]) == w2_1d([0, 1, 2], [2, 1, 0])
+        assert w2_auto([0, 1, 2], [2, 1, 0]).value == 0.0
+        assert w2_assignment([0, 1, 2], [2, 1, 0]).value == 0.0
+        assert w2_sliced([0, 1, 2], [2, 1, 0], n_proj=4).value == 0.0
+
+    def test_1d_and_column_samples_agree(self):
+        rng = np.random.default_rng(10)
+        a, b = rng.standard_normal(9), rng.standard_normal(9)
+        assert w2_assignment(a, b) == w2_assignment(a[:, None], b[:, None])
+        assert w2_sliced(a, b, n_proj=8) == w2_sliced(a[:, None], b[:, None], n_proj=8)
+
+    @pytest.mark.parametrize("fn", [w2_1d, w2_assignment, w2_auto, w2_sliced])
+    def test_more_than_two_dimensions_rejected(self, fn):
+        a = np.zeros((4, 2, 1))
+        with pytest.raises(UsageError, match="shape"):
+            fn(a, a)
+
+    @pytest.mark.parametrize("fn", [w2_1d, w2_assignment, w2_auto, w2_sliced])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_samples_rejected(self, fn, bad):
+        a = np.zeros((4, 2)) if fn is not w2_1d else np.zeros(4)
+        b = a.copy()
+        b.flat[1] = bad
+        with pytest.raises(UsageError, match="finite"):
+            fn(a, b)
+        with pytest.raises(UsageError, match="finite"):
+            fn(b, a)
+
+
+def _public_solver():
+    from scipy.optimize import linear_sum_assignment
+    return linear_sum_assignment
+
+
+def _lsap_spec():
+    import scipy
+    finder = FileFinder(os.path.join(scipy.__path__[0], "optimize"),
+                        (ExtensionFileLoader, EXTENSION_SUFFIXES))
+    return finder.find_spec("scipy.optimize._lsap")
+
+
+class TestAssignmentSolver:
+    """The solver loaded from scipy's extension file is the public
+    ``scipy.optimize.linear_sum_assignment``, fed the same matrix."""
+
+    def _same(self, cost):
+        rows, cols = transport._assignment_solver()(cost)
+        ref_rows, ref_cols = _public_solver()(cost)
+        assert rows.dtype == ref_rows.dtype and cols.dtype == ref_cols.dtype
+        np.testing.assert_array_equal(rows, ref_rows)
+        np.testing.assert_array_equal(cols, ref_cols)
+
+    def test_random_square(self):
+        rng = np.random.default_rng(11)
+        for _ in range(5):
+            self._same(rng.standard_normal((128, 128)) ** 2)
+
+    def test_tie_heavy_integer_costs(self):
+        rng = np.random.default_rng(12)
+        for _ in range(5):
+            self._same(rng.integers(0, 3, size=(64, 64)).astype(float))
+        self._same(np.zeros((16, 16)))
+
+    def test_duplicated_rows(self):
+        # A bootstrap resample repeats points, so the cost has equal rows.
+        rng = np.random.default_rng(13)
+        a = rng.standard_normal((48, 2))[rng.integers(0, 48, size=48)]
+        b = rng.standard_normal((48, 2))
+        self._same(((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2))
+
+    def test_single_point(self):
+        self._same(np.array([[2.5]]))
+
+    def test_rectangular(self):
+        rng = np.random.default_rng(14)
+        cost = rng.standard_normal((7, 12))
+        self._same(cost)
+        self._same(cost.T)
+
+    def test_fallback_gives_the_same_result(self, monkeypatch):
+        class NoExtension:
+            def __init__(self, path, *loaders):
+                pass
+
+            def find_spec(self, name):
+                return None
+
+        rng = np.random.default_rng(15)
+        a, b = rng.standard_normal((40, 3)), rng.standard_normal((40, 3))
+        loaded = w2_assignment(a, b)
+        transport._assignment_solver.cache_clear()
+        monkeypatch.setattr(transport, "FileFinder", NoExtension)
+        try:
+            assert transport._assignment_solver() is _public_solver()
+            assert w2_assignment(a, b) == loaded
+        finally:
+            transport._assignment_solver.cache_clear()
+
+    @pytest.mark.skipif(_lsap_spec() is None,
+                        reason="this scipy has no scipy/optimize/_lsap extension file")
+    def test_scoring_does_not_import_scipy_optimize(self):
+        # A d = 2 curie-weiss / fourier-field converge scores its rows by
+        # assignment; neither it nor w2_assignment runs scipy.optimize.
+        script = textwrap.dedent("""
+            import sys
+            import numpy as np
+            from smallmass.config import parse_config
+            from smallmass.harness import run_convergence
+            from smallmass.transport import w2_assignment
+
+            rng = np.random.default_rng(0)
+            assert w2_assignment(rng.standard_normal((9, 2)),
+                                 rng.standard_normal((9, 2))).method == "assignment"
+            report = run_convergence(parse_config({
+                "run.d": 2, "run.N": 4, "run.T": 0.2, "run.alpha": 1.0,
+                "run.seed": 7, "run.h0": 0.05, "run.eps_grid": [0.2, 0.1],
+                "run.replicas": 8, "run.samples_per_replica": 1,
+                "potential.kind": "curie-weiss", "potential.lambda": 1.0,
+                "potential.kappa": 0.5, "noise.kind": "fourier-field",
+                "noise.gamma": 2.0, "noise.sigma": 1.0,
+                "noise.omegas": [[1.0, 0.0], [0.0, 1.0]], "noise.a": [1.0, 0.5],
+                "noise.b": [0.0, 0.5], "limit.modes": ["paper", "green-kubo"],
+                "gk.reps": 8, "gk.horizon_fast": 10.0, "output.dir": "unused"}))
+            assert [r["w2_method"] for r in report.rows] == ["assignment"] * 2
+            print(sorted(m for m in sys.modules if m.startswith("scipy.optimize")))
+        """)
+        env = dict(os.environ, SMALLMASS_WORKERS="2")
+        r = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                           text=True, env=env)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.strip() == "[]"
