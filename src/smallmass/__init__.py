@@ -12,7 +12,7 @@ from ._version import __version__
 from .core import (EmpiricalMeasure, ParticleEnsemble, PotentialSpec,
                    RunConfig, probe_lipschitz)
 from .dynamics_eps import EpsScheme, InitialLaw, StepReport, step
-from .dynamics_limit import DiffusionSpec, LimitScheme, step_em
+from .dynamics_limit import DiffusionSpec, LimitScheme
 from .errors import ConfigError, NumericError, UsageError
 from .noise import DriverState, NoiseModel, sigma_matrix
 from .transport import W2Result, w2_1d, w2_assignment, w2_auto, w2_sliced
@@ -37,7 +37,6 @@ __all__ = [
     "probe_lipschitz",
     "sigma_matrix",
     "step",
-    "step_em",
     "w2_1d",
     "w2_assignment",
     "w2_auto",

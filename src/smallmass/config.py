@@ -28,8 +28,9 @@ __all__ = ["Config", "load_config", "parse_config", "serialize_config"]
 
 _REQ = object()
 
-# Replica counts index counter-based streams (one stream per replica), so
-# they share the stream index bound; every other count stays within a C int.
+# Replica counts index counter-based streams (one stream per replica, or
+# per block of replicas), so they share the stream index bound; every other
+# count stays within a C int.
 _REPLICA_KEYS = ("run.replicas", "limit.replicas", "gk.reps", "diag.reps",
                  "diag.moment_reps")
 _STREAMS_MAX = _rng._IDX_MAX + 1

@@ -136,9 +136,10 @@ def moment_table(cfg: RunConfig, model: NoiseModel, pot: PotentialSpec,
     Particles within a replica share one driver path, so the effective
     sample size is the replica count; confidence halfwidths are computed
     across replicas.  The replicas run through ``run_eps_replicas``
-    ``batch_size`` at a time, all in one lock-step batch by default: the
-    kernel's normals are drawn in windows under a fixed budget, so a larger
-    batch costs state memory only, and the values do not depend on it.
+    ``batch_size`` (a multiple of ``rng.BLOCK``) at a time, all in one
+    lock-step batch by default: the kernel's normals are drawn in windows
+    under a fixed budget, so a larger batch costs state memory only, and
+    the values do not depend on it.
     """
     if grid_points < 2:
         raise UsageError(f"grid_points must be >= 2, got {grid_points}")
@@ -295,18 +296,22 @@ class _UvPaths:
 def _driver_paths(model, seed, path, reps, n, delta_s):
     """Yield the driver values of ``reps`` stationary paths at steps 0..n-1.
 
-    Replica r draws its start and then its n normals from the stream
-    ``(seed, *path, r)``, the normals a window of steps at a time
+    The replicas draw by blocks (``rng.block_streams``): each block draws
+    its replicas' starts in one (s,) + driver-shape call and then one such
+    slab per step, step-major, a window of steps at a time
     (``rng.normal_windows``); the paths are advanced in lock-step by
-    ``delta_s``.  Each yielded (reps,) + driver_shape array is fresh:
-    later steps do not overwrite it.
+    ``delta_s``.  Under ``GK_RUN`` the blocks hold one replica each, so
+    replica r draws from ``(seed, *path, r)`` alone.  Each yielded
+    (reps,) + driver_shape array is fresh: later steps do not overwrite it.
     """
     ds = model.driver_shape
     xi = np.empty((reps,) + ds)
-    gens = [_rng.stream(seed, *path, r) for r in range(reps)]
-    for r, gen in enumerate(gens):
-        xi[r] = stationary_xi(model, gen)
-    for z in _rng.normal_windows(gens, n, ds):
+    blocks = _rng.block_streams(seed, path, range(reps))
+    row = 0
+    for gen, s in blocks:
+        xi[row : row + s] = stationary_xi(model, gen, reps=s)
+        row += s
+    for z in _rng.normal_windows(blocks, n, ds):
         yield xi
         xi = advance_xi(xi, model, delta_s, z)
 

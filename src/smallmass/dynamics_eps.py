@@ -26,10 +26,10 @@ Step-size law: accuracy (not stability) ties the step to the fast scale,
 h = h0 * eps with h0 <= 0.2, because the frozen forcing must resolve the
 driver's oscillation.  The exponential scheme is therefore the default.
 
-Per-replica randomness comes from counter-based streams; the replica sweep
-(`run_eps_replicas`) draws each replica's normals in a fixed order, a
-window of steps at a time, and advances many replicas in lock-step, which
-is bit-identical to stepping the replicas one at a time.  It integrates
+Randomness comes from counter-based streams, one per block of replicas
+(``rng.block_streams``); the replica sweep (`run_eps_replicas`) draws each
+block's normals in a fixed order, a window of steps at a time, and
+advances many replicas in lock-step, whatever the batch.  It integrates
 exactly the ``cfg.N`` particles it is handed: how many particles a sample
 needs is decided by the caller (``harness``), not here.
 """
@@ -116,10 +116,11 @@ class InitialLaw:
         if self.position_std < 0.0:
             raise UsageError("position_std must be >= 0")
 
-    def draw_positions(self, n: int, d: int, rng) -> np.ndarray:
+    def draw_positions(self, n: int, d: int, rng, reps: int | None = None) -> np.ndarray:
+        """(n, d) positions, or ``reps`` sets of them in one (reps, n, d) draw."""
         # The normal draw is always consumed so stream alignment does not
         # depend on position_std.
-        z = rng.standard_normal((n, d))
+        z = rng.standard_normal((n, d) if reps is None else (reps, n, d))
         return np.asarray(self.position_mean, dtype=float) + self.position_std * z
 
     def velocities(self, n: int, d: int) -> np.ndarray:
@@ -237,15 +238,20 @@ def run_eps_replicas(cfg: RunConfig, model: NoiseModel, pot: PotentialSpec,
     """Replica sweep of the second-order system, advanced in lock-step.
 
     ``stream_path`` is a tuple prefix (purpose code plus optional indices);
-    replica r draws from ``stream(seed, *stream_path, r)``.  The replicas
-    are advanced ``batch_size`` at a time, all of them in one batch when it
-    is ``None``.  Results are bit-identical to running replicas one at a
-    time through ``step``, whatever the batch, because every replica draws
-    from its own stream in the order ``step`` consumes it (positions,
-    driver start, then one driver draw per step).  The per-step draws come
-    a window of steps at a time (``rng.normal_windows``), so the normals
-    held at once stay under ``rng.DRAW_BUDGET`` whatever the batch size
-    and horizon.  ``recorder``, when given, is called as
+    the replicas draw by blocks (``rng.block_streams``): block b of
+    ``rng.block_size(stream_path[0])`` consecutive replicas draws from
+    ``stream(seed, *stream_path, b)`` its replicas' positions in one
+    (s, N, d) call, their driver starts in one (s,) + driver-shape call,
+    and then one (s,) + driver-shape slab per step, step-major.  So
+    ``replica_ids`` must be whole blocks, consecutive from a multiple of
+    the block size, and only the sample's last block may be short; a
+    block of one replica draws what its own stream drew for a lone
+    replica.  The replicas are advanced ``batch_size`` at a time (a
+    multiple of the block size), all of them in one batch when it is
+    ``None``; the results do not depend on the batch.  The per-step draws
+    come a window of steps at a time (``rng.normal_windows``), so the
+    normals held at once stay under ``rng.DRAW_BUDGET`` whatever the batch
+    size and horizon.  ``recorder``, when given, is called as
     ``recorder(replica_ids_batch, step_index, time, X, Y, xi)`` after the
     initial state and after every step, with ``xi`` the driver values at
     that time (shape (B,) + driver shape); X, Y and xi are updated in place
@@ -254,6 +260,10 @@ def run_eps_replicas(cfg: RunConfig, model: NoiseModel, pot: PotentialSpec,
     Returns terminal positions and velocities, each of shape (R, N, d).
     """
     replica_ids = list(replica_ids)
+    block = _rng.block_size(stream_path[0])
+    if batch_size is not None and batch_size % block:
+        raise UsageError(f"batch_size {batch_size} is not a multiple of the "
+                         f"{block}-replica stream block")
     sch = build_scheme(cfg, sch_kind)
     n = _n_steps(cfg.T, sch.h)
     delta_s = sch.h / cfg.eps
@@ -269,17 +279,19 @@ def run_eps_replicas(cfg: RunConfig, model: NoiseModel, pot: PotentialSpec,
         B = len(ids)
         X = np.empty((B, cfg.N, cfg.d))
         xi = np.empty((B,) + ds)
-        gens = [_rng.stream(cfg.seed, *stream_path, r) for r in ids]
-        for j, gen in enumerate(gens):
-            X[j] = init.draw_positions(cfg.N, cfg.d, gen)
-            xi[j] = stationary_xi(model, gen)
+        blocks = _rng.block_streams(cfg.seed, stream_path, ids)
+        row = 0
+        for gen, s in blocks:
+            X[row : row + s] = init.draw_positions(cfg.N, cfg.d, gen, reps=s)
+            xi[row : row + s] = stationary_xi(model, gen, reps=s)
+            row += s
         Y = np.broadcast_to(Y0, X.shape).copy()
         F, tmp = np.empty_like(X), np.empty_like(X)
         t = 0.0
         if recorder is not None:
             recorder(ids, 0, t, X, Y, xi)
         try:
-            for k, z in enumerate(_rng.normal_windows(gens, n, ds)):
+            for k, z in enumerate(_rng.normal_windows(blocks, n, ds)):
                 _total_force(model, pot, X, xi, inv_sqrt_eps, F, tmp)
                 advance(X, Y, F, tmp)
                 advance_xi(xi, model, delta_s, z, out=xi)
@@ -301,8 +313,9 @@ def paired_scheme_gap(cfg: RunConfig, model: NoiseModel, pot: PotentialSpec,
     """Exponential vs Euler terminal ensembles on one shared driver path.
 
     The exponential half is replica ``seed_index`` of ``run_eps_replicas``
-    on the path ``(PAIRED,)`` at step h0_coarse * eps (so h0_coarse <= 0.2);
-    its recorder keeps the initial state and each step's driver value.  The
+    on the path ``(PAIRED,)``, one replica per stream, at step
+    h0_coarse * eps (so h0_coarse <= 0.2); its recorder keeps the initial
+    state and each step's driver value.  The
     Euler half takes h0_coarse/h0_fine substeps inside each of those steps,
     re-evaluating the drift but holding the forcing value.  This isolates
     the integrator difference from forcing-resolution noise, which is the

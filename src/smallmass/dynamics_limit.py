@@ -13,8 +13,8 @@ Two sources for D_eff are supported besides an explicit matrix (the
 mode names are resolved in ``harness.build_mode_diffusions``):
 
 * ``paper`` mode divides the stationary forcing covariance by the product
-  of alpha^2 and the envelope decay rate at lag zero:
-  D_eff = Sigma / (alpha^2 * beta);
+  of alpha^2 and the driver's mixing rate gamma (the envelope decay rate
+  at lag zero): D_eff = Sigma / (alpha^2 * gamma);
 * ``green-kubo`` mode uses the effective diffusion of the integrated
   forcing: D_eff = G / alpha^2 with G = 2 * integral of the stationary
   forcing autocovariance.  Every built-in driver is an OU process with
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as _rng
-from .core import ParticleEnsemble, PotentialSpec, RunConfig, grad_v_batch
+from .core import PotentialSpec, RunConfig, grad_v_batch
 from .dynamics_eps import InitialLaw, _check_finite, _n_steps
 from .errors import NumericError, UsageError
 
@@ -47,7 +47,6 @@ __all__ = [
     "LimitScheme",
     "default_limit_scheme",
     "run_limit_replicas",
-    "step_em",
 ]
 
 _SYM_TOL = 1e-12
@@ -113,32 +112,20 @@ def default_limit_scheme(cfg: RunConfig, pot: PotentialSpec) -> LimitScheme:
     return LimitScheme(h=cfg.T / n)
 
 
-def step_em(ens: ParticleEnsemble, pot: PotentialSpec, diff: DiffusionSpec,
-            sch: LimitScheme, alpha: float, rng) -> ParticleEnsemble:
-    """One Euler-Maruyama step of the interacting particle system."""
-    if not ens.is_limit_mode:
-        raise UsageError("step_em requires a limit-mode ensemble (no velocities)")
-    X = ens.positions
-    grad = grad_v_batch(pot, X)
-    Z = rng.standard_normal(X.shape)
-    X2 = X - (sch.h / alpha) * grad + math.sqrt(sch.h) * Z @ diff.sqrt.T
-    out = ParticleEnsemble(positions=X2, velocities=None, time=ens.time + sch.h, eps=None)
-    out.check_finite()
-    return out
-
-
 def run_limit_replicas(cfg: RunConfig, pot: PotentialSpec, diff: DiffusionSpec,
                        init: InitialLaw, replica_ids, stream_path,
                        sch: LimitScheme | None = None, *, recorder=None) -> np.ndarray:
     """Terminal positions over independent replicas, stepped in lock-step.
 
-    Replica r draws from ``stream(seed, *stream_path, r)`` its positions
-    and then one (N, d) normal block per step, the order ``step_em``
-    consumes it, so every replica is bit-identical to stepping it alone,
-    whatever other replicas share the call.  The per-step blocks come a
-    window of steps at a time (``rng.normal_windows``), so the normals held
-    at once stay under ``rng.DRAW_BUDGET`` whatever the replica count and
-    horizon.
+    The replicas draw by blocks, as in ``run_eps_replicas``: block b of
+    ``rng.block_size(stream_path[0])`` consecutive replicas draws from
+    ``stream(seed, *stream_path, b)`` its replicas' positions in one
+    (s, N, d) call and then one (s, N, d) normal slab per step,
+    step-major, so ``replica_ids`` must be whole blocks and every replica
+    gets the same bits whatever other blocks share the call.  The per-step
+    slabs come a window of steps at a time (``rng.normal_windows``), so
+    the normals held at once stay under ``rng.DRAW_BUDGET`` whatever the
+    replica count and horizon.
     The step count follows the eps system's rule: when ``h`` does not
     divide ``T`` the last step ends past ``T``, never before it.
     ``recorder``, when given, is called as ``recorder(replica_ids, step_index,
@@ -151,9 +138,11 @@ def run_limit_replicas(cfg: RunConfig, pot: PotentialSpec, diff: DiffusionSpec,
     N, d = cfg.N, cfg.d
     n = _n_steps(cfg.T, sch.h)
     X = np.empty((len(replica_ids), N, d))
-    gens = [_rng.stream(cfg.seed, *stream_path, r) for r in replica_ids]
-    for j, gen in enumerate(gens):
-        X[j] = init.draw_positions(N, d, gen)
+    blocks = _rng.block_streams(cfg.seed, stream_path, replica_ids)
+    row = 0
+    for gen, s in blocks:
+        X[row : row + s] = init.draw_positions(N, d, gen, reps=s)
+        row += s
     root_h = math.sqrt(sch.h)
     ST = diff.sqrt.T
     G, tmp = np.empty_like(X), np.empty_like(X)
@@ -161,7 +150,7 @@ def run_limit_replicas(cfg: RunConfig, pot: PotentialSpec, diff: DiffusionSpec,
     if recorder is not None:
         recorder(replica_ids, 0, t, X)
     try:
-        for k, z in enumerate(_rng.normal_windows(gens, n, (N, d))):
+        for k, z in enumerate(_rng.normal_windows(blocks, n, (N, d))):
             grad_v_batch(pot, X, out=G, tmp=tmp)
             G *= sch.h / cfg.alpha
             X -= G

@@ -31,9 +31,10 @@ run at N = ``spr`` (``Config.particle_local`` is the one rule, and
 dump runs its sample's N, so it ends on the sample.
 
 Scheduling never touches values: replicas are keyed to counter-based
-streams, each worker advances one contiguous batch of replicas in
-lock-step, and aggregation follows (eps index, replica index) order, so a
-run with one worker and a run with sixteen emit byte-identical files.  A
+streams by blocks of ``rng.BLOCK``, each worker advances one contiguous
+batch of whole blocks in lock-step, and aggregation follows (eps index,
+replica index) order, so a run with one worker and a run with sixteen
+emit byte-identical files.  A
 command starts at most one process pool: ``converge`` hands every limit
 mode's and every eps row's batches to it before scoring anything, and the
 parent scores row k's W2 as soon as row k's batches are back while the
@@ -222,12 +223,20 @@ def build_mode_diffusions(cfg: Config) -> dict[str, DiffusionSpec]:
     return {mode: _mode_diffusion(cfg, mode) for mode in cfg.modes}
 
 
+def _n_batches(reps: int) -> int:
+    """Batches of a sample of ``reps`` replicas: one per worker, at most
+    one per stream block."""
+    return min(worker_count(), math.ceil(reps / _rng.BLOCK))
+
+
 def _batches(head, reps: int, spr: int) -> list:
-    """The kernel items of one sample: its replica ids cut into
-    ``min(workers, reps)`` contiguous batches, in order, whose sizes differ
-    by at most one, each as ``(*head, ids, spr)``."""
-    n = min(worker_count(), reps)
-    cuts = [reps * i // n for i in range(n + 1)]
+    """The kernel items of one sample: its replica ids cut on stream-block
+    boundaries into ``_n_batches(reps)`` contiguous batches, in order,
+    whose block counts differ by at most one, each as ``(*head, ids, spr)``.
+    Every pooled sample is on a purpose keyed by ``rng.BLOCK`` replicas,
+    and only the last batch ends in a short block."""
+    n, n_blocks = _n_batches(reps), math.ceil(reps / _rng.BLOCK)
+    cuts = [min(reps, _rng.BLOCK * (n_blocks * i // n)) for i in range(n + 1)]
     return [(*head, list(range(a, b)), spr) for a, b in zip(cuts, cuts[1:])]
 
 
@@ -237,7 +246,7 @@ def _batch_pool(jobs):
     processes as the largest job has batches; ``None`` when that is one, so
     every batch runs inline.  On the way out, batches not yet started are
     cancelled and every worker has ended, also when the body raised."""
-    n = min(worker_count(), max(reps for _, _, reps, _ in jobs))
+    n = max(_n_batches(reps) for _, _, reps, _ in jobs)
     if n == 1:
         yield None
         return
@@ -468,7 +477,8 @@ def run_simulate_eps(cfg: Config, out_dir: str):
 
 
 def _dump_eps_trajectory(cfg: Config, eps: float, path: str):
-    """Every step of replica 0 at ``eps``, in the run of the pooled sample."""
+    """Every step of replica 0 at ``eps``, in the run of the pooled sample:
+    replica 0's whole stream block runs, and its first row is written."""
     rc = _sample_run(cfg, eps, cfg.values["run.samples_per_replica"], "eps")
     d = rc.d
     header = ["t", "i"] + [f"x_{k + 1}" for k in range(d)] + [f"y_{k + 1}" for k in range(d)]
@@ -478,8 +488,9 @@ def _dump_eps_trajectory(cfg: Config, eps: float, path: str):
         for i in range(rc.N):
             rows.append([t, i] + list(map(float, X[0, i])) + list(map(float, Y[0, i])))
 
+    block = range(min(_rng.BLOCK, cfg.values["run.replicas"]))
     run_eps_replicas(rc, cfg.noise_model(), cfg.potential(), cfg.values["run.scheme"],
-                     cfg.init_law(), [0], (_rng.EPS_RUN, 0), recorder=record)
+                     cfg.init_law(), block, (_rng.EPS_RUN, 0), recorder=record)
     write_table(path, {"trajectory.replica": "0"}, header, rows)
 
 
@@ -497,9 +508,10 @@ def run_simulate_limit(cfg: Config, out_dir: str):
 
 
 def _dump_limit_trajectory(cfg: Config, diff: DiffusionSpec, path: str):
-    """Every step of replica 0 of the first mode's limit sample."""
-    rc, pot, diff, init, stream_path, sch = _limit_args(cfg, diff, (_rng.LIMIT_RUN, 0),
-                                                        cfg.limit_pooling()[1])
+    """Every step of replica 0 of the first mode's limit sample: replica
+    0's whole stream block runs, and its first row is written."""
+    reps, spr = cfg.limit_pooling()
+    rc, pot, diff, init, stream_path, sch = _limit_args(cfg, diff, (_rng.LIMIT_RUN, 0), spr)
     header = ["t", "i"] + [f"x_{k + 1}" for k in range(rc.d)]
     rows = []
 
@@ -507,7 +519,8 @@ def _dump_limit_trajectory(cfg: Config, diff: DiffusionSpec, path: str):
         for i in range(rc.N):
             rows.append([t, i] + list(map(float, X[0, i])))
 
-    run_limit_replicas(rc, pot, diff, init, [0], stream_path, sch, recorder=record)
+    run_limit_replicas(rc, pot, diff, init, range(min(_rng.BLOCK, reps)), stream_path, sch,
+                       recorder=record)
     write_table(path, {"trajectory.replica": "0"}, header, rows)
 
 

@@ -137,9 +137,11 @@ class DriverState:
             raise UsageError("fast time must be nonnegative")
 
 
-def stationary_xi(model: NoiseModel, rng) -> np.ndarray:
-    """One stationary driver draw (clipped when the model asks for it)."""
-    xi = model.sigma * rng.standard_normal(model.driver_shape)
+def stationary_xi(model: NoiseModel, rng, reps: int | None = None) -> np.ndarray:
+    """One stationary driver draw (clipped when the model asks for it), or
+    ``reps`` of them in one ``(reps,) + driver_shape`` draw."""
+    shape = model.driver_shape if reps is None else (reps,) + model.driver_shape
+    xi = model.sigma * rng.standard_normal(shape)
     return _clip(xi, model) if model.clip else xi
 
 

@@ -85,9 +85,13 @@ def _assignment_solver():
 
 
 def w2_1d(a, b) -> W2Result:
-    """Exact 1-d W2 between equal-size samples (monotone coupling)."""
-    a = _points(a, "w2_1d").reshape(-1)
-    b = _points(b, "w2_1d").reshape(-1)
+    """Exact 1-d W2 between equal-size samples (monotone coupling); each
+    sample is (n,) or (n, 1)."""
+    a, b = _points(a, "w2_1d"), _points(b, "w2_1d")
+    if a.shape[1] != 1 or b.shape[1] != 1:
+        raise UsageError(f"w2_1d needs samples on the line, (n,) or (n, 1), "
+                         f"got shapes {a.shape} and {b.shape}")
+    a, b = a[:, 0], b[:, 0]
     if a.size != b.size or a.size == 0:
         raise UsageError(
             f"w2_1d needs equal nonempty sample counts, got {a.size} and {b.size}"

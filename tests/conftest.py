@@ -51,3 +51,46 @@ def traced_peak_above(fn):
         tracemalloc.stop()
     arrays = result if isinstance(result, tuple) else (result,)
     return peak - sum(a.nbytes for a in arrays)
+
+
+# Replicas per stream on the blocked purposes, as the reproducibility
+# contract fixes it; the references below draw from it independently of
+# the kernels' own block code.
+BLOCK = 64
+
+
+def block_gens(seed, path, reps, size=BLOCK):
+    """(first replica, size s, generator) of each stream block of replicas
+    0..reps-1 under ``path``; the last block ends at replica reps - 1."""
+    from smallmass import rng as _rng
+
+    return [(b * size, min(size, reps - b * size), _rng.stream(seed, *path, b))
+            for b in range(-(-reps // size))]
+
+
+class Replay:
+    """Stands in for a generator: hands out pre-drawn arrays in order, one
+    per ``standard_normal`` call, each of the shape the call asks for."""
+
+    def __init__(self, *arrays):
+        self._arrays = iter(arrays)
+
+    def standard_normal(self, shape):
+        z = next(self._arrays)
+        assert z.shape == tuple(shape)
+        return z
+
+
+def replica_replays(seed, path, reps, n, *, positions=None, driver=None, step=(),
+                    size=BLOCK):
+    """One ``Replay`` per replica 0..reps-1 holding what the block contract
+    gives it, in draw order: its row of its block's ``(s,) + positions``
+    draw, of its ``(s,) + driver`` draw, and of each of the n steps of its
+    ``(n, s) + step`` draw, every block's draws taken whole and up front."""
+    out = []
+    for _, s, gen in block_gens(seed, path, reps, size):
+        starts = [gen.standard_normal((s,) + shape) for shape in (positions, driver)
+                  if shape is not None]
+        Z = gen.standard_normal((n, s) + tuple(step))
+        out.extend(Replay(*(a[j] for a in starts), *Z[:, j]) for j in range(s))
+    return out

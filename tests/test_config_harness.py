@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import multiprocessing
 import os
 import subprocess
@@ -14,8 +15,11 @@ from smallmass import harness
 from smallmass import rng as _rng
 from smallmass.cli import main as cli_main
 from smallmass.config import load_config, parse_config, serialize_config
+from smallmass.diagnostics import green_kubo
+from smallmass.dynamics_eps import paired_scheme_gap
 from smallmass.dynamics_limit import DiffusionSpec, LimitScheme, run_limit_replicas
 from smallmass.errors import ConfigError
+from smallmass.noise import NoiseModel
 from smallmass.harness import (CONVERGE_COLUMNS, _pooled, _self_test_job,
                                build_mode_diffusions, load_sample_file,
                                run_convergence, run_diagnose, run_estimate_gk,
@@ -39,9 +43,9 @@ class RawJson(str):
 FOURIER = {"noise.omegas": [[1.0, 0.0], [0.0, 1.0]], "noise.a": [1.0, 0.5],
            "noise.b": [0.0, 0.5]}
 # The interacting path: curie-weiss drift, law-dependent fourier-field
-# forcing, d = 2, 72 replicas.
+# forcing, d = 2, 130 replicas: two whole stream blocks and a short one.
 COUPLED = dict(FOURIER, **{
-    "run.d": 2, "run.N": 8, "run.replicas": 72, "run.samples_per_replica": 1,
+    "run.d": 2, "run.N": 8, "run.replicas": 130, "run.samples_per_replica": 1,
     "potential.kind": "curie-weiss", "potential.kappa": 0.5,
     "noise.kind": "fourier-field", "gk.reps": 8, "gk.horizon_fast": 10.0,
 })
@@ -215,8 +219,12 @@ class TestConvergenceHarness:
         with pytest.raises(Exception):
             worker_count()
 
-    @pytest.mark.parametrize("workers, reps", [(1, 10), (2, 10), (3, 10), (4, 9), (16, 5)])
+    @pytest.mark.parametrize("workers, reps", [(1, 150), (2, 150), (3, 150), (4, 130),
+                                               (16, 300)])
     def test_pooled_runs_one_contiguous_batch_per_worker(self, monkeypatch, workers, reps):
+        # Batches are cut on the 64-replica stream blocks: one per worker,
+        # at most one per block, whose block counts differ by at most one;
+        # only the last batch ends in a short block.
         class InlinePool:
             def __init__(self, max_workers):
                 pass
@@ -237,16 +245,20 @@ class TestConvergenceHarness:
         monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
         monkeypatch.setenv("SMALLMASS_WORKERS", str(workers))
         out = harness._pooled(worker, ("head",), reps, 2)
-        assert len(calls) == min(workers, reps)
+        n_blocks = math.ceil(reps / 64)
+        assert len(calls) == min(workers, n_blocks)
         assert [r for ids in calls for r in ids] == list(range(reps))
-        assert max(map(len, calls)) - min(map(len, calls)) <= 1
+        assert all(ids[0] % 64 == 0 for ids in calls)
+        blocks = [math.ceil(len(ids) / 64) for ids in calls]
+        assert sum(blocks) == n_blocks and max(blocks) - min(blocks) <= 1
         assert np.array_equal(out[:, 0], np.repeat(np.arange(reps), 2))
 
     def test_worker_split_does_not_change_bytes(self, small_config_dict,
                                                 tmp_path, monkeypatch):
-        # At 2 workers each pooled phase runs two batches in the command's
-        # one process pool, at 1 worker one batch inline; the pool starts
-        # are counted.
+        # 150 and 130 replicas are three stream blocks, the last one short.
+        # At 2 and 3 workers each pooled phase runs two or three batches in
+        # the command's one process pool, at 1 worker one batch inline; the
+        # pool starts are counted.
         starts = []
 
         class CountingPool(harness.ProcessPoolExecutor):
@@ -255,10 +267,10 @@ class TestConvergenceHarness:
                 super().__init__(*args, **kwargs)
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
-        for name, doc in (("scalar-ou", dict(small_config_dict, **{"run.replicas": 72})),
+        for name, doc in (("scalar-ou", dict(small_config_dict, **{"run.replicas": 150})),
                           ("coupled", dict(small_config_dict, **COUPLED))):
             texts = {}
-            for w in ("1", "2"):
+            for w in ("1", "2", "3"):
                 monkeypatch.setenv("SMALLMASS_WORKERS", w)
                 starts.clear()
                 cfg = parse_config(doc)
@@ -266,14 +278,15 @@ class TestConvergenceHarness:
                 path = tmp_path / f"converge_{name}_{w}.csv"
                 report.write_csv(path)
                 texts[w] = path.read_text()
-                assert len(starts) == (1 if w == "2" else 0), (name, w, len(starts))
-            assert texts["1"] == texts["2"], name
+                assert len(starts) == (0 if w == "1" else 1), (name, w, len(starts))
+            assert texts["1"] == texts["2"] == texts["3"], name
 
     def test_every_row_is_submitted_before_the_first_score(self, small_config_dict,
                                                            monkeypatch):
         # A stand-in pool runs each batch when it is submitted and logs its
         # stream path; scoring logs "w2".  Every eps row must be handed out
-        # before the parent scores the first one.
+        # before the parent scores the first one.  150 replicas are three
+        # stream blocks, so each row is two batches at 2 workers.
         log = []
 
         class LoggingPool:
@@ -294,7 +307,7 @@ class TestConvergenceHarness:
         monkeypatch.setattr(harness, "ProcessPoolExecutor", LoggingPool)
         monkeypatch.setattr(harness, "w2_auto", logging_w2)
         monkeypatch.setenv("SMALLMASS_WORKERS", "2")
-        cfg = parse_config(small_config_dict)
+        cfg = parse_config(dict(small_config_dict, **{"run.replicas": 150}))
         run_convergence(cfg)
         first_score = log.index("w2")
         rows = [(_rng.EPS_RUN, i) for i in range(len(cfg.eps_grid))]
@@ -447,26 +460,52 @@ class TestOtherEntryPoints:
     def test_trajectory_dumps_end_on_the_sample_step_grid(self, small_config_dict, tmp_path):
         # h = 0.05 * 0.03 does not divide T = 5, and neither does limit.h;
         # the d = 2 matrix is non-diagonal, so a rebuilt spec would re-round
-        # its square root; at run.N = 5 the dumps run the samples' N = 2
-        for d, n, extra in ((1, 2, {"limit.modes": ["paper"]}),
-                            (1, 5, {"limit.modes": ["paper"]}),
-                            (2, 5, {"limit.modes": ["explicit"],
-                                    "limit.explicit_matrix": [[1.0, 0.3], [0.3, 0.6]]})):
+        # its square root; at run.N = 5 the dumps run the samples' N = 2.
+        # At 70 replicas the dumps run replica 0's whole 64-replica stream
+        # block and end on its first row, the pooled sample's replica 0.
+        for d, n, reps, extra in ((1, 2, 1, {"limit.modes": ["paper"]}),
+                                  (1, 2, 70, {"limit.modes": ["paper"]}),
+                                  (1, 5, 1, {"limit.modes": ["paper"]}),
+                                  (2, 5, 1, {"limit.modes": ["explicit"],
+                                             "limit.explicit_matrix": [[1.0, 0.3],
+                                                                       [0.3, 0.6]]})):
             doc = dict(small_config_dict, **{
-                "output.dump_trajectories": True, "run.N": n, "run.replicas": 1,
+                "output.dump_trajectories": True, "run.N": n, "run.replicas": reps,
                 "run.samples_per_replica": 2, "run.eps_grid": [0.03], "run.T": 5.0,
-                "limit.h": 0.003, "limit.replicas": 1, "run.d": d,
+                "limit.h": 0.003, "limit.replicas": reps, "run.d": d,
             }, **extra)
             cfg = parse_config(doc)
-            out = tmp_path / f"d{d}_n{n}"
+            out = tmp_path / f"d{d}_n{n}_r{reps}"
             out.mkdir()
             run_simulate_eps(cfg, str(out))
             run_simulate_limit(cfg, str(out))
             for kind in ("eps", "limit"):
                 sample = load_sample_file(out / f"samples_{kind}.csv")
                 traj = load_sample_file(out / f"trajectory_{kind}.csv")
-                assert np.array_equal(traj[-2:, 2:2 + d], sample), (d, n, kind)
+                assert len(sample) == 2 * reps
+                assert np.array_equal(traj[-2:, 2:2 + d], sample[:2]), (d, n, reps, kind)
                 assert traj[-1, 0] >= 5.0 - 1e-9
+
+    def test_one_replica_streams_keep_their_bytes(self, benchmark_config_path, tmp_path):
+        # Green-Kubo and the scheme cross-check keep one replica per stream,
+        # so blocking the other samples moves none of their bytes: the
+        # values below are those of the per-replica streams.  Criterion 2's
+        # estimate sits at its shipped seed with a 7% spread against a 5%
+        # window, so it must not be re-rolled.
+        gk = green_kubo(NoiseModel.scalar_ou(1, gamma=2.0, sigma=1.0), horizon_fast=25.0,
+                        reps=64, seed=1)
+        assert (gk.G[0, 0], gk.ci_fro, gk.truncation_lag) == (
+            1.0060725310867638, 0.12421769854317848, 1.8250000000000002)
+        cfg = load_config(benchmark_config_path)
+        with open(harness.COMMANDS["estimate-gk"](cfg, str(tmp_path))) as fh:
+            lines = fh.read().splitlines()
+        assert lines[-2:] == ["i,j,G", "0,0,2.010958414217177"]
+        assert "# gk.ci_fro = 0.13929106352728374" in lines
+        assert "# gk.truncation_lag = 5.1000000000000005" in lines
+        gaps = [paired_scheme_gap(cfg.run_config(eps), cfg.noise_model(), cfg.potential(),
+                                  init=cfg.init_law())[2] for eps in cfg.eps_grid]
+        assert gaps == [0.00016499536670069854, 0.00140534645193302,
+                        0.0006977461151073646, 0.00012249170673226883]
 
     def test_simulate_limit_builds_only_the_first_mode(self, small_config_dict, tmp_path,
                                                        monkeypatch):

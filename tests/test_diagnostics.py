@@ -13,6 +13,8 @@ from smallmass.errors import UsageError
 from smallmass.noise import (DriverState, NoiseModel, advance_xi, averaged_forcing_xi,
                              stationary_xi)
 
+from conftest import BLOCK, replica_replays
+
 FREE_POT = PotentialSpec.quadratic(1e-12)  # effectively potential-free
 FOURIER_D2 = NoiseModel.fourier_field(2, gamma=2.0, sigma=1.0,
                                       omegas=[[1.0, 0.0], [0.0, 1.0], [0.7, -0.4]],
@@ -51,12 +53,14 @@ class _StepwisePaths:
             self.v_late[rows, k - self.n_late_from] = v
 
 
-def _reference_drivers(model, seed, path, reps, n, delta_s):
-    """Driver values at steps 0..n-1: each replica's start and normals
-    pre-drawn, then all replicas advanced together."""
-    gens = [_rng.stream(seed, *path, r) for r in range(reps)]
+def _reference_drivers(model, seed, path, reps, n, delta_s, size=BLOCK):
+    """Driver values at steps 0..n-1: each stream block of ``size`` replicas
+    draws its starts and then its step-major normals whole, up front, and
+    all replicas are advanced together."""
+    ds = model.driver_shape
+    gens = replica_replays(seed, path, reps, n, driver=ds, step=ds, size=size)
     xi = np.stack([stationary_xi(model, g) for g in gens])
-    Z = np.stack([g.standard_normal((n,) + model.driver_shape) for g in gens])
+    Z = np.stack([[g.standard_normal(ds) for _ in range(n)] for g in gens])
     out = []
     for k in range(n):
         out.append(xi)
@@ -79,8 +83,10 @@ def _ensemble_reference_paths(cfg, model, pot, reps, n, eps_index):
     sch = EpsScheme("exponential", cfg.eps_step)
     init = InitialLaw()
     paths = _StepwisePaths(cfg, cfg.d, reps, n)
-    for rix in range(reps):
-        gen = _rng.stream(cfg.seed, _rng.UV_RUN, eps_index, rix)
+    ds = model.driver_shape
+    gens = replica_replays(cfg.seed, (_rng.UV_RUN, eps_index), reps, n,
+                           positions=(cfg.N, cfg.d), driver=ds, step=ds)
+    for rix, gen in enumerate(gens):
         X = init.draw_positions(cfg.N, cfg.d, gen)
         ens = ParticleEnsemble(X, init.velocities(cfg.N, cfg.d), 0.0, cfg.eps)
         drv = DriverState(xi=stationary_xi(model, gen), fast_time=0.0)
@@ -326,7 +332,8 @@ class TestBmProxy:
 class TestDriverPaths:
     """The scalar u/v paths and the Green-Kubo forcing path step one shared
     driver loop; both equal a per-step reference that pre-draws each
-    replica's start and normals and then advances all replicas together."""
+    stream block's starts and normals and then advances all replicas
+    together.  Green-Kubo keeps one replica per stream."""
 
     @staticmethod
     def _captured_forcing(monkeypatch):
@@ -355,7 +362,7 @@ class TestDriverPaths:
         model = NoiseModel.scalar_ou(2, gamma=2.0, sigma=1.0)
         seen = self._captured_forcing(monkeypatch)
         green_kubo(model, horizon_fast=10.0, reps=9, seed=5)
-        ref = _reference_drivers(model, 5, (_rng.GK_RUN,), 9, 400, 0.025)
+        ref = _reference_drivers(model, 5, (_rng.GK_RUN,), 9, 400, 0.025, size=1)
         assert len(seen) == 1
         assert np.array_equal(seen[0], np.stack(ref, axis=1))
 
@@ -366,7 +373,7 @@ class TestDriverPaths:
         m = EmpiricalMeasure(np.random.default_rng(0).standard_normal((16, 2)))
         seen = self._captured_forcing(monkeypatch)
         green_kubo(model, m_source=m, horizon_fast=10.0, reps=9, seed=5)
-        ref = _reference_drivers(model, 5, (_rng.GK_RUN,), 9, 400, 0.025)
+        ref = _reference_drivers(model, 5, (_rng.GK_RUN,), 9, 400, 0.025, size=1)
         eta = np.stack([averaged_forcing_xi(model, xi, m.points) for xi in ref], axis=1)
         assert len(seen) == 1
         assert np.array_equal(seen[0], eta)

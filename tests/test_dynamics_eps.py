@@ -1,4 +1,6 @@
+import inspect
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -16,7 +18,7 @@ from smallmass.harness import pool_eps_samples, pool_limit_samples
 from smallmass.noise import (DriverState, NoiseModel, advance_xi, averaged_forcing_xi,
                              stationary_xi)
 
-from conftest import traced_peak_above
+from conftest import replica_replays, traced_peak_above
 
 ZERO_POT = PotentialSpec.custom(lambda x, m: np.zeros_like(x), 1.0)
 SILENT = NoiseModel.scalar_ou(1, gamma=1.0, sigma=0.0)
@@ -37,6 +39,13 @@ def _step_loop(cfg, model, pot, init, gen):
         ens, drv, rep = step(ens, model, drv, pot, sch, cfg.alpha, gen)
         reports.append(rep)
     return ens, reports
+
+
+def _replays(cfg, model, path, reps):
+    """Each replica's draws under the block contract, for ``_step_loop``."""
+    return replica_replays(cfg.seed, path, reps, _n_steps(cfg.T, cfg.eps_step),
+                           positions=(cfg.N, cfg.d), driver=model.driver_shape,
+                           step=model.driver_shape)
 
 
 def _kernel(cfg, model, pot, init=InitialLaw()):
@@ -119,50 +128,74 @@ class TestDeterminism:
         assert np.array_equal(outs[0], outs[1]) and np.array_equal(outs[1], outs[2])
 
     def test_batched_matches_sequential_bitwise(self):
+        # two stream blocks, 64 and 6 replicas, in one lock-step batch
         cfg = RunConfig(d=1, N=16, eps=0.1, alpha=1.3, T=1.0, h0=0.05, seed=99)
         model = NoiseModel.scalar_ou(1, gamma=2.0, sigma=0.7)
         pot = PotentialSpec.curie_weiss(1.0, 0.4)
-        init = InitialLaw()
-        ens, _ = _step_loop(cfg, model, pot, init, _rng.stream(99, _rng.EPS_RUN, 5, 3))
-        pos, _ = run_eps_replicas(cfg, model, pot, "exponential", init, [3],
-                                  (_rng.EPS_RUN, 5))
-        assert np.array_equal(ens.positions, pos[0])
+        init, path = InitialLaw(), (_rng.EPS_RUN, 5)
+        pos, _ = run_eps_replicas(cfg, model, pot, "exponential", init, range(70), path)
+        replays = _replays(cfg, model, path, 70)
+        for r in (3, 66):
+            ens, _ = _step_loop(cfg, model, pot, init, replays[r])
+            assert np.array_equal(ens.positions, pos[r])
+
+    def test_block_of_one_is_the_replica_stream(self):
+        # a lone replica is a block of one: its stream (path, r) draws what
+        # the per-replica contract drew, on a blocked and a one-replica path
+        cfg = RunConfig(d=2, N=3, eps=0.1, alpha=1.3, T=0.5, h0=0.05, seed=99)
+        model = NoiseModel.scalar_ou(2, gamma=2.0, sigma=0.7)
+        pot = PotentialSpec.curie_weiss(1.0, 0.4)
+        for path, r in (((_rng.EPS_RUN, 5), 0), ((_rng.PAIRED,), 3)):
+            pos, vel = run_eps_replicas(cfg, model, pot, "exponential", InitialLaw(), [r],
+                                        path)
+            ens, _ = _step_loop(cfg, model, pot, InitialLaw(),
+                                _rng.stream(cfg.seed, *path, r))
+            assert np.array_equal(ens.positions, pos[0])
+            assert np.array_equal(ens.velocities, vel[0])
 
     def test_batch_size_does_not_change_results(self):
+        # three stream blocks, the last one short, in batches of one, two
+        # and three blocks
         cfg = RunConfig(d=1, N=8, eps=0.1, alpha=1.0, T=0.5, h0=0.05, seed=31)
         model = NoiseModel.scalar_ou(1, gamma=1.0, sigma=1.0)
         pot = PotentialSpec.quadratic(1.0)
         init = InitialLaw()
-        a, _ = run_eps_replicas(cfg, model, pot, "exponential", init, range(7),
-                                (_rng.EPS_RUN, 4), batch_size=2)
-        b, _ = run_eps_replicas(cfg, model, pot, "exponential", init, range(7),
-                                (_rng.EPS_RUN, 4), batch_size=7)
-        assert np.array_equal(a, b)
+        a, _ = run_eps_replicas(cfg, model, pot, "exponential", init, range(150),
+                                (_rng.EPS_RUN, 4), batch_size=64)
+        for batch in (128, None):
+            b, _ = run_eps_replicas(cfg, model, pot, "exponential", init, range(150),
+                                    (_rng.EPS_RUN, 4), batch_size=batch)
+            assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("batch", [1, 63, 100])
+    def test_batch_off_the_block_is_rejected(self, batch):
+        cfg = RunConfig(d=1, N=2, eps=0.1, alpha=1.0, T=0.5, h0=0.05, seed=31)
+        with pytest.raises(UsageError, match="not a multiple of the 64-replica"):
+            run_eps_replicas(cfg, SILENT, PotentialSpec.quadratic(1.0), "exponential",
+                             InitialLaw(), range(150), (_rng.EPS_RUN, 4), batch_size=batch)
 
 
 class TestBatchesAndWindows:
     """The bits depend on neither the batch size nor the draw window."""
 
     @staticmethod
-    def _reference(cfg, model, pot, init, ids, path):
-        """Each replica alone, its n driver normals drawn in one block up
-        front; returns the (X, Y, xi) after each step, keyed (replica, k)."""
+    def _reference(cfg, model, pot, init, reps, path):
+        """Each replica alone, its block's n driver slabs drawn in one call
+        up front; returns the (X, Y, xi) after each step, keyed (replica, k)."""
         sch = build_scheme(cfg, "exponential")
         n = _n_steps(cfg.T, sch.h)
         advance = _Advance(sch.kind, sch.h, cfg.eps, cfg.alpha)
         states = {}
-        for r in ids:
-            gen = _rng.stream(cfg.seed, *path, r)
+        for r, gen in enumerate(_replays(cfg, model, path, reps)):
             X = init.draw_positions(cfg.N, cfg.d, gen)[None]
             Y = init.velocities(cfg.N, cfg.d)[None]
             xi = stationary_xi(model, gen)[None]
-            Z = gen.standard_normal((n,) + model.driver_shape)
             states[r, 0] = X[0].copy(), Y[0].copy(), xi[0].copy()
             for k in range(n):
                 F, _ = _total_force(model, pot, X, xi, 1.0 / math.sqrt(cfg.eps))
                 advance(X, Y, F, np.empty_like(X))
-                xi = advance_xi(xi, model, sch.h / cfg.eps, Z[k][None])
+                z = gen.standard_normal(model.driver_shape)
+                xi = advance_xi(xi, model, sch.h / cfg.eps, z[None])
                 states[r, k + 1] = X[0].copy(), Y[0].copy(), xi[0].copy()
         return states
 
@@ -172,27 +205,27 @@ class TestBatchesAndWindows:
                                          omegas=[[1.0, 0.0], [0.0, 1.0]],
                                          a=[1.0, 0.5], b=[0.0, 0.5])
         pot = PotentialSpec.curie_weiss(1.0, 0.5)
-        init, ids, path = InitialLaw(velocity=0.3), range(10), (_rng.EPS_RUN, 3)
+        init, reps, path = InitialLaw(velocity=0.3), 150, (_rng.EPS_RUN, 3)
         n = _n_steps(cfg.T, cfg.eps_step)
-        # Windows of 25, 8 and 2 steps at batches of 1, 3 and 10 (driver
-        # shape (2, 2)); none of them divides the 41 steps.
-        monkeypatch.setattr(_rng, "DRAW_BUDGET", 100)
+        # Windows of 8, 4 and 3 steps at batches of 64, 128 and 150 replicas
+        # (driver shape (2, 2)); none of them divides the 41 steps.
+        monkeypatch.setattr(_rng, "DRAW_BUDGET", 2048)
         assert n == 41
-        ref = self._reference(cfg, model, pot, init, ids, path)
-        for batch in (1, 3, None):
+        ref = self._reference(cfg, model, pot, init, reps, path)
+        for batch in (64, 128, None):
             states = {}
 
             def record(rows, k, t, X, Y, xi):
                 for j, r in enumerate(rows):
                     states[r, k] = X[j].copy(), Y[j].copy(), xi[j].copy()
 
-            X, Y = run_eps_replicas(cfg, model, pot, "exponential", init, ids, path,
+            X, Y = run_eps_replicas(cfg, model, pot, "exponential", init, range(reps), path,
                                     batch_size=batch, recorder=record)
             assert states.keys() == ref.keys()
             for key, want in ref.items():
                 assert all(np.array_equal(a, b) for a, b in zip(states[key], want)), \
                     (batch, key)
-            for r in ids:
+            for r in range(reps):
                 assert np.array_equal(X[r], ref[r, n][0]) and np.array_equal(Y[r], ref[r, n][1])
 
     def test_normals_memory_is_bounded(self):
@@ -205,6 +238,41 @@ class TestBatchesAndWindows:
             cfg, NoiseModel.scalar_ou(1, gamma=1.0, sigma=1.0), PotentialSpec.quadratic(1.0),
             "exponential", InitialLaw(), range(512), (_rng.EPS_RUN, 0), batch_size=512))
         assert extra < 4 * 2**20
+
+    def test_one_generator_per_block(self):
+        # A batch of 512 replicas holds one generator per 64-replica stream
+        # block, ceil(512 / 64) = 8, not one per replica.  Measured as the
+        # traced bytes still held, mid-run, from the line of ``rng.stream``
+        # that builds the generator: 4.0 kB here, 258 kB with one generator
+        # per replica.
+        lines, first = inspect.getsourcelines(_rng.stream)
+        line = first + next(i for i, s in enumerate(lines) if "Generator(" in s)
+        where = tracemalloc.Filter(True, inspect.getsourcefile(_rng), lineno=line)
+        opened, held = [], []
+        stream = _rng.stream
+
+        def counted(*args):
+            opened.append(args)
+            return stream(*args)
+
+        def record(ids, k, t, X, Y, xi):
+            if k == 1:
+                snap = tracemalloc.take_snapshot().filter_traces([where])
+                held.append(sum(st.size for st in snap.statistics("lineno")))
+
+        cfg = RunConfig(d=1, N=1, eps=0.025, alpha=1.0, T=0.25, h0=0.05, seed=7)
+        tracemalloc.start()
+        try:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(_rng, "stream", counted)
+                run_eps_replicas(cfg, NoiseModel.scalar_ou(1, gamma=1.0, sigma=1.0),
+                                 PotentialSpec.quadratic(1.0), "exponential", InitialLaw(),
+                                 range(512), (_rng.EPS_RUN, 0), batch_size=512,
+                                 recorder=record)
+        finally:
+            tracemalloc.stop()
+        assert len(opened) == math.ceil(512 / 64) == 8
+        assert 0 < held[0] <= 8 * 2048
 
 
 class TestStepContracts:
@@ -246,20 +314,21 @@ class TestStepContracts:
         class OneBadReplica(InitialLaw):
             calls = 0
 
-            def draw_positions(self, n, d, rng):
-                x = super().draw_positions(n, d, rng)
+            def draw_positions(self, n, d, rng, reps=None):
+                # the second block's third replica, 66, starts at infinity
+                x = super().draw_positions(n, d, rng, reps)
                 if self.calls == 1:
-                    x[0] = np.inf
+                    x[2, 0] = np.inf
                 self.calls += 1
                 return x
 
         cfg = RunConfig(d=1, N=4, eps=0.5, alpha=1.0, T=0.1, h0=0.05, seed=0)
         model = NoiseModel.scalar_ou(1, gamma=1.0, sigma=1.0)
-        with pytest.raises(NumericError, match=r"eps=0\.5, replica=8") as err, \
+        with pytest.raises(NumericError, match=r"eps=0\.5, replica=66") as err, \
                 np.errstate(invalid="ignore"):
             run_eps_replicas(cfg, model, PotentialSpec.quadratic(1.0), "exponential",
-                             OneBadReplica(), [7, 8, 9], (_rng.EPS_RUN, 0))
-        assert err.value.replica == 8 and err.value.eps == 0.5
+                             OneBadReplica(), range(130), (_rng.EPS_RUN, 0))
+        assert err.value.replica == 66 and err.value.eps == 0.5
 
     def test_step_report_fields(self):
         cfg = RunConfig(d=1, N=4, eps=0.2, alpha=1.0, T=0.2, h0=0.05, seed=1)
@@ -470,12 +539,13 @@ class TestCustomPotentialInKernel:
         custom = PotentialSpec.custom(lambda x, m: lam * x + kappa * (x - m.mean()),
                                       builtin.lipschitz_bound)
         init, path = InitialLaw(velocity=0.3), (_rng.EPS_RUN, 6)
-        X, Y = run_eps_replicas(cfg, model, custom, "exponential", init, range(7), path,
-                                batch_size=3)
-        Xb, Yb = run_eps_replicas(cfg, model, builtin, "exponential", init, range(7), path,
-                                  batch_size=3)
+        X, Y = run_eps_replicas(cfg, model, custom, "exponential", init, range(70), path,
+                                batch_size=64)
+        Xb, Yb = run_eps_replicas(cfg, model, builtin, "exponential", init, range(70), path,
+                                  batch_size=64)
         assert np.array_equal(X, Xb) and np.array_equal(Y, Yb)
-        for r in (0, 4, 6):
-            ens, _ = _step_loop(cfg, model, custom, init, _rng.stream(cfg.seed, *path, r))
+        replays = _replays(cfg, model, path, 70)
+        for r in (0, 4, 66):
+            ens, _ = _step_loop(cfg, model, custom, init, replays[r])
             assert np.array_equal(ens.positions, X[r])
             assert np.array_equal(ens.velocities, Y[r])

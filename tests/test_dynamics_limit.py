@@ -4,18 +4,32 @@ import numpy as np
 import pytest
 
 from smallmass import rng as _rng
-from smallmass.core import ParticleEnsemble, PotentialSpec, RunConfig
+from smallmass.core import ParticleEnsemble, PotentialSpec, RunConfig, grad_v_batch
 from smallmass.dynamics_eps import InitialLaw, _n_steps
 from smallmass import harness
 from smallmass.config import parse_config
 from smallmass.dynamics_limit import (DiffusionSpec, LimitScheme, default_limit_scheme,
-                                      run_limit_replicas, step_em)
+                                      run_limit_replicas)
 from smallmass.errors import NumericError, UsageError
 from smallmass.harness import build_mode_diffusions
 
-from conftest import traced_peak_above
+from conftest import replica_replays, traced_peak_above
 
 ZERO_POT = PotentialSpec.custom(lambda x, m: np.zeros_like(x), 1.0)
+
+
+def step_em(ens, pot, diff, sch, alpha, rng):
+    """One Euler-Maruyama step of one ensemble: the reference the lock-step
+    kernel is checked against."""
+    if not ens.is_limit_mode:
+        raise UsageError("step_em requires a limit-mode ensemble (no velocities)")
+    X = ens.positions
+    grad = grad_v_batch(pot, X)
+    Z = rng.standard_normal(X.shape)
+    X2 = X - (sch.h / alpha) * grad + math.sqrt(sch.h) * Z @ diff.sqrt.T
+    out = ParticleEnsemble(positions=X2, velocities=None, time=ens.time + sch.h, eps=None)
+    out.check_finite()
+    return out
 
 
 class TestBuildDiffusion:
@@ -99,10 +113,9 @@ class TestStepEm:
         pot = PotentialSpec.quadratic(1.0)
         diff = DiffusionSpec("explicit", np.array([[2.0]]))
         cfg = RunConfig(d=1, N=1000, eps=0.5, alpha=1.0, T=8.0, h0=0.05, seed=0)
-        # one replica per call keeps the pre-drawn normals small
-        samples = [run_limit_replicas(cfg, pot, diff, InitialLaw(), [rep],
-                                      (_rng.LIMIT_RUN, 3))[0, :, 0] for rep in range(16)]
-        var = np.concatenate(samples).var()
+        samples = run_limit_replicas(cfg, pot, diff, InitialLaw(), range(16),
+                                     (_rng.LIMIT_RUN, 3))
+        var = samples.var()
         assert var == pytest.approx(1.0, rel=0.1)
 
 
@@ -174,12 +187,16 @@ class TestLimitReplicaSweep:
     """The lock-step kernel against a per-replica loop of ``step_em``."""
 
     @staticmethod
-    def _reference(cfg, pot, diff, init, ids, path, sch):
+    def _reference(cfg, pot, diff, init, reps, path, sch, gens=None):
+        """Replicas 0..reps-1 one at a time through ``step_em``, each on its
+        block's draws taken whole up front (or on ``gens``)."""
+        n = _n_steps(cfg.T, sch.h)
+        gens = gens or replica_replays(cfg.seed, path, reps, n, positions=(cfg.N, cfg.d),
+                                       step=(cfg.N, cfg.d))
         out = []
-        for r in ids:
-            gen = _rng.stream(cfg.seed, *path, r)
+        for gen in gens:
             ens = ParticleEnsemble(init.draw_positions(cfg.N, cfg.d, gen), None, 0.0, None)
-            for _ in range(_n_steps(cfg.T, sch.h)):
+            for _ in range(n):
                 ens = step_em(ens, pot, diff, sch, cfg.alpha, gen)
             out.append(ens.positions)
         return np.stack(out)
@@ -187,26 +204,39 @@ class TestLimitReplicaSweep:
     @pytest.mark.parametrize("d, keep", [(1, 3), (1, 1), (2, 1), (2, 3)])
     def test_quadratic_kept_particles_match_sequential(self, d, keep):
         # A kept-particle sample is a run at N = keep; at N = 1 in d = 2 the
-        # one-row blocks of the kernel and of step_em round alike.
+        # one-row blocks of the kernel and of step_em round alike.  Two
+        # stream blocks, 64 and 6 replicas.
         cfg = RunConfig(d=d, N=keep, eps=0.5, alpha=1.0, T=0.3, h0=0.05, seed=11)
         pot = PotentialSpec.quadratic(1.0)
         diff = DiffusionSpec("explicit", np.array([[0.7, 0.2], [0.2, 0.5]])[:d, :d])
-        init, ids, path = InitialLaw(position_std=0.5), [4, 0, 9], (_rng.LIMIT_RUN, 1)
+        init, path = InitialLaw(position_std=0.5), (_rng.LIMIT_RUN, 1)
         sch = default_limit_scheme(cfg, pot)
-        ref = self._reference(cfg, pot, diff, init, ids, path, sch)
-        got = run_limit_replicas(cfg, pot, diff, init, ids, path, sch)
-        assert got.shape == (3, keep, d)
+        ref = self._reference(cfg, pot, diff, init, 70, path, sch)
+        got = run_limit_replicas(cfg, pot, diff, init, range(70), path, sch)
+        assert got.shape == (70, keep, d)
         assert np.array_equal(got, ref)
+
+    def test_block_of_one_is_the_replica_stream(self):
+        # a lone replica is a block of one: it draws from (path, 0) what the
+        # per-replica contract drew
+        cfg = RunConfig(d=2, N=3, eps=0.5, alpha=1.0, T=0.2, h0=0.05, seed=11)
+        pot = PotentialSpec.curie_weiss(1.0, 0.5)
+        diff = DiffusionSpec("explicit", np.array([[0.7, 0.2], [0.2, 0.5]]))
+        path, sch = (_rng.LIMIT_RUN, 1), default_limit_scheme(cfg, pot)
+        ref = self._reference(cfg, pot, diff, InitialLaw(), 1, path, sch,
+                              gens=[_rng.stream(cfg.seed, *path, 0)])
+        assert np.array_equal(run_limit_replicas(cfg, pot, diff, InitialLaw(), [0], path, sch),
+                              ref)
 
     def test_curie_weiss_matches_sequential(self):
         cfg = RunConfig(d=2, N=6, eps=0.5, alpha=1.0, T=0.2, h0=0.05, seed=5)
         pot = PotentialSpec.curie_weiss(1.0, 0.5)
         diff = DiffusionSpec("explicit", np.array([[1.0, -0.3], [-0.3, 0.8]]))
-        init, ids, path = InitialLaw(), range(3), (_rng.SELF_TEST, 2)
+        init, path = InitialLaw(), (_rng.SELF_TEST, 2)
         sch = LimitScheme(0.003)  # does not divide T
-        ref = self._reference(cfg, pot, diff, init, ids, path, sch)
-        got = run_limit_replicas(cfg, pot, diff, init, ids, path, sch)
-        assert got.shape == (3, 6, 2)
+        ref = self._reference(cfg, pot, diff, init, 70, path, sch)
+        got = run_limit_replicas(cfg, pot, diff, init, range(70), path, sch)
+        assert got.shape == (70, 6, 2)
         assert np.array_equal(got, ref)
 
     def test_custom_curie_weiss_matches_builtin_and_step_loop(self):
@@ -216,29 +246,32 @@ class TestLimitReplicaSweep:
         custom = PotentialSpec.custom(lambda x, m: lam * x + kappa * (x - m.mean()),
                                       builtin.lipschitz_bound)
         diff = DiffusionSpec("explicit", np.array([[1.0, -0.3], [-0.3, 0.8]]))
-        init, ids, path = InitialLaw(), range(3), (_rng.LIMIT_RUN, 4)
+        init, ids, path = InitialLaw(), range(70), (_rng.LIMIT_RUN, 4)
         # The custom twin's step follows its declared bound, lam + 2|kappa|,
         # which is stricter than the builtin's lam + |kappa| and valid for both.
         sch = default_limit_scheme(cfg, custom)
         got = run_limit_replicas(cfg, custom, diff, init, ids, path, sch)
         assert np.array_equal(got, run_limit_replicas(cfg, builtin, diff, init, ids, path, sch))
-        assert np.array_equal(got, self._reference(cfg, custom, diff, init, ids, path, sch))
+        assert np.array_equal(got, self._reference(cfg, custom, diff, init, 70, path, sch))
 
-    @pytest.mark.parametrize("budget", [None, 500], ids=["default", "small-windows"])
+    @pytest.mark.parametrize("budget", [None, 8500], ids=["default", "small-windows"])
     def test_split_calls_match_one_call(self, budget, monkeypatch):
         # The stacked d = 2 matmul with a non-diagonal root must round every
-        # replica alike whatever the replica count; the small budget gives
-        # windows of 4, 13 and 5 steps over the 30-step run.
+        # replica alike whatever the replica count.  150 replicas are three
+        # stream blocks, the last one short; the small budget gives windows
+        # of 4, 11, 8, 5 and 30 steps over the 30-step run at 150, 64, 86,
+        # 128 and 22 replicas.
         if budget is not None:
             monkeypatch.setattr(_rng, "DRAW_BUDGET", budget)
         cfg = RunConfig(d=2, N=6, eps=0.5, alpha=1.0, T=0.2, h0=0.05, seed=8)
         pot = PotentialSpec.curie_weiss(1.0, 0.5)
         diff = DiffusionSpec("explicit", np.array([[1.0, 0.3], [0.3, 0.6]]))
         init, path = InitialLaw(), (_rng.LIMIT_RUN, 0)
-        whole = run_limit_replicas(cfg, pot, diff, init, range(10), path)
-        parts = [run_limit_replicas(cfg, pot, diff, init, ids, path)
-                 for ids in (range(3), range(3, 10))]
-        assert np.array_equal(whole, np.concatenate(parts))
+        whole = run_limit_replicas(cfg, pot, diff, init, range(150), path)
+        for cut in (64, 128):
+            parts = [run_limit_replicas(cfg, pot, diff, init, ids, path)
+                     for ids in (range(cut), range(cut, 150))]
+            assert np.array_equal(whole, np.concatenate(parts))
 
     def test_normals_memory_is_bounded(self):
         # A full pre-draw of 750 steps of (64, 32, 2) normals is 24.6 MB;
@@ -268,25 +301,26 @@ class TestLimitReplicaSweep:
         # refuses it, and the kernel names the replica
         exploding = PotentialSpec.custom(lambda x, m: np.full_like(x, np.inf), 1.0)
         cfg = RunConfig(d=1, N=1, eps=0.5, alpha=1.0, T=1.0, h0=0.05, seed=0)
-        with pytest.raises(NumericError, match=r"custom potential.*non-finite.*replica=3"):
+        with pytest.raises(NumericError, match=r"custom potential.*non-finite.*replica=64"):
             run_limit_replicas(cfg, exploding, DiffusionSpec("explicit", np.array([[1.0]])),
-                               InitialLaw(), [3], (_rng.LIMIT_RUN, 0))
+                               InitialLaw(), range(64, 68), (_rng.LIMIT_RUN, 0))
 
     def test_non_finite_state_names_the_replica(self):
         class OneBadReplica:
             calls = 0
 
-            def draw_positions(self, n, d, rng):
-                x = InitialLaw().draw_positions(n, d, rng)
+            def draw_positions(self, n, d, rng, reps=None):
+                # the second block's third replica, 66, starts at infinity
+                x = InitialLaw().draw_positions(n, d, rng, reps)
                 if self.calls == 1:
-                    x[0] = np.inf
+                    x[2, 0] = np.inf
                 self.calls += 1
                 return x
 
         cfg = RunConfig(d=1, N=4, eps=0.5, alpha=1.0, T=0.1, h0=0.05, seed=0)
-        with pytest.raises(NumericError, match="replica=8") as err, \
+        with pytest.raises(NumericError, match="replica=66") as err, \
                 np.errstate(invalid="ignore"):
             run_limit_replicas(cfg, PotentialSpec.quadratic(1.0),
                                DiffusionSpec("explicit", np.array([[1.0]])),
-                               OneBadReplica(), [7, 8, 9], (_rng.LIMIT_RUN, 0))
-        assert err.value.replica == 8
+                               OneBadReplica(), range(130), (_rng.LIMIT_RUN, 0))
+        assert err.value.replica == 66

@@ -45,6 +45,18 @@ class TestW21d:
         with pytest.raises(UsageError):
             w2_1d([1.0, 2.0], [1.0])
 
+    def test_points_off_the_line_rejected(self):
+        # (n, d > 1) samples were flattened into n*d values on the line:
+        # these two gave 1.0 by the quantile route
+        with pytest.raises(UsageError, match=r"on the line.*\(4, 2\)"):
+            w2_1d(np.zeros((4, 2)), np.ones((4, 2)))
+        with pytest.raises(UsageError, match="on the line"):
+            w2_1d(np.zeros(4), np.ones((4, 2)))
+
+    def test_column_sample_is_the_line(self):
+        a, b = [0.0, 1.0, 5.0], [2.0, -1.0, 0.5]
+        assert w2_1d(np.array(a)[:, None], np.array(b)[:, None]) == w2_1d(a, b)
+
 
 class TestW2Assignment:
     def test_identical_sets(self):
