@@ -23,6 +23,8 @@ For all three shapes that average is linear in the driver, so it is
 computed without forming the field at each point: the x-dependent factor
 (1, g, or the Fourier basis a_k cos(w_k . x) + b_k sin(w_k . x)) is
 averaged over the points first and then contracted with the driver.
+The Fourier basis is laid out mode-major (K, n, ...), so that every pass
+over it streams contiguous memory.
 
 Gaussian drivers are unbounded; set ``clip=True`` to truncate the driver
 at six standard deviations when an almost-sure bound is wanted.
@@ -179,13 +181,29 @@ def eval_field_points(model: NoiseModel, xi: np.ndarray, points: np.ndarray) -> 
     if model.kind == "separable":
         gvals = model.g(points)  # (..., n)
         return xi[..., None, :] * gvals[..., :, None]
-    return np.einsum("...nk,...dk->...nd", _fourier_basis(model, points), xi)
+    basis = np.moveaxis(_fourier_basis(model, points), (0, 1), (-1, -2))  # (..., n, K)
+    return np.einsum("...nk,...dk->...nd", basis, xi)
 
 
 def _fourier_basis(model: NoiseModel, points: np.ndarray) -> np.ndarray:
-    """a_k cos(w_k . x) + b_k sin(w_k . x) at ``points`` (..., n, d); shape (..., n, K)."""
-    phase = points @ model.omegas.T
-    return model.a * np.cos(phase) + model.b * np.sin(phase)
+    """a_k cos(w_k . x) + b_k sin(w_k . x) at ``points`` (..., n, d), mode-major.
+
+    The phases come from one ``points @ omegas.T`` matmul; the cosine and
+    the sine write them once into contiguous buffers of shape (K, n, ...):
+    the mode first, then the point, then the batch axes of ``points``.
+    The coefficients and the fold over the points (``axis=1``) then stream
+    contiguous memory instead of an innermost axis of length K.
+    """
+    phase = points @ model.omegas.T  # (..., n, K)
+    nd = phase.ndim
+    phase = phase.transpose((nd - 1, nd - 2) + tuple(range(nd - 2)))  # (K, n, ...) view
+    col = (-1,) + (1,) * (nd - 1)
+    basis = np.cos(phase, out=np.empty(phase.shape))
+    basis *= model.a.reshape(col)
+    sin = np.sin(phase, out=np.empty(phase.shape))
+    sin *= model.b.reshape(col)
+    basis += sin
+    return basis
 
 
 def averaged_forcing_xi(model: NoiseModel, xi: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -199,6 +217,8 @@ def averaged_forcing_xi(model: NoiseModel, xi: np.ndarray, points: np.ndarray) -
     The average is linear in the driver, so the x-dependent factor is
     averaged over the points (pairwise fold) and then contracted with
     ``xi``: for fourier-field, sum_k xi[..., :, k] * mean_n basis_k(x_n).
+    The basis is one (K, n, ...) buffer (``_fourier_basis``), folded over
+    its point axis into the K averages of each batch entry.
     The contraction over k runs in a fixed order, elementwise, so the
     result of one replica does not depend on how many are batched with it.
     The per-point field, of shape (..., n, d), is never formed.
@@ -209,10 +229,10 @@ def averaged_forcing_xi(model: NoiseModel, xi: np.ndarray, points: np.ndarray) -
     if model.kind == "separable":
         gbar = pairwise_mean(model.g(points), axis=-1)
         return xi * gbar[..., None]
-    gbar = pairwise_mean(_fourier_basis(model, points), axis=-2)  # (..., K)
-    out = xi[..., 0] * gbar[..., None, 0]
-    for k in range(1, gbar.shape[-1]):
-        out += xi[..., k] * gbar[..., None, k]
+    gbar = pairwise_mean(_fourier_basis(model, points), axis=1)  # (K, ...)
+    out = xi[..., 0] * gbar[0][..., None]
+    for k in range(1, gbar.shape[0]):
+        out += xi[..., k] * gbar[k][..., None]
     return out
 
 
@@ -234,6 +254,6 @@ def sigma_matrix(model: NoiseModel, m: EmpiricalMeasure | None = None) -> np.nda
     if model.kind == "separable":
         gbar = float(pairwise_mean(model.g(m.points), axis=-1))
         return s2 * gbar**2 * eye
-    gbar = pairwise_mean(_fourier_basis(model, m.points), axis=-2)  # (K,)
+    gbar = pairwise_mean(_fourier_basis(model, m.points), axis=1)  # (K,)
     return s2 * float(np.sum(gbar * gbar)) * eye
 

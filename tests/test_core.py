@@ -46,6 +46,63 @@ class TestEmpiricalMean:
         assert np.array_equal(batched, single)
 
 
+def _recursive_pairwise_mean(values, axis):
+    """The fold as first written: recursive halving with a concatenate."""
+
+    def fold(a):
+        if a.shape[0] == 1:
+            return a[0]
+        half = a.shape[0] // 2
+        folded = a[:half] + a[half : 2 * half]
+        if a.shape[0] % 2:
+            folded = np.concatenate([folded, a[2 * half :]], axis=0)
+        return fold(folded)
+
+    a = np.moveaxis(np.asarray(values, dtype=float), axis, 0)
+    return fold(a) / a.shape[0]
+
+
+class TestPairwiseFold:
+    """``pairwise_mean`` keeps the summation tree of the recursive fold."""
+
+    @pytest.mark.parametrize("shape", [lambda n: (n,), lambda n: (n, 3),
+                                       lambda n: (4, n, 2)],
+                             ids=["(n,)", "(n,3)", "(4,n,2)"])
+    def test_bit_identical_to_the_recursive_fold(self, shape):
+        gen = np.random.default_rng(17)
+        for n in range(1, 71):
+            # magnitudes over six decades, so a changed order would show
+            a = gen.standard_normal(shape(n)) * 10.0 ** gen.uniform(-3, 3, shape(n))
+            for axis in (0, 1, -1, -2):
+                if not -a.ndim <= axis < a.ndim:
+                    continue
+                got, want = pairwise_mean(a, axis), _recursive_pairwise_mean(a, axis)
+                assert np.shape(got) == np.shape(want)
+                assert np.array_equal(got, want), (n, axis)
+
+    @pytest.mark.parametrize("n", [2, 7, 32, 33, 70])
+    def test_non_contiguous_views(self, n):
+        gen = np.random.default_rng(n)
+        base = gen.standard_normal((6, 2 * n, 5))
+        views = [(base[::2, ::2, 1:4], 1), (base[:, ::-2, :], -2),
+                 (base[:, :n].transpose(1, 0, 2), 0), (base[1, :n, :].T, -1)]
+        for view, axis in views:
+            assert not view.flags.c_contiguous
+            assert np.array_equal(pairwise_mean(view, axis),
+                                  _recursive_pairwise_mean(view, axis))
+
+    def test_leaves_its_input_alone(self):
+        a = np.random.default_rng(5).standard_normal((4, 9, 2))
+        before = a.copy()
+        pairwise_mean(a, axis=1)
+        assert np.array_equal(a, before)
+
+    @pytest.mark.parametrize("shape, axis", [((0,), 0), ((3, 0), 1), ((0, 2), -2)])
+    def test_empty_axis_rejected(self, shape, axis):
+        with pytest.raises(UsageError, match="empty axis"):
+            pairwise_mean(np.empty(shape), axis)
+
+
 class TestGradV:
     """``grad_v_batch`` at points under a given measure."""
 
