@@ -23,8 +23,10 @@ For all three shapes that average is linear in the driver, so it is
 computed without forming the field at each point: the x-dependent factor
 (1, g, or the Fourier basis a_k cos(w_k . x) + b_k sin(w_k . x)) is
 averaged over the points first and then contracted with the driver.
-The Fourier basis is laid out mode-major (K, n, ...), so that every pass
-over it streams contiguous memory.
+The Fourier basis is evaluated in its phase-shift form
+R_k cos(w_k . x - phi_k), R_k = hypot(a_k, b_k) and phi_k = arctan2(b_k,
+a_k), one cosine per point and mode, laid out mode-major (K, n, ...) so
+that every pass over it streams contiguous memory.
 
 Gaussian drivers are unbounded; set ``clip=True`` to truncate the driver
 at six standard deviations when an almost-sure bound is wanted.
@@ -99,6 +101,9 @@ class NoiseModel:
             object.__setattr__(self, "omegas", om)
             object.__setattr__(self, "a", a)
             object.__setattr__(self, "b", b)
+            # a cos t + b sin t = R cos(t - phi), set once per model.
+            object.__setattr__(self, "_amp", np.hypot(a, b))
+            object.__setattr__(self, "_phi", np.arctan2(b, a))
 
     @classmethod
     def scalar_ou(cls, d: int, gamma: float, sigma: float, clip: bool = False):
@@ -188,21 +193,22 @@ def eval_field_points(model: NoiseModel, xi: np.ndarray, points: np.ndarray) -> 
 def _fourier_basis(model: NoiseModel, points: np.ndarray) -> np.ndarray:
     """a_k cos(w_k . x) + b_k sin(w_k . x) at ``points`` (..., n, d), mode-major.
 
-    The phases come from one ``points @ omegas.T`` matmul; the cosine and
-    the sine write them once into contiguous buffers of shape (K, n, ...):
-    the mode first, then the point, then the batch axes of ``points``.
-    The coefficients and the fold over the points (``axis=1``) then stream
-    contiguous memory instead of an innermost axis of length K.
+    Each mode is taken in its phase-shift form R_k cos(w_k . x - phi_k),
+    with R_k = hypot(a_k, b_k) and phi_k = arctan2(b_k, a_k) set once per
+    model: one cosine per point and mode.  The phases come from one
+    ``points @ omegas.T`` matmul; the shift writes them once into a
+    contiguous buffer of shape (K, n, ...): the mode first, then the
+    point, then the batch axes of ``points``.  The cosine, the scaling and
+    the fold over the points (``axis=1``) then stream contiguous memory
+    instead of an innermost axis of length K.
     """
     phase = points @ model.omegas.T  # (..., n, K)
     nd = phase.ndim
     phase = phase.transpose((nd - 1, nd - 2) + tuple(range(nd - 2)))  # (K, n, ...) view
     col = (-1,) + (1,) * (nd - 1)
-    basis = np.cos(phase, out=np.empty(phase.shape))
-    basis *= model.a.reshape(col)
-    sin = np.sin(phase, out=np.empty(phase.shape))
-    sin *= model.b.reshape(col)
-    basis += sin
+    basis = np.subtract(phase, model._phi.reshape(col), out=np.empty(phase.shape))
+    np.cos(basis, out=basis)
+    basis *= model._amp.reshape(col)
     return basis
 
 
@@ -217,8 +223,9 @@ def averaged_forcing_xi(model: NoiseModel, xi: np.ndarray, points: np.ndarray) -
     The average is linear in the driver, so the x-dependent factor is
     averaged over the points (pairwise fold) and then contracted with
     ``xi``: for fourier-field, sum_k xi[..., :, k] * mean_n basis_k(x_n).
-    The basis is one (K, n, ...) buffer (``_fourier_basis``), folded over
-    its point axis into the K averages of each batch entry.
+    The basis is one (K, n, ...) buffer of R_k cos(w_k . x_n - phi_k)
+    (``_fourier_basis``), folded over its point axis into the K averages
+    of each batch entry.
     The contraction over k runs in a fixed order, elementwise, so the
     result of one replica does not depend on how many are batched with it.
     The per-point field, of shape (..., n, d), is never formed.

@@ -7,7 +7,7 @@ import pytest
 from smallmass import rng as _rng
 from smallmass.core import EmpiricalMeasure, pairwise_mean
 from smallmass.errors import UsageError
-from smallmass.noise import (NoiseModel, advance_xi, averaged_forcing_xi,
+from smallmass.noise import (NoiseModel, _fourier_basis, advance_xi, averaged_forcing_xi,
                              eval_field_points, sigma_matrix, stationary_xi)
 
 
@@ -156,6 +156,36 @@ def _fourier(d, K):
     return NoiseModel.fourier_field(d, gamma=1.0, sigma=1.0,
                                     omegas=gen.standard_normal((K, d)),
                                     a=gen.standard_normal(K), b=gen.standard_normal(K))
+
+
+class TestFourierBasis:
+    """The phase-shift form R_k cos(w_k . x - phi_k) against a_k cos + b_k sin."""
+
+    def test_within_a_few_ulp_of_the_two_term_form(self):
+        # modes: b = 0, a = 0, a < 0, a generic pair, zero frequency, a = b = 0
+        a = np.array([1.3, 0.0, -0.8, 0.6, 0.9, 0.0])
+        b = np.array([0.0, -2.1, 0.4, -0.7, -0.5, 0.0])
+        omegas = np.array([[1.0], [1.0], [1.0], [1.0], [0.0], [1.0]])
+        model = NoiseModel.fourier_field(1, gamma=1.0, sigma=1.0, omegas=omegas, a=a, b=b)
+        x = np.linspace(-60.0, 60.0, 24001)
+        basis = _fourier_basis(model, x[:, None])
+        assert basis.shape == (6, x.size)
+        theta = omegas[:, :1] * x  # (K, n)
+        two_term = a[:, None] * np.cos(theta) + b[:, None] * np.sin(theta)
+        bound = 8 * np.finfo(float).eps * np.hypot(a, b)[:, None] * np.maximum(1.0, abs(theta))
+        assert np.all(np.abs(basis - two_term) <= bound)
+        assert np.all(basis[5] == 0.0)
+
+    def test_mode_major_layout(self):
+        # batch + (n, d) points give a contiguous (K, n) + batch basis, and
+        # each batch entry equals the basis of its points alone
+        model = _fourier(2, 3)
+        points = np.random.default_rng(4).standard_normal((2, 3, 17, 2))
+        basis = _fourier_basis(model, points)
+        assert basis.shape == (3, 17, 2, 3) and basis.flags.c_contiguous
+        for i in range(2):
+            for j in range(3):
+                assert np.array_equal(basis[:, :, i, j], _fourier_basis(model, points[i, j]))
 
 
 class TestFourierAveragedForcing:
