@@ -123,9 +123,12 @@ def normal_windows(blocks, n: int, shape: tuple):
     depend on W.  W is the most steps that fit ``DRAW_BUDGET`` doubles.
     With several blocks a piece is drawn into one block's scratch and
     copied into the step-major window.  Step k is the contiguous view
-    ``window[k]``; it is overwritten when the next window is drawn.
+    ``window[k]``; it is overwritten when the next window is drawn.  With
+    no blocks there is nothing to draw, and nothing is yielded.
     """
     B = sum(s for _, s in blocks)
+    if B == 0:
+        return
     size = math.prod(shape)
     width = max(1, min(n, DRAW_BUDGET // (B * size)))
     window = np.empty((width, B) + shape)

@@ -5,13 +5,14 @@ import pytest
 
 from smallmass import rng as _rng
 from smallmass.core import ParticleEnsemble, PotentialSpec, RunConfig, grad_v_batch
-from smallmass.dynamics_eps import InitialLaw, _n_steps
+from smallmass.dynamics_eps import InitialLaw, _n_steps, run_eps_replicas
 from smallmass import harness
 from smallmass.config import parse_config
 from smallmass.dynamics_limit import (DiffusionSpec, LimitScheme, default_limit_scheme,
                                       run_limit_replicas)
 from smallmass.errors import NumericError, UsageError
 from smallmass.harness import build_mode_diffusions
+from smallmass.noise import NoiseModel
 
 from conftest import replica_replays, traced_peak_above
 
@@ -227,6 +228,19 @@ class TestLimitReplicaSweep:
                               gens=[_rng.stream(cfg.seed, *path, 0)])
         assert np.array_equal(run_limit_replicas(cfg, pot, diff, InitialLaw(), [0], path, sch),
                               ref)
+
+    def test_no_replicas_give_empty_positions(self):
+        # an empty replica list opens no stream and draws nothing, in both
+        # kernels
+        cfg = RunConfig(d=2, N=3, eps=0.5, alpha=1.0, T=0.2, h0=0.05, seed=11)
+        pot = PotentialSpec.curie_weiss(1.0, 0.5)
+        X = run_limit_replicas(cfg, pot, DiffusionSpec("explicit", np.eye(2)), InitialLaw(),
+                               [], (_rng.LIMIT_RUN, 1))
+        assert X.shape == (0, 3, 2)
+        model = NoiseModel.fourier_field(2, 1.0, 1.0, [[1.0, 0.0]], [1.0], [0.5])
+        X, Y = run_eps_replicas(cfg, model, pot, "exponential", InitialLaw(), [],
+                                (_rng.EPS_RUN, 1))
+        assert X.shape == Y.shape == (0, 3, 2)
 
     def test_curie_weiss_matches_sequential(self):
         cfg = RunConfig(d=2, N=6, eps=0.5, alpha=1.0, T=0.2, h0=0.05, seed=5)

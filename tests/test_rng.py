@@ -104,6 +104,9 @@ class TestNormalWindows:
                          for r in range(3)], axis=1)
         assert np.array_equal(got, want)
 
+    def test_no_blocks_yield_nothing(self):
+        assert list(_rng.normal_windows([], 7, (3, 2))) == []
+
     def test_generators_continue_after_the_windows(self):
         # the windows draw exactly n steps from each stream and no more
         blocks = [(_rng.stream(3, _rng.LIMIT_RUN, 0, b), s) for b, s in enumerate((4, 1))]
