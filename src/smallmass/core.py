@@ -2,8 +2,8 @@
 
 Points are plain 1-d numpy arrays.  An empirical measure is a uniformly
 weighted finite point set standing in for a probability law; a particle
-ensemble carries the positions (and, for the second-order system, the
-velocities) of the interacting particles together with the clock and the
+ensemble carries the positions and velocities of the interacting
+particles of the second-order system together with the clock and the
 mass parameter.  The potential specification bundles the distribution
 dependent drift with its declared Lipschitz constant so that the declared
 constant can be checked empirically.
@@ -122,44 +122,32 @@ class EmpiricalMeasure:
 
 @dataclass(frozen=True)
 class ParticleEnsemble:
-    """Positions, velocities, clock and mass parameter of the particle system.
-
-    Limit-mode ensembles carry no velocities and no mass parameter
-    (``velocities is None`` and ``eps is None``).
-    """
+    """Positions, velocities, clock and mass parameter of the second-order
+    particle system."""
 
     positions: np.ndarray  # (N, d)
-    velocities: np.ndarray | None  # (N, d) or None in limit mode
+    velocities: np.ndarray  # (N, d)
     time: float
-    eps: float | None
+    eps: float
 
     def __post_init__(self):
         pos = np.asarray(self.positions, dtype=float)
         if pos.ndim != 2 or pos.shape[0] < 1:
             raise UsageError(f"positions must be (N, d) with N >= 1, got {pos.shape}")
         object.__setattr__(self, "positions", pos)
-        if self.velocities is not None:
-            vel = np.asarray(self.velocities, dtype=float)
-            if vel.shape != pos.shape:
-                raise UsageError(
-                    f"velocities shape {vel.shape} does not match positions {pos.shape}"
-                )
-            object.__setattr__(self, "velocities", vel)
-            if self.eps is None or not 0.0 < self.eps <= 1.0:
-                raise UsageError("second-order ensembles need eps in (0, 1]")
-        elif self.eps is not None:
-            raise UsageError("limit-mode ensembles must not carry eps")
+        vel = np.asarray(self.velocities, dtype=float)
+        if vel.shape != pos.shape:
+            raise UsageError(
+                f"velocities shape {vel.shape} does not match positions {pos.shape}"
+            )
+        object.__setattr__(self, "velocities", vel)
+        if self.eps is None or not 0.0 < self.eps <= 1.0:
+            raise UsageError("ensembles need eps in (0, 1]")
         if self.time < 0.0:
             raise UsageError("time must be nonnegative")
 
-    @property
-    def is_limit_mode(self) -> bool:
-        return self.velocities is None
-
     def check_finite(self, **ctx):
-        if not np.all(np.isfinite(self.positions)) or (
-            self.velocities is not None and not np.all(np.isfinite(self.velocities))
-        ):
+        if not (np.all(np.isfinite(self.positions)) and np.all(np.isfinite(self.velocities))):
             raise NumericError("ensemble state is non-finite", **ctx)
 
 

@@ -34,7 +34,8 @@ from . import rng as _rng
 from .core import EmpiricalMeasure, PotentialSpec, RunConfig
 from .dynamics_eps import InitialLaw, _Advance, _n_steps, run_eps_replicas
 from .errors import UsageError
-from .noise import NoiseModel, advance_xi, averaged_forcing_xi, stationary_xi
+from .noise import (NoiseModel, _contract_forcing, _factor_mean, advance_xi,
+                    averaged_forcing_xi, stationary_xi)
 
 __all__ = [
     "GkEstimate",
@@ -366,9 +367,10 @@ def green_kubo(model: NoiseModel, m_source: EmpiricalMeasure | None = None,
     n = int(round(horizon_fast / dt))
     d = model.d
     eta = np.empty((reps, n, d))
-    pts = m_source.points if m_source is not None else None
+    # The measure is frozen, so its factor mean is taken once.
+    gbar = _factor_mean(model, m_source.points if m_source is not None else None)
     for k, xi in enumerate(_driver_paths(model, seed, (_rng.GK_RUN,), reps, n, dt)):
-        eta[:, k] = averaged_forcing_xi(model, xi, pts)
+        eta[:, k] = _contract_forcing(model, xi, gbar)
     # empirical autocovariance per replica, FFT over time, no mean removal
     max_lag = n // 5
     cov = np.zeros((reps, max_lag + 1, d, d))

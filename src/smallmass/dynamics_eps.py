@@ -190,8 +190,6 @@ def step(ens: ParticleEnsemble, model: NoiseModel, drv: DriverState,
     it is advanced by h/eps after the forcing has been evaluated at the
     left endpoint.
     """
-    if ens.is_limit_mode:
-        raise UsageError("step requires a second-order ensemble (with velocities)")
     eps = ens.eps
     sch.validate(eps, alpha)
     expected = ens.time / eps

@@ -41,10 +41,13 @@ parent scores row k's W2 as soon as row k's batches are back while the
 later rows run ahead in the workers.  Results are gathered in submission
 order, so no byte depends on which batch finishes first.  The kernels
 draw their normals a window of steps at a time under a fixed budget, so
-memory does not bound the batch size.  The parent builds a sample's
-kernel arguments once (run, noise model, potential, initial law, scheme,
-stream path) and every batch worker only adds its replica ids and calls
-the kernel.
+memory does not bound the batch size.  A pooled sample is one frozen
+``_Sample`` value, built once in the parent by ``_eps_sample`` or
+``_limit_sample``: its system, its kernel's other arguments (run, noise
+model or diffusion, potential, initial law, scheme), its stream path and
+its size.  ``_Pool`` ships each batch as the sample, by pickle, with its
+replica ids, and the batch worker only calls ``_Sample.run``; a
+trajectory dump runs the same value on replica 0's block.
 """
 
 from __future__ import annotations
@@ -55,8 +58,8 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -106,18 +109,6 @@ def worker_count() -> int:
     return n
 
 
-def _eps_batch_worker(args):
-    rc, model, pot, scheme, init, stream_path, ids, spr = args
-    pos, _ = run_eps_replicas(rc, model, pot, scheme, init, ids, stream_path)
-    return pos[:, :spr, :].reshape(-1, rc.d)
-
-
-def _limit_batch_worker(args):
-    rc, pot, diff, init, stream_path, sch, ids, spr = args
-    pos = run_limit_replicas(rc, pot, diff, init, ids, stream_path, sch)
-    return pos[:, :spr, :].reshape(-1, rc.d)
-
-
 def _sample_run(cfg: Config, eps: float, spr: int, system: str) -> RunConfig:
     """The run a sample of ``spr`` particles per replica integrates: at
     N = ``spr`` where one particle's law in ``system`` does not depend on N
@@ -126,14 +117,56 @@ def _sample_run(cfg: Config, eps: float, spr: int, system: str) -> RunConfig:
     return replace(rc, N=spr) if cfg.particle_local(system) else rc
 
 
-def _limit_args(cfg: Config, diff: DiffusionSpec, stream_path, spr: int) -> tuple:
-    """The limit kernel's arguments except the replica ids, for a sample of
-    ``spr`` particles per replica.  Every limit sample takes its step from
-    here: ``limit.h``, else (``None``) the kernel's default step law.
-    ``diff`` pickles bit-exact; rebuilt, its root would be re-rounded."""
+@dataclass(frozen=True)
+class _Sample:
+    """One pooled sample: ``spr`` particles from each of ``reps`` replicas
+    of ``system`` ("eps" or "limit"), drawn on stream ``path``.  ``args``
+    are the kernel's other arguments, in the kernel's order."""
+
+    system: str
+    args: tuple
+    path: tuple
+    reps: int
+    spr: int
+
+    def run(self, ids, recorder=None) -> np.ndarray:
+        """The terminal positions of the ``spr`` kept particles of each
+        replica in ``ids``, as rows in replica order; ``recorder`` goes to
+        the kernel."""
+        if self.system == "eps":
+            pos, _ = run_eps_replicas(*self.args, ids, self.path, recorder=recorder)
+        else:
+            rc, pot, diff, init, sch = self.args
+            pos = run_limit_replicas(rc, pot, diff, init, ids, self.path, sch,
+                                     recorder=recorder)
+        return pos[:, :self.spr, :].reshape(-1, pos.shape[2])
+
+
+def _run_batch(item) -> np.ndarray:
+    """The batch worker of both systems: ``item`` is ``(sample, ids)``."""
+    sample, ids = item
+    return sample.run(ids)
+
+
+def _eps_sample(cfg: Config, eps_index: int) -> _Sample:
+    """The eps-system sample of grid point ``eps_index``."""
+    v = cfg.values
+    spr = v["run.samples_per_replica"]
+    rc = _sample_run(cfg, cfg.eps_grid[eps_index], spr, "eps")
+    return _Sample("eps", (rc, cfg.noise_model(), cfg.potential(), v["run.scheme"],
+                           cfg.init_law()),
+                   (_rng.EPS_RUN, eps_index), v["run.replicas"], spr)
+
+
+def _limit_sample(cfg: Config, diff: DiffusionSpec, path, reps: int, spr: int) -> _Sample:
+    """A limit-equation sample under ``diff`` on stream ``path``.  Every
+    limit sample takes its step from here: ``limit.h``, else (``None``) the
+    kernel's default step law.  ``diff`` pickles bit-exact; rebuilt, its
+    root would be re-rounded."""
     h = cfg.values["limit.h"]
-    return (_sample_run(cfg, cfg.eps_grid[0], spr, "limit"), cfg.potential(), diff,
-            cfg.init_law(), stream_path, None if h is None else LimitScheme(h))
+    rc = _sample_run(cfg, cfg.eps_grid[0], spr, "limit")
+    return _Sample("limit", (rc, cfg.potential(), diff, cfg.init_law(),
+                             None if h is None else LimitScheme(h)), path, reps, spr)
 
 
 @dataclass(frozen=True)
@@ -229,105 +262,80 @@ def _n_batches(reps: int) -> int:
     return min(worker_count(), math.ceil(reps / _rng.BLOCK))
 
 
-def _batches(head, reps: int, spr: int) -> list:
-    """The kernel items of one sample: its replica ids cut on stream-block
-    boundaries into ``_n_batches(reps)`` contiguous batches, in order,
-    whose block counts differ by at most one, each as ``(*head, ids, spr)``.
-    Every pooled sample is on a purpose keyed by ``rng.BLOCK`` replicas,
-    and only the last batch ends in a short block."""
+def _batches(reps: int) -> list:
+    """The replica ids of one sample cut on stream-block boundaries into
+    ``_n_batches(reps)`` contiguous batches, in order, whose block counts
+    differ by at most one.  Every pooled sample is on a purpose keyed by
+    ``rng.BLOCK`` replicas, and only the last batch ends in a short block."""
     n, n_blocks = _n_batches(reps), math.ceil(reps / _rng.BLOCK)
     cuts = [min(reps, _rng.BLOCK * (n_blocks * i // n)) for i in range(n + 1)]
-    return [(*head, list(range(a, b)), spr) for a, b in zip(cuts, cuts[1:])]
+    return [list(range(a, b)) for a, b in zip(cuts, cuts[1:])]
 
 
-@contextmanager
-def _batch_pool(jobs):
-    """The one process pool for the batches of ``jobs``, with as many
-    processes as the largest job has batches; ``None`` when that is one, so
-    every batch runs inline.  On the way out, batches not yet started are
-    cancelled and every worker has ended, also when the body raised."""
-    n = max(_n_batches(reps) for _, _, reps, _ in jobs)
-    if n == 1:
-        yield None
-        return
-    pool = ProcessPoolExecutor(max_workers=n)
-    try:
-        yield pool
-    finally:
-        pool.shutdown(cancel_futures=True)
+class _Pool:
+    """The batches of ``samples``; entered, one function per sample that
+    returns its points in replica order.
 
+    Where no sample has more than one batch (always at one worker) no pool
+    starts, and a sample's batches run inline when it is collected.  Else
+    one process pool, with as many processes as the largest sample has
+    batches, gets every sample's batches on entry, in order, so later
+    samples run ahead while the caller scores earlier ones.  On the way
+    out, batches not yet started are cancelled and every worker has ended,
+    also when the body raised."""
 
-class _Pending:
-    """One sample's batches, handed to ``pool`` at once in replica order;
-    without a pool they run inline, one after another, when the sample is
-    collected."""
+    def __init__(self, samples):
+        self._items = [[(s, ids) for ids in _batches(s.reps)] for s in samples]
+        self._futures = self._pool = None
 
-    def __init__(self, pool, job):
-        worker, head, reps, spr = job
-        self._worker, self._items = worker, _batches(head, reps, spr)
-        self._futures = None if pool is None else [pool.submit(worker, item)
-                                                    for item in self._items]
+    def __enter__(self):
+        n = max(map(len, self._items))
+        if n > 1:
+            self._pool = ProcessPoolExecutor(max_workers=n)
+            try:
+                self._futures = [[self._pool.submit(_run_batch, item) for item in items]
+                                 for items in self._items]
+            except BaseException:
+                self._pool.shutdown(cancel_futures=True)
+                raise
+        return [partial(self._collect, k) for k in range(len(self._items))]
 
-    def collect(self) -> np.ndarray:
-        """The ``spr`` samples of each replica, in replica order."""
+    def __exit__(self, *exc):
+        if self._pool is not None:
+            self._pool.shutdown(cancel_futures=True)
+
+    def _collect(self, k: int) -> np.ndarray:
         if self._futures is None:
-            parts = [self._worker(item) for item in self._items]
+            parts = [_run_batch(item) for item in self._items[k]]
         else:
-            parts = [f.result() for f in self._futures]
+            parts = [f.result() for f in self._futures[k]]
         return np.concatenate(parts, axis=0)
 
 
-def _pooled(worker, head, reps: int, spr: int) -> np.ndarray:
-    """``spr`` samples from each of ``reps`` replicas, in replica order, on
-    a pool of its own.
+def _pooled(sample: _Sample) -> np.ndarray:
+    """``sample``'s points, in replica order, on a pool of its own.
 
-    ``worker((*head, ids, spr))`` runs once per batch of ``_batches``.  Each
-    batch is one lock-step kernel call, and a kernel gives every replica
-    the same bits whatever batch it rides in, so the worker count cannot
-    change the bytes."""
-    job = (worker, head, reps, spr)
-    with _batch_pool([job]) as pool:
-        return _Pending(pool, job).collect()
+    ``_run_batch`` runs once per batch of ``_batches``.  Each batch is one
+    lock-step kernel call, and a kernel gives every replica the same bits
+    whatever batch it rides in, so the worker count cannot change the
+    bytes."""
+    with _Pool([sample]) as (collect,):
+        return collect()
 
 
-def _eps_job(cfg: Config, eps: float, eps_index: int) -> tuple:
-    v = cfg.values
-    spr = v["run.samples_per_replica"]
-    head = (_sample_run(cfg, eps, spr, "eps"), cfg.noise_model(), cfg.potential(),
-            v["run.scheme"], cfg.init_law(), (_rng.EPS_RUN, eps_index))
-    return _eps_batch_worker, head, v["run.replicas"], spr
+def pool_eps_samples(cfg: Config, eps: float, eps_index: int, pending=None) -> np.ndarray:
+    """The eps sample of grid point ``eps_index`` (``eps`` is its grid
+    value): ``pending()``, its batches already handed to the command's
+    ``_Pool``, or else run now."""
+    return pending() if pending is not None else _pooled(_eps_sample(cfg, eps_index))
 
 
-def _limit_job(cfg: Config, diff: DiffusionSpec) -> tuple:
-    reps, spr = cfg.limit_pooling()
-    return (_limit_batch_worker, _limit_args(cfg, diff, (_rng.LIMIT_RUN, 0), spr),
-            reps, spr)
-
-
-def _self_test_job(cfg: Config, eps_index: int, diff: DiffusionSpec) -> tuple:
-    v = cfg.values
-    spr = v["run.samples_per_replica"]
-    return (_limit_batch_worker, _limit_args(cfg, diff, (_rng.SELF_TEST, eps_index), spr),
-            v["run.replicas"], spr)
-
-
-def pool_eps_samples(cfg: Config, eps: float, eps_index: int,
-                     pending: _Pending | None = None) -> np.ndarray:
-    """The eps sample of grid point ``eps_index``: ``pending``, its batches
-    already handed to the command's pool, or else run now."""
-    if pending is not None:
-        return pending.collect()
-    return _pooled(*_eps_job(cfg, eps, eps_index))
-
-
-def pool_limit_samples(cfg: Config, diff: DiffusionSpec,
-                       pending: _Pending | None = None) -> np.ndarray:
+def pool_limit_samples(cfg: Config, diff: DiffusionSpec, pending=None) -> np.ndarray:
     """The limit-law sample under ``diff``; every mode draws on the same
     stream path, so two modes differ only by their diffusion matrices.
     ``pending`` as in ``pool_eps_samples``."""
-    if pending is not None:
-        return pending.collect()
-    return _pooled(*_limit_job(cfg, diff))
+    return pending() if pending is not None else _pooled(
+        _limit_sample(cfg, diff, (_rng.LIMIT_RUN, 0), *cfg.limit_pooling()))
 
 
 def _block_bootstrap_ci(eps_sample: np.ndarray, spr: int, limit_samples,
@@ -357,25 +365,21 @@ def run_convergence(cfg: Config) -> ConvergenceReport:
     meta = _base_metadata(cfg)
     for mode, diff in diffs.items():
         meta[f"diffusion.{mode}.D_eff"] = json.dumps(diff.matrix.tolist())
-    modes = cfg.modes
-    self_test = cfg.values["run.self_test"]
-    if self_test:
-        row_jobs = [_self_test_job(cfg, i, diffs[modes[0]]) for i in range(len(cfg.eps_grid))]
-    else:
-        row_jobs = [_eps_job(cfg, eps, i) for i, eps in enumerate(cfg.eps_grid)]
-    limit_jobs = [_limit_job(cfg, diffs[mode]) for mode in modes]
-    spr = cfg.values["run.samples_per_replica"]
+    modes, v = cfg.modes, cfg.values
+    spr = v["run.samples_per_replica"]
+    limit = [_limit_sample(cfg, diffs[mode], (_rng.LIMIT_RUN, 0), *cfg.limit_pooling())
+             for mode in modes]
+    # A self-test scores the first mode's limit law against itself, on the
+    # sampling floor.
+    row_samples = [_limit_sample(cfg, diffs[modes[0]], (_rng.SELF_TEST, i), v["run.replicas"],
+                                 spr) if v["run.self_test"] else _eps_sample(cfg, i)
+                   for i in range(len(cfg.eps_grid))]
     rows = []
-    with _batch_pool(limit_jobs + row_jobs) as pool:
-        limit_pending = [_Pending(pool, job) for job in limit_jobs]
-        row_pending = [_Pending(pool, job) for job in row_jobs]
-        limit_samples = {mode: pool_limit_samples(cfg, diffs[mode], pending)
-                         for mode, pending in zip(modes, limit_pending)}
-        for eps_index, (eps, pending) in enumerate(zip(cfg.eps_grid, row_pending)):
-            if self_test:
-                eps_sample = pending.collect()
-            else:
-                eps_sample = pool_eps_samples(cfg, eps, eps_index, pending)
+    with _Pool(limit + row_samples) as pending:
+        limit_samples = {mode: pool_limit_samples(cfg, diffs[mode], p)
+                         for mode, p in zip(modes, pending)}
+        for eps_index, (eps, p) in enumerate(zip(cfg.eps_grid, pending[len(modes):])):
+            eps_sample = pool_eps_samples(cfg, eps, eps_index, p)
             row = {"eps": eps, "w2_paper_mode": float("nan"), "w2_gk_mode": float("nan"),
                    "n_samples": eps_sample.shape[0]}
             for mode in modes:
@@ -468,30 +472,12 @@ def _write_samples(cfg: Config, path: str, sample: np.ndarray, extra: dict):
 
 def run_simulate_eps(cfg: Config, out_dir: str):
     """Pool the eps-system terminal samples for the first grid value."""
-    eps = cfg.eps_grid[0]
-    path = _write_samples(cfg, os.path.join(out_dir, "samples_eps.csv"),
-                          pool_eps_samples(cfg, eps, 0), {"run.eps": _fmt(eps)})
+    sample = _eps_sample(cfg, 0)
+    path = _write_samples(cfg, os.path.join(out_dir, "samples_eps.csv"), _pooled(sample),
+                          {"run.eps": _fmt(cfg.eps_grid[0])})
     if cfg.values["output.dump_trajectories"]:
-        _dump_eps_trajectory(cfg, eps, os.path.join(out_dir, "trajectory_eps.csv"))
+        _dump_trajectory(sample, os.path.join(out_dir, "trajectory_eps.csv"))
     return path
-
-
-def _dump_eps_trajectory(cfg: Config, eps: float, path: str):
-    """Every step of replica 0 at ``eps``, in the run of the pooled sample:
-    replica 0's whole stream block runs, and its first row is written."""
-    rc = _sample_run(cfg, eps, cfg.values["run.samples_per_replica"], "eps")
-    d = rc.d
-    header = ["t", "i"] + [f"x_{k + 1}" for k in range(d)] + [f"y_{k + 1}" for k in range(d)]
-    rows = []
-
-    def record(ids, k, t, X, Y, xi):
-        for i in range(rc.N):
-            rows.append([t, i] + list(map(float, X[0, i])) + list(map(float, Y[0, i])))
-
-    block = range(min(_rng.BLOCK, cfg.values["run.replicas"]))
-    run_eps_replicas(rc, cfg.noise_model(), cfg.potential(), cfg.values["run.scheme"],
-                     cfg.init_law(), block, (_rng.EPS_RUN, 0), recorder=record)
-    write_table(path, {"trajectory.replica": "0"}, header, rows)
 
 
 def run_simulate_limit(cfg: Config, out_dir: str):
@@ -499,28 +485,28 @@ def run_simulate_limit(cfg: Config, out_dir: str):
     other modes are not built."""
     mode = cfg.modes[0]
     diff = _mode_diffusion(cfg, mode)
-    path = _write_samples(cfg, os.path.join(out_dir, "samples_limit.csv"),
-                          pool_limit_samples(cfg, diff),
+    sample = _limit_sample(cfg, diff, (_rng.LIMIT_RUN, 0), *cfg.limit_pooling())
+    path = _write_samples(cfg, os.path.join(out_dir, "samples_limit.csv"), _pooled(sample),
                           {"limit.mode": mode, "limit.D_eff": json.dumps(diff.matrix.tolist())})
     if cfg.values["output.dump_trajectories"]:
-        _dump_limit_trajectory(cfg, diff, os.path.join(out_dir, "trajectory_limit.csv"))
+        _dump_trajectory(sample, os.path.join(out_dir, "trajectory_limit.csv"))
     return path
 
 
-def _dump_limit_trajectory(cfg: Config, diff: DiffusionSpec, path: str):
-    """Every step of replica 0 of the first mode's limit sample: replica
-    0's whole stream block runs, and its first row is written."""
-    reps, spr = cfg.limit_pooling()
-    rc, pot, diff, init, stream_path, sch = _limit_args(cfg, diff, (_rng.LIMIT_RUN, 0), spr)
-    header = ["t", "i"] + [f"x_{k + 1}" for k in range(rc.d)]
+def _dump_trajectory(sample: _Sample, path: str):
+    """Every step of every particle of replica 0 in ``sample``'s run: its
+    positions, and for the eps system its velocities.  Replica 0's whole
+    stream block runs, and its first row is written."""
+    rc = sample.args[0]
+    names = "xy" if sample.system == "eps" else "x"
+    header = ["t", "i"] + [f"{a}_{k + 1}" for a in names for k in range(rc.d)]
     rows = []
 
-    def record(ids, k, t, X):
+    def record(ids, k, t, *state):
         for i in range(rc.N):
-            rows.append([t, i] + list(map(float, X[0, i])))
+            rows.append([t, i] + [float(c) for arr in state[:len(names)] for c in arr[0, i]])
 
-    run_limit_replicas(rc, pot, diff, init, range(min(_rng.BLOCK, reps)), stream_path, sch,
-                       recorder=record)
+    sample.run(range(min(_rng.BLOCK, sample.reps)), recorder=record)
     write_table(path, {"trajectory.replica": "0"}, header, rows)
 
 

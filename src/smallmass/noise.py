@@ -22,7 +22,9 @@ Every particle feels the same forcing, the field averaged over the law.
 For all three shapes that average is linear in the driver, so it is
 computed without forming the field at each point: the x-dependent factor
 (1, g, or the Fourier basis a_k cos(w_k . x) + b_k sin(w_k . x)) is
-averaged over the points first and then contracted with the driver.
+averaged over the points first (``_factor_mean``) and then contracted
+with the driver (``_contract_forcing``), so a caller whose points are
+frozen takes the mean once.
 The Fourier basis is evaluated in its phase-shift form
 R_k cos(w_k . x - phi_k), R_k = hypot(a_k, b_k) and phi_k = arctan2(b_k,
 a_k), one cosine per point and mode, laid out mode-major (K, n, ...) so
@@ -212,6 +214,34 @@ def _fourier_basis(model: NoiseModel, points: np.ndarray) -> np.ndarray:
     return basis
 
 
+def _factor_mean(model: NoiseModel, points: np.ndarray):
+    """Mean over ``points`` (..., n, d) of the field's x-dependent factor,
+    by the pairwise fold: ``None`` for scalar-ou (the factor is 1), shape
+    (...) for separable, and for fourier-field (K, ...), the
+    ``_fourier_basis`` buffer folded over its point axis."""
+    if model.kind == "scalar-ou":
+        return None
+    if model.kind == "separable":
+        return pairwise_mean(model.g(points), axis=-1)
+    return pairwise_mean(_fourier_basis(model, points), axis=1)
+
+
+def _contract_forcing(model: NoiseModel, xi: np.ndarray, gbar) -> np.ndarray:
+    """The law-averaged forcing of driver ``xi`` under the factor mean
+    ``gbar``; batch axes broadcast.  For fourier-field, sum_k xi[..., :, k]
+    * gbar[k] in a fixed order, elementwise, so the result of one replica
+    does not depend on how many are batched with it."""
+    if model.kind == "scalar-ou":
+        # x-independent field: the law average is the driver value itself.
+        return xi
+    if model.kind == "separable":
+        return xi * gbar[..., None]
+    out = xi[..., 0] * gbar[0][..., None]
+    for k in range(1, gbar.shape[0]):
+        out += xi[..., k] * gbar[k][..., None]
+    return out
+
+
 def averaged_forcing_xi(model: NoiseModel, xi: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Mean of the field over ``points`` (..., n, d); batch axes broadcast.
 
@@ -221,26 +251,11 @@ def averaged_forcing_xi(model: NoiseModel, xi: np.ndarray, points: np.ndarray) -
     ensemble sharing one driver path.
 
     The average is linear in the driver, so the x-dependent factor is
-    averaged over the points (pairwise fold) and then contracted with
-    ``xi``: for fourier-field, sum_k xi[..., :, k] * mean_n basis_k(x_n).
-    The basis is one (K, n, ...) buffer of R_k cos(w_k . x_n - phi_k)
-    (``_fourier_basis``), folded over its point axis into the K averages
-    of each batch entry.
-    The contraction over k runs in a fixed order, elementwise, so the
-    result of one replica does not depend on how many are batched with it.
-    The per-point field, of shape (..., n, d), is never formed.
+    averaged over the points (``_factor_mean``) and then contracted with
+    ``xi`` (``_contract_forcing``).  The per-point field, of shape
+    (..., n, d), is never formed.
     """
-    if model.kind == "scalar-ou":
-        # x-independent field: the law average is the driver value itself.
-        return xi
-    if model.kind == "separable":
-        gbar = pairwise_mean(model.g(points), axis=-1)
-        return xi * gbar[..., None]
-    gbar = pairwise_mean(_fourier_basis(model, points), axis=1)  # (K, ...)
-    out = xi[..., 0] * gbar[0][..., None]
-    for k in range(1, gbar.shape[0]):
-        out += xi[..., k] * gbar[k][..., None]
-    return out
+    return _contract_forcing(model, xi, _factor_mean(model, points))
 
 
 def sigma_matrix(model: NoiseModel, m: EmpiricalMeasure | None = None) -> np.ndarray:
@@ -258,9 +273,8 @@ def sigma_matrix(model: NoiseModel, m: EmpiricalMeasure | None = None) -> np.nda
         return s2 * eye
     if m is None:
         raise UsageError(f"{model.kind} needs a measure for the forcing covariance")
+    gbar = _factor_mean(model, m.points)
     if model.kind == "separable":
-        gbar = float(pairwise_mean(model.g(m.points), axis=-1))
-        return s2 * gbar**2 * eye
-    gbar = pairwise_mean(_fourier_basis(model, m.points), axis=1)  # (K,)
+        return s2 * float(gbar)**2 * eye
     return s2 * float(np.sum(gbar * gbar)) * eye
 

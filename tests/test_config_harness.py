@@ -7,6 +7,7 @@ import subprocess
 import sys
 from concurrent.futures import Future
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,13 +18,13 @@ from smallmass.cli import main as cli_main
 from smallmass.config import load_config, parse_config, serialize_config
 from smallmass.diagnostics import green_kubo
 from smallmass.dynamics_eps import paired_scheme_gap
-from smallmass.dynamics_limit import DiffusionSpec, LimitScheme, run_limit_replicas
+from smallmass.dynamics_limit import LimitScheme, run_limit_replicas
 from smallmass.errors import ConfigError
 from smallmass.noise import NoiseModel
-from smallmass.harness import (CONVERGE_COLUMNS, _pooled, _self_test_job,
-                               build_mode_diffusions, load_sample_file,
-                               run_convergence, run_diagnose, run_estimate_gk,
-                               run_simulate_eps, run_simulate_limit, worker_count)
+from smallmass.harness import (CONVERGE_COLUMNS, build_mode_diffusions, load_sample_file,
+                               pool_eps_samples, run_convergence, run_diagnose,
+                               run_estimate_gk, run_simulate_eps, run_simulate_limit,
+                               worker_count)
 from smallmass.transport import w2_1d, w2_auto
 
 from conftest import write_config
@@ -237,14 +238,13 @@ class TestConvergenceHarness:
 
         calls = []
 
-        def worker(item):
-            head, ids, spr = item
+        def run(ids):
             calls.append(ids)
-            return np.repeat(np.asarray(ids, dtype=float), spr)[:, None]
+            return np.repeat(np.asarray(ids, dtype=float), 2)[:, None]
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
         monkeypatch.setenv("SMALLMASS_WORKERS", str(workers))
-        out = harness._pooled(worker, ("head",), reps, 2)
+        out = harness._pooled(SimpleNamespace(reps=reps, run=run))
         n_blocks = math.ceil(reps / 64)
         assert len(calls) == min(workers, n_blocks)
         assert [r for ids in calls for r in ids] == list(range(reps))
@@ -258,7 +258,9 @@ class TestConvergenceHarness:
         # 150 and 130 replicas are three stream blocks, the last one short.
         # At 2 and 3 workers each pooled phase runs two or three batches in
         # the command's one process pool, at 1 worker one batch inline; the
-        # pool starts are counted.
+        # pool starts are counted.  The simulate input runs simulate-eps and
+        # simulate-limit, one pool each, and compares their samples and
+        # trajectory dumps.
         starts = []
 
         class CountingPool(harness.ProcessPoolExecutor):
@@ -266,19 +268,32 @@ class TestConvergenceHarness:
                 starts.append(1)
                 super().__init__(*args, **kwargs)
 
+        def converge(cfg, out):
+            return [run_convergence(cfg).write_csv(out / "converge.csv")]
+
+        def simulate(cfg, out):
+            run_simulate_eps(cfg, str(out))
+            run_simulate_limit(cfg, str(out))
+            return [out / f"{kind}_{system}.csv" for kind in ("samples", "trajectory")
+                    for system in ("eps", "limit")]
+
         monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
-        for name, doc in (("scalar-ou", dict(small_config_dict, **{"run.replicas": 150})),
-                          ("coupled", dict(small_config_dict, **COUPLED))):
+        reps150 = dict(small_config_dict, **{"run.replicas": 150})
+        for name, doc, command, pools in (
+                ("scalar-ou", reps150, converge, 1),
+                ("self-test", dict(reps150, **{"run.self_test": True}), converge, 1),
+                ("coupled", dict(small_config_dict, **COUPLED), converge, 1),
+                ("simulate", dict(reps150, **{"limit.replicas": 150,
+                                              "output.dump_trajectories": True}),
+                 simulate, 2)):
             texts = {}
             for w in ("1", "2", "3"):
                 monkeypatch.setenv("SMALLMASS_WORKERS", w)
                 starts.clear()
-                cfg = parse_config(doc)
-                report = run_convergence(cfg)
-                path = tmp_path / f"converge_{name}_{w}.csv"
-                report.write_csv(path)
-                texts[w] = path.read_text()
-                assert len(starts) == (0 if w == "1" else 1), (name, w, len(starts))
+                out = tmp_path / f"{name}_{w}"
+                out.mkdir()
+                texts[w] = [p.read_text() for p in command(parse_config(doc), out)]
+                assert len(starts) == (0 if w == "1" else pools), (name, w, len(starts))
             assert texts["1"] == texts["2"] == texts["3"], name
 
     def test_every_row_is_submitted_before_the_first_score(self, small_config_dict,
@@ -294,7 +309,8 @@ class TestConvergenceHarness:
                 pass
 
             def submit(self, fn, item):
-                log.append(next(a for a in item if isinstance(a, tuple)))
+                sample, ids = item
+                log.append(sample.path)
                 return _done(fn(item))
 
             def shutdown(self, cancel_futures=False):
@@ -365,16 +381,25 @@ class TestConvergenceHarness:
                                                            + np.std(floors))
 
 
-    def test_self_test_sample_uses_the_limit_step(self, small_config_dict):
-        # quadratic potential: the 2 samples per replica are a run at N = 2
+    def test_self_test_sample_uses_the_limit_step(self, small_config_dict, monkeypatch):
+        # quadratic potential: the 2 samples per replica are a run at N = 2;
+        # row 1 of the self-test is the first mode's limit law on its own
+        # stream, at limit.h
+        rows = []
+
+        def keep_row(*args):
+            rows.append(pool_eps_samples(*args))
+            return rows[-1]
+
+        monkeypatch.setattr(harness, "pool_eps_samples", keep_row)
         doc = dict(small_config_dict, **{"run.self_test": True, "limit.h": 0.003})
         cfg = parse_config(doc)
-        diff = DiffusionSpec("paper", np.array([[0.5]]))
-        got = _pooled(*_self_test_job(cfg, 1, diff))
+        run_convergence(cfg)
+        diff = build_mode_diffusions(cfg)[cfg.modes[0]]
         ref = run_limit_replicas(replace(cfg.run_config(0.2), N=2), cfg.potential(), diff,
                                  cfg.init_law(), range(24), (_rng.SELF_TEST, 1),
                                  sch=LimitScheme(0.003))
-        assert np.array_equal(got, ref.reshape(-1, 1))
+        assert len(rows) == 2 and np.array_equal(rows[1], ref.reshape(-1, 1))
 
     def test_particle_local_samples_do_not_depend_on_run_n(self, small_config_dict,
                                                            monkeypatch):
@@ -506,6 +531,26 @@ class TestOtherEntryPoints:
                                   init=cfg.init_law())[2] for eps in cfg.eps_grid]
         assert gaps == [0.00016499536670069854, 0.00140534645193302,
                         0.0006977461151073646, 0.00012249170673226883]
+
+    @pytest.mark.parametrize("extra, pinned", [
+        (COUPLED, ["# gk.ci_fro = 0.36049300996359829", "# gk.truncation_lag = 1.8",
+                   "i,j,G", "0,0,0.41452572318589115", "0,1,-0.005516227573870245",
+                   "1,0,-0.005516227573870245", "1,1,0.4856767313968629"]),
+        ({"run.d": 2, "noise.kind": "separable", "noise.g": "gauss", "gk.reps": 8,
+          "gk.horizon_fast": 10.0},
+         ["# gk.ci_fro = 0.10101253149672162", "# gk.truncation_lag = 1.0250000000000001",
+          "i,j,G", "0,0,0.12048624736376914", "0,1,0.013963953813132188",
+          "1,0,0.013963953813132188", "1,1,0.18142273154277183"]),
+    ], ids=["fourier-field", "separable"])
+    def test_law_dependent_green_kubo_keeps_its_bytes(self, small_config_dict, tmp_path,
+                                                      extra, pinned):
+        # One factor mean of the frozen measure serves every step's driver;
+        # the pinned bytes are those of a mean taken at each step.
+        cfg = parse_config(dict(small_config_dict, **extra))
+        with open(harness.COMMANDS["estimate-gk"](cfg, str(tmp_path))) as fh:
+            lines = fh.read().splitlines()
+        assert [line for line in lines
+                if line.startswith("# gk.") or not line.startswith("#")] == pinned
 
     def test_simulate_limit_builds_only_the_first_mode(self, small_config_dict, tmp_path,
                                                        monkeypatch):

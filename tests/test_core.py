@@ -215,4 +215,5 @@ class TestValidation:
             ParticleEnsemble(np.zeros((2, 1)), np.zeros((3, 1)), 0.0, 0.5)
         with pytest.raises(UsageError):
             ParticleEnsemble(np.zeros((2, 1)), np.zeros((2, 1)), 0.0, None)
-        ParticleEnsemble(np.zeros((2, 1)), None, 0.0, None)  # limit mode ok
+        with pytest.raises(UsageError):  # velocities are required
+            ParticleEnsemble(np.zeros((2, 1)), None, 0.0, 0.5)

@@ -10,8 +10,8 @@ from smallmass.diagnostics import (_u_paths_ensemble, _u_paths_scalar, _UvPaths,
                                    dyadic_lags, green_kubo, moment_table, uv_check)
 from smallmass.dynamics_eps import EpsScheme, InitialLaw, _n_steps, step
 from smallmass.errors import UsageError
-from smallmass.noise import (DriverState, NoiseModel, advance_xi, averaged_forcing_xi,
-                             stationary_xi)
+from smallmass.noise import (DriverState, NoiseModel, _factor_mean, advance_xi,
+                             averaged_forcing_xi, stationary_xi)
 
 from conftest import BLOCK, replica_replays
 
@@ -372,10 +372,18 @@ class TestDriverPaths:
                                          a=[1.0, 0.5, 0.3], b=[0.2, 0.4, 0.6])
         m = EmpiricalMeasure(np.random.default_rng(0).standard_normal((16, 2)))
         seen = self._captured_forcing(monkeypatch)
+        means = []
+
+        def counted_mean(*args):
+            means.append(args)
+            return _factor_mean(*args)
+
+        # the measure is frozen: its basis mean is taken once, not per step
+        monkeypatch.setattr(diagnostics, "_factor_mean", counted_mean)
         green_kubo(model, m_source=m, horizon_fast=10.0, reps=9, seed=5)
         ref = _reference_drivers(model, 5, (_rng.GK_RUN,), 9, 400, 0.025, size=1)
         eta = np.stack([averaged_forcing_xi(model, xi, m.points) for xi in ref], axis=1)
-        assert len(seen) == 1
+        assert len(seen) == 1 and len(means) == 1
         assert np.array_equal(seen[0], eta)
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from smallmass import rng as _rng
-from smallmass.core import ParticleEnsemble, PotentialSpec, RunConfig, grad_v_batch
+from smallmass.core import PotentialSpec, RunConfig, grad_v_batch
 from smallmass.dynamics_eps import InitialLaw, _n_steps, run_eps_replicas
 from smallmass import harness
 from smallmass.config import parse_config
@@ -19,18 +19,15 @@ from conftest import replica_replays, traced_peak_above
 ZERO_POT = PotentialSpec.custom(lambda x, m: np.zeros_like(x), 1.0)
 
 
-def step_em(ens, pot, diff, sch, alpha, rng):
-    """One Euler-Maruyama step of one ensemble: the reference the lock-step
-    kernel is checked against."""
-    if not ens.is_limit_mode:
-        raise UsageError("step_em requires a limit-mode ensemble (no velocities)")
-    X = ens.positions
+def step_em(X, pot, diff, sch, alpha, rng):
+    """One Euler-Maruyama step of the positions ``X`` (N, d) of one
+    replica: the reference the lock-step kernel is checked against."""
     grad = grad_v_batch(pot, X)
     Z = rng.standard_normal(X.shape)
     X2 = X - (sch.h / alpha) * grad + math.sqrt(sch.h) * Z @ diff.sqrt.T
-    out = ParticleEnsemble(positions=X2, velocities=None, time=ens.time + sch.h, eps=None)
-    out.check_finite()
-    return out
+    if not np.all(np.isfinite(X2)):
+        raise NumericError("step_em state is non-finite")
+    return X2
 
 
 class TestBuildDiffusion:
@@ -95,19 +92,11 @@ class TestBuildDiffusion:
 
 class TestStepEm:
     def test_identity_with_zero_drift_and_diffusion(self):
-        ens = ParticleEnsemble(np.array([[1.0], [2.0]]), None, 0.0, None)
+        X = np.array([[1.0], [2.0]])
         diff = DiffusionSpec("explicit", np.zeros((1, 1)))
-        out = step_em(ens, ZERO_POT, diff, LimitScheme(0.001), 1.0,
+        out = step_em(X, ZERO_POT, diff, LimitScheme(0.001), 1.0,
                       _rng.stream(0, _rng.DIRECT))
-        assert np.array_equal(out.positions, ens.positions)
-        assert out.time == pytest.approx(0.001)
-
-    def test_requires_limit_mode(self):
-        ens = ParticleEnsemble(np.zeros((1, 1)), np.zeros((1, 1)), 0.0, 0.5)
-        diff = DiffusionSpec("explicit", np.zeros((1, 1)))
-        with pytest.raises(UsageError):
-            step_em(ens, ZERO_POT, diff, LimitScheme(0.001), 1.0,
-                    _rng.stream(0, _rng.DIRECT))
+        assert np.array_equal(out, X)
 
     def test_stationary_variance_of_linear_sde(self):
         # dx = -x dt + sqrt(2) dB has stationary variance D*alpha/(2*lam) = 1
@@ -153,14 +142,13 @@ class TestSimulateLimit:
         pot = PotentialSpec.curie_weiss(0.0 + 1e-12, 3.0)
         diff = DiffusionSpec("explicit", np.zeros((1, 1)))
         pos = np.concatenate([np.full((20, 1), -1.0), np.full((20, 1), 1.0)])
-        ens = ParticleEnsemble(pos, None, 0.0, None)
         sch = default_limit_scheme(
             RunConfig(d=1, N=40, eps=0.5, alpha=1.0, T=1.0, h0=0.05, seed=0), pot)
         gen = _rng.stream(0, _rng.DIRECT)
-        spreads = [ens.positions.std()]
+        spreads = [pos.std()]
         for _ in range(200):
-            ens = step_em(ens, pot, diff, sch, 1.0, gen)
-            spreads.append(ens.positions.std())
+            pos = step_em(pos, pot, diff, sch, 1.0, gen)
+            spreads.append(pos.std())
         assert all(b < a for a, b in zip(spreads, spreads[1:]))
 
     def test_custom_twin_gets_the_builtin_step_and_cap(self):
@@ -196,10 +184,10 @@ class TestLimitReplicaSweep:
                                        step=(cfg.N, cfg.d))
         out = []
         for gen in gens:
-            ens = ParticleEnsemble(init.draw_positions(cfg.N, cfg.d, gen), None, 0.0, None)
+            X = init.draw_positions(cfg.N, cfg.d, gen)
             for _ in range(n):
-                ens = step_em(ens, pot, diff, sch, cfg.alpha, gen)
-            out.append(ens.positions)
+                X = step_em(X, pot, diff, sch, cfg.alpha, gen)
+            out.append(X)
         return np.stack(out)
 
     @pytest.mark.parametrize("d, keep", [(1, 3), (1, 1), (2, 1), (2, 3)])
