@@ -18,7 +18,7 @@ import numpy as np
 
 from . import rng as _rng
 from .core import PotentialSpec, RunConfig
-from .diagnostics import BM_PROXY_MIN_PATHS, GK_MIN_HORIZON
+from .diagnostics import BM_PROXY_MIN_PATHS, GK_MAX_DT, GK_MIN_HORIZON
 from .dynamics_eps import InitialLaw
 from .dynamics_limit import LimitScheme
 from .errors import ConfigError, UsageError
@@ -327,8 +327,10 @@ def _cross_validate(v):
     for key in ("limit.replicas", "limit.samples_per_replica"):
         if v[key] is not None and v[key] < 1:
             raise ConfigError(f"{key} must be >= 1 (omit it to use the run.* value)")
-    if v["gk.dt"] is not None and v["gk.dt"] <= 0.0:
-        raise ConfigError("gk.dt must be > 0")
+    dt = v["gk.dt"]
+    if dt is not None and not 0.0 < dt * v["noise.gamma"] <= GK_MAX_DT:
+        raise ConfigError(f"gk.dt must be > 0 and <= {GK_MAX_DT:g}/noise.gamma = "
+                          f"{GK_MAX_DT / v['noise.gamma']:g}, got {dt!r}")
     if v["gk.reps"] < 2:
         raise ConfigError("gk.reps must be >= 2: the confidence halfwidth needs two replicas")
     if v["diag.moment_reps"] < 2:

@@ -9,11 +9,10 @@ limit falsifiable at desk scale:
   part v, computed with the integrator's own quadrature (left-endpoint
   forcing, exact exponential weights for v).  For law-dependent fields
   the paths are recorded from the lock-step eps kernel
-  (``run_eps_replicas``).  Each step's u and v values go into a small
-  time-major window, copied into the replica-major paths once every
-  ``_UV_WINDOW`` steps.  E||v(T)||^2 must vanish linearly in eps, and
-  the fourth-moment increment ratio E||u(t) - u(s)||^4 / |t - s| must
-  stay bounded across dyadic lags;
+  (``run_eps_replicas``).  The paths are stored time-major, so each
+  step writes one contiguous slab.  E||v(T)||^2 must vanish linearly in
+  eps, and the fourth-moment increment ratio E||u(t) - u(s)||^4 / |t - s|
+  must stay bounded across dyadic lags;
 * ``green_kubo``: the effective diffusion of the law-averaged forcing,
   G = 2 * integral of its stationary autocovariance, the executable
   surrogate for the limit noise normalization;
@@ -55,9 +54,10 @@ _BM_GRID = 50
 BM_PROXY_MIN_PATHS = 100
 # Shortest Green-Kubo horizon, in driver correlation times 1/gamma.
 GK_MIN_HORIZON = 20.0
-# Steps of u and v that ``_UvPaths`` holds time-major before copying them
-# into the replica-major paths.
-_UV_WINDOW = 64
+# Longest Green-Kubo sampling step, in the same units: the trapezoid rule
+# over-integrates an exponential autocovariance by about (dt gamma)^2 / 12,
+# 0.08% at this step.
+GK_MAX_DT = 0.1
 
 
 @dataclass(frozen=True)
@@ -201,6 +201,9 @@ def uv_check(cfg: RunConfig, model: NoiseModel, *, reps: int = 512,
     lags = lags if lags is not None else dyadic_lags()
     h = cfg.eps_step
     n = _n_steps(cfg.T, h)
+    if n < 2:
+        raise UsageError(f"uv_check needs a horizon of at least 2 steps for the "
+                         f"Brownian-proxy increments, got {n}")
     steps = [m for m in (max(1, int(round(lag / h))) for lag in lags) if m <= n]
     if not steps:
         raise UsageError("no admissible lags: horizon too short for the lag ladder")
@@ -208,27 +211,27 @@ def uv_check(cfg: RunConfig, model: NoiseModel, *, reps: int = 512,
         u, v_late = _u_paths_scalar(cfg, model, reps, n, eps_index)
     else:
         u, v_late = _u_paths_ensemble(cfg, model, reps, n, eps_index, init, pot)
-    R, n_pts, d = u.shape
+    n_pts, R, d = u.shape
     # v statistics from the late-time pool; in d = 1 the squared value
     # already is the squared norm
     np.multiply(v_late, v_late, out=v_late)
-    v_sq = np.sum(v_late, axis=-1) if d > 1 else v_late.reshape(R, -1)  # (R, n_late)
-    per_rep = v_sq.mean(axis=1)
+    v_sq = np.sum(v_late, axis=-1) if d > 1 else v_late.reshape(-1, R)  # (n_late, R)
+    per_rep = v_sq.mean(axis=0)
     del v_late, v_sq
     v_msq = float(per_rep.mean())
     v_ci = float(1.96 * per_rep.std(ddof=1) / math.sqrt(len(per_rep)))
-    # increment ratios over dyadic lags; each lag's (R, n+1-m) increments
+    # increment ratios over dyadic lags; each lag's (n+1-m, R) increments
     # live in the front of one flat buffer per quantity, sized for the
     # shortest lag, and are reduced over that same contiguous layout.  In
     # d = 1 the squared increment is its own coordinate sum, so it is
     # formed in the sum's buffer.
-    sq_buf = np.empty(R * (n_pts - min(steps)))
-    du_buf = np.empty(R * (n_pts - min(steps)) * d) if d > 1 else sq_buf
+    sq_buf = np.empty((n_pts - min(steps)) * R)
+    du_buf = np.empty((n_pts - min(steps)) * R * d) if d > 1 else sq_buf
     ratios = {}
     for m in steps:
-        du = du_buf[:R * (n_pts - m) * d].reshape(R, n_pts - m, d)
-        sq = sq_buf[:R * (n_pts - m)].reshape(R, n_pts - m)
-        np.subtract(u[:, m:], u[:, :-m], out=du)
+        du = du_buf[:(n_pts - m) * R * d].reshape(n_pts - m, R, d)
+        sq = sq_buf[:(n_pts - m) * R].reshape(n_pts - m, R)
+        np.subtract(u[m:], u[:-m], out=du)
         np.multiply(du, du, out=du)
         if d > 1:
             np.sum(du, axis=-1, out=sq)
@@ -237,7 +240,7 @@ def uv_check(cfg: RunConfig, model: NoiseModel, *, reps: int = 512,
     # Brownian-proxy statistics on a decimated grid
     every = max(1, n // _BM_GRID)
     times = np.arange(0, n + 1, every) * h
-    stats = bm_proxy(u[:, ::every], times)
+    stats = bm_proxy(u[::every].swapaxes(0, 1), times)
     return UvReport(eps=cfg.eps, v_msq=v_msq, v_msq_ci=v_ci,
                     u_increment_ratios=ratios, bm_stats=stats, n_replicas=reps)
 
@@ -247,12 +250,12 @@ class _UvPaths:
 
     ``add`` folds the left-endpoint forcing ``eta`` of step k into u
     (weight h / (alpha sqrt(eps))) and into v (the exponential step's own
-    weights r and 1 - r), for the replica rows ``rows``; ``eta`` holds one
-    row per replica of ``rows``.  Each set of rows must bring its steps
-    0..n-1 in order, and step 0 starts them at u = v = 0.  The values are
-    held in a time-major window of ``_UV_WINDOW`` steps, one (rows, d) slab
-    per step, and copied into the replica-major ``u`` and ``v_late`` when
-    the window is full and after step n-1.
+    weights r and 1 - r), for the replica rows ``rows``, a slice; ``eta``
+    holds one row per replica of ``rows``.  Each set of rows must bring its
+    steps 0..n-1 in order, from u = v = 0.  The paths are time-major: row
+    k + 1 of the (n + 1, R, d) ``u`` holds u after step k, and from step
+    n // 2 on, the matching row of ``v_late`` holds v; the running (R, d)
+    ``v`` carries v from step to step.
     """
 
     def __init__(self, cfg, d, reps, n):
@@ -261,37 +264,19 @@ class _UvPaths:
         self.cu = h / (cfg.alpha * math.sqrt(cfg.eps))
         self.r_fac = step.r
         self.cv = math.sqrt(cfg.eps) * step.one_minus_r / cfg.alpha**2
-        self.n = n
         self.n_late_from = n // 2
-        self.u = np.zeros((reps, n + 1, d))
-        self.v_late = np.empty((reps, n - self.n_late_from, d))
-        width = min(n, _UV_WINDOW)
-        self.u_win = np.empty((width, reps, d))  # slot k % width: u(k + 1)
-        self.v_win = np.empty((width, reps, d))  # slot k % width: v after step k
+        self.u = np.zeros((n + 1, reps, d))
+        self.v = np.zeros((reps, d))
+        self.v_late = np.empty((n - self.n_late_from, reps, d))
         self.tmp = np.empty((reps, d))
 
     def add(self, rows, k, eta):
-        B, width = len(eta), len(self.u_win)
-        slot = k % width
-        if k == 0:  # the rows start at u = v = 0, held in the slot before 0
-            self.u_win[-1, :B] = 0.0
-            self.v_win[-1, :B] = 0.0
-        u_prev, v_prev = self.u_win[slot - 1, :B], self.v_win[slot - 1, :B]
-        u, v, tmp = self.u_win[slot, :B], self.v_win[slot, :B], self.tmp[:B]
-        np.add(u_prev, np.multiply(eta, self.cu, out=tmp), out=u)
-        np.multiply(v_prev, self.r_fac, out=v)
+        v, tmp = self.v[rows], self.tmp[rows]
+        np.add(self.u[k, rows], np.multiply(eta, self.cu, out=tmp), out=self.u[k + 1, rows])
+        np.multiply(v, self.r_fac, out=v)
         v += np.multiply(eta, self.cv, out=tmp)
-        if slot == width - 1 or k == self.n - 1:
-            self._flush(rows, k - slot, k + 1, B)
-
-    def _flush(self, rows, k0, k1, B):
-        """Copy steps k0..k1-1, held in the window's first B rows, out."""
-        self.u[rows, k0 + 1:k1 + 1] = self.u_win[:k1 - k0, :B].swapaxes(0, 1)
-        late = self.n_late_from
-        lo = max(k0, late)
-        if lo < k1:
-            self.v_late[rows, lo - late:k1 - late] = \
-                self.v_win[lo - k0:k1 - k0, :B].swapaxes(0, 1)
+        if k >= self.n_late_from:
+            self.v_late[k - self.n_late_from, rows] = v
 
 
 def _driver_paths(model, seed, path, reps, n, delta_s):
@@ -333,7 +318,8 @@ def _u_paths_ensemble(cfg, model, reps, n, eps_index, init, pot):
 
     def record(ids, k, t, X, Y, xi):
         if k < n:
-            paths.add(ids, k, averaged_forcing_xi(model, xi, X))
+            # the kernel's ids are consecutive (``rng.block_streams``)
+            paths.add(slice(ids[0], ids[-1] + 1), k, averaged_forcing_xi(model, xi, X))
 
     run_eps_replicas(cfg, model, pot or PotentialSpec.quadratic(1.0), "exponential",
                      init or InitialLaw(), range(reps), (_rng.UV_RUN, eps_index),
@@ -364,6 +350,9 @@ def green_kubo(model: NoiseModel, m_source: EmpiricalMeasure | None = None,
         raise UsageError(f"{model.kind} needs a frozen measure for the estimator")
     if dt is None:
         dt = 0.05 / model.gamma
+    elif not 0.0 < dt * model.gamma <= GK_MAX_DT:
+        raise UsageError(f"dt={dt:g} out of range; need 0 < dt <= {GK_MAX_DT:g}/gamma = "
+                         f"{GK_MAX_DT / model.gamma:g}")
     n = int(round(horizon_fast / dt))
     d = model.d
     eta = np.empty((reps, n, d))
@@ -405,7 +394,8 @@ def bm_proxy(u_paths: np.ndarray, times: np.ndarray) -> dict:
     correlation, zero excess kurtosis).  Paths with no variability are
     flagged degenerate with the undefined statistics set to NaN.
     """
-    u = np.asarray(u_paths, dtype=float)
+    # replica-major, so the pooled means sum in one fixed order
+    u = np.ascontiguousarray(u_paths, dtype=float)
     if u.ndim == 2:
         u = u[:, :, None]
     if u.shape[0] < BM_PROXY_MIN_PATHS:
@@ -413,6 +403,9 @@ def bm_proxy(u_paths: np.ndarray, times: np.ndarray) -> dict:
     times = np.asarray(times, dtype=float)
     if times.shape[0] != u.shape[1]:
         raise UsageError("times must match the path grid")
+    if u.shape[1] < 3:
+        raise UsageError(f"bm_proxy needs at least 3 grid times (two increments per "
+                         f"path), got {u.shape[1]}")
     msq = np.mean(np.sum(u * u, axis=-1), axis=0)  # E||u(t)||^2
     denom = float(np.dot(times, times))
     slope = float(np.dot(times, msq) / denom) if denom > 0 else 0.0

@@ -323,10 +323,9 @@ def _pooled(sample: _Sample) -> np.ndarray:
         return collect()
 
 
-def pool_eps_samples(cfg: Config, eps: float, eps_index: int, pending=None) -> np.ndarray:
-    """The eps sample of grid point ``eps_index`` (``eps`` is its grid
-    value): ``pending()``, its batches already handed to the command's
-    ``_Pool``, or else run now."""
+def pool_eps_samples(cfg: Config, eps_index: int, pending=None) -> np.ndarray:
+    """The eps sample of grid point ``eps_index``: ``pending()``, its
+    batches already handed to the command's ``_Pool``, or else run now."""
     return pending() if pending is not None else _pooled(_eps_sample(cfg, eps_index))
 
 
@@ -379,7 +378,7 @@ def run_convergence(cfg: Config) -> ConvergenceReport:
         limit_samples = {mode: pool_limit_samples(cfg, diffs[mode], p)
                          for mode, p in zip(modes, pending)}
         for eps_index, (eps, p) in enumerate(zip(cfg.eps_grid, pending[len(modes):])):
-            eps_sample = pool_eps_samples(cfg, eps, eps_index, p)
+            eps_sample = pool_eps_samples(cfg, eps_index, p)
             row = {"eps": eps, "w2_paper_mode": float("nan"), "w2_gk_mode": float("nan"),
                    "n_samples": eps_sample.shape[0]}
             for mode in modes:

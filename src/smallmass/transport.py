@@ -168,15 +168,17 @@ def _quantile_resample(sorted_cols: np.ndarray, k: int) -> np.ndarray:
 
 
 # The routing rule of ``w2_auto``, as recorded in report headers.
-W2_AUTO_RULE = (f"equal counts: d=1 quantile, d>1 n<={ASSIGNMENT_MAX_N} assignment; "
-                f"else sliced n_proj={SLICED_DEFAULT_PROJECTIONS}")
+W2_AUTO_RULE = (f"d=1 quantile, unequal counts resampled to the smaller; equal counts "
+                f"d>1 n<={ASSIGNMENT_MAX_N} assignment; else sliced "
+                f"n_proj={SLICED_DEFAULT_PROJECTIONS}")
 
 
 def w2_auto(a, b, seed: int = 0) -> W2Result:
     """Route to the exact or sliced solver the way the harness does.
 
-    Equal counts: d = 1 -> quantile coupling, d > 1 with n <= 512 ->
-    assignment.  Unequal counts, or larger n, -> sliced with the default
+    d = 1 -> quantile coupling; unequal counts are first resampled to the
+    smaller count at mid-quantiles.  d > 1 with equal counts n <= 512 ->
+    assignment; unequal counts, or larger n, -> sliced with the default
     projection count.  ``W2_AUTO_RULE`` states the rule for report metadata.
     """
     a = _points(a, "w2_auto")
@@ -184,9 +186,10 @@ def w2_auto(a, b, seed: int = 0) -> W2Result:
     if a.shape[1] != b.shape[1]:
         raise UsageError(f"dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
     if a.shape[1] == 1:
-        if a.shape[0] == b.shape[0]:
-            return w2_1d(a[:, 0], b[:, 0])
-        return w2_sliced(a, b, seed=seed)
+        k = min(a.shape[0], b.shape[0])
+        if k and a.shape[0] != b.shape[0]:
+            a, b = (_quantile_resample(np.sort(x, axis=0), k) for x in (a, b))
+        return w2_1d(a[:, 0], b[:, 0])
     if a.shape[0] == b.shape[0] and a.shape[0] <= ASSIGNMENT_MAX_N:
         return w2_assignment(a, b)
     return w2_sliced(a, b, seed=seed)

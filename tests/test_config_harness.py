@@ -123,6 +123,7 @@ class TestConfig:
         ("gk.reps", 65537), ("diag.reps", 65537), ("diag.moment_reps", 65537),
         pytest.param("run.eps_grid", [1.0 - i / 70000 for i in range(65537)],
                      id="run.eps_grid-65537-values"),
+        ("gk.dt", 100.0), ("gk.dt", 30.0), ("gk.dt", 12.0), ("gk.dt", 0.5),
     ])
     def test_out_of_range_values_are_rejected(self, small_config_dict, key, value):
         # diag.lag_lo 2.0 lies above the default diag.lag_hi of 1.0; the small
@@ -130,6 +131,7 @@ class TestConfig:
         # but 0 is dropped, and with lambda 1 the limit step cap is 0.01; its
         # scalar-ou noise reads none of noise.g, noise.omegas, noise.a, noise.b.
         # Replica counts and the eps grid index streams, so they stop at 65536.
+        # gk.dt stops at 0.1/noise.gamma = 0.05.
         doc = dict(small_config_dict, **{key: value})
         if isinstance(value, RawJson):  # a literal Python's json cannot write
             doc = json.dumps(dict(doc, **{key: None})).replace(
@@ -139,7 +141,8 @@ class TestConfig:
 
     def test_range_bounds_are_inclusive(self, small_config_dict):
         doc = dict(small_config_dict, **{"run.seed": 2**64 - 1, "run.replicas": 65536,
-                                         "gk.reps": 65536, "run.N": 2**31 - 1})
+                                         "gk.reps": 65536, "run.N": 2**31 - 1,
+                                         "gk.dt": 0.05})
         assert parse_config(doc).values["run.replicas"] == 65536
 
     @pytest.mark.parametrize("extra, reason", [
@@ -412,7 +415,7 @@ class TestConvergenceHarness:
             for n in (2, 64):
                 cfg = parse_config(dict(small_config_dict, **extra, **{"run.N": n}))
                 diff = build_mode_diffusions(cfg)["paper"]
-                samples.append((harness.pool_eps_samples(cfg, 0.1, 1),
+                samples.append((harness.pool_eps_samples(cfg, 1),
                                 harness.pool_limit_samples(cfg, diff)))
             for (a, b), size in zip(zip(*samples), (48, limit_size)):
                 assert a.shape == (size, 1) and np.array_equal(a, b), extra
@@ -615,6 +618,18 @@ class TestCli:
         assert cli_main(["w2", str(tmp_path / "a.csv"), str(tmp_path / "b.csv")]) == 0
         assert float(capsys.readouterr().out) == w2_auto(a, b).value
 
+    @pytest.mark.parametrize("dt", [100.0, 30.0, 12.0])
+    def test_gk_step_past_its_bound_exits_1(self, small_config_dict, tmp_path, capsys, dt):
+        # at gamma 6 and horizon 50, gk.dt 100 overflowed the FFT size and
+        # 30 and 12 wrote G = 0
+        doc = dict(small_config_dict, **{"noise.gamma": 6.0, "gk.horizon_fast": 50.0,
+                                         "gk.dt": dt})
+        out = tmp_path / "out"
+        assert cli_main(["estimate-gk", str(write_config(tmp_path, doc)), "--out",
+                         str(out)]) == 1
+        assert "gk.dt must be > 0 and <= 0.1/noise.gamma" in capsys.readouterr().err
+        assert not (out / "gk.csv").exists()
+
     def test_missing_config_exit_code(self):
         r = self._run("converge", "definitely_not_here.json")
         assert r.returncode == 1
@@ -728,8 +743,8 @@ class TestModeSelection:
         report = run_convergence(cfg)
         diff = build_mode_diffusions(cfg)["explicit"]
         limit = pool_limit_samples(cfg, diff)
-        for eps_index, (eps, row) in enumerate(zip(cfg.eps_grid, report.rows)):
-            sample = pool_eps_samples(cfg, eps, eps_index)
+        for eps_index, row in enumerate(report.rows):
+            sample = pool_eps_samples(cfg, eps_index)
             assert row["w2_gk_mode"] == w2_auto(sample, limit, seed=cfg.seed).value
             assert np.isfinite(row["w2_paper_mode"])
         terminal = report.rows[-1]

@@ -30,9 +30,9 @@ def _same_bits(a, b):
 
 
 class _StepwisePaths:
-    """The u/v recorder writing each step straight into the replica-major
+    """The u/v recorder writing each step straight into replica-major
     paths, with its coefficients computed here: the reference for the
-    windowed ``_UvPaths``."""
+    time-major ``_UvPaths``."""
 
     def __init__(self, cfg, d, reps, n):
         h = cfg.eps_step
@@ -97,17 +97,19 @@ def _ensemble_reference_paths(cfg, model, pot, reps, n, eps_index):
 
 
 def _reference_report(u, v_late, lags, h, n):
-    """uv_check's statistics of given paths, each formed in a fresh array."""
-    per_rep = np.sum(v_late * v_late, axis=-1).mean(axis=1)
+    """uv_check's statistics of given replica-major paths, laid out
+    time-major as uv_check holds them and each formed in a fresh array."""
+    u, v_late = (np.ascontiguousarray(x.swapaxes(0, 1)) for x in (u, v_late))
+    per_rep = np.sum(v_late * v_late, axis=-1).mean(axis=0)
     v_msq = float(per_rep.mean())
     v_ci = float(1.96 * per_rep.std(ddof=1) / math.sqrt(len(per_rep)))
     ratios = {}
     for m in (max(1, int(round(lag / h))) for lag in lags):
         if m <= n:
-            du = u[:, m:] - u[:, :-m]
+            du = u[m:] - u[:-m]
             ratios[m * h] = float(np.mean(np.square(np.sum(du * du, axis=-1)))) / (m * h)
     every = max(1, n // 50)
-    stats = bm_proxy(u[:, ::every], np.arange(0, n + 1, every) * h)
+    stats = bm_proxy(u[::every].swapaxes(0, 1), np.arange(0, n + 1, every) * h)
     return v_msq, v_ci, ratios, stats
 
 
@@ -137,6 +139,18 @@ class TestGreenKubo:
         with pytest.raises(UsageError, match="measure"):
             green_kubo(NoiseModel.separable(1, gamma=2.0, sigma=1.0, g_name="one"),
                        horizon_fast=25.0, reps=4, seed=0)
+
+    @pytest.mark.parametrize("dt", [100.0, 30.0, 12.0, 1.0 / 6.0, 0.0])
+    def test_step_guard(self, dt):
+        # dt * gamma above 0.1 biases the trapezoid integral (+9-13% at 1)
+        # or leaves too few lags to integrate
+        model = NoiseModel.scalar_ou(1, gamma=6.0, sigma=1.0)
+        with pytest.raises(UsageError, match="dt="):
+            green_kubo(model, horizon_fast=50.0, reps=4, seed=0, dt=dt)
+
+    def test_step_bound_is_inclusive(self):
+        model = NoiseModel.scalar_ou(1, gamma=2.0, sigma=1.0)
+        assert green_kubo(model, horizon_fast=25.0, reps=4, seed=0, dt=0.05).reps == 4
 
     def test_needs_two_replicas(self):
         # one replica gives ci_fro = nan
@@ -197,8 +211,8 @@ class TestUvCheck:
         n = _n_steps(cfg.T, cfg.eps_step)
         u, v_late = _u_paths_ensemble(cfg, model, 70, n, 2, None, pot)
         u_ref, v_ref = _ensemble_reference_paths(cfg, model, pot, 70, n, 2)
-        assert _same_bits(u, u_ref)
-        assert _same_bits(v_late, v_ref)
+        assert _same_bits(u.swapaxes(0, 1), u_ref)
+        assert _same_bits(v_late.swapaxes(0, 1), v_ref)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_scalar_report_equals_the_reference(self, d):
@@ -248,6 +262,11 @@ class TestUvCheck:
         # the 0.2 horizon has 40 steps, the lag 1.0 needs 200
         with pytest.raises(UsageError, match="no admissible lags"):
             uv_check(cfg, model, reps=100, lags=[1.0])
+        # one step gives each path a single increment, too few for bm_proxy
+        one_step = RunConfig(d=model.d, N=2, eps=0.2, alpha=1.0, T=0.01, h0=0.05, seed=0)
+        assert _n_steps(one_step.T, one_step.eps_step) == 1
+        with pytest.raises(UsageError, match="at least 2 steps"):
+            uv_check(one_step, model, reps=100)
 
     def test_dyadic_ladder(self):
         assert dyadic_lags(0.01, 1.0) == pytest.approx(
@@ -328,6 +347,21 @@ class TestBmProxy:
         with pytest.raises(UsageError):
             bm_proxy(np.zeros((50, 30)), np.linspace(0, 1, 30))
 
+    def test_path_layout_does_not_change_the_bits(self):
+        # uv_check hands over a time-major view; the pooled means must sum
+        # in the same order as over replica-major paths
+        paths = np.random.default_rng(1).standard_normal((300, 41, 1)).cumsum(axis=1)
+        times = np.linspace(0, 1, 41)
+        view = np.ascontiguousarray(paths.swapaxes(0, 1)).swapaxes(0, 1)
+        assert bm_proxy(view, times) == bm_proxy(paths, times)
+
+    @pytest.mark.parametrize("points", [1, 2])
+    def test_requires_two_increments_per_path(self, points):
+        # the lag-1 correlation pairs consecutive increments
+        paths = np.random.default_rng(0).standard_normal((150, points))
+        with pytest.raises(UsageError, match="at least 3 grid times"):
+            bm_proxy(paths, np.linspace(0, 1, points))
+
 
 class TestDriverPaths:
     """The scalar u/v paths and the Green-Kubo forcing path step one shared
@@ -355,8 +389,8 @@ class TestDriverPaths:
         n = _n_steps(cfg.T, cfg.eps_step)
         u, v_late = _u_paths_scalar(cfg, model, 70, n, 3)
         u_ref, v_ref = _scalar_reference_paths(cfg, model, 70, n, 3)
-        assert _same_bits(u, u_ref)
-        assert _same_bits(v_late, v_ref)
+        assert _same_bits(u.swapaxes(0, 1), u_ref)
+        assert _same_bits(v_late.swapaxes(0, 1), v_ref)
 
     def test_scalar_green_kubo_path_equals_the_reference(self, monkeypatch):
         model = NoiseModel.scalar_ou(2, gamma=2.0, sigma=1.0)
@@ -388,19 +422,19 @@ class TestDriverPaths:
 
 
 class TestWindowedPaths:
-    """``_UvPaths`` keeps a window of steps time-major and copies it out;
-    its paths equal the step-by-step reference for any horizon, late start
-    and split of the replicas into row sets."""
+    """``_UvPaths`` writes each step of u and v straight into its time-major
+    paths; they equal the replica-major step-by-step reference for any
+    horizon, late start and split of the replicas into row slices (W = 64
+    in the ids)."""
 
-    W = diagnostics._UV_WINDOW
-
-    @pytest.mark.parametrize("n", [1, W // 2 + 3, W, 2 * W + 1, 3 * W + 37],
+    @pytest.mark.parametrize("n", [1, 35, 64, 129, 229],
                              ids=["n=1", "n<W", "n=W", "n=2W+1", "late-start-mid-window"])
-    @pytest.mark.parametrize("row_sets", [None, [[0, 1, 2], [3, 4, 5, 6]], [[4], [0, 1, 2, 3]]],
+    @pytest.mark.parametrize("row_sets", [None, [slice(0, 3), slice(3, 7)],
+                                          [slice(4, 5), slice(0, 4)]],
                              ids=["all-rows", "two-batches", "unequal-batches"])
     def test_equals_the_stepwise_reference(self, n, row_sets):
         cfg = RunConfig(d=2, N=2, eps=0.1, alpha=1.3, T=1.0, h0=0.05, seed=0)
-        reps = 7 if row_sets is None else sum(map(len, row_sets))
+        reps = 7 if row_sets is None else sum(s.stop - s.start for s in row_sets)
         eta = np.random.default_rng(n).standard_normal((n, reps, 2))
         eta[0, ::2, 0] = -0.0  # the first step adds to u = v = 0
         got, ref = _UvPaths(cfg, 2, reps, n), _StepwisePaths(cfg, 2, reps, n)
@@ -408,5 +442,5 @@ class TestWindowedPaths:
             for k in range(n):
                 got.add(rows, k, eta[k, rows])
                 ref.add(rows, k, eta[k, rows])
-        assert _same_bits(got.u, ref.u)
-        assert _same_bits(got.v_late, ref.v_late)
+        assert _same_bits(got.u.swapaxes(0, 1), ref.u)
+        assert _same_bits(got.v_late.swapaxes(0, 1), ref.v_late)

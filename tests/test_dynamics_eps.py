@@ -490,7 +490,7 @@ class TestKeptParticles:
             cfg = self._config(d, k, **{"run.scheme": kind, "noise.clip": clip})
             want = self._kernel(cfg, k)
             assert want.shape == (5, k, d)
-            assert np.array_equal(pool_eps_samples(cfg, 0.1, 0), want.reshape(-1, d))
+            assert np.array_equal(pool_eps_samples(cfg, 0), want.reshape(-1, d))
 
     @pytest.mark.parametrize("extra", [
         {"potential.kind": "curie-weiss", "potential.kappa": 0.5},
@@ -504,7 +504,7 @@ class TestKeptParticles:
         # still a run at N = k.
         monkeypatch.setenv("SMALLMASS_WORKERS", "1")
         cfg = self._config(2, 2, **extra)
-        assert np.array_equal(pool_eps_samples(cfg, 0.1, 0),
+        assert np.array_equal(pool_eps_samples(cfg, 0),
                               self._kernel(cfg, 6)[:, :2].reshape(-1, 2))
         diff = DiffusionSpec("explicit", np.eye(2))
         limit_n = 6 if extra.get("potential.kind") == "curie-weiss" else 2

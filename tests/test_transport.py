@@ -160,6 +160,14 @@ class TestAutoSelection:
         rng = np.random.default_rng(9)
         one = rng.standard_normal((10, 1))
         assert w2_auto(one, one).method == "quantile-1d"
+        # unequal counts on the line: every sliced projection is +-1, so the
+        # quantile resample gives the same number once
+        other = rng.standard_normal((7, 1))
+        assert w2_auto(one, other).method == "quantile-1d"
+        assert w2_auto(one, other).value == pytest.approx(w2_sliced(one, other).value,
+                                                          rel=1e-12)
+        with pytest.raises(UsageError, match="nonempty"):
+            w2_auto(one, one[:0])
         small = rng.standard_normal((10, 3))
         assert w2_auto(small, small).method == "assignment"
         big = rng.standard_normal((ASSIGNMENT_MAX_N + 1, 3))
