@@ -175,6 +175,21 @@ def dyadic_lags(lo: float = 0.01, hi: float = 1.0) -> list[float]:
     return lags
 
 
+def _uv_steps(cfg: RunConfig, lags: list[float]) -> tuple[int, list[int]]:
+    """The step count n of ``uv_check``'s horizon and the step length of
+    each lag of the ladder that fits in it; raises ``UsageError`` where the
+    horizon or the ladder is too short, before anything is simulated."""
+    h = cfg.eps_step
+    n = _n_steps(cfg.T, h)
+    if n < 2:
+        raise UsageError(f"uv_check needs a horizon of at least 2 steps for the "
+                         f"Brownian-proxy increments, got {n}")
+    steps = [m for m in (max(1, int(round(lag / h))) for lag in lags) if m <= n]
+    if not steps:
+        raise UsageError("no admissible lags: horizon too short for the lag ladder")
+    return n, steps
+
+
 def uv_check(cfg: RunConfig, model: NoiseModel, *, reps: int = 512,
              lags: list[float] | None = None, init: InitialLaw | None = None,
              pot: PotentialSpec | None = None, eps_index: int = 0) -> UvReport:
@@ -200,13 +215,7 @@ def uv_check(cfg: RunConfig, model: NoiseModel, *, reps: int = 512,
                          f"Brownian-proxy statistics, got {reps}")
     lags = lags if lags is not None else dyadic_lags()
     h = cfg.eps_step
-    n = _n_steps(cfg.T, h)
-    if n < 2:
-        raise UsageError(f"uv_check needs a horizon of at least 2 steps for the "
-                         f"Brownian-proxy increments, got {n}")
-    steps = [m for m in (max(1, int(round(lag / h))) for lag in lags) if m <= n]
-    if not steps:
-        raise UsageError("no admissible lags: horizon too short for the lag ladder")
+    n, steps = _uv_steps(cfg, lags)
     if model.kind == "scalar-ou":
         u, v_late = _u_paths_scalar(cfg, model, reps, n, eps_index)
     else:

@@ -67,7 +67,8 @@ from . import rng as _rng
 from ._version import __version__ as _version
 from .config import Config
 from .core import EmpiricalMeasure, RunConfig
-from .diagnostics import GkEstimate, dyadic_lags, green_kubo, moment_table, uv_check
+from .diagnostics import (GkEstimate, _uv_steps, dyadic_lags, green_kubo, moment_table,
+                          uv_check)
 from .dynamics_eps import run_eps_replicas
 from .dynamics_limit import DiffusionSpec, LimitScheme, run_limit_replicas
 from .errors import UsageError
@@ -415,6 +416,9 @@ def run_diagnose(cfg: Config):
     v = cfg.values
     rows = []
     lags = dyadic_lags(v["diag.lag_lo"], v["diag.lag_hi"])
+    # Every row's u/v horizon is checked before the first row simulates.
+    for eps in cfg.eps_grid:
+        _uv_steps(cfg.run_config(eps), lags)
     for eps_index, eps in enumerate(cfg.eps_grid):
         rc_small = replace(cfg.run_config(eps), N=v["diag.N"])
         mt = moment_table(rc_small, model, pot, v["run.scheme"],

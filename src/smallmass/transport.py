@@ -6,7 +6,9 @@ Three routes, by size and dimension:
                      coupling;
 * ``w2_assignment``  exact in any dimension for equal sample counts up to
                      512, via an optimal assignment (for uniform weights
-                     the optimal plan is a permutation);
+                     the optimal plan is a permutation) on the (n, n)
+                     squared-distance cost, built one coordinate at a
+                     time in one buffer;
 * ``w2_sliced``      scalable surrogate: root-mean of squared 1-d
                      distances over random projection directions, with a
                      Monte Carlo confidence halfwidth.  Sliced W2 lower
@@ -101,7 +103,16 @@ def w2_1d(a, b) -> W2Result:
 
 
 def w2_assignment(a, b) -> W2Result:
-    """Exact W2 between equal-size point sets via optimal assignment."""
+    """Exact W2 between equal-size point sets via optimal assignment.
+
+    The (n, n) cost is built one coordinate at a time: the squared
+    differences of coordinate 0, then each later coordinate's added in
+    order, with one scratch buffer and no (n, n, d) temporary.  For d <= 7
+    that is the order in which NumPy's contiguous ``.sum(axis=2)`` adds
+    (one after another below 8 terms), so the cost, and W2, have the same
+    bits as that sum; from d = 8 on NumPy sums pairwise, and the two may
+    differ in the last bits.
+    """
     a = _points(a, "w2_assignment")
     b = _points(b, "w2_assignment")
     if a.shape != b.shape or a.shape[0] == 0:
@@ -111,7 +122,13 @@ def w2_assignment(a, b) -> W2Result:
         raise UsageError(
             f"n={n} exceeds the exact-assignment budget ({ASSIGNMENT_MAX_N}); use w2_sliced"
         )
-    cost = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
+    cost = np.subtract.outer(a[:, 0], b[:, 0])
+    np.square(cost, out=cost)
+    diff = np.empty_like(cost)
+    for j in range(1, a.shape[1]):
+        np.subtract.outer(a[:, j], b[:, j], out=diff)
+        np.square(diff, out=diff)
+        cost += diff
     rows, cols = _assignment_solver()(cost)
     return W2Result(value=float(np.sqrt(cost[rows, cols].mean())), method="assignment")
 

@@ -19,7 +19,7 @@ from smallmass.config import load_config, parse_config, serialize_config
 from smallmass.diagnostics import green_kubo
 from smallmass.dynamics_eps import paired_scheme_gap
 from smallmass.dynamics_limit import LimitScheme, run_limit_replicas
-from smallmass.errors import ConfigError
+from smallmass.errors import ConfigError, UsageError
 from smallmass.noise import NoiseModel
 from smallmass.harness import (CONVERGE_COLUMNS, build_mode_diffusions, load_sample_file,
                                pool_eps_samples, run_convergence, run_diagnose,
@@ -484,6 +484,26 @@ class TestOtherEntryPoints:
         assert rows[0] == ["module", "eps", "stat", "value", "ci"]
         assert all(len(row) == 5 for row in rows)
         assert {"G[0,0]", "G[0,1]", "G[1,0]", "G[1,1]"} <= {row[2] for row in rows}
+
+    @pytest.mark.parametrize("extra, message", [
+        ({"run.T": 0.01, "run.eps_grid": [0.2]}, "at least 2 steps"),
+        ({"diag.lag_lo": 0.8, "diag.lag_hi": 0.9}, "no admissible lags"),
+    ], ids=["one-step", "lag-ladder"])
+    def test_short_uv_horizon_fails_before_simulating(self, small_config_dict, tmp_path,
+                                                       capsys, monkeypatch, extra, message):
+        # every row's horizon is checked before any row simulates
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("a moment table ran before the horizon was checked")
+
+        monkeypatch.setattr(harness, "moment_table", no_simulation)
+        doc = dict(small_config_dict, **extra)
+        with pytest.raises(UsageError, match=message):
+            run_diagnose(parse_config(doc))
+        out = tmp_path / "out"
+        assert cli_main(["diagnose", str(write_config(tmp_path, doc)), "--out",
+                         str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not (out / "diagnose.csv").exists()
 
     def test_trajectory_dumps_end_on_the_sample_step_grid(self, small_config_dict, tmp_path):
         # h = 0.05 * 0.03 does not divide T = 5, and neither does limit.h;

@@ -27,6 +27,14 @@ def brute_force_w2(a, b):
     return math.sqrt(best / n)
 
 
+def summed_cost_w2(a, b):
+    """W2 with the same solver on the cost summed over an (n, n, d) array
+    of squared coordinate differences."""
+    cost = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
+    rows, cols = transport._assignment_solver()(cost)
+    return float(np.sqrt(cost[rows, cols].mean()))
+
+
 class TestW21d:
     def test_identical_multisets(self):
         a = [3.0, -1.0, 3.0, 0.5]
@@ -80,6 +88,34 @@ class TestW2Assignment:
             b = rng.standard_normal((n, d))
             assert w2_assignment(a, b).value == pytest.approx(
                 brute_force_w2(a, b), abs=1e-9)
+
+    @staticmethod
+    def _samples(n, d, seed):
+        # coordinates on scales from 1e-3 to 1e3, and a bootstrap-style
+        # resample of the first sample, which repeats rows
+        rng = np.random.default_rng(seed)
+        scales = np.logspace(-3, 3, d)
+        a = rng.standard_normal((n, d)) * scales
+        b = rng.standard_normal((n, d)) * scales[::-1] + 1.0
+        return a, a[rng.integers(0, n, size=n)], b
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 128])
+    @pytest.mark.parametrize("d", range(1, 8))
+    def test_cost_keeps_the_bits_of_the_coordinate_sum(self, n, d):
+        # Below 8 terms NumPy's contiguous sum adds the coordinates one
+        # after another, the order the per-coordinate build keeps.
+        a, boot, b = self._samples(n, d, seed=100 * d + n)
+        for x in (a, boot):
+            assert w2_assignment(x, b).value == summed_cost_w2(x, b)
+
+    @pytest.mark.parametrize("d", [8, 9])
+    def test_cost_agrees_with_the_pairwise_coordinate_sum(self, d):
+        # From 8 terms on NumPy sums pairwise, so the last bits may differ.
+        for n in (1, 2, 7, 128):
+            a, boot, b = self._samples(n, d, seed=100 * d + n)
+            for x in (a, boot):
+                assert w2_assignment(x, b).value == pytest.approx(
+                    summed_cost_w2(x, b), rel=1e-14, abs=0.0)
 
     def test_budget_enforced(self):
         a = np.zeros((ASSIGNMENT_MAX_N + 1, 2))
