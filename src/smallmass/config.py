@@ -28,13 +28,18 @@ __all__ = ["Config", "load_config", "parse_config", "serialize_config"]
 
 _REQ = object()
 
-# Replica counts index counter-based streams (one stream per replica, or
-# per block of replicas), so they share the stream index bound; every other
-# count stays within a C int.
-_REPLICA_KEYS = ("run.replicas", "limit.replicas", "gk.reps", "diag.reps",
-                 "diag.moment_reps")
+# Replica counts and the eps grid index counter-based streams (one stream
+# per eps value, and per replica or block of replicas), so they share the
+# stream index bound; every other count stays within a C int.
 _STREAMS_MAX = _rng._IDX_MAX + 1
 _COUNT_MAX = 2**31 - 1
+# The W2 column each limit mode reports in; two configured modes may not
+# share one, since each would overwrite the other's value.
+MODE_COLUMN = {"paper": "w2_paper_mode", "green-kubo": "w2_gk_mode",
+               "explicit": "w2_gk_mode"}
+# The noise keys each noise kind reads; a key of another kind is rejected.
+_NOISE_KIND_KEYS = {"scalar-ou": (), "separable": ("noise.g",),
+                    "fourier-field": ("noise.omegas", "noise.a", "noise.b")}
 
 
 class _LongLiteral:
@@ -54,22 +59,39 @@ def _json_int(text):
         return _LongLiteral(text)
 
 
-def _number(x, key):
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
-        raise ConfigError(f"{key}: expected a number, got {x!r}")
-    try:
-        value = float(x)
-    except OverflowError:  # an integer past the float range
-        value = math.inf
-    if not math.isfinite(value):  # JSON admits NaN, Infinity and 1e309
-        raise ConfigError(f"{key}: expected a finite number, got {x!r}")
-    return value
+# Each registry row holds a parser ``parse(x, key)``, built by one of the
+# factories below, that returns the value of ``key`` or raises a
+# ``ConfigError`` naming it: its type and its range in one place.
 
 
-def _integer(x, key):
-    if isinstance(x, bool) or not isinstance(x, int):
-        raise ConfigError(f"{key}: expected an integer, got {x!r}")
-    return int(x)
+def _in_range(value, key, lo, hi, open_lo):
+    if lo < value <= hi or (value == lo and not open_lo):
+        return value
+    right = ")" if hi == math.inf else "]"
+    raise ConfigError(f"{key} must lie in {'(' if open_lo else '['}{lo}, {hi}{right}, "
+                      f"got {value!r}")
+
+
+def _number(lo=-math.inf, hi=math.inf, open_lo=False):
+    def parse(x, key):
+        if isinstance(x, bool) or not isinstance(x, (int, float)):
+            raise ConfigError(f"{key}: expected a number, got {x!r}")
+        try:
+            value = float(x)
+        except OverflowError:  # an integer past the float range
+            value = math.inf
+        if not math.isfinite(value):  # JSON admits NaN, Infinity and 1e309
+            raise ConfigError(f"{key}: expected a finite number, got {x!r}")
+        return _in_range(value, key, lo, hi, open_lo)
+    return parse
+
+
+def _integer(lo, hi=_COUNT_MAX):
+    def parse(x, key):
+        if isinstance(x, bool) or not isinstance(x, int):
+            raise ConfigError(f"{key}: expected an integer, got {x!r}")
+        return _in_range(int(x), key, lo, hi, False)
+    return parse
 
 
 def _boolean(x, key):
@@ -84,73 +106,94 @@ def _string(x, key):
     return x
 
 
-def _float_list(x, key):
-    if not isinstance(x, list) or not x:
-        raise ConfigError(f"{key}: expected a nonempty array of numbers")
-    return [_number(v, key) for v in x]
+def _choice(*names):
+    def parse(x, key):
+        if _string(x, key) not in names:
+            raise ConfigError(f"{key} must be one of {', '.join(names)}, got {x!r}")
+        return x
+    return parse
 
 
-def _string_list(x, key):
-    if not isinstance(x, list) or not x:
-        raise ConfigError(f"{key}: expected a nonempty array of strings")
-    return [_string(v, key) for v in x]
+def _list(item, max_len=_COUNT_MAX):
+    def parse(x, key):
+        if not isinstance(x, list) or not x:
+            raise ConfigError(f"{key}: expected a nonempty array, got {x!r}")
+        if len(x) > max_len:
+            raise ConfigError(f"{key} may hold at most {max_len} values, got {len(x)}")
+        return [item(v, key) for v in x]
+    return parse
 
 
-def _matrix(x, key):
-    if not isinstance(x, list) or not all(isinstance(row, list) for row in x):
-        raise ConfigError(f"{key}: expected an array of arrays")
-    return [[_number(v, key) for v in row] for row in x]
+def _eps_grid(x, key):
+    grid = _list(_number(0.0, 1.0, open_lo=True), _STREAMS_MAX)(x, key)
+    if any(e2 >= e1 for e1, e2 in zip(grid, grid[1:])):
+        raise ConfigError(f"{key} must be strictly decreasing")
+    return grid
 
+
+def _modes(x, key):
+    modes = _list(_choice(*MODE_COLUMN))(x, key)
+    seen = {}
+    for mode in modes:
+        col = MODE_COLUMN[mode]
+        if seen.get(col) == mode:
+            raise ConfigError(f"{key}: {modes} repeats a mode; each run of a mode "
+                              "overwrites the W2 column of the one before")
+        if col in seen:
+            raise ConfigError(f"{key}: {seen[col]} and {mode} both report in the {col} "
+                              "column, so one would overwrite the other; configure "
+                              "one of them")
+        seen[col] = mode
+    return modes
+
+
+_matrix = _list(_list(_number()))
+_positive = _number(0.0, open_lo=True)
+_nonnegative = _number(0.0)
 
 # key -> (parser, default); default _REQ means the key must be present.
 _REGISTRY = {
-    "run.d": (_integer, _REQ),
-    "run.N": (_integer, _REQ),
-    "run.T": (_number, _REQ),
-    "run.alpha": (_number, _REQ),
-    "run.seed": (_integer, _REQ),
-    "run.h0": (_number, _REQ),
-    "run.eps_grid": (_float_list, _REQ),
-    "run.replicas": (_integer, _REQ),
-    "run.samples_per_replica": (_integer, _REQ),
-    "run.scheme": (_string, "exponential"),
+    "run.d": (_integer(1), _REQ),
+    "run.N": (_integer(1), _REQ),
+    "run.T": (_positive, _REQ),
+    "run.alpha": (_positive, _REQ),
+    "run.seed": (_integer(0, 2**64 - 1), _REQ),
+    "run.h0": (_number(0.0, 0.2, open_lo=True), _REQ),
+    "run.eps_grid": (_eps_grid, _REQ),
+    "run.replicas": (_integer(1, _STREAMS_MAX), _REQ),
+    "run.samples_per_replica": (_integer(1), _REQ),
     "run.self_test": (_boolean, False),
-    "potential.kind": (_string, _REQ),
-    "potential.lambda": (_number, _REQ),
-    "potential.kappa": (_number, _REQ),
-    "noise.kind": (_string, _REQ),
-    "noise.gamma": (_number, _REQ),
-    "noise.sigma": (_number, _REQ),
+    "potential.kind": (_choice("quadratic", "curie-weiss"), _REQ),
+    "potential.lambda": (_nonnegative, _REQ),
+    "potential.kappa": (_number(), _REQ),
+    "noise.kind": (_choice(*_NOISE_KIND_KEYS), _REQ),
+    "noise.gamma": (_positive, _REQ),
+    "noise.sigma": (_nonnegative, _REQ),
     "noise.clip": (_boolean, False),
     "noise.g": (_string, None),
     "noise.omegas": (_matrix, None),
-    "noise.a": (_float_list, None),
-    "noise.b": (_float_list, None),
-    "limit.modes": (_string_list, _REQ),
-    "limit.h": (_number, None),
-    "limit.replicas": (_integer, None),
-    "limit.samples_per_replica": (_integer, None),
+    "noise.a": (_list(_number()), None),
+    "noise.b": (_list(_number()), None),
+    "limit.modes": (_modes, _REQ),
+    "limit.h": (_positive, None),
+    "limit.replicas": (_integer(1, _STREAMS_MAX), None),
+    "limit.samples_per_replica": (_integer(1), None),
     "limit.explicit_matrix": (_matrix, None),
     "output.dir": (_string, _REQ),
     "output.dump_trajectories": (_boolean, False),
-    "init.position_mean": (_number, 0.0),
-    "init.position_std": (_number, 1.0),
-    "init.velocity": (_number, 0.0),
-    "gk.horizon_fast": (_number, None),
-    "gk.reps": (_integer, 256),
-    "gk.dt": (_number, None),
-    "diag.reps": (_integer, 512),
-    "diag.moment_reps": (_integer, 256),
-    "diag.N": (_integer, 8),
-    "diag.grid_points": (_integer, 48),
-    "diag.lag_lo": (_number, 0.01),
-    "diag.lag_hi": (_number, 1.0),
+    "init.position_mean": (_number(), 0.0),
+    "init.position_std": (_nonnegative, 1.0),
+    "init.velocity": (_number(), 0.0),
+    "gk.horizon_fast": (_number(), None),
+    "gk.reps": (_integer(2, _STREAMS_MAX), 256),
+    "gk.dt": (_positive, None),
+    "diag.reps": (_integer(BM_PROXY_MIN_PATHS, _STREAMS_MAX), 512),
+    "diag.moment_reps": (_integer(2, _STREAMS_MAX), 256),
+    "diag.N": (_integer(1), 8),
+    "diag.grid_points": (_integer(2), 48),
+    "diag.lag_lo": (_positive, 0.01),
+    "diag.lag_hi": (_number(), 1.0),
 }
-
-_MODES = ("paper", "green-kubo", "explicit")
-# The noise keys each noise kind reads; a key of another kind is rejected.
-_NOISE_KIND_KEYS = {"scalar-ou": (), "separable": ("noise.g",),
-                    "fourier-field": ("noise.omegas", "noise.a", "noise.b")}
 
 
 @dataclass(frozen=True)
@@ -182,11 +225,9 @@ class Config:
 
     def potential(self) -> PotentialSpec:
         v = self.values
-        kind = v["potential.kind"]
-        if kind not in ("quadratic", "curie-weiss"):
-            raise ConfigError(f"potential.kind: unsupported kind {kind!r} in configuration")
         try:
-            return PotentialSpec(kind, v["potential.lambda"], v["potential.kappa"])
+            return PotentialSpec(v["potential.kind"], v["potential.lambda"],
+                                 v["potential.kappa"])
         except UsageError as err:  # a zero Lipschitz bound
             raise ConfigError(f"potential.lambda, potential.kappa: {err}") from None
 
@@ -197,8 +238,6 @@ class Config:
                       clip=v["noise.clip"])
         if kind == "scalar-ou":
             return NoiseModel.scalar_ou(**common)
-        if kind not in _NOISE_KIND_KEYS:
-            raise ConfigError(f"noise.kind: unknown kind {kind!r}")
         if kind == "separable" and v["noise.g"] is None:
             raise ConfigError("noise.g is required for separable noise")
         if kind == "fourier-field" and None in (v["noise.omegas"], v["noise.a"], v["noise.b"]):
@@ -269,47 +308,13 @@ def parse_config(doc) -> Config:
 
 
 def _cross_validate(v):
-    if not 0 <= v["run.seed"] < 2**64:
-        raise ConfigError(f"run.seed must lie in [0, 2**64), got {v['run.seed']}")
-    for key, (parse, _) in _REGISTRY.items():
-        if parse is _integer and key != "run.seed" and v[key] is not None:
-            top = _STREAMS_MAX if key in _REPLICA_KEYS else _COUNT_MAX
-            if v[key] > top:
-                raise ConfigError(f"{key} must be <= {top}, got {v[key]}")
-    grid = v["run.eps_grid"]
-    if len(grid) > _STREAMS_MAX:
-        raise ConfigError(f"run.eps_grid may hold at most {_STREAMS_MAX} values, one "
-                          f"stream index each; got {len(grid)}")
-    if any(e2 >= e1 for e1, e2 in zip(grid, grid[1:])):
-        raise ConfigError("run.eps_grid must be strictly decreasing")
-    if any(not 0.0 < e <= 1.0 for e in grid):
-        raise ConfigError("run.eps_grid entries must lie in (0, 1]")
-    if not 0.0 < v["run.h0"] <= 0.2:
-        raise ConfigError("run.h0 must lie in (0, 0.2]")
-    if v["run.scheme"] not in ("exponential", "euler"):
-        raise ConfigError(f"run.scheme: unknown scheme {v['run.scheme']!r}")
-    bad = [m for m in v["limit.modes"] if m not in _MODES]
-    if bad:
-        raise ConfigError(f"limit.modes: unknown modes {bad}")
-    if len(set(v["limit.modes"])) < len(v["limit.modes"]):
-        raise ConfigError(f"limit.modes: {v['limit.modes']} repeats a mode; each run of "
-                          "a mode overwrites the W2 column of the one before")
-    if "green-kubo" in v["limit.modes"] and "explicit" in v["limit.modes"]:
-        raise ConfigError("limit.modes: green-kubo and explicit both report in the "
-                          "w2_gk_mode column, so one would overwrite the other; "
-                          "configure one of them")
+    """The rules that join keys; each key's own range is its registry row's."""
     if "explicit" in v["limit.modes"] and v["limit.explicit_matrix"] is None:
         raise ConfigError("limit.explicit_matrix is required for the explicit mode")
     mat, d = v["limit.explicit_matrix"], v["run.d"]
     if mat is not None and (len(mat) != d or any(len(row) != d for row in mat)):
         raise ConfigError(f"limit.explicit_matrix must be a run.d x run.d = {d} x {d} "
                           f"matrix, got rows of lengths {[len(row) for row in mat]}")
-    for key in ("noise.gamma", "run.alpha", "run.T"):
-        if v[key] <= 0.0:
-            raise ConfigError(f"{key} must be > 0")
-    for key in ("noise.sigma", "potential.lambda", "init.position_std"):
-        if v[key] < 0.0:
-            raise ConfigError(f"{key} must be >= 0, got {v[key]!r}")
     if v["potential.kind"] == "quadratic" and v["potential.kappa"] != 0.0:
         raise ConfigError("potential.kappa must be 0 under potential.kind quadratic, "
                           "which has no coupling term")
@@ -317,33 +322,17 @@ def _cross_validate(v):
     if horizon is not None and horizon < GK_MIN_HORIZON / v["noise.gamma"]:
         raise ConfigError(f"gk.horizon_fast must be >= {GK_MIN_HORIZON:g}/noise.gamma = "
                           f"{GK_MIN_HORIZON / v['noise.gamma']:g}, got {horizon!r}")
-    if v["diag.grid_points"] < 2:
-        raise ConfigError(f"diag.grid_points must be >= 2, got {v['diag.grid_points']}")
-    for key in ("run.d", "run.N", "run.replicas", "run.samples_per_replica", "diag.N"):
-        if v[key] < 1:
-            raise ConfigError(f"{key} must be >= 1, got {v[key]}")
     if v["run.samples_per_replica"] > v["run.N"]:
         raise ConfigError("run.samples_per_replica cannot exceed run.N")
-    for key in ("limit.replicas", "limit.samples_per_replica"):
-        if v[key] is not None and v[key] < 1:
-            raise ConfigError(f"{key} must be >= 1 (omit it to use the run.* value)")
     dt = v["gk.dt"]
-    if dt is not None and not 0.0 < dt * v["noise.gamma"] <= GK_MAX_DT:
+    if dt is not None and dt * v["noise.gamma"] > GK_MAX_DT:
         raise ConfigError(f"gk.dt must be > 0 and <= {GK_MAX_DT:g}/noise.gamma = "
                           f"{GK_MAX_DT / v['noise.gamma']:g}, got {dt!r}")
-    if v["gk.reps"] < 2:
-        raise ConfigError("gk.reps must be >= 2: the confidence halfwidth needs two replicas")
-    if v["diag.moment_reps"] < 2:
-        raise ConfigError("diag.moment_reps must be >= 2: the confidence halfwidth needs "
-                          "two replicas")
-    if v["diag.reps"] < BM_PROXY_MIN_PATHS:
-        raise ConfigError(f"diag.reps must be >= {BM_PROXY_MIN_PATHS}: the Brownian-motion "
-                          "proxy needs that many independent u paths")
-    if not 0.0 < v["diag.lag_lo"] <= v["diag.lag_hi"]:
+    if v["diag.lag_lo"] > v["diag.lag_hi"]:
         raise ConfigError("diag.lag_lo must satisfy 0 < diag.lag_lo <= diag.lag_hi, got "
                           f"{v['diag.lag_lo']!r} and {v['diag.lag_hi']!r}")
-    # The objects are built last, so that each single-key check above keeps
-    # its own message, and a missing key is named before a foreign one.
+    # The objects are built last, so that a missing key is named before a
+    # foreign one.
     cfg = Config(values=v)
     cfg.noise_model()
     pot = cfg.potential()

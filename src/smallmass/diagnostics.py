@@ -128,9 +128,8 @@ class _MomentRecorder:
         self.values[ids, slot] = block
 
 
-def moment_table(cfg: RunConfig, model: NoiseModel, pot: PotentialSpec,
-                 sch_kind: str = "exponential", *, reps: int = 256,
-                 grid_points: int = 48, init: InitialLaw | None = None,
+def moment_table(cfg: RunConfig, model: NoiseModel, pot: PotentialSpec, *,
+                 reps: int = 256, grid_points: int = 48, init: InitialLaw | None = None,
                  eps_index: int = 0, batch_size: int | None = None) -> MomentTable:
     """Estimate sup_t of the scaled moments over ``reps`` replicas.
 
@@ -149,7 +148,7 @@ def moment_table(cfg: RunConfig, model: NoiseModel, pot: PotentialSpec,
                          f"got {reps}")
     init = init or InitialLaw()
     rec = _MomentRecorder(_n_steps(cfg.T, cfg.eps_step), grid_points, cfg.eps, reps)
-    run_eps_replicas(cfg, model, pot, sch_kind, init, range(reps),
+    run_eps_replicas(cfg, model, pot, "exponential", init, range(reps),
                      (_rng.MOMENT_RUN, eps_index), batch_size=batch_size,
                      recorder=rec)
     per_rep = rec.values  # (R, G, 4)
@@ -269,7 +268,7 @@ class _UvPaths:
 
     def __init__(self, cfg, d, reps, n):
         h = cfg.eps_step
-        step = _Advance("exponential", h, cfg.eps, cfg.alpha)
+        step = _Advance(h, cfg.eps, cfg.alpha)
         self.cu = h / (cfg.alpha * math.sqrt(cfg.eps))
         self.r_fac = step.r
         self.cv = math.sqrt(cfg.eps) * step.one_minus_r / cfg.alpha**2

@@ -10,21 +10,22 @@ where mu_hat is the ensemble's empirical measure and eta_bar(s, mu_hat) is
 the mixing field averaged over mu_hat (``noise.averaged_forcing_xi``): one
 shared draw evaluated under the fast clock s = t/eps.
 
-Two schemes are provided.  The exponential scheme discretizes the
-variation-of-constants form of the velocity equation: with the total force
-F frozen at the left endpoint of the step and r = exp(-alpha*h/eps),
+The scheme is exponential: it discretizes the variation-of-constants
+form of the velocity equation.  With the total force F frozen at the left
+endpoint of the step and r = exp(-alpha*h/eps),
 
     Y <- Y*r + (F/alpha)*(1 - r)
     X <- X + (eps/alpha)*Y_old*(1 - r) + (F/alpha)*(h - (eps/alpha)*(1 - r)),
 
 which is exact for constant F and unconditionally stable; with zero force
 it reproduces the homogeneous relaxation to machine precision for any h.
-The explicit Euler scheme is the cross-check; it additionally requires
-h < 2*eps/alpha for stability of the velocity relaxation.
+Explicit Euler lives only in the cross-check (``paired_scheme_gap``),
+where it additionally requires h < 2*eps/alpha for stability of the
+velocity relaxation.
 
 Step-size law: accuracy (not stability) ties the step to the fast scale,
 h = h0 * eps with h0 <= 0.2, because the frozen forcing must resolve the
-driver's oscillation.  The exponential scheme is therefore the default.
+driver's oscillation.
 
 Randomness comes from counter-based streams, one per block of replicas
 (``rng.block_streams``); the replica sweep (`run_eps_replicas`) draws each
@@ -60,33 +61,25 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EpsScheme:
-    """Scheme kind and slow-time step for the second-order system."""
+    """Slow-time step of the second-order system; ``kind`` names the
+    scheme, and "exponential" is the only one."""
 
-    kind: str  # exponential | euler
+    kind: str
     h: float
 
     def __post_init__(self):
-        if self.kind not in ("exponential", "euler"):
+        # The exponential scheme is unconditionally stable; its accuracy
+        # cap (h <= 0.2 * eps) is enforced where runs are configured, so
+        # that exactness checks may use arbitrary steps.
+        if self.kind != "exponential":
             raise UsageError(f"unknown scheme kind: {self.kind!r}")
         if self.h <= 0.0:
             raise UsageError("step must be > 0")
 
-    def validate(self, eps: float, alpha: float):
-        # Stability constraint of the explicit velocity update.  The
-        # exponential scheme is unconditionally stable; its accuracy cap
-        # (h <= 0.2 * eps) is enforced where runs are configured, so that
-        # exactness checks may use arbitrary steps.
-        if self.kind == "euler" and self.h >= 2.0 * eps / alpha:
-            raise UsageError(
-                f"euler step h={self.h:g} violates h < 2*eps/alpha = {2.0 * eps / alpha:g}"
-            )
-
 
 def build_scheme(cfg: RunConfig, kind: str) -> EpsScheme:
     """Scheme with the configured step law h = h0 * eps."""
-    sch = EpsScheme(kind=kind, h=cfg.eps_step)
-    sch.validate(cfg.eps, cfg.alpha)
-    return sch
+    return EpsScheme(kind=kind, h=cfg.eps_step)
 
 
 @dataclass(frozen=True)
@@ -143,7 +136,7 @@ def _total_force(model, pot, X, xi, inv_sqrt_eps, out=None, tmp=None):
 
 
 class _Advance:
-    """One scheme step on arrays, in place; leading batch axes broadcast.
+    """One exponential step on arrays, in place; leading batch axes broadcast.
 
     The step constants are computed once.  Each call overwrites X, Y, the
     force F and the scratch buffer ``tmp`` (all of one shape), with the
@@ -151,35 +144,24 @@ class _Advance:
     module docstring, so the results do not depend on buffering.
     """
 
-    def __init__(self, kind: str, h: float, eps: float, alpha: float):
-        self.kind, self.h, self.alpha = kind, h, alpha
-        if kind == "exponential":
-            a = alpha * h / eps
-            self.r = math.exp(-a)
-            self.one_minus_r = -math.expm1(-a)
-            self.eps_alpha = eps / alpha
-            self.x_force = h - (eps / alpha) * self.one_minus_r
-        else:
-            self.h_eps = h / eps
+    def __init__(self, h: float, eps: float, alpha: float):
+        a = alpha * h / eps
+        self.alpha = alpha
+        self.r = math.exp(-a)
+        self.one_minus_r = -math.expm1(-a)
+        self.eps_alpha = eps / alpha
+        self.x_force = h - (eps / alpha) * self.one_minus_r
 
     def __call__(self, X, Y, F, tmp):
-        if self.kind == "exponential":
-            F /= self.alpha
-            np.multiply(Y, self.eps_alpha, out=tmp)
-            tmp *= self.one_minus_r
-            X += tmp
-            np.multiply(F, self.x_force, out=tmp)
-            X += tmp
-            Y *= self.r
-            np.multiply(F, self.one_minus_r, out=tmp)
-            Y += tmp
-        else:
-            np.multiply(Y, self.h, out=tmp)
-            X += tmp
-            np.multiply(Y, -self.alpha, out=tmp)
-            tmp += F
-            tmp *= self.h_eps
-            Y += tmp
+        F /= self.alpha
+        np.multiply(Y, self.eps_alpha, out=tmp)
+        tmp *= self.one_minus_r
+        X += tmp
+        np.multiply(F, self.x_force, out=tmp)
+        X += tmp
+        Y *= self.r
+        np.multiply(F, self.one_minus_r, out=tmp)
+        Y += tmp
 
 
 def step(ens: ParticleEnsemble, model: NoiseModel, drv: DriverState,
@@ -191,7 +173,6 @@ def step(ens: ParticleEnsemble, model: NoiseModel, drv: DriverState,
     left endpoint.
     """
     eps = ens.eps
-    sch.validate(eps, alpha)
     expected = ens.time / eps
     if abs(drv.fast_time - expected) > 1e-9 * (1.0 + abs(expected)):
         raise UsageError(
@@ -200,7 +181,7 @@ def step(ens: ParticleEnsemble, model: NoiseModel, drv: DriverState,
     inv_sqrt_eps = 1.0 / math.sqrt(eps)
     F, scaled = _total_force(model, pot, ens.positions, drv.xi, inv_sqrt_eps)
     X2, Y2 = ens.positions.copy(), ens.velocities.copy()
-    _Advance(sch.kind, sch.h, eps, alpha)(X2, Y2, F, np.empty_like(X2))
+    _Advance(sch.h, eps, alpha)(X2, Y2, F, np.empty_like(X2))
     z = rng.standard_normal(drv.xi.shape)
     xi2 = advance_xi(drv.xi, model, sch.h / eps, z)
     out = ParticleEnsemble(positions=X2, velocities=Y2, time=ens.time + sch.h, eps=eps)
@@ -233,7 +214,8 @@ def _check_finite(message, ids, eps, *state):
 def run_eps_replicas(cfg: RunConfig, model: NoiseModel, pot: PotentialSpec,
                      sch_kind: str, init: InitialLaw, replica_ids,
                      stream_path, *, batch_size: int | None = None, recorder=None):
-    """Replica sweep of the second-order system, advanced in lock-step.
+    """Replica sweep of the second-order system, advanced in lock-step by
+    the exponential scheme (``sch_kind`` "exponential", its only value).
 
     ``stream_path`` is a tuple prefix (purpose code plus optional indices);
     the replicas draw by blocks (``rng.block_streams``): block b of
@@ -266,7 +248,7 @@ def run_eps_replicas(cfg: RunConfig, model: NoiseModel, pot: PotentialSpec,
     n = _n_steps(cfg.T, sch.h)
     delta_s = sch.h / cfg.eps
     inv_sqrt_eps = 1.0 / math.sqrt(cfg.eps)
-    advance = _Advance(sch.kind, sch.h, cfg.eps, cfg.alpha)
+    advance = _Advance(sch.h, cfg.eps, cfg.alpha)
     ds = model.driver_shape
     Y0 = init.velocities(cfg.N, cfg.d)
     out_pos = np.empty((len(replica_ids), cfg.N, cfg.d))
@@ -313,11 +295,11 @@ def paired_scheme_gap(cfg: RunConfig, model: NoiseModel, pot: PotentialSpec,
     The exponential half is replica ``seed_index`` of ``run_eps_replicas``
     on the path ``(PAIRED,)``, one replica per stream, at step
     h0_coarse * eps (so h0_coarse <= 0.2); its recorder keeps the initial
-    state and each step's driver value.  The
-    Euler half takes h0_coarse/h0_fine substeps inside each of those steps,
-    re-evaluating the drift but holding the forcing value.  This isolates
-    the integrator difference from forcing-resolution noise, which is the
-    point of the cross-check.
+    state and each step's driver value.  The explicit Euler half takes
+    h0_coarse/h0_fine substeps of length h inside each of those steps,
+    re-evaluating the drift but holding the forcing value; it needs
+    h < 2*eps/alpha.  This isolates the integrator difference from
+    forcing-resolution noise, which is the point of the cross-check.
 
     Returns (exponential ensemble, euler ensemble, rms position gap).
     """
@@ -326,8 +308,11 @@ def paired_scheme_gap(cfg: RunConfig, model: NoiseModel, pot: PotentialSpec,
         raise UsageError("h0_coarse must be an integer multiple of h0_fine")
     ratio = int(round(ratio))
     coarse = replace(cfg, h0=h0_coarse)
-    adv_u = _Advance("euler", coarse.eps_step / ratio, cfg.eps, cfg.alpha)
-    EpsScheme("euler", adv_u.h).validate(cfg.eps, cfg.alpha)
+    h = coarse.eps_step / ratio
+    if h >= 2.0 * cfg.eps / cfg.alpha:
+        raise UsageError(
+            f"euler step h={h:g} violates h < 2*eps/alpha = {2.0 * cfg.eps / cfg.alpha:g}")
+    h_eps = h / cfg.eps
     start, drivers = [], []
 
     def record(ids, k, t, X, Y, xi):
@@ -347,7 +332,13 @@ def paired_scheme_gap(cfg: RunConfig, model: NoiseModel, pot: PotentialSpec,
         for _ in range(ratio):
             grad_v_batch(pot, Xu, out=F, tmp=tmp)
             np.subtract(bar_u[..., None, :], F, out=F)
-            adv_u(Xu, Yu, F, tmp)
+            # X += h Y, then Y += (h/eps) (F - alpha Y), on the old Y
+            np.multiply(Yu, h, out=tmp)
+            Xu += tmp
+            np.multiply(Yu, -cfg.alpha, out=tmp)
+            tmp += F
+            tmp *= h_eps
+            Yu += tmp
     t_end = len(drivers) * coarse.eps_step
     ens_e = ParticleEnsemble(positions=Xe, velocities=Ye, time=t_end, eps=cfg.eps)
     ens_u = ParticleEnsemble(positions=Xu, velocities=Yu, time=t_end, eps=cfg.eps)

@@ -65,7 +65,7 @@ import numpy as np
 
 from . import rng as _rng
 from ._version import __version__ as _version
-from .config import Config
+from .config import MODE_COLUMN, Config
 from .core import EmpiricalMeasure, RunConfig
 from .diagnostics import (GkEstimate, _uv_steps, dyadic_lags, green_kubo, moment_table,
                           uv_check)
@@ -88,9 +88,6 @@ BOOTSTRAP_RESAMPLES = 24
 
 CONVERGE_COLUMNS = ("eps", "w2_paper_mode", "w2_gk_mode", "ci_halfwidth",
                     "n_samples", "w2_method")
-# The W2 column of each limit mode; the config admits at most one mode per column.
-MODE_COLUMN = {"paper": "w2_paper_mode", "green-kubo": "w2_gk_mode",
-               "explicit": "w2_gk_mode"}
 
 
 def worker_count() -> int:
@@ -154,7 +151,7 @@ def _eps_sample(cfg: Config, eps_index: int) -> _Sample:
     v = cfg.values
     spr = v["run.samples_per_replica"]
     rc = _sample_run(cfg, cfg.eps_grid[eps_index], spr, "eps")
-    return _Sample("eps", (rc, cfg.noise_model(), cfg.potential(), v["run.scheme"],
+    return _Sample("eps", (rc, cfg.noise_model(), cfg.potential(), "exponential",
                            cfg.init_law()),
                    (_rng.EPS_RUN, eps_index), v["run.replicas"], spr)
 
@@ -361,6 +358,9 @@ def run_convergence(cfg: Config) -> ConvergenceReport:
     Every limit mode's and every eps row's batches go to one process pool
     before anything is scored; row k is scored as soon as its batches are
     back, while the later rows run on."""
+    if cfg.values["run.replicas"] < 2:
+        raise UsageError("converge needs run.replicas >= 2: its confidence halfwidth "
+                         "resamples replica blocks, and one block cannot vary")
     diffs = build_mode_diffusions(cfg)
     meta = _base_metadata(cfg)
     for mode, diff in diffs.items():
@@ -421,9 +421,9 @@ def run_diagnose(cfg: Config):
         _uv_steps(cfg.run_config(eps), lags)
     for eps_index, eps in enumerate(cfg.eps_grid):
         rc_small = replace(cfg.run_config(eps), N=v["diag.N"])
-        mt = moment_table(rc_small, model, pot, v["run.scheme"],
-                          reps=v["diag.moment_reps"], grid_points=v["diag.grid_points"],
-                          init=init, eps_index=eps_index)
+        mt = moment_table(rc_small, model, pot, reps=v["diag.moment_reps"],
+                          grid_points=v["diag.grid_points"], init=init,
+                          eps_index=eps_index)
         for key in ("sx2", "sx4", "sy2", "sy4"):
             rows.append(("moment_table", eps, f"sup_{key}", mt.sup[key], mt.ci[key]))
         uv = uv_check(rc_small, model, reps=v["diag.reps"], lags=lags, init=init,
@@ -524,9 +524,10 @@ COMMANDS = {
 
 def load_sample_file(path) -> np.ndarray:
     """Read a numeric CSV of sample points ('#' comments and an optional
-    header line are skipped; a leading 'sample' index column is dropped).
-    A non-finite value is an error naming the file and the line."""
-    rows = []
+    header line are skipped; a leading column that the header names
+    'sample' is an index and is dropped).  A non-finite value is an error
+    naming the file and the line."""
+    rows, header = [], []
     try:
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, 1):
@@ -538,7 +539,8 @@ def load_sample_file(path) -> np.ndarray:
                     row = [float(p) for p in parts]
                 except ValueError:
                     if not rows:
-                        continue  # header line
+                        header = parts
+                        continue
                     raise UsageError(f"non-numeric row in {path}: {line!r}") from None
                 if not all(map(math.isfinite, row)):
                     raise UsageError(f"non-finite value in {path}, line {lineno}: {line!r}")
@@ -551,6 +553,6 @@ def load_sample_file(path) -> np.ndarray:
     widths = {len(r) for r in rows}
     if len(widths) != 1:
         raise UsageError(f"ragged rows in {path}")
-    if arr.shape[1] > 1 and np.array_equal(arr[:, 0], np.arange(arr.shape[0])):
+    if arr.shape[1] > 1 and header[:1] == ["sample"]:
         arr = arr[:, 1:]
     return arr

@@ -15,7 +15,7 @@ import pytest
 from smallmass import harness
 from smallmass import rng as _rng
 from smallmass.cli import main as cli_main
-from smallmass.config import load_config, parse_config, serialize_config
+from smallmass.config import _REGISTRY, load_config, parse_config, serialize_config
 from smallmass.diagnostics import green_kubo
 from smallmass.dynamics_eps import paired_scheme_gap
 from smallmass.dynamics_limit import LimitScheme, run_limit_replicas
@@ -80,10 +80,17 @@ class TestConfig:
             parse_config(doc)
 
     def test_output_format_key_is_gone(self, small_config_dict):
-        # nothing ever wrote anything but CSV, so the key is no longer accepted
-        doc = dict(small_config_dict, **{"output.format": "csv"})
-        with pytest.raises(ConfigError, match="unrecognized.*output.format"):
-            parse_config(doc)
+        # nothing ever wrote anything but CSV, and nothing ran but the
+        # exponential scheme, so neither key is accepted any longer
+        for key, value in (("output.format", "csv"), ("run.scheme", "exponential")):
+            doc = dict(small_config_dict, **{key: value})
+            with pytest.raises(ConfigError, match=f"unrecognized.*{key}"):
+                parse_config(doc)
+
+    @pytest.mark.parametrize("key", sorted(_REGISTRY))
+    def test_wrong_json_type_names_the_key(self, small_config_dict, key):
+        with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
+            parse_config(dict(small_config_dict, **{key: {}}))
 
     @pytest.mark.parametrize("modes, reason", [
         (["green-kubo", "explicit"], "green-kubo and explicit.*w2_gk_mode"),
@@ -144,6 +151,25 @@ class TestConfig:
                                          "gk.reps": 65536, "run.N": 2**31 - 1,
                                          "gk.dt": 0.05})
         assert parse_config(doc).values["run.replicas"] == 65536
+        # Every other registry bound at its edge: the upper ones, the lower
+        # ones, and a zero potential.lambda where kappa keeps the Lipschitz
+        # bound above 0.
+        top = 2**31 - 1
+        for edges in (
+            {"run.h0": 0.2, "run.eps_grid": [1.0 - i / 70000 for i in range(65536)],
+             "limit.replicas": 65536, "diag.reps": 65536, "diag.moment_reps": 65536,
+             "run.N": top, "run.samples_per_replica": top,
+             "limit.samples_per_replica": top, "diag.N": top, "diag.grid_points": top},
+            {"run.seed": 0, "run.N": 1, "run.samples_per_replica": 1, "run.replicas": 1,
+             "limit.replicas": 1, "limit.samples_per_replica": 1, "diag.N": 1,
+             "diag.grid_points": 2, "gk.reps": 2, "diag.moment_reps": 2,
+             "diag.reps": 100, "noise.sigma": 0.0, "init.position_std": 0.0,
+             "diag.lag_lo": 1.0},
+            {"potential.kind": "curie-weiss", "potential.lambda": 0.0,
+             "potential.kappa": 0.5},
+        ):
+            values = parse_config(dict(small_config_dict, **edges)).values
+            assert {key: values[key] for key in edges} == edges
 
     @pytest.mark.parametrize("extra, reason", [
         ({"noise.kind": "separable", "noise.g": "nope"},
@@ -637,6 +663,32 @@ class TestCli:
         np.savetxt(tmp_path / "b.csv", b, delimiter=",")
         assert cli_main(["w2", str(tmp_path / "a.csv"), str(tmp_path / "b.csv")]) == 0
         assert float(capsys.readouterr().out) == w2_auto(a, b).value
+
+    def test_w2_keeps_a_first_coordinate_that_counts_up(self, tmp_path, capsys):
+        # only a column headed "sample" is an index; this x_1 reads 0, 1, 2
+        a = np.array([[0.0, 0.5], [1.0, -1.5], [2.0, 2.0]])
+        b = np.random.default_rng(2).standard_normal((3, 2))
+        (tmp_path / "a.csv").write_text("x_1,x_2\n" + "\n".join(
+            ",".join(map(repr, row)) for row in a.tolist()) + "\n")
+        np.savetxt(tmp_path / "b.csv", b, delimiter=",", header="x_1,x_2", comments="")
+        assert np.array_equal(load_sample_file(tmp_path / "a.csv"), a)
+        assert cli_main(["w2", str(tmp_path / "a.csv"), str(tmp_path / "b.csv")]) == 0
+        assert float(capsys.readouterr().out) == w2_auto(a, b).value
+
+    def test_converge_needs_two_replicas(self, small_config_dict, tmp_path, capsys,
+                                         monkeypatch):
+        # a block bootstrap over one replica block cannot vary, so its
+        # halfwidth read 0; the run stops before any sample is simulated
+        def no_samples(samples):
+            raise AssertionError("simulated")
+
+        monkeypatch.setattr(harness, "_Pool", no_samples)
+        doc = dict(small_config_dict, **{"run.replicas": 1})
+        out = tmp_path / "out"
+        assert cli_main(["converge", str(write_config(tmp_path, doc)), "--out",
+                         str(out)]) == 1
+        assert "run.replicas >= 2" in capsys.readouterr().err
+        assert not (out / "converge.csv").exists()
 
     @pytest.mark.parametrize("dt", [100.0, 30.0, 12.0])
     def test_gk_step_past_its_bound_exits_1(self, small_config_dict, tmp_path, capsys, dt):

@@ -14,7 +14,7 @@ from smallmass.dynamics_eps import (EpsScheme, InitialLaw, build_scheme, _Advanc
                                     _total_force)
 from smallmass.dynamics_limit import DiffusionSpec, run_limit_replicas
 from smallmass.errors import NumericError, UsageError
-from smallmass.harness import pool_eps_samples, pool_limit_samples
+from smallmass.harness import build_mode_diffusions, pool_eps_samples, pool_limit_samples
 from smallmass.noise import (DriverState, NoiseModel, advance_xi, averaged_forcing_xi,
                              stationary_xi)
 
@@ -184,7 +184,7 @@ class TestBatchesAndWindows:
         up front; returns the (X, Y, xi) after each step, keyed (replica, k)."""
         sch = build_scheme(cfg, "exponential")
         n = _n_steps(cfg.T, sch.h)
-        advance = _Advance(sch.kind, sch.h, cfg.eps, cfg.alpha)
+        advance = _Advance(sch.h, cfg.eps, cfg.alpha)
         states = {}
         for r, gen in enumerate(_replays(cfg, model, path, reps)):
             X = init.draw_positions(cfg.N, cfg.d, gen)[None]
@@ -289,10 +289,17 @@ class TestStepContracts:
         assert forcing_part[0] == pytest.approx(scaled)
 
     def test_euler_stability_guard(self):
-        cfg = RunConfig(d=1, N=2, eps=0.1, alpha=1.0, T=1.0, h0=0.05, seed=0)
-        sch = EpsScheme("euler", h=0.3)  # violates h < 2*eps/alpha = 0.2
-        with pytest.raises(UsageError, match="euler"):
-            sch.validate(cfg.eps, cfg.alpha)
+        # h0_fine = 0.1 at alpha = 25 gives the cross-check's Euler substep
+        # h = 0.1 eps, past its stability bound 2 eps / alpha = 0.08 eps
+        cfg = RunConfig(d=1, N=2, eps=0.1, alpha=25.0, T=1.0, h0=0.05, seed=0)
+        model = NoiseModel.scalar_ou(1, gamma=1.0, sigma=1.0)
+        with pytest.raises(UsageError, match="euler step"):
+            paired_scheme_gap(cfg, model, PotentialSpec.quadratic(1.0),
+                              h0_coarse=0.1, h0_fine=0.1)
+
+    def test_only_the_exponential_scheme_is_built(self):
+        with pytest.raises(UsageError, match="unknown scheme kind"):
+            EpsScheme("euler", 0.01)
 
     def test_driver_clock_mismatch_rejected(self):
         ens = ParticleEnsemble(np.zeros((1, 1)), np.zeros((1, 1)), 1.0, 0.1)
@@ -385,8 +392,7 @@ def _paired_reference(cfg, model, pot, h0_coarse=0.05, h0_fine=0.01, init=Initia
     Xe, Ye = X0.copy(), Y0.copy()
     Xu, Yu = X0.copy(), Y0.copy()
     F, tmp = np.empty_like(X0), np.empty_like(X0)
-    adv_e = _Advance("exponential", h_c, cfg.eps, cfg.alpha)
-    adv_u = _Advance("euler", h_f, cfg.eps, cfg.alpha)
+    adv_e = _Advance(h_c, cfg.eps, cfg.alpha)
     for k in range(n_c):
         _total_force(model, pot, Xe, xi, inv_sqrt_eps, F, tmp)
         adv_e(Xe, Ye, F, tmp)
@@ -394,7 +400,12 @@ def _paired_reference(cfg, model, pot, h0_coarse=0.05, h0_fine=0.01, init=Initia
         for _ in range(ratio):
             grad_v_batch(pot, Xu, out=F, tmp=tmp)
             np.subtract(bar_u[..., None, :], F, out=F)
-            adv_u(Xu, Yu, F, tmp)
+            np.multiply(Yu, h_f, out=tmp)
+            Xu += tmp
+            np.multiply(Yu, -cfg.alpha, out=tmp)
+            tmp += F
+            tmp *= h_f / cfg.eps
+            Yu += tmp
         xi = advance_xi(xi, model, h0_coarse, Z[k])
     gap = float(np.sqrt(np.mean(np.sum((Xe - Xu) ** 2, axis=-1))))
     return (Xe, Ye), (Xu, Yu), gap
@@ -473,13 +484,14 @@ class TestKeptParticles:
             "init.velocity": 0.3, "output.dir": "out", **extra})
 
     @staticmethod
-    def _kernel(cfg, N):
+    def _kernel(cfg, N, kind="exponential"):
         X, _ = run_eps_replicas(replace(cfg.run_config(0.1), N=N), cfg.noise_model(),
-                                cfg.potential(), cfg.values["run.scheme"], cfg.init_law(),
+                                cfg.potential(), kind, cfg.init_law(),
                                 range(5), (_rng.EPS_RUN, 0))
         return X
 
-    @pytest.mark.parametrize("kind", ["exponential", "euler"])
+    # The scheme the harness's pooled sample must match.
+    @pytest.mark.parametrize("kind", ["exponential"])
     @pytest.mark.parametrize("d", [1, 2])
     @pytest.mark.parametrize("clip", [False, True])
     def test_kept_block_is_the_full_run_sliced(self, kind, d, clip, monkeypatch):
@@ -487,8 +499,8 @@ class TestKeptParticles:
         # the worker's slice keeps all of it.
         monkeypatch.setenv("SMALLMASS_WORKERS", "1")
         for k in (1, 4):
-            cfg = self._config(d, k, **{"run.scheme": kind, "noise.clip": clip})
-            want = self._kernel(cfg, k)
+            cfg = self._config(d, k, **{"noise.clip": clip})
+            want = self._kernel(cfg, k, kind)
             assert want.shape == (5, k, d)
             assert np.array_equal(pool_eps_samples(cfg, 0), want.reshape(-1, d))
 
@@ -549,3 +561,25 @@ class TestCustomPotentialInKernel:
             ens, _ = _step_loop(cfg, model, custom, init, replays[r])
             assert np.array_equal(ens.positions, X[r])
             assert np.array_equal(ens.velocities, Y[r])
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 1: all particles of a replica share one driver, so the eps "
+    "system carries common noise where the McKean-Vlasov limit has independent "
+    "noise per particle; measured eps variance 1.02 against limit 0.43"))
+def test_interacting_terminal_variance_matches_the_limit(monkeypatch):
+    # Curie-weiss with kappa = 2: the one-particle law of the eps system
+    # must approach the green-kubo limit law as eps shrinks.  Stationary
+    # variances: 1/3 for independent noise per particle, 1 for common noise.
+    monkeypatch.setenv("SMALLMASS_WORKERS", "1")
+    cfg = parse_config({
+        "run.d": 1, "run.N": 8, "run.T": 2.0, "run.alpha": 1.0, "run.seed": 11,
+        "run.h0": 0.05, "run.eps_grid": [0.1], "run.replicas": 256,
+        "run.samples_per_replica": 8, "potential.kind": "curie-weiss",
+        "potential.lambda": 1.0, "potential.kappa": 2.0, "noise.kind": "scalar-ou",
+        "noise.gamma": 1.0, "noise.sigma": 1.0, "limit.modes": ["green-kubo"],
+        "output.dir": "out"})
+    diff = build_mode_diffusions(cfg)["green-kubo"]
+    eps_var = float(np.var(pool_eps_samples(cfg, 0)))
+    limit_var = float(np.var(pool_limit_samples(cfg, diff)))
+    assert abs(eps_var - limit_var) <= 0.25 * limit_var
