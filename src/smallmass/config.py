@@ -17,12 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as _rng
-from .core import PotentialSpec, RunConfig
+from .core import EmpiricalMeasure, PotentialSpec, RunConfig
 from .diagnostics import BM_PROXY_MIN_PATHS, GK_MAX_DT, GK_MIN_HORIZON
 from .dynamics_eps import InitialLaw
-from .dynamics_limit import LimitScheme
+from .dynamics_limit import DiffusionSpec, LimitScheme
 from .errors import ConfigError, UsageError
-from .noise import NoiseModel
+from .noise import NoiseModel, sigma_matrix
 
 __all__ = ["Config", "load_config", "parse_config", "serialize_config"]
 
@@ -219,9 +219,7 @@ class Config:
     def run_config(self, eps: float) -> RunConfig:
         v = self.values
         return RunConfig(d=v["run.d"], N=v["run.N"], eps=eps, alpha=v["run.alpha"],
-                         T=v["run.T"], h0=v["run.h0"], seed=v["run.seed"],
-                         replica_count=v["run.replicas"],
-                         samples_per_replica=v["run.samples_per_replica"])
+                         T=v["run.T"], h0=v["run.h0"], seed=v["run.seed"])
 
     def potential(self) -> PotentialSpec:
         v = self.values
@@ -250,6 +248,31 @@ class Config:
                 b=np.asarray(v["noise.b"]), **common)
         except ValueError as err:  # a UsageError, or numpy refusing a ragged noise.omegas
             raise ConfigError(f"{', '.join(_NOISE_KIND_KEYS[kind])}: {err}") from None
+
+    def reference_measure(self) -> EmpiricalMeasure:
+        """Frozen measure for law-dependent noise metadata (the initial law)."""
+        gen = _rng.stream(self.seed, _rng.DIRECT, 1)
+        pts = self.init_law().draw_positions(1024, self.values["run.d"], gen)
+        return EmpiricalMeasure(pts)
+
+    def diffusion(self, mode: str) -> DiffusionSpec:
+        """D_eff of one limit mode; the one place a mode name becomes a matrix.
+
+        paper: Sigma / (alpha^2 * gamma), the stationary forcing covariance
+        Sigma at ``reference_measure()`` over the envelope decay rate gamma;
+        green-kubo: G / alpha^2 with G = 2 * Sigma / gamma, the Green-Kubo
+        integral of the forcing autocovariance, exact for the OU driver of
+        every noise kind (``diagnostics.green_kubo`` measures G on its own),
+        so twice paper's; explicit: ``limit.explicit_matrix`` as is.  The
+        convergence study reports W2 under each configured mode, so the
+        normalization is settled by measurement rather than by assumption.
+        """
+        if mode == "explicit":
+            return DiffusionSpec(self.values["limit.explicit_matrix"])
+        model = self.noise_model()
+        matrix = sigma_matrix(model, self.reference_measure()) / (
+            self.values["run.alpha"]**2 * model.gamma)
+        return DiffusionSpec(2.0 * matrix if mode == "green-kubo" else matrix)
 
     def init_law(self) -> InitialLaw:
         v = self.values
@@ -347,6 +370,11 @@ def _cross_validate(v):
             LimitScheme(v["limit.h"]).validate(v["run.alpha"], pot)
         except UsageError as err:
             raise ConfigError(f"limit.h: {err}") from None
+    if "explicit" in v["limit.modes"]:
+        try:
+            cfg.diffusion("explicit")
+        except UsageError as err:  # not symmetric, or not positive semidefinite
+            raise ConfigError(f"limit.explicit_matrix: {err}") from None
 
 
 def serialize_config(cfg: Config) -> str:

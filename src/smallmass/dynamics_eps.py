@@ -52,7 +52,6 @@ __all__ = [
     "EpsScheme",
     "InitialLaw",
     "StepReport",
-    "build_scheme",
     "paired_scheme_gap",
     "run_eps_replicas",
     "step",
@@ -75,11 +74,6 @@ class EpsScheme:
             raise UsageError(f"unknown scheme kind: {self.kind!r}")
         if self.h <= 0.0:
             raise UsageError("step must be > 0")
-
-
-def build_scheme(cfg: RunConfig, kind: str) -> EpsScheme:
-    """Scheme with the configured step law h = h0 * eps."""
-    return EpsScheme(kind=kind, h=cfg.eps_step)
 
 
 @dataclass(frozen=True)
@@ -244,7 +238,7 @@ def run_eps_replicas(cfg: RunConfig, model: NoiseModel, pot: PotentialSpec,
     if batch_size is not None and batch_size % block:
         raise UsageError(f"batch_size {batch_size} is not a multiple of the "
                          f"{block}-replica stream block")
-    sch = build_scheme(cfg, sch_kind)
+    sch = EpsScheme(sch_kind, cfg.eps_step)
     n = _n_steps(cfg.T, sch.h)
     delta_s = sch.h / cfg.eps
     inv_sqrt_eps = 1.0 / math.sqrt(cfg.eps)

@@ -9,22 +9,10 @@ mean-field coupling (the law in the drift is the same-step empirical
 measure).  ``D_eff`` is the per-unit-time covariance of the limit noise;
 the division by alpha is already absorbed into it.
 
-Two sources for D_eff are supported besides an explicit matrix (the
-mode names are resolved in ``harness.build_mode_diffusions``):
-
-* ``paper`` mode divides the stationary forcing covariance by the product
-  of alpha^2 and the driver's mixing rate gamma (the envelope decay rate
-  at lag zero): D_eff = Sigma / (alpha^2 * gamma);
-* ``green-kubo`` mode uses the effective diffusion of the integrated
-  forcing: D_eff = G / alpha^2 with G = 2 * integral of the stationary
-  forcing autocovariance.  Every built-in driver is an OU process with
-  rate gamma per component, so the integral is exactly G = 2 * Sigma / gamma
-  and the mode is taken in that closed form; ``diagnostics.green_kubo``
-  measures G independently.
-
-For an exponentially correlated driver the two differ by a factor of two;
-the convergence study reports the transport distance under both so the
-normalization is settled by measurement rather than by assumption.
+The limit modes (``paper``, ``green-kubo``, ``explicit``) are the
+normalizations of D_eff that the convergence study compares; each mode's
+formula lives in the docstring of ``Config.diffusion``, the one place a
+mode name becomes a ``DiffusionSpec``.
 
 The kernel integrates exactly the ``cfg.N`` particles it is handed; how
 many a sample needs is decided by the caller (``harness``).
@@ -55,9 +43,8 @@ _EIG_CLAMP = -1e-12
 
 @dataclass(frozen=True)
 class DiffusionSpec:
-    """Limit-noise covariance per unit time, with its provenance mode."""
+    """Limit-noise covariance per unit time."""
 
-    mode: str  # paper | green-kubo | explicit
     matrix: np.ndarray  # (d, d), symmetric PSD
 
     def __post_init__(self):

@@ -8,7 +8,7 @@ from the second-order system at each eps on the grid, and from the limit
 equation under each configured diffusion mode -- and reports the
 Wasserstein-2 distance between the sample pairs, row per eps.
 
-A limit mode is nothing but its diffusion matrix: ``_mode_diffusion`` is
+A limit mode is nothing but its diffusion matrix: ``Config.diffusion`` is
 the one place a mode name becomes a ``DiffusionSpec``, and every mode's
 limit sample is drawn on the same stream path (common random numbers), so
 the modes differ only by their matrices and the verdict does not depend on
@@ -66,13 +66,12 @@ import numpy as np
 from . import rng as _rng
 from ._version import __version__ as _version
 from .config import MODE_COLUMN, Config
-from .core import EmpiricalMeasure, RunConfig
+from .core import RunConfig
 from .diagnostics import (GkEstimate, _uv_steps, dyadic_lags, green_kubo, moment_table,
                           uv_check)
 from .dynamics_eps import run_eps_replicas
 from .dynamics_limit import DiffusionSpec, LimitScheme, run_limit_replicas
 from .errors import UsageError
-from .noise import sigma_matrix
 from .transport import W2_AUTO_RULE, w2_auto
 
 __all__ = [
@@ -225,33 +224,9 @@ def _base_metadata(cfg: Config) -> dict:
     return meta
 
 
-def _reference_measure(cfg: Config) -> EmpiricalMeasure:
-    """Frozen measure for law-dependent noise metadata (the initial law)."""
-    gen = _rng.stream(cfg.seed, _rng.DIRECT, 1)
-    pts = cfg.init_law().draw_positions(1024, cfg.values["run.d"], gen)
-    return EmpiricalMeasure(pts)
-
-
-def _mode_diffusion(cfg: Config, mode: str) -> DiffusionSpec:
-    """D_eff of one mode; the one place a mode name becomes a matrix.
-
-    paper: Sigma / (alpha^2 * gamma), the stationary forcing covariance at
-    the reference measure over the envelope decay rate gamma; green-kubo:
-    G / alpha^2 with G = 2 * Sigma / gamma, the exact Green-Kubo integral
-    of the OU driver, so twice paper's; explicit:
-    ``limit.explicit_matrix`` as is.
-    """
-    if mode == "explicit":
-        return DiffusionSpec(mode=mode, matrix=cfg.values["limit.explicit_matrix"])
-    model = cfg.noise_model()
-    matrix = sigma_matrix(model, _reference_measure(cfg)) / (
-        cfg.values["run.alpha"]**2 * model.gamma)
-    return DiffusionSpec(mode=mode, matrix=2.0 * matrix if mode == "green-kubo" else matrix)
-
-
 def build_mode_diffusions(cfg: Config) -> dict[str, DiffusionSpec]:
     """D_eff per configured mode, in ``limit.modes`` order."""
-    return {mode: _mode_diffusion(cfg, mode) for mode in cfg.modes}
+    return {mode: cfg.diffusion(mode) for mode in cfg.modes}
 
 
 def _n_batches(reps: int) -> int:
@@ -399,7 +374,7 @@ def run_convergence(cfg: Config) -> ConvergenceReport:
 
 def run_estimate_gk(cfg: Config) -> GkEstimate:
     model = cfg.noise_model()
-    return green_kubo(model, m_source=_reference_measure(cfg),
+    return green_kubo(model, m_source=cfg.reference_measure(),
                       horizon_fast=cfg.gk_horizon(), reps=cfg.values["gk.reps"],
                       seed=cfg.seed, dt=cfg.values["gk.dt"])
 
@@ -487,7 +462,7 @@ def run_simulate_limit(cfg: Config, out_dir: str):
     """Pool limit-law terminal samples for the first configured mode; the
     other modes are not built."""
     mode = cfg.modes[0]
-    diff = _mode_diffusion(cfg, mode)
+    diff = cfg.diffusion(mode)
     sample = _limit_sample(cfg, diff, (_rng.LIMIT_RUN, 0), *cfg.limit_pooling())
     path = _write_samples(cfg, os.path.join(out_dir, "samples_limit.csv"), _pooled(sample),
                           {"limit.mode": mode, "limit.D_eff": json.dumps(diff.matrix.tolist())})

@@ -446,8 +446,9 @@ class TestConvergenceHarness:
             for (a, b), size in zip(zip(*samples), (48, limit_size)):
                 assert a.shape == (size, 1) and np.array_equal(a, b), extra
 
-    @pytest.mark.parametrize("extra", [{}, dict(COUPLED, **{"run.replicas": 8})],
-                             ids=["scalar-ou", "fourier-field"])
+    @pytest.mark.parametrize("extra", [{}, dict(COUPLED, **{"run.replicas": 8}),
+                                       {"noise.kind": "separable", "noise.g": "gauss"}],
+                             ids=["scalar-ou", "fourier-field", "separable"])
     def test_green_kubo_header_is_twice_paper(self, small_config_dict, extra, tmp_path):
         cfg = parse_config(dict(small_config_dict, **extra))
         run_convergence(cfg).write_csv(tmp_path / "converge.csv")
@@ -763,6 +764,37 @@ class TestExplicitMatrixShape:
         })
         with pytest.raises(ConfigError, match=r"limit\.explicit_matrix.*run\.d.*2 x 2"):
             parse_config(doc)
+
+
+BAD_MATRICES = pytest.mark.parametrize("matrix", [[[1.0, 0.5], [0.0, 1.0]],
+                                                  [[1.0, 0.0], [0.0, -1.0]]],
+                                       ids=["not-symmetric", "indefinite"])
+
+
+class TestExplicitMatrixIsPsd:
+    # Only converge and simulate-limit sample the limit law, so the explicit
+    # D_eff is checked when the config is read or the other commands would
+    # run with a bad matrix and exit 0.
+    @staticmethod
+    def _doc(small_config_dict, matrix):
+        return dict(small_config_dict, **{"run.d": 2, "limit.modes": ["paper", "explicit"],
+                                          "limit.explicit_matrix": matrix})
+
+    @BAD_MATRICES
+    def test_rejected_when_read(self, small_config_dict, matrix):
+        with pytest.raises(ConfigError, match=r"^limit\.explicit_matrix: "):
+            parse_config(self._doc(small_config_dict, matrix))
+
+    @BAD_MATRICES
+    @pytest.mark.parametrize("command, output", [("estimate-gk", "gk.csv"),
+                                                 ("simulate-eps", "samples_eps.csv")])
+    def test_every_command_exits_1(self, small_config_dict, tmp_path, capsys, matrix,
+                                   command, output):
+        out = tmp_path / "out"
+        path = write_config(tmp_path, self._doc(small_config_dict, matrix))
+        assert cli_main([command, str(path), "--out", str(out)]) == 1
+        assert "error: limit.explicit_matrix: " in capsys.readouterr().err
+        assert not (out / output).exists()
 
 
 class TestWorkerCount:

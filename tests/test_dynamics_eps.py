@@ -9,7 +9,7 @@ import pytest
 from smallmass import rng as _rng
 from smallmass.config import load_config, parse_config
 from smallmass.core import ParticleEnsemble, PotentialSpec, RunConfig, grad_v_batch
-from smallmass.dynamics_eps import (EpsScheme, InitialLaw, build_scheme, _Advance, _n_steps,
+from smallmass.dynamics_eps import (EpsScheme, InitialLaw, _Advance, _n_steps,
                                     paired_scheme_gap, run_eps_replicas, step,
                                     _total_force)
 from smallmass.dynamics_limit import DiffusionSpec, run_limit_replicas
@@ -33,7 +33,7 @@ def _step_loop(cfg, model, pot, init, gen):
     ens = ParticleEnsemble(init.draw_positions(cfg.N, cfg.d, gen),
                            init.velocities(cfg.N, cfg.d), 0.0, cfg.eps)
     drv = DriverState(stationary_xi(model, gen), 0.0)
-    sch = build_scheme(cfg, "exponential")
+    sch = EpsScheme("exponential", cfg.eps_step)
     reports = []
     for _ in range(_n_steps(cfg.T, sch.h)):
         ens, drv, rep = step(ens, model, drv, pot, sch, cfg.alpha, gen)
@@ -182,7 +182,7 @@ class TestBatchesAndWindows:
     def _reference(cfg, model, pot, init, reps, path):
         """Each replica alone, its block's n driver slabs drawn in one call
         up front; returns the (X, Y, xi) after each step, keyed (replica, k)."""
-        sch = build_scheme(cfg, "exponential")
+        sch = EpsScheme("exponential", cfg.eps_step)
         n = _n_steps(cfg.T, sch.h)
         advance = _Advance(sch.h, cfg.eps, cfg.alpha)
         states = {}
@@ -349,9 +349,9 @@ class TestStepContracts:
             assert np.isfinite([r.forcing_norm, r.max_speed, r.energy_proxy]).all()
             assert r.energy_proxy >= 0.0
 
-    def test_build_scheme_uses_step_law(self):
+    def test_eps_scheme_uses_step_law(self):
         cfg = RunConfig(d=1, N=1, eps=0.05, alpha=1.0, T=1.0, h0=0.1, seed=0)
-        assert build_scheme(cfg, "exponential").h == pytest.approx(0.005)
+        assert EpsScheme("exponential", cfg.eps_step).h == pytest.approx(0.005)
 
 
 class TestEnergyIntegralProxy:
@@ -518,7 +518,7 @@ class TestKeptParticles:
         cfg = self._config(2, 2, **extra)
         assert np.array_equal(pool_eps_samples(cfg, 0),
                               self._kernel(cfg, 6)[:, :2].reshape(-1, 2))
-        diff = DiffusionSpec("explicit", np.eye(2))
+        diff = DiffusionSpec(np.eye(2))
         limit_n = 6 if extra.get("potential.kind") == "curie-weiss" else 2
         lim = run_limit_replicas(replace(cfg.run_config(0.1), N=limit_n), cfg.potential(),
                                  diff, cfg.init_law(), range(5), (_rng.LIMIT_RUN, 0))

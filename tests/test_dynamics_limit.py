@@ -36,7 +36,6 @@ class TestBuildDiffusion:
         doc = dict(small_config_dict, **{"limit.modes": ["paper"]})
         diff = build_mode_diffusions(parse_config(doc))["paper"]
         assert diff.matrix[0, 0] == pytest.approx(0.5)
-        assert diff.mode == "paper"
 
     def test_green_kubo_mode_is_twice_paper(self, small_config_dict, monkeypatch):
         # G = 2 * sigma^2 / gamma = 1, alpha = 2 -> D = 1/4, in closed form
@@ -60,12 +59,12 @@ class TestBuildDiffusion:
 
     def test_rejects_asymmetric_and_indefinite(self):
         with pytest.raises(UsageError, match="symmetric"):
-            DiffusionSpec("explicit", np.array([[1.0, 0.5], [0.0, 1.0]]))
+            DiffusionSpec(np.array([[1.0, 0.5], [0.0, 1.0]]))
         with pytest.raises(UsageError, match="negative"):
-            DiffusionSpec("explicit", np.diag([1.0, -0.5]))
+            DiffusionSpec(np.diag([1.0, -0.5]))
 
     def test_sqrt_of_diagonal(self):
-        diff = DiffusionSpec("explicit", np.diag([4.0, 9.0]))
+        diff = DiffusionSpec(np.diag([4.0, 9.0]))
         assert diff.sqrt == pytest.approx(np.diag([2.0, 3.0]))
 
     def test_sqrt_reconstruction_random_psd(self):
@@ -73,19 +72,19 @@ class TestBuildDiffusion:
         for d in range(1, 9):
             a = rng.standard_normal((d, d))
             m = a @ a.T
-            diff = DiffusionSpec("explicit", m)
+            diff = DiffusionSpec(m)
             assert np.max(np.abs(diff.sqrt @ diff.sqrt.T - m)) <= 1e-10
 
     def test_reconstruction_is_exactly_symmetric(self):
         # green-kubo off-diagonals once differed in the last bit
         m = np.array([[0.7, -0.07561688556334193], [-0.07561688556334193, 0.4]])
-        diff = DiffusionSpec("green-kubo", m)
+        diff = DiffusionSpec(m)
         assert np.array_equal(diff.matrix, diff.matrix.T)
         assert np.array_equal(diff.sqrt, diff.sqrt.T)
 
     def test_one_dimensional_value_is_kept_bitwise(self):
         for x in (0.5, 1.0 / 3.0, 0.07561688556334193, 2.0**-30):
-            diff = DiffusionSpec("explicit", [[x]])
+            diff = DiffusionSpec([[x]])
             assert diff.matrix[0, 0] == x
             assert diff.sqrt[0, 0] == math.sqrt(x)
 
@@ -93,7 +92,7 @@ class TestBuildDiffusion:
 class TestStepEm:
     def test_identity_with_zero_drift_and_diffusion(self):
         X = np.array([[1.0], [2.0]])
-        diff = DiffusionSpec("explicit", np.zeros((1, 1)))
+        diff = DiffusionSpec(np.zeros((1, 1)))
         out = step_em(X, ZERO_POT, diff, LimitScheme(0.001), 1.0,
                       _rng.stream(0, _rng.DIRECT))
         assert np.array_equal(out, X)
@@ -101,7 +100,7 @@ class TestStepEm:
     def test_stationary_variance_of_linear_sde(self):
         # dx = -x dt + sqrt(2) dB has stationary variance D*alpha/(2*lam) = 1
         pot = PotentialSpec.quadratic(1.0)
-        diff = DiffusionSpec("explicit", np.array([[2.0]]))
+        diff = DiffusionSpec(np.array([[2.0]]))
         cfg = RunConfig(d=1, N=1000, eps=0.5, alpha=1.0, T=8.0, h0=0.05, seed=0)
         samples = run_limit_replicas(cfg, pot, diff, InitialLaw(), range(16),
                                      (_rng.LIMIT_RUN, 3))
@@ -112,7 +111,7 @@ class TestStepEm:
 class TestSimulateLimit:
     def test_zero_diffusion_exponential_decay(self):
         pot = PotentialSpec.quadratic(1.0)
-        diff = DiffusionSpec("explicit", np.zeros((1, 1)))
+        diff = DiffusionSpec(np.zeros((1, 1)))
         cfg = RunConfig(d=1, N=1, eps=0.5, alpha=1.0, T=5.0, h0=0.05, seed=0)
         init = InitialLaw(position_mean=1.0, position_std=0.0)
         X = run_limit_replicas(cfg, pot, diff, init, [0], (_rng.LIMIT_RUN, 0))
@@ -120,7 +119,7 @@ class TestSimulateLimit:
 
     def test_same_seed_identical(self):
         pot = PotentialSpec.quadratic(1.0)
-        diff = DiffusionSpec("explicit", np.array([[1.0]]))
+        diff = DiffusionSpec(np.array([[1.0]]))
         cfg = RunConfig(d=1, N=32, eps=0.5, alpha=1.0, T=1.0, h0=0.05, seed=21)
         a, b = (run_limit_replicas(cfg, pot, diff, InitialLaw(), [0], (_rng.LIMIT_RUN, 0))
                 for _ in range(2))
@@ -130,7 +129,7 @@ class TestSimulateLimit:
         # the ensemble mean follows d(mean)/dt = -(lam/alpha)*mean, kappa-free
         cfg = RunConfig(d=1, N=400, eps=0.5, alpha=2.0, T=2.0, h0=0.05, seed=4)
         init = InitialLaw(position_mean=1.0, position_std=0.3)
-        diff = DiffusionSpec("explicit", np.array([[0.05]]))
+        diff = DiffusionSpec(np.array([[0.05]]))
         expected = math.exp(-cfg.T * 1.0 / cfg.alpha)
         for kappa in (0.0, 2.0):
             pot = PotentialSpec.curie_weiss(1.0, kappa)
@@ -140,7 +139,7 @@ class TestSimulateLimit:
     def test_two_clusters_attract_under_positive_coupling(self):
         # zero diffusion makes the contraction deterministic and monotone
         pot = PotentialSpec.curie_weiss(0.0 + 1e-12, 3.0)
-        diff = DiffusionSpec("explicit", np.zeros((1, 1)))
+        diff = DiffusionSpec(np.zeros((1, 1)))
         pos = np.concatenate([np.full((20, 1), -1.0), np.full((20, 1), 1.0)])
         sch = default_limit_scheme(
             RunConfig(d=1, N=40, eps=0.5, alpha=1.0, T=1.0, h0=0.05, seed=0), pot)
@@ -197,7 +196,7 @@ class TestLimitReplicaSweep:
         # stream blocks, 64 and 6 replicas.
         cfg = RunConfig(d=d, N=keep, eps=0.5, alpha=1.0, T=0.3, h0=0.05, seed=11)
         pot = PotentialSpec.quadratic(1.0)
-        diff = DiffusionSpec("explicit", np.array([[0.7, 0.2], [0.2, 0.5]])[:d, :d])
+        diff = DiffusionSpec(np.array([[0.7, 0.2], [0.2, 0.5]])[:d, :d])
         init, path = InitialLaw(position_std=0.5), (_rng.LIMIT_RUN, 1)
         sch = default_limit_scheme(cfg, pot)
         ref = self._reference(cfg, pot, diff, init, 70, path, sch)
@@ -210,7 +209,7 @@ class TestLimitReplicaSweep:
         # per-replica contract drew
         cfg = RunConfig(d=2, N=3, eps=0.5, alpha=1.0, T=0.2, h0=0.05, seed=11)
         pot = PotentialSpec.curie_weiss(1.0, 0.5)
-        diff = DiffusionSpec("explicit", np.array([[0.7, 0.2], [0.2, 0.5]]))
+        diff = DiffusionSpec(np.array([[0.7, 0.2], [0.2, 0.5]]))
         path, sch = (_rng.LIMIT_RUN, 1), default_limit_scheme(cfg, pot)
         ref = self._reference(cfg, pot, diff, InitialLaw(), 1, path, sch,
                               gens=[_rng.stream(cfg.seed, *path, 0)])
@@ -222,7 +221,7 @@ class TestLimitReplicaSweep:
         # kernels
         cfg = RunConfig(d=2, N=3, eps=0.5, alpha=1.0, T=0.2, h0=0.05, seed=11)
         pot = PotentialSpec.curie_weiss(1.0, 0.5)
-        X = run_limit_replicas(cfg, pot, DiffusionSpec("explicit", np.eye(2)), InitialLaw(),
+        X = run_limit_replicas(cfg, pot, DiffusionSpec(np.eye(2)), InitialLaw(),
                                [], (_rng.LIMIT_RUN, 1))
         assert X.shape == (0, 3, 2)
         model = NoiseModel.fourier_field(2, 1.0, 1.0, [[1.0, 0.0]], [1.0], [0.5])
@@ -233,7 +232,7 @@ class TestLimitReplicaSweep:
     def test_curie_weiss_matches_sequential(self):
         cfg = RunConfig(d=2, N=6, eps=0.5, alpha=1.0, T=0.2, h0=0.05, seed=5)
         pot = PotentialSpec.curie_weiss(1.0, 0.5)
-        diff = DiffusionSpec("explicit", np.array([[1.0, -0.3], [-0.3, 0.8]]))
+        diff = DiffusionSpec(np.array([[1.0, -0.3], [-0.3, 0.8]]))
         init, path = InitialLaw(), (_rng.SELF_TEST, 2)
         sch = LimitScheme(0.003)  # does not divide T
         ref = self._reference(cfg, pot, diff, init, 70, path, sch)
@@ -247,7 +246,7 @@ class TestLimitReplicaSweep:
         builtin = PotentialSpec.curie_weiss(lam, kappa)
         custom = PotentialSpec.custom(lambda x, m: lam * x + kappa * (x - m.mean()),
                                       builtin.lipschitz_bound)
-        diff = DiffusionSpec("explicit", np.array([[1.0, -0.3], [-0.3, 0.8]]))
+        diff = DiffusionSpec(np.array([[1.0, -0.3], [-0.3, 0.8]]))
         init, ids, path = InitialLaw(), range(70), (_rng.LIMIT_RUN, 4)
         # The custom twin's step follows its declared bound, lam + 2|kappa|,
         # which is stricter than the builtin's lam + |kappa| and valid for both.
@@ -267,7 +266,7 @@ class TestLimitReplicaSweep:
             monkeypatch.setattr(_rng, "DRAW_BUDGET", budget)
         cfg = RunConfig(d=2, N=6, eps=0.5, alpha=1.0, T=0.2, h0=0.05, seed=8)
         pot = PotentialSpec.curie_weiss(1.0, 0.5)
-        diff = DiffusionSpec("explicit", np.array([[1.0, 0.3], [0.3, 0.6]]))
+        diff = DiffusionSpec(np.array([[1.0, 0.3], [0.3, 0.6]]))
         init, path = InitialLaw(), (_rng.LIMIT_RUN, 0)
         whole = run_limit_replicas(cfg, pot, diff, init, range(150), path)
         for cut in (64, 128):
@@ -282,7 +281,7 @@ class TestLimitReplicaSweep:
         pot = PotentialSpec.curie_weiss(1.0, 0.5)
         assert _n_steps(cfg.T, default_limit_scheme(cfg, pot).h) == 750
         extra = traced_peak_above(lambda: run_limit_replicas(
-            cfg, pot, DiffusionSpec("explicit", np.eye(2)), InitialLaw(), range(64),
+            cfg, pot, DiffusionSpec(np.eye(2)), InitialLaw(), range(64),
             (_rng.LIMIT_RUN, 0)))
         assert extra < 4 * 2**20
 
@@ -292,7 +291,7 @@ class TestLimitReplicaSweep:
         cfg = RunConfig(d=1, N=2, eps=0.5, alpha=1.0, T=1.0, h0=0.05, seed=3)
         times = []
         run_limit_replicas(cfg, PotentialSpec.quadratic(1.0),
-                           DiffusionSpec("explicit", np.array([[1.0]])), InitialLaw(),
+                           DiffusionSpec(np.array([[1.0]])), InitialLaw(),
                            [0], (_rng.LIMIT_RUN, 0), LimitScheme(0.0067),
                            recorder=lambda ids, k, t, X: times.append((k, t)))
         k, t = times[-1]
@@ -304,7 +303,7 @@ class TestLimitReplicaSweep:
         exploding = PotentialSpec.custom(lambda x, m: np.full_like(x, np.inf), 1.0)
         cfg = RunConfig(d=1, N=1, eps=0.5, alpha=1.0, T=1.0, h0=0.05, seed=0)
         with pytest.raises(NumericError, match=r"custom potential.*non-finite.*replica=64"):
-            run_limit_replicas(cfg, exploding, DiffusionSpec("explicit", np.array([[1.0]])),
+            run_limit_replicas(cfg, exploding, DiffusionSpec(np.array([[1.0]])),
                                InitialLaw(), range(64, 68), (_rng.LIMIT_RUN, 0))
 
     def test_non_finite_state_names_the_replica(self):
@@ -323,6 +322,6 @@ class TestLimitReplicaSweep:
         with pytest.raises(NumericError, match="replica=66") as err, \
                 np.errstate(invalid="ignore"):
             run_limit_replicas(cfg, PotentialSpec.quadratic(1.0),
-                               DiffusionSpec("explicit", np.array([[1.0]])),
+                               DiffusionSpec(np.array([[1.0]])),
                                OneBadReplica(), range(130), (_rng.LIMIT_RUN, 0))
         assert err.value.replica == 66
