@@ -38,7 +38,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _out_dir(cfg, override):
     out = override or cfg.values["output.dir"]
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as err:  # a file of that name, or no permission
+        raise UsageError(f"cannot create output directory {out}: {err}") from None
     return out
 
 

@@ -14,8 +14,6 @@ import json
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import rng as _rng
 from .core import EmpiricalMeasure, PotentialSpec, RunConfig
 from .diagnostics import BM_PROXY_MIN_PATHS, GK_MAX_DT, GK_MIN_HORIZON
@@ -230,22 +228,15 @@ class Config:
             raise ConfigError(f"potential.lambda, potential.kappa: {err}") from None
 
     def noise_model(self) -> NoiseModel:
+        """The noise model; a key its kind needs but lacks, or a bad value,
+        is named by the kind's keys."""
         v = self.values
         kind = v["noise.kind"]
-        common = dict(d=v["run.d"], gamma=v["noise.gamma"], sigma=v["noise.sigma"],
-                      clip=v["noise.clip"])
-        if kind == "scalar-ou":
-            return NoiseModel.scalar_ou(**common)
-        if kind == "separable" and v["noise.g"] is None:
-            raise ConfigError("noise.g is required for separable noise")
-        if kind == "fourier-field" and None in (v["noise.omegas"], v["noise.a"], v["noise.b"]):
-            raise ConfigError("fourier-field noise needs noise.omegas, noise.a, noise.b")
         try:
-            if kind == "separable":
-                return NoiseModel.separable(g_name=v["noise.g"], **common)
-            return NoiseModel.fourier_field(
-                omegas=np.asarray(v["noise.omegas"]), a=np.asarray(v["noise.a"]),
-                b=np.asarray(v["noise.b"]), **common)
+            return NoiseModel(kind, d=v["run.d"], gamma=v["noise.gamma"],
+                              sigma=v["noise.sigma"], clip=v["noise.clip"],
+                              g_name=v["noise.g"], omegas=v["noise.omegas"],
+                              a=v["noise.a"], b=v["noise.b"])
         except ValueError as err:  # a UsageError, or numpy refusing a ragged noise.omegas
             raise ConfigError(f"{', '.join(_NOISE_KIND_KEYS[kind])}: {err}") from None
 
@@ -332,15 +323,14 @@ def parse_config(doc) -> Config:
 
 def _cross_validate(v):
     """The rules that join keys; each key's own range is its registry row's."""
-    if "explicit" in v["limit.modes"] and v["limit.explicit_matrix"] is None:
-        raise ConfigError("limit.explicit_matrix is required for the explicit mode")
     mat, d = v["limit.explicit_matrix"], v["run.d"]
+    if (mat is None) == ("explicit" in v["limit.modes"]):
+        raise ConfigError("limit.explicit_matrix must be set exactly when limit.modes "
+                          "holds explicit, the one mode that reads it; limit.modes is "
+                          f"{v['limit.modes']}")
     if mat is not None and (len(mat) != d or any(len(row) != d for row in mat)):
         raise ConfigError(f"limit.explicit_matrix must be a run.d x run.d = {d} x {d} "
                           f"matrix, got rows of lengths {[len(row) for row in mat]}")
-    if v["potential.kind"] == "quadratic" and v["potential.kappa"] != 0.0:
-        raise ConfigError("potential.kappa must be 0 under potential.kind quadratic, "
-                          "which has no coupling term")
     horizon = v["gk.horizon_fast"]
     if horizon is not None and horizon < GK_MIN_HORIZON / v["noise.gamma"]:
         raise ConfigError(f"gk.horizon_fast must be >= {GK_MIN_HORIZON:g}/noise.gamma = "
@@ -370,7 +360,7 @@ def _cross_validate(v):
             LimitScheme(v["limit.h"]).validate(v["run.alpha"], pot)
         except UsageError as err:
             raise ConfigError(f"limit.h: {err}") from None
-    if "explicit" in v["limit.modes"]:
+    if mat is not None:
         try:
             cfg.diffusion("explicit")
         except UsageError as err:  # not symmetric, or not positive semidefinite

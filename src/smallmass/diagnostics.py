@@ -290,22 +290,16 @@ class _UvPaths:
 def _driver_paths(model, seed, path, reps, n, delta_s):
     """Yield the driver values of ``reps`` stationary paths at steps 0..n-1.
 
-    The replicas draw by blocks (``rng.block_streams``): each block draws
-    its replicas' starts in one (s,) + driver-shape call and then one such
-    slab per step, step-major, a window of steps at a time
-    (``rng.normal_windows``); the paths are advanced in lock-step by
+    The replicas draw by blocks, in the order that ``rng.block_draws``
+    carries out: its one start is the driver values, and its per-step
+    normals are driver-shaped; the paths are advanced in lock-step by
     ``delta_s``.  Under ``GK_RUN`` the blocks hold one replica each, so
     replica r draws from ``(seed, *path, r)`` alone.  Each yielded
     (reps,) + driver_shape array is fresh: later steps do not overwrite it.
     """
-    ds = model.driver_shape
-    xi = np.empty((reps,) + ds)
-    blocks = _rng.block_streams(seed, path, range(reps))
-    row = 0
-    for gen, s in blocks:
-        xi[row : row + s] = stationary_xi(model, gen, reps=s)
-        row += s
-    for z in _rng.normal_windows(blocks, n, ds):
+    xi, steps = _rng.block_draws(seed, path, range(reps), n, model.driver_shape,
+                                 lambda gen, s: stationary_xi(model, gen, reps=s))
+    for z in steps:
         yield xi
         xi = advance_xi(xi, model, delta_s, z)
 

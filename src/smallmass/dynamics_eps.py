@@ -27,12 +27,12 @@ Step-size law: accuracy (not stability) ties the step to the fast scale,
 h = h0 * eps with h0 <= 0.2, because the frozen forcing must resolve the
 driver's oscillation.
 
-Randomness comes from counter-based streams, one per block of replicas
-(``rng.block_streams``); the replica sweep (`run_eps_replicas`) draws each
-block's normals in a fixed order, a window of steps at a time, and
-advances many replicas in lock-step, whatever the batch.  It integrates
-exactly the ``cfg.N`` particles it is handed: how many particles a sample
-needs is decided by the caller (``harness``), not here.
+Randomness comes from counter-based streams, one per block of replicas;
+the replica sweep (`run_eps_replicas`) draws them in the order that
+``rng.block_draws`` carries out and advances many replicas in lock-step,
+whatever the batch.  It integrates exactly the ``cfg.N`` particles it is
+handed: how many particles a sample needs is decided by the caller
+(``harness``), not here.
 """
 
 from __future__ import annotations
@@ -211,21 +211,16 @@ def run_eps_replicas(cfg: RunConfig, model: NoiseModel, pot: PotentialSpec,
     """Replica sweep of the second-order system, advanced in lock-step by
     the exponential scheme (``sch_kind`` "exponential", its only value).
 
-    ``stream_path`` is a tuple prefix (purpose code plus optional indices);
-    the replicas draw by blocks (``rng.block_streams``): block b of
-    ``rng.block_size(stream_path[0])`` consecutive replicas draws from
-    ``stream(seed, *stream_path, b)`` its replicas' positions in one
-    (s, N, d) call, their driver starts in one (s,) + driver-shape call,
-    and then one (s,) + driver-shape slab per step, step-major.  So
-    ``replica_ids`` must be whole blocks, consecutive from a multiple of
-    the block size, and only the sample's last block may be short; a
-    block of one replica draws what its own stream drew for a lone
-    replica.  The replicas are advanced ``batch_size`` at a time (a
-    multiple of the block size), all of them in one batch when it is
-    ``None``; the results do not depend on the batch.  The per-step draws
-    come a window of steps at a time (``rng.normal_windows``), so the
-    normals held at once stay under ``rng.DRAW_BUDGET`` whatever the batch
-    size and horizon.  ``recorder``, when given, is called as
+    ``stream_path`` is a tuple prefix (purpose code plus optional indices)
+    under which the replicas draw by blocks, in the order that
+    ``rng.block_draws`` carries out: its starts are the positions
+    (s, N, d) and then the driver values (s,) + driver shape, and its
+    per-step normals are driver-shaped.  So ``replica_ids`` must be whole
+    blocks, consecutive from a multiple of the block size, and only the
+    sample's last block may be short.  The replicas are advanced
+    ``batch_size`` at a time (a multiple of the block size), all of them
+    in one batch when it is ``None``; the results do not depend on the
+    batch.  ``recorder``, when given, is called as
     ``recorder(replica_ids_batch, step_index, time, X, Y, xi)`` after the
     initial state and after every step, with ``xi`` the driver values at
     that time (shape (B,) + driver shape); X, Y and xi are updated in place
@@ -243,29 +238,23 @@ def run_eps_replicas(cfg: RunConfig, model: NoiseModel, pot: PotentialSpec,
     delta_s = sch.h / cfg.eps
     inv_sqrt_eps = 1.0 / math.sqrt(cfg.eps)
     advance = _Advance(sch.h, cfg.eps, cfg.alpha)
-    ds = model.driver_shape
     Y0 = init.velocities(cfg.N, cfg.d)
     out_pos = np.empty((len(replica_ids), cfg.N, cfg.d))
     out_vel = np.empty_like(out_pos)
     batch_size = batch_size or max(1, len(replica_ids))
     for start in range(0, len(replica_ids), batch_size):
         ids = replica_ids[start : start + batch_size]
-        B = len(ids)
-        X = np.empty((B, cfg.N, cfg.d))
-        xi = np.empty((B,) + ds)
-        blocks = _rng.block_streams(cfg.seed, stream_path, ids)
-        row = 0
-        for gen, s in blocks:
-            X[row : row + s] = init.draw_positions(cfg.N, cfg.d, gen, reps=s)
-            xi[row : row + s] = stationary_xi(model, gen, reps=s)
-            row += s
+        X, xi, steps = _rng.block_draws(
+            cfg.seed, stream_path, ids, n, model.driver_shape,
+            lambda gen, s: init.draw_positions(cfg.N, cfg.d, gen, reps=s),
+            lambda gen, s: stationary_xi(model, gen, reps=s))
         Y = np.broadcast_to(Y0, X.shape).copy()
         F, tmp = np.empty_like(X), np.empty_like(X)
         t = 0.0
         if recorder is not None:
             recorder(ids, 0, t, X, Y, xi)
         try:
-            for k, z in enumerate(_rng.normal_windows(blocks, n, ds)):
+            for k, z in enumerate(steps):
                 _total_force(model, pot, X, xi, inv_sqrt_eps, F, tmp)
                 advance(X, Y, F, tmp)
                 advance_xi(xi, model, delta_s, z, out=xi)
@@ -276,8 +265,8 @@ def run_eps_replicas(cfg: RunConfig, model: NoiseModel, pot: PotentialSpec,
             _check_finite(str(err), ids, cfg.eps, X, Y)
             raise
         _check_finite("replica sweep produced non-finite state", ids, cfg.eps, X, Y)
-        out_pos[start : start + B] = X
-        out_vel[start : start + B] = Y
+        out_pos[start : start + len(ids)] = X
+        out_vel[start : start + len(ids)] = Y
     return out_pos, out_vel
 
 

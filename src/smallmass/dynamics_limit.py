@@ -104,15 +104,11 @@ def run_limit_replicas(cfg: RunConfig, pot: PotentialSpec, diff: DiffusionSpec,
                        sch: LimitScheme | None = None, *, recorder=None) -> np.ndarray:
     """Terminal positions over independent replicas, stepped in lock-step.
 
-    The replicas draw by blocks, as in ``run_eps_replicas``: block b of
-    ``rng.block_size(stream_path[0])`` consecutive replicas draws from
-    ``stream(seed, *stream_path, b)`` its replicas' positions in one
-    (s, N, d) call and then one (s, N, d) normal slab per step,
-    step-major, so ``replica_ids`` must be whole blocks and every replica
-    gets the same bits whatever other blocks share the call.  The per-step
-    slabs come a window of steps at a time (``rng.normal_windows``), so
-    the normals held at once stay under ``rng.DRAW_BUDGET`` whatever the
-    replica count and horizon.
+    The replicas draw by blocks under ``stream_path``, in the order that
+    ``rng.block_draws`` carries out: its one start is the positions
+    (s, N, d), and its per-step normals are (N, d)-shaped.  So
+    ``replica_ids`` must be whole blocks, and every replica gets the same
+    bits whatever other blocks share the call.
     The step count follows the eps system's rule: when ``h`` does not
     divide ``T`` the last step ends past ``T``, never before it.
     ``recorder``, when given, is called as ``recorder(replica_ids, step_index,
@@ -123,13 +119,9 @@ def run_limit_replicas(cfg: RunConfig, pot: PotentialSpec, diff: DiffusionSpec,
     sch = sch or default_limit_scheme(cfg, pot)
     sch.validate(cfg.alpha, pot)
     N, d = cfg.N, cfg.d
-    n = _n_steps(cfg.T, sch.h)
-    X = np.empty((len(replica_ids), N, d))
-    blocks = _rng.block_streams(cfg.seed, stream_path, replica_ids)
-    row = 0
-    for gen, s in blocks:
-        X[row : row + s] = init.draw_positions(N, d, gen, reps=s)
-        row += s
+    X, steps = _rng.block_draws(cfg.seed, stream_path, replica_ids,
+                                _n_steps(cfg.T, sch.h), (N, d),
+                                lambda gen, s: init.draw_positions(N, d, gen, reps=s))
     root_h = math.sqrt(sch.h)
     ST = diff.sqrt.T
     G, tmp = np.empty_like(X), np.empty_like(X)
@@ -137,7 +129,7 @@ def run_limit_replicas(cfg: RunConfig, pot: PotentialSpec, diff: DiffusionSpec,
     if recorder is not None:
         recorder(replica_ids, 0, t, X)
     try:
-        for k, z in enumerate(_rng.normal_windows(blocks, n, (N, d))):
+        for k, z in enumerate(steps):
             grad_v_batch(pot, X, out=G, tmp=tmp)
             G *= sch.h / cfg.alpha
             X -= G

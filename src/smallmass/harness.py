@@ -441,21 +441,24 @@ def _write_diagnose(cfg: Config, out_dir: str):
                        ["module", "eps", "stat", "value", "ci"], rows)
 
 
-def _write_samples(cfg: Config, path: str, sample: np.ndarray, extra: dict):
-    """One row per pooled sample point under the base metadata plus ``extra``."""
+def _write_samples(cfg: Config, out_dir: str, sample: _Sample, extra: dict):
+    """Pool ``sample`` into ``samples_<system>.csv``, one row per point under
+    the base metadata plus ``extra``, and with ``output.dump_trajectories``
+    dump its replica 0 to ``trajectory_<system>.csv``; returns the first
+    path."""
     header = ["sample"] + [f"x_{i + 1}" for i in range(cfg.values["run.d"])]
-    rows = [[i] + list(map(float, p)) for i, p in enumerate(sample)]
-    return write_table(path, {**_base_metadata(cfg), **extra}, header, rows)
+    rows = [[i] + list(map(float, p)) for i, p in enumerate(_pooled(sample))]
+    path = write_table(os.path.join(out_dir, f"samples_{sample.system}.csv"),
+                       {**_base_metadata(cfg), **extra}, header, rows)
+    if cfg.values["output.dump_trajectories"]:
+        _dump_trajectory(sample, os.path.join(out_dir, f"trajectory_{sample.system}.csv"))
+    return path
 
 
 def run_simulate_eps(cfg: Config, out_dir: str):
     """Pool the eps-system terminal samples for the first grid value."""
-    sample = _eps_sample(cfg, 0)
-    path = _write_samples(cfg, os.path.join(out_dir, "samples_eps.csv"), _pooled(sample),
+    return _write_samples(cfg, out_dir, _eps_sample(cfg, 0),
                           {"run.eps": _fmt(cfg.eps_grid[0])})
-    if cfg.values["output.dump_trajectories"]:
-        _dump_trajectory(sample, os.path.join(out_dir, "trajectory_eps.csv"))
-    return path
 
 
 def run_simulate_limit(cfg: Config, out_dir: str):
@@ -464,11 +467,8 @@ def run_simulate_limit(cfg: Config, out_dir: str):
     mode = cfg.modes[0]
     diff = cfg.diffusion(mode)
     sample = _limit_sample(cfg, diff, (_rng.LIMIT_RUN, 0), *cfg.limit_pooling())
-    path = _write_samples(cfg, os.path.join(out_dir, "samples_limit.csv"), _pooled(sample),
+    return _write_samples(cfg, out_dir, sample,
                           {"limit.mode": mode, "limit.D_eff": json.dumps(diff.matrix.tolist())})
-    if cfg.values["output.dump_trajectories"]:
-        _dump_trajectory(sample, os.path.join(out_dir, "trajectory_limit.csv"))
-    return path
 
 
 def _dump_trajectory(sample: _Sample, path: str):
@@ -499,9 +499,10 @@ COMMANDS = {
 
 def load_sample_file(path) -> np.ndarray:
     """Read a numeric CSV of sample points ('#' comments and an optional
-    header line are skipped; a leading column that the header names
-    'sample' is an index and is dropped).  A non-finite value is an error
-    naming the file and the line."""
+    header, the first other line, are skipped; a leading column that the
+    header names 'sample' is an index and is dropped).  Any other
+    non-numeric line, or a non-finite value, is an error naming the file
+    and the line."""
     rows, header = [], []
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -513,10 +514,11 @@ def load_sample_file(path) -> np.ndarray:
                 try:
                     row = [float(p) for p in parts]
                 except ValueError:
-                    if not rows:
+                    if not (rows or header):
                         header = parts
                         continue
-                    raise UsageError(f"non-numeric row in {path}: {line!r}") from None
+                    raise UsageError(f"non-numeric row in {path}, line {lineno}: "
+                                     f"{line!r}") from None
                 if not all(map(math.isfinite, row)):
                     raise UsageError(f"non-finite value in {path}, line {lineno}: {line!r}")
                 rows.append(row)

@@ -13,11 +13,14 @@ for the last block of a sample, which ends at the sample's last replica.
 The other purposes keep one replica per stream (blocks of one).  Block b
 draws, in this order, the initial positions of its s replicas in one
 ``(s, N, d)`` call, their stationary drivers in one ``(s,) + driver_shape``
-call, and then its per-step normals step-major, ``(steps, s) + shape``.  A
-block of one replica therefore draws exactly what a per-replica stream
-drew.  A replica's values depend on its block (its index and its size s),
-never on how the blocks were cut into batches or spread over workers; the
-callers cut batches on block boundaries.  ``BLOCK`` and ``_BLOCKED`` are
+call, and then its per-step normals step-major, ``(steps, s) + shape``;
+``block_draws`` is the one function that carries out this order, for
+every caller's own starts (the limit kernel draws no drivers, the driver
+paths of ``diagnostics`` no positions).  A block of one replica
+therefore draws exactly what a per-replica stream drew.  A replica's
+values depend on its block (its index and its size s), never on how the
+blocks were cut into batches or spread over workers; the callers cut
+batches on block boundaries.  ``BLOCK`` and ``_BLOCKED`` are
 part of the reproducibility contract, not settings.
 
 The kernels draw each step's normals through ``normal_windows``, a window
@@ -109,6 +112,23 @@ def block_streams(seed: int, path: tuple, replica_ids) -> list:
                              f"{size} consecutive replicas from a multiple of {size}")
         blocks.append((stream(seed, *path, first // size), len(group)))
     return blocks
+
+
+def block_draws(seed: int, path: tuple, replica_ids, n: int, shape: tuple, *starts):
+    """Open the blocks of ``replica_ids`` and draw them in contract order.
+
+    Each ``start(gen, s)`` draws one start array of a block's s replicas,
+    ``(s, ...)``; block after block, every start is drawn in the order
+    given.  Returns each start stacked over the blocks to ``(B, ...)``,
+    followed by ``normal_windows(blocks, n, shape)``, the iterator of the
+    blocks' per-step normals.  With no replicas each start is drawn for an
+    empty block on block 0's stream, so it keeps its shape and nothing is
+    drawn.
+    """
+    blocks = block_streams(seed, path, replica_ids)
+    drawn = [[start(gen, s) for start in starts]
+             for gen, s in blocks or [(stream(seed, *path, 0), 0)]]
+    return (*map(np.concatenate, zip(*drawn)), normal_windows(blocks, n, shape))
 
 
 def normal_windows(blocks, n: int, shape: tuple):

@@ -43,6 +43,7 @@ class RawJson(str):
     """A value written into the config's JSON text as is, unquoted."""
 FOURIER = {"noise.omegas": [[1.0, 0.0], [0.0, 1.0]], "noise.a": [1.0, 0.5],
            "noise.b": [0.0, 0.5]}
+FOURIER_MISSING = r"^noise\.omegas, noise\.a, noise\.b: fourier-field needs omegas, a and b$"
 # The interacting path: curie-weiss drift, law-dependent fourier-field
 # forcing, d = 2, 130 replicas: two whole stream blocks and a short one.
 COUPLED = dict(FOURIER, **{
@@ -205,11 +206,12 @@ class TestConfig:
             assert np.array_equal(model.b, np.array(FOURIER["noise.b"]))
 
     @pytest.mark.parametrize("kind, missing, reason", [
-        ("separable", "noise.g", "noise.g is required"),
-        ("fourier-field", "noise.omegas", "needs noise.omegas, noise.a, noise.b"),
-        ("fourier-field", "noise.a", "needs noise.omegas, noise.a, noise.b"),
-        ("fourier-field", "noise.b", "needs noise.omegas, noise.a, noise.b"),
-    ])
+        ("separable", "noise.g", r"^noise\.g: unknown separable profile None$"),
+        ("fourier-field", "noise.omegas", FOURIER_MISSING),
+        ("fourier-field", "noise.a", FOURIER_MISSING),
+        ("fourier-field", "noise.b", FOURIER_MISSING),
+    ], ids=["separable-noise.g", "fourier-field-noise.omegas", "fourier-field-noise.a",
+            "fourier-field-noise.b"])
     def test_noise_model_missing_key(self, small_config_dict, kind, missing, reason):
         doc = dict(small_config_dict, **{"run.d": 2, "noise.kind": kind,
                                          "noise.g": "gauss"}, **FOURIER)
@@ -625,6 +627,22 @@ class TestOtherEntryPoints:
         with pytest.raises(Exception, match="missing.csv"):
             load_sample_file(tmp_path / "missing.csv")
 
+    @pytest.mark.parametrize("text, lineno", [
+        ("sample,x_1\nstray text\n0,1\n1,2\n", 3),
+        ("x_1\n1\nsample,x_1\n2\n", 4),
+        ("sample,x_1\n0,1\n1,oops\n", 4),
+    ], ids=["second-header", "header-after-data", "text-in-data"])
+    def test_only_the_first_line_may_be_a_header(self, tmp_path, capsys, text, lineno):
+        # a stray line after the header was taken as the header, and the
+        # index column then read as a coordinate: [[0, 1], [1, 2]]
+        p = tmp_path / "samples.csv"
+        p.write_text("# meta = 1\n" + text)
+        with pytest.raises(UsageError) as err:
+            load_sample_file(p)
+        assert str(err.value).startswith(f"non-numeric row in {p}, line {lineno}: ")
+        assert cli_main(["w2", str(p), str(p)]) == 1
+        assert f"error: non-numeric row in {p}, line {lineno}" in capsys.readouterr().err
+
 
 class TestCli:
     def _run(self, *args, env=None):
@@ -675,6 +693,16 @@ class TestCli:
         assert np.array_equal(load_sample_file(tmp_path / "a.csv"), a)
         assert cli_main(["w2", str(tmp_path / "a.csv"), str(tmp_path / "b.csv")]) == 0
         assert float(capsys.readouterr().out) == w2_auto(a, b).value
+
+    @pytest.mark.parametrize("command", ["converge", "simulate-eps"])
+    def test_out_naming_a_file_exits_1(self, small_config_dict, tmp_path, capsys, command):
+        # os.makedirs raised FileExistsError, a traceback
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n")
+        path = write_config(tmp_path, small_config_dict)
+        assert cli_main([command, str(path), "--out", str(taken)]) == 1
+        assert f"error: cannot create output directory {taken}: " in capsys.readouterr().err
+        assert taken.read_text() == "kept\n"
 
     def test_converge_needs_two_replicas(self, small_config_dict, tmp_path, capsys,
                                          monkeypatch):
@@ -795,6 +823,40 @@ class TestExplicitMatrixIsPsd:
         assert cli_main([command, str(path), "--out", str(out)]) == 1
         assert "error: limit.explicit_matrix: " in capsys.readouterr().err
         assert not (out / output).exists()
+
+
+class TestExplicitMatrixIsReadByExplicitAlone:
+    # The explicit mode is the one reader of limit.explicit_matrix, so the
+    # matrix is an error without it, as a noise key of another noise kind
+    # is, whether or not it is a valid D_eff.
+    UNREAD = r"^limit\.explicit_matrix must be set exactly when limit\.modes holds explicit"
+
+    @pytest.mark.parametrize("matrix", [[[1.0]], [[-1.0]]], ids=["valid", "indefinite"])
+    @pytest.mark.parametrize("modes", [["paper", "green-kubo"], ["green-kubo"]])
+    def test_unread_matrix_is_rejected(self, small_config_dict, matrix, modes):
+        doc = dict(small_config_dict, **{"limit.modes": modes,
+                                         "limit.explicit_matrix": matrix})
+        with pytest.raises(ConfigError, match=self.UNREAD):
+            parse_config(doc)
+
+    def test_explicit_mode_needs_the_matrix(self, small_config_dict):
+        doc = dict(small_config_dict, **{"limit.modes": ["paper", "explicit"]})
+        with pytest.raises(ConfigError, match=self.UNREAD):
+            parse_config(doc)
+
+    def test_bad_matrix_under_explicit_is_rejected(self, small_config_dict):
+        doc = dict(small_config_dict, **{"limit.modes": ["paper", "explicit"],
+                                         "limit.explicit_matrix": [[-1.0]]})
+        with pytest.raises(ConfigError, match=r"^limit\.explicit_matrix: .*negative"):
+            parse_config(doc)
+
+    def test_converge_exits_1_naming_the_key(self, small_config_dict, tmp_path, capsys):
+        doc = dict(small_config_dict, **{"limit.explicit_matrix": [[1.0]]})
+        out = tmp_path / "out"
+        assert cli_main(["converge", str(write_config(tmp_path, doc)), "--out",
+                         str(out)]) == 1
+        assert "error: limit.explicit_matrix must be set" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestWorkerCount:

@@ -217,8 +217,7 @@ class TestLimitReplicaSweep:
                               ref)
 
     def test_no_replicas_give_empty_positions(self):
-        # an empty replica list opens no stream and draws nothing, in both
-        # kernels
+        # an empty replica list draws nothing, in both kernels
         cfg = RunConfig(d=2, N=3, eps=0.5, alpha=1.0, T=0.2, h0=0.05, seed=11)
         pot = PotentialSpec.curie_weiss(1.0, 0.5)
         X = run_limit_replicas(cfg, pot, DiffusionSpec(np.eye(2)), InitialLaw(),

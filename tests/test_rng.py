@@ -116,3 +116,74 @@ class TestNormalWindows:
             full = _rng.stream(3, _rng.LIMIT_RUN, 0, b)
             full.standard_normal((7, s, 1))
             assert gen.standard_normal() == full.standard_normal()
+
+
+def _positions(gen, s):
+    return gen.standard_normal((s, 3, 2))
+
+
+def _drivers(gen, s):
+    return 2.0 * gen.standard_normal((s, 2, 4))
+
+
+class TestBlockDraws:
+    @staticmethod
+    def _reference(seed, path, ids, n, shape):
+        """The per-block loop the kernels ran before: each block draws its
+        positions, then its drivers, into preallocated rows, and the steps
+        come from ``normal_windows`` over the same blocks."""
+        blocks = _rng.block_streams(seed, path, ids)
+        X, xi, row = np.empty((len(ids), 3, 2)), np.empty((len(ids), 2, 4)), 0
+        for gen, s in blocks:
+            X[row : row + s] = _positions(gen, s)
+            xi[row : row + s] = _drivers(gen, s)
+            row += s
+        return X, xi, [z.copy() for z in _rng.normal_windows(blocks, n, shape)]
+
+    @pytest.mark.parametrize("path, ids", [
+        ((_rng.EPS_RUN, 3), range(150)), ((_rng.EPS_RUN, 3), range(64, 150)),
+        ((_rng.LIMIT_RUN, 0), range(64)), ((_rng.GK_RUN,), range(5)),
+        ((_rng.GK_RUN,), [4, 0, 9]),
+    ], ids=["short-last-block", "from-block-1", "one-whole-block", "blocks-of-one",
+            "blocks-of-one-unordered"])
+    def test_equals_the_per_block_loop(self, path, ids):
+        X, xi, steps = _rng.block_draws(9, path, ids, 6, (2, 4), _positions, _drivers)
+        want_X, want_xi, want_steps = self._reference(9, path, list(ids), 6, (2, 4))
+        assert X.shape == (len(ids), 3, 2) and xi.shape == (len(ids), 2, 4)
+        assert np.array_equal(X, want_X) and np.array_equal(xi, want_xi)
+        got = [z.copy() for z in steps]
+        assert len(got) == 6
+        assert np.array_equal(np.stack(got), np.stack(want_steps))
+
+    def test_block_of_one_draws_the_replica_stream(self):
+        # under GK_RUN replica r draws its start and then its steps from
+        # (seed, GK_RUN, r) alone
+        xi, steps = _rng.block_draws(3, (_rng.GK_RUN,), range(3), 4, (2,),
+                                     lambda gen, s: gen.standard_normal((s, 2)))
+        got = np.stack([z.copy() for z in steps], axis=1)
+        for r in range(3):
+            gen = _rng.stream(3, _rng.GK_RUN, r)
+            assert np.array_equal(xi[r], gen.standard_normal((1, 2))[0])
+            assert np.array_equal(got[r], gen.standard_normal((4, 1, 2))[:, 0])
+
+    def test_starts_are_drawn_block_by_block_in_order(self):
+        calls = []
+
+        def start(tag):
+            def draw(gen, s):
+                calls.append((tag, s))
+                return np.full((s, 1), float(len(calls)))
+            return draw
+
+        a, b, steps = _rng.block_draws(0, (_rng.UV_RUN, 0), range(130), 1, (1,),
+                                       start("a"), start("b"))
+        assert calls == [("a", 64), ("b", 64), ("a", 64), ("b", 64), ("a", 2), ("b", 2)]
+        assert np.array_equal(a[:, 0], np.repeat([1.0, 3.0, 5.0], [64, 64, 2]))
+        assert np.array_equal(b[:, 0], np.repeat([2.0, 4.0, 6.0], [64, 64, 2]))
+        assert len(list(steps)) == 1
+
+    @pytest.mark.parametrize("path", [(_rng.LIMIT_RUN, 2), (_rng.GK_RUN,)])
+    def test_no_replicas_keep_the_start_shapes_and_draw_nothing(self, path):
+        X, xi, steps = _rng.block_draws(1, path, [], 5, (2, 4), _positions, _drivers)
+        assert X.shape == (0, 3, 2) and xi.shape == (0, 2, 4)
+        assert list(steps) == []
