@@ -9,8 +9,7 @@ distances plus moment, decay and increment diagnostics.
 """
 
 from ._version import __version__
-from .core import (EmpiricalMeasure, ParticleEnsemble, PotentialSpec,
-                   RunConfig, probe_lipschitz)
+from .core import EmpiricalMeasure, ParticleEnsemble, PotentialSpec, RunConfig
 from .dynamics_eps import EpsScheme, InitialLaw, StepReport, step
 from .dynamics_limit import DiffusionSpec, LimitScheme
 from .errors import ConfigError, NumericError, UsageError
@@ -34,7 +33,6 @@ __all__ = [
     "UsageError",
     "W2Result",
     "__version__",
-    "probe_lipschitz",
     "sigma_matrix",
     "step",
     "w2_1d",

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from . import rng as _rng
 from .core import EmpiricalMeasure, PotentialSpec, RunConfig
-from .diagnostics import BM_PROXY_MIN_PATHS, GK_MAX_DT, GK_MIN_HORIZON
+from .diagnostics import BM_PROXY_MIN_PATHS, _gk_grid
 from .dynamics_eps import InitialLaw
 from .dynamics_limit import DiffusionSpec, LimitScheme
 from .errors import ConfigError, UsageError
@@ -167,7 +167,6 @@ _REGISTRY = {
     "noise.kind": (_choice(*_NOISE_KIND_KEYS), _REQ),
     "noise.gamma": (_positive, _REQ),
     "noise.sigma": (_nonnegative, _REQ),
-    "noise.clip": (_boolean, False),
     "noise.g": (_string, None),
     "noise.omegas": (_matrix, None),
     "noise.a": (_list(_number()), None),
@@ -234,9 +233,8 @@ class Config:
         kind = v["noise.kind"]
         try:
             return NoiseModel(kind, d=v["run.d"], gamma=v["noise.gamma"],
-                              sigma=v["noise.sigma"], clip=v["noise.clip"],
-                              g_name=v["noise.g"], omegas=v["noise.omegas"],
-                              a=v["noise.a"], b=v["noise.b"])
+                              sigma=v["noise.sigma"], g_name=v["noise.g"],
+                              omegas=v["noise.omegas"], a=v["noise.a"], b=v["noise.b"])
         except ValueError as err:  # a UsageError, or numpy refusing a ragged noise.omegas
             raise ConfigError(f"{', '.join(_NOISE_KIND_KEYS[kind])}: {err}") from None
 
@@ -270,10 +268,6 @@ class Config:
         return InitialLaw(position_mean=v["init.position_mean"],
                           position_std=v["init.position_std"],
                           velocity=v["init.velocity"])
-
-    def gk_horizon(self) -> float:
-        h = self.values["gk.horizon_fast"]
-        return h if h is not None else 50.0 / self.values["noise.gamma"]
 
     def particle_local(self, system: str) -> bool:
         """Whether one particle's law in ``system`` ("eps" or "limit") does
@@ -331,16 +325,13 @@ def _cross_validate(v):
     if mat is not None and (len(mat) != d or any(len(row) != d for row in mat)):
         raise ConfigError(f"limit.explicit_matrix must be a run.d x run.d = {d} x {d} "
                           f"matrix, got rows of lengths {[len(row) for row in mat]}")
-    horizon = v["gk.horizon_fast"]
-    if horizon is not None and horizon < GK_MIN_HORIZON / v["noise.gamma"]:
-        raise ConfigError(f"gk.horizon_fast must be >= {GK_MIN_HORIZON:g}/noise.gamma = "
-                          f"{GK_MIN_HORIZON / v['noise.gamma']:g}, got {horizon!r}")
+    try:
+        _gk_grid(v["noise.gamma"], v["gk.horizon_fast"], v["gk.dt"],
+                 ("gk.horizon_fast", "gk.dt", "noise.gamma"))
+    except UsageError as err:
+        raise ConfigError(str(err)) from None
     if v["run.samples_per_replica"] > v["run.N"]:
         raise ConfigError("run.samples_per_replica cannot exceed run.N")
-    dt = v["gk.dt"]
-    if dt is not None and dt * v["noise.gamma"] > GK_MAX_DT:
-        raise ConfigError(f"gk.dt must be > 0 and <= {GK_MAX_DT:g}/noise.gamma = "
-                          f"{GK_MAX_DT / v['noise.gamma']:g}, got {dt!r}")
     if v["diag.lag_lo"] > v["diag.lag_hi"]:
         raise ConfigError("diag.lag_lo must satisfy 0 < diag.lag_lo <= diag.lag_hi, got "
                           f"{v['diag.lag_lo']!r} and {v['diag.lag_hi']!r}")

@@ -5,8 +5,7 @@ weighted finite point set standing in for a probability law; a particle
 ensemble carries the positions and velocities of the interacting
 particles of the second-order system together with the clock and the
 mass parameter.  The potential specification bundles the distribution
-dependent drift with its declared Lipschitz constant so that the declared
-constant can be checked empirically.
+dependent drift with its declared Lipschitz constant.
 
 All types are immutable values; the operations are pure functions and safe
 to call from any number of concurrent workers.
@@ -27,21 +26,9 @@ __all__ = [
     "ParticleEnsemble",
     "PotentialSpec",
     "RunConfig",
-    "as_point",
     "grad_v_batch",
     "pairwise_mean",
-    "probe_lipschitz",
 ]
-
-
-def as_point(x) -> np.ndarray:
-    """Coerce ``x`` to a finite 1-d float array."""
-    p = np.atleast_1d(np.asarray(x, dtype=float))
-    if p.ndim != 1:
-        raise UsageError(f"a point must be one-dimensional, got shape {p.shape}")
-    if not np.all(np.isfinite(p)):
-        raise UsageError("point has non-finite coordinates")
-    return p
 
 
 def pairwise_mean(values: np.ndarray, axis: int = 0) -> np.ndarray:
@@ -101,15 +88,6 @@ class EmpiricalMeasure:
     @classmethod
     def from_points(cls, pts) -> "EmpiricalMeasure":
         return cls(np.atleast_2d(np.asarray(pts, dtype=float)))
-
-    @classmethod
-    def point_mass(cls, x) -> "EmpiricalMeasure":
-        """The Dirac mass at ``x`` as a singleton point set."""
-        return cls(as_point(x)[None, :])
-
-    @property
-    def n(self) -> int:
-        return self.points.shape[0]
 
     @property
     def d(self) -> int:
@@ -243,63 +221,6 @@ def grad_v_batch(p: PotentialSpec, xs: np.ndarray, m: EmpiricalMeasure | None = 
         tmp *= p.kappa
         out += tmp
     return out
-
-
-def probe_lipschitz(p: PotentialSpec, sampler, trials: int) -> float:
-    """Empirical check of the declared W2-Lipschitz bound.
-
-    ``sampler`` is a callable returning a pair ``((x, mu), (y, nu))`` per
-    call; measures must be small enough (n <= 64) for the exact assignment
-    solver.  Returns the max over non-degenerate trials of
-
-        ||grad(x, mu) - grad(y, nu)|| / (||x - y|| + W2(mu, nu)).
-
-    Degenerate pairs (zero denominator) are skipped; if every trial is
-    degenerate the probe has learned nothing and that is a usage error.
-    """
-    from .transport import w2_assignment, w2_1d
-
-    if trials < 1:
-        raise UsageError("need at least one trial")
-    worst = None
-    for _ in range(trials):
-        (x, mu), (y, nu) = sampler()
-        x, y = as_point(x), as_point(y)
-        if mu.n > 64 or nu.n > 64:
-            raise UsageError("probe measures must have n <= 64 for the exact solver")
-        if mu.d == 1:
-            w2 = w2_1d(mu.points[:, 0], nu.points[:, 0]).value
-        else:
-            w2 = w2_assignment(mu.points, nu.points).value
-        denom = float(np.linalg.norm(x - y)) + w2
-        if denom < 1e-14:
-            continue
-        num = float(np.linalg.norm(grad_v_batch(p, x[None], mu)[0]
-                                   - grad_v_batch(p, y[None], nu)[0]))
-        if not np.isfinite(num):
-            raise NumericError("potential gradient is non-finite")
-        ratio = num / denom
-        worst = ratio if worst is None else max(worst, ratio)
-    if worst is None:
-        raise UsageError("all sampled pairs were degenerate")
-    return worst
-
-
-def default_pair_sampler(d: int, seed: int, max_points: int = 16):
-    """Gaussian pair sampler for ``probe_lipschitz`` (equal-size measures)."""
-    from . import rng as _rng
-
-    gen = _rng.stream(seed, _rng.PROBE)
-
-    def sample():
-        n = int(gen.integers(1, max_points + 1))
-        x = gen.standard_normal(d)
-        y = gen.standard_normal(d)
-        mu = EmpiricalMeasure(gen.standard_normal((n, d)))
-        nu = EmpiricalMeasure(gen.standard_normal((n, d)))
-        return (x, mu), (y, nu)
-
-    return sample
 
 
 @dataclass(frozen=True)

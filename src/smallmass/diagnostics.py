@@ -52,12 +52,16 @@ _MOMENT_KEYS = ("sx2", "sx4", "sy2", "sy4")
 _BM_GRID = 50
 # Fewest independent u paths the Brownian-proxy statistics accept.
 BM_PROXY_MIN_PATHS = 100
-# Shortest Green-Kubo horizon, in driver correlation times 1/gamma.
+# Shortest and default Green-Kubo horizon, in driver correlation times 1/gamma.
 GK_MIN_HORIZON = 20.0
-# Longest Green-Kubo sampling step, in the same units: the trapezoid rule
-# over-integrates an exponential autocovariance by about (dt gamma)^2 / 12,
-# 0.08% at this step.
+GK_HORIZON = 50.0
+# Longest and default Green-Kubo sampling step, in the same units: the
+# trapezoid rule over-integrates an exponential autocovariance by about
+# (dt gamma)^2 / 12, 0.08% at the longest step.
 GK_MAX_DT = 0.1
+GK_DT = 0.05
+# Most steps of a Green-Kubo grid: a C int, as every count of a config.
+GK_MAX_STEPS = 2**31 - 1
 
 
 @dataclass(frozen=True)
@@ -329,13 +333,42 @@ def _u_paths_ensemble(cfg, model, reps, n, eps_index, init, pot):
     return paths.u, paths.v_late
 
 
+def _gk_grid(gamma: float, horizon_fast: float | None, dt: float | None,
+             keys=("horizon_fast", "dt", "gamma")) -> tuple[float, float, int]:
+    """The horizon, step and step count of ``green_kubo``'s fast-time grid.
+
+    ``None`` takes the default, ``GK_HORIZON`` or ``GK_DT`` over ``gamma``.
+    Raises ``UsageError``, naming the horizon, the step and the rate by
+    ``keys``, where the horizon is under ``GK_MIN_HORIZON / gamma``, the
+    step lies outside (0, ``GK_MAX_DT / gamma``], or the grid has more than
+    ``GK_MAX_STEPS`` steps, before anything is sampled.
+    """
+    h_key, dt_key, rate = keys
+    if horizon_fast is None:
+        horizon_fast = GK_HORIZON / gamma
+    elif horizon_fast < GK_MIN_HORIZON / gamma:
+        raise UsageError(f"{h_key} must be >= {GK_MIN_HORIZON:g}/{rate} = "
+                         f"{GK_MIN_HORIZON / gamma:g}, got {h_key}={horizon_fast!r}")
+    if dt is None:
+        dt = GK_DT / gamma
+    elif not 0.0 < dt * gamma <= GK_MAX_DT:
+        raise UsageError(f"{dt_key} must be > 0 and <= {GK_MAX_DT:g}/{rate} = "
+                         f"{GK_MAX_DT / gamma:g}, got {dt_key}={dt!r}")
+    steps = horizon_fast / dt
+    if steps > GK_MAX_STEPS:
+        raise UsageError(f"{h_key} / {dt_key} = {horizon_fast!r} / {dt!r} is a grid of "
+                         f"{steps:.3g} steps; at most {GK_MAX_STEPS} are allowed")
+    return horizon_fast, dt, round(steps)
+
+
 def green_kubo(model: NoiseModel, m_source: EmpiricalMeasure | None = None,
-               horizon_fast: float = 50.0, reps: int = 64, seed: int = 0,
+               horizon_fast: float | None = None, reps: int = 64, seed: int = 0,
                dt: float | None = None) -> GkEstimate:
     """Effective diffusion G = 2 * integral of the forcing autocovariance.
 
-    The averaged forcing is sampled on a fast-time grid under the frozen
-    measure ``m_source`` (ignored for the x-independent kind); the
+    The averaged forcing is sampled on ``_gk_grid``'s fast-time grid, by
+    default ``GK_HORIZON / gamma`` long in steps of ``GK_DT / gamma``, under
+    the frozen measure ``m_source`` (ignored for the x-independent kind); the
     empirical autocovariance is averaged over ``reps`` independent driver
     paths and integrated by the trapezoid rule up to the first lag at
     which its magnitude falls below the noise floor estimated from the
@@ -345,17 +378,9 @@ def green_kubo(model: NoiseModel, m_source: EmpiricalMeasure | None = None,
     """
     if reps < 2:
         raise UsageError(f"green_kubo needs reps >= 2 for its confidence halfwidth, got {reps}")
-    if horizon_fast < GK_MIN_HORIZON / model.gamma:
-        raise UsageError(f"horizon_fast={horizon_fast:g} too short; need at least "
-                         f"{GK_MIN_HORIZON:g}/gamma = {GK_MIN_HORIZON / model.gamma:g}")
+    horizon_fast, dt, n = _gk_grid(model.gamma, horizon_fast, dt)
     if model.kind != "scalar-ou" and m_source is None:
         raise UsageError(f"{model.kind} needs a frozen measure for the estimator")
-    if dt is None:
-        dt = 0.05 / model.gamma
-    elif not 0.0 < dt * model.gamma <= GK_MAX_DT:
-        raise UsageError(f"dt={dt:g} out of range; need 0 < dt <= {GK_MAX_DT:g}/gamma = "
-                         f"{GK_MAX_DT / model.gamma:g}")
-    n = int(round(horizon_fast / dt))
     d = model.d
     eta = np.empty((reps, n, d))
     # The measure is frozen, so its factor mean is taken once.

@@ -272,10 +272,10 @@ def run_eps_replicas(cfg: RunConfig, model: NoiseModel, pot: PotentialSpec,
 
 def paired_scheme_gap(cfg: RunConfig, model: NoiseModel, pot: PotentialSpec,
                       *, h0_coarse: float = 0.05, h0_fine: float = 0.01,
-                      init: InitialLaw | None = None, seed_index: int = 0):
+                      init: InitialLaw | None = None):
     """Exponential vs Euler terminal ensembles on one shared driver path.
 
-    The exponential half is replica ``seed_index`` of ``run_eps_replicas``
+    The exponential half is replica 0 of ``run_eps_replicas``
     on the path ``(PAIRED,)``, one replica per stream, at step
     h0_coarse * eps (so h0_coarse <= 0.2); its recorder keeps the initial
     state and each step's driver value.  The explicit Euler half takes
@@ -304,7 +304,7 @@ def paired_scheme_gap(cfg: RunConfig, model: NoiseModel, pot: PotentialSpec,
         drivers.append(xi[0].copy())
 
     (Xe,), (Ye,) = run_eps_replicas(coarse, model, pot, "exponential",
-                                    init or InitialLaw(), [seed_index], (_rng.PAIRED,),
+                                    init or InitialLaw(), [0], (_rng.PAIRED,),
                                     recorder=record)
     del drivers[-1]  # the driver after the last step drives nothing
     Xu, Yu = start

@@ -373,10 +373,10 @@ def run_convergence(cfg: Config) -> ConvergenceReport:
 
 
 def run_estimate_gk(cfg: Config) -> GkEstimate:
-    model = cfg.noise_model()
-    return green_kubo(model, m_source=cfg.reference_measure(),
-                      horizon_fast=cfg.gk_horizon(), reps=cfg.values["gk.reps"],
-                      seed=cfg.seed, dt=cfg.values["gk.dt"])
+    v = cfg.values
+    return green_kubo(cfg.noise_model(), m_source=cfg.reference_measure(),
+                      horizon_fast=v["gk.horizon_fast"], reps=v["gk.reps"], seed=cfg.seed,
+                      dt=v["gk.dt"])
 
 
 def run_diagnose(cfg: Config):

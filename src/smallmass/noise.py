@@ -29,9 +29,6 @@ The Fourier basis is evaluated in its phase-shift form
 R_k cos(w_k . x - phi_k), R_k = hypot(a_k, b_k) and phi_k = arctan2(b_k,
 a_k), one cosine per point and mode, laid out mode-major (K, n, ...) so
 that every pass over it streams contiguous memory.
-
-Gaussian drivers are unbounded; set ``clip=True`` to truncate the driver
-at six standard deviations when an almost-sure bound is wanted.
 """
 
 from __future__ import annotations
@@ -55,8 +52,6 @@ __all__ = [
     "stationary_xi",
 ]
 
-_CLIP_SDS = 6.0
-
 # Named separable profiles, so configurations stay serializable and worker
 # processes can rebuild models without shipping code objects around.
 _PROFILES: dict[str, Callable[[np.ndarray], np.ndarray]] = {
@@ -75,7 +70,6 @@ class NoiseModel:
     d: int
     gamma: float
     sigma: float
-    clip: bool = False
     g_name: str | None = None
     omegas: np.ndarray | None = None  # (K, d)
     a: np.ndarray | None = None  # (K,)
@@ -108,17 +102,16 @@ class NoiseModel:
             object.__setattr__(self, "_phi", np.arctan2(b, a))
 
     @classmethod
-    def scalar_ou(cls, d: int, gamma: float, sigma: float, clip: bool = False):
-        return cls(kind="scalar-ou", d=d, gamma=gamma, sigma=sigma, clip=clip)
+    def scalar_ou(cls, d: int, gamma: float, sigma: float):
+        return cls(kind="scalar-ou", d=d, gamma=gamma, sigma=sigma)
 
     @classmethod
-    def separable(cls, d, gamma, sigma, g_name, clip=False):
-        return cls(kind="separable", d=d, gamma=gamma, sigma=sigma, clip=clip,
-                   g_name=g_name)
+    def separable(cls, d, gamma, sigma, g_name):
+        return cls(kind="separable", d=d, gamma=gamma, sigma=sigma, g_name=g_name)
 
     @classmethod
-    def fourier_field(cls, d, gamma, sigma, omegas, a, b, clip=False):
-        return cls(kind="fourier-field", d=d, gamma=gamma, sigma=sigma, clip=clip,
+    def fourier_field(cls, d, gamma, sigma, omegas, a, b):
+        return cls(kind="fourier-field", d=d, gamma=gamma, sigma=sigma,
                    omegas=omegas, a=a, b=b)
 
     @property
@@ -147,11 +140,10 @@ class DriverState:
 
 
 def stationary_xi(model: NoiseModel, rng, reps: int | None = None) -> np.ndarray:
-    """One stationary driver draw (clipped when the model asks for it), or
-    ``reps`` of them in one ``(reps,) + driver_shape`` draw."""
+    """One stationary driver draw, or ``reps`` of them in one
+    ``(reps,) + driver_shape`` draw."""
     shape = model.driver_shape if reps is None else (reps,) + model.driver_shape
-    xi = model.sigma * rng.standard_normal(shape)
-    return _clip(xi, model) if model.clip else xi
+    return model.sigma * rng.standard_normal(shape)
 
 
 def advance_xi(xi: np.ndarray, model: NoiseModel, delta_s: float, z: np.ndarray,
@@ -164,14 +156,7 @@ def advance_xi(xi: np.ndarray, model: NoiseModel, delta_s: float, z: np.ndarray,
     r = math.exp(-model.gamma * delta_s)
     out = np.multiply(xi, r, out=out)
     out += model.sigma * math.sqrt(max(0.0, 1.0 - r * r)) * z
-    if model.clip:
-        _clip(out, model, out=out)
     return out
-
-
-def _clip(xi, model, out=None):
-    bound = _CLIP_SDS * model.sigma
-    return np.clip(xi, -bound, bound, out=out)
 
 
 def eval_field_points(model: NoiseModel, xi: np.ndarray, points: np.ndarray) -> np.ndarray:

@@ -48,7 +48,7 @@ GK_RUN = 3
 UV_RUN = 4
 MOMENT_RUN = 5
 SELF_TEST = 6
-PROBE = 7
+PROBE = 7  # reserved: nothing draws from it, and a code is never reused
 SLICED = 8
 PAIRED = 9
 BOOT = 10

@@ -44,6 +44,15 @@ class RawJson(str):
 FOURIER = {"noise.omegas": [[1.0, 0.0], [0.0, 1.0]], "noise.a": [1.0, 0.5],
            "noise.b": [0.0, 0.5]}
 FOURIER_MISSING = r"^noise\.omegas, noise\.a, noise\.b: fourier-field needs omegas, a and b$"
+# The tiny config of the CI packaging job.
+TINY = {
+    "run.d": 1, "run.N": 4, "run.T": 0.2, "run.alpha": 1.0, "run.seed": 7, "run.h0": 0.05,
+    "run.eps_grid": [0.2, 0.1], "run.replicas": 8, "run.samples_per_replica": 1,
+    "potential.kind": "quadratic", "potential.lambda": 1.0, "potential.kappa": 0.0,
+    "noise.kind": "scalar-ou", "noise.gamma": 2.0, "noise.sigma": 1.0,
+    "limit.modes": ["paper", "green-kubo"], "gk.reps": 8, "gk.horizon_fast": 10.0,
+    "output.dir": "out",
+}
 # The interacting path: curie-weiss drift, law-dependent fourier-field
 # forcing, d = 2, 130 replicas: two whole stream blocks and a short one.
 COUPLED = dict(FOURIER, **{
@@ -81,9 +90,11 @@ class TestConfig:
             parse_config(doc)
 
     def test_output_format_key_is_gone(self, small_config_dict):
-        # nothing ever wrote anything but CSV, and nothing ran but the
-        # exponential scheme, so neither key is accepted any longer
-        for key, value in (("output.format", "csv"), ("run.scheme", "exponential")):
+        # nothing ever wrote anything but CSV, nothing ran but the
+        # exponential scheme, and a truncated driver is no longer the OU
+        # process that D_eff assumes, so none of these keys is accepted
+        for key, value in (("output.format", "csv"), ("run.scheme", "exponential"),
+                           ("noise.clip", False)):
             doc = dict(small_config_dict, **{key: value})
             with pytest.raises(ConfigError, match=f"unrecognized.*{key}"):
                 parse_config(doc)
@@ -490,6 +501,18 @@ class TestOtherEntryPoints:
         assert gk.G.shape == (1, 1)
         assert gk.G[0, 0] == pytest.approx(1.0, abs=0.35)
 
+    def test_default_gk_grid_is_green_kubos(self, small_config_dict):
+        # a config without gk.horizon_fast or gk.dt runs green_kubo's own
+        # defaults, 50 and 0.05 driver correlation times
+        model = NoiseModel.scalar_ou(1, gamma=4.0, sigma=1.0)
+        want = green_kubo(model, reps=2, seed=7)
+        assert want.horizon_fast == 12.5
+        doc = dict(small_config_dict, **{"noise.gamma": 4.0, "gk.reps": 2})
+        del doc["gk.horizon_fast"]
+        got = run_estimate_gk(parse_config(doc))
+        assert (got.horizon_fast, got.truncation_lag) == (12.5, want.truncation_lag)
+        assert np.array_equal(got.G, want.G)
+
     def test_diagnose_rows(self, small_config_dict):
         doc = dict(small_config_dict, **{
             "diag.reps": 128, "diag.moment_reps": 64, "diag.N": 2,
@@ -533,6 +556,27 @@ class TestOtherEntryPoints:
                          str(out)]) == 1
         assert message in capsys.readouterr().err
         assert not (out / "diagnose.csv").exists()
+
+    @pytest.mark.parametrize("key, value", [("gk.horizon_fast", 1e13), ("gk.dt", 1e-12)])
+    def test_huge_gk_grid_fails_before_simulating(self, tmp_path, capsys, monkeypatch,
+                                                  key, value):
+        # On the CI tiny config these grids of 4e14 and 1e13 steps asked
+        # numpy for 22.7 PiB and 582 TiB; diagnose got there only after
+        # simulating every moment table.
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated before the Green-Kubo grid was checked")
+
+        monkeypatch.setattr(harness, "moment_table", no_simulation)
+        doc = dict(TINY, **{key: value})
+        with pytest.raises(ConfigError, match=r"gk\.horizon_fast / gk\.dt = .* steps; "
+                                              f"at most {2**31 - 1}"):
+            parse_config(doc)
+        path = write_config(tmp_path, doc)
+        for command, output in (("estimate-gk", "gk.csv"), ("diagnose", "diagnose.csv")):
+            out = tmp_path / command
+            assert cli_main([command, str(path), "--out", str(out)]) == 1
+            assert capsys.readouterr().err.startswith("error: gk.horizon_fast / gk.dt = ")
+            assert not (out / output).exists()
 
     def test_trajectory_dumps_end_on_the_sample_step_grid(self, small_config_dict, tmp_path):
         # h = 0.05 * 0.03 does not divide T = 5, and neither does limit.h;

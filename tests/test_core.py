@@ -4,8 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smallmass.core import (EmpiricalMeasure, ParticleEnsemble, PotentialSpec,
-                            RunConfig, default_pair_sampler, grad_v_batch,
-                            pairwise_mean, probe_lipschitz)
+                            RunConfig, grad_v_batch, pairwise_mean)
 from smallmass.errors import UsageError
 
 
@@ -15,7 +14,7 @@ class TestEmpiricalMean:
         assert m.mean() == pytest.approx([2.0])
 
     def test_singleton(self):
-        m = EmpiricalMeasure.point_mass([0.0, 0.0])
+        m = EmpiricalMeasure.from_points([0.0, 0.0])
         assert np.array_equal(m.mean(), [0.0, 0.0])
 
     def test_symmetry(self):
@@ -108,12 +107,12 @@ class TestGradV:
 
     def test_quadratic(self):
         pot = PotentialSpec.quadratic(1.0)
-        m = EmpiricalMeasure.point_mass([123.0])
+        m = EmpiricalMeasure.from_points([123.0])
         assert grad_v_batch(pot, [[2.0]], m) == pytest.approx(np.array([[2.0]]))
 
     def test_curie_weiss(self):
         pot = PotentialSpec.curie_weiss(1.0, 0.5)
-        m = EmpiricalMeasure.point_mass([0.0])
+        m = EmpiricalMeasure.from_points([0.0])
         assert grad_v_batch(pot, [[1.0]], m) == pytest.approx(np.array([[1.5]]))
 
     def test_zero_coupling_reduces_to_quadratic(self):
@@ -127,13 +126,13 @@ class TestGradV:
 
     def test_vanishes_at_origin_point_mass(self):
         for pot in (PotentialSpec.quadratic(2.0), PotentialSpec.curie_weiss(1.0, 0.3)):
-            m = EmpiricalMeasure.point_mass([0.0, 0.0])
+            m = EmpiricalMeasure.from_points([0.0, 0.0])
             assert grad_v_batch(pot, [[0.0, 0.0]], m) == pytest.approx(np.zeros((1, 2)))
 
     def test_dimension_mismatch(self):
         pot = PotentialSpec.quadratic(1.0)
         with pytest.raises(UsageError, match="dimension mismatch"):
-            grad_v_batch(pot, [[1.0, 2.0]], EmpiricalMeasure.point_mass([0.0]))
+            grad_v_batch(pot, [[1.0, 2.0]], EmpiricalMeasure.from_points([0.0]))
 
 
 class TestGradVBatch:
@@ -155,42 +154,6 @@ class TestGradVBatch:
             ref = grad_v_batch(pot, X[b], EmpiricalMeasure(X[b]))
             assert np.array_equal(batched[b], ref)
             assert np.array_equal(buffered[b], ref)
-
-
-class TestProbeLipschitz:
-    def test_quadratic_bound(self):
-        pot = PotentialSpec.quadratic(1.0)
-        est = probe_lipschitz(pot, default_pair_sampler(2, seed=1), trials=200)
-        assert est <= pot.lipschitz_bound + 1e-9
-
-    def test_curie_weiss_bound(self):
-        pot = PotentialSpec.curie_weiss(1.0, 0.5)
-        assert pot.lipschitz_bound == pytest.approx(2.0)
-        est = probe_lipschitz(pot, default_pair_sampler(1, seed=2), trials=200)
-        assert est <= 2.0 + 1e-9
-
-    def test_degenerate_pairs_skipped(self):
-        pot = PotentialSpec.quadratic(1.0)
-        x = np.zeros(1)
-        m = EmpiricalMeasure.point_mass([0.5])
-        hits = iter([((x, m), (x, m)), ((np.ones(1), m), (x, m))])
-
-        def sampler():
-            return next(hits)
-
-        est = probe_lipschitz(pot, sampler, trials=2)
-        assert est == pytest.approx(1.0)
-
-    def test_all_degenerate_rejected(self):
-        pot = PotentialSpec.quadratic(1.0)
-        x = np.zeros(1)
-        m = EmpiricalMeasure.point_mass([0.0])
-
-        def sampler():
-            return (x, m), (x, m)
-
-        with pytest.raises(UsageError):
-            probe_lipschitz(pot, sampler, trials=5)
 
 
 class TestValidation:

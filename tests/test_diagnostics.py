@@ -148,6 +148,14 @@ class TestGreenKubo:
         with pytest.raises(UsageError, match="dt="):
             green_kubo(model, horizon_fast=50.0, reps=4, seed=0, dt=dt)
 
+    @pytest.mark.parametrize("horizon, dt", [(1e13, None), (10.0, 1e-12), (1e308, 1e-300)])
+    def test_grid_size_guard(self, horizon, dt):
+        # the grid is rejected before its arrays are asked for, also where
+        # horizon / dt overflows to inf
+        model = NoiseModel.scalar_ou(1, gamma=2.0, sigma=1.0)
+        with pytest.raises(UsageError, match=f"steps; at most {2**31 - 1}"):
+            green_kubo(model, horizon_fast=horizon, reps=4, seed=0, dt=dt)
+
     def test_step_bound_is_inclusive(self):
         model = NoiseModel.scalar_ou(1, gamma=2.0, sigma=1.0)
         assert green_kubo(model, horizon_fast=25.0, reps=4, seed=0, dt=0.05).reps == 4
@@ -382,9 +390,8 @@ class TestDriverPaths:
         monkeypatch.setattr(np.fft, "rfft", spy)
         return seen
 
-    @pytest.mark.parametrize("clip", [False, True])
-    def test_scalar_paths_equal_the_reference(self, clip):
-        model = NoiseModel.scalar_ou(2, gamma=3.0, sigma=1.5, clip=clip)
+    def test_scalar_paths_equal_the_reference(self):
+        model = NoiseModel.scalar_ou(2, gamma=3.0, sigma=1.5)
         cfg = RunConfig(d=2, N=4, eps=0.1, alpha=1.3, T=0.3, h0=0.05, seed=11)
         n = _n_steps(cfg.T, cfg.eps_step)
         u, v_late = _u_paths_scalar(cfg, model, 70, n, 3)

@@ -493,13 +493,12 @@ class TestKeptParticles:
     # The scheme the harness's pooled sample must match.
     @pytest.mark.parametrize("kind", ["exponential"])
     @pytest.mark.parametrize("d", [1, 2])
-    @pytest.mark.parametrize("clip", [False, True])
-    def test_kept_block_is_the_full_run_sliced(self, kind, d, clip, monkeypatch):
+    def test_kept_block_is_the_full_run_sliced(self, kind, d, monkeypatch):
         # The "full run" of a particle-local sample is the run at N = k, so
         # the worker's slice keeps all of it.
         monkeypatch.setenv("SMALLMASS_WORKERS", "1")
         for k in (1, 4):
-            cfg = self._config(d, k, **{"noise.clip": clip})
+            cfg = self._config(d, k)
             want = self._kernel(cfg, k, kind)
             assert want.shape == (5, k, d)
             assert np.array_equal(pool_eps_samples(cfg, 0), want.reshape(-1, d))

@@ -141,7 +141,7 @@ class TestAveragedForcing:
     def test_separable_singleton(self):
         model = NoiseModel.separable(1, gamma=1.0, sigma=1.0, g_name="cos-sum")
         xi = _stationary(model, 6)
-        m = EmpiricalMeasure.point_mass([0.0])
+        m = EmpiricalMeasure.from_points([0.0])
         assert averaged_forcing_xi(model, xi, m.points) == pytest.approx(xi * 1.0)
 
     def test_separable_odd_symmetry(self):
@@ -265,13 +265,3 @@ class TestSigmaMatrix:
         expected = sum(c * c for c in ck)
         est = sigma_matrix(model, m)[0, 0]
         assert est == pytest.approx(expected, rel=1e-12)
-
-
-class TestFieldBounds:
-    def test_clipped_driver_hard_bound(self):
-        model = NoiseModel.scalar_ou(1, gamma=1.0, sigma=1.0, clip=True)
-        gen = _gen(17)
-        xi = _stationary(model, 17)
-        for _ in range(500):
-            xi = _advance(xi, model, 0.5, gen)
-            assert abs(xi[0]) <= 6.0
