@@ -31,10 +31,8 @@ _REQ = object()
 # stream index bound; every other count stays within a C int.
 _STREAMS_MAX = _rng._IDX_MAX + 1
 _COUNT_MAX = 2**31 - 1
-# The W2 column each limit mode reports in; two configured modes may not
-# share one, since each would overwrite the other's value.
-MODE_COLUMN = {"paper": "w2_paper_mode", "green-kubo": "w2_gk_mode",
-               "explicit": "w2_gk_mode"}
+# The W2 column each limit mode reports in.
+MODE_COLUMN = {"paper": "w2_paper_mode", "green-kubo": "w2_gk_mode"}
 # The noise keys each noise kind reads; a key of another kind is rejected.
 _NOISE_KIND_KEYS = {"scalar-ou": (), "separable": ("noise.g",),
                     "fourier-field": ("noise.omegas", "noise.a", "noise.b")}
@@ -131,21 +129,12 @@ def _eps_grid(x, key):
 
 def _modes(x, key):
     modes = _list(_choice(*MODE_COLUMN))(x, key)
-    seen = {}
-    for mode in modes:
-        col = MODE_COLUMN[mode]
-        if seen.get(col) == mode:
-            raise ConfigError(f"{key}: {modes} repeats a mode; each run of a mode "
-                              "overwrites the W2 column of the one before")
-        if col in seen:
-            raise ConfigError(f"{key}: {seen[col]} and {mode} both report in the {col} "
-                              "column, so one would overwrite the other; configure "
-                              "one of them")
-        seen[col] = mode
+    if len(set(modes)) < len(modes):
+        raise ConfigError(f"{key}: {modes} repeats a mode; each run of a mode "
+                          "overwrites the W2 column of the one before")
     return modes
 
 
-_matrix = _list(_list(_number()))
 _positive = _number(0.0, open_lo=True)
 _nonnegative = _number(0.0)
 
@@ -168,14 +157,13 @@ _REGISTRY = {
     "noise.gamma": (_positive, _REQ),
     "noise.sigma": (_nonnegative, _REQ),
     "noise.g": (_string, None),
-    "noise.omegas": (_matrix, None),
+    "noise.omegas": (_list(_list(_number())), None),
     "noise.a": (_list(_number()), None),
     "noise.b": (_list(_number()), None),
     "limit.modes": (_modes, _REQ),
     "limit.h": (_positive, None),
     "limit.replicas": (_integer(1, _STREAMS_MAX), None),
     "limit.samples_per_replica": (_integer(1), None),
-    "limit.explicit_matrix": (_matrix, None),
     "output.dir": (_string, _REQ),
     "output.dump_trajectories": (_boolean, False),
     "init.position_mean": (_number(), 0.0),
@@ -252,12 +240,10 @@ class Config:
         green-kubo: G / alpha^2 with G = 2 * Sigma / gamma, the Green-Kubo
         integral of the forcing autocovariance, exact for the OU driver of
         every noise kind (``diagnostics.green_kubo`` measures G on its own),
-        so twice paper's; explicit: ``limit.explicit_matrix`` as is.  The
-        convergence study reports W2 under each configured mode, so the
-        normalization is settled by measurement rather than by assumption.
+        so twice paper's.  The convergence study reports W2 under each
+        configured mode, so the normalization is settled by measurement
+        rather than by assumption.
         """
-        if mode == "explicit":
-            return DiffusionSpec(self.values["limit.explicit_matrix"])
         model = self.noise_model()
         matrix = sigma_matrix(model, self.reference_measure()) / (
             self.values["run.alpha"]**2 * model.gamma)
@@ -317,17 +303,9 @@ def parse_config(doc) -> Config:
 
 def _cross_validate(v):
     """The rules that join keys; each key's own range is its registry row's."""
-    mat, d = v["limit.explicit_matrix"], v["run.d"]
-    if (mat is None) == ("explicit" in v["limit.modes"]):
-        raise ConfigError("limit.explicit_matrix must be set exactly when limit.modes "
-                          "holds explicit, the one mode that reads it; limit.modes is "
-                          f"{v['limit.modes']}")
-    if mat is not None and (len(mat) != d or any(len(row) != d for row in mat)):
-        raise ConfigError(f"limit.explicit_matrix must be a run.d x run.d = {d} x {d} "
-                          f"matrix, got rows of lengths {[len(row) for row in mat]}")
     try:
-        _gk_grid(v["noise.gamma"], v["gk.horizon_fast"], v["gk.dt"],
-                 ("gk.horizon_fast", "gk.dt", "noise.gamma"))
+        _gk_grid(v["noise.gamma"], v["gk.horizon_fast"], v["gk.dt"], v["gk.reps"],
+                 v["run.d"], ("gk.horizon_fast", "gk.dt", "noise.gamma", "gk.reps"))
     except UsageError as err:
         raise ConfigError(str(err)) from None
     if v["run.samples_per_replica"] > v["run.N"]:
@@ -351,11 +329,6 @@ def _cross_validate(v):
             LimitScheme(v["limit.h"]).validate(v["run.alpha"], pot)
         except UsageError as err:
             raise ConfigError(f"limit.h: {err}") from None
-    if mat is not None:
-        try:
-            cfg.diffusion("explicit")
-        except UsageError as err:  # not symmetric, or not positive semidefinite
-            raise ConfigError(f"limit.explicit_matrix: {err}") from None
 
 
 def serialize_config(cfg: Config) -> str:

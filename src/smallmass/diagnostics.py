@@ -62,6 +62,12 @@ GK_MAX_DT = 0.1
 GK_DT = 0.05
 # Most steps of a Green-Kubo grid: a C int, as every count of a config.
 GK_MAX_STEPS = 2**31 - 1
+# Most values reps * steps * d of a whole-path buffer: green_kubo's forcing
+# paths and uv_check's u paths.  Measured with tracemalloc, green_kubo peaks
+# at 60 to 120 bytes per value, since its FFT pads the paths to a power of
+# two at least twice as long, and uv_check at 24: 8 to 15 GiB and 3 GiB at
+# the cap.  The default Green-Kubo grid passes at 65536 reps for d <= 2.
+MAX_PATH_VALUES = 2**27
 
 
 @dataclass(frozen=True)
@@ -178,15 +184,23 @@ def dyadic_lags(lo: float = 0.01, hi: float = 1.0) -> list[float]:
     return lags
 
 
-def _uv_steps(cfg: RunConfig, lags: list[float]) -> tuple[int, list[int]]:
+def _uv_steps(cfg: RunConfig, lags: list[float], reps: int) -> tuple[int, list[int]]:
     """The step count n of ``uv_check``'s horizon and the step length of
     each lag of the ladder that fits in it; raises ``UsageError`` where the
-    horizon or the ladder is too short, before anything is simulated."""
+    horizon or the ladder is too short, or where ``reps`` u paths of n + 1
+    steps hold more than ``MAX_PATH_VALUES`` values, before anything is
+    simulated."""
     h = cfg.eps_step
     n = _n_steps(cfg.T, h)
     if n < 2:
         raise UsageError(f"uv_check needs a horizon of at least 2 steps for the "
                          f"Brownian-proxy increments, got {n}")
+    values = (n + 1) * reps * cfg.d
+    if values > MAX_PATH_VALUES:
+        raise UsageError(f"uv_check's u paths, {n + 1} steps of {reps} replicas in "
+                         f"d = {cfg.d}, hold {values:.3g} values; at most "
+                         f"{MAX_PATH_VALUES} are allowed: shorten run.T or lower "
+                         "diag.reps")
     steps = [m for m in (max(1, int(round(lag / h))) for lag in lags) if m <= n]
     if not steps:
         raise UsageError("no admissible lags: horizon too short for the lag ladder")
@@ -218,7 +232,7 @@ def uv_check(cfg: RunConfig, model: NoiseModel, *, reps: int = 512,
                          f"Brownian-proxy statistics, got {reps}")
     lags = lags if lags is not None else dyadic_lags()
     h = cfg.eps_step
-    n, steps = _uv_steps(cfg, lags)
+    n, steps = _uv_steps(cfg, lags, reps)
     if model.kind == "scalar-ou":
         u, v_late = _u_paths_scalar(cfg, model, reps, n, eps_index)
     else:
@@ -333,17 +347,20 @@ def _u_paths_ensemble(cfg, model, reps, n, eps_index, init, pot):
     return paths.u, paths.v_late
 
 
-def _gk_grid(gamma: float, horizon_fast: float | None, dt: float | None,
-             keys=("horizon_fast", "dt", "gamma")) -> tuple[float, float, int]:
+def _gk_grid(gamma: float, horizon_fast: float | None, dt: float | None, reps: int,
+             d: int, keys=("horizon_fast", "dt", "gamma", "reps")
+             ) -> tuple[float, float, int]:
     """The horizon, step and step count of ``green_kubo``'s fast-time grid.
 
     ``None`` takes the default, ``GK_HORIZON`` or ``GK_DT`` over ``gamma``.
-    Raises ``UsageError``, naming the horizon, the step and the rate by
-    ``keys``, where the horizon is under ``GK_MIN_HORIZON / gamma``, the
-    step lies outside (0, ``GK_MAX_DT / gamma``], or the grid has more than
-    ``GK_MAX_STEPS`` steps, before anything is sampled.
+    Raises ``UsageError``, naming the horizon, the step, the rate and the
+    replica count by ``keys``, where the horizon is under ``GK_MIN_HORIZON /
+    gamma``, the step lies outside (0, ``GK_MAX_DT / gamma``], the grid has
+    more than ``GK_MAX_STEPS`` steps, or ``reps`` paths of it in ``d``
+    coordinates hold more than ``MAX_PATH_VALUES`` values, before anything
+    is sampled.
     """
-    h_key, dt_key, rate = keys
+    h_key, dt_key, rate, reps_key = keys
     if horizon_fast is None:
         horizon_fast = GK_HORIZON / gamma
     elif horizon_fast < GK_MIN_HORIZON / gamma:
@@ -358,7 +375,13 @@ def _gk_grid(gamma: float, horizon_fast: float | None, dt: float | None,
     if steps > GK_MAX_STEPS:
         raise UsageError(f"{h_key} / {dt_key} = {horizon_fast!r} / {dt!r} is a grid of "
                          f"{steps:.3g} steps; at most {GK_MAX_STEPS} are allowed")
-    return horizon_fast, dt, round(steps)
+    n = round(steps)
+    values = reps * n * d
+    if values > MAX_PATH_VALUES:
+        raise UsageError(f"{reps_key} = {reps} paths of {n} steps in d = {d} hold "
+                         f"{values:.3g} values; at most {MAX_PATH_VALUES} are "
+                         f"allowed: lower {reps_key} or {h_key}, or raise {dt_key}")
+    return horizon_fast, dt, n
 
 
 def green_kubo(model: NoiseModel, m_source: EmpiricalMeasure | None = None,
@@ -378,7 +401,7 @@ def green_kubo(model: NoiseModel, m_source: EmpiricalMeasure | None = None,
     """
     if reps < 2:
         raise UsageError(f"green_kubo needs reps >= 2 for its confidence halfwidth, got {reps}")
-    horizon_fast, dt, n = _gk_grid(model.gamma, horizon_fast, dt)
+    horizon_fast, dt, n = _gk_grid(model.gamma, horizon_fast, dt, reps, model.d)
     if model.kind != "scalar-ou" and m_source is None:
         raise UsageError(f"{model.kind} needs a frozen measure for the estimator")
     d = model.d

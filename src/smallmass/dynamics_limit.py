@@ -9,7 +9,7 @@ mean-field coupling (the law in the drift is the same-step empirical
 measure).  ``D_eff`` is the per-unit-time covariance of the limit noise;
 the division by alpha is already absorbed into it.
 
-The limit modes (``paper``, ``green-kubo``, ``explicit``) are the
+The limit modes (``paper`` and ``green-kubo``) are the closed-form
 normalizations of D_eff that the convergence study compares; each mode's
 formula lives in the docstring of ``Config.diffusion``, the one place a
 mode name becomes a ``DiffusionSpec``.

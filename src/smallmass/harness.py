@@ -391,9 +391,10 @@ def run_diagnose(cfg: Config):
     v = cfg.values
     rows = []
     lags = dyadic_lags(v["diag.lag_lo"], v["diag.lag_hi"])
-    # Every row's u/v horizon is checked before the first row simulates.
+    # Every row's u/v horizon and path size are checked before the first row
+    # simulates.
     for eps in cfg.eps_grid:
-        _uv_steps(cfg.run_config(eps), lags)
+        _uv_steps(cfg.run_config(eps), lags, v["diag.reps"])
     for eps_index, eps in enumerate(cfg.eps_grid):
         rc_small = replace(cfg.run_config(eps), N=v["diag.N"])
         mt = moment_table(rc_small, model, pot, reps=v["diag.moment_reps"],

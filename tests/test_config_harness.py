@@ -3,6 +3,7 @@ import json
 import math
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 from concurrent.futures import Future
@@ -18,7 +19,7 @@ from smallmass.cli import main as cli_main
 from smallmass.config import _REGISTRY, load_config, parse_config, serialize_config
 from smallmass.diagnostics import green_kubo
 from smallmass.dynamics_eps import paired_scheme_gap
-from smallmass.dynamics_limit import LimitScheme, run_limit_replicas
+from smallmass.dynamics_limit import DiffusionSpec, LimitScheme, run_limit_replicas
 from smallmass.errors import ConfigError, UsageError
 from smallmass.noise import NoiseModel
 from smallmass.harness import (CONVERGE_COLUMNS, build_mode_diffusions, load_sample_file,
@@ -91,10 +92,11 @@ class TestConfig:
 
     def test_output_format_key_is_gone(self, small_config_dict):
         # nothing ever wrote anything but CSV, nothing ran but the
-        # exponential scheme, and a truncated driver is no longer the OU
-        # process that D_eff assumes, so none of these keys is accepted
+        # exponential scheme, a truncated driver is no longer the OU process
+        # that D_eff assumes, and no config set a D_eff matrix by hand, so
+        # none of these keys is accepted
         for key, value in (("output.format", "csv"), ("run.scheme", "exponential"),
-                           ("noise.clip", False)):
+                           ("noise.clip", False), ("limit.explicit_matrix", [[1.0]])):
             doc = dict(small_config_dict, **{key: value})
             with pytest.raises(ConfigError, match=f"unrecognized.*{key}"):
                 parse_config(doc)
@@ -105,12 +107,12 @@ class TestConfig:
             parse_config(dict(small_config_dict, **{key: {}}))
 
     @pytest.mark.parametrize("modes, reason", [
-        (["green-kubo", "explicit"], "green-kubo and explicit.*w2_gk_mode"),
+        (["paper", "explicit"],
+         "^limit.modes must be one of paper, green-kubo, got 'explicit'"),
         (["paper", "green-kubo", "paper"], "repeats a mode"),
     ])
     def test_modes_sharing_a_column_are_rejected(self, small_config_dict, modes, reason):
-        doc = dict(small_config_dict, **{"limit.modes": modes,
-                                         "limit.explicit_matrix": [[1.0]]})
+        doc = dict(small_config_dict, **{"limit.modes": modes})
         with pytest.raises(ConfigError, match=reason):
             parse_config(doc)
 
@@ -128,7 +130,7 @@ class TestConfig:
         ("run.T", NAN), ("run.alpha", INF), ("noise.gamma", NAN), ("noise.sigma", NAN),
         ("potential.lambda", NAN), ("gk.horizon_fast", NAN), ("limit.h", NAN),
         ("init.position_mean", INF), ("init.position_mean", -INF), ("diag.lag_hi", INF),
-        ("limit.explicit_matrix", [[NAN]]), ("run.eps_grid", [0.2, NAN]),
+        ("noise.omegas", [[NAN]]), ("run.eps_grid", [0.2, NAN]),
         pytest.param("run.T", 10**400, id="run.T-int-past-float-range"),
         ("noise.g", "gauss"), ("noise.omegas", [[1.0]]), ("noise.a", [1.0]),
         ("noise.b", [1.0]), ("noise.kind", "pink"), ("potential.kind", "double-well"),
@@ -540,7 +542,9 @@ class TestOtherEntryPoints:
     @pytest.mark.parametrize("extra, message", [
         ({"run.T": 0.01, "run.eps_grid": [0.2]}, "at least 2 steps"),
         ({"diag.lag_lo": 0.8, "diag.lag_hi": 0.9}, "no admissible lags"),
-    ], ids=["one-step", "lag-ladder"])
+        # 512 u paths of 1e9 steps, 3.7 TiB
+        ({"run.T": 1e7}, "shorten run.T or lower diag.reps"),
+    ], ids=["one-step", "lag-ladder", "u-paths"])
     def test_short_uv_horizon_fails_before_simulating(self, small_config_dict, tmp_path,
                                                        capsys, monkeypatch, extra, message):
         # every row's horizon is checked before any row simulates
@@ -557,49 +561,57 @@ class TestOtherEntryPoints:
         assert message in capsys.readouterr().err
         assert not (out / "diagnose.csv").exists()
 
-    @pytest.mark.parametrize("key, value", [("gk.horizon_fast", 1e13), ("gk.dt", 1e-12)])
+    STEPS = rf"gk\.horizon_fast / gk\.dt = .* steps; at most {2**31 - 1}"
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("gk.horizon_fast", 1e13, STEPS), ("gk.dt", 1e-12, STEPS),
+        ("gk.horizon_fast", 5e7, rf"gk\.reps = 8 paths of 2000000000 steps in d = 1 hold "
+                                 rf"1\.6e\+10 values; at most {2**27} are allowed"),
+    ], ids=["gk.horizon_fast-1e13", "gk.dt-1e-12", "gk.horizon_fast-5e7-values"])
     def test_huge_gk_grid_fails_before_simulating(self, tmp_path, capsys, monkeypatch,
-                                                  key, value):
+                                                  key, value, message):
         # On the CI tiny config these grids of 4e14 and 1e13 steps asked
-        # numpy for 22.7 PiB and 582 TiB; diagnose got there only after
+        # numpy for 22.7 PiB and 582 TiB, and the 8 paths of 2e9 steps (under
+        # the step cap) for 119 GiB; diagnose got there only after
         # simulating every moment table.
         def no_simulation(*args, **kwargs):
             raise AssertionError("simulated before the Green-Kubo grid was checked")
 
         monkeypatch.setattr(harness, "moment_table", no_simulation)
         doc = dict(TINY, **{key: value})
-        with pytest.raises(ConfigError, match=r"gk\.horizon_fast / gk\.dt = .* steps; "
-                                              f"at most {2**31 - 1}"):
+        with pytest.raises(ConfigError, match=f"^{message}"):
             parse_config(doc)
         path = write_config(tmp_path, doc)
         for command, output in (("estimate-gk", "gk.csv"), ("diagnose", "diagnose.csv")):
             out = tmp_path / command
             assert cli_main([command, str(path), "--out", str(out)]) == 1
-            assert capsys.readouterr().err.startswith("error: gk.horizon_fast / gk.dt = ")
+            assert re.match(f"error: {message}", capsys.readouterr().err)
             assert not (out / output).exists()
 
     def test_trajectory_dumps_end_on_the_sample_step_grid(self, small_config_dict, tmp_path):
         # h = 0.05 * 0.03 does not divide T = 5, and neither does limit.h;
         # the d = 2 matrix is non-diagonal, so a rebuilt spec would re-round
-        # its square root; at run.N = 5 the dumps run the samples' N = 2.
+        # its square root (no config mode gives one, so the limit sample
+        # takes it directly); at run.N = 5 the dumps run the samples' N = 2.
         # At 70 replicas the dumps run replica 0's whole 64-replica stream
         # block and end on its first row, the pooled sample's replica 0.
-        for d, n, reps, extra in ((1, 2, 1, {"limit.modes": ["paper"]}),
-                                  (1, 2, 70, {"limit.modes": ["paper"]}),
-                                  (1, 5, 1, {"limit.modes": ["paper"]}),
-                                  (2, 5, 1, {"limit.modes": ["explicit"],
-                                             "limit.explicit_matrix": [[1.0, 0.3],
-                                                                       [0.3, 0.6]]})):
+        for d, n, reps, diff in ((1, 2, 1, None), (1, 2, 70, None), (1, 5, 1, None),
+                                 (2, 5, 1, DiffusionSpec([[1.0, 0.3], [0.3, 0.6]]))):
             doc = dict(small_config_dict, **{
                 "output.dump_trajectories": True, "run.N": n, "run.replicas": reps,
                 "run.samples_per_replica": 2, "run.eps_grid": [0.03], "run.T": 5.0,
                 "limit.h": 0.003, "limit.replicas": reps, "run.d": d,
-            }, **extra)
+                "limit.modes": ["paper"],
+            })
             cfg = parse_config(doc)
             out = tmp_path / f"d{d}_n{n}_r{reps}"
             out.mkdir()
             run_simulate_eps(cfg, str(out))
-            run_simulate_limit(cfg, str(out))
+            if diff is None:
+                run_simulate_limit(cfg, str(out))
+            else:
+                harness._write_samples(cfg, str(out), harness._limit_sample(
+                    cfg, diff, (_rng.LIMIT_RUN, 0), *cfg.limit_pooling()), {})
             for kind in ("eps", "limit"):
                 sample = load_sample_file(out / f"samples_{kind}.csv")
                 traj = load_sample_file(out / f"trajectory_{kind}.csv")
@@ -826,83 +838,6 @@ class TestCli:
         assert lim[0] == "t,i,x_1"
 
 
-class TestExplicitMatrixShape:
-    @pytest.mark.parametrize("matrix", [[[1.0]], [[1.0, 0.0], [0.0]]],
-                             ids=["wrong-size", "ragged"])
-    def test_rejected_with_the_key_and_run_d(self, small_config_dict, matrix):
-        doc = dict(small_config_dict, **{
-            "run.d": 2, "limit.modes": ["explicit", "paper"],
-            "limit.explicit_matrix": matrix,
-        })
-        with pytest.raises(ConfigError, match=r"limit\.explicit_matrix.*run\.d.*2 x 2"):
-            parse_config(doc)
-
-
-BAD_MATRICES = pytest.mark.parametrize("matrix", [[[1.0, 0.5], [0.0, 1.0]],
-                                                  [[1.0, 0.0], [0.0, -1.0]]],
-                                       ids=["not-symmetric", "indefinite"])
-
-
-class TestExplicitMatrixIsPsd:
-    # Only converge and simulate-limit sample the limit law, so the explicit
-    # D_eff is checked when the config is read or the other commands would
-    # run with a bad matrix and exit 0.
-    @staticmethod
-    def _doc(small_config_dict, matrix):
-        return dict(small_config_dict, **{"run.d": 2, "limit.modes": ["paper", "explicit"],
-                                          "limit.explicit_matrix": matrix})
-
-    @BAD_MATRICES
-    def test_rejected_when_read(self, small_config_dict, matrix):
-        with pytest.raises(ConfigError, match=r"^limit\.explicit_matrix: "):
-            parse_config(self._doc(small_config_dict, matrix))
-
-    @BAD_MATRICES
-    @pytest.mark.parametrize("command, output", [("estimate-gk", "gk.csv"),
-                                                 ("simulate-eps", "samples_eps.csv")])
-    def test_every_command_exits_1(self, small_config_dict, tmp_path, capsys, matrix,
-                                   command, output):
-        out = tmp_path / "out"
-        path = write_config(tmp_path, self._doc(small_config_dict, matrix))
-        assert cli_main([command, str(path), "--out", str(out)]) == 1
-        assert "error: limit.explicit_matrix: " in capsys.readouterr().err
-        assert not (out / output).exists()
-
-
-class TestExplicitMatrixIsReadByExplicitAlone:
-    # The explicit mode is the one reader of limit.explicit_matrix, so the
-    # matrix is an error without it, as a noise key of another noise kind
-    # is, whether or not it is a valid D_eff.
-    UNREAD = r"^limit\.explicit_matrix must be set exactly when limit\.modes holds explicit"
-
-    @pytest.mark.parametrize("matrix", [[[1.0]], [[-1.0]]], ids=["valid", "indefinite"])
-    @pytest.mark.parametrize("modes", [["paper", "green-kubo"], ["green-kubo"]])
-    def test_unread_matrix_is_rejected(self, small_config_dict, matrix, modes):
-        doc = dict(small_config_dict, **{"limit.modes": modes,
-                                         "limit.explicit_matrix": matrix})
-        with pytest.raises(ConfigError, match=self.UNREAD):
-            parse_config(doc)
-
-    def test_explicit_mode_needs_the_matrix(self, small_config_dict):
-        doc = dict(small_config_dict, **{"limit.modes": ["paper", "explicit"]})
-        with pytest.raises(ConfigError, match=self.UNREAD):
-            parse_config(doc)
-
-    def test_bad_matrix_under_explicit_is_rejected(self, small_config_dict):
-        doc = dict(small_config_dict, **{"limit.modes": ["paper", "explicit"],
-                                         "limit.explicit_matrix": [[-1.0]]})
-        with pytest.raises(ConfigError, match=r"^limit\.explicit_matrix: .*negative"):
-            parse_config(doc)
-
-    def test_converge_exits_1_naming_the_key(self, small_config_dict, tmp_path, capsys):
-        doc = dict(small_config_dict, **{"limit.explicit_matrix": [[1.0]]})
-        out = tmp_path / "out"
-        assert cli_main(["converge", str(write_config(tmp_path, doc)), "--out",
-                         str(out)]) == 1
-        assert "error: limit.explicit_matrix must be set" in capsys.readouterr().err
-        assert not out.exists()
-
-
 class TestWorkerCount:
     def test_follows_the_affinity_mask(self, monkeypatch):
         monkeypatch.delenv("SMALLMASS_WORKERS", raising=False)
@@ -914,50 +849,46 @@ class TestWorkerCount:
 
 
 class TestModeSelection:
-    @pytest.mark.parametrize("modes, extra", [
-        (["explicit", "paper"], {"limit.explicit_matrix": [[0.0]]}),
-        (["green-kubo", "paper"], {}),
-    ], ids=["explicit", "green-kubo"])
-    def test_exact_tie_selects_paper(self, small_config_dict, modes, extra):
+    @pytest.mark.parametrize("modes", [["paper", "green-kubo"], ["green-kubo", "paper"]],
+                             ids=["paper", "green-kubo"])
+    def test_exact_tie_selects_paper(self, small_config_dict, modes):
         # silent forcing and a point initial law: both limit laws are the
         # same point mass, so the two W2 columns are exactly equal
         doc = dict(small_config_dict, **{
             "noise.sigma": 0.0, "init.position_mean": 1.0, "init.position_std": 0.0,
             "limit.modes": modes,
-        }, **extra)
+        })
         report = run_convergence(parse_config(doc))
         terminal = report.rows[-1]
         assert terminal["w2_paper_mode"] == terminal["w2_gk_mode"]
         assert report.selected_mode == "paper"
 
     def test_mode_order_does_not_change_the_verdict(self, small_config_dict):
-        # explicit [[0.5]] equals the paper D_eff (sigma^2 / (alpha^2 gamma)):
-        # on one shared limit stream the two samples are the same, whatever
-        # the order of limit.modes
+        # silent forcing gives both modes the zero D_eff: on one shared limit
+        # stream the two samples are the same, whatever the order of
+        # limit.modes
         reports = [run_convergence(parse_config(dict(small_config_dict, **{
-            "limit.modes": modes, "limit.explicit_matrix": [[0.5]]})))
-            for modes in (["paper", "explicit"], ["explicit", "paper"])]
+            "noise.sigma": 0.0, "limit.modes": modes})))
+            for modes in (["paper", "green-kubo"], ["green-kubo", "paper"])]
         for report in reports:
             assert all(r["w2_paper_mode"] == r["w2_gk_mode"] for r in report.rows)
             assert report.selected_mode == "paper"
         assert reports[0].rows == reports[1].rows
 
-    def test_explicit_mode_reports_in_the_gk_column(self, small_config_dict):
+    def test_green_kubo_mode_reports_in_the_gk_column(self, small_config_dict):
         from smallmass.harness import pool_eps_samples, pool_limit_samples
         from smallmass.transport import w2_auto
 
-        doc = dict(small_config_dict, **{
-            "limit.modes": ["explicit", "paper"], "limit.explicit_matrix": [[0.7]],
-        })
+        doc = dict(small_config_dict, **{"limit.modes": ["green-kubo", "paper"]})
         cfg = parse_config(doc)
         report = run_convergence(cfg)
-        diff = build_mode_diffusions(cfg)["explicit"]
+        diff = build_mode_diffusions(cfg)["green-kubo"]
         limit = pool_limit_samples(cfg, diff)
         for eps_index, row in enumerate(report.rows):
             sample = pool_eps_samples(cfg, eps_index)
             assert row["w2_gk_mode"] == w2_auto(sample, limit, seed=cfg.seed).value
             assert np.isfinite(row["w2_paper_mode"])
         terminal = report.rows[-1]
-        w2 = {"paper": terminal["w2_paper_mode"], "explicit": terminal["w2_gk_mode"]}
-        assert w2["paper"] != w2["explicit"]
+        w2 = {"paper": terminal["w2_paper_mode"], "green-kubo": terminal["w2_gk_mode"]}
+        assert w2["paper"] != w2["green-kubo"]
         assert report.selected_mode == min(w2, key=w2.get)

@@ -49,11 +49,8 @@ class TestBuildDiffusion:
         assert diffs["green-kubo"].matrix[0, 0] == 0.25
         assert diffs["paper"].matrix[0, 0] == 0.125
 
-    def test_explicit_zero_matrix(self, small_config_dict):
-        doc = dict(small_config_dict, **{
-            "run.d": 2, "limit.modes": ["explicit"],
-            "limit.explicit_matrix": [[0.0, 0.0], [0.0, 0.0]]})
-        diff = build_mode_diffusions(parse_config(doc))["explicit"]
+    def test_explicit_zero_matrix(self):
+        diff = DiffusionSpec(np.zeros((2, 2)))
         assert np.array_equal(diff.matrix, np.zeros((2, 2)))
         assert np.array_equal(diff.sqrt, np.zeros((2, 2)))
 
