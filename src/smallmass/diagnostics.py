@@ -9,10 +9,11 @@ limit falsifiable at desk scale:
   part v, computed with the integrator's own quadrature (left-endpoint
   forcing, exact exponential weights for v).  For law-dependent fields
   the paths are recorded from the lock-step eps kernel
-  (``run_eps_replicas``).  The paths are stored time-major, so each
-  step writes one contiguous slab.  E||v(T)||^2 must vanish linearly in
-  eps, and the fourth-moment increment ratio E||u(t) - u(s)||^4 / |t - s|
-  must stay bounded across dyadic lags;
+  (``run_eps_replicas``).  The statistics are streamed step by step: u is
+  held for the longest lag plus one chunk of steps, not for the horizon.
+  E||v(T)||^2 must vanish linearly in eps, and the fourth-moment
+  increment ratio E||u(t) - u(s)||^4 / |t - s| must stay bounded across
+  dyadic lags;
 * ``green_kubo``: the effective diffusion of the law-averaged forcing,
   G = 2 * integral of its stationary autocovariance, the executable
   surrogate for the limit noise normalization;
@@ -60,14 +61,17 @@ GK_HORIZON = 50.0
 # (dt gamma)^2 / 12, 0.08% at the longest step.
 GK_MAX_DT = 0.1
 GK_DT = 0.05
-# Most steps of a Green-Kubo grid: a C int, as every count of a config.
+# Most steps of a Green-Kubo grid, an eps row or a limit run: a C int, as
+# every count of a config.
 GK_MAX_STEPS = 2**31 - 1
-# Most values reps * steps * d of a whole-path buffer: green_kubo's forcing
-# paths and uv_check's u paths.  Measured with tracemalloc, green_kubo peaks
-# at 60 to 120 bytes per value, since its FFT pads the paths to a power of
-# two at least twice as long, and uv_check at 24: 8 to 15 GiB and 3 GiB at
-# the cap.  The default Green-Kubo grid passes at 65536 reps for d <= 2.
+# Most values reps * steps * d of a path buffer: green_kubo's whole forcing
+# paths and the u rows of uv_check's stream.  Measured with tracemalloc,
+# green_kubo peaks at 60 to 120 bytes per value, since its FFT pads the
+# paths to a power of two at least twice as long: 8 to 15 GiB at the cap.
+# The default Green-Kubo grid passes at 65536 reps for d <= 2.
 MAX_PATH_VALUES = 2**27
+# Steps of u that uv_check's stream adds to its increment sums at a time.
+CHUNK = 128
 
 
 @dataclass(frozen=True)
@@ -187,23 +191,24 @@ def dyadic_lags(lo: float = 0.01, hi: float = 1.0) -> list[float]:
 def _uv_steps(cfg: RunConfig, lags: list[float], reps: int) -> tuple[int, list[int]]:
     """The step count n of ``uv_check``'s horizon and the step length of
     each lag of the ladder that fits in it; raises ``UsageError`` where the
-    horizon or the ladder is too short, or where ``reps`` u paths of n + 1
-    steps hold more than ``MAX_PATH_VALUES`` values, before anything is
-    simulated."""
+    horizon or the ladder is too short, or where the u rows that the stream
+    holds, ``max(steps) + CHUNK + 1`` steps of ``reps`` replicas, are more
+    than ``MAX_PATH_VALUES`` values, before anything is simulated."""
     h = cfg.eps_step
     n = _n_steps(cfg.T, h)
     if n < 2:
         raise UsageError(f"uv_check needs a horizon of at least 2 steps for the "
                          f"Brownian-proxy increments, got {n}")
-    values = (n + 1) * reps * cfg.d
-    if values > MAX_PATH_VALUES:
-        raise UsageError(f"uv_check's u paths, {n + 1} steps of {reps} replicas in "
-                         f"d = {cfg.d}, hold {values:.3g} values; at most "
-                         f"{MAX_PATH_VALUES} are allowed: shorten run.T or lower "
-                         "diag.reps")
     steps = [m for m in (max(1, int(round(lag / h))) for lag in lags) if m <= n]
     if not steps:
         raise UsageError("no admissible lags: horizon too short for the lag ladder")
+    rows = max(steps) + CHUNK + 1
+    values = rows * reps * cfg.d
+    if values > MAX_PATH_VALUES:
+        raise UsageError(f"uv_check's u buffer, {rows} steps of {reps} replicas in "
+                         f"d = {cfg.d}, holds {values:.3g} values; at most "
+                         f"{MAX_PATH_VALUES} are allowed: lower diag.lag_hi or "
+                         "diag.reps")
     return n, steps
 
 
@@ -220,7 +225,8 @@ def uv_check(cfg: RunConfig, model: NoiseModel, *, reps: int = 512,
     only the driver is simulated; law-dependent fields ride the particle
     system, recorded from the lock-step eps kernel ``run_eps_replicas``
     under the exponential scheme with potential ``pot`` (default
-    ``quadratic(1.0)``).
+    ``quadratic(1.0)``).  The statistics are streamed (``_UvStream``), so
+    memory does not grow with the horizon.
 
     E||v||^2 is estimated by averaging over replicas and over the second
     half of the horizon; v is stationary there up to an exp(-alpha T /
@@ -234,75 +240,106 @@ def uv_check(cfg: RunConfig, model: NoiseModel, *, reps: int = 512,
     h = cfg.eps_step
     n, steps = _uv_steps(cfg, lags, reps)
     if model.kind == "scalar-ou":
-        u, v_late = _u_paths_scalar(cfg, model, reps, n, eps_index)
+        stream = _uv_scalar(cfg, model, reps, n, steps, eps_index)
     else:
-        u, v_late = _u_paths_ensemble(cfg, model, reps, n, eps_index, init, pot)
-    n_pts, R, d = u.shape
-    # v statistics from the late-time pool; in d = 1 the squared value
-    # already is the squared norm
-    np.multiply(v_late, v_late, out=v_late)
-    v_sq = np.sum(v_late, axis=-1) if d > 1 else v_late.reshape(-1, R)  # (n_late, R)
-    per_rep = v_sq.mean(axis=0)
-    del v_late, v_sq
+        stream = _uv_ensemble(cfg, model, reps, n, steps, eps_index, init, pot)
+    per_rep = stream.v_sq / (n - n // 2)
     v_msq = float(per_rep.mean())
-    v_ci = float(1.96 * per_rep.std(ddof=1) / math.sqrt(len(per_rep)))
-    # increment ratios over dyadic lags; each lag's (n+1-m, R) increments
-    # live in the front of one flat buffer per quantity, sized for the
-    # shortest lag, and are reduced over that same contiguous layout.  In
-    # d = 1 the squared increment is its own coordinate sum, so it is
-    # formed in the sum's buffer.
-    sq_buf = np.empty((n_pts - min(steps)) * R)
-    du_buf = np.empty((n_pts - min(steps)) * R * d) if d > 1 else sq_buf
-    ratios = {}
-    for m in steps:
-        du = du_buf[:(n_pts - m) * R * d].reshape(n_pts - m, R, d)
-        sq = sq_buf[:(n_pts - m) * R].reshape(n_pts - m, R)
-        np.subtract(u[m:], u[:-m], out=du)
-        np.multiply(du, du, out=du)
-        if d > 1:
-            np.sum(du, axis=-1, out=sq)
-        np.square(sq, out=sq)
-        ratios[m * h] = float(np.mean(sq)) / (m * h)
-    # Brownian-proxy statistics on a decimated grid
-    every = max(1, n // _BM_GRID)
-    times = np.arange(0, n + 1, every) * h
-    stats = bm_proxy(u[::every].swapaxes(0, 1), times)
+    v_ci = float(1.96 * per_rep.std(ddof=1) / math.sqrt(reps))
+    ratios = {m * h: float(stream.inc4[i].sum() / ((n + 1 - m) * reps)) / (m * h)
+              for i, m in enumerate(steps)}
+    stats = bm_proxy(stream.grid, np.arange(0, n + 1, stream.every) * h)
     return UvReport(eps=cfg.eps, v_msq=v_msq, v_msq_ci=v_ci,
                     u_increment_ratios=ratios, bm_stats=stats, n_replicas=reps)
 
 
-class _UvPaths:
-    """u and late-time v paths under the integrator's quadrature.
+class _UvStream:
+    """Running u/v statistics under the integrator's quadrature.
 
     ``add`` folds the left-endpoint forcing ``eta`` of step k into u
     (weight h / (alpha sqrt(eps))) and into v (the exponential step's own
     weights r and 1 - r), for the replica rows ``rows``, a slice; ``eta``
     holds one row per replica of ``rows``.  Each set of rows must bring its
-    steps 0..n-1 in order, from u = v = 0.  The paths are time-major: row
-    k + 1 of the (n + 1, R, d) ``u`` holds u after step k, and from step
-    n // 2 on, the matching row of ``v_late`` holds v; the running (R, d)
-    ``v`` carries v from step to step.
+    steps 0..n-1 in order, from u = v = 0.  No path is held whole; per
+    replica the stream keeps
+
+    * ``buf``, the last ``L + CHUNK + 1`` values of u time-major, with L
+      the longest lag of ``steps``: row L + j holds u(c CHUNK + j) while
+      chunk c (steps c CHUNK .. c CHUNK + CHUNK - 1) runs;
+    * ``inc4``, per lag m of ``steps``, the sum of ||u(t) - u(t - m)||^4
+      over t = m..n.  At the end of each chunk and at step n - 1 the
+      chunk's increments of every lag are added, and the last L + 1 rows
+      of ``buf`` move to the front;
+    * ``grid``, u on ``bm_proxy``'s decimated grid (every ``every``-th
+      step), replica-major;
+    * ``v_sq``, the sum of ||v||^2 after steps n // 2 .. n - 1, added in
+      step order, so that its mean has the bits of a mean over the whole
+      late path.
+
+    The sums are per replica: a split of the replicas into row sets moves
+    no v or grid value, and a ratio by rounding only.
     """
 
-    def __init__(self, cfg, d, reps, n):
+    def __init__(self, cfg, d, reps, n, steps):
         h = cfg.eps_step
         step = _Advance(h, cfg.eps, cfg.alpha)
         self.cu = h / (cfg.alpha * math.sqrt(cfg.eps))
         self.r_fac = step.r
         self.cv = math.sqrt(cfg.eps) * step.one_minus_r / cfg.alpha**2
+        self.n, self.steps, self.lag = n, steps, max(steps)
         self.n_late_from = n // 2
-        self.u = np.zeros((n + 1, reps, d))
+        self.every = max(1, n // _BM_GRID)
+        self.buf = np.zeros((self.lag + CHUNK + 1, reps, d))
+        self.inc4 = np.zeros((len(steps), reps))
+        self.grid = np.zeros((reps, n // self.every + 1, d))
         self.v = np.zeros((reps, d))
-        self.v_late = np.empty((n - self.n_late_from, reps, d))
+        self.v_sq = np.zeros(reps)
         self.tmp = np.empty((reps, d))
+        self.du = np.empty((CHUNK, reps, d))
+        # in d = 1 the squared increment is its own coordinate sum
+        self.sq = np.empty((CHUNK, reps)) if d > 1 else self.du[:, :, 0]
+        self.norm = np.empty(reps) if d > 1 else self.tmp[:, 0]
 
     def add(self, rows, k, eta):
-        v, tmp = self.v[rows], self.tmp[rows]
-        np.add(self.u[k, rows], np.multiply(eta, self.cu, out=tmp), out=self.u[k + 1, rows])
+        j = self.lag + k % CHUNK
+        u, v, tmp = self.buf[j + 1, rows], self.v[rows], self.tmp[rows]
+        np.add(self.buf[j, rows], np.multiply(eta, self.cu, out=tmp), out=u)
         np.multiply(v, self.r_fac, out=v)
         v += np.multiply(eta, self.cv, out=tmp)
         if k >= self.n_late_from:
-            self.v_late[k - self.n_late_from, rows] = v
+            np.multiply(v, v, out=tmp)
+            if tmp.shape[1] > 1:
+                np.sum(tmp, axis=-1, out=self.norm[rows])
+            self.v_sq[rows] += self.norm[rows]
+        if (k + 1) % self.every == 0:
+            self.grid[rows, (k + 1) // self.every] = u
+        if k % CHUNK == CHUNK - 1 or k == self.n - 1:
+            self._flush(rows, k)
+
+    def _flush(self, rows, k):
+        """Add the increments ending at u(t), t = start + 1..k + 1, of the
+        chunk that starts at step ``start``, then, unless k is the last
+        step, move u(k + 1 - L)..u(k + 1) to rows 0..L."""
+        L, start, end = self.lag, k - k % CHUNK, k + 1
+        for i, m in enumerate(self.steps):
+            lo = max(start + 1, m)  # first t of the chunk with a u(t - m)
+            count = end + 1 - lo
+            if count <= 0:
+                continue
+            r0 = lo - start + L
+            du, sq = self.du[:count, rows], self.sq[:count, rows]
+            np.subtract(self.buf[r0:r0 + count, rows], self.buf[r0 - m:r0 - m + count, rows],
+                        out=du)
+            np.multiply(du, du, out=du)
+            if du.shape[2] > 1:
+                np.sum(du, axis=-1, out=sq)
+            np.square(sq, out=sq)
+            self.inc4[i, rows] += np.sum(sq, axis=0)
+        if end < self.n:
+            # blocks of CHUNK rows, so that no copy reads rows it has written
+            for a in range(0, L + 1, CHUNK):
+                b = min(a + CHUNK, L + 1)
+                self.buf[a:b, rows] = self.buf[a + CHUNK:b + CHUNK, rows]
 
 
 def _driver_paths(model, seed, path, reps, n, delta_s):
@@ -322,29 +359,29 @@ def _driver_paths(model, seed, path, reps, n, delta_s):
         xi = advance_xi(xi, model, delta_s, z)
 
 
-def _u_paths_scalar(cfg, model, reps, n, eps_index):
-    """Vectorized u/v paths for the x-independent field (standalone driver)."""
-    paths = _UvPaths(cfg, model.d, reps, n)
+def _uv_scalar(cfg, model, reps, n, steps, eps_index):
+    """The u/v stream of the x-independent field (standalone driver)."""
+    stream = _UvStream(cfg, model.d, reps, n, steps)
     drivers = _driver_paths(model, cfg.seed, (_rng.UV_RUN, eps_index), reps, n,
                             cfg.eps_step / cfg.eps)
     for k, xi in enumerate(drivers):
-        paths.add(slice(None), k, xi)  # scalar-ou: the law average is the driver value
-    return paths.u, paths.v_late
+        stream.add(slice(None), k, xi)  # scalar-ou: the law average is the driver value
+    return stream
 
 
-def _u_paths_ensemble(cfg, model, reps, n, eps_index, init, pot):
-    """u/v paths riding on the full particle system (law-dependent fields)."""
-    paths = _UvPaths(cfg, model.d, reps, n)
+def _uv_ensemble(cfg, model, reps, n, steps, eps_index, init, pot):
+    """The u/v stream riding on the full particle system (law-dependent fields)."""
+    stream = _UvStream(cfg, model.d, reps, n, steps)
 
     def record(ids, k, t, X, Y, xi):
         if k < n:
             # the kernel's ids are consecutive (``rng.block_streams``)
-            paths.add(slice(ids[0], ids[-1] + 1), k, averaged_forcing_xi(model, xi, X))
+            stream.add(slice(ids[0], ids[-1] + 1), k, averaged_forcing_xi(model, xi, X))
 
     run_eps_replicas(cfg, model, pot or PotentialSpec.quadratic(1.0), "exponential",
                      init or InitialLaw(), range(reps), (_rng.UV_RUN, eps_index),
                      recorder=record)
-    return paths.u, paths.v_late
+    return stream
 
 
 def _gk_grid(gamma: float, horizon_fast: float | None, dt: float | None, reps: int,

@@ -391,7 +391,7 @@ def run_diagnose(cfg: Config):
     v = cfg.values
     rows = []
     lags = dyadic_lags(v["diag.lag_lo"], v["diag.lag_hi"])
-    # Every row's u/v horizon and path size are checked before the first row
+    # Every row's u/v horizon and buffer size are checked before the first row
     # simulates.
     for eps in cfg.eps_grid:
         _uv_steps(cfg.run_config(eps), lags, v["diag.reps"])

@@ -160,6 +160,43 @@ class TestConfig:
         with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
             parse_config(doc)
 
+    @pytest.mark.parametrize("extra, message", [
+        ({"run.T": 1e308}, r"run\.T / \(run\.h0 \* eps\) = 1e\+308 / \(0\.05 \* 0\.1\) is "
+                           r"inf steps at the smallest eps of run\.eps_grid"),
+        ({"run.T": 1e300}, r"run\.T / \(run\.h0 \* eps\) = 1e\+300 / \(0\.05 \* 0\.1\) is "
+                           r"2e\+302 steps at the smallest eps of run\.eps_grid"),
+        ({"run.T": 1e7, "limit.h": 0.001},
+         r"run\.T / limit\.h = 10000000\.0 / 0\.001 is 1e\+10 limit steps"),
+        ({"run.T": 1e6, "potential.lambda": 100.0},
+         r"run\.T / \(0\.01 \* run\.alpha / stiffness\) = 1000000\.0 / 0\.0001 is "
+         r"1e\+10 limit steps"),
+    ], ids=["run.T-1e308", "run.T-1e300", "limit.h", "default-limit-step"])
+    def test_step_count_past_a_c_int_fails_when_read(self, tmp_path, capsys, extra,
+                                                     message):
+        # On the CI tiny config run.T 1e308 ended in an OverflowError from
+        # int(T / h) and 1e300 ran without end; the 2e9 eps steps of the last
+        # two pass, their limit runs do not.
+        doc = dict(TINY, **extra)
+        message += rf"; at most {2**31 - 1} are allowed"
+        with pytest.raises(ConfigError, match=f"^{message}"):
+            parse_config(doc)
+        path = write_config(tmp_path, doc)
+        for command, output in (("converge", "converge.csv"), ("diagnose", "diagnose.csv")):
+            out = tmp_path / command
+            assert cli_main([command, str(path), "--out", str(out)]) == 1
+            assert re.match(f"error: {message}", capsys.readouterr().err)
+            assert not (out / output).exists()
+
+    def test_step_count_bound_is_inclusive(self):
+        # h = 0.125 * 0.5 and T / h are exact; a nearly flat potential takes
+        # the limit runs' default step far above the eps step
+        top = 2**31 - 1
+        doc = dict(TINY, **{"run.h0": 0.125, "run.eps_grid": [0.5], "run.T": top * 0.0625,
+                            "potential.lambda": 1e-6})
+        assert parse_config(doc).values["run.T"] == top * 0.0625
+        with pytest.raises(ConfigError, match=r"is 2\.15e\+09 steps"):
+            parse_config(dict(doc, **{"run.T": (top + 1) * 0.0625}))
+
     def test_range_bounds_are_inclusive(self, small_config_dict):
         doc = dict(small_config_dict, **{"run.seed": 2**64 - 1, "run.replicas": 65536,
                                          "gk.reps": 65536, "run.N": 2**31 - 1,
@@ -542,9 +579,14 @@ class TestOtherEntryPoints:
     @pytest.mark.parametrize("extra, message", [
         ({"run.T": 0.01, "run.eps_grid": [0.2]}, "at least 2 steps"),
         ({"diag.lag_lo": 0.8, "diag.lag_hi": 0.9}, "no admissible lags"),
-        # 512 u paths of 1e9 steps, 3.7 TiB
-        ({"run.T": 1e7}, "shorten run.T or lower diag.reps"),
-    ], ids=["one-step", "lag-ladder", "u-paths"])
+        # the lag 2621.44 is 262144 steps at eps 0.2: 512 u buffers of
+        # 262273 steps hold 1.34e8 values, just past the cap
+        ({"run.T": 3000.0, "diag.lag_hi": 3000.0},
+         rf"uv_check's u buffer, 262273 steps of 512 replicas in d = 1, holds 1\.34e\+08 "
+         rf"values; at most {2**27} are allowed: lower diag\.lag_hi or diag\.reps"),
+        # 2e308 eps steps, rejected when the config is read
+        ({"run.T": 1e308}, r"run\.T / \(run\.h0 \* eps\) = 1e\+308"),
+    ], ids=["one-step", "lag-ladder", "u-paths", "run.T-1e308"])
     def test_short_uv_horizon_fails_before_simulating(self, small_config_dict, tmp_path,
                                                        capsys, monkeypatch, extra, message):
         # every row's horizon is checked before any row simulates
@@ -558,7 +600,7 @@ class TestOtherEntryPoints:
         out = tmp_path / "out"
         assert cli_main(["diagnose", str(write_config(tmp_path, doc)), "--out",
                          str(out)]) == 1
-        assert message in capsys.readouterr().err
+        assert re.search(message, capsys.readouterr().err)
         assert not (out / "diagnose.csv").exists()
 
     STEPS = rf"gk\.horizon_fast / gk\.dt = .* steps; at most {2**31 - 1}"

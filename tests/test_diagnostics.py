@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from smallmass import diagnostics
 from smallmass import rng as _rng
 from smallmass.core import EmpiricalMeasure, ParticleEnsemble, PotentialSpec, RunConfig
-from smallmass.diagnostics import (_u_paths_ensemble, _u_paths_scalar, _UvPaths, bm_proxy,
+from smallmass.diagnostics import (CHUNK, _uv_ensemble, _uv_scalar, _UvStream, bm_proxy,
                                    dyadic_lags, green_kubo, moment_table, uv_check)
 from smallmass.dynamics_eps import EpsScheme, InitialLaw, _n_steps, step
 from smallmass.errors import UsageError
@@ -30,9 +31,9 @@ def _same_bits(a, b):
 
 
 class _StepwisePaths:
-    """The u/v recorder writing each step straight into replica-major
+    """The u/v recorder writing each step straight into whole replica-major
     paths, with its coefficients computed here: the reference for the
-    time-major ``_UvPaths``."""
+    streamed ``_UvStream``."""
 
     def __init__(self, cfg, d, reps, n):
         h = cfg.eps_step
@@ -97,8 +98,8 @@ def _ensemble_reference_paths(cfg, model, pot, reps, n, eps_index):
 
 
 def _reference_report(u, v_late, lags, h, n):
-    """uv_check's statistics of given replica-major paths, laid out
-    time-major as uv_check holds them and each formed in a fresh array."""
+    """uv_check's statistics of given replica-major paths, each formed in a
+    fresh array from the whole paths laid out time-major."""
     u, v_late = (np.ascontiguousarray(x.swapaxes(0, 1)) for x in (u, v_late))
     per_rep = np.sum(v_late * v_late, axis=-1).mean(axis=0)
     v_msq = float(per_rep.mean())
@@ -111,6 +112,32 @@ def _reference_report(u, v_late, lags, h, n):
     every = max(1, n // 50)
     stats = bm_proxy(u[::every].swapaxes(0, 1), np.arange(0, n + 1, every) * h)
     return v_msq, v_ci, ratios, stats
+
+
+def _assert_report_matches(uv, want):
+    """A report against ``_reference_report``: every value bit for bit but
+    the increment ratios, whose sums the stream adds in another order."""
+    v_msq, v_ci, ratios, stats = want
+    assert (uv.v_msq, uv.v_msq_ci, uv.bm_stats) == (v_msq, v_ci, stats)
+    assert list(uv.u_increment_ratios) == list(ratios)
+    assert list(uv.u_increment_ratios.values()) == pytest.approx(list(ratios.values()),
+                                                                 rel=1e-12, abs=0.0)
+
+
+def _assert_stream_matches(stream, u, v_late):
+    """A stream's state against whole replica-major reference paths: the
+    Brownian-proxy grid, the running v and the late ||v||^2 sums (added in
+    step order) bit for bit, the per-replica increment sums to rounding."""
+    assert _same_bits(stream.grid, np.ascontiguousarray(u[:, ::stream.every]))
+    assert _same_bits(stream.v, v_late[:, -1])
+    v_sq = np.zeros(u.shape[0])
+    for row in np.sum(v_late * v_late, axis=-1).T:
+        v_sq += row
+    assert _same_bits(stream.v_sq, v_sq)
+    for i, m in enumerate(stream.steps):
+        du = u[:, m:] - u[:, :-m]
+        want = np.sum(np.square(np.sum(du * du, axis=-1)), axis=1)
+        np.testing.assert_allclose(stream.inc4[i], want, rtol=1e-12, atol=0.0)
 
 
 class TestGreenKubo:
@@ -217,10 +244,8 @@ class TestUvCheck:
     def test_ensemble_paths_equal_the_per_replica_reference(self, model, pot):
         cfg = RunConfig(d=model.d, N=4, eps=0.1, alpha=1.0, T=0.2, h0=0.05, seed=13)
         n = _n_steps(cfg.T, cfg.eps_step)
-        u, v_late = _u_paths_ensemble(cfg, model, 70, n, 2, None, pot)
-        u_ref, v_ref = _ensemble_reference_paths(cfg, model, pot, 70, n, 2)
-        assert _same_bits(u.swapaxes(0, 1), u_ref)
-        assert _same_bits(v_late.swapaxes(0, 1), v_ref)
+        stream = _uv_ensemble(cfg, model, 70, n, [1, 3, n], 2, None, pot)
+        _assert_stream_matches(stream, *_ensemble_reference_paths(cfg, model, pot, 70, n, 2))
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_scalar_report_equals_the_reference(self, d):
@@ -231,7 +256,7 @@ class TestUvCheck:
         uv = uv_check(cfg, model, reps=100, lags=lags, eps_index=1)
         want = _reference_report(*_scalar_reference_paths(cfg, model, 100, n, 1), lags,
                                  cfg.eps_step, n)
-        assert (uv.v_msq, uv.v_msq_ci, uv.u_increment_ratios, uv.bm_stats) == want
+        _assert_report_matches(uv, want)
 
     @pytest.mark.parametrize("model, pot", [
         (NoiseModel.separable(1, gamma=2.0, sigma=1.0, g_name="gauss"),
@@ -246,7 +271,7 @@ class TestUvCheck:
         uv = uv_check(cfg, model, reps=100, lags=lags, pot=pot, eps_index=2)
         want = _reference_report(*_ensemble_reference_paths(cfg, model, pot, 100, n, 2),
                                  lags, cfg.eps_step, n)
-        assert (uv.v_msq, uv.v_msq_ci, uv.u_increment_ratios, uv.bm_stats) == want
+        _assert_report_matches(uv, want)
 
     def test_custom_potential_matches_its_builtin_twin(self):
         cfg = RunConfig(d=1, N=4, eps=0.1, alpha=1.0, T=0.5, h0=0.05, seed=0)
@@ -262,8 +287,8 @@ class TestUvCheck:
     @pytest.mark.parametrize("model", [NoiseModel.scalar_ou(1, gamma=1.0, sigma=1.0),
                                        FOURIER_D2], ids=["scalar", "ensemble"])
     def test_bad_arguments_fail_before_the_simulation(self, model, monkeypatch):
-        monkeypatch.setattr(diagnostics, "_u_paths_scalar", self._no_simulation)
-        monkeypatch.setattr(diagnostics, "_u_paths_ensemble", self._no_simulation)
+        monkeypatch.setattr(diagnostics, "_uv_scalar", self._no_simulation)
+        monkeypatch.setattr(diagnostics, "_uv_ensemble", self._no_simulation)
         cfg = RunConfig(d=model.d, N=2, eps=0.1, alpha=1.0, T=0.2, h0=0.05, seed=0)
         with pytest.raises(UsageError, match="reps >= 100"):
             uv_check(cfg, model, reps=50)
@@ -275,6 +300,28 @@ class TestUvCheck:
         assert _n_steps(one_step.T, one_step.eps_step) == 1
         with pytest.raises(UsageError, match="at least 2 steps"):
             uv_check(one_step, model, reps=100)
+
+    def test_memory_does_not_grow_with_the_horizon(self):
+        # The stream holds the longest lag (32 steps) plus a chunk of u, and
+        # at 1024 replicas the kernel's window of normals is 256 steps deep,
+        # full at both horizons: the traced peak stays where it is when the
+        # horizon is quadrupled, below the whole u path of the longer run.
+        # An untraced first call builds the state that numpy sets up lazily.
+        model = NoiseModel.scalar_ou(1, gamma=2.0, sigma=1.0)
+        lags, peaks = dyadic_lags(0.01, 0.16), []
+        cfgs = [RunConfig(d=1, N=2, eps=0.1, alpha=1.0, T=T, h0=0.05, seed=0)
+                for T in (2.0, 8.0)]
+        uv_check(cfgs[0], model, reps=1024, lags=lags)
+        for cfg in cfgs:
+            tracemalloc.start()
+            try:
+                uv_check(cfg, model, reps=1024, lags=lags)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        short, long = peaks
+        assert abs(long - short) < 0.2 * short
+        assert max(short, long) < (_n_steps(8.0, 0.005) + 1) * 1024 * 1 * 8
 
     def test_dyadic_ladder(self):
         assert dyadic_lags(0.01, 1.0) == pytest.approx(
@@ -394,10 +441,8 @@ class TestDriverPaths:
         model = NoiseModel.scalar_ou(2, gamma=3.0, sigma=1.5)
         cfg = RunConfig(d=2, N=4, eps=0.1, alpha=1.3, T=0.3, h0=0.05, seed=11)
         n = _n_steps(cfg.T, cfg.eps_step)
-        u, v_late = _u_paths_scalar(cfg, model, 70, n, 3)
-        u_ref, v_ref = _scalar_reference_paths(cfg, model, 70, n, 3)
-        assert _same_bits(u.swapaxes(0, 1), u_ref)
-        assert _same_bits(v_late.swapaxes(0, 1), v_ref)
+        stream = _uv_scalar(cfg, model, 70, n, [1, 2, 5], 3)
+        _assert_stream_matches(stream, *_scalar_reference_paths(cfg, model, 70, n, 3))
 
     def test_scalar_green_kubo_path_equals_the_reference(self, monkeypatch):
         model = NoiseModel.scalar_ou(2, gamma=2.0, sigma=1.0)
@@ -429,25 +474,43 @@ class TestDriverPaths:
 
 
 class TestWindowedPaths:
-    """``_UvPaths`` writes each step of u and v straight into its time-major
-    paths; they equal the replica-major step-by-step reference for any
-    horizon, late start and split of the replicas into row slices (W = 64
-    in the ids)."""
+    """``_UvStream`` folds each step of u and v into its lag-deep buffer and
+    running sums; they equal the replica-major step-by-step reference for
+    any horizon, chunk boundary, late start and split of the replicas into
+    row slices (W = CHUNK in the ids)."""
 
-    @pytest.mark.parametrize("n", [1, 35, 64, 129, 229],
-                             ids=["n=1", "n<W", "n=W", "n=2W+1", "late-start-mid-window"])
-    @pytest.mark.parametrize("row_sets", [None, [slice(0, 3), slice(3, 7)],
-                                          [slice(4, 5), slice(0, 4)]],
-                             ids=["all-rows", "two-batches", "unequal-batches"])
-    def test_equals_the_stepwise_reference(self, n, row_sets):
-        cfg = RunConfig(d=2, N=2, eps=0.1, alpha=1.3, T=1.0, h0=0.05, seed=0)
-        reps = 7 if row_sets is None else sum(s.stop - s.start for s in row_sets)
-        eta = np.random.default_rng(n).standard_normal((n, reps, 2))
+    @staticmethod
+    def _streamed(d, n, steps, row_sets, reps, seed):
+        cfg = RunConfig(d=d, N=2, eps=0.1, alpha=1.3, T=1.0, h0=0.05, seed=0)
+        eta = np.random.default_rng(seed).standard_normal((n, reps, d))
         eta[0, ::2, 0] = -0.0  # the first step adds to u = v = 0
-        got, ref = _UvPaths(cfg, 2, reps, n), _StepwisePaths(cfg, 2, reps, n)
+        got, ref = _UvStream(cfg, d, reps, n, steps), _StepwisePaths(cfg, d, reps, n)
         for rows in row_sets or [slice(None)]:
             for k in range(n):
                 got.add(rows, k, eta[k, rows])
                 ref.add(rows, k, eta[k, rows])
-        assert _same_bits(got.u.swapaxes(0, 1), ref.u)
-        assert _same_bits(got.v_late.swapaxes(0, 1), ref.v_late)
+        _assert_stream_matches(got, ref.u, ref.v_late)
+        return got
+
+    @pytest.mark.parametrize("n", [1, 35, CHUNK, 2 * CHUNK + 1, 2 * CHUNK + 101],
+                             ids=["n=1", "n<W", "n=W", "n=2W+1", "late-start-mid-window"])
+    @pytest.mark.parametrize("row_sets", [None, [slice(0, 3), slice(3, 7)],
+                                          [slice(4, 5), slice(0, 4), slice(5, 7)]],
+                             ids=["all-rows", "two-batches", "unequal-batches"])
+    def test_equals_the_stepwise_reference(self, n, row_sets):
+        # lags shorter than, equal to and longer than a chunk, where they fit
+        steps = [m for m in (1, 2, 7, CHUNK, CHUNK + 9) if m <= n]
+        self._streamed(2, n, steps, row_sets, 7, n)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("n", [2, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5])
+    def test_longest_lag_equal_to_the_horizon(self, d, n):
+        # the buffer is then n + CHUNK + 1 rows deep, and the longest lag
+        # has a single increment, u(n) - u(0); the split moves no grid or
+        # v value
+        steps = sorted({1, max(1, n // 3), n})
+        whole = self._streamed(d, n, steps, None, 7, d * n)
+        split = self._streamed(d, n, steps, [slice(2, 7), slice(0, 1), slice(1, 2)], 7,
+                               d * n)
+        for name in ("grid", "v", "v_sq"):
+            assert _same_bits(getattr(split, name), getattr(whole, name))
