@@ -16,7 +16,9 @@ limit falsifiable at desk scale:
   dyadic lags;
 * ``green_kubo``: the effective diffusion of the law-averaged forcing,
   G = 2 * integral of its stationary autocovariance, the executable
-  surrogate for the limit noise normalization;
+  surrogate for the limit noise normalization.  The lagged products are
+  summed by overlap-save as the driver advances: the forcing is held for a
+  window of about two to four times the longest lag, not for the horizon;
 * ``bm_proxy``: three falsifiable statistics of the u paths (linear
   variance growth, vanishing increment autocorrelation, vanishing excess
   kurtosis) standing in for the martingale-problem characterization of the
@@ -32,7 +34,7 @@ import numpy as np
 
 from . import rng as _rng
 from .core import EmpiricalMeasure, PotentialSpec, RunConfig
-from .dynamics_eps import InitialLaw, _Advance, _n_steps, run_eps_replicas
+from .dynamics_eps import GK_MAX_STEPS, InitialLaw, _Advance, _n_steps, run_eps_replicas
 from .errors import UsageError
 from .noise import (NoiseModel, _contract_forcing, _factor_mean, advance_xi,
                     averaged_forcing_xi, stationary_xi)
@@ -61,14 +63,12 @@ GK_HORIZON = 50.0
 # (dt gamma)^2 / 12, 0.08% at the longest step.
 GK_MAX_DT = 0.1
 GK_DT = 0.05
-# Most steps of a Green-Kubo grid, an eps row or a limit run: a C int, as
-# every count of a config.
-GK_MAX_STEPS = 2**31 - 1
-# Most values reps * steps * d of a path buffer: green_kubo's whole forcing
-# paths and the u rows of uv_check's stream.  Measured with tracemalloc,
-# green_kubo peaks at 60 to 120 bytes per value, since its FFT pads the
-# paths to a power of two at least twice as long: 8 to 15 GiB at the cap.
-# The default Green-Kubo grid passes at 65536 reps for d <= 2.
+# Most values reps * steps * d of a path buffer: green_kubo's overlap-save
+# window and the u rows of uv_check's stream.  Measured with tracemalloc,
+# green_kubo holds 27 (d = 2) to 36 (d = 1) bytes per window value beyond
+# its driver's draws: the window, three spectra of one coordinate and the
+# lag sums, 3.4 to 4.5 GiB at the cap.  The default Green-Kubo grid, a
+# window of 512 steps, passes at 131072 reps for d <= 2.
 MAX_PATH_VALUES = 2**27
 # Steps of u that uv_check's stream adds to its increment sums at a time.
 CHUNK = 128
@@ -386,16 +386,18 @@ def _uv_ensemble(cfg, model, reps, n, steps, eps_index, init, pot):
 
 def _gk_grid(gamma: float, horizon_fast: float | None, dt: float | None, reps: int,
              d: int, keys=("horizon_fast", "dt", "gamma", "reps")
-             ) -> tuple[float, float, int]:
-    """The horizon, step and step count of ``green_kubo``'s fast-time grid.
+             ) -> tuple[float, float, int, int, int]:
+    """The horizon, step, step count n, longest lag ``n // 5`` and window
+    length S of ``green_kubo``'s fast-time grid.
 
     ``None`` takes the default, ``GK_HORIZON`` or ``GK_DT`` over ``gamma``.
-    Raises ``UsageError``, naming the horizon, the step, the rate and the
-    replica count by ``keys``, where the horizon is under ``GK_MIN_HORIZON /
+    S is the least power of two of at least 2 * max_lag + 1 steps.  Raises
+    ``UsageError``, naming the horizon, the step, the rate and the replica
+    count by ``keys``, where the horizon is under ``GK_MIN_HORIZON /
     gamma``, the step lies outside (0, ``GK_MAX_DT / gamma``], the grid has
-    more than ``GK_MAX_STEPS`` steps, or ``reps`` paths of it in ``d``
-    coordinates hold more than ``MAX_PATH_VALUES`` values, before anything
-    is sampled.
+    more than ``GK_MAX_STEPS`` steps, or the windows of ``reps`` paths in
+    ``d`` coordinates hold more than ``MAX_PATH_VALUES`` values, before
+    anything is sampled.
     """
     h_key, dt_key, rate, reps_key = keys
     if horizon_fast is None:
@@ -413,12 +415,16 @@ def _gk_grid(gamma: float, horizon_fast: float | None, dt: float | None, reps: i
         raise UsageError(f"{h_key} / {dt_key} = {horizon_fast!r} / {dt!r} is a grid of "
                          f"{steps:.3g} steps; at most {GK_MAX_STEPS} are allowed")
     n = round(steps)
-    values = reps * n * d
+    max_lag = n // 5
+    S = 1 << (2 * max_lag).bit_length()  # the least power of two >= 2 max_lag + 1
+    values = reps * S * d
     if values > MAX_PATH_VALUES:
         raise UsageError(f"{reps_key} = {reps} paths of {n} steps in d = {d} hold "
-                         f"{values:.3g} values; at most {MAX_PATH_VALUES} are "
-                         f"allowed: lower {reps_key} or {h_key}, or raise {dt_key}")
-    return horizon_fast, dt, n
+                         f"{reps * n * d:.3g} values; at most {MAX_PATH_VALUES} are "
+                         f"allowed at once, and green_kubo's window of {S} steps per "
+                         f"path holds {values:.3g}: lower {reps_key} or {h_key}, or "
+                         f"raise {dt_key}")
+    return horizon_fast, dt, n, max_lag, S
 
 
 def green_kubo(model: NoiseModel, m_source: EmpiricalMeasure | None = None,
@@ -428,35 +434,41 @@ def green_kubo(model: NoiseModel, m_source: EmpiricalMeasure | None = None,
 
     The averaged forcing is sampled on ``_gk_grid``'s fast-time grid, by
     default ``GK_HORIZON / gamma`` long in steps of ``GK_DT / gamma``, under
-    the frozen measure ``m_source`` (ignored for the x-independent kind); the
-    empirical autocovariance is averaged over ``reps`` independent driver
-    paths and integrated by the trapezoid rule up to the first lag at
-    which its magnitude falls below the noise floor estimated from the
-    tail of the lag window.  No sample mean is subtracted: the drivers are
-    centered by construction, and subtracting a sample mean would bias the
-    integral downward by order 1/horizon.
+    the frozen measure ``m_source`` (ignored for the x-independent kind).
+    Each replica's lagged products, lags 0..n // 5, are summed by
+    overlap-save as its driver advances: the forcing fills a window of S
+    steps (``_gk_grid``) behind the last n // 5 values, and each full window
+    and the last one add one circular correlation (``_add_lag_products``),
+    so the forcing is never held whole.  The empirical autocovariance is
+    averaged over ``reps`` independent driver paths and integrated by the
+    trapezoid rule up to the first lag at which its magnitude falls below
+    the noise floor estimated from the tail of the lag window.  No sample
+    mean is subtracted: the drivers are centered by construction, and
+    subtracting a sample mean would bias the integral downward by order
+    1/horizon.
     """
     if reps < 2:
         raise UsageError(f"green_kubo needs reps >= 2 for its confidence halfwidth, got {reps}")
-    horizon_fast, dt, n = _gk_grid(model.gamma, horizon_fast, dt, reps, model.d)
+    horizon_fast, dt, n, max_lag, S = _gk_grid(model.gamma, horizon_fast, dt, reps, model.d)
     if model.kind != "scalar-ou" and m_source is None:
         raise UsageError(f"{model.kind} needs a frozen measure for the estimator")
     d = model.d
-    eta = np.empty((reps, n, d))
     # The measure is frozen, so its factor mean is taken once.
     gbar = _factor_mean(model, m_source.points if m_source is not None else None)
+    # Overlap-save: rows 0..max_lag - 1 of the window hold the values before
+    # the segment (zeros before step 0), rows max_lag..S - 1 its new steps.
+    window = np.zeros((reps, S, d))
+    sums = np.zeros((reps, max_lag + 1, d, d))
+    end = max_lag
     for k, xi in enumerate(_driver_paths(model, seed, (_rng.GK_RUN,), reps, n, dt)):
-        eta[:, k] = _contract_forcing(model, xi, gbar)
-    # empirical autocovariance per replica, FFT over time, no mean removal
-    max_lag = n // 5
-    cov = np.zeros((reps, max_lag + 1, d, d))
-    nfft = 1 << int(np.ceil(np.log2(2 * n)))
-    F = np.fft.rfft(eta, n=nfft, axis=1)  # (R, nf, d)
-    counts = n - np.arange(max_lag + 1)
-    for i in range(d):
-        for j in range(d):
-            full = np.fft.irfft(F[:, :, i] * np.conj(F[:, :, j]), n=nfft, axis=1)
-            cov[:, :, i, j] = full[:, : max_lag + 1] / counts
+        window[:, end] = _contract_forcing(model, xi, gbar)
+        end += 1
+        if end == S or k == n - 1:
+            _add_lag_products(sums, window, max_lag, end)
+            window[:, :max_lag] = window[:, end - max_lag:end]
+            end = max_lag
+    # empirical autocovariance per replica, no mean removal
+    cov = sums / (n - np.arange(max_lag + 1))[:, None, None]
     cbar = cov.mean(axis=0)  # (L+1, d, d)
     trace = np.trace(cbar, axis1=1, axis2=2) / d
     tail = trace[int(2 * max_lag / 3):]
@@ -470,6 +482,25 @@ def green_kubo(model: NoiseModel, m_source: EmpiricalMeasure | None = None,
     ci_fro = float(1.96 * np.sqrt(np.sum(per_rep.var(axis=0, ddof=1)) / reps))
     return GkEstimate(G=G, horizon_fast=horizon_fast, truncation_lag=float(lags[-1]),
                       reps=reps, ci_fro=ci_fro)
+
+
+def _add_lag_products(sums, window, max_lag, end):
+    """Add eta_i(t) eta_j(t - m), m = 0..max_lag, into ``sums[:, m, i, j]``
+    for each new step t of ``window``, rows max_lag..end - 1.
+
+    New row u, of the new rows zero-padded to the window length S, pairs
+    with window row u + max_lag - m, and no index wraps: one circular
+    correlation of length S per coordinate pair gives every lag at once.
+    Three spectra of the replicas are held at a time, whatever d is.
+    """
+    S = window.shape[1]
+    for i in range(window.shape[2]):
+        Y = np.fft.rfft(window[:, max_lag:end, i], n=S, axis=1)
+        np.conjugate(Y, out=Y)
+        for j in range(window.shape[2]):
+            X = np.fft.rfft(window[:, :end, j], n=S, axis=1)
+            X *= Y
+            sums[:, :, i, j] += np.fft.irfft(X, n=S, axis=1)[:, max_lag::-1]
 
 
 def bm_proxy(u_paths: np.ndarray, times: np.ndarray) -> dict:

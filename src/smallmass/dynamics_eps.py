@@ -57,6 +57,10 @@ __all__ = [
     "step",
 ]
 
+# Most steps of a Green-Kubo grid, an eps row or a limit run: a C int, as
+# every count of a config.
+GK_MAX_STEPS = 2**31 - 1
+
 
 @dataclass(frozen=True)
 class EpsScheme:
@@ -190,8 +194,18 @@ def step(ens: ParticleEnsemble, model: NoiseModel, drv: DriverState,
     return out, drv2, report
 
 
+def _check_step_count(T: float, h: float) -> float:
+    """T / h, where it is at most ``GK_MAX_STEPS``; raises ``UsageError``
+    where it is more, or not finite."""
+    steps = T / h
+    if not steps <= GK_MAX_STEPS:
+        raise UsageError(f"T / h = {T!r} / {h!r} is {steps:.3g} steps; at most "
+                         f"{GK_MAX_STEPS} are allowed")
+    return steps
+
+
 def _n_steps(T: float, h: float) -> int:
-    n = int(round(T / h))
+    n = int(round(_check_step_count(T, h)))
     if abs(n * h - T) > 1e-9 * T:
         n = math.ceil(T / h - 1e-12)
     return max(n, 1)

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import rng as _rng
 from .core import PotentialSpec, RunConfig, grad_v_batch
-from .dynamics_eps import InitialLaw, _check_finite, _n_steps
+from .dynamics_eps import InitialLaw, _check_finite, _check_step_count, _n_steps
 from .errors import NumericError, UsageError
 
 __all__ = [
@@ -94,8 +94,9 @@ def _step_cap(alpha: float, pot: PotentialSpec) -> float:
 
 
 def default_limit_scheme(cfg: RunConfig, pot: PotentialSpec) -> LimitScheme:
-    """Largest admissible step that divides the horizon evenly."""
-    n = max(1, math.ceil(cfg.T / _step_cap(cfg.alpha, pot) - 1e-12))
+    """Largest admissible step that divides the horizon evenly; raises
+    ``UsageError`` where that is more than ``GK_MAX_STEPS`` steps."""
+    n = max(1, math.ceil(_check_step_count(cfg.T, _step_cap(cfg.alpha, pot)) - 1e-12))
     return LimitScheme(h=cfg.T / n)
 
 

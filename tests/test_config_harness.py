@@ -666,16 +666,18 @@ class TestOtherEntryPoints:
         # so blocking the other samples moves none of their bytes: the
         # values below are those of the per-replica streams.  Criterion 2's
         # estimate sits at its shipped seed with a 7% spread against a 5%
-        # window, so it must not be re-rolled.
+        # window, so it must not be re-rolled.  G and ci_fro are those of
+        # the overlap-save lag sums, within 1e-15 relative of a whole-path
+        # FFT's; the truncation lags are the same.
         gk = green_kubo(NoiseModel.scalar_ou(1, gamma=2.0, sigma=1.0), horizon_fast=25.0,
                         reps=64, seed=1)
         assert (gk.G[0, 0], gk.ci_fro, gk.truncation_lag) == (
-            1.0060725310867638, 0.12421769854317848, 1.8250000000000002)
+            1.006072531086764, 0.12421769854317848, 1.8250000000000002)
         cfg = load_config(benchmark_config_path)
         with open(harness.COMMANDS["estimate-gk"](cfg, str(tmp_path))) as fh:
             lines = fh.read().splitlines()
         assert lines[-2:] == ["i,j,G", "0,0,2.010958414217177"]
-        assert "# gk.ci_fro = 0.13929106352728374" in lines
+        assert "# gk.ci_fro = 0.13929106352728371" in lines
         assert "# gk.truncation_lag = 5.1000000000000005" in lines
         gaps = [paired_scheme_gap(cfg.run_config(eps), cfg.noise_model(), cfg.potential(),
                                   init=cfg.init_law())[2] for eps in cfg.eps_grid]
@@ -684,18 +686,20 @@ class TestOtherEntryPoints:
 
     @pytest.mark.parametrize("extra, pinned", [
         (COUPLED, ["# gk.ci_fro = 0.36049300996359829", "# gk.truncation_lag = 1.8",
-                   "i,j,G", "0,0,0.41452572318589115", "0,1,-0.005516227573870245",
-                   "1,0,-0.005516227573870245", "1,1,0.4856767313968629"]),
+                   "i,j,G", "0,0,0.41452572318589109", "0,1,-0.0055162275738702485",
+                   "1,0,-0.0055162275738702485", "1,1,0.48567673139686296"]),
         ({"run.d": 2, "noise.kind": "separable", "noise.g": "gauss", "gk.reps": 8,
           "gk.horizon_fast": 10.0},
-         ["# gk.ci_fro = 0.10101253149672162", "# gk.truncation_lag = 1.0250000000000001",
-          "i,j,G", "0,0,0.12048624736376914", "0,1,0.013963953813132188",
-          "1,0,0.013963953813132188", "1,1,0.18142273154277183"]),
+         ["# gk.ci_fro = 0.10101253149672161", "# gk.truncation_lag = 1.0250000000000001",
+          "i,j,G", "0,0,0.12048624736376914", "0,1,0.013963953813132191",
+          "1,0,0.013963953813132191", "1,1,0.18142273154277189"]),
     ], ids=["fourier-field", "separable"])
     def test_law_dependent_green_kubo_keeps_its_bytes(self, small_config_dict, tmp_path,
                                                       extra, pinned):
-        # One factor mean of the frozen measure serves every step's driver;
-        # the pinned bytes are those of a mean taken at each step.
+        # One factor mean of the frozen measure serves every step's driver.
+        # The G and ci_fro bytes are those of the overlap-save lag sums,
+        # within 1e-15 relative of a whole-path FFT's; the truncation lags are
+        # the same.
         cfg = parse_config(dict(small_config_dict, **extra))
         with open(harness.COMMANDS["estimate-gk"](cfg, str(tmp_path))) as fh:
             lines = fh.read().splitlines()

@@ -11,8 +11,8 @@ from smallmass.diagnostics import (CHUNK, _uv_ensemble, _uv_scalar, _UvStream, b
                                    dyadic_lags, green_kubo, moment_table, uv_check)
 from smallmass.dynamics_eps import EpsScheme, InitialLaw, _n_steps, step
 from smallmass.errors import UsageError
-from smallmass.noise import (DriverState, NoiseModel, _factor_mean, advance_xi,
-                             averaged_forcing_xi, stationary_xi)
+from smallmass.noise import (DriverState, NoiseModel, _contract_forcing, _factor_mean,
+                             advance_xi, averaged_forcing_xi, stationary_xi)
 
 from conftest import BLOCK, replica_replays
 
@@ -140,6 +140,34 @@ def _assert_stream_matches(stream, u, v_late):
         np.testing.assert_allclose(stream.inc4[i], want, rtol=1e-12, atol=0.0)
 
 
+def _whole_path_green_kubo(model, m_source, horizon_fast, reps, seed):
+    """green_kubo's (G, ci_fro, truncation_lag) from each replica's whole
+    forcing path, formed from the reference drivers, by one FFT padded to
+    a power of two at least 2n long: the reference for the overlap-save
+    lag sums."""
+    _, dt, n, max_lag, _ = diagnostics._gk_grid(model.gamma, horizon_fast, None, reps,
+                                                 model.d)
+    points = m_source.points if m_source is not None else None
+    drivers = _reference_drivers(model, seed, (_rng.GK_RUN,), reps, n, dt, size=1)
+    eta = np.stack([averaged_forcing_xi(model, xi, points) for xi in drivers], axis=1)
+    nfft = 1 << int(np.ceil(np.log2(2 * n)))
+    F = np.fft.rfft(eta, n=nfft, axis=1)
+    cov = np.zeros((reps, max_lag + 1, model.d, model.d))
+    for i in range(model.d):
+        for j in range(model.d):
+            full = np.fft.irfft(F[:, :, i] * np.conj(F[:, :, j]), n=nfft, axis=1)
+            cov[:, :, i, j] = full[:, :max_lag + 1] / (n - np.arange(max_lag + 1))
+    cbar = cov.mean(axis=0)
+    trace = np.trace(cbar, axis1=1, axis2=2) / model.d
+    tail = trace[int(2 * max_lag / 3):]
+    below = np.nonzero(np.abs(trace[1:]) < float(tail.std(ddof=1)))[0]
+    cut = int(below[0]) + 1 if below.size else max_lag
+    G = 2.0 * np.trapezoid(cbar[:cut + 1], dx=dt, axis=0)
+    per_rep = 2.0 * np.trapezoid(cov[:, :cut + 1], dx=dt, axis=1)
+    ci_fro = float(1.96 * np.sqrt(np.sum(per_rep.var(axis=0, ddof=1)) / reps))
+    return 0.5 * (G + G.T), ci_fro, float(cut * dt)
+
+
 class TestGreenKubo:
     def test_zero_field(self):
         model = NoiseModel.scalar_ou(1, gamma=2.0, sigma=0.0)
@@ -198,6 +226,46 @@ class TestGreenKubo:
         a = green_kubo(model, horizon_fast=25.0, reps=64, seed=3)
         b = green_kubo(model, horizon_fast=50.0, reps=64, seed=3)
         assert abs(a.G[0, 0] - b.G[0, 0]) <= a.ci_fro + b.ci_fro
+
+    @pytest.mark.parametrize("model, m_source", [
+        (NoiseModel.scalar_ou(1, gamma=2.0, sigma=1.0), None),
+        (FOURIER_D2, EmpiricalMeasure(np.random.default_rng(2).standard_normal((16, 2)))),
+    ], ids=["scalar-ou-d1", "fourier-field-d2"])
+    @pytest.mark.parametrize("horizon, n, S", [(12.0, 480, 256), (None, 1000, 512),
+                                               (10.0, 400, 256)],
+                             ids=["n=3B", "default", "shortest"])
+    def test_equals_the_whole_path_fft(self, model, m_source, horizon, n, S):
+        # At gamma = 2 the windows hold S steps behind max_lag = n // 5: 480
+        # steps are three whole segments of B = S - max_lag = 160 new steps;
+        # the default grid and the shortest horizon, 20 / gamma, end in a
+        # part-filled segment (B = 312 and 176).
+        assert diagnostics._gk_grid(model.gamma, horizon, None, 16, model.d)[2:] == (
+            n, n // 5, S)
+        gk = green_kubo(model, m_source, horizon_fast=horizon, reps=16, seed=3)
+        G, ci_fro, truncation_lag = _whole_path_green_kubo(model, m_source, horizon, 16, 3)
+        np.testing.assert_allclose(gk.G, G, rtol=1e-12, atol=0.0)
+        assert gk.ci_fro == pytest.approx(ci_fro, rel=1e-12, abs=0.0)
+        assert gk.truncation_lag == truncation_lag
+
+    def test_memory_is_below_the_whole_path_and_its_fft(self):
+        # On the default grid (n = 1000, a window of 512 steps) at 256
+        # replicas, what green_kubo holds beyond its driver's own draws is
+        # less than the whole forcing path and its FFT padded to 2048 steps.
+        # An untraced first call builds the state that numpy sets up lazily.
+        model = NoiseModel.scalar_ou(1, gamma=2.0, sigma=1.0)
+        reps, n, nfft = 256, 1000, 2048
+        green_kubo(model, reps=4, seed=0)
+        tracemalloc.start()
+        try:
+            for _ in diagnostics._driver_paths(model, 0, (_rng.GK_RUN,), reps, n, 0.025):
+                pass
+            driver = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            green_kubo(model, reps=reps, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - driver < reps * n * 8 + reps * (nfft // 2 + 1) * 16
 
 
 class TestUvCheck:
@@ -323,6 +391,14 @@ class TestUvCheck:
         assert abs(long - short) < 0.2 * short
         assert max(short, long) < (_n_steps(8.0, 0.005) + 1) * 1024 * 1 * 8
 
+    @pytest.mark.parametrize("T, steps", [(1e308, "inf"), (1e300, r"2e\+302")],
+                             ids=["1e308", "1e300"])
+    def test_step_count_past_a_c_int_is_a_usage_error(self, T, steps):
+        # int(T / h) raised OverflowError at 1e308
+        cfg = RunConfig(d=1, N=2, eps=0.1, alpha=1.0, T=T, h0=0.05, seed=0)
+        with pytest.raises(UsageError, match=rf"is {steps} steps; at most {2**31 - 1} are"):
+            uv_check(cfg, NoiseModel.scalar_ou(1, gamma=1.0, sigma=1.0), reps=128)
+
     def test_dyadic_ladder(self):
         assert dyadic_lags(0.01, 1.0) == pytest.approx(
             [0.01, 0.02, 0.04, 0.08, 0.16, 0.32, 0.64])
@@ -426,15 +502,15 @@ class TestDriverPaths:
 
     @staticmethod
     def _captured_forcing(monkeypatch):
-        # green_kubo transforms its sampled forcing path exactly once
+        # green_kubo contracts each step's driver values once, in step order
         seen = []
-        rfft = np.fft.rfft
 
-        def spy(a, *args, **kwargs):
-            seen.append(np.array(a))
-            return rfft(a, *args, **kwargs)
+        def spy(*args):
+            eta = _contract_forcing(*args)
+            seen.append(np.array(eta))
+            return eta
 
-        monkeypatch.setattr(np.fft, "rfft", spy)
+        monkeypatch.setattr(diagnostics, "_contract_forcing", spy)
         return seen
 
     def test_scalar_paths_equal_the_reference(self):
@@ -449,8 +525,8 @@ class TestDriverPaths:
         seen = self._captured_forcing(monkeypatch)
         green_kubo(model, horizon_fast=10.0, reps=9, seed=5)
         ref = _reference_drivers(model, 5, (_rng.GK_RUN,), 9, 400, 0.025, size=1)
-        assert len(seen) == 1
-        assert np.array_equal(seen[0], np.stack(ref, axis=1))
+        assert len(seen) == 400
+        assert np.array_equal(np.stack(seen), np.stack(ref))
 
     def test_fourier_green_kubo_path_equals_the_reference(self, monkeypatch):
         model = NoiseModel.fourier_field(2, gamma=2.0, sigma=1.0,
@@ -468,9 +544,9 @@ class TestDriverPaths:
         monkeypatch.setattr(diagnostics, "_factor_mean", counted_mean)
         green_kubo(model, m_source=m, horizon_fast=10.0, reps=9, seed=5)
         ref = _reference_drivers(model, 5, (_rng.GK_RUN,), 9, 400, 0.025, size=1)
-        eta = np.stack([averaged_forcing_xi(model, xi, m.points) for xi in ref], axis=1)
-        assert len(seen) == 1 and len(means) == 1
-        assert np.array_equal(seen[0], eta)
+        eta = np.stack([averaged_forcing_xi(model, xi, m.points) for xi in ref])
+        assert len(seen) == 400 and len(means) == 1
+        assert np.array_equal(np.stack(seen), eta)
 
 
 class TestWindowedPaths:

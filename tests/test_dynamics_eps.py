@@ -297,6 +297,15 @@ class TestStepContracts:
             paired_scheme_gap(cfg, model, PotentialSpec.quadratic(1.0),
                               h0_coarse=0.1, h0_fine=0.1)
 
+    @pytest.mark.parametrize("T, steps", [(1e308, "inf"), (1e300, r"2e\+302")],
+                             ids=["1e308", "1e300"])
+    def test_step_count_past_a_c_int_is_a_usage_error(self, T, steps):
+        # int(T / h) raised OverflowError at 1e308; 1e300 ran without end
+        cfg = RunConfig(d=1, N=2, eps=0.1, alpha=1.0, T=T, h0=0.05, seed=0)
+        with pytest.raises(UsageError, match=rf"is {steps} steps; at most {2**31 - 1} are"):
+            run_eps_replicas(cfg, SILENT, ZERO_POT, "exponential", InitialLaw(), range(2),
+                             (_rng.EPS_RUN, 0))
+
     def test_only_the_exponential_scheme_is_built(self):
         with pytest.raises(UsageError, match="unknown scheme kind"):
             EpsScheme("euler", 0.01)

@@ -168,6 +168,18 @@ class TestSimulateLimit:
         assert sch.h <= 0.001 * (1.0 + 1e-12)
 
 
+    @pytest.mark.parametrize("T, sch, steps", [
+        (1e308, None, "inf"), (1e300, None, r"1e\+302"), (1e308, LimitScheme(0.001), "inf"),
+    ], ids=["default-1e308", "default-1e300", "given-step-1e308"])
+    def test_step_count_past_a_c_int_is_a_usage_error(self, T, sch, steps):
+        # the default step's ceil(T / h) raised OverflowError at 1e308
+        cfg = RunConfig(d=1, N=1, eps=0.5, alpha=1.0, T=T, h0=0.05, seed=0)
+        with pytest.raises(UsageError, match=rf"is {steps} steps; at most {2**31 - 1} are"):
+            run_limit_replicas(cfg, PotentialSpec.quadratic(1.0),
+                               DiffusionSpec(np.array([[1.0]])), InitialLaw(), range(2),
+                               (_rng.LIMIT_RUN, 0), sch)
+
+
 class TestLimitReplicaSweep:
     """The lock-step kernel against a per-replica loop of ``step_em``."""
 
