@@ -17,7 +17,7 @@ import os
 import sys
 
 from ._version import __version__
-from .errors import NumericError, UsageError
+from .errors import NumericError, UsageError, require_finite
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -52,6 +52,7 @@ def _cmd_w2(args):
     a = load_sample_file(args.file_a)
     b = load_sample_file(args.file_b)
     res = w2_auto(a, b, seed=args.seed)
+    require_finite(f"W2 ({res.method}) of {args.file_a} and {args.file_b}", res.value)
     print(repr(res.value))
     return 0
 

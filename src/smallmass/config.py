@@ -31,6 +31,9 @@ _REQ = object()
 # stream index bound; every other count stays within a C int.
 _STREAMS_MAX = _rng._IDX_MAX + 1
 _COUNT_MAX = 2**31 - 1
+# run.alpha and noise.sigma enter squared (D_eff, the forcing covariance), so
+# each stops short of where its square would pass the float range, 1.8e308.
+_ROOT_MAX = 1e154
 # The W2 column each limit mode reports in.
 MODE_COLUMN = {"paper": "w2_paper_mode", "green-kubo": "w2_gk_mode"}
 # The noise keys each noise kind reads; a key of another kind is rejected.
@@ -143,7 +146,7 @@ _REGISTRY = {
     "run.d": (_integer(1), _REQ),
     "run.N": (_integer(1), _REQ),
     "run.T": (_positive, _REQ),
-    "run.alpha": (_positive, _REQ),
+    "run.alpha": (_number(0.0, _ROOT_MAX, open_lo=True), _REQ),
     "run.seed": (_integer(0, 2**64 - 1), _REQ),
     "run.h0": (_number(0.0, 0.2, open_lo=True), _REQ),
     "run.eps_grid": (_eps_grid, _REQ),
@@ -155,7 +158,7 @@ _REGISTRY = {
     "potential.kappa": (_number(), _REQ),
     "noise.kind": (_choice(*_NOISE_KIND_KEYS), _REQ),
     "noise.gamma": (_positive, _REQ),
-    "noise.sigma": (_nonnegative, _REQ),
+    "noise.sigma": (_number(0.0, _ROOT_MAX), _REQ),
     "noise.g": (_string, None),
     "noise.omegas": (_list(_list(_number())), None),
     "noise.a": (_list(_number()), None),
@@ -171,11 +174,9 @@ _REGISTRY = {
     "init.velocity": (_number(), 0.0),
     "gk.horizon_fast": (_number(), None),
     "gk.reps": (_integer(2, _STREAMS_MAX), 256),
-    "gk.dt": (_positive, None),
     "diag.reps": (_integer(BM_PROXY_MIN_PATHS, _STREAMS_MAX), 512),
     "diag.moment_reps": (_integer(2, _STREAMS_MAX), 256),
     "diag.N": (_integer(1), 8),
-    "diag.grid_points": (_integer(2), 48),
     "diag.lag_lo": (_positive, 0.01),
     "diag.lag_hi": (_number(), 1.0),
 }
@@ -304,8 +305,8 @@ def parse_config(doc) -> Config:
 def _cross_validate(v):
     """The rules that join keys; each key's own range is its registry row's."""
     try:
-        _gk_grid(v["noise.gamma"], v["gk.horizon_fast"], v["gk.dt"], v["gk.reps"],
-                 v["run.d"], ("gk.horizon_fast", "gk.dt", "noise.gamma", "gk.reps"))
+        _gk_grid(v["noise.gamma"], v["gk.horizon_fast"], v["gk.reps"], v["run.d"],
+                 ("gk.horizon_fast", "noise.gamma", "gk.reps"))
     except UsageError as err:
         raise ConfigError(str(err)) from None
     if v["run.samples_per_replica"] > v["run.N"]:

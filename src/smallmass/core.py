@@ -89,10 +89,6 @@ class EmpiricalMeasure:
     def from_points(cls, pts) -> "EmpiricalMeasure":
         return cls(np.atleast_2d(np.asarray(pts, dtype=float)))
 
-    @property
-    def d(self) -> int:
-        return self.points.shape[1]
-
     def mean(self) -> np.ndarray:
         """Coordinate-wise arithmetic mean of the points (pairwise fold)."""
         return pairwise_mean(self.points, axis=0)
@@ -185,39 +181,32 @@ class PotentialSpec:
         return self.lipschitz_bound if self.kind == "custom" else self.lam + abs(self.kappa)
 
 
-def grad_v_batch(p: PotentialSpec, xs: np.ndarray, m: EmpiricalMeasure | None = None,
-                 out: np.ndarray | None = None, tmp: np.ndarray | None = None) -> np.ndarray:
+def grad_v_batch(p: PotentialSpec, xs: np.ndarray, out: np.ndarray | None = None,
+                 tmp: np.ndarray | None = None) -> np.ndarray:
     """The drift gradient at the rows of ``xs``; the drift of both integrators.
 
-    With a measure ``m`` it applies to every row, and ``xs`` may carry
-    leading batch axes.  With ``m=None`` each (n, d) set along the last
-    two axes of ``xs`` is its own measure, averaged over the particle axis
-    with the deterministic pairwise fold.  The result is written to ``out``
-    when given, with ``tmp`` as scratch (both shaped like ``xs``).  A custom
-    gradient is called once per row and raises ``NumericError`` on a
-    non-finite ``xs``.
+    Each (n, d) set along the last two axes of ``xs`` is its own measure,
+    averaged over the particle axis with the deterministic pairwise fold;
+    leading axes are batch axes.  The result is written to ``out`` when
+    given, with ``tmp`` as scratch (both shaped like ``xs``).  A custom
+    gradient is called once per row, with its set's ``EmpiricalMeasure``,
+    and raises ``NumericError`` on a non-finite ``xs``.
     """
     xs = np.asarray(xs, dtype=float)
-    if m is not None and xs.shape[-1] != m.d:
-        raise UsageError(f"dimension mismatch: points d={xs.shape[-1]}, measure d={m.d}")
     if p.kind == "custom":
         if not np.isfinite(xs).all():
             raise NumericError("custom potential evaluated at a non-finite state")
-        if m is not None:
-            rows = [p.grad(x, m) for x in xs.reshape(-1, m.d)]
-        else:
-            rows = []
-            for s in xs.reshape((-1,) + xs.shape[-2:]):
-                ms = EmpiricalMeasure(s)
-                rows.extend(p.grad(x, ms) for x in s)
+        rows = []
+        for s in xs.reshape((-1,) + xs.shape[-2:]):
+            ms = EmpiricalMeasure(s)
+            rows.extend(p.grad(x, ms) for x in s)
         if out is None:
             out = np.empty_like(xs)
         out[...] = np.stack(rows).reshape(xs.shape)
         return out
     out = np.multiply(xs, p.lam, out=out)
     if p.kind == "curie-weiss":
-        mean = pairwise_mean(xs, axis=-2)[..., None, :] if m is None else m.mean()
-        tmp = np.subtract(xs, mean, out=tmp)
+        tmp = np.subtract(xs, pairwise_mean(xs, axis=-2)[..., None, :], out=tmp)
         tmp *= p.kappa
         out += tmp
     return out

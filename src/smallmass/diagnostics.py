@@ -35,7 +35,7 @@ import numpy as np
 from . import rng as _rng
 from .core import EmpiricalMeasure, PotentialSpec, RunConfig
 from .dynamics_eps import GK_MAX_STEPS, InitialLaw, _Advance, _n_steps, run_eps_replicas
-from .errors import UsageError
+from .errors import UsageError, require_finite
 from .noise import (NoiseModel, _contract_forcing, _factor_mean, advance_xi,
                     averaged_forcing_xi, stationary_xi)
 
@@ -53,15 +53,16 @@ __all__ = [
 _MOMENT_KEYS = ("sx2", "sx4", "sy2", "sy4")
 # Points of the decimated time grid behind the Brownian-proxy statistics.
 _BM_GRID = 50
+# Points of the time grid over which moment_table takes its sup.
+_MOMENT_GRID = 48
 # Fewest independent u paths the Brownian-proxy statistics accept.
 BM_PROXY_MIN_PATHS = 100
 # Shortest and default Green-Kubo horizon, in driver correlation times 1/gamma.
 GK_MIN_HORIZON = 20.0
 GK_HORIZON = 50.0
-# Longest and default Green-Kubo sampling step, in the same units: the
-# trapezoid rule over-integrates an exponential autocovariance by about
-# (dt gamma)^2 / 12, 0.08% at the longest step.
-GK_MAX_DT = 0.1
+# Green-Kubo sampling step, in the same units: the trapezoid rule
+# over-integrates an exponential autocovariance by about (dt gamma)^2 / 12,
+# 0.02% at this step.
 GK_DT = 0.05
 # Most values reps * steps * d of a path buffer: green_kubo's overlap-save
 # window and the u rows of uv_check's stream.  Measured with tracemalloc,
@@ -118,8 +119,8 @@ class GkEstimate:
 
 
 class _MomentRecorder:
-    def __init__(self, n_total_steps, grid_points, eps, n_replicas):
-        every = max(1, n_total_steps // (grid_points - 1))
+    def __init__(self, n_total_steps, eps, n_replicas):
+        every = max(1, n_total_steps // (_MOMENT_GRID - 1))
         self.idx = list(range(0, n_total_steps + 1, every))
         if self.idx[-1] != n_total_steps:
             self.idx.append(n_total_steps)
@@ -143,9 +144,11 @@ class _MomentRecorder:
 
 
 def moment_table(cfg: RunConfig, model: NoiseModel, pot: PotentialSpec, *,
-                 reps: int = 256, grid_points: int = 48, init: InitialLaw | None = None,
-                 eps_index: int = 0, batch_size: int | None = None) -> MomentTable:
-    """Estimate sup_t of the scaled moments over ``reps`` replicas.
+                 reps: int = 256, init: InitialLaw | None = None, eps_index: int = 0,
+                 batch_size: int | None = None) -> MomentTable:
+    """Estimate sup_t of the scaled moments over ``reps`` replicas, t
+    every ``n // (_MOMENT_GRID - 1)``-th of the run's n steps (every step
+    where n is shorter) and the last.
 
     Particles within a replica share one driver path, so the effective
     sample size is the replica count; confidence halfwidths are computed
@@ -153,15 +156,14 @@ def moment_table(cfg: RunConfig, model: NoiseModel, pot: PotentialSpec, *,
     ``batch_size`` (a multiple of ``rng.BLOCK``) at a time, all in one
     lock-step batch by default: the kernel's normals are drawn in windows
     under a fixed budget, so a larger batch costs state memory only, and
-    the values do not depend on it.
+    the values do not depend on it.  A sup or halfwidth that is not finite
+    raises ``NumericError``.
     """
-    if grid_points < 2:
-        raise UsageError(f"grid_points must be >= 2, got {grid_points}")
     if reps < 2:
         raise UsageError(f"moment_table needs reps >= 2 for its confidence halfwidths, "
                          f"got {reps}")
     init = init or InitialLaw()
-    rec = _MomentRecorder(_n_steps(cfg.T, cfg.eps_step), grid_points, cfg.eps, reps)
+    rec = _MomentRecorder(_n_steps(cfg.T, cfg.eps_step), cfg.eps, reps)
     run_eps_replicas(cfg, model, pot, "exponential", init, range(reps),
                      (_rng.MOMENT_RUN, eps_index), batch_size=batch_size,
                      recorder=rec)
@@ -173,6 +175,7 @@ def moment_table(cfg: RunConfig, model: NoiseModel, pot: PotentialSpec, *,
         slot = int(sup_slots[j])
         sup[key] = float(est[slot, j])
         ci[key] = float(1.96 * per_rep[:, slot, j].std(ddof=1) / math.sqrt(reps))
+    require_finite("a moment_table sup or halfwidth", *sup.values(), *ci.values(), eps=cfg.eps)
     return MomentTable(eps=cfg.eps, sup=sup, ci=ci, n_replicas=reps,
                        n_particles=cfg.N, grid_times=rec.times)
 
@@ -231,7 +234,8 @@ def uv_check(cfg: RunConfig, model: NoiseModel, *, reps: int = 512,
     E||v||^2 is estimated by averaging over replicas and over the second
     half of the horizon; v is stationary there up to an exp(-alpha T /
     (2 eps)) transient, and the time average tightens the estimate without
-    changing what is estimated.
+    changing what is estimated.  A statistic that is not finite raises
+    ``NumericError``, but for the NaNs that mark a degenerate ``bm_proxy``.
     """
     if reps < BM_PROXY_MIN_PATHS:
         raise UsageError(f"uv_check needs reps >= {BM_PROXY_MIN_PATHS} for the "
@@ -249,6 +253,9 @@ def uv_check(cfg: RunConfig, model: NoiseModel, *, reps: int = 512,
     ratios = {m * h: float(stream.inc4[i].sum() / ((n + 1 - m) * reps)) / (m * h)
               for i, m in enumerate(steps)}
     stats = bm_proxy(stream.grid, np.arange(0, n + 1, stream.every) * h)
+    # a degenerate proxy's NaN statistics are undefined, not failed
+    require_finite("a uv_check statistic", v_msq, v_ci, *ratios.values(),
+                   *([] if stats["degenerate"] else stats.values()), eps=cfg.eps)
     return UvReport(eps=cfg.eps, v_msq=v_msq, v_msq_ci=v_ci,
                     u_increment_ratios=ratios, bm_stats=stats, n_replicas=reps)
 
@@ -256,12 +263,11 @@ def uv_check(cfg: RunConfig, model: NoiseModel, *, reps: int = 512,
 class _UvStream:
     """Running u/v statistics under the integrator's quadrature.
 
-    ``add`` folds the left-endpoint forcing ``eta`` of step k into u
-    (weight h / (alpha sqrt(eps))) and into v (the exponential step's own
-    weights r and 1 - r), for the replica rows ``rows``, a slice; ``eta``
-    holds one row per replica of ``rows``.  Each set of rows must bring its
-    steps 0..n-1 in order, from u = v = 0.  No path is held whole; per
-    replica the stream keeps
+    ``add`` folds the left-endpoint forcing ``eta`` of step k, one row per
+    replica, into u (weight h / (alpha sqrt(eps))) and into v (the
+    exponential step's own weights r and 1 - r).  Steps 0..n-1 must come in
+    order, from u = v = 0.  No path is held whole; per replica the stream
+    keeps
 
     * ``buf``, the last ``L + CHUNK + 1`` values of u time-major, with L
       the longest lag of ``steps``: row L + j holds u(c CHUNK + j) while
@@ -275,9 +281,6 @@ class _UvStream:
     * ``v_sq``, the sum of ||v||^2 after steps n // 2 .. n - 1, added in
       step order, so that its mean has the bits of a mean over the whole
       late path.
-
-    The sums are per replica: a split of the replicas into row sets moves
-    no v or grid value, and a ratio by rounding only.
     """
 
     def __init__(self, cfg, d, reps, n, steps):
@@ -296,27 +299,30 @@ class _UvStream:
         self.v_sq = np.zeros(reps)
         self.tmp = np.empty((reps, d))
         self.du = np.empty((CHUNK, reps, d))
-        # in d = 1 the squared increment is its own coordinate sum
+        # In d = 1 the squared increment and ||v||^2 are their own coordinate
+        # sums, so they alias the scratch: a sum over the length-1 axis cost
+        # 4.4 us per step and 103 us per chunk and lag at 1024 replicas on a
+        # 2-vCPU Xeon VM, about 0.08 s of diagnose on configs/diagnose.json.
         self.sq = np.empty((CHUNK, reps)) if d > 1 else self.du[:, :, 0]
         self.norm = np.empty(reps) if d > 1 else self.tmp[:, 0]
 
-    def add(self, rows, k, eta):
+    def add(self, k, eta):
         j = self.lag + k % CHUNK
-        u, v, tmp = self.buf[j + 1, rows], self.v[rows], self.tmp[rows]
-        np.add(self.buf[j, rows], np.multiply(eta, self.cu, out=tmp), out=u)
+        u, v, tmp = self.buf[j + 1], self.v, self.tmp
+        np.add(self.buf[j], np.multiply(eta, self.cu, out=tmp), out=u)
         np.multiply(v, self.r_fac, out=v)
         v += np.multiply(eta, self.cv, out=tmp)
         if k >= self.n_late_from:
             np.multiply(v, v, out=tmp)
             if tmp.shape[1] > 1:
-                np.sum(tmp, axis=-1, out=self.norm[rows])
-            self.v_sq[rows] += self.norm[rows]
+                np.sum(tmp, axis=-1, out=self.norm)
+            self.v_sq += self.norm
         if (k + 1) % self.every == 0:
-            self.grid[rows, (k + 1) // self.every] = u
+            self.grid[:, (k + 1) // self.every] = u
         if k % CHUNK == CHUNK - 1 or k == self.n - 1:
-            self._flush(rows, k)
+            self._flush(k)
 
-    def _flush(self, rows, k):
+    def _flush(self, k):
         """Add the increments ending at u(t), t = start + 1..k + 1, of the
         chunk that starts at step ``start``, then, unless k is the last
         step, move u(k + 1 - L)..u(k + 1) to rows 0..L."""
@@ -327,19 +333,18 @@ class _UvStream:
             if count <= 0:
                 continue
             r0 = lo - start + L
-            du, sq = self.du[:count, rows], self.sq[:count, rows]
-            np.subtract(self.buf[r0:r0 + count, rows], self.buf[r0 - m:r0 - m + count, rows],
-                        out=du)
+            du, sq = self.du[:count], self.sq[:count]
+            np.subtract(self.buf[r0:r0 + count], self.buf[r0 - m:r0 - m + count], out=du)
             np.multiply(du, du, out=du)
             if du.shape[2] > 1:
                 np.sum(du, axis=-1, out=sq)
             np.square(sq, out=sq)
-            self.inc4[i, rows] += np.sum(sq, axis=0)
+            self.inc4[i] += np.sum(sq, axis=0)
         if end < self.n:
             # blocks of CHUNK rows, so that no copy reads rows it has written
             for a in range(0, L + 1, CHUNK):
                 b = min(a + CHUNK, L + 1)
-                self.buf[a:b, rows] = self.buf[a + CHUNK:b + CHUNK, rows]
+                self.buf[a:b] = self.buf[a + CHUNK:b + CHUNK]
 
 
 def _driver_paths(model, seed, path, reps, n, delta_s):
@@ -365,7 +370,7 @@ def _uv_scalar(cfg, model, reps, n, steps, eps_index):
     drivers = _driver_paths(model, cfg.seed, (_rng.UV_RUN, eps_index), reps, n,
                             cfg.eps_step / cfg.eps)
     for k, xi in enumerate(drivers):
-        stream.add(slice(None), k, xi)  # scalar-ou: the law average is the driver value
+        stream.add(k, xi)  # scalar-ou: the law average is the driver value
     return stream
 
 
@@ -375,45 +380,39 @@ def _uv_ensemble(cfg, model, reps, n, steps, eps_index, init, pot):
 
     def record(ids, k, t, X, Y, xi):
         if k < n:
-            # the kernel's ids are consecutive (``rng.block_streams``)
-            stream.add(slice(ids[0], ids[-1] + 1), k, averaged_forcing_xi(model, xi, X))
+            stream.add(k, averaged_forcing_xi(model, xi, X))
 
+    # one lock-step batch, so each call brings every replica
     run_eps_replicas(cfg, model, pot or PotentialSpec.quadratic(1.0), "exponential",
                      init or InitialLaw(), range(reps), (_rng.UV_RUN, eps_index),
                      recorder=record)
     return stream
 
 
-def _gk_grid(gamma: float, horizon_fast: float | None, dt: float | None, reps: int,
-             d: int, keys=("horizon_fast", "dt", "gamma", "reps")
-             ) -> tuple[float, float, int, int, int]:
+def _gk_grid(gamma: float, horizon_fast: float | None, reps: int, d: int,
+             keys=("horizon_fast", "gamma", "reps")) -> tuple[float, float, int, int, int]:
     """The horizon, step, step count n, longest lag ``n // 5`` and window
     length S of ``green_kubo``'s fast-time grid.
 
-    ``None`` takes the default, ``GK_HORIZON`` or ``GK_DT`` over ``gamma``.
-    S is the least power of two of at least 2 * max_lag + 1 steps.  Raises
-    ``UsageError``, naming the horizon, the step, the rate and the replica
-    count by ``keys``, where the horizon is under ``GK_MIN_HORIZON /
-    gamma``, the step lies outside (0, ``GK_MAX_DT / gamma``], the grid has
-    more than ``GK_MAX_STEPS`` steps, or the windows of ``reps`` paths in
-    ``d`` coordinates hold more than ``MAX_PATH_VALUES`` values, before
-    anything is sampled.
+    The step is ``GK_DT / gamma``; a horizon of ``None`` takes the default,
+    ``GK_HORIZON / gamma``.  S is the least power of two of at least
+    2 * max_lag + 1 steps.  Raises ``UsageError``, naming the horizon, the
+    rate and the replica count by ``keys``, where the horizon is under
+    ``GK_MIN_HORIZON / gamma``, the grid has more than ``GK_MAX_STEPS``
+    steps, or the windows of ``reps`` paths in ``d`` coordinates hold more
+    than ``MAX_PATH_VALUES`` values, before anything is sampled.
     """
-    h_key, dt_key, rate, reps_key = keys
+    h_key, rate, reps_key = keys
     if horizon_fast is None:
         horizon_fast = GK_HORIZON / gamma
     elif horizon_fast < GK_MIN_HORIZON / gamma:
         raise UsageError(f"{h_key} must be >= {GK_MIN_HORIZON:g}/{rate} = "
                          f"{GK_MIN_HORIZON / gamma:g}, got {h_key}={horizon_fast!r}")
-    if dt is None:
-        dt = GK_DT / gamma
-    elif not 0.0 < dt * gamma <= GK_MAX_DT:
-        raise UsageError(f"{dt_key} must be > 0 and <= {GK_MAX_DT:g}/{rate} = "
-                         f"{GK_MAX_DT / gamma:g}, got {dt_key}={dt!r}")
+    dt = GK_DT / gamma
     steps = horizon_fast / dt
     if steps > GK_MAX_STEPS:
-        raise UsageError(f"{h_key} / {dt_key} = {horizon_fast!r} / {dt!r} is a grid of "
-                         f"{steps:.3g} steps; at most {GK_MAX_STEPS} are allowed")
+        raise UsageError(f"{h_key} / ({GK_DT:g}/{rate}) = {horizon_fast!r} / {dt!r} is a "
+                         f"grid of {steps:.3g} steps; at most {GK_MAX_STEPS} are allowed")
     n = round(steps)
     max_lag = n // 5
     S = 1 << (2 * max_lag).bit_length()  # the least power of two >= 2 max_lag + 1
@@ -422,20 +421,19 @@ def _gk_grid(gamma: float, horizon_fast: float | None, dt: float | None, reps: i
         raise UsageError(f"{reps_key} = {reps} paths of {n} steps in d = {d} hold "
                          f"{reps * n * d:.3g} values; at most {MAX_PATH_VALUES} are "
                          f"allowed at once, and green_kubo's window of {S} steps per "
-                         f"path holds {values:.3g}: lower {reps_key} or {h_key}, or "
-                         f"raise {dt_key}")
+                         f"path holds {values:.3g}: lower {reps_key} or {h_key}")
     return horizon_fast, dt, n, max_lag, S
 
 
 def green_kubo(model: NoiseModel, m_source: EmpiricalMeasure | None = None,
-               horizon_fast: float | None = None, reps: int = 64, seed: int = 0,
-               dt: float | None = None) -> GkEstimate:
+               horizon_fast: float | None = None, reps: int = 64,
+               seed: int = 0) -> GkEstimate:
     """Effective diffusion G = 2 * integral of the forcing autocovariance.
 
-    The averaged forcing is sampled on ``_gk_grid``'s fast-time grid, by
-    default ``GK_HORIZON / gamma`` long in steps of ``GK_DT / gamma``, under
-    the frozen measure ``m_source`` (ignored for the x-independent kind).
-    Each replica's lagged products, lags 0..n // 5, are summed by
+    The averaged forcing is sampled on ``_gk_grid``'s fast-time grid, in
+    steps of ``GK_DT / gamma`` and by default ``GK_HORIZON / gamma`` long,
+    under the frozen measure ``m_source`` (ignored for the x-independent
+    kind).  Each replica's lagged products, lags 0..n // 5, are summed by
     overlap-save as its driver advances: the forcing fills a window of S
     steps (``_gk_grid``) behind the last n // 5 values, and each full window
     and the last one add one circular correlation (``_add_lag_products``),
@@ -445,11 +443,12 @@ def green_kubo(model: NoiseModel, m_source: EmpiricalMeasure | None = None,
     the noise floor estimated from the tail of the lag window.  No sample
     mean is subtracted: the drivers are centered by construction, and
     subtracting a sample mean would bias the integral downward by order
-    1/horizon.
+    1/horizon.  A G or halfwidth that is not finite (a forcing whose
+    products overflow) raises ``NumericError``.
     """
     if reps < 2:
         raise UsageError(f"green_kubo needs reps >= 2 for its confidence halfwidth, got {reps}")
-    horizon_fast, dt, n, max_lag, S = _gk_grid(model.gamma, horizon_fast, dt, reps, model.d)
+    horizon_fast, dt, n, max_lag, S = _gk_grid(model.gamma, horizon_fast, reps, model.d)
     if model.kind != "scalar-ou" and m_source is None:
         raise UsageError(f"{model.kind} needs a frozen measure for the estimator")
     d = model.d
@@ -472,15 +471,14 @@ def green_kubo(model: NoiseModel, m_source: EmpiricalMeasure | None = None,
     cbar = cov.mean(axis=0)  # (L+1, d, d)
     trace = np.trace(cbar, axis1=1, axis2=2) / d
     tail = trace[int(2 * max_lag / 3):]
-    floor = float(tail.std(ddof=1)) if tail.size > 1 else 0.0
-    below = np.nonzero(np.abs(trace[1:]) < floor)[0]
+    below = np.nonzero(np.abs(trace[1:]) < float(tail.std(ddof=1)))[0]
     cut = int(below[0]) + 1 if below.size else max_lag
-    lags = np.arange(cut + 1) * dt
     G = 2.0 * np.trapezoid(cbar[: cut + 1], dx=dt, axis=0)
     G = 0.5 * (G + G.T)
     per_rep = 2.0 * np.trapezoid(cov[:, : cut + 1], dx=dt, axis=1)
     ci_fro = float(1.96 * np.sqrt(np.sum(per_rep.var(axis=0, ddof=1)) / reps))
-    return GkEstimate(G=G, horizon_fast=horizon_fast, truncation_lag=float(lags[-1]),
+    require_finite("green_kubo's G or its halfwidth", *G.flat, ci_fro)
+    return GkEstimate(G=G, horizon_fast=horizon_fast, truncation_lag=float(cut * dt),
                       reps=reps, ci_fro=ci_fro)
 
 

@@ -6,6 +6,8 @@ Callers can rely on two categories: ``UsageError`` for contract violations
 factorizations).  The CLI maps them to exit codes 1 and 2.
 """
 
+import math
+
 
 class UsageError(ValueError):
     """The caller violated a precondition or supplied invalid input."""
@@ -29,3 +31,10 @@ class NumericError(RuntimeError):
         super().__init__(message)
         self.replica = replica
         self.eps = eps
+
+
+def require_finite(what, *values, **ctx):
+    """Raise ``NumericError`` naming ``what`` (and ``ctx``, as
+    ``NumericError`` takes it) unless every value is finite."""
+    if not all(map(math.isfinite, values)):
+        raise NumericError(f"{what} is not finite", **ctx)

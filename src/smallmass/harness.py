@@ -71,7 +71,7 @@ from .diagnostics import (GkEstimate, _uv_steps, dyadic_lags, green_kubo, moment
                           uv_check)
 from .dynamics_eps import run_eps_replicas
 from .dynamics_limit import DiffusionSpec, LimitScheme, run_limit_replicas
-from .errors import UsageError
+from .errors import UsageError, require_finite
 from .transport import W2_AUTO_RULE, w2_auto
 
 __all__ = [
@@ -332,7 +332,8 @@ def run_convergence(cfg: Config) -> ConvergenceReport:
 
     Every limit mode's and every eps row's batches go to one process pool
     before anything is scored; row k is scored as soon as its batches are
-    back, while the later rows run on."""
+    back, while the later rows run on.  A row whose W2 or halfwidth is not
+    finite raises ``NumericError`` naming its eps."""
     if cfg.values["run.replicas"] < 2:
         raise UsageError("converge needs run.replicas >= 2: its confidence halfwidth "
                          "resamples replica blocks, and one block cannot vary")
@@ -362,6 +363,8 @@ def run_convergence(cfg: Config) -> ConvergenceReport:
                 row[MODE_COLUMN[mode]] = res.value
             row["ci_halfwidth"] = _block_bootstrap_ci(eps_sample, spr, limit_samples.values(),
                                                       cfg.seed, eps_index)
+            require_finite("a W2 value or its bootstrap halfwidth", row["ci_halfwidth"],
+                           *(row[MODE_COLUMN[mode]] for mode in modes), eps=eps)
             row["w2_method"] = res.method
             rows.append(row)
     terminal = {mode: rows[-1][MODE_COLUMN[mode]] for mode in modes}
@@ -375,8 +378,7 @@ def run_convergence(cfg: Config) -> ConvergenceReport:
 def run_estimate_gk(cfg: Config) -> GkEstimate:
     v = cfg.values
     return green_kubo(cfg.noise_model(), m_source=cfg.reference_measure(),
-                      horizon_fast=v["gk.horizon_fast"], reps=v["gk.reps"], seed=cfg.seed,
-                      dt=v["gk.dt"])
+                      horizon_fast=v["gk.horizon_fast"], reps=v["gk.reps"], seed=cfg.seed)
 
 
 def run_diagnose(cfg: Config):
@@ -397,8 +399,7 @@ def run_diagnose(cfg: Config):
         _uv_steps(cfg.run_config(eps), lags, v["diag.reps"])
     for eps_index, eps in enumerate(cfg.eps_grid):
         rc_small = replace(cfg.run_config(eps), N=v["diag.N"])
-        mt = moment_table(rc_small, model, pot, reps=v["diag.moment_reps"],
-                          grid_points=v["diag.grid_points"], init=init,
+        mt = moment_table(rc_small, model, pot, reps=v["diag.moment_reps"], init=init,
                           eps_index=eps_index)
         for key in ("sx2", "sx4", "sy2", "sy4"):
             rows.append(("moment_table", eps, f"sup_{key}", mt.sup[key], mt.ci[key]))
@@ -527,10 +528,9 @@ def load_sample_file(path) -> np.ndarray:
         raise UsageError(f"cannot read sample file {path}: {err}") from None
     if not rows:
         raise UsageError(f"no samples found in {path}")
-    arr = np.asarray(rows, dtype=float)
-    widths = {len(r) for r in rows}
-    if len(widths) != 1:
+    if len({len(r) for r in rows}) != 1:
         raise UsageError(f"ragged rows in {path}")
+    arr = np.asarray(rows, dtype=float)
     if arr.shape[1] > 1 and header[:1] == ["sample"]:
         arr = arr[:, 1:]
     return arr

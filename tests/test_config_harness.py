@@ -93,10 +93,11 @@ class TestConfig:
     def test_output_format_key_is_gone(self, small_config_dict):
         # nothing ever wrote anything but CSV, nothing ran but the
         # exponential scheme, a truncated driver is no longer the OU process
-        # that D_eff assumes, and no config set a D_eff matrix by hand, so
-        # none of these keys is accepted
+        # that D_eff assumes, no config set a D_eff matrix by hand, a
+        # Green-Kubo step or a moment grid, so none of these keys is accepted
         for key, value in (("output.format", "csv"), ("run.scheme", "exponential"),
-                           ("noise.clip", False), ("limit.explicit_matrix", [[1.0]])):
+                           ("noise.clip", False), ("limit.explicit_matrix", [[1.0]]),
+                           ("gk.dt", 0.025), ("diag.grid_points", 48)):
             doc = dict(small_config_dict, **{key: value})
             with pytest.raises(ConfigError, match=f"unrecognized.*{key}"):
                 parse_config(doc)
@@ -120,13 +121,13 @@ class TestConfig:
         ("diag.lag_lo", 0.0), ("diag.lag_lo", 2.0),
         ("limit.replicas", 0), ("limit.replicas", -1),
         ("limit.samples_per_replica", 0), ("limit.samples_per_replica", -2),
-        ("gk.dt", 0.0), ("gk.dt", -0.1), ("gk.reps", 1), ("run.alpha", 0.0),
+        ("gk.reps", 1), ("run.alpha", 0.0), ("run.alpha", 1.1e154), ("run.alpha", 1e300),
         ("run.replicas", 0), ("run.replicas", -1), ("run.samples_per_replica", 0),
         ("run.N", 0), ("run.d", 0), ("diag.N", 0), ("diag.moment_reps", 1),
-        ("diag.reps", 99), ("run.T", 0), ("noise.sigma", -1), ("potential.lambda", -1),
+        ("diag.reps", 99), ("run.T", 0), ("noise.sigma", -1), ("noise.sigma", 1.1e154),
+        ("noise.sigma", 1e300), ("potential.lambda", -1),
         ("potential.kappa", 0.5), ("limit.h", 0), ("limit.h", -0.01), ("limit.h", 0.5),
-        ("init.position_std", -1), ("gk.horizon_fast", 1.0), ("diag.grid_points", 0),
-        ("diag.grid_points", 1),
+        ("init.position_std", -1), ("gk.horizon_fast", 1.0),
         ("run.T", NAN), ("run.alpha", INF), ("noise.gamma", NAN), ("noise.sigma", NAN),
         ("potential.lambda", NAN), ("gk.horizon_fast", NAN), ("limit.h", NAN),
         ("init.position_mean", INF), ("init.position_mean", -INF), ("diag.lag_hi", INF),
@@ -137,22 +138,21 @@ class TestConfig:
         pytest.param("run.N", RawJson("9" * 5001), id="run.N-5001-digit-literal"),
         pytest.param("run.T", RawJson("-" + "9" * 5001), id="run.T-5001-digit-literal"),
         pytest.param("run.N", 10**30, id="run.N-10**30"), ("run.d", 2**31),
-        ("diag.grid_points", 2**31), ("limit.samples_per_replica", 2**31),
+        ("limit.samples_per_replica", 2**31),
         ("run.seed", -1), pytest.param("run.seed", 2**64, id="run.seed-2**64"),
         pytest.param("run.seed", 2**70, id="run.seed-2**70"),
         ("run.replicas", 70000), ("run.replicas", 65537), ("limit.replicas", 65537),
         ("gk.reps", 65537), ("diag.reps", 65537), ("diag.moment_reps", 65537),
         pytest.param("run.eps_grid", [1.0 - i / 70000 for i in range(65537)],
                      id="run.eps_grid-65537-values"),
-        ("gk.dt", 100.0), ("gk.dt", 30.0), ("gk.dt", 12.0), ("gk.dt", 0.5),
     ])
     def test_out_of_range_values_are_rejected(self, small_config_dict, key, value):
         # diag.lag_lo 2.0 lies above the default diag.lag_hi of 1.0; the small
         # config's quadratic potential has no coupling, so any potential.kappa
         # but 0 is dropped, and with lambda 1 the limit step cap is 0.01; its
         # scalar-ou noise reads none of noise.g, noise.omegas, noise.a, noise.b.
-        # Replica counts and the eps grid index streams, so they stop at 65536.
-        # gk.dt stops at 0.1/noise.gamma = 0.05.
+        # Replica counts and the eps grid index streams, so they stop at 65536;
+        # run.alpha and noise.sigma are squared, so they stop at 1e154.
         doc = dict(small_config_dict, **{key: value})
         if isinstance(value, RawJson):  # a literal Python's json cannot write
             doc = json.dumps(dict(doc, **{key: None})).replace(
@@ -199,8 +199,7 @@ class TestConfig:
 
     def test_range_bounds_are_inclusive(self, small_config_dict):
         doc = dict(small_config_dict, **{"run.seed": 2**64 - 1, "run.replicas": 65536,
-                                         "gk.reps": 65536, "run.N": 2**31 - 1,
-                                         "gk.dt": 0.05})
+                                         "gk.reps": 65536, "run.N": 2**31 - 1})
         assert parse_config(doc).values["run.replicas"] == 65536
         # Every other registry bound at its edge: the upper ones, the lower
         # ones, and a zero potential.lambda where kappa keeps the Lipschitz
@@ -210,10 +209,11 @@ class TestConfig:
             {"run.h0": 0.2, "run.eps_grid": [1.0 - i / 70000 for i in range(65536)],
              "limit.replicas": 65536, "diag.reps": 65536, "diag.moment_reps": 65536,
              "run.N": top, "run.samples_per_replica": top,
-             "limit.samples_per_replica": top, "diag.N": top, "diag.grid_points": top},
+             "limit.samples_per_replica": top, "diag.N": top, "run.alpha": 1e154,
+             "noise.sigma": 1e154},
             {"run.seed": 0, "run.N": 1, "run.samples_per_replica": 1, "run.replicas": 1,
              "limit.replicas": 1, "limit.samples_per_replica": 1, "diag.N": 1,
-             "diag.grid_points": 2, "gk.reps": 2, "diag.moment_reps": 2,
+             "gk.reps": 2, "diag.moment_reps": 2,
              "diag.reps": 100, "noise.sigma": 0.0, "init.position_std": 0.0,
              "diag.lag_lo": 1.0},
             {"potential.kind": "curie-weiss", "potential.lambda": 0.0,
@@ -541,8 +541,8 @@ class TestOtherEntryPoints:
         assert gk.G[0, 0] == pytest.approx(1.0, abs=0.35)
 
     def test_default_gk_grid_is_green_kubos(self, small_config_dict):
-        # a config without gk.horizon_fast or gk.dt runs green_kubo's own
-        # defaults, 50 and 0.05 driver correlation times
+        # a config without gk.horizon_fast runs green_kubo's own default
+        # horizon, 50 driver correlation times, in its steps of 0.05
         model = NoiseModel.scalar_ou(1, gamma=4.0, sigma=1.0)
         want = green_kubo(model, reps=2, seed=7)
         assert want.horizon_fast == 12.5
@@ -603,19 +603,63 @@ class TestOtherEntryPoints:
         assert re.search(message, capsys.readouterr().err)
         assert not (out / "diagnose.csv").exists()
 
-    STEPS = rf"gk\.horizon_fast / gk\.dt = .* steps; at most {2**31 - 1}"
+    @pytest.mark.parametrize("key, command, output", [
+        ("run.alpha", "converge", "converge.csv"), ("run.alpha", "diagnose", "diagnose.csv"),
+        ("noise.sigma", "converge", "converge.csv"),
+    ])
+    def test_a_square_past_the_float_range_exits_1(self, tmp_path, capsys, key, command,
+                                                   output):
+        # On the CI tiny config these ended in an OverflowError and a
+        # traceback: run.alpha**2 in Config.diffusion and in _UvStream, and
+        # noise.sigma**2 in sigma_matrix.
+        out = tmp_path / "out"
+        path = write_config(tmp_path, dict(TINY, **{key: 1e300}))
+        assert cli_main([command, str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {key} must lie in " + (
+            "(0.0, 1e+154], got 1e+300\n" if key == "run.alpha" else
+            "[0.0, 1e+154], got 1e+300\n")
+        assert not (out / output).exists()
+
+    @pytest.mark.parametrize("extra, command, output, message", [
+        ({"init.position_std": 1e300}, "converge", "converge.csv",
+         r"a W2 value or its bootstrap halfwidth is not finite \[eps=0\.2\]"),
+        ({"init.position_std": 1e300}, "diagnose", "diagnose.csv",
+         r"a moment_table sup or halfwidth is not finite \[eps=0\.2\]"),
+        ({"noise.sigma": 1e154}, "estimate-gk", "gk.csv",
+         r"green_kubo's G or its halfwidth is not finite"),
+        ({"noise.sigma": 1e154}, "diagnose", "diagnose.csv",
+         r"a moment_table sup or halfwidth is not finite \[eps=0\.2\]"),
+        ({"run.alpha": 1e100}, "diagnose", "diagnose.csv",
+         r"a uv_check statistic is not finite \[eps=0\.2\]"),
+    ], ids=["converge-W2", "diagnose-moments", "estimate-gk-G", "diagnose-sigma",
+            "diagnose-uv"])
+    def test_non_finite_results_exit_2(self, tmp_path, capsys, extra, command, output,
+                                       message):
+        # On the CI tiny config converge wrote W2 = inf with a NaN halfwidth
+        # (and picked selected_mode from a tie of infs), estimate-gk wrote
+        # G = nan and diagnose non-finite moments, all with exit 0; at
+        # run.alpha 1e100 the fourth powers of the u increments underflow to
+        # 0, and diagnose ended in a ZeroDivisionError and a traceback.
+        out = tmp_path / "out"
+        path = write_config(tmp_path, dict(TINY, **extra))
+        with np.errstate(all="ignore"):  # the overflow is the point
+            assert cli_main([command, str(path), "--out", str(out)]) == 2
+        assert re.fullmatch(f"numeric failure: {message}\n", capsys.readouterr().err)
+        assert not (out / output).exists()
 
     @pytest.mark.parametrize("key, value, message", [
-        ("gk.horizon_fast", 1e13, STEPS), ("gk.dt", 1e-12, STEPS),
+        ("gk.horizon_fast", 1e13, rf"gk\.horizon_fast / \(0\.05/noise\.gamma\) = "
+                                  rf"10000000000000\.0 / 0\.025 is a grid of 4e\+14 steps; "
+                                  rf"at most {2**31 - 1}"),
         ("gk.horizon_fast", 5e7, rf"gk\.reps = 8 paths of 2000000000 steps in d = 1 hold "
                                  rf"1\.6e\+10 values; at most {2**27} are allowed"),
-    ], ids=["gk.horizon_fast-1e13", "gk.dt-1e-12", "gk.horizon_fast-5e7-values"])
+    ], ids=["gk.horizon_fast-1e13", "gk.horizon_fast-5e7-values"])
     def test_huge_gk_grid_fails_before_simulating(self, tmp_path, capsys, monkeypatch,
                                                   key, value, message):
-        # On the CI tiny config these grids of 4e14 and 1e13 steps asked
-        # numpy for 22.7 PiB and 582 TiB, and the 8 paths of 2e9 steps (under
-        # the step cap) for 119 GiB; diagnose got there only after
-        # simulating every moment table.
+        # On the CI tiny config this grid of 4e14 steps asked numpy for
+        # 22.7 PiB, and the 8 paths of 2e9 steps (under the step cap) for
+        # 119 GiB; diagnose got there only after simulating every moment
+        # table.
         def no_simulation(*args, **kwargs):
             raise AssertionError("simulated before the Green-Kubo grid was checked")
 
@@ -777,6 +821,26 @@ class TestCli:
             assert captured.out == ""
             assert f"non-finite value in {broken}, line 4" in captured.err
 
+    def test_w2_past_the_float_range_exits_2(self, tmp_path, capsys):
+        # the sorted gap 2e300 squares past the float range; W2 printed inf
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        a.write_text("1e300\n-1e300\n")
+        b.write_text("-1e300\n-1e300\n")
+        with np.errstate(over="ignore"):
+            assert cli_main(["w2", str(a), str(b)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"numeric failure: W2 (quantile-1d) of {a} and {b} is not "
+                                "finite\n")
+
+    def test_w2_ragged_rows_exit_1(self, tmp_path, capsys):
+        # numpy refused the ragged rows before they were checked, a traceback
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        a.write_text("1,2\n3\n")
+        b.write_text("1\n2\n")
+        assert cli_main(["w2", str(a), str(b)]) == 1
+        assert capsys.readouterr().err == f"error: ragged rows in {a}\n"
+
     def test_w2_reads_2d_sample_files(self, tmp_path, capsys):
         rng = np.random.default_rng(1)
         a, b = rng.standard_normal((6, 2)), rng.standard_normal((6, 2))
@@ -820,18 +884,6 @@ class TestCli:
                          str(out)]) == 1
         assert "run.replicas >= 2" in capsys.readouterr().err
         assert not (out / "converge.csv").exists()
-
-    @pytest.mark.parametrize("dt", [100.0, 30.0, 12.0])
-    def test_gk_step_past_its_bound_exits_1(self, small_config_dict, tmp_path, capsys, dt):
-        # at gamma 6 and horizon 50, gk.dt 100 overflowed the FFT size and
-        # 30 and 12 wrote G = 0
-        doc = dict(small_config_dict, **{"noise.gamma": 6.0, "gk.horizon_fast": 50.0,
-                                         "gk.dt": dt})
-        out = tmp_path / "out"
-        assert cli_main(["estimate-gk", str(write_config(tmp_path, doc)), "--out",
-                         str(out)]) == 1
-        assert "gk.dt must be > 0 and <= 0.1/noise.gamma" in capsys.readouterr().err
-        assert not (out / "gk.csv").exists()
 
     def test_missing_config_exit_code(self):
         r = self._run("converge", "definitely_not_here.json")

@@ -103,40 +103,34 @@ class TestPairwiseFold:
 
 
 class TestGradV:
-    """``grad_v_batch`` at points under a given measure."""
+    """``grad_v_batch`` at a set of rows, which is its own measure."""
 
     def test_quadratic(self):
+        # no measure dependence: each row's gradient is lam * x
         pot = PotentialSpec.quadratic(1.0)
-        m = EmpiricalMeasure.from_points([123.0])
-        assert grad_v_batch(pot, [[2.0]], m) == pytest.approx(np.array([[2.0]]))
+        assert grad_v_batch(pot, [[2.0], [123.0]]) == pytest.approx(np.array([[2.0], [123.0]]))
 
     def test_curie_weiss(self):
+        # the rows' mean is 0, so each gradient is (lam + kappa) * x
         pot = PotentialSpec.curie_weiss(1.0, 0.5)
-        m = EmpiricalMeasure.from_points([0.0])
-        assert grad_v_batch(pot, [[1.0]], m) == pytest.approx(np.array([[1.5]]))
+        assert grad_v_batch(pot, [[1.0], [-1.0]]) == pytest.approx(np.array([[1.5], [-1.5]]))
 
     def test_zero_coupling_reduces_to_quadratic(self):
         rng = np.random.default_rng(0)
         pot_cw = PotentialSpec.curie_weiss(0.7, 0.0)
         pot_q = PotentialSpec.quadratic(0.7)
-        for _ in range(10):
-            x = rng.standard_normal((4, 3))
-            m = EmpiricalMeasure(rng.standard_normal((5, 3)))
-            assert grad_v_batch(pot_cw, x, m) == pytest.approx(grad_v_batch(pot_q, x, m))
+        for shape in [(4, 3)] * 5 + [(2, 4, 3)] * 5:
+            x = rng.standard_normal(shape)
+            assert grad_v_batch(pot_cw, x) == pytest.approx(grad_v_batch(pot_q, x))
 
     def test_vanishes_at_origin_point_mass(self):
         for pot in (PotentialSpec.quadratic(2.0), PotentialSpec.curie_weiss(1.0, 0.3)):
-            m = EmpiricalMeasure.from_points([0.0, 0.0])
-            assert grad_v_batch(pot, [[0.0, 0.0]], m) == pytest.approx(np.zeros((1, 2)))
-
-    def test_dimension_mismatch(self):
-        pot = PotentialSpec.quadratic(1.0)
-        with pytest.raises(UsageError, match="dimension mismatch"):
-            grad_v_batch(pot, [[1.0, 2.0]], EmpiricalMeasure.from_points([0.0]))
+            assert grad_v_batch(pot, [[0.0, 0.0]]) == pytest.approx(np.zeros((1, 2)))
 
 
 class TestGradVBatch:
-    """Without a measure, each ensemble of the batch is its own measure."""
+    """Each ensemble of the batch is its own measure, and its gradient does
+    not depend on the ensembles batched with it."""
 
     @pytest.mark.parametrize("d", [1, 2])
     @pytest.mark.parametrize("pot", [
@@ -151,7 +145,7 @@ class TestGradVBatch:
         buffered = grad_v_batch(pot, X, out=out, tmp=tmp)
         assert buffered is out
         for b in range(X.shape[0]):
-            ref = grad_v_batch(pot, X[b], EmpiricalMeasure(X[b]))
+            ref = grad_v_batch(pot, X[b])
             assert np.array_equal(batched[b], ref)
             assert np.array_equal(buffered[b], ref)
 

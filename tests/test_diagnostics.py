@@ -10,7 +10,7 @@ from smallmass.core import EmpiricalMeasure, ParticleEnsemble, PotentialSpec, Ru
 from smallmass.diagnostics import (CHUNK, _uv_ensemble, _uv_scalar, _UvStream, bm_proxy,
                                    dyadic_lags, green_kubo, moment_table, uv_check)
 from smallmass.dynamics_eps import EpsScheme, InitialLaw, _n_steps, step
-from smallmass.errors import UsageError
+from smallmass.errors import NumericError, UsageError
 from smallmass.noise import (DriverState, NoiseModel, _contract_forcing, _factor_mean,
                              advance_xi, averaged_forcing_xi, stationary_xi)
 
@@ -145,8 +145,7 @@ def _whole_path_green_kubo(model, m_source, horizon_fast, reps, seed):
     forcing path, formed from the reference drivers, by one FFT padded to
     a power of two at least 2n long: the reference for the overlap-save
     lag sums."""
-    _, dt, n, max_lag, _ = diagnostics._gk_grid(model.gamma, horizon_fast, None, reps,
-                                                 model.d)
+    _, dt, n, max_lag, _ = diagnostics._gk_grid(model.gamma, horizon_fast, reps, model.d)
     points = m_source.points if m_source is not None else None
     drivers = _reference_drivers(model, seed, (_rng.GK_RUN,), reps, n, dt, size=1)
     eta = np.stack([averaged_forcing_xi(model, xi, points) for xi in drivers], axis=1)
@@ -195,25 +194,20 @@ class TestGreenKubo:
             green_kubo(NoiseModel.separable(1, gamma=2.0, sigma=1.0, g_name="one"),
                        horizon_fast=25.0, reps=4, seed=0)
 
-    @pytest.mark.parametrize("dt", [100.0, 30.0, 12.0, 1.0 / 6.0, 0.0])
-    def test_step_guard(self, dt):
-        # dt * gamma above 0.1 biases the trapezoid integral (+9-13% at 1)
-        # or leaves too few lags to integrate
-        model = NoiseModel.scalar_ou(1, gamma=6.0, sigma=1.0)
-        with pytest.raises(UsageError, match="dt="):
-            green_kubo(model, horizon_fast=50.0, reps=4, seed=0, dt=dt)
-
-    @pytest.mark.parametrize("horizon, dt", [(1e13, None), (10.0, 1e-12), (1e308, 1e-300)])
-    def test_grid_size_guard(self, horizon, dt):
+    @pytest.mark.parametrize("horizon", [1e13, 1e308])
+    def test_grid_size_guard(self, horizon):
         # the grid is rejected before its arrays are asked for, also where
         # horizon / dt overflows to inf
         model = NoiseModel.scalar_ou(1, gamma=2.0, sigma=1.0)
         with pytest.raises(UsageError, match=f"steps; at most {2**31 - 1}"):
-            green_kubo(model, horizon_fast=horizon, reps=4, seed=0, dt=dt)
+            green_kubo(model, horizon_fast=horizon, reps=4, seed=0)
 
-    def test_step_bound_is_inclusive(self):
-        model = NoiseModel.scalar_ou(1, gamma=2.0, sigma=1.0)
-        assert green_kubo(model, horizon_fast=25.0, reps=4, seed=0, dt=0.05).reps == 4
+    def test_overflowing_forcing_raises(self):
+        # the lag products of a forcing of scale 1e154 pass the float range;
+        # G came back NaN
+        model = NoiseModel.scalar_ou(1, gamma=2.0, sigma=1e154)
+        with np.errstate(all="ignore"), pytest.raises(NumericError, match="green_kubo's G"):
+            green_kubo(model, horizon_fast=25.0, reps=4, seed=0)
 
     def test_needs_two_replicas(self):
         # one replica gives ci_fro = nan
@@ -239,8 +233,7 @@ class TestGreenKubo:
         # steps are three whole segments of B = S - max_lag = 160 new steps;
         # the default grid and the shortest horizon, 20 / gamma, end in a
         # part-filled segment (B = 312 and 176).
-        assert diagnostics._gk_grid(model.gamma, horizon, None, 16, model.d)[2:] == (
-            n, n // 5, S)
+        assert diagnostics._gk_grid(model.gamma, horizon, 16, model.d)[2:] == (n, n // 5, S)
         gk = green_kubo(model, m_source, horizon_fast=horizon, reps=16, seed=3)
         G, ci_fro, truncation_lag = _whole_path_green_kubo(model, m_source, horizon, 16, 3)
         np.testing.assert_allclose(gk.G, G, rtol=1e-12, atol=0.0)
@@ -446,13 +439,6 @@ class TestMomentTable:
             moment_table(cfg, NoiseModel.scalar_ou(1, gamma=1.0, sigma=1.0), FREE_POT,
                          reps=1)
 
-    @pytest.mark.parametrize("grid_points", [0, 1])
-    def test_grid_needs_two_points(self, grid_points):
-        # fewer points would still record t = 0 and t = T, not the grid asked for
-        cfg = RunConfig(d=1, N=2, eps=0.1, alpha=1.0, T=1.0, h0=0.05, seed=0)
-        with pytest.raises(UsageError, match="grid_points"):
-            moment_table(cfg, NoiseModel.scalar_ou(1, gamma=1.0, sigma=1.0), FREE_POT,
-                         reps=2, grid_points=grid_points)
 
 
 class TestBmProxy:
@@ -552,41 +538,30 @@ class TestDriverPaths:
 class TestWindowedPaths:
     """``_UvStream`` folds each step of u and v into its lag-deep buffer and
     running sums; they equal the replica-major step-by-step reference for
-    any horizon, chunk boundary, late start and split of the replicas into
-    row slices (W = CHUNK in the ids)."""
+    any horizon, chunk boundary and late start (W = CHUNK in the ids)."""
 
     @staticmethod
-    def _streamed(d, n, steps, row_sets, reps, seed):
+    def _streamed(d, n, steps, reps, seed):
         cfg = RunConfig(d=d, N=2, eps=0.1, alpha=1.3, T=1.0, h0=0.05, seed=0)
         eta = np.random.default_rng(seed).standard_normal((n, reps, d))
         eta[0, ::2, 0] = -0.0  # the first step adds to u = v = 0
         got, ref = _UvStream(cfg, d, reps, n, steps), _StepwisePaths(cfg, d, reps, n)
-        for rows in row_sets or [slice(None)]:
-            for k in range(n):
-                got.add(rows, k, eta[k, rows])
-                ref.add(rows, k, eta[k, rows])
+        for k in range(n):
+            got.add(k, eta[k])
+            ref.add(slice(None), k, eta[k])
         _assert_stream_matches(got, ref.u, ref.v_late)
-        return got
 
     @pytest.mark.parametrize("n", [1, 35, CHUNK, 2 * CHUNK + 1, 2 * CHUNK + 101],
                              ids=["n=1", "n<W", "n=W", "n=2W+1", "late-start-mid-window"])
-    @pytest.mark.parametrize("row_sets", [None, [slice(0, 3), slice(3, 7)],
-                                          [slice(4, 5), slice(0, 4), slice(5, 7)]],
-                             ids=["all-rows", "two-batches", "unequal-batches"])
-    def test_equals_the_stepwise_reference(self, n, row_sets):
+    def test_equals_the_stepwise_reference(self, n):
         # lags shorter than, equal to and longer than a chunk, where they fit
         steps = [m for m in (1, 2, 7, CHUNK, CHUNK + 9) if m <= n]
-        self._streamed(2, n, steps, row_sets, 7, n)
+        self._streamed(2, n, steps, 7, n)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("n", [2, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5])
     def test_longest_lag_equal_to_the_horizon(self, d, n):
         # the buffer is then n + CHUNK + 1 rows deep, and the longest lag
-        # has a single increment, u(n) - u(0); the split moves no grid or
-        # v value
+        # has a single increment, u(n) - u(0)
         steps = sorted({1, max(1, n // 3), n})
-        whole = self._streamed(d, n, steps, None, 7, d * n)
-        split = self._streamed(d, n, steps, [slice(2, 7), slice(0, 1), slice(1, 2)], 7,
-                               d * n)
-        for name in ("grid", "v", "v_sq"):
-            assert _same_bits(getattr(split, name), getattr(whole, name))
+        self._streamed(d, n, steps, 7, d * n)
