@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from . import rng as _rng
-from .core import EmpiricalMeasure, PotentialSpec, RunConfig
+from .core import _ROOT_MAX, EmpiricalMeasure, PotentialSpec, RunConfig
 from .diagnostics import BM_PROXY_MIN_PATHS, GK_MAX_STEPS, _gk_grid
 from .dynamics_eps import InitialLaw
 from .dynamics_limit import DiffusionSpec, LimitScheme, _step_cap
@@ -31,9 +31,6 @@ _REQ = object()
 # stream index bound; every other count stays within a C int.
 _STREAMS_MAX = _rng._IDX_MAX + 1
 _COUNT_MAX = 2**31 - 1
-# run.alpha and noise.sigma enter squared (D_eff, the forcing covariance), so
-# each stops short of where its square would pass the float range, 1.8e308.
-_ROOT_MAX = 1e154
 # The W2 column each limit mode reports in.
 MODE_COLUMN = {"paper": "w2_paper_mode", "green-kubo": "w2_gk_mode"}
 # The noise keys each noise kind reads; a key of another kind is rejected.

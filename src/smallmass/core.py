@@ -212,6 +212,11 @@ def grad_v_batch(p: PotentialSpec, xs: np.ndarray, out: np.ndarray | None = None
     return out
 
 
+# alpha and the noise's sigma enter squared (D_eff, the forcing covariance),
+# so each stops short of where its square would pass the float range, 1.8e308.
+_ROOT_MAX = 1e154
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Scalar parameters of one simulation run."""
@@ -231,8 +236,8 @@ class RunConfig:
             raise UsageError("d and N must be >= 1")
         if not 0.0 < self.eps <= 1.0:
             raise UsageError("eps must lie in (0, 1]")
-        if self.alpha <= 0.0:
-            raise UsageError("friction alpha must be > 0")
+        if not 0.0 < self.alpha <= _ROOT_MAX:
+            raise UsageError(f"friction alpha must lie in (0, {_ROOT_MAX:g}], got {self.alpha!r}")
         if self.T <= 0.0:
             raise UsageError("horizon T must be > 0")
         if not 0.0 < self.h0 <= 0.2:

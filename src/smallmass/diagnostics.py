@@ -10,7 +10,8 @@ limit falsifiable at desk scale:
   forcing, exact exponential weights for v).  For law-dependent fields
   the paths are recorded from the lock-step eps kernel
   (``run_eps_replicas``).  The statistics are streamed step by step: u is
-  held for the longest lag plus one chunk of steps, not for the horizon.
+  held in a ring of the longest lag plus one chunk of steps, not for the
+  horizon.
   E||v(T)||^2 must vanish linearly in eps, and the fourth-moment
   increment ratio E||u(t) - u(s)||^4 / |t - s| must stay bounded across
   dyadic lags;
@@ -65,14 +66,14 @@ GK_HORIZON = 50.0
 # 0.02% at this step.
 GK_DT = 0.05
 # Most values reps * steps * d of a path buffer: green_kubo's overlap-save
-# window and the u rows of uv_check's stream.  Measured with tracemalloc,
+# window and the ring of u of uv_check's stream.  Measured with tracemalloc,
 # green_kubo holds 27 (d = 2) to 36 (d = 1) bytes per window value beyond
 # its driver's draws: the window, three spectra of one coordinate and the
 # lag sums, 3.4 to 4.5 GiB at the cap.  The default Green-Kubo grid, a
 # window of 512 steps, passes at 131072 reps for d <= 2.
 MAX_PATH_VALUES = 2**27
 # Steps of u that uv_check's stream adds to its increment sums at a time.
-CHUNK = 128
+CHUNK = 32
 
 
 @dataclass(frozen=True)
@@ -104,7 +105,10 @@ class UvReport:
 
     @property
     def ratio_median(self) -> float:
-        return float(np.median(list(self.u_increment_ratios.values())))
+        # np.median's bits without its import of numpy.ma (about 1.3 MB)
+        r = sorted(self.u_increment_ratios.values())
+        mid = len(r) // 2
+        return r[mid] if len(r) % 2 else (r[mid - 1] + r[mid]) / 2
 
 
 @dataclass(frozen=True)
@@ -194,8 +198,8 @@ def dyadic_lags(lo: float = 0.01, hi: float = 1.0) -> list[float]:
 def _uv_steps(cfg: RunConfig, lags: list[float], reps: int) -> tuple[int, list[int]]:
     """The step count n of ``uv_check``'s horizon and the step length of
     each lag of the ladder that fits in it; raises ``UsageError`` where the
-    horizon or the ladder is too short, or where the u rows that the stream
-    holds, ``max(steps) + CHUNK + 1`` steps of ``reps`` replicas, are more
+    horizon or the ladder is too short, or where the stream's ring of u,
+    M = ``max(steps) + CHUNK + 1`` rows of ``reps`` replicas, holds more
     than ``MAX_PATH_VALUES`` values, before anything is simulated."""
     h = cfg.eps_step
     n = _n_steps(cfg.T, h)
@@ -269,13 +273,12 @@ class _UvStream:
     order, from u = v = 0.  No path is held whole; per replica the stream
     keeps
 
-    * ``buf``, the last ``L + CHUNK + 1`` values of u time-major, with L
-      the longest lag of ``steps``: row L + j holds u(c CHUNK + j) while
-      chunk c (steps c CHUNK .. c CHUNK + CHUNK - 1) runs;
+    * ``buf``, a ring of the last M = L + CHUNK + 1 values of u time-major,
+      with L the longest lag of ``steps``: u(t) sits at row t mod M;
     * ``inc4``, per lag m of ``steps``, the sum of ||u(t) - u(t - m)||^4
-      over t = m..n.  At the end of each chunk and at step n - 1 the
-      chunk's increments of every lag are added, and the last L + 1 rows
-      of ``buf`` move to the front;
+      over t = m..n.  At the end of each chunk of CHUNK steps and at step
+      n - 1 the chunk's increments of every lag are added; the rows they
+      read, u(t - L) at the oldest, are not yet overwritten;
     * ``grid``, u on ``bm_proxy``'s decimated grid (every ``every``-th
       step), replica-major;
     * ``v_sq``, the sum of ||v||^2 after steps n // 2 .. n - 1, added in
@@ -289,10 +292,10 @@ class _UvStream:
         self.cu = h / (cfg.alpha * math.sqrt(cfg.eps))
         self.r_fac = step.r
         self.cv = math.sqrt(cfg.eps) * step.one_minus_r / cfg.alpha**2
-        self.n, self.steps, self.lag = n, steps, max(steps)
+        self.n, self.steps = n, steps
         self.n_late_from = n // 2
         self.every = max(1, n // _BM_GRID)
-        self.buf = np.zeros((self.lag + CHUNK + 1, reps, d))
+        self.buf = np.zeros((max(steps) + CHUNK + 1, reps, d))
         self.inc4 = np.zeros((len(steps), reps))
         self.grid = np.zeros((reps, n // self.every + 1, d))
         self.v = np.zeros((reps, d))
@@ -307,9 +310,9 @@ class _UvStream:
         self.norm = np.empty(reps) if d > 1 else self.tmp[:, 0]
 
     def add(self, k, eta):
-        j = self.lag + k % CHUNK
-        u, v, tmp = self.buf[j + 1], self.v, self.tmp
-        np.add(self.buf[j], np.multiply(eta, self.cu, out=tmp), out=u)
+        M = len(self.buf)
+        u, v, tmp = self.buf[(k + 1) % M], self.v, self.tmp
+        np.add(self.buf[k % M], np.multiply(eta, self.cu, out=tmp), out=u)
         np.multiply(v, self.r_fac, out=v)
         v += np.multiply(eta, self.cv, out=tmp)
         if k >= self.n_late_from:
@@ -324,27 +327,28 @@ class _UvStream:
 
     def _flush(self, k):
         """Add the increments ending at u(t), t = start + 1..k + 1, of the
-        chunk that starts at step ``start``, then, unless k is the last
-        step, move u(k + 1 - L)..u(k + 1) to rows 0..L."""
-        L, start, end = self.lag, k - k % CHUNK, k + 1
+        chunk that starts at step ``start``.  The rows of u(t) and of
+        u(t - m) each wrap the ring at most once, so each lag subtracts in
+        at most three contiguous pieces, and sums its chunk at once."""
+        buf, start, end = self.buf, k - k % CHUNK, k + 1
+        M = len(buf)
         for i, m in enumerate(self.steps):
             lo = max(start + 1, m)  # first t of the chunk with a u(t - m)
             count = end + 1 - lo
             if count <= 0:
                 continue
-            r0 = lo - start + L
             du, sq = self.du[:count], self.sq[:count]
-            np.subtract(self.buf[r0:r0 + count], self.buf[r0 - m:r0 - m + count], out=du)
+            t = lo
+            while t <= end:
+                a, b = t % M, (t - m) % M
+                w = min(end + 1 - t, M - a, M - b)
+                np.subtract(buf[a:a + w], buf[b:b + w], out=du[t - lo:t - lo + w])
+                t += w
             np.multiply(du, du, out=du)
             if du.shape[2] > 1:
                 np.sum(du, axis=-1, out=sq)
             np.square(sq, out=sq)
             self.inc4[i] += np.sum(sq, axis=0)
-        if end < self.n:
-            # blocks of CHUNK rows, so that no copy reads rows it has written
-            for a in range(0, L + 1, CHUNK):
-                b = min(a + CHUNK, L + 1)
-                self.buf[a:b] = self.buf[a + CHUNK:b + CHUNK]
 
 
 def _driver_paths(model, seed, path, reps, n, delta_s):

@@ -408,8 +408,11 @@ def run_diagnose(cfg: Config):
         rows.append(("uv", eps, "v_msq", uv.v_msq, uv.v_msq_ci))
         for lag, ratio in sorted(uv.u_increment_ratios.items()):
             rows.append(("uv", eps, f"u_inc_ratio[{lag:.6g}]", ratio, ""))
+        # all-zero increments (a silent field) leave the ratio undefined: NaN,
+        # as for a degenerate bm_proxy
+        median = uv.ratio_median
         rows.append(("uv", eps, "u_inc_ratio_max_over_median",
-                     uv.ratio_max / uv.ratio_median, ""))
+                     uv.ratio_max / median if median else math.nan, ""))
         for key in ("variance_slope", "lag1_increment_corr", "excess_kurtosis"):
             rows.append(("bm_proxy", eps, key, uv.bm_stats[key], ""))
     gk = run_estimate_gk(cfg)

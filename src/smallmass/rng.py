@@ -24,11 +24,12 @@ batches on block boundaries.  ``BLOCK`` and ``_BLOCKED`` are
 part of the reproducibility contract, not settings.
 
 The kernels draw each step's normals through ``normal_windows``, a window
-of steps at a time under one fixed byte budget, so the memory they hold
-for normals does not grow with the horizon or the batch size.  The window
-is laid out step-major: each block draws its ``(W, s) + shape`` piece in
-one call, and step k is the contiguous ``(B,) + shape`` slab of every
-block's replicas.  Every normal drawn is used.
+of steps at a time under one fixed budget of ``DRAW_BUDGET`` doubles
+(512 KiB), so the memory they hold for normals does not grow with the
+horizon or the batch size.  The window is laid out step-major: each block
+draws its ``(W, s) + shape`` piece in one call, and step k is the
+contiguous ``(B,) + shape`` slab of every block's replicas.  Every normal
+drawn is used.
 """
 
 from __future__ import annotations
@@ -61,8 +62,9 @@ _SEED_MAX = (1 << 64) - 1
 BLOCK = 64
 _BLOCKED = frozenset({EPS_RUN, LIMIT_RUN, UV_RUN, MOMENT_RUN, SELF_TEST})
 
-# Normals (float64) held at once by one ``normal_windows`` caller: 2 MB.
-DRAW_BUDGET = 1 << 18
+# Normals (float64) held at once by one ``normal_windows`` caller: 512 KiB.
+# The window size moves no byte of any output, only the memory held.
+DRAW_BUDGET = 1 << 16
 
 
 def stream(seed: int, purpose: int, *indices: int) -> np.random.Generator:

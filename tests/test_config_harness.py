@@ -579,10 +579,10 @@ class TestOtherEntryPoints:
     @pytest.mark.parametrize("extra, message", [
         ({"run.T": 0.01, "run.eps_grid": [0.2]}, "at least 2 steps"),
         ({"diag.lag_lo": 0.8, "diag.lag_hi": 0.9}, "no admissible lags"),
-        # the lag 2621.44 is 262144 steps at eps 0.2: 512 u buffers of
-        # 262273 steps hold 1.34e8 values, just past the cap
+        # the lag 2621.44 is 262144 steps at eps 0.2: 512 u rings of
+        # 262144 + CHUNK + 1 = 262177 rows hold 1.34e8 values, just past the cap
         ({"run.T": 3000.0, "diag.lag_hi": 3000.0},
-         rf"uv_check's u buffer, 262273 steps of 512 replicas in d = 1, holds 1\.34e\+08 "
+         rf"uv_check's u buffer, 262177 steps of 512 replicas in d = 1, holds 1\.34e\+08 "
          rf"values; at most {2**27} are allowed: lower diag\.lag_hi or diag\.reps"),
         # 2e308 eps steps, rejected when the config is read
         ({"run.T": 1e308}, r"run\.T / \(run\.h0 \* eps\) = 1e\+308"),
@@ -602,6 +602,21 @@ class TestOtherEntryPoints:
                          str(out)]) == 1
         assert re.search(message, capsys.readouterr().err)
         assert not (out / "diagnose.csv").exists()
+
+    def test_silent_field_writes_an_undefined_ratio(self, tmp_path, capsys):
+        # At noise.sigma 0 every u increment is 0, so is the median of the
+        # increment ratios, and diagnose ended in a ZeroDivisionError and a
+        # traceback at max / median.  The row is NaN, as for a degenerate
+        # bm_proxy.
+        out = tmp_path / "out"
+        path = write_config(tmp_path, dict(TINY, **{"noise.sigma": 0.0}))
+        assert cli_main(["diagnose", str(path), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        with open(out / "diagnose.csv", newline="") as fh:
+            rows = list(csv.reader(line for line in fh if not line.startswith("#")))
+        ratios = [row[3] for row in rows if row[2] == "u_inc_ratio_max_over_median"]
+        assert ratios == ["nan", "nan"]
+        assert all(float(row[3]) == 0.0 for row in rows if row[2].startswith("u_inc_ratio["))
 
     @pytest.mark.parametrize("key, command, output", [
         ("run.alpha", "converge", "converge.csv"), ("run.alpha", "diagnose", "diagnose.csv"),
@@ -913,6 +928,17 @@ class TestCli:
         data = [l for l in header if not l.startswith("#")]
         assert data[0].startswith("eps,")
         assert len(data) == 3
+
+    def test_diagnose_leaves_numpy_ma_unimported(self, tmp_path):
+        # np.median imported numpy.ma (1.3 MB of RSS and about 12 ms) for
+        # the median of seven increment ratios; a fresh interpreter shows it
+        path = write_config(tmp_path, TINY)
+        code = ("import sys; from smallmass.config import load_config; "
+                "from smallmass.harness import run_diagnose; "
+                "run_diagnose(load_config(sys.argv[1])); print('numpy.ma' in sys.modules)")
+        r = subprocess.run([sys.executable, "-c", code, str(path)], capture_output=True,
+                           text=True)
+        assert (r.returncode, r.stdout, r.stderr) == (0, "False\n", "")
 
     def test_trajectory_dump(self, small_config_dict, tmp_path):
         doc = dict(small_config_dict, **{

@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -158,6 +161,15 @@ class TestValidation:
                          ("h0", 0.25), ("h0", 0.0), ("T", -1.0)):
             with pytest.raises(UsageError):
                 RunConfig(**{**good, key: bad})
+
+    @pytest.mark.parametrize("alpha", [1.1e154, 1e300, math.inf, math.nan])
+    def test_run_config_alpha_stops_where_its_square_overflows(self, alpha):
+        # alpha**2 in _UvStream ended uv_check at alpha 1e300 in an
+        # OverflowError; config files stop at the same 1e154
+        message = f"friction alpha must lie in (0, 1e+154], got {alpha!r}"
+        with pytest.raises(UsageError, match=f"^{re.escape(message)}$"):
+            RunConfig(d=1, N=2, eps=0.1, alpha=alpha, T=0.2, h0=0.05, seed=0)
+        RunConfig(d=1, N=2, eps=0.1, alpha=1e154, T=0.2, h0=0.05, seed=0)
 
     def test_potential_validation(self):
         with pytest.raises(UsageError):

@@ -364,7 +364,7 @@ class TestUvCheck:
 
     def test_memory_does_not_grow_with_the_horizon(self):
         # The stream holds the longest lag (32 steps) plus a chunk of u, and
-        # at 1024 replicas the kernel's window of normals is 256 steps deep,
+        # at 1024 replicas the kernel's window of normals is 64 steps deep,
         # full at both horizons: the traced peak stays where it is when the
         # horizon is quadrupled, below the whole u path of the longer run.
         # An untraced first call builds the state that numpy sets up lazily.
@@ -536,9 +536,11 @@ class TestDriverPaths:
 
 
 class TestWindowedPaths:
-    """``_UvStream`` folds each step of u and v into its lag-deep buffer and
+    """``_UvStream`` folds each step of u and v into its lag-deep ring and
     running sums; they equal the replica-major step-by-step reference for
-    any horizon, chunk boundary and late start (W = CHUNK in the ids)."""
+    any horizon, chunk boundary, ring wrap and late start (W = CHUNK and
+    M = the ring's 2 CHUNK + 1 rows under the lags 1 and CHUNK in the
+    ids)."""
 
     @staticmethod
     def _streamed(d, n, steps, reps, seed):
@@ -551,17 +553,33 @@ class TestWindowedPaths:
             ref.add(slice(None), k, eta[k])
         _assert_stream_matches(got, ref.u, ref.v_late)
 
-    @pytest.mark.parametrize("n", [1, 35, CHUNK, 2 * CHUNK + 1, 2 * CHUNK + 101],
+    @pytest.mark.parametrize("n", [1, CHUNK - 11, CHUNK, 2 * CHUNK + 1, 2 * CHUNK + 101],
                              ids=["n=1", "n<W", "n=W", "n=2W+1", "late-start-mid-window"])
     def test_equals_the_stepwise_reference(self, n):
         # lags shorter than, equal to and longer than a chunk, where they fit
         steps = [m for m in (1, 2, 7, CHUNK, CHUNK + 9) if m <= n]
         self._streamed(2, n, steps, 7, n)
 
+    @pytest.mark.parametrize("with_n", [False, True], ids=["lags=1,W", "lags=1,W,n"])
+    @pytest.mark.parametrize("n", [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK, 2 * CHUNK + 1,
+                                   2 * CHUNK + 2, 6 * CHUNK + 8],
+                             ids=["n=W-1", "n=W", "n=W+1", "n=M-1", "n=M", "n=M+1",
+                                  "n=3M+5"])
+    def test_ring_wraps_at_every_edge(self, n, with_n):
+        # Under the lags 1 and CHUNK the ring holds M = 2 CHUNK + 1 rows: u(n)
+        # is its last row at n = M - 1, wraps to row 0 at n = M, and the
+        # longest horizon wraps it three times, with flushes whose rows
+        # of u(t) or u(t - m) wrap part way.  A lag of n deepens the ring
+        # past the horizon, so that nothing wraps.
+        lags = {1, CHUNK, n} if with_n else {1, CHUNK}
+        steps = sorted(m for m in lags if m <= n)
+        self._streamed(2, n, steps, 7, n)
+
     @pytest.mark.parametrize("d", [1, 2, 3])
-    @pytest.mark.parametrize("n", [2, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5])
+    @pytest.mark.parametrize("n", [2, 4 * CHUNK - 1, 4 * CHUNK, 4 * CHUNK + 1,
+                                   12 * CHUNK + 5])
     def test_longest_lag_equal_to_the_horizon(self, d, n):
-        # the buffer is then n + CHUNK + 1 rows deep, and the longest lag
-        # has a single increment, u(n) - u(0)
+        # the ring is then n + CHUNK + 1 rows deep, and the longest lag has
+        # a single increment, u(n) - u(0)
         steps = sorted({1, max(1, n // 3), n})
         self._streamed(d, n, steps, 7, d * n)

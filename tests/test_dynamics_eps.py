@@ -231,13 +231,13 @@ class TestBatchesAndWindows:
     def test_normals_memory_is_bounded(self):
         # One batch of 512 replicas over 4000 steps: a full pre-draw of the
         # driver normals is 16 MB; windows hold at most rng.DRAW_BUDGET
-        # doubles (2 MB).
+        # doubles (512 KiB).
         cfg = RunConfig(d=1, N=1, eps=0.025, alpha=1.0, T=5.0, h0=0.05, seed=7)
         assert _n_steps(cfg.T, cfg.eps_step) == 4000
         extra = traced_peak_above(lambda: run_eps_replicas(
             cfg, NoiseModel.scalar_ou(1, gamma=1.0, sigma=1.0), PotentialSpec.quadratic(1.0),
             "exponential", InitialLaw(), range(512), (_rng.EPS_RUN, 0), batch_size=512))
-        assert extra < 4 * 2**20
+        assert extra < 1.5 * 2**20
 
     def test_one_generator_per_block(self):
         # A batch of 512 replicas holds one generator per 64-replica stream

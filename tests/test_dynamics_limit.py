@@ -284,14 +284,14 @@ class TestLimitReplicaSweep:
 
     def test_normals_memory_is_bounded(self):
         # A full pre-draw of 750 steps of (64, 32, 2) normals is 24.6 MB;
-        # windows hold at most rng.DRAW_BUDGET doubles (2 MB).
+        # windows hold at most rng.DRAW_BUDGET doubles (512 KiB).
         cfg = RunConfig(d=2, N=32, eps=0.5, alpha=1.0, T=5.0, h0=0.05, seed=2)
         pot = PotentialSpec.curie_weiss(1.0, 0.5)
         assert _n_steps(cfg.T, default_limit_scheme(cfg, pot).h) == 750
         extra = traced_peak_above(lambda: run_limit_replicas(
             cfg, pot, DiffusionSpec(np.eye(2)), InitialLaw(), range(64),
             (_rng.LIMIT_RUN, 0)))
-        assert extra < 4 * 2**20
+        assert extra < 1.5 * 2**20
 
     def test_non_dividing_step_reaches_the_horizon(self):
         # round(T/h) gave 149 steps, ending at t = 0.9983 before the horizon;
