@@ -26,7 +26,7 @@ __all__ = ["Config", "load_config", "parse_config", "serialize_config"]
 
 _REQ = object()
 
-# Replica counts and the eps grid index counter-based streams (one stream
+# Replica counts and the eps grid index the keyed streams (one stream
 # per eps value, and per replica or block of replicas), so they share the
 # stream index bound; every other count stays within a C int.
 _STREAMS_MAX = _rng._IDX_MAX + 1

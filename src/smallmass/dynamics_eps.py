@@ -27,7 +27,7 @@ Step-size law: accuracy (not stability) ties the step to the fast scale,
 h = h0 * eps with h0 <= 0.2, because the frozen forcing must resolve the
 driver's oscillation.
 
-Randomness comes from counter-based streams, one per block of replicas;
+Randomness comes from keyed streams (``rng``), one per block of replicas;
 the replica sweep (`run_eps_replicas`) draws them in the order that
 ``rng.block_draws`` carries out and advances many replicas in lock-step,
 whatever the batch.  It integrates exactly the ``cfg.N`` particles it is

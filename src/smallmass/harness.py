@@ -30,7 +30,7 @@ run at N = ``spr`` (``Config.particle_local`` is the one rule, and
 ``run.N`` and keep the leading ``spr``, at most ``run.N``.  A trajectory
 dump runs its sample's N, so it ends on the sample.
 
-Scheduling never touches values: replicas are keyed to counter-based
+Scheduling never touches values: replicas are keyed to their
 streams by blocks of ``rng.BLOCK``, each worker advances one contiguous
 batch of whole blocks in lock-step, and aggregation follows (eps index,
 replica index) order, so a run with one worker and a run with sixteen

@@ -183,11 +183,14 @@ def _fourier_basis(model: NoiseModel, points: np.ndarray) -> np.ndarray:
     Each mode is taken in its phase-shift form R_k cos(w_k . x - phi_k),
     with R_k = hypot(a_k, b_k) and phi_k = arctan2(b_k, a_k) set once per
     model: one cosine per point and mode.  The phases come from one
-    ``points @ omegas.T`` matmul; the shift writes them once into a
-    contiguous buffer of shape (K, n, ...): the mode first, then the
-    point, then the batch axes of ``points``.  The cosine, the scaling and
-    the fold over the points (``axis=1``) then stream contiguous memory
-    instead of an innermost axis of length K.
+    stacked ``points @ omegas.T`` matmul, one product per batch entry, so
+    an entry's bits do not depend on its batch (one product over every
+    row would not keep that: at one point per entry, a 1-row product and
+    a row of a longer one can differ in the last bit).  The shift writes
+    them once into a contiguous buffer of shape (K, n, ...): the mode
+    first, then the point, then the batch axes of ``points``.  The cosine,
+    the scaling and the fold over the points (``axis=1``) then stream
+    contiguous memory instead of an innermost axis of length K.
     """
     phase = points @ model.omegas.T  # (..., n, K)
     nd = phase.ndim

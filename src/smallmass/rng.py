@@ -1,9 +1,19 @@
-"""Counter-based random number streams.
+"""Keyed random number streams.
 
-Every stochastic component draws from a Philox generator keyed by the run
-seed plus a short integer path (purpose code and up to three indices such
-as the eps-grid position and the block number).  Streams are therefore
+Every stochastic component draws from a generator keyed by the run seed
+plus a short integer path (purpose code and up to three indices such as
+the eps-grid position and the block number).  Streams are therefore
 independent, reproducible, and independent of scheduling.
+
+The purpose fixes the bit generator.  The blocked sample purposes below
+(``EPS_RUN``, ``LIMIT_RUN``, ``SELF_TEST``, ``UV_RUN``, ``MOMENT_RUN``)
+draw from SFC64, seeded by ``SeedSequence(seed, spawn_key=(purpose,
+*indices))``; SFC64 draws a normal in a little over half of Philox's
+time, and these purposes draw nearly every normal of a run.  The others
+(``GK_RUN``, ``PAIRED``, ``BOOT``, ``SLICED``, ``DIRECT``) draw from the
+counter-based Philox, keyed by the seed and the packed path.  Which
+purpose uses which generator is part of the reproducibility contract,
+not a setting.
 
 Replicas are keyed by blocks.  On the purposes in ``_BLOCKED`` (the eps,
 limit, self-test, u/v and moment samples) one stream serves a block of
@@ -70,9 +80,12 @@ DRAW_BUDGET = 1 << 16
 def stream(seed: int, purpose: int, *indices: int) -> np.random.Generator:
     """Return the Generator for (seed, purpose, indices).
 
-    ``seed`` is the first Philox key word, so it must lie in [0, 2**64).
-    ``purpose`` is one of the module-level codes; up to three indices of at
-    most 16 bits each are packed into the second Philox key word.
+    ``seed`` must lie in [0, 2**64), ``purpose`` is one of the module-level
+    codes, and at most three indices of at most 16 bits each are given.
+    A purpose in ``_BLOCKED`` draws from SFC64 seeded by
+    ``SeedSequence(seed, spawn_key=(purpose, *indices))``; any other from
+    Philox, whose first key word is ``seed`` and whose second packs the
+    purpose and the indices.
     """
     if not 0 <= seed <= _SEED_MAX:
         raise UsageError(f"seed out of range [0, 2**64): {seed}")
@@ -85,6 +98,9 @@ def stream(seed: int, purpose: int, *indices: int) -> np.random.Generator:
         if not 0 <= idx <= _IDX_MAX:
             raise UsageError(f"stream index out of range: {idx}")
         packed |= idx << (48 - _IDX_BITS * (slot + 1))
+    if purpose in _BLOCKED:
+        seq = np.random.SeedSequence(seed, spawn_key=(purpose, *indices))
+        return np.random.Generator(np.random.SFC64(seq))
     key = np.array([seed, packed], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 

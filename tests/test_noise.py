@@ -214,6 +214,24 @@ class TestFourierAveragedForcing:
         for r in range(64):
             assert np.array_equal(batched[r], averaged_forcing_xi(model, xi[r], points[r]))
 
+    @pytest.mark.parametrize("n", [1, 32])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_replica_bits_do_not_depend_on_its_batch(self, d, n):
+        # Each replica's phases come from its own (n, d) @ (d, K) product.
+        # One (B*n, d) product over the whole batch would not do: at n = 1
+        # the 1-row product alone and a row of a B-row product differ in
+        # the last bit for about a third of the entries (OpenBLAS 0.3.31).
+        model = _fourier(d, 3)
+        gen = np.random.default_rng(5)
+        xi = gen.standard_normal((512, d, 3))
+        points = 3.0 * gen.standard_normal((512, n, d))
+        alone = np.concatenate([averaged_forcing_xi(model, xi[r : r + 1], points[r : r + 1])
+                                for r in range(512)])
+        for B in (1, 7, 64, 65, 128, 512):
+            for rows in (slice(0, B), slice(512 - B, 512)):
+                got = averaged_forcing_xi(model, xi[rows], points[rows])
+                assert np.array_equal(got, alone[rows]), (B, rows)
+
     def test_sigma_matrix_forms_no_per_point_field(self):
         # The old route built a (mc_samples, 1024, 2) field: 64 MB.
         model = _fourier(2, 3)

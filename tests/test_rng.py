@@ -6,6 +6,9 @@ from smallmass.errors import UsageError
 
 from conftest import BLOCK
 
+_BLOCKED = (_rng.EPS_RUN, _rng.LIMIT_RUN, _rng.SELF_TEST, _rng.UV_RUN, _rng.MOMENT_RUN)
+_PHILOX = (_rng.GK_RUN, _rng.PAIRED, _rng.BOOT, _rng.SLICED, _rng.DIRECT)
+
 
 def _key(gen):
     return gen.bit_generator.state["state"]["key"].tolist()
@@ -19,17 +22,54 @@ def _reference_key(seed, purpose, *indices):
     return [int(np.uint64(seed)), int(packed)]
 
 
+def _sfc64_state(gen):
+    state = gen.bit_generator.state
+    return state["bit_generator"], state["state"]["state"].tolist(), state["has_uint32"]
+
+
+def _reference_sfc64_state(seed, purpose, *indices):
+    """The state of SFC64 seeded by the seed and the path as spawn key."""
+    seq = np.random.SeedSequence(seed, spawn_key=(purpose, *indices))
+    return _sfc64_state(np.random.Generator(np.random.SFC64(seq)))
+
+
 class TestStreamKey:
     def test_extreme_key(self):
         gen = _rng.stream(2**64 - 1, 255, 65535, 3, 7)
         assert _key(gen) == [18446744073709551615, 72057589743157255]
 
     @pytest.mark.parametrize("path", [
-        (0, _rng.DIRECT), (7, _rng.EPS_RUN, 3, 511), (2025, _rng.UV_RUN, 0, 1023),
+        (0, _rng.DIRECT), (7, _rng.SLICED, 3, 511), (2025, _rng.GK_RUN, 0, 1023),
         (2**63 + 5, _rng.BOOT, 65535), (1, _rng.PAIRED, 1, 2, 3), (12, _rng.PROBE),
     ])
     def test_key_equals_the_uint64_packing(self, path):
-        assert _key(_rng.stream(*path)) == _reference_key(*path)
+        # the purposes outside the blocked samples stay on Philox
+        gen = _rng.stream(*path)
+        assert type(gen.bit_generator) is np.random.Philox
+        assert _key(gen) == _reference_key(*path)
+
+    @pytest.mark.parametrize("path", [
+        (0, _rng.EPS_RUN), (7, _rng.EPS_RUN, 3, 511), (2025, _rng.UV_RUN, 0, 1023),
+        (2**64 - 1, _rng.LIMIT_RUN, 65535, 65535, 65535), (1, _rng.SELF_TEST, 1, 2),
+        (12, _rng.MOMENT_RUN, 0, 4),
+    ])
+    def test_blocked_state_equals_the_seed_sequence(self, path):
+        assert _sfc64_state(_rng.stream(*path)) == _reference_sfc64_state(*path)
+
+    def test_generator_follows_the_purpose(self):
+        for purpose in range(256):
+            kind = type(_rng.stream(3, purpose, 1).bit_generator)
+            assert kind is (np.random.SFC64 if purpose in _BLOCKED else np.random.Philox)
+
+    def test_golden_raw_values(self):
+        # Pins the stream contract across numpy versions: a change in how
+        # SeedSequence seeds SFC64, or in either bit generator, moves these.
+        assert _rng.stream(7, _rng.EPS_RUN, 3, 1).bit_generator.random_raw(4).tolist() == [
+            6347342661492781958, 11910372520452914051, 2313790771650234264,
+            8080665622071785612]
+        assert _rng.stream(7, _rng.GK_RUN, 3).bit_generator.random_raw(4).tolist() == [
+            18443496845944543486, 14412927028098099672, 12138278063109048932,
+            6662020849161961615]
 
     @pytest.mark.parametrize("seed", [-1, 2**64, -(2**70)])
     def test_seed_out_of_range_names_the_seed(self, seed):
@@ -44,22 +84,36 @@ class TestStreamKey:
         with pytest.raises(UsageError, match="at most three"):
             _rng.stream(0, _rng.DIRECT, 1, 2, 3, 4)
 
+    @pytest.mark.parametrize("purpose", [_rng.EPS_RUN, _rng.GK_RUN], ids=["sfc64", "philox"])
+    @pytest.mark.parametrize("seed, indices, match", [
+        (-1, (0,), "seed out of range"), (2**64, (0,), "seed out of range"),
+        (0, (65536,), "index out of range"), (0, (-1,), "index out of range"),
+        (0, (1, 2, 3, 4), "at most three"),
+    ], ids=["seed-below", "seed-above", "index-above", "index-below", "four-indices"])
+    def test_both_generators_reject_the_same_path(self, purpose, seed, indices, match):
+        with pytest.raises(UsageError, match=match):
+            _rng.stream(seed, purpose, *indices)
+
+    @pytest.mark.parametrize("purpose", [-1, 2**64])
+    def test_purpose_out_of_range_is_rejected_before_a_generator_is_chosen(self, purpose):
+        with pytest.raises(UsageError, match="purpose code out of range"):
+            _rng.stream(0, purpose, 0)
+
 
 class TestBlocks:
     def test_block_size_is_part_of_the_contract(self):
         assert _rng.BLOCK == BLOCK == 64
-        for purpose in (_rng.EPS_RUN, _rng.LIMIT_RUN, _rng.SELF_TEST, _rng.UV_RUN,
-                        _rng.MOMENT_RUN):
+        for purpose in _BLOCKED:
             assert _rng.block_size(purpose) == 64
-        for purpose in (_rng.GK_RUN, _rng.PAIRED, _rng.DIRECT, _rng.BOOT):
+        for purpose in _PHILOX:
             assert _rng.block_size(purpose) == 1
 
     def test_blocks_are_keyed_by_block_index(self):
         # 150 replicas: blocks 0 and 1 of 64, block 2 of the last 22
         blocks = _rng.block_streams(7, (_rng.EPS_RUN, 3), range(64, 150))
         assert [s for _, s in blocks] == [64, 22]
-        assert [_key(g) for g, _ in blocks] == [_reference_key(7, _rng.EPS_RUN, 3, b)
-                                                for b in (1, 2)]
+        assert [_sfc64_state(g) for g, _ in blocks] == [
+            _reference_sfc64_state(7, _rng.EPS_RUN, 3, b) for b in (1, 2)]
 
     def test_block_of_one_is_the_replica_stream(self):
         # blocks of one key each replica by its own index, as before blocks
