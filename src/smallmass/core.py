@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from numpy.lib.array_utils import normalize_axis_index
 
 from .errors import NumericError, UsageError
 
@@ -38,35 +37,17 @@ def pairwise_mean(values: np.ndarray, axis: int = 0) -> np.ndarray:
     result is bit-identical however the surrounding computation is batched
     or scheduled.  Each round adds the second half of the m live rows onto
     the first, and an odd m carries its last row over: rows i and
-    i + m // 2 meet, and the carried row takes index m // 2.  The rounds
-    take turns between the two sides of one preallocated buffer (a round
-    never writes the side it reads, so numpy copies nothing for an
-    overlap), and the last round, of two rows, writes the result.  The
-    buffers keep the layout of ``values``; the rounds reach the fold axis
-    through ``swapaxes`` views.
+    i + m // 2 meet, and the carried row takes index m // 2.
     """
-    a = np.asarray(values, dtype=float)
-    ax = normalize_axis_index(axis, a.ndim)
-    n = a.shape[ax]
+    a = np.moveaxis(np.asarray(values, dtype=float), axis, 0)
+    n = a.shape[0]
     if n == 0:
         raise UsageError("cannot average an empty axis")
-    total = np.empty(a.shape[:ax] + (1,) + a.shape[ax + 1 :])
-    src, last = a.swapaxes(0, ax), total.swapaxes(0, ax)
-    if n == 1:
-        last[...] = src
-    elif n > 2:
-        sides = np.empty((2,) + a.shape[:ax] + ((n + 1) // 2,) + a.shape[ax + 1 :])
-        sides = sides.swapaxes(1, ax + 1)
-    m, side = n, 0
-    while m > 1:
-        half = m // 2
-        dst = last if m == 2 else sides[side]
-        np.add(src[:half], src[half : 2 * half], out=dst[:half])
-        if m % 2:
-            dst[half] = src[m - 1]
-        src, m, side = dst, half + m % 2, 1 - side
-    total /= n
-    return total[(slice(None),) * ax + (0,)]
+    while a.shape[0] > 1:
+        half = a.shape[0] // 2
+        folded = a[:half] + a[half : 2 * half]
+        a = np.concatenate((folded, a[2 * half :])) if a.shape[0] % 2 else folded
+    return a[0] / n
 
 
 @dataclass(frozen=True)

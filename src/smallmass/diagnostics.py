@@ -83,7 +83,7 @@ class MomentTable:
     eps: float
     sup: dict  # key -> sup_t estimate, keys sx2 sx4 sy2 sy4
     ci: dict  # key -> 95% halfwidth of the sup-attaining entry
-    n_replicas: int
+    n_replicas: int  # these two sizes have one reader, perfbench's tracer
     n_particles: int
     grid_times: np.ndarray
 
@@ -97,7 +97,6 @@ class UvReport:
     v_msq_ci: float
     u_increment_ratios: dict  # lag (slow time) -> E||du||^4 / lag
     bm_stats: dict
-    n_replicas: int
 
     @property
     def ratio_max(self) -> float:
@@ -261,7 +260,7 @@ def uv_check(cfg: RunConfig, model: NoiseModel, *, reps: int = 512,
     require_finite("a uv_check statistic", v_msq, v_ci, *ratios.values(),
                    *([] if stats["degenerate"] else stats.values()), eps=cfg.eps)
     return UvReport(eps=cfg.eps, v_msq=v_msq, v_msq_ci=v_ci,
-                    u_increment_ratios=ratios, bm_stats=stats, n_replicas=reps)
+                    u_increment_ratios=ratios, bm_stats=stats)
 
 
 class _UvStream:

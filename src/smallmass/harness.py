@@ -13,7 +13,11 @@ the one place a mode name becomes a ``DiffusionSpec``, and every mode's
 limit sample is drawn on the same stream path (common random numbers), so
 the modes differ only by their matrices and the verdict does not depend on
 the order of ``limit.modes``.  The bootstrap likewise resamples the eps
-sample once per row and scores every mode on the same picks.
+sample once per row and scores every mode on the same picks.  Those
+paired scores give the terminal gap W2_paper - W2_gk its 95% interval:
+``selected_mode`` is the mode with the smaller terminal W2, and with both
+modes configured the report states whether the interval excludes 0
+(``selected_mode_decided``) or leaves the verdict undecided.
 
 Sampling the annealed law deserves care: particles within one replica
 share a driver path and an attracting drift, so they synchronize and are
@@ -311,10 +315,11 @@ def pool_limit_samples(cfg: Config, diff: DiffusionSpec, pending=None) -> np.nda
 
 
 def _block_bootstrap_ci(eps_sample: np.ndarray, spr: int, limit_samples,
-                        seed: int, eps_index: int) -> float:
+                        seed: int, eps_index: int) -> tuple[float, np.ndarray]:
     """95% halfwidth of the W2 value under replica-block resampling: one
     set of block picks per eps row, scored against each limit sample, and
-    the largest halfwidth over the samples."""
+    the largest halfwidth over the samples.  Also returns the scores,
+    ``vals[mode, resample]``, paired across the modes by their picks."""
     n_blocks = eps_sample.shape[0] // spr
     blocks = eps_sample.reshape(n_blocks, spr, -1)
     gen = _rng.stream(seed, _rng.BOOT, eps_index)
@@ -324,7 +329,33 @@ def _block_bootstrap_ci(eps_sample: np.ndarray, spr: int, limit_samples,
         resampled = blocks[pick].reshape(-1, blocks.shape[2])
         for m, lim in enumerate(limit_samples):
             vals[m, b] = w2_auto(resampled, lim, seed=seed).value
-    return float(1.96 * np.max(np.std(vals, axis=1, ddof=1)))
+    return float(1.96 * np.max(np.std(vals, axis=1, ddof=1))), vals
+
+
+def _mode_verdict(terminal: dict, vals: np.ndarray) -> dict:
+    """The ``selected_mode`` metadata of a converge report.
+
+    ``terminal`` maps each configured mode, in ``limit.modes`` order, to
+    its terminal W2, and ``vals`` holds the terminal row's bootstrap
+    scores in the same order.  The smaller W2 wins, paper on a tie.  With
+    both modes the verdict is decided only where the 95% interval of the
+    paired gap W2_paper - W2_gk, the gap plus or minus 1.96 standard
+    deviations of its paired bootstrap replicates, excludes 0."""
+    meta = {"selected_mode": min(terminal, key=lambda m: (terminal[m], m != "paper")),
+            "selected_mode_note": "the only configured mode; no normalization is compared"}
+    if len(terminal) > 1:
+        paper, gk = (vals[list(terminal).index(m)] for m in ("paper", "green-kubo"))
+        gap = terminal["paper"] - terminal["green-kubo"]
+        half = 1.96 * float(np.std(paper - gk, ddof=1))
+        decided = not gap - half <= 0 <= gap + half
+        meta["selected_mode_gap_ci"] = json.dumps([gap - half, gap + half])
+        meta["selected_mode_decided"] = json.dumps(decided)
+        meta["selected_mode_note"] = (
+            "mode with the smaller terminal W2; the gap interval excludes 0, so it settles "
+            "the limit-noise normalization empirically" if decided else
+            "undecided: the gap interval contains 0, so the smaller terminal W2 does not "
+            "settle the limit-noise normalization")
+    return meta
 
 
 def run_convergence(cfg: Config) -> ConvergenceReport:
@@ -361,17 +392,13 @@ def run_convergence(cfg: Config) -> ConvergenceReport:
             for mode in modes:
                 res = w2_auto(eps_sample, limit_samples[mode], seed=cfg.seed)
                 row[MODE_COLUMN[mode]] = res.value
-            row["ci_halfwidth"] = _block_bootstrap_ci(eps_sample, spr, limit_samples.values(),
-                                                      cfg.seed, eps_index)
+            row["ci_halfwidth"], vals = _block_bootstrap_ci(
+                eps_sample, spr, limit_samples.values(), cfg.seed, eps_index)
             require_finite("a W2 value or its bootstrap halfwidth", row["ci_halfwidth"],
                            *(row[MODE_COLUMN[mode]] for mode in modes), eps=eps)
             row["w2_method"] = res.method
             rows.append(row)
-    terminal = {mode: rows[-1][MODE_COLUMN[mode]] for mode in modes}
-    # The smaller terminal W2 wins; on a tie, paper.
-    meta["selected_mode"] = min(terminal, key=lambda m: (terminal[m], m != "paper"))
-    meta["selected_mode_note"] = ("mode with the smaller terminal W2; settles the "
-                                  "limit-noise normalization empirically")
+    meta.update(_mode_verdict({mode: rows[-1][MODE_COLUMN[mode]] for mode in modes}, vals))
     return ConvergenceReport(rows=rows, metadata=meta)
 
 

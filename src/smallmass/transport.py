@@ -42,7 +42,6 @@ SLICED_DEFAULT_PROJECTIONS = 128
 class W2Result:
     value: float
     method: str  # quantile-1d | assignment | sliced
-    n_projections: int | None = None
     ci_halfwidth: float | None = None
 
 
@@ -169,8 +168,7 @@ def w2_sliced(a, b, n_proj: int = SLICED_DEFAULT_PROJECTIONS, seed: int = 0) -> 
         halfwidth = half_sq / (2.0 * value)
     else:
         halfwidth = 0.0
-    return W2Result(value=value, method="sliced", n_projections=n_proj,
-                    ci_halfwidth=halfwidth)
+    return W2Result(value=value, method="sliced", ci_halfwidth=halfwidth)
 
 
 def _quantile_resample(sorted_cols: np.ndarray, k: int) -> np.ndarray:

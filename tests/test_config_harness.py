@@ -61,6 +61,8 @@ COUPLED = dict(FOURIER, **{
     "potential.kind": "curie-weiss", "potential.kappa": 0.5,
     "noise.kind": "fourier-field", "gk.reps": 8, "gk.horizon_fast": 10.0,
 })
+# The coupled config of the CI packaging job.
+CI_COUPLED = dict(TINY, **dict(COUPLED, **{"run.N": 4}))
 
 
 class TestConfig:
@@ -1016,3 +1018,51 @@ class TestModeSelection:
         w2 = {"paper": terminal["w2_paper_mode"], "green-kubo": terminal["w2_gk_mode"]}
         assert w2["paper"] != w2["green-kubo"]
         assert report.selected_mode == min(w2, key=w2.get)
+
+    @pytest.mark.parametrize("terminal, decided, selected", [
+        ({"paper": 1.96, "green-kubo": 0.0}, False, "green-kubo"),  # lo is exactly 0
+        ({"paper": 0.0, "green-kubo": 1.96}, False, "paper"),  # hi is exactly 0
+        ({"paper": 2.0, "green-kubo": 0.0}, True, "green-kubo"),
+        ({"paper": 0.0, "green-kubo": 2.0}, True, "paper"),
+    ])
+    @pytest.mark.parametrize("order", [("paper", "green-kubo"), ("green-kubo", "paper")])
+    def test_gap_interval_decides_only_where_it_excludes_zero(self, terminal, decided,
+                                                               selected, order):
+        # paired bootstrap gaps 0, 1, 2: a standard deviation of exactly 1,
+        # so the interval is the terminal gap plus or minus 1.96
+        rows = {"paper": [1.0, 2.0, 3.0], "green-kubo": [1.0, 1.0, 1.0]}
+        meta = harness._mode_verdict({m: terminal[m] for m in order},
+                                     np.array([rows[m] for m in order]))
+        gap = terminal["paper"] - terminal["green-kubo"]
+        assert json.loads(meta["selected_mode_gap_ci"]) == [gap - 1.96, gap + 1.96]
+        assert meta["selected_mode_decided"] == json.dumps(decided)
+        assert meta["selected_mode_note"].startswith("undecided") is not decided
+        assert meta["selected_mode"] == selected
+
+    @pytest.mark.parametrize("doc, decided", [(TINY, True), (CI_COUPLED, False)],
+                             ids=["tiny", "coupled"])
+    def test_converge_writes_the_mode_verdict(self, tmp_path, doc, decided):
+        # the CI tiny config separates the modes; on the CI coupled config
+        # their terminal W2 values differ by far less than the bootstrap
+        # spread, and the verdict says so
+        report = run_convergence(parse_config(doc))
+        head = dict(line[2:].split(" = ", 1) for line in
+                    report.write_csv(tmp_path / "converge.csv").read_text().splitlines()
+                    if line.startswith("# selected_mode"))
+        terminal = report.rows[-1]
+        w2 = {"paper": terminal["w2_paper_mode"], "green-kubo": terminal["w2_gk_mode"]}
+        assert head["selected_mode"] == min(w2, key=w2.get)
+        lo, hi = json.loads(head["selected_mode_gap_ci"])
+        assert lo < w2["paper"] - w2["green-kubo"] < hi
+        assert (lo > 0 or hi < 0) is decided
+        assert head["selected_mode_decided"] == json.dumps(decided)
+        assert head["selected_mode_note"].startswith("undecided") is not decided
+
+    def test_one_mode_writes_no_gap(self, small_config_dict):
+        report = run_convergence(parse_config(dict(small_config_dict,
+                                                   **{"limit.modes": ["green-kubo"]})))
+        meta = report.metadata
+        assert report.selected_mode == "green-kubo"
+        assert "selected_mode_gap_ci" not in meta and "selected_mode_decided" not in meta
+        assert meta["selected_mode_note"] == ("the only configured mode; no normalization "
+                                              "is compared")
