@@ -13,7 +13,7 @@ from .core import EmpiricalMeasure, ParticleEnsemble, PotentialSpec, RunConfig
 from .dynamics_eps import EpsScheme, InitialLaw, StepReport, step
 from .dynamics_limit import DiffusionSpec, LimitScheme
 from .errors import ConfigError, NumericError, UsageError
-from .noise import DriverState, NoiseModel, sigma_matrix
+from .noise import DriverState, NoiseModel, forcing_variance
 from .transport import W2Result, w2_1d, w2_assignment, w2_auto, w2_sliced
 
 __all__ = [
@@ -33,7 +33,7 @@ __all__ = [
     "UsageError",
     "W2Result",
     "__version__",
-    "sigma_matrix",
+    "forcing_variance",
     "step",
     "w2_1d",
     "w2_assignment",

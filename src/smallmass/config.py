@@ -20,7 +20,7 @@ from .diagnostics import BM_PROXY_MIN_PATHS, GK_MAX_STEPS, _gk_grid
 from .dynamics_eps import InitialLaw
 from .dynamics_limit import DiffusionSpec, LimitScheme, _step_cap
 from .errors import ConfigError, UsageError
-from .noise import NoiseModel, sigma_matrix
+from .noise import NoiseModel, forcing_variance
 
 __all__ = ["Config", "load_config", "parse_config", "serialize_config"]
 
@@ -231,10 +231,12 @@ class Config:
         return EmpiricalMeasure(pts)
 
     def diffusion(self, mode: str) -> DiffusionSpec:
-        """D_eff of one limit mode; the one place a mode name becomes a matrix.
+        """D_eff of one limit mode; the one place a mode name becomes a
+        ``DiffusionSpec``.
 
-        paper: Sigma / (alpha^2 * gamma), the stationary forcing covariance
-        Sigma at ``reference_measure()`` over the envelope decay rate gamma;
+        paper: Sigma / (alpha^2 * gamma), the stationary variance Sigma of
+        each forcing component at ``reference_measure()`` over the envelope
+        decay rate gamma;
         green-kubo: G / alpha^2 with G = 2 * Sigma / gamma, the Green-Kubo
         integral of the forcing autocovariance, exact for the OU driver of
         every noise kind (``diagnostics.green_kubo`` measures G on its own),
@@ -243,9 +245,13 @@ class Config:
         rather than by assumption.
         """
         model = self.noise_model()
-        matrix = sigma_matrix(model, self.reference_measure()) / (
+        d_eff = forcing_variance(model, self.reference_measure()) / (
             self.values["run.alpha"]**2 * model.gamma)
-        return DiffusionSpec(2.0 * matrix if mode == "green-kubo" else matrix)
+        try:
+            return DiffusionSpec(2.0 * d_eff if mode == "green-kubo" else d_eff)
+        except UsageError as err:  # an overflow to inf
+            raise ConfigError(f"noise.sigma, run.alpha, noise.gamma: the {mode} mode's "
+                              f"{err}") from None
 
     def init_law(self) -> InitialLaw:
         v = self.values

@@ -193,7 +193,7 @@ def grad_v_batch(p: PotentialSpec, xs: np.ndarray, out: np.ndarray | None = None
     return out
 
 
-# alpha and the noise's sigma enter squared (D_eff, the forcing covariance),
+# alpha and the noise's sigma enter squared (D_eff, the forcing variance),
 # so each stops short of where its square would pass the float range, 1.8e308.
 _ROOT_MAX = 1e154
 

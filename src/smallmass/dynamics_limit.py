@@ -6,8 +6,9 @@ The zero-mass limit of the fast-forced system is the first-order equation
 
 simulated as an N-particle Euler-Maruyama system with synchronous
 mean-field coupling (the law in the drift is the same-step empirical
-measure).  ``D_eff`` is the per-unit-time covariance of the limit noise;
-the division by alpha is already absorbed into it.
+measure).  ``D_eff`` is the per-unit-time variance of each component of
+the limit noise, whose covariance is ``D_eff`` times the identity; the
+division by alpha is already absorbed into it.
 
 The limit modes (``paper`` and ``green-kubo``) are the closed-form
 normalizations of D_eff that the convergence study compares; each mode's
@@ -37,37 +38,20 @@ __all__ = [
     "run_limit_replicas",
 ]
 
-_SYM_TOL = 1e-12
-_EIG_CLAMP = -1e-12
-
-
 @dataclass(frozen=True)
 class DiffusionSpec:
-    """Limit-noise covariance per unit time."""
+    """Limit-noise intensity per unit time: the noise covariance is
+    ``d_eff`` times the identity.  Every forcing kind has independent,
+    identically distributed driver components, so the limit noise is
+    isotropic and one number carries it."""
 
-    matrix: np.ndarray  # (d, d), symmetric PSD
+    d_eff: float
 
     def __post_init__(self):
-        m = np.atleast_2d(np.asarray(self.matrix, dtype=float))
-        if m.shape[0] != m.shape[1]:
-            raise UsageError(f"diffusion matrix must be square, got {m.shape}")
-        scale = max(1.0, float(np.max(np.abs(m))))
-        if np.max(np.abs(m - m.T)) > _SYM_TOL * scale:
-            raise UsageError("diffusion matrix is not symmetric")
-        m = 0.5 * (m + m.T)
-        w, v = np.linalg.eigh(m)
-        if np.min(w) < _EIG_CLAMP * scale:
-            raise UsageError(f"diffusion matrix has negative eigenvalue {np.min(w):g}")
-        w = np.clip(w, 0.0, None)
-        # The reconstruction rounds its two triangles differently.
-        mat, root = (v * w) @ v.T, (v * np.sqrt(w)) @ v.T
-        object.__setattr__(self, "matrix", 0.5 * (mat + mat.T))
-        object.__setattr__(self, "_sqrt", 0.5 * (root + root.T))
-
-    @property
-    def sqrt(self) -> np.ndarray:
-        """Symmetric square root S with S @ S.T = matrix."""
-        return self._sqrt
+        d_eff = float(self.d_eff)
+        if not 0.0 <= d_eff < math.inf:
+            raise UsageError(f"D_eff must be finite and >= 0, got {d_eff!r}")
+        object.__setattr__(self, "d_eff", d_eff)
 
 
 @dataclass(frozen=True)
@@ -123,8 +107,7 @@ def run_limit_replicas(cfg: RunConfig, pot: PotentialSpec, diff: DiffusionSpec,
     X, steps = _rng.block_draws(cfg.seed, stream_path, replica_ids,
                                 _n_steps(cfg.T, sch.h), (N, d),
                                 lambda gen, s: init.draw_positions(N, d, gen, reps=s))
-    root_h = math.sqrt(sch.h)
-    ST = diff.sqrt.T
+    root_h, root_d = math.sqrt(sch.h), math.sqrt(diff.d_eff)
     G, tmp = np.empty_like(X), np.empty_like(X)
     t = 0.0
     if recorder is not None:
@@ -134,8 +117,11 @@ def run_limit_replicas(cfg: RunConfig, pot: PotentialSpec, diff: DiffusionSpec,
             grad_v_batch(pot, X, out=G, tmp=tmp)
             G *= sch.h / cfg.alpha
             X -= G
+            # (z * sqrt(h)) * sqrt(D_eff), in that order: sqrt(h * D_eff)
+            # would round differently.
             z *= root_h
-            X += np.matmul(z, ST, out=tmp)
+            z *= root_d
+            X += z
             t += sch.h
             if recorder is not None:
                 recorder(replica_ids, k + 1, t, X)

@@ -8,10 +8,10 @@ from the second-order system at each eps on the grid, and from the limit
 equation under each configured diffusion mode -- and reports the
 Wasserstein-2 distance between the sample pairs, row per eps.
 
-A limit mode is nothing but its diffusion matrix: ``Config.diffusion`` is
-the one place a mode name becomes a ``DiffusionSpec``, and every mode's
+A limit mode is nothing but its noise intensity D_eff: ``Config.diffusion``
+is the one place a mode name becomes a ``DiffusionSpec``, and every mode's
 limit sample is drawn on the same stream path (common random numbers), so
-the modes differ only by their matrices and the verdict does not depend on
+the modes differ only by their D_eff and the verdict does not depend on
 the order of ``limit.modes``.  The bootstrap likewise resamples the eps
 sample once per row and scores every mode on the same picks.  Those
 paired scores give the terminal gap W2_paper - W2_gk its 95% interval:
@@ -162,8 +162,7 @@ def _eps_sample(cfg: Config, eps_index: int) -> _Sample:
 def _limit_sample(cfg: Config, diff: DiffusionSpec, path, reps: int, spr: int) -> _Sample:
     """A limit-equation sample under ``diff`` on stream ``path``.  Every
     limit sample takes its step from here: ``limit.h``, else (``None``) the
-    kernel's default step law.  ``diff`` pickles bit-exact; rebuilt, its
-    root would be re-rounded."""
+    kernel's default step law."""
     h = cfg.values["limit.h"]
     rc = _sample_run(cfg, cfg.eps_grid[0], spr, "limit")
     return _Sample("limit", (rc, cfg.potential(), diff, cfg.init_law(),
@@ -231,6 +230,12 @@ def _base_metadata(cfg: Config) -> dict:
 def build_mode_diffusions(cfg: Config) -> dict[str, DiffusionSpec]:
     """D_eff per configured mode, in ``limit.modes`` order."""
     return {mode: cfg.diffusion(mode) for mode in cfg.modes}
+
+
+def _d_eff_text(cfg: Config, diff: DiffusionSpec) -> str:
+    """The header text of ``diff``: its d x d covariance, D_eff times the
+    identity, as a JSON list of rows."""
+    return json.dumps((diff.d_eff * np.eye(cfg.values["run.d"])).tolist())
 
 
 def _n_batches(reps: int) -> int:
@@ -308,7 +313,7 @@ def pool_eps_samples(cfg: Config, eps_index: int, pending=None) -> np.ndarray:
 
 def pool_limit_samples(cfg: Config, diff: DiffusionSpec, pending=None) -> np.ndarray:
     """The limit-law sample under ``diff``; every mode draws on the same
-    stream path, so two modes differ only by their diffusion matrices.
+    stream path, so two modes differ only by their D_eff.
     ``pending`` as in ``pool_eps_samples``."""
     return pending() if pending is not None else _pooled(
         _limit_sample(cfg, diff, (_rng.LIMIT_RUN, 0), *cfg.limit_pooling()))
@@ -371,7 +376,7 @@ def run_convergence(cfg: Config) -> ConvergenceReport:
     diffs = build_mode_diffusions(cfg)
     meta = _base_metadata(cfg)
     for mode, diff in diffs.items():
-        meta[f"diffusion.{mode}.D_eff"] = json.dumps(diff.matrix.tolist())
+        meta[f"diffusion.{mode}.D_eff"] = _d_eff_text(cfg, diff)
     modes, v = cfg.modes, cfg.values
     spr = v["run.samples_per_replica"]
     limit = [_limit_sample(cfg, diffs[mode], (_rng.LIMIT_RUN, 0), *cfg.limit_pooling())
@@ -500,7 +505,7 @@ def run_simulate_limit(cfg: Config, out_dir: str):
     diff = cfg.diffusion(mode)
     sample = _limit_sample(cfg, diff, (_rng.LIMIT_RUN, 0), *cfg.limit_pooling())
     return _write_samples(cfg, out_dir, sample,
-                          {"limit.mode": mode, "limit.D_eff": json.dumps(diff.matrix.tolist())})
+                          {"limit.mode": mode, "limit.D_eff": _d_eff_text(cfg, diff)})
 
 
 def _dump_trajectory(sample: _Sample, path: str):

@@ -48,7 +48,7 @@ __all__ = [
     "advance_xi",
     "averaged_forcing_xi",
     "eval_field_points",
-    "sigma_matrix",
+    "forcing_variance",
     "stationary_xi",
 ]
 
@@ -246,23 +246,23 @@ def averaged_forcing_xi(model: NoiseModel, xi: np.ndarray, points: np.ndarray) -
     return _contract_forcing(model, xi, _factor_mean(model, points))
 
 
-def sigma_matrix(model: NoiseModel, m: EmpiricalMeasure | None = None) -> np.ndarray:
-    """Stationary covariance of the law-averaged forcing, as a d x d matrix.
+def forcing_variance(model: NoiseModel, m: EmpiricalMeasure | None = None) -> float:
+    """Stationary variance of each component of the law-averaged forcing.
 
     Closed-form for every kind.  The average is linear in iid N(0, sigma^2)
-    driver components, so it is sigma^2 * I for scalar-ou, sigma^2 * gbar^2 * I
-    for separable (gbar the mean of g over ``m``), and sigma^2 * sum_k
-    gbar_k^2 * I for fourier-field (gbar_k the mean of the k-th basis
-    function a_k cos(w_k . x) + b_k sin(w_k . x) over ``m``).
+    driver components, so its components are independent with one common
+    variance, and its covariance is that variance times the d x d
+    identity: sigma^2 for scalar-ou, sigma^2 * gbar^2 for separable (gbar
+    the mean of g over ``m``), and sigma^2 * sum_k gbar_k^2 for
+    fourier-field (gbar_k the mean of the k-th basis function
+    a_k cos(w_k . x) + b_k sin(w_k . x) over ``m``).
     """
     s2 = model.sigma**2
-    eye = np.eye(model.d)
     if model.kind == "scalar-ou":
-        return s2 * eye
+        return s2
     if m is None:
-        raise UsageError(f"{model.kind} needs a measure for the forcing covariance")
+        raise UsageError(f"{model.kind} needs a measure for the forcing variance")
     gbar = _factor_mean(model, m.points)
     if model.kind == "separable":
-        return s2 * float(gbar)**2 * eye
-    return s2 * float(np.sum(gbar * gbar)) * eye
-
+        return s2 * float(gbar)**2
+    return s2 * float(np.sum(gbar * gbar))

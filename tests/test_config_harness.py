@@ -532,7 +532,7 @@ class TestConvergenceHarness:
             assert all(line.startswith("# ") for line in lines[:at])
             meta = dict(line[2:].split(" = ", 1) for line in lines[:at])
             for key, mode in keys.items():
-                assert json.loads(meta[key]) == diffs[mode].matrix.tolist()
+                assert json.loads(meta[key]) == (diffs[mode].d_eff * np.eye(2)).tolist()
 
 
 class TestOtherEntryPoints:
@@ -628,13 +628,27 @@ class TestOtherEntryPoints:
                                                    output):
         # On the CI tiny config these ended in an OverflowError and a
         # traceback: run.alpha**2 in Config.diffusion and in _UvStream, and
-        # noise.sigma**2 in sigma_matrix.
+        # noise.sigma**2 in the forcing variance.
         out = tmp_path / "out"
         path = write_config(tmp_path, dict(TINY, **{key: 1e300}))
         assert cli_main([command, str(path), "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: {key} must lie in " + (
             "(0.0, 1e+154], got 1e+300\n" if key == "run.alpha" else
             "[0.0, 1e+154], got 1e+300\n")
+        assert not (out / output).exists()
+
+    @pytest.mark.parametrize("command, output", [("converge", "converge.csv"),
+                                                 ("simulate-limit", "samples_limit.csv")],
+                             ids=["converge", "simulate-limit"])
+    def test_an_infinite_d_eff_exits_1_naming_its_keys(self, tmp_path, capsys, command,
+                                                       output):
+        # sigma^2 / (alpha^2 * gamma) = 1e308 / (1e-4 * 2) overflows to inf.
+        out = tmp_path / "out"
+        path = write_config(tmp_path, dict(TINY, **{"noise.sigma": 1e154, "run.alpha": 0.01}))
+        assert cli_main([command, str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: noise.sigma, run.alpha, noise.gamma: the paper mode's D_eff must be "
+            "finite and >= 0, got inf\n")
         assert not (out / output).exists()
 
     @pytest.mark.parametrize("extra, command, output, message", [
@@ -693,13 +707,12 @@ class TestOtherEntryPoints:
 
     def test_trajectory_dumps_end_on_the_sample_step_grid(self, small_config_dict, tmp_path):
         # h = 0.05 * 0.03 does not divide T = 5, and neither does limit.h;
-        # the d = 2 matrix is non-diagonal, so a rebuilt spec would re-round
-        # its square root (no config mode gives one, so the limit sample
-        # takes it directly); at run.N = 5 the dumps run the samples' N = 2.
+        # the d = 2 limit sample takes a D_eff no config mode gives; at
+        # run.N = 5 the dumps run the samples' N = 2.
         # At 70 replicas the dumps run replica 0's whole 64-replica stream
         # block and end on its first row, the pooled sample's replica 0.
         for d, n, reps, diff in ((1, 2, 1, None), (1, 2, 70, None), (1, 5, 1, None),
-                                 (2, 5, 1, DiffusionSpec([[1.0, 0.3], [0.3, 0.6]]))):
+                                 (2, 5, 1, DiffusionSpec(0.6))):
             doc = dict(small_config_dict, **{
                 "output.dump_trajectories": True, "run.N": n, "run.replicas": reps,
                 "run.samples_per_replica": 2, "run.eps_grid": [0.03], "run.T": 5.0,

@@ -526,7 +526,7 @@ class TestKeptParticles:
         cfg = self._config(2, 2, **extra)
         assert np.array_equal(pool_eps_samples(cfg, 0),
                               self._kernel(cfg, 6)[:, :2].reshape(-1, 2))
-        diff = DiffusionSpec(np.eye(2))
+        diff = DiffusionSpec(1.0)
         limit_n = 6 if extra.get("potential.kind") == "curie-weiss" else 2
         lim = run_limit_replicas(replace(cfg.run_config(0.1), N=limit_n), cfg.potential(),
                                  diff, cfg.init_law(), range(5), (_rng.LIMIT_RUN, 0))

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -21,10 +22,12 @@ ZERO_POT = PotentialSpec.custom(lambda x, m: np.zeros_like(x), 1.0)
 
 def step_em(X, pot, diff, sch, alpha, rng):
     """One Euler-Maruyama step of the positions ``X`` (N, d) of one
-    replica: the reference the lock-step kernel is checked against."""
+    replica: the reference the lock-step kernel is checked against.  Its
+    noise term is sqrt(h) * sqrt(D_eff) * Z, rounded as the kernel rounds
+    it: Z times sqrt(h) first."""
     grad = grad_v_batch(pot, X)
     Z = rng.standard_normal(X.shape)
-    X2 = X - (sch.h / alpha) * grad + math.sqrt(sch.h) * Z @ diff.sqrt.T
+    X2 = X - (sch.h / alpha) * grad + (math.sqrt(sch.h) * Z) * math.sqrt(diff.d_eff)
     if not np.all(np.isfinite(X2)):
         raise NumericError("step_em state is non-finite")
     return X2
@@ -35,7 +38,7 @@ class TestBuildDiffusion:
         # Sigma = sigma^2 = 1, beta = gamma = 2, alpha = 1 -> D = 1/2
         doc = dict(small_config_dict, **{"limit.modes": ["paper"]})
         diff = build_mode_diffusions(parse_config(doc))["paper"]
-        assert diff.matrix[0, 0] == pytest.approx(0.5)
+        assert diff.d_eff == pytest.approx(0.5)
 
     def test_green_kubo_mode_is_twice_paper(self, small_config_dict, monkeypatch):
         # G = 2 * sigma^2 / gamma = 1, alpha = 2 -> D = 1/4, in closed form
@@ -46,50 +49,45 @@ class TestBuildDiffusion:
         doc = dict(small_config_dict, **{"run.alpha": 2.0,
                                          "limit.modes": ["green-kubo", "paper"]})
         diffs = build_mode_diffusions(parse_config(doc))
-        assert diffs["green-kubo"].matrix[0, 0] == 0.25
-        assert diffs["paper"].matrix[0, 0] == 0.125
+        assert diffs["green-kubo"].d_eff == 0.25
+        assert diffs["paper"].d_eff == 0.125
 
-    def test_explicit_zero_matrix(self):
-        diff = DiffusionSpec(np.zeros((2, 2)))
-        assert np.array_equal(diff.matrix, np.zeros((2, 2)))
-        assert np.array_equal(diff.sqrt, np.zeros((2, 2)))
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1e-13],
+                             ids=["nan", "inf", "-inf", "slightly-negative"])
+    def test_rejects_non_finite_and_negative(self, value):
+        # No rounding tolerance: a value just below 0 is refused too.
+        with pytest.raises(UsageError, match=f"got {re.escape(repr(value))}$"):
+            DiffusionSpec(value)
 
-    def test_rejects_asymmetric_and_indefinite(self):
-        with pytest.raises(UsageError, match="symmetric"):
-            DiffusionSpec(np.array([[1.0, 0.5], [0.0, 1.0]]))
-        with pytest.raises(UsageError, match="negative"):
-            DiffusionSpec(np.diag([1.0, -0.5]))
+    def test_huge_d_eff_stays_finite(self):
+        # Nothing adds D_eff to itself on the way to the kernel, so the
+        # largest finite values stay finite: sqrt(1e308) = 1e154.
+        diff = DiffusionSpec(1e308)
+        assert diff.d_eff == 1e308
+        cfg = RunConfig(d=2, N=3, eps=0.5, alpha=1.0, T=0.1, h0=0.05, seed=0)
+        X = run_limit_replicas(cfg, PotentialSpec.quadratic(1.0), diff, InitialLaw(),
+                               range(2), (_rng.LIMIT_RUN, 0))
+        assert np.all(np.isfinite(X)) and np.max(np.abs(X)) > 1e150
 
-    def test_sqrt_of_diagonal(self):
-        diff = DiffusionSpec(np.diag([4.0, 9.0]))
-        assert diff.sqrt == pytest.approx(np.diag([2.0, 3.0]))
+    def test_noise_scales_with_the_root_of_d_eff(self):
+        # With no drift and a fixed start the terminal state is the sum of
+        # the noise increments, and sqrt(4) = 2 scales each of them exactly.
+        cfg = RunConfig(d=2, N=3, eps=0.5, alpha=1.0, T=0.2, h0=0.05, seed=4)
+        init = InitialLaw(position_std=0.0)
+        one, four = (run_limit_replicas(cfg, ZERO_POT, DiffusionSpec(D), init, range(2),
+                                        (_rng.LIMIT_RUN, 0)) for D in (1.0, 4.0))
+        assert np.any(one != 0.0) and np.array_equal(four, 2.0 * one)
 
-    def test_sqrt_reconstruction_random_psd(self):
-        rng = np.random.default_rng(0)
-        for d in range(1, 9):
-            a = rng.standard_normal((d, d))
-            m = a @ a.T
-            diff = DiffusionSpec(m)
-            assert np.max(np.abs(diff.sqrt @ diff.sqrt.T - m)) <= 1e-10
-
-    def test_reconstruction_is_exactly_symmetric(self):
-        # green-kubo off-diagonals once differed in the last bit
-        m = np.array([[0.7, -0.07561688556334193], [-0.07561688556334193, 0.4]])
-        diff = DiffusionSpec(m)
-        assert np.array_equal(diff.matrix, diff.matrix.T)
-        assert np.array_equal(diff.sqrt, diff.sqrt.T)
-
-    def test_one_dimensional_value_is_kept_bitwise(self):
-        for x in (0.5, 1.0 / 3.0, 0.07561688556334193, 2.0**-30):
-            diff = DiffusionSpec([[x]])
-            assert diff.matrix[0, 0] == x
-            assert diff.sqrt[0, 0] == math.sqrt(x)
+    def test_value_is_kept_bitwise_as_a_float(self):
+        for x in (0.0, 0.5, 1.0 / 3.0, 0.07561688556334193, 2.0**-30):
+            diff = DiffusionSpec(np.float64(x))
+            assert diff.d_eff == x and type(diff.d_eff) is float
 
 
 class TestStepEm:
     def test_identity_with_zero_drift_and_diffusion(self):
         X = np.array([[1.0], [2.0]])
-        diff = DiffusionSpec(np.zeros((1, 1)))
+        diff = DiffusionSpec(0.0)
         out = step_em(X, ZERO_POT, diff, LimitScheme(0.001), 1.0,
                       _rng.stream(0, _rng.DIRECT))
         assert np.array_equal(out, X)
@@ -97,7 +95,7 @@ class TestStepEm:
     def test_stationary_variance_of_linear_sde(self):
         # dx = -x dt + sqrt(2) dB has stationary variance D*alpha/(2*lam) = 1
         pot = PotentialSpec.quadratic(1.0)
-        diff = DiffusionSpec(np.array([[2.0]]))
+        diff = DiffusionSpec(2.0)
         cfg = RunConfig(d=1, N=1000, eps=0.5, alpha=1.0, T=8.0, h0=0.05, seed=0)
         samples = run_limit_replicas(cfg, pot, diff, InitialLaw(), range(16),
                                      (_rng.LIMIT_RUN, 3))
@@ -108,7 +106,7 @@ class TestStepEm:
 class TestSimulateLimit:
     def test_zero_diffusion_exponential_decay(self):
         pot = PotentialSpec.quadratic(1.0)
-        diff = DiffusionSpec(np.zeros((1, 1)))
+        diff = DiffusionSpec(0.0)
         cfg = RunConfig(d=1, N=1, eps=0.5, alpha=1.0, T=5.0, h0=0.05, seed=0)
         init = InitialLaw(position_mean=1.0, position_std=0.0)
         X = run_limit_replicas(cfg, pot, diff, init, [0], (_rng.LIMIT_RUN, 0))
@@ -116,7 +114,7 @@ class TestSimulateLimit:
 
     def test_same_seed_identical(self):
         pot = PotentialSpec.quadratic(1.0)
-        diff = DiffusionSpec(np.array([[1.0]]))
+        diff = DiffusionSpec(1.0)
         cfg = RunConfig(d=1, N=32, eps=0.5, alpha=1.0, T=1.0, h0=0.05, seed=21)
         a, b = (run_limit_replicas(cfg, pot, diff, InitialLaw(), [0], (_rng.LIMIT_RUN, 0))
                 for _ in range(2))
@@ -126,7 +124,7 @@ class TestSimulateLimit:
         # the ensemble mean follows d(mean)/dt = -(lam/alpha)*mean, kappa-free
         cfg = RunConfig(d=1, N=400, eps=0.5, alpha=2.0, T=2.0, h0=0.05, seed=4)
         init = InitialLaw(position_mean=1.0, position_std=0.3)
-        diff = DiffusionSpec(np.array([[0.05]]))
+        diff = DiffusionSpec(0.05)
         expected = math.exp(-cfg.T * 1.0 / cfg.alpha)
         for kappa in (0.0, 2.0):
             pot = PotentialSpec.curie_weiss(1.0, kappa)
@@ -136,7 +134,7 @@ class TestSimulateLimit:
     def test_two_clusters_attract_under_positive_coupling(self):
         # zero diffusion makes the contraction deterministic and monotone
         pot = PotentialSpec.curie_weiss(0.0 + 1e-12, 3.0)
-        diff = DiffusionSpec(np.zeros((1, 1)))
+        diff = DiffusionSpec(0.0)
         pos = np.concatenate([np.full((20, 1), -1.0), np.full((20, 1), 1.0)])
         sch = default_limit_scheme(
             RunConfig(d=1, N=40, eps=0.5, alpha=1.0, T=1.0, h0=0.05, seed=0), pot)
@@ -176,7 +174,7 @@ class TestSimulateLimit:
         cfg = RunConfig(d=1, N=1, eps=0.5, alpha=1.0, T=T, h0=0.05, seed=0)
         with pytest.raises(UsageError, match=rf"is {steps} steps; at most {2**31 - 1} are"):
             run_limit_replicas(cfg, PotentialSpec.quadratic(1.0),
-                               DiffusionSpec(np.array([[1.0]])), InitialLaw(), range(2),
+                               DiffusionSpec(1.0), InitialLaw(), range(2),
                                (_rng.LIMIT_RUN, 0), sch)
 
 
@@ -200,12 +198,11 @@ class TestLimitReplicaSweep:
 
     @pytest.mark.parametrize("d, keep", [(1, 3), (1, 1), (2, 1), (2, 3)])
     def test_quadratic_kept_particles_match_sequential(self, d, keep):
-        # A kept-particle sample is a run at N = keep; at N = 1 in d = 2 the
-        # one-row blocks of the kernel and of step_em round alike.  Two
-        # stream blocks, 64 and 6 replicas.
+        # A kept-particle sample is a run at N = keep.  Two stream blocks,
+        # 64 and 6 replicas.
         cfg = RunConfig(d=d, N=keep, eps=0.5, alpha=1.0, T=0.3, h0=0.05, seed=11)
         pot = PotentialSpec.quadratic(1.0)
-        diff = DiffusionSpec(np.array([[0.7, 0.2], [0.2, 0.5]])[:d, :d])
+        diff = DiffusionSpec(0.7)
         init, path = InitialLaw(position_std=0.5), (_rng.LIMIT_RUN, 1)
         sch = default_limit_scheme(cfg, pot)
         ref = self._reference(cfg, pot, diff, init, 70, path, sch)
@@ -218,7 +215,7 @@ class TestLimitReplicaSweep:
         # per-replica contract drew
         cfg = RunConfig(d=2, N=3, eps=0.5, alpha=1.0, T=0.2, h0=0.05, seed=11)
         pot = PotentialSpec.curie_weiss(1.0, 0.5)
-        diff = DiffusionSpec(np.array([[0.7, 0.2], [0.2, 0.5]]))
+        diff = DiffusionSpec(0.7)
         path, sch = (_rng.LIMIT_RUN, 1), default_limit_scheme(cfg, pot)
         ref = self._reference(cfg, pot, diff, InitialLaw(), 1, path, sch,
                               gens=[_rng.stream(cfg.seed, *path, 0)])
@@ -229,7 +226,7 @@ class TestLimitReplicaSweep:
         # an empty replica list draws nothing, in both kernels
         cfg = RunConfig(d=2, N=3, eps=0.5, alpha=1.0, T=0.2, h0=0.05, seed=11)
         pot = PotentialSpec.curie_weiss(1.0, 0.5)
-        X = run_limit_replicas(cfg, pot, DiffusionSpec(np.eye(2)), InitialLaw(),
+        X = run_limit_replicas(cfg, pot, DiffusionSpec(1.0), InitialLaw(),
                                [], (_rng.LIMIT_RUN, 1))
         assert X.shape == (0, 3, 2)
         model = NoiseModel.fourier_field(2, 1.0, 1.0, [[1.0, 0.0]], [1.0], [0.5])
@@ -240,7 +237,7 @@ class TestLimitReplicaSweep:
     def test_curie_weiss_matches_sequential(self):
         cfg = RunConfig(d=2, N=6, eps=0.5, alpha=1.0, T=0.2, h0=0.05, seed=5)
         pot = PotentialSpec.curie_weiss(1.0, 0.5)
-        diff = DiffusionSpec(np.array([[1.0, -0.3], [-0.3, 0.8]]))
+        diff = DiffusionSpec(0.8)
         init, path = InitialLaw(), (_rng.SELF_TEST, 2)
         sch = LimitScheme(0.003)  # does not divide T
         ref = self._reference(cfg, pot, diff, init, 70, path, sch)
@@ -254,7 +251,7 @@ class TestLimitReplicaSweep:
         builtin = PotentialSpec.curie_weiss(lam, kappa)
         custom = PotentialSpec.custom(lambda x, m: lam * x + kappa * (x - m.mean()),
                                       builtin.lipschitz_bound)
-        diff = DiffusionSpec(np.array([[1.0, -0.3], [-0.3, 0.8]]))
+        diff = DiffusionSpec(0.8)
         init, ids, path = InitialLaw(), range(70), (_rng.LIMIT_RUN, 4)
         # The custom twin's step follows its declared bound, lam + 2|kappa|,
         # which is stricter than the builtin's lam + |kappa| and valid for both.
@@ -265,16 +262,15 @@ class TestLimitReplicaSweep:
 
     @pytest.mark.parametrize("budget", [None, 8500], ids=["default", "small-windows"])
     def test_split_calls_match_one_call(self, budget, monkeypatch):
-        # The stacked d = 2 matmul with a non-diagonal root must round every
-        # replica alike whatever the replica count.  150 replicas are three
-        # stream blocks, the last one short; the small budget gives windows
-        # of 4, 11, 8, 5 and 30 steps over the 30-step run at 150, 64, 86,
-        # 128 and 22 replicas.
+        # Every replica must round alike whatever the replica count.  150
+        # replicas are three stream blocks, the last one short; the small
+        # budget gives windows of 4, 11, 8, 5 and 30 steps over the 30-step
+        # run at 150, 64, 86, 128 and 22 replicas.
         if budget is not None:
             monkeypatch.setattr(_rng, "DRAW_BUDGET", budget)
         cfg = RunConfig(d=2, N=6, eps=0.5, alpha=1.0, T=0.2, h0=0.05, seed=8)
         pot = PotentialSpec.curie_weiss(1.0, 0.5)
-        diff = DiffusionSpec(np.array([[1.0, 0.3], [0.3, 0.6]]))
+        diff = DiffusionSpec(0.6)
         init, path = InitialLaw(), (_rng.LIMIT_RUN, 0)
         whole = run_limit_replicas(cfg, pot, diff, init, range(150), path)
         for cut in (64, 128):
@@ -289,7 +285,7 @@ class TestLimitReplicaSweep:
         pot = PotentialSpec.curie_weiss(1.0, 0.5)
         assert _n_steps(cfg.T, default_limit_scheme(cfg, pot).h) == 750
         extra = traced_peak_above(lambda: run_limit_replicas(
-            cfg, pot, DiffusionSpec(np.eye(2)), InitialLaw(), range(64),
+            cfg, pot, DiffusionSpec(1.0), InitialLaw(), range(64),
             (_rng.LIMIT_RUN, 0)))
         assert extra < 1.5 * 2**20
 
@@ -299,7 +295,7 @@ class TestLimitReplicaSweep:
         cfg = RunConfig(d=1, N=2, eps=0.5, alpha=1.0, T=1.0, h0=0.05, seed=3)
         times = []
         run_limit_replicas(cfg, PotentialSpec.quadratic(1.0),
-                           DiffusionSpec(np.array([[1.0]])), InitialLaw(),
+                           DiffusionSpec(1.0), InitialLaw(),
                            [0], (_rng.LIMIT_RUN, 0), LimitScheme(0.0067),
                            recorder=lambda ids, k, t, X: times.append((k, t)))
         k, t = times[-1]
@@ -311,7 +307,7 @@ class TestLimitReplicaSweep:
         exploding = PotentialSpec.custom(lambda x, m: np.full_like(x, np.inf), 1.0)
         cfg = RunConfig(d=1, N=1, eps=0.5, alpha=1.0, T=1.0, h0=0.05, seed=0)
         with pytest.raises(NumericError, match=r"custom potential.*non-finite.*replica=64"):
-            run_limit_replicas(cfg, exploding, DiffusionSpec(np.array([[1.0]])),
+            run_limit_replicas(cfg, exploding, DiffusionSpec(1.0),
                                InitialLaw(), range(64, 68), (_rng.LIMIT_RUN, 0))
 
     def test_non_finite_state_names_the_replica(self):
@@ -330,6 +326,6 @@ class TestLimitReplicaSweep:
         with pytest.raises(NumericError, match="replica=66") as err, \
                 np.errstate(invalid="ignore"):
             run_limit_replicas(cfg, PotentialSpec.quadratic(1.0),
-                               DiffusionSpec(np.array([[1.0]])),
+                               DiffusionSpec(1.0),
                                OneBadReplica(), range(130), (_rng.LIMIT_RUN, 0))
         assert err.value.replica == 66

@@ -8,7 +8,7 @@ from smallmass import rng as _rng
 from smallmass.core import EmpiricalMeasure, pairwise_mean
 from smallmass.errors import UsageError
 from smallmass.noise import (NoiseModel, _fourier_basis, advance_xi, averaged_forcing_xi,
-                             eval_field_points, sigma_matrix, stationary_xi)
+                             eval_field_points, forcing_variance, stationary_xi)
 
 
 def _gen(seed=0):
@@ -232,13 +232,13 @@ class TestFourierAveragedForcing:
                 got = averaged_forcing_xi(model, xi[rows], points[rows])
                 assert np.array_equal(got, alone[rows]), (B, rows)
 
-    def test_sigma_matrix_forms_no_per_point_field(self):
+    def test_forcing_variance_forms_no_per_point_field(self):
         # The old route built a (mc_samples, 1024, 2) field: 64 MB.
         model = _fourier(2, 3)
         m = EmpiricalMeasure.from_points(np.random.default_rng(3).standard_normal((1024, 2)))
         tracemalloc.start()
         try:
-            sigma_matrix(model, m)
+            forcing_variance(model, m)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -251,25 +251,25 @@ class TestMixingMetadata:
             NoiseModel.scalar_ou(1, gamma=0.0, sigma=1.0)
 
 
-class TestSigmaMatrix:
-    def test_scalar_ou_identity(self):
+class TestForcingVariance:
+    def test_scalar_ou_is_sigma_squared(self):
         model = NoiseModel.scalar_ou(2, gamma=1.0, sigma=1.0)
-        assert sigma_matrix(model) == pytest.approx(np.eye(2))
+        assert forcing_variance(model) == 1.0
 
     def test_separable_constant_reduces_to_scalar(self):
         model = NoiseModel.separable(2, gamma=1.0, sigma=1.5, g_name="one")
         m = EmpiricalMeasure.from_points(np.random.default_rng(0).standard_normal((6, 2)))
-        assert sigma_matrix(model, m) == pytest.approx(1.5**2 * np.eye(2))
+        assert forcing_variance(model, m) == pytest.approx(1.5**2)
 
     def test_separable_vanishing_mean(self):
         model = NoiseModel.separable(1, gamma=1.0, sigma=1.0, g_name="clip-linear")
         m = EmpiricalMeasure.from_points([[-0.5], [0.5]])
-        assert sigma_matrix(model, m) == pytest.approx(np.zeros((1, 1)), abs=1e-15)
+        assert forcing_variance(model, m) == pytest.approx(0.0, abs=1e-15)
 
     def test_measure_required_for_law_dependent_kinds(self):
         model = NoiseModel.separable(1, gamma=1.0, sigma=1.0, g_name="one")
         with pytest.raises(UsageError):
-            sigma_matrix(model)
+            forcing_variance(model)
 
     def test_fourier_monte_carlo_close_to_closed_form(self):
         omegas, a, b = [[1.0], [2.0]], [0.5, 0.2], [0.1, 0.0]
@@ -281,5 +281,5 @@ class TestSigmaMatrix:
                       + b[k] * np.sin(pts @ np.array(omegas[k])))
               for k in range(2)]
         expected = sum(c * c for c in ck)
-        est = sigma_matrix(model, m)[0, 0]
+        est = forcing_variance(model, m)
         assert est == pytest.approx(expected, rel=1e-12)
