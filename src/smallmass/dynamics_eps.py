@@ -43,7 +43,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import rng as _rng
-from .core import ParticleEnsemble, PotentialSpec, RunConfig, grad_v_batch
+from .core import (ParticleEnsemble, PotentialSpec, RunConfig, _per_particle,
+                   grad_v_batch)
 from .errors import NumericError, UsageError
 from .noise import (DriverState, NoiseModel, advance_xi, averaged_forcing_xi,
                     stationary_xi)
@@ -125,12 +126,16 @@ def _total_force(model, pot, X, xi, inv_sqrt_eps, out=None, tmp=None):
 
     The forcing part is computed once and shared by every particle of a
     replica.  Returns (force, scaled_forcing) with the latter kept for the
-    step report; the force is written to ``out`` when given.
+    step report; the force is written to ``out`` when given.  The shared
+    part is spread over the particles as a contiguous copy
+    (``_per_particle``) before the subtract, which then reads two arrays of
+    one layout instead of a stride-0 broadcast with an inner loop of length
+    d; the bits are those of ``scaled[..., None, :] - grad``.
     """
     grad = grad_v_batch(pot, X, out=out, tmp=tmp)
     bar = averaged_forcing_xi(model, xi, X)  # (..., d)
     scaled = inv_sqrt_eps * bar
-    return np.subtract(scaled[..., None, :], grad, out=grad), scaled
+    return np.subtract(_per_particle(scaled, X.shape[-2]), grad, out=grad), scaled
 
 
 class _Advance:

@@ -67,9 +67,11 @@ def _recursive_pairwise_mean(values, axis):
 class TestPairwiseFold:
     """``pairwise_mean`` keeps the summation tree of the recursive fold."""
 
+    # (3, 2, n, 2) is a (rows, B, n, d) stack of particle sets; the axes
+    # below fold it at each of its four positions
     @pytest.mark.parametrize("shape", [lambda n: (n,), lambda n: (n, 3),
-                                       lambda n: (4, n, 2)],
-                             ids=["(n,)", "(n,3)", "(4,n,2)"])
+                                       lambda n: (4, n, 2), lambda n: (3, 2, n, 2)],
+                             ids=["(n,)", "(n,3)", "(4,n,2)", "(3,2,n,2)"])
     def test_bit_identical_to_the_recursive_fold(self, shape):
         gen = np.random.default_rng(17)
         for n in range(1, 71):

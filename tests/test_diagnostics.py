@@ -402,6 +402,26 @@ class TestUvCheck:
         with pytest.raises(UsageError, match="lo > 0"):
             dyadic_lags(lo, 1.0)
 
+    @pytest.mark.parametrize("eps, h0, steps", [(1.0, 0.2, [1, 2, 3]),
+                                                (0.5, 0.1, [1, 2, 3, 6, 13])])
+    def test_lag_steps_are_distinct(self, eps, h0, steps):
+        # where h exceeds the shorter lags they round to one step count
+        # ([1, 1, 1, 1, 1, 2, 3] at h = 0.2), which the stream summed again
+        # for each duplicate
+        cfg = RunConfig(d=1, N=2, eps=eps, alpha=1.0, T=1.0, h0=h0, seed=3)
+        assert diagnostics._uv_steps(cfg, dyadic_lags(), 128)[1] == steps
+
+    def test_lag_step_ratios_keep_their_values(self):
+        # pinned at the values read when each duplicate step was summed again
+        cfg = RunConfig(d=1, N=2, eps=1.0, alpha=1.0, T=1.0, h0=0.2, seed=3)
+        pinned = [(NoiseModel.scalar_ou(1, gamma=1.0, sigma=1.0),
+                   [0.01728513882044132, 0.11094742726204841, 0.31798061104744657]),
+                  (NoiseModel.separable(1, 1.0, 1.0, "gauss"),
+                   [0.009318906530491493, 0.05877466251125914, 0.1709749780304234])]
+        for model, ratios in pinned:
+            got = uv_check(cfg, model, reps=128).u_increment_ratios
+            assert got == dict(zip([0.2, 0.4, 0.6000000000000001], ratios))
+
 
 class TestMomentTable:
     def test_null_dynamics(self):
@@ -431,6 +451,16 @@ class TestMomentTable:
             mt = moment_table(cfg, model, FREE_POT, reps=512, init=init)
             vals[sigma] = mt.sup["sy2"]
         assert 3.0 < vals[2.0] / vals[1.0] < 5.0
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_batches_leave_the_table_alone(self, d):
+        # each batch writes its own consecutive replica rows
+        cfg = RunConfig(d=d, N=3, eps=0.1, alpha=1.0, T=0.5, h0=0.05, seed=4)
+        model = NoiseModel.separable(d, gamma=1.0, sigma=1.0, g_name="gauss")
+        pot = PotentialSpec.curie_weiss(1.0, 0.5)
+        one, many = (moment_table(cfg, model, pot, reps=150, batch_size=b)
+                     for b in (None, BLOCK))
+        assert one.sup == many.sup and one.ci == many.ci
 
     def test_needs_two_replicas(self):
         # one replica gives a NaN confidence halfwidth

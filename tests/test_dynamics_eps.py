@@ -8,7 +8,8 @@ import pytest
 
 from smallmass import rng as _rng
 from smallmass.config import load_config, parse_config
-from smallmass.core import ParticleEnsemble, PotentialSpec, RunConfig, grad_v_batch
+from smallmass.core import (ParticleEnsemble, PotentialSpec, RunConfig, grad_v_batch,
+                            pairwise_mean)
 from smallmass.dynamics_eps import (EpsScheme, InitialLaw, _Advance, _n_steps,
                                     paired_scheme_gap, run_eps_replicas, step,
                                     _total_force)
@@ -287,6 +288,33 @@ class TestStepContracts:
         forcing_part = F + pot.lam * X
         assert np.allclose(forcing_part, forcing_part[0], atol=0, rtol=0)
         assert forcing_part[0] == pytest.approx(scaled)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("N", [1, 2, 5, 32])
+    def test_force_has_the_bits_of_the_broadcast(self, d, N):
+        # the curie-weiss mean and the shared forcing are spread over the
+        # particles as contiguous copies; the bits must be those of the
+        # stride-0 broadcast, for (B, N, d) and (rows, B, N, d) positions,
+        # contiguous or a strided view
+        gen = np.random.default_rng(10 * d + N)
+        pot = PotentialSpec.curie_weiss(0.7, 0.5)
+        model = NoiseModel.fourier_field(d, gamma=1.0, sigma=1.0,
+                                         omegas=gen.standard_normal((3, d)),
+                                         a=gen.standard_normal(3), b=gen.standard_normal(3))
+        for lead in ((6,), (2, 6)):
+            base = gen.standard_normal(lead + (2 * N, d + 1))
+            xi = gen.standard_normal(lead + model.driver_shape)
+            for xs in (base[..., :N, :d].copy(), base[..., ::2, 1:]):
+                mean = pairwise_mean(xs, axis=-2)
+                grad = xs * pot.lam + (xs - mean[..., None, :]) * pot.kappa
+                scaled = 2.0 * averaged_forcing_xi(model, xi, xs)
+                force = scaled[..., None, :] - grad
+                got = grad_v_batch(pot, xs)
+                assert got.shape == grad.shape and got.tobytes() == grad.tobytes()
+                got, got_scaled = _total_force(model, pot, xs, xi, 2.0,
+                                               np.empty(xs.shape), np.empty(xs.shape))
+                assert got.shape == force.shape and got.tobytes() == force.tobytes()
+                assert got_scaled.tobytes() == scaled.tobytes()
 
     def test_euler_stability_guard(self):
         # h0_fine = 0.1 at alpha = 25 gives the cross-check's Euler substep
