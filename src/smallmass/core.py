@@ -74,7 +74,7 @@ def _per_particle(v: np.ndarray, n: int) -> np.ndarray:
     return np.repeat(v[..., None, :], n, axis=-2) if n > 1 else v[..., None, :]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmpiricalMeasure:
     """Uniformly weighted point set on R^d (weights 1/n implied)."""
 
@@ -99,7 +99,7 @@ class EmpiricalMeasure:
         return pairwise_mean(self.points, axis=0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ParticleEnsemble:
     """Positions, velocities, clock and mass parameter of the second-order
     particle system."""

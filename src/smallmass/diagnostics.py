@@ -8,10 +8,11 @@ limit falsifiable at desk scale:
 * ``uv_check``: the integrated forcing u and its exponentially filtered
   part v, computed with the integrator's own quadrature (left-endpoint
   forcing, exact exponential weights for v).  For law-dependent fields
-  the paths are recorded from the lock-step eps kernel
-  (``run_eps_replicas``).  The statistics are streamed step by step: u is
-  held in a ring of the longest lag plus one chunk of steps, not for the
-  horizon.
+  u and v are streamed from the forcing that the lock-step eps kernel
+  (``run_eps_replicas``) hands its recorder at each step, as evaluated
+  once by ``dynamics_eps._forcing``; a driver per particle changes that
+  one helper.  The statistics are streamed step by step: u is held in a
+  ring of the longest lag plus one chunk of steps, not for the horizon.
   E||v(T)||^2 must vanish linearly in eps, and the fourth-moment
   increment ratio E||u(t) - u(s)||^4 / |t - s| must stay bounded across
   dyadic lags;
@@ -37,8 +38,7 @@ from . import rng as _rng
 from .core import EmpiricalMeasure, PotentialSpec, RunConfig
 from .dynamics_eps import GK_MAX_STEPS, InitialLaw, _Advance, _n_steps, run_eps_replicas
 from .errors import UsageError, require_finite
-from .noise import (NoiseModel, _contract_forcing, _factor_mean, advance_xi,
-                    averaged_forcing_xi, stationary_xi)
+from .noise import NoiseModel, _contract_forcing, _factor_mean, advance_xi, stationary_xi
 
 __all__ = [
     "GkEstimate",
@@ -76,7 +76,7 @@ MAX_PATH_VALUES = 2**27
 CHUNK = 32
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MomentTable:
     """Sup over a time grid of the scaled moment estimates, with CIs."""
 
@@ -110,7 +110,7 @@ class UvReport:
         return r[mid] if len(r) % 2 else (r[mid - 1] + r[mid]) / 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GkEstimate:
     """Effective diffusion of the averaged forcing, with its provenance."""
 
@@ -132,7 +132,7 @@ class _MomentRecorder:
         self.values = np.zeros((n_replicas, len(self.idx), 4))
         self.times = np.zeros(len(self.idx))
 
-    def __call__(self, ids, k, t, X, Y, xi):
+    def __call__(self, ids, k, t, X, Y, xi, forcing):
         slot = self.lookup.get(k)
         if slot is None:
             return
@@ -372,14 +372,15 @@ def _driver_paths(model, seed, path, reps, n, delta_s):
     carries out: its one start is the driver values, and its per-step
     normals are driver-shaped; the paths are advanced in lock-step by
     ``delta_s``.  Under ``GK_RUN`` the blocks hold one replica each, so
-    replica r draws from ``(seed, *path, r)`` alone.  Each yielded
-    (reps,) + driver_shape array is fresh: later steps do not overwrite it.
+    replica r draws from ``(seed, *path, r)`` alone.  The driver advances
+    in place: the one (reps,) + driver_shape array yielded at every step
+    holds the next step's values once the generator resumes.
     """
     xi, steps = _rng.block_draws(seed, path, range(reps), n, model.driver_shape,
                                  lambda gen, s: stationary_xi(model, gen, reps=s))
     for z in steps:
         yield xi
-        xi = advance_xi(xi, model, delta_s, z)
+        advance_xi(xi, model, delta_s, z, out=xi)
 
 
 def _uv_scalar(cfg, model, reps, n, steps, eps_index):
@@ -396,9 +397,9 @@ def _uv_ensemble(cfg, model, reps, n, steps, eps_index, init, pot):
     """The u/v stream riding on the full particle system (law-dependent fields)."""
     stream = _UvStream(cfg, model.d, reps, n, steps)
 
-    def record(ids, k, t, X, Y, xi):
-        if k < n:
-            stream.add(k, averaged_forcing_xi(model, xi, X))
+    def record(ids, k, t, X, Y, xi, forcing):
+        if forcing is not None:
+            stream.add(k, forcing)
 
     # one lock-step batch, so each call brings every replica
     run_eps_replicas(cfg, model, pot or PotentialSpec.quadratic(1.0), "exponential",

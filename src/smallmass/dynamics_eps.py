@@ -8,7 +8,11 @@ forcing,
 
 where mu_hat is the ensemble's empirical measure and eta_bar(s, mu_hat) is
 the mixing field averaged over mu_hat (``noise.averaged_forcing_xi``): one
-shared draw evaluated under the fast clock s = t/eps.
+shared draw evaluated under the fast clock s = t/eps.  Each step evaluates
+it once, in ``_forcing``, which spreads it over the particles and hands it
+to the force, the recorder of ``run_eps_replicas``, the step report and
+the Euler half of ``paired_scheme_gap``.  Giving each particle its own
+driver changes that one helper and the draw shapes.
 
 The scheme is exponential: it discretizes the variation-of-constants
 form of the velocity equation.  With the total force F frozen at the left
@@ -121,21 +125,27 @@ class InitialLaw:
         ).astype(float).copy()
 
 
-def _total_force(model, pot, X, xi, inv_sqrt_eps, out=None, tmp=None):
-    """F_i = -grad_v(X_i, mu_hat) + eps^{-1/2} * law-averaged field.
+def _forcing(model, X, xi, inv_sqrt_eps):
+    """The law-averaged forcing of driver ``xi`` over the particles ``X``
+    (..., N, d), shape (..., d), and eps^{-1/2} times it spread over the
+    particles, (..., N, d).
 
-    The forcing part is computed once and shared by every particle of a
-    replica.  Returns (force, scaled_forcing) with the latter kept for the
-    step report; the force is written to ``out`` when given.  The shared
-    part is spread over the particles as a contiguous copy
-    (``_per_particle``) before the subtract, which then reads two arrays of
-    one layout instead of a stride-0 broadcast with an inner loop of length
-    d; the bits are those of ``scaled[..., None, :] - grad``.
+    This is the one place where a step evaluates its forcing: the kernel's
+    force, its recorder, the step report and the cross-check's Euler half
+    all take it from here.  The spread is a contiguous copy
+    (``_per_particle``), so the subtract that follows reads two arrays of
+    one layout instead of a stride-0 broadcast with an inner loop of
+    length d; the bits are those of the broadcast
+    ``(inv_sqrt_eps * bar)[..., None, :]``.
     """
-    grad = grad_v_batch(pot, X, out=out, tmp=tmp)
-    bar = averaged_forcing_xi(model, xi, X)  # (..., d)
-    scaled = inv_sqrt_eps * bar
-    return np.subtract(_per_particle(scaled, X.shape[-2]), grad, out=grad), scaled
+    bar = averaged_forcing_xi(model, xi, X)
+    return bar, _per_particle(inv_sqrt_eps * bar, X.shape[-2])
+
+
+def _total_force(pot, X, spread, out=None, tmp=None):
+    """F_i = -grad_v(X_i, mu_hat) + eps^{-1/2} * law-averaged field, with
+    the forcing as ``_forcing`` spreads it; written to ``out`` when given."""
+    return np.subtract(spread, grad_v_batch(pot, X, out=out, tmp=tmp), out=out)
 
 
 class _Advance:
@@ -182,7 +192,8 @@ def step(ens: ParticleEnsemble, model: NoiseModel, drv: DriverState,
             f"driver fast_time {drv.fast_time:g} is not the ensemble clock {expected:g}"
         )
     inv_sqrt_eps = 1.0 / math.sqrt(eps)
-    F, scaled = _total_force(model, pot, ens.positions, drv.xi, inv_sqrt_eps)
+    bar, spread = _forcing(model, ens.positions, drv.xi, inv_sqrt_eps)
+    F = _total_force(pot, ens.positions, spread)
     X2, Y2 = ens.positions.copy(), ens.velocities.copy()
     _Advance(sch.h, eps, alpha)(X2, Y2, F, np.empty_like(X2))
     z = rng.standard_normal(drv.xi.shape)
@@ -192,7 +203,7 @@ def step(ens: ParticleEnsemble, model: NoiseModel, drv: DriverState,
     drv2 = DriverState(xi=xi2, fast_time=drv.fast_time + sch.h / eps)
     report = StepReport(
         time=out.time,
-        forcing_norm=float(np.linalg.norm(scaled)),
+        forcing_norm=float(np.linalg.norm(inv_sqrt_eps * bar)),
         max_speed=float(np.max(np.linalg.norm(Y2, axis=-1))),
         energy_proxy=float(np.mean(np.sum(Y2 * Y2, axis=-1)) * eps),
     )
@@ -240,10 +251,14 @@ def run_eps_replicas(cfg: RunConfig, model: NoiseModel, pot: PotentialSpec,
     ``batch_size`` at a time (a multiple of the block size), all of them
     in one batch when it is ``None``; the results do not depend on the
     batch.  ``recorder``, when given, is called as
-    ``recorder(replica_ids_batch, step_index, time, X, Y, xi)`` after the
-    initial state and after every step, with ``xi`` the driver values at
-    that time (shape (B,) + driver shape); X, Y and xi are updated in place
-    afterwards, so a recorder copies whatever it keeps.
+    ``recorder(replica_ids_batch, k, time, X, Y, xi, forcing)`` once per
+    step k = 0..n-1, after the step's force is evaluated and before the
+    advance, and once more at k = n after the last step.  X, Y and ``xi``
+    (shape (B,) + driver shape) are the state at that time, and
+    ``forcing`` (B, d) is the unscaled law-averaged forcing that drives
+    step k (``_forcing``), ``None`` at k = n, which drives nothing.  The
+    arrays are updated in place afterwards, so a recorder copies whatever
+    it keeps.
 
     Returns terminal positions and velocities, each of shape (R, N, d).
     """
@@ -270,16 +285,17 @@ def run_eps_replicas(cfg: RunConfig, model: NoiseModel, pot: PotentialSpec,
         Y = np.broadcast_to(Y0, X.shape).copy()
         F, tmp = np.empty_like(X), np.empty_like(X)
         t = 0.0
-        if recorder is not None:
-            recorder(ids, 0, t, X, Y, xi)
         try:
             for k, z in enumerate(steps):
-                _total_force(model, pot, X, xi, inv_sqrt_eps, F, tmp)
+                bar, spread = _forcing(model, X, xi, inv_sqrt_eps)
+                _total_force(pot, X, spread, F, tmp)
+                if recorder is not None:
+                    recorder(ids, k, t, X, Y, xi, bar)
                 advance(X, Y, F, tmp)
                 advance_xi(xi, model, delta_s, z, out=xi)
                 t += sch.h
-                if recorder is not None:
-                    recorder(ids, k + 1, t, X, Y, xi)
+            if recorder is not None:
+                recorder(ids, n, t, X, Y, xi, None)
         except NumericError as err:
             _check_finite(str(err), ids, cfg.eps, X, Y)
             raise
@@ -317,7 +333,7 @@ def paired_scheme_gap(cfg: RunConfig, model: NoiseModel, pot: PotentialSpec,
     h_eps = h / cfg.eps
     start, drivers = [], []
 
-    def record(ids, k, t, X, Y, xi):
+    def record(ids, k, t, X, Y, xi, forcing):
         if k == 0:
             start.extend((X[0].copy(), Y[0].copy()))
         drivers.append(xi[0].copy())
@@ -330,10 +346,9 @@ def paired_scheme_gap(cfg: RunConfig, model: NoiseModel, pot: PotentialSpec,
     F, tmp = np.empty_like(Xu), np.empty_like(Xu)
     inv_sqrt_eps = 1.0 / math.sqrt(cfg.eps)
     for xi in drivers:
-        bar_u = inv_sqrt_eps * averaged_forcing_xi(model, xi, Xu)
+        _, spread = _forcing(model, Xu, xi, inv_sqrt_eps)
         for _ in range(ratio):
-            grad_v_batch(pot, Xu, out=F, tmp=tmp)
-            np.subtract(bar_u[..., None, :], F, out=F)
+            _total_force(pot, Xu, spread, F, tmp)
             # X += h Y, then Y += (h/eps) (F - alpha Y), on the old Y
             np.multiply(Yu, h, out=tmp)
             Xu += tmp

@@ -126,7 +126,7 @@ class NoiseModel:
         return (self.d,)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DriverState:
     """Current driver values and the fast clock."""
 

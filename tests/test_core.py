@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 from smallmass.core import (EmpiricalMeasure, ParticleEnsemble, PotentialSpec,
                             RunConfig, grad_v_batch, pairwise_mean)
+from smallmass.diagnostics import GkEstimate, MomentTable
 from smallmass.errors import UsageError
+from smallmass.noise import DriverState, NoiseModel
 
 
 class TestEmpiricalMean:
@@ -188,3 +190,32 @@ class TestValidation:
             ParticleEnsemble(np.zeros((2, 1)), np.zeros((2, 1)), 0.0, None)
         with pytest.raises(UsageError):  # velocities are required
             ParticleEnsemble(np.zeros((2, 1)), None, 0.0, 0.5)
+
+
+class TestArrayRecords:
+    """Frozen records whose fields hold arrays compare and hash by
+    identity: the generated field-wise ``__eq__`` raised ValueError on
+    equal but distinct arrays, and the generated ``__hash__`` TypeError."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: EmpiricalMeasure(np.zeros((3, 2))),
+        lambda: ParticleEnsemble(np.zeros((3, 2)), np.zeros((3, 2)), 0.0, 0.5),
+        lambda: DriverState(np.zeros(2), 0.0),
+        lambda: GkEstimate(G=np.eye(2), horizon_fast=1.0, truncation_lag=0.5, reps=2,
+                           ci_fro=0.0),
+        lambda: MomentTable(eps=0.5, sup={}, ci={}, n_replicas=2, n_particles=3,
+                            grid_times=np.zeros(3)),
+    ], ids=["EmpiricalMeasure", "ParticleEnsemble", "DriverState", "GkEstimate",
+            "MomentTable"])
+    def test_equality_and_hash_are_by_identity(self, make):
+        a, b = make(), make()
+        assert a == a and a != b
+        assert len({a, b, a}) == 2
+
+    def test_noise_models_without_arrays_compare_by_value(self):
+        # NoiseModel keeps its field-wise equality: its scalar-ou and
+        # separable instances hold no array
+        assert (NoiseModel.scalar_ou(1, gamma=1.0, sigma=1.0)
+                == NoiseModel.scalar_ou(1, gamma=1.0, sigma=1.0))
+        assert (NoiseModel.separable(2, 1.0, 1.0, "gauss")
+                == NoiseModel.separable(2, 1.0, 1.0, "gauss"))

@@ -1,10 +1,11 @@
 import math
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from smallmass import diagnostics
+from smallmass import diagnostics, noise
 from smallmass import rng as _rng
 from smallmass.core import EmpiricalMeasure, ParticleEnsemble, PotentialSpec, RunConfig
 from smallmass.diagnostics import (CHUNK, _uv_ensemble, _uv_scalar, _UvStream, bm_proxy,
@@ -333,6 +334,26 @@ class TestUvCheck:
         want = _reference_report(*_ensemble_reference_paths(cfg, model, pot, 100, n, 2),
                                  lags, cfg.eps_step, n)
         _assert_report_matches(uv, want)
+
+    def test_one_forcing_evaluation_per_step(self, monkeypatch):
+        # The stream takes each step's forcing from the kernel's recorder,
+        # so a law-dependent field is averaged once per step, not once for
+        # the force and again for u and v.  Every smallmass module that
+        # holds the function by name counts.
+        calls = [0]
+        original = noise.averaged_forcing_xi
+
+        def counted(*args):
+            calls[0] += 1
+            return original(*args)
+
+        for mod in list(sys.modules.values()):
+            if (getattr(mod, "__name__", "").startswith("smallmass")
+                    and getattr(mod, "averaged_forcing_xi", None) is original):
+                monkeypatch.setattr(mod, "averaged_forcing_xi", counted)
+        cfg = RunConfig(d=2, N=4, eps=0.1, alpha=1.0, T=0.2, h0=0.05, seed=13)
+        uv_check(cfg, FOURIER_D2, reps=100, pot=PotentialSpec.curie_weiss(1.0, 0.5))
+        assert calls[0] == _n_steps(cfg.T, cfg.eps_step) == 40
 
     def test_custom_potential_matches_its_builtin_twin(self):
         cfg = RunConfig(d=1, N=4, eps=0.1, alpha=1.0, T=0.5, h0=0.05, seed=0)

@@ -10,7 +10,7 @@ from smallmass import rng as _rng
 from smallmass.config import load_config, parse_config
 from smallmass.core import (ParticleEnsemble, PotentialSpec, RunConfig, grad_v_batch,
                             pairwise_mean)
-from smallmass.dynamics_eps import (EpsScheme, InitialLaw, _Advance, _n_steps,
+from smallmass.dynamics_eps import (EpsScheme, InitialLaw, _Advance, _forcing, _n_steps,
                                     paired_scheme_gap, run_eps_replicas, step,
                                     _total_force)
 from smallmass.dynamics_limit import DiffusionSpec, run_limit_replicas
@@ -193,7 +193,7 @@ class TestBatchesAndWindows:
             xi = stationary_xi(model, gen)[None]
             states[r, 0] = X[0].copy(), Y[0].copy(), xi[0].copy()
             for k in range(n):
-                F, _ = _total_force(model, pot, X, xi, 1.0 / math.sqrt(cfg.eps))
+                F = _total_force(pot, X, _forcing(model, X, xi, 1.0 / math.sqrt(cfg.eps))[1])
                 advance(X, Y, F, np.empty_like(X))
                 z = gen.standard_normal(model.driver_shape)
                 xi = advance_xi(xi, model, sch.h / cfg.eps, z[None])
@@ -216,7 +216,7 @@ class TestBatchesAndWindows:
         for batch in (64, 128, None):
             states = {}
 
-            def record(rows, k, t, X, Y, xi):
+            def record(rows, k, t, X, Y, xi, forcing):
                 for j, r in enumerate(rows):
                     states[r, k] = X[j].copy(), Y[j].copy(), xi[j].copy()
 
@@ -256,7 +256,7 @@ class TestBatchesAndWindows:
             opened.append(args)
             return stream(*args)
 
-        def record(ids, k, t, X, Y, xi):
+        def record(ids, k, t, X, Y, xi, forcing):
             if k == 1:
                 snap = tracemalloc.take_snapshot().filter_traces([where])
                 held.append(sum(st.size for st in snap.statistics("lineno")))
@@ -284,10 +284,10 @@ class TestStepContracts:
         X = np.linspace(-2, 2, 9).reshape(-1, 1)
         xi = np.array([1.3])
         pot = PotentialSpec.quadratic(1.0)
-        F, scaled = _total_force(model, pot, X, xi, inv_sqrt_eps=2.0)
-        forcing_part = F + pot.lam * X
+        bar, spread = _forcing(model, X, xi, inv_sqrt_eps=2.0)
+        forcing_part = _total_force(pot, X, spread) + pot.lam * X
         assert np.allclose(forcing_part, forcing_part[0], atol=0, rtol=0)
-        assert forcing_part[0] == pytest.approx(scaled)
+        assert forcing_part[0] == pytest.approx(2.0 * bar)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("N", [1, 2, 5, 32])
@@ -307,14 +307,41 @@ class TestStepContracts:
             for xs in (base[..., :N, :d].copy(), base[..., ::2, 1:]):
                 mean = pairwise_mean(xs, axis=-2)
                 grad = xs * pot.lam + (xs - mean[..., None, :]) * pot.kappa
-                scaled = 2.0 * averaged_forcing_xi(model, xi, xs)
-                force = scaled[..., None, :] - grad
+                bar = averaged_forcing_xi(model, xi, xs)
+                force = (2.0 * bar)[..., None, :] - grad
                 got = grad_v_batch(pot, xs)
                 assert got.shape == grad.shape and got.tobytes() == grad.tobytes()
-                got, got_scaled = _total_force(model, pot, xs, xi, 2.0,
-                                               np.empty(xs.shape), np.empty(xs.shape))
+                got_bar, spread = _forcing(model, xs, xi, 2.0)
+                got = _total_force(pot, xs, spread, np.empty(xs.shape), np.empty(xs.shape))
                 assert got.shape == force.shape and got.tobytes() == force.tobytes()
-                assert got_scaled.tobytes() == scaled.tobytes()
+                assert got_bar.tobytes() == bar.tobytes()
+
+    @pytest.mark.parametrize("model, N", [
+        (NoiseModel.fourier_field(2, gamma=1.0, sigma=1.0, omegas=[[1.0, 0.0], [0.0, 1.0]],
+                                  a=[1.0, 0.5], b=[0.0, 0.5]), 32),
+        (NoiseModel.separable(2, gamma=1.0, sigma=1.0, g_name="gauss"), 5),
+        (NoiseModel.scalar_ou(1, gamma=1.0, sigma=1.0), 1),
+    ], ids=["fourier-field-d2-N32", "separable-d2-N5", "scalar-ou-d1-N1"])
+    def test_recorder_gets_each_steps_forcing(self, model, N):
+        # The recorder is handed the law-averaged forcing of the state it
+        # sees, at every step of both batches, and None after the last.
+        cfg = RunConfig(d=model.d, N=N, eps=0.1, alpha=1.0, T=0.1, h0=0.05, seed=5)
+        n = _n_steps(cfg.T, cfg.eps_step)
+        seen = []
+
+        def record(ids, k, t, X, Y, xi, forcing):
+            if forcing is None:
+                seen.append((k, None))
+            else:
+                want = averaged_forcing_xi(model, xi, X)
+                seen.append((k, forcing.shape == want.shape
+                             and forcing.tobytes() == want.tobytes()))
+
+        run_eps_replicas(cfg, model, PotentialSpec.curie_weiss(1.0, 0.5), "exponential",
+                         InitialLaw(), range(70), (_rng.EPS_RUN, 0), batch_size=64,
+                         recorder=record)
+        per_batch = [(k, True) for k in range(n)] + [(n, None)]
+        assert n == 20 and seen == 2 * per_batch
 
     def test_euler_stability_guard(self):
         # h0_fine = 0.1 at alpha = 25 gives the cross-check's Euler substep
@@ -431,7 +458,7 @@ def _paired_reference(cfg, model, pot, h0_coarse=0.05, h0_fine=0.01, init=Initia
     F, tmp = np.empty_like(X0), np.empty_like(X0)
     adv_e = _Advance(h_c, cfg.eps, cfg.alpha)
     for k in range(n_c):
-        _total_force(model, pot, Xe, xi, inv_sqrt_eps, F, tmp)
+        _total_force(pot, Xe, _forcing(model, Xe, xi, inv_sqrt_eps)[1], F, tmp)
         adv_e(Xe, Ye, F, tmp)
         bar_u = inv_sqrt_eps * averaged_forcing_xi(model, xi, Xu)
         for _ in range(ratio):
@@ -568,7 +595,7 @@ class TestKeptParticles:
         shapes = set()
         x, _ = run_eps_replicas(cfg, model, PotentialSpec.quadratic(1.0), "exponential",
                                 InitialLaw(), range(2), (_rng.EPS_RUN, 0),
-                                recorder=lambda ids, k, t, X, Y, xi: shapes.add(X.shape))
+                                recorder=lambda ids, k, t, X, *rest: shapes.add(X.shape))
         assert shapes == {(2, 6, 1)} and x.shape == (2, 6, 1)
 
 
