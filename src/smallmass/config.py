@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 from . import rng as _rng
 from .core import _ROOT_MAX, EmpiricalMeasure, PotentialSpec, RunConfig
-from .diagnostics import BM_PROXY_MIN_PATHS, GK_MAX_STEPS, _gk_grid
-from .dynamics_eps import InitialLaw
+from .diagnostics import BM_PROXY_MIN_PATHS, _gk_grid
+from .dynamics_eps import MAX_STEPS, InitialLaw
 from .dynamics_limit import DiffusionSpec, LimitScheme, _step_cap
 from .errors import ConfigError, UsageError
 from .noise import NoiseModel, forcing_variance
@@ -342,16 +342,16 @@ def _check_step_counts(v, pot):
     the eps rows take steps of ``run.h0 * eps``, and the limit runs steps of
     ``limit.h``, by default at most ``0.01 * run.alpha / stiffness``."""
     T, h0, eps = v["run.T"], v["run.h0"], min(v["run.eps_grid"])
-    if T / (h0 * eps) > GK_MAX_STEPS:
+    if T / (h0 * eps) > MAX_STEPS:
         raise ConfigError(f"run.T / (run.h0 * eps) = {T!r} / ({h0!r} * {eps!r}) is "
                           f"{T / (h0 * eps):.3g} steps at the smallest eps of "
-                          f"run.eps_grid; at most {GK_MAX_STEPS} are allowed")
+                          f"run.eps_grid; at most {MAX_STEPS} are allowed")
     h, name = v["limit.h"], "limit.h"
     if h is None:
         h, name = _step_cap(v["run.alpha"], pot), "(0.01 * run.alpha / stiffness)"
-    if T / h > GK_MAX_STEPS:
+    if T / h > MAX_STEPS:
         raise ConfigError(f"run.T / {name} = {T!r} / {h!r} is {T / h:.3g} limit steps; "
-                          f"at most {GK_MAX_STEPS} are allowed")
+                          f"at most {MAX_STEPS} are allowed")
 
 
 def serialize_config(cfg: Config) -> str:

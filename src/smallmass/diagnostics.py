@@ -18,9 +18,11 @@ limit falsifiable at desk scale:
   dyadic lags;
 * ``green_kubo``: the effective diffusion of the law-averaged forcing,
   G = 2 * integral of its stationary autocovariance, the executable
-  surrogate for the limit noise normalization.  The lagged products are
-  summed by overlap-save as the driver advances: the forcing is held for a
-  window of about two to four times the longest lag, not for the horizon;
+  surrogate for the limit noise normalization.  The components are
+  independent, so G is diagonal, one integral per component.  The lagged
+  products are summed by overlap-save as the driver advances: the forcing
+  is held for a window of about two to four times the longest lag, not for
+  the horizon;
 * ``bm_proxy``: three falsifiable statistics of the u paths (linear
   variance growth, vanishing increment autocorrelation, vanishing excess
   kurtosis) standing in for the martingale-problem characterization of the
@@ -36,7 +38,7 @@ import numpy as np
 
 from . import rng as _rng
 from .core import EmpiricalMeasure, PotentialSpec, RunConfig
-from .dynamics_eps import GK_MAX_STEPS, InitialLaw, _Advance, _n_steps, run_eps_replicas
+from .dynamics_eps import MAX_STEPS, InitialLaw, _Advance, _n_steps, run_eps_replicas
 from .errors import UsageError, require_finite
 from .noise import NoiseModel, _contract_forcing, _factor_mean, advance_xi, stationary_xi
 
@@ -67,10 +69,12 @@ GK_HORIZON = 50.0
 GK_DT = 0.05
 # Most values reps * steps * d of a path buffer: green_kubo's overlap-save
 # window and the ring of u of uv_check's stream.  Measured with tracemalloc,
-# green_kubo holds 27 (d = 2) to 36 (d = 1) bytes per window value beyond
-# its driver's draws: the window, three spectra of one coordinate and the
-# lag sums, 3.4 to 4.5 GiB at the cap.  The default Green-Kubo grid, a
-# window of 512 steps, passes at 131072 reps for d <= 2.
+# green_kubo holds at most 36 bytes per window value beyond its driver's
+# draws, at every d (36 at d = 1, 23 at d = 2, 16 at d = 8): the window,
+# three spectra of one component and the lag sums of each component, which
+# hold fewer values than the window.  That is 4.5 GiB at the cap.  The
+# default Green-Kubo grid, a window of 512 steps, passes at 131072 reps
+# for d <= 2.
 MAX_PATH_VALUES = 2**27
 # Steps of u that uv_check's stream adds to its increment sums at a time.
 CHUNK = 32
@@ -112,7 +116,12 @@ class UvReport:
 
 @dataclass(frozen=True, eq=False)
 class GkEstimate:
-    """Effective diffusion of the averaged forcing, with its provenance."""
+    """Effective diffusion of the averaged forcing, with its provenance.
+
+    ``G`` is the d x d diagonal matrix of the per-component integrals; its
+    off-diagonal entries are exact zeros, as the forcing's components are
+    independent.  ``ci_fro`` is the 95% halfwidth of the diagonal in the
+    Frobenius norm, from the replicas' spread."""
 
     G: np.ndarray
     horizon_fast: float
@@ -417,7 +426,7 @@ def _gk_grid(gamma: float, horizon_fast: float | None, reps: int, d: int,
     ``GK_HORIZON / gamma``.  S is the least power of two of at least
     2 * max_lag + 1 steps.  Raises ``UsageError``, naming the horizon, the
     rate and the replica count by ``keys``, where the horizon is under
-    ``GK_MIN_HORIZON / gamma``, the grid has more than ``GK_MAX_STEPS``
+    ``GK_MIN_HORIZON / gamma``, the grid has more than ``MAX_STEPS``
     steps, or the windows of ``reps`` paths in ``d`` coordinates hold more
     than ``MAX_PATH_VALUES`` values, before anything is sampled.
     """
@@ -429,9 +438,9 @@ def _gk_grid(gamma: float, horizon_fast: float | None, reps: int, d: int,
                          f"{GK_MIN_HORIZON / gamma:g}, got {h_key}={horizon_fast!r}")
     dt = GK_DT / gamma
     steps = horizon_fast / dt
-    if steps > GK_MAX_STEPS:
+    if steps > MAX_STEPS:
         raise UsageError(f"{h_key} / ({GK_DT:g}/{rate}) = {horizon_fast!r} / {dt!r} is a "
-                         f"grid of {steps:.3g} steps; at most {GK_MAX_STEPS} are allowed")
+                         f"grid of {steps:.3g} steps; at most {MAX_STEPS} are allowed")
     n = round(steps)
     max_lag = n // 5
     S = 1 << (2 * max_lag).bit_length()  # the least power of two >= 2 max_lag + 1
@@ -452,18 +461,21 @@ def green_kubo(model: NoiseModel, m_source: EmpiricalMeasure | None = None,
     The averaged forcing is sampled on ``_gk_grid``'s fast-time grid, in
     steps of ``GK_DT / gamma`` and by default ``GK_HORIZON / gamma`` long,
     under the frozen measure ``m_source`` (ignored for the x-independent
-    kind).  Each replica's lagged products, lags 0..n // 5, are summed by
-    overlap-save as its driver advances: the forcing fills a window of S
-    steps (``_gk_grid``) behind the last n // 5 values, and each full window
-    and the last one add one circular correlation (``_add_lag_products``),
-    so the forcing is never held whole.  The empirical autocovariance is
-    averaged over ``reps`` independent driver paths and integrated by the
-    trapezoid rule up to the first lag at which its magnitude falls below
-    the noise floor estimated from the tail of the lag window.  No sample
-    mean is subtracted: the drivers are centered by construction, and
-    subtracting a sample mean would bias the integral downward by order
-    1/horizon.  A G or halfwidth that is not finite (a forcing whose
-    products overflow) raises ``NumericError``.
+    kind).  Every forcing kind has independent components, so only each
+    component's own lagged products are summed and G is diagonal.  Each
+    replica's products, lags 0..n // 5, are summed by overlap-save as its
+    driver advances: the forcing fills a window of S steps (``_gk_grid``)
+    behind the last n // 5 values, and each full window and the last one
+    add one circular correlation per component (``_add_lag_products``), so
+    the forcing is never held whole and the lag sums hold fewer values than
+    the window.  The empirical autocovariance is averaged over ``reps``
+    independent driver paths and integrated by the trapezoid rule up to the
+    first lag at which its mean over the components falls below the noise
+    floor estimated from the tail of the lag window.  No sample mean is
+    subtracted: the drivers are centered by construction, and subtracting a
+    sample mean would bias the integral downward by order 1/horizon.  A G or
+    halfwidth that is not finite (a forcing whose products overflow) raises
+    ``NumericError``.
     """
     if reps < 2:
         raise UsageError(f"green_kubo needs reps >= 2 for its confidence halfwidth, got {reps}")
@@ -476,7 +488,7 @@ def green_kubo(model: NoiseModel, m_source: EmpiricalMeasure | None = None,
     # Overlap-save: rows 0..max_lag - 1 of the window hold the values before
     # the segment (zeros before step 0), rows max_lag..S - 1 its new steps.
     window = np.zeros((reps, S, d))
-    sums = np.zeros((reps, max_lag + 1, d, d))
+    sums = np.zeros((reps, max_lag + 1, d))
     end = max_lag
     for k, xi in enumerate(_driver_paths(model, seed, (_rng.GK_RUN,), reps, n, dt)):
         window[:, end] = _contract_forcing(model, xi, gbar)
@@ -485,15 +497,14 @@ def green_kubo(model: NoiseModel, m_source: EmpiricalMeasure | None = None,
             _add_lag_products(sums, window, max_lag, end)
             window[:, :max_lag] = window[:, end - max_lag:end]
             end = max_lag
-    # empirical autocovariance per replica, no mean removal
-    cov = sums / (n - np.arange(max_lag + 1))[:, None, None]
-    cbar = cov.mean(axis=0)  # (L+1, d, d)
-    trace = np.trace(cbar, axis1=1, axis2=2) / d
-    tail = trace[int(2 * max_lag / 3):]
-    below = np.nonzero(np.abs(trace[1:]) < float(tail.std(ddof=1)))[0]
+    # empirical autocovariance per replica and component, no mean removal
+    cov = sums / (n - np.arange(max_lag + 1))[:, None]
+    cbar = cov.mean(axis=0)  # (L+1, d)
+    cmean = cbar.mean(axis=1)  # over the components
+    tail = cmean[int(2 * max_lag / 3):]
+    below = np.nonzero(np.abs(cmean[1:]) < float(tail.std(ddof=1)))[0]
     cut = int(below[0]) + 1 if below.size else max_lag
-    G = 2.0 * np.trapezoid(cbar[: cut + 1], dx=dt, axis=0)
-    G = 0.5 * (G + G.T)
+    G = np.diag(2.0 * np.trapezoid(cbar[: cut + 1], dx=dt, axis=0))
     per_rep = 2.0 * np.trapezoid(cov[:, : cut + 1], dx=dt, axis=1)
     ci_fro = float(1.96 * np.sqrt(np.sum(per_rep.var(axis=0, ddof=1)) / reps))
     require_finite("green_kubo's G or its halfwidth", *G.flat, ci_fro)
@@ -502,22 +513,21 @@ def green_kubo(model: NoiseModel, m_source: EmpiricalMeasure | None = None,
 
 
 def _add_lag_products(sums, window, max_lag, end):
-    """Add eta_i(t) eta_j(t - m), m = 0..max_lag, into ``sums[:, m, i, j]``
+    """Add eta_i(t) eta_i(t - m), m = 0..max_lag, into ``sums[:, m, i]``
     for each new step t of ``window``, rows max_lag..end - 1.
 
     New row u, of the new rows zero-padded to the window length S, pairs
     with window row u + max_lag - m, and no index wraps: one circular
-    correlation of length S per coordinate pair gives every lag at once.
-    Three spectra of the replicas are held at a time, whatever d is.
+    correlation of length S per component gives every lag at once.  One
+    component's spectra are held at a time, whatever d is.
     """
     S = window.shape[1]
     for i in range(window.shape[2]):
         Y = np.fft.rfft(window[:, max_lag:end, i], n=S, axis=1)
         np.conjugate(Y, out=Y)
-        for j in range(window.shape[2]):
-            X = np.fft.rfft(window[:, :end, j], n=S, axis=1)
-            X *= Y
-            sums[:, :, i, j] += np.fft.irfft(X, n=S, axis=1)[:, max_lag::-1]
+        X = np.fft.rfft(window[:, :end, i], n=S, axis=1)
+        X *= Y
+        sums[:, :, i] += np.fft.irfft(X, n=S, axis=1)[:, max_lag::-1]
 
 
 def bm_proxy(u_paths: np.ndarray, times: np.ndarray) -> dict:

@@ -64,7 +64,7 @@ __all__ = [
 
 # Most steps of a Green-Kubo grid, an eps row or a limit run: a C int, as
 # every count of a config.
-GK_MAX_STEPS = 2**31 - 1
+MAX_STEPS = 2**31 - 1
 
 
 @dataclass(frozen=True)
@@ -211,12 +211,12 @@ def step(ens: ParticleEnsemble, model: NoiseModel, drv: DriverState,
 
 
 def _check_step_count(T: float, h: float) -> float:
-    """T / h, where it is at most ``GK_MAX_STEPS``; raises ``UsageError``
+    """T / h, where it is at most ``MAX_STEPS``; raises ``UsageError``
     where it is more, or not finite."""
     steps = T / h
-    if not steps <= GK_MAX_STEPS:
+    if not steps <= MAX_STEPS:
         raise UsageError(f"T / h = {T!r} / {h!r} is {steps:.3g} steps; at most "
-                         f"{GK_MAX_STEPS} are allowed")
+                         f"{MAX_STEPS} are allowed")
     return steps
 
 

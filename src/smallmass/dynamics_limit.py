@@ -79,7 +79,7 @@ def _step_cap(alpha: float, pot: PotentialSpec) -> float:
 
 def default_limit_scheme(cfg: RunConfig, pot: PotentialSpec) -> LimitScheme:
     """Largest admissible step that divides the horizon evenly; raises
-    ``UsageError`` where that is more than ``GK_MAX_STEPS`` steps."""
+    ``UsageError`` where that is more than ``MAX_STEPS`` steps."""
     n = max(1, math.ceil(_check_step_count(cfg.T, _step_cap(cfg.alpha, pot)) - 1e-12))
     return LimitScheme(h=cfg.T / n)
 

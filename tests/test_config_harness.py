@@ -759,21 +759,23 @@ class TestOtherEntryPoints:
                         0.0006977461151073646, 0.00012249170673226883]
 
     @pytest.mark.parametrize("extra, pinned", [
-        (COUPLED, ["# gk.ci_fro = 0.36049300996359829", "# gk.truncation_lag = 1.8",
-                   "i,j,G", "0,0,0.41452572318589109", "0,1,-0.0055162275738702485",
-                   "1,0,-0.0055162275738702485", "1,1,0.48567673139686296"]),
+        (COUPLED, ["# gk.ci_fro = 0.27265191654733223", "# gk.truncation_lag = 1.8",
+                   "i,j,G", "0,0,0.41452572318589109", "0,1,0", "1,0,0",
+                   "1,1,0.48567673139686296"]),
         ({"run.d": 2, "noise.kind": "separable", "noise.g": "gauss", "gk.reps": 8,
           "gk.horizon_fast": 10.0},
-         ["# gk.ci_fro = 0.10101253149672161", "# gk.truncation_lag = 1.0250000000000001",
-          "i,j,G", "0,0,0.12048624736376914", "0,1,0.013963953813132191",
-          "1,0,0.013963953813132191", "1,1,0.18142273154277189"]),
+         ["# gk.ci_fro = 0.075924599738773982", "# gk.truncation_lag = 1.0250000000000001",
+          "i,j,G", "0,0,0.12048624736376914", "0,1,0", "1,0,0",
+          "1,1,0.18142273154277189"]),
     ], ids=["fourier-field", "separable"])
     def test_law_dependent_green_kubo_keeps_its_bytes(self, small_config_dict, tmp_path,
                                                       extra, pinned):
         # One factor mean of the frozen measure serves every step's driver.
-        # The G and ci_fro bytes are those of the overlap-save lag sums,
-        # within 1e-15 relative of a whole-path FFT's; the truncation lags are
-        # the same.
+        # The diagonal and ci_fro bytes are those of the overlap-save lag
+        # sums, within 1e-15 relative of a whole-path FFT's; the truncation
+        # lags are the same.  The components are independent, so G is
+        # diagonal: the off-diagonal rows are exact zeros, and ci_fro is the
+        # halfwidth of the diagonal alone.
         cfg = parse_config(dict(small_config_dict, **extra))
         with open(harness.COMMANDS["estimate-gk"](cfg, str(tmp_path))) as fh:
             lines = fh.read().splitlines()

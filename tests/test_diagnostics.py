@@ -143,29 +143,26 @@ def _assert_stream_matches(stream, u, v_late):
 
 def _whole_path_green_kubo(model, m_source, horizon_fast, reps, seed):
     """green_kubo's (G, ci_fro, truncation_lag) from each replica's whole
-    forcing path, formed from the reference drivers, by one FFT padded to
-    a power of two at least 2n long: the reference for the overlap-save
-    lag sums."""
+    forcing path, formed from the reference drivers, by one FFT per
+    component padded to a power of two at least 2n long: the reference for
+    the overlap-save lag sums."""
     _, dt, n, max_lag, _ = diagnostics._gk_grid(model.gamma, horizon_fast, reps, model.d)
     points = m_source.points if m_source is not None else None
     drivers = _reference_drivers(model, seed, (_rng.GK_RUN,), reps, n, dt, size=1)
     eta = np.stack([averaged_forcing_xi(model, xi, points) for xi in drivers], axis=1)
     nfft = 1 << int(np.ceil(np.log2(2 * n)))
     F = np.fft.rfft(eta, n=nfft, axis=1)
-    cov = np.zeros((reps, max_lag + 1, model.d, model.d))
-    for i in range(model.d):
-        for j in range(model.d):
-            full = np.fft.irfft(F[:, :, i] * np.conj(F[:, :, j]), n=nfft, axis=1)
-            cov[:, :, i, j] = full[:, :max_lag + 1] / (n - np.arange(max_lag + 1))
+    full = np.fft.irfft(F * np.conj(F), n=nfft, axis=1)
+    cov = full[:, :max_lag + 1] / (n - np.arange(max_lag + 1))[:, None]
     cbar = cov.mean(axis=0)
-    trace = np.trace(cbar, axis1=1, axis2=2) / model.d
-    tail = trace[int(2 * max_lag / 3):]
-    below = np.nonzero(np.abs(trace[1:]) < float(tail.std(ddof=1)))[0]
+    mean = cbar.mean(axis=1)
+    tail = mean[int(2 * max_lag / 3):]
+    below = np.nonzero(np.abs(mean[1:]) < float(tail.std(ddof=1)))[0]
     cut = int(below[0]) + 1 if below.size else max_lag
     G = 2.0 * np.trapezoid(cbar[:cut + 1], dx=dt, axis=0)
     per_rep = 2.0 * np.trapezoid(cov[:, :cut + 1], dx=dt, axis=1)
     ci_fro = float(1.96 * np.sqrt(np.sum(per_rep.var(axis=0, ddof=1)) / reps))
-    return 0.5 * (G + G.T), ci_fro, float(cut * dt)
+    return np.diag(G), ci_fro, float(cut * dt)
 
 
 class TestGreenKubo:
@@ -225,7 +222,8 @@ class TestGreenKubo:
     @pytest.mark.parametrize("model, m_source", [
         (NoiseModel.scalar_ou(1, gamma=2.0, sigma=1.0), None),
         (FOURIER_D2, EmpiricalMeasure(np.random.default_rng(2).standard_normal((16, 2)))),
-    ], ids=["scalar-ou-d1", "fourier-field-d2"])
+        (FOURIER_D3, EmpiricalMeasure(np.random.default_rng(3).standard_normal((16, 3)))),
+    ], ids=["scalar-ou-d1", "fourier-field-d2", "fourier-field-d3"])
     @pytest.mark.parametrize("horizon, n, S", [(12.0, 480, 256), (None, 1000, 512),
                                                (10.0, 400, 256)],
                              ids=["n=3B", "default", "shortest"])
@@ -241,12 +239,15 @@ class TestGreenKubo:
         assert gk.ci_fro == pytest.approx(ci_fro, rel=1e-12, abs=0.0)
         assert gk.truncation_lag == truncation_lag
 
-    def test_memory_is_below_the_whole_path_and_its_fft(self):
+    @pytest.mark.parametrize("d", [1, 8])
+    def test_memory_is_below_the_whole_path_and_its_fft(self, d):
         # On the default grid (n = 1000, a window of 512 steps) at 256
         # replicas, what green_kubo holds beyond its driver's own draws is
-        # less than the whole forcing path and its FFT padded to 2048 steps.
-        # An untraced first call builds the state that numpy sets up lazily.
-        model = NoiseModel.scalar_ou(1, gamma=2.0, sigma=1.0)
+        # less than the whole forcing path and its FFT padded to 2048 steps,
+        # per component.  At d = 8, lag sums over every pair of components
+        # would hold 72 MiB, past this bound of 48 MiB.  An untraced first
+        # call builds the state that numpy sets up lazily.
+        model = NoiseModel.scalar_ou(d, gamma=2.0, sigma=1.0)
         reps, n, nfft = 256, 1000, 2048
         green_kubo(model, reps=4, seed=0)
         tracemalloc.start()
@@ -259,7 +260,7 @@ class TestGreenKubo:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - driver < reps * n * 8 + reps * (nfft // 2 + 1) * 16
+        assert peak - driver < d * (reps * n * 8 + reps * (nfft // 2 + 1) * 16)
 
 
 class TestUvCheck:
