@@ -38,20 +38,26 @@ Scheduling never touches values: replicas are keyed to their
 streams by blocks of ``rng.BLOCK``, each worker advances one contiguous
 batch of whole blocks in lock-step, and aggregation follows (eps index,
 replica index) order, so a run with one worker and a run with sixteen
-emit byte-identical files.  A
-command starts at most one process pool: ``converge`` hands every limit
-mode's and every eps row's batches to it before scoring anything, and the
-parent scores row k's W2 as soon as row k's batches are back while the
-later rows run ahead in the workers.  Results are gathered in submission
-order, so no byte depends on which batch finishes first.  The kernels
-draw their normals a window of steps at a time under a fixed budget, so
-memory does not bound the batch size.  A pooled sample is one frozen
-``_Sample`` value, built once in the parent by ``_eps_sample`` or
-``_limit_sample``: its system, its kernel's other arguments (run, noise
-model or diffusion, potential, initial law, scheme), its stream path and
-its size.  ``_Pool`` ships each batch as the sample, by pickle, with its
-replica ids, and the batch worker only calls ``_Sample.run``; a
-trajectory dump runs the same value on replica 0's block.
+emit byte-identical files.  ``converge`` samples every eps row in one
+sweep: its batches are replica ranges across all rows, and a batch
+advances its replicas in every row at once, in one step loop
+(``dynamics_eps.run_eps_sweep``), which gives each row the bits of that
+row run alone.  A command starts at most one process pool.
+``converge`` hands it every limit mode's batches and the sweep's first;
+once the samples are back, each row's scoring (its point W2 per mode and
+``_block_bootstrap_ci``) goes to the same pool as one task per row
+(``_score_row``).  Results are gathered in submission order, so no byte
+depends on which task finishes first; with no pool (always at one
+worker) every batch and task runs inline, in the same order.  The
+kernels draw their normals a window of steps at a time under a fixed
+budget, so memory does not bound the batch size.  A pooled sample is one
+frozen ``_Sample`` value, built once in the parent by ``_eps_sample`` or
+``_limit_sample``: its system, its kernel's other arguments (run or one
+run per eps row, noise model or diffusion, potential, initial law,
+scheme), its stream path (one per eps row) and its size.  ``_Pool``
+ships each batch as the sample, by pickle, with its replica ids, and the
+batch worker only calls ``_Sample.run``; a trajectory dump runs a
+one-row sample on replica 0's block.
 """
 
 from __future__ import annotations
@@ -63,7 +69,6 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 
@@ -73,7 +78,7 @@ from .config import MODE_COLUMN, Config
 from .core import RunConfig
 from .diagnostics import (GkEstimate, _uv_steps, dyadic_lags, green_kubo, moment_table,
                           uv_check)
-from .dynamics_eps import run_eps_replicas
+from .dynamics_eps import run_eps_sweep
 from .dynamics_limit import DiffusionSpec, LimitScheme, run_limit_replicas
 from .errors import UsageError, require_finite
 from .transport import W2_AUTO_RULE, w2_auto
@@ -121,8 +126,10 @@ def _sample_run(cfg: Config, eps: float, spr: int, system: str) -> RunConfig:
 @dataclass(frozen=True)
 class _Sample:
     """One pooled sample: ``spr`` particles from each of ``reps`` replicas
-    of ``system`` ("eps" or "limit"), drawn on stream ``path``.  ``args``
-    are the kernel's other arguments, in the kernel's order."""
+    of ``system`` ("eps" or "limit").  ``args`` are the kernel's other
+    arguments, in the kernel's order.  A limit sample is one row, drawn on
+    stream ``path``; an eps sample is a sweep of rows, and ``args[0]`` and
+    ``path`` hold one run and one stream path per row."""
 
     system: str
     args: tuple
@@ -132,15 +139,15 @@ class _Sample:
 
     def run(self, ids, recorder=None) -> np.ndarray:
         """The terminal positions of the ``spr`` kept particles of each
-        replica in ``ids``, as rows in replica order; ``recorder`` goes to
-        the kernel."""
+        replica in ``ids``, (rows, points, d) with the points in replica
+        order; ``recorder`` goes to the kernel."""
         if self.system == "eps":
-            pos, _ = run_eps_replicas(*self.args, ids, self.path, recorder=recorder)
+            pos, _ = run_eps_sweep(*self.args, ids, self.path, recorder=recorder)
         else:
             rc, pot, diff, init, sch = self.args
             pos = run_limit_replicas(rc, pot, diff, init, ids, self.path, sch,
-                                     recorder=recorder)
-        return pos[:, :self.spr, :].reshape(-1, pos.shape[2])
+                                     recorder=recorder)[None]
+        return pos[:, :, :self.spr, :].reshape(pos.shape[0], -1, pos.shape[3])
 
 
 def _run_batch(item) -> np.ndarray:
@@ -149,14 +156,15 @@ def _run_batch(item) -> np.ndarray:
     return sample.run(ids)
 
 
-def _eps_sample(cfg: Config, eps_index: int) -> _Sample:
-    """The eps-system sample of grid point ``eps_index``."""
+def _eps_sample(cfg: Config, eps_indices) -> _Sample:
+    """The eps-system sample of the grid points ``eps_indices``, one row
+    each."""
     v = cfg.values
     spr = v["run.samples_per_replica"]
-    rc = _sample_run(cfg, cfg.eps_grid[eps_index], spr, "eps")
-    return _Sample("eps", (rc, cfg.noise_model(), cfg.potential(), "exponential",
+    runs = tuple(_sample_run(cfg, cfg.eps_grid[i], spr, "eps") for i in eps_indices)
+    return _Sample("eps", (runs, cfg.noise_model(), cfg.potential(), "exponential",
                            cfg.init_law()),
-                   (_rng.EPS_RUN, eps_index), v["run.replicas"], spr)
+                   tuple((_rng.EPS_RUN, i) for i in eps_indices), v["run.replicas"], spr)
 
 
 def _limit_sample(cfg: Config, diff: DiffusionSpec, path, reps: int, spr: int) -> _Sample:
@@ -255,16 +263,16 @@ def _batches(reps: int) -> list:
 
 
 class _Pool:
-    """The batches of ``samples``; entered, one function per sample that
-    returns its points in replica order.
+    """The batches of ``samples``, and the tasks the caller maps after them.
 
     Where no sample has more than one batch (always at one worker) no pool
-    starts, and a sample's batches run inline when it is collected.  Else
-    one process pool, with as many processes as the largest sample has
-    batches, gets every sample's batches on entry, in order, so later
-    samples run ahead while the caller scores earlier ones.  On the way
-    out, batches not yet started are cancelled and every worker has ended,
-    also when the body raised."""
+    starts: a sample's batches run inline when it is collected, and so do
+    mapped tasks.  Else one process pool, with as many processes as the
+    largest sample has batches, gets every sample's batches on entry, in
+    order, and each ``map`` hands it its tasks at once.  Results come back
+    in submission order, whichever finishes first.  On the way out, work
+    not yet started is cancelled and every worker has ended, also when the
+    body raised."""
 
     def __init__(self, samples):
         self._items = [[(s, ids) for ids in _batches(s.reps)] for s in samples]
@@ -280,35 +288,46 @@ class _Pool:
             except BaseException:
                 self._pool.shutdown(cancel_futures=True)
                 raise
-        return [partial(self._collect, k) for k in range(len(self._items))]
+        return self
 
     def __exit__(self, *exc):
         if self._pool is not None:
             self._pool.shutdown(cancel_futures=True)
 
-    def _collect(self, k: int) -> np.ndarray:
+    def collect(self, k: int) -> np.ndarray:
+        """Sample k's points, (rows, points, d), the points of its batches
+        joined in replica order."""
         if self._futures is None:
             parts = [_run_batch(item) for item in self._items[k]]
         else:
             parts = [f.result() for f in self._futures[k]]
-        return np.concatenate(parts, axis=0)
+        return np.concatenate(parts, axis=-2)
+
+    def map(self, fn, items) -> list:
+        """``[fn(item) for item in items]``, the calls on the pool where
+        one runs."""
+        if self._pool is None:
+            return [fn(item) for item in items]
+        futures = [self._pool.submit(fn, item) for item in items]
+        return [f.result() for f in futures]
 
 
 def _pooled(sample: _Sample) -> np.ndarray:
-    """``sample``'s points, in replica order, on a pool of its own.
+    """``sample``'s points, (rows, points, d) in replica order, on a pool
+    of its own.
 
     ``_run_batch`` runs once per batch of ``_batches``.  Each batch is one
     lock-step kernel call, and a kernel gives every replica the same bits
     whatever batch it rides in, so the worker count cannot change the
     bytes."""
-    with _Pool([sample]) as (collect,):
-        return collect()
+    with _Pool([sample]) as pool:
+        return pool.collect(0)
 
 
 def pool_eps_samples(cfg: Config, eps_index: int, pending=None) -> np.ndarray:
-    """The eps sample of grid point ``eps_index``: ``pending()``, its
-    batches already handed to the command's ``_Pool``, or else run now."""
-    return pending() if pending is not None else _pooled(_eps_sample(cfg, eps_index))
+    """The eps sample of grid point ``eps_index``: ``pending()``, taken
+    from the command's ``_Pool``, or else its row run now on its own."""
+    return pending() if pending is not None else _pooled(_eps_sample(cfg, [eps_index]))[0]
 
 
 def pool_limit_samples(cfg: Config, diff: DiffusionSpec, pending=None) -> np.ndarray:
@@ -316,7 +335,7 @@ def pool_limit_samples(cfg: Config, diff: DiffusionSpec, pending=None) -> np.nda
     stream path, so two modes differ only by their D_eff.
     ``pending`` as in ``pool_eps_samples``."""
     return pending() if pending is not None else _pooled(
-        _limit_sample(cfg, diff, (_rng.LIMIT_RUN, 0), *cfg.limit_pooling()))
+        _limit_sample(cfg, diff, (_rng.LIMIT_RUN, 0), *cfg.limit_pooling()))[0]
 
 
 def _block_bootstrap_ci(eps_sample: np.ndarray, spr: int, limit_samples,
@@ -363,12 +382,24 @@ def _mode_verdict(terminal: dict, vals: np.ndarray) -> dict:
     return meta
 
 
+def _score_row(item) -> tuple:
+    """The scores of one converge row: ``item`` is ``(eps_sample, spr,
+    limit_samples, seed, eps_index)``.  Returns each limit sample's point
+    W2, the method of the last, and the bootstrap halfwidth and scores of
+    ``_block_bootstrap_ci``."""
+    eps_sample, spr, limit_samples, seed, eps_index = item
+    results = [w2_auto(eps_sample, lim, seed=seed) for lim in limit_samples]
+    half, vals = _block_bootstrap_ci(eps_sample, spr, limit_samples, seed, eps_index)
+    return [r.value for r in results], results[-1].method, half, vals
+
+
 def run_convergence(cfg: Config) -> ConvergenceReport:
     """The eps-sweep study behind the headline convergence claim.
 
-    Every limit mode's and every eps row's batches go to one process pool
-    before anything is scored; row k is scored as soon as its batches are
-    back, while the later rows run on.  A row whose W2 or halfwidth is not
+    Every limit mode's batches and the eps sweep's go to one process pool
+    first; a sweep batch advances its replicas in every row at once.  Once
+    the samples are back, each row's scoring goes to the same pool as one
+    task, collected in row order.  A row whose W2 or halfwidth is not
     finite raises ``NumericError`` naming its eps."""
     if cfg.values["run.replicas"] < 2:
         raise UsageError("converge needs run.replicas >= 2: its confidence halfwidth "
@@ -381,28 +412,27 @@ def run_convergence(cfg: Config) -> ConvergenceReport:
     spr = v["run.samples_per_replica"]
     limit = [_limit_sample(cfg, diffs[mode], (_rng.LIMIT_RUN, 0), *cfg.limit_pooling())
              for mode in modes]
+    grid = range(len(cfg.eps_grid))
     # A self-test scores the first mode's limit law against itself, on the
-    # sampling floor.
-    row_samples = [_limit_sample(cfg, diffs[modes[0]], (_rng.SELF_TEST, i), v["run.replicas"],
-                                 spr) if v["run.self_test"] else _eps_sample(cfg, i)
-                   for i in range(len(cfg.eps_grid))]
+    # sampling floor: one limit sample per row.
+    row_samples = ([_limit_sample(cfg, diffs[modes[0]], (_rng.SELF_TEST, i),
+                                  v["run.replicas"], spr) for i in grid]
+                   if v["run.self_test"] else [_eps_sample(cfg, grid)])
     rows = []
-    with _Pool(limit + row_samples) as pending:
-        limit_samples = {mode: pool_limit_samples(cfg, diffs[mode], p)
-                         for mode, p in zip(modes, pending)}
-        for eps_index, (eps, p) in enumerate(zip(cfg.eps_grid, pending[len(modes):])):
-            eps_sample = pool_eps_samples(cfg, eps_index, p)
-            row = {"eps": eps, "w2_paper_mode": float("nan"), "w2_gk_mode": float("nan"),
-                   "n_samples": eps_sample.shape[0]}
-            for mode in modes:
-                res = w2_auto(eps_sample, limit_samples[mode], seed=cfg.seed)
-                row[MODE_COLUMN[mode]] = res.value
-            row["ci_halfwidth"], vals = _block_bootstrap_ci(
-                eps_sample, spr, limit_samples.values(), cfg.seed, eps_index)
-            require_finite("a W2 value or its bootstrap halfwidth", row["ci_halfwidth"],
-                           *(row[MODE_COLUMN[mode]] for mode in modes), eps=eps)
-            row["w2_method"] = res.method
-            rows.append(row)
+    with _Pool(limit + row_samples) as pool:
+        limit_samples = [pool_limit_samples(cfg, diffs[mode], lambda k=k: pool.collect(k)[0])
+                         for k, mode in enumerate(modes)]
+        swept = [row for k in range(len(row_samples)) for row in pool.collect(len(modes) + k)]
+        eps_samples = [pool_eps_samples(cfg, i, lambda i=i: swept[i]) for i in grid]
+        scores = pool.map(_score_row, [(eps_samples[i], spr, limit_samples, cfg.seed, i)
+                                       for i in grid])
+    for eps, eps_sample, (values, method, half, vals) in zip(cfg.eps_grid, eps_samples,
+                                                              scores):
+        row = {"eps": eps, "w2_paper_mode": float("nan"), "w2_gk_mode": float("nan"),
+               "n_samples": eps_sample.shape[0], "ci_halfwidth": half, "w2_method": method}
+        row.update((MODE_COLUMN[mode], value) for mode, value in zip(modes, values))
+        require_finite("a W2 value or its bootstrap halfwidth", half, *values, eps=eps)
+        rows.append(row)
     meta.update(_mode_verdict({mode: rows[-1][MODE_COLUMN[mode]] for mode in modes}, vals))
     return ConvergenceReport(rows=rows, metadata=meta)
 
@@ -484,7 +514,7 @@ def _write_samples(cfg: Config, out_dir: str, sample: _Sample, extra: dict):
     dump its replica 0 to ``trajectory_<system>.csv``; returns the first
     path."""
     header = ["sample"] + [f"x_{i + 1}" for i in range(cfg.values["run.d"])]
-    rows = [[i] + list(map(float, p)) for i, p in enumerate(_pooled(sample))]
+    rows = [[i] + list(map(float, p)) for i, p in enumerate(_pooled(sample)[0])]
     path = write_table(os.path.join(out_dir, f"samples_{sample.system}.csv"),
                        {**_base_metadata(cfg), **extra}, header, rows)
     if cfg.values["output.dump_trajectories"]:
@@ -494,7 +524,7 @@ def _write_samples(cfg: Config, out_dir: str, sample: _Sample, extra: dict):
 
 def run_simulate_eps(cfg: Config, out_dir: str):
     """Pool the eps-system terminal samples for the first grid value."""
-    return _write_samples(cfg, out_dir, _eps_sample(cfg, 0),
+    return _write_samples(cfg, out_dir, _eps_sample(cfg, [0]),
                           {"run.eps": _fmt(cfg.eps_grid[0])})
 
 
@@ -512,7 +542,7 @@ def _dump_trajectory(sample: _Sample, path: str):
     """Every step of every particle of replica 0 in ``sample``'s run: its
     positions, and for the eps system its velocities.  Replica 0's whole
     stream block runs, and its first row is written."""
-    rc = sample.args[0]
+    rc = sample.args[0][0] if sample.system == "eps" else sample.args[0]
     names = "xy" if sample.system == "eps" else "x"
     header = ["t", "i"] + [f"{a}_{k + 1}" for a in names for k in range(rc.d)]
     rows = []

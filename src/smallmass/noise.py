@@ -47,6 +47,7 @@ __all__ = [
     "NoiseModel",
     "advance_xi",
     "averaged_forcing_xi",
+    "driver_step",
     "eval_field_points",
     "forcing_variance",
     "stationary_xi",
@@ -146,16 +147,26 @@ def stationary_xi(model: NoiseModel, rng, reps: int | None = None) -> np.ndarray
     return model.sigma * rng.standard_normal(shape)
 
 
+def driver_step(model: NoiseModel, delta_s: float) -> tuple[float, float]:
+    """The exact driver update over fast lag ``delta_s`` as the pair
+    (r, c) of xi <- r * xi + c * z, z standard normal: r = exp(-gamma *
+    delta_s) and c = sigma * sqrt(1 - r^2)."""
+    r = math.exp(-model.gamma * delta_s)
+    return r, model.sigma * math.sqrt(max(0.0, 1.0 - r * r))
+
+
 def advance_xi(xi: np.ndarray, model: NoiseModel, delta_s: float, z: np.ndarray,
                out: np.ndarray | None = None) -> np.ndarray:
-    """Exact update of the Gauss-Markov driver over fast lag ``delta_s``.
+    """Exact update of the Gauss-Markov driver over fast lag ``delta_s``
+    (``driver_step``).
 
     ``z`` holds the standard normals of the step, one per entry of ``xi``,
-    which may carry leading batch axes.  The result is written to ``out`` when given, which may be ``xi`` itself.
+    which may carry leading batch axes.  The result is written to ``out``
+    when given, which may be ``xi`` itself.
     """
-    r = math.exp(-model.gamma * delta_s)
+    r, c = driver_step(model, delta_s)
     out = np.multiply(xi, r, out=out)
-    out += model.sigma * math.sqrt(max(0.0, 1.0 - r * r)) * z
+    out += c * z
     return out
 
 

@@ -26,20 +26,26 @@ draws, in this order, the initial positions of its s replicas in one
 call, and then its per-step normals step-major, ``(steps, s) + shape``;
 ``block_draws`` is the one function that carries out this order, for
 every caller's own starts (the limit kernel draws no drivers, the driver
-paths of ``diagnostics`` no positions).  A block of one replica
+paths of ``diagnostics`` no positions), and ``sweep_draws`` carries it
+out row after row for the eps rows that one sweep advances together.  A
+block of one replica
 therefore draws exactly what a per-replica stream drew.  A replica's
 values depend on its block (its index and its size s), never on how the
 blocks were cut into batches or spread over workers; the callers cut
 batches on block boundaries.  ``BLOCK`` and ``_BLOCKED`` are
 part of the reproducibility contract, not settings.
 
-The kernels draw each step's normals through ``normal_windows``, a window
-of steps at a time under one fixed budget of ``DRAW_BUDGET`` doubles
-(512 KiB), so the memory they hold for normals does not grow with the
-horizon or the batch size.  The window is laid out step-major: each block
-draws its ``(W, s) + shape`` piece in one call, and step k is the
-contiguous ``(B,) + shape`` slab of every block's replicas.  Every normal
-drawn is used.
+The kernels draw each step's normals through ``normal_windows`` (one
+row) or ``sweep_windows`` (a stack of rows), a window of steps at a time
+under one fixed budget of ``DRAW_BUDGET`` doubles (512 KiB), so the
+memory they hold for normals does not grow with the horizon, the batch
+size or the number of rows.  A window holds every row still running at
+its first step and is laid out step-major: each block draws its ``(w, s)
++ shape`` piece in one call, w its own row's steps left in the window,
+and step k is the contiguous ``(a, B) + shape`` slab of the a rows still
+running (``(B,) + shape`` for one row).  A block's values are those of one
+full-length draw, so neither the window size nor the other rows move a
+byte.  Every normal drawn is used.
 """
 
 from __future__ import annotations
@@ -132,6 +138,16 @@ def block_streams(seed: int, path: tuple, replica_ids) -> list:
     return blocks
 
 
+def _draw_starts(seed: int, path: tuple, blocks, starts) -> list:
+    """Each start drawn block after block, in the order given, and stacked
+    over the blocks to ``(B, ...)``.  With no blocks each start is drawn
+    for an empty block on block 0's stream, so it keeps its shape and
+    nothing is drawn."""
+    drawn = [[start(gen, s) for start in starts]
+             for gen, s in blocks or [(stream(seed, *path, 0), 0)]]
+    return list(map(np.concatenate, zip(*drawn)))
+
+
 def block_draws(seed: int, path: tuple, replica_ids, n: int, shape: tuple, *starts):
     """Open the blocks of ``replica_ids`` and draw them in contract order.
 
@@ -144,9 +160,22 @@ def block_draws(seed: int, path: tuple, replica_ids, n: int, shape: tuple, *star
     drawn.
     """
     blocks = block_streams(seed, path, replica_ids)
-    drawn = [[start(gen, s) for start in starts]
-             for gen, s in blocks or [(stream(seed, *path, 0), 0)]]
-    return (*map(np.concatenate, zip(*drawn)), normal_windows(blocks, n, shape))
+    return (*_draw_starts(seed, path, blocks, starts), normal_windows(blocks, n, shape))
+
+
+def sweep_draws(seed: int, paths, replica_ids, steps, shape: tuple, *starts):
+    """``block_draws`` for a stack of rows that share ``replica_ids``.
+
+    Row j draws on ``paths[j]`` and runs ``steps[j]`` steps, which must not
+    increase from row to row; ``replica_ids`` must not be empty.  Row after
+    row, the blocks of each draw their starts as ``block_draws`` would.
+    Returns each start stacked to ``(rows, B, ...)``, followed by
+    ``sweep_windows`` over the rows' blocks, so every row draws exactly
+    what ``block_draws`` on its own path draws.
+    """
+    rows = [block_streams(seed, path, replica_ids) for path in paths]
+    drawn = [_draw_starts(seed, path, blocks, starts) for path, blocks in zip(paths, rows)]
+    return (*map(np.stack, zip(*drawn)), sweep_windows(rows, steps, shape))
 
 
 def normal_windows(blocks, n: int, shape: tuple):
@@ -155,32 +184,77 @@ def normal_windows(blocks, n: int, shape: tuple):
     ``blocks`` holds ``(generator, s)`` pairs, as from ``block_streams``.
     Step k's array has shape ``(B,) + shape`` with B the sum of the s; its
     rows follow the blocks in order, and row j of a block holds that
-    block's k-th ``(s,) + shape`` draw.  Each window, every block draws its
-    ``(W, s) + shape`` piece in one call, which continues its stream
-    exactly as one ``(n, s) + shape`` draw would, so the values do not
-    depend on W.  W is the most steps that fit ``DRAW_BUDGET`` doubles.
-    With several blocks a piece is drawn into one block's scratch and
-    copied into the step-major window.  Step k is the contiguous view
-    ``window[k]``; it is overwritten when the next window is drawn.  With
-    no blocks there is nothing to draw, and nothing is yielded.
+    block's k-th ``(s,) + shape`` draw.  The windows are those of
+    ``sweep_windows`` over this one row.  With no blocks there is nothing
+    to draw, and nothing is yielded.
     """
-    B = sum(s for _, s in blocks)
-    if B == 0:
-        return
+    if sum(s for _, s in blocks):
+        yield from _windows([blocks], [n], shape, stacked=False)
+
+
+def sweep_windows(rows, steps, shape: tuple):
+    """Yield the normals of a stack of rows, drawn a window of steps at a
+    time; row j runs ``steps[j]`` steps, which must not increase.
+
+    ``rows`` holds each row's blocks, as from ``block_streams``, and every
+    row has the same B replicas.  Step k's array has shape
+    ``(a, B) + shape``, where the first a rows are those still running at
+    step k; its slab j is what ``normal_windows`` over row j's blocks
+    yields at step k.
+    """
+    yield from _windows(rows, steps, shape, stacked=True)
+
+
+def _windows(rows, steps, shape: tuple, stacked: bool):
+    """The window loop of ``normal_windows`` and ``sweep_windows``.
+
+    Each window holds every row still running at its first step.  Its
+    width W is the most steps that fit ``DRAW_BUDGET`` doubles (at least
+    one), and every block of such a row draws its ``(w, s) + shape``
+    piece, w the row's steps left in the window, in one call: that
+    continues the block's stream exactly as one ``(steps, s) + shape``
+    draw would, so the values depend on neither W nor the other rows.
+    With more than one block in the window a piece is drawn into a
+    scratch array and copied into the step-major window.  Step k is the
+    view ``window[k, :a]`` (``window[k, 0]`` unstacked), contiguous; it is
+    overwritten when the next window is drawn, and its caller may
+    overwrite it too.  Every normal drawn is used.
+    """
+    B = sum(s for _, s in rows[0])
     size = math.prod(shape)
-    width = max(1, min(n, DRAW_BUDGET // (B * size)))
-    window = np.empty((width, B) + shape)
-    if len(blocks) > 1:
-        scratch = np.empty(width * max(s for _, s in blocks) * size)
-    for start in range(0, n, width):
-        w = min(width, n - start)
-        if len(blocks) == 1:
-            blocks[0][0].standard_normal(out=window[:w])
+    per_row = B * size
+    n = steps[0]
+    # The first window is the largest: it holds the most rows, and a later
+    # one holds at most DRAW_BUDGET doubles or one step of its rows.
+    buf = np.empty(min(n * len(rows) * per_row, max(DRAW_BUDGET, len(rows) * per_row)))
+    scratch = np.empty(0)
+    a = len(rows)
+    start = 0
+    while start < n:
+        while steps[a - 1] <= start:
+            a -= 1
+        w = max(1, min(n - start, DRAW_BUDGET // (a * per_row)))
+        window = buf[: w * a * per_row].reshape((w, a, B) + shape)
+        if a == 1 and len(rows[0]) == 1:
+            rows[0][0][0].standard_normal(out=window[:w, 0])
         else:
-            row = 0
-            for gen, s in blocks:
-                piece = scratch[: w * s * size].reshape((w, s) + shape)
-                gen.standard_normal(out=piece)
-                window[:w, row : row + s] = piece
-                row += s
-        yield from window[:w]
+            for j, blocks in enumerate(rows[:a]):
+                wj = min(w, steps[j] - start)
+                row = 0
+                for gen, s in blocks:
+                    if scratch.size < wj * s * size:
+                        scratch = np.empty(w * s * size)
+                    piece = scratch[: wj * s * size].reshape((wj, s) + shape)
+                    gen.standard_normal(out=piece)
+                    window[:wj, j, row : row + s] = piece
+                    row += s
+        # Runs of steps between two rows' last steps share one active count.
+        k, end = start, start + w
+        while k < end:
+            while steps[a - 1] <= k:
+                a -= 1
+            stop = min(end, steps[a - 1])
+            yield from (window[k - start : stop - start, :a] if stacked
+                        else window[k - start : stop - start, 0])
+            k = stop
+        start = end

@@ -379,12 +379,14 @@ class TestConvergenceHarness:
                 assert len(starts) == (0 if w == "1" else pools), (name, w, len(starts))
             assert texts["1"] == texts["2"] == texts["3"], name
 
-    def test_every_row_is_submitted_before_the_first_score(self, small_config_dict,
-                                                           monkeypatch):
-        # A stand-in pool runs each batch when it is submitted and logs its
-        # stream path; scoring logs "w2".  Every eps row must be handed out
-        # before the parent scores the first one.  150 replicas are three
-        # stream blocks, so each row is two batches at 2 workers.
+    def test_rows_are_swept_together_then_scored_one_task_each(self, small_config_dict,
+                                                              monkeypatch):
+        # A stand-in pool runs each task when it is submitted and logs it: a
+        # batch by its stream path, a row's scoring by its eps index.  150
+        # replicas are three stream blocks, so at 2 workers every sample is
+        # two batches, and each eps batch carries every row.  The rows are
+        # scored after every batch is handed out, one task per row, in row
+        # order.
         log = []
 
         class LoggingPool:
@@ -392,25 +394,20 @@ class TestConvergenceHarness:
                 pass
 
             def submit(self, fn, item):
-                sample, ids = item
-                log.append(sample.path)
+                log.append(item[0].path if fn is harness._run_batch else ("score", item[4]))
                 return _done(fn(item))
 
             def shutdown(self, cancel_futures=False):
                 pass
 
-        def logging_w2(*args, **kwargs):
-            log.append("w2")
-            return w2_auto(*args, **kwargs)
-
         monkeypatch.setattr(harness, "ProcessPoolExecutor", LoggingPool)
-        monkeypatch.setattr(harness, "w2_auto", logging_w2)
         monkeypatch.setenv("SMALLMASS_WORKERS", "2")
         cfg = parse_config(dict(small_config_dict, **{"run.replicas": 150}))
         run_convergence(cfg)
-        first_score = log.index("w2")
-        rows = [(_rng.EPS_RUN, i) for i in range(len(cfg.eps_grid))]
-        assert [p for p in log[:first_score] if p in rows] == [r for r in rows for _ in "ab"]
+        grid = range(len(cfg.eps_grid))
+        sweep = tuple((_rng.EPS_RUN, i) for i in grid)
+        limit = (_rng.LIMIT_RUN, 0)
+        assert log == [limit] * 4 + [sweep] * 2 + [("score", i) for i in grid]
 
     def test_no_worker_outlives_a_failing_row(self, small_config_dict, monkeypatch):
         def failing_w2(*args, **kwargs):

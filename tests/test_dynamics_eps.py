@@ -11,8 +11,8 @@ from smallmass.config import load_config, parse_config
 from smallmass.core import (ParticleEnsemble, PotentialSpec, RunConfig, grad_v_batch,
                             pairwise_mean)
 from smallmass.dynamics_eps import (EpsScheme, InitialLaw, _Advance, _forcing, _n_steps,
-                                    paired_scheme_gap, run_eps_replicas, step,
-                                    _total_force)
+                                    paired_scheme_gap, run_eps_replicas, run_eps_sweep,
+                                    step, _total_force)
 from smallmass.dynamics_limit import DiffusionSpec, run_limit_replicas
 from smallmass.errors import NumericError, UsageError
 from smallmass.harness import build_mode_diffusions, pool_eps_samples, pool_limit_samples
@@ -274,6 +274,122 @@ class TestBatchesAndWindows:
             tracemalloc.stop()
         assert len(opened) == math.ceil(512 / 64) == 8
         assert 0 < held[0] <= 8 * 2048
+
+
+SWEEP_GRID = [0.2, 0.07, 0.03]
+SWEEP_CASES = [
+    (NoiseModel.scalar_ou(1, gamma=1.0, sigma=1.0), PotentialSpec.quadratic(1.0), 1),
+    (NoiseModel.separable(2, gamma=1.0, sigma=1.0, g_name="gauss"),
+     PotentialSpec.curie_weiss(1.0, 0.5), 5),
+    (NoiseModel.fourier_field(2, gamma=1.0, sigma=1.0, omegas=[[1.0, 0.0], [0.0, 1.0]],
+                              a=[1.0, 0.5], b=[0.0, 0.5]),
+     PotentialSpec.curie_weiss(1.0, 0.5), 4),
+]
+SWEEP_IDS = ["scalar-ou-N1", "separable-d2-N5", "fourier-field-d2-N4"]
+
+
+def _sweep_runs(model, N, grid=SWEEP_GRID):
+    return [RunConfig(d=model.d, N=N, eps=eps, alpha=1.2, T=0.2, h0=0.05, seed=19)
+            for eps in grid]
+
+
+class TestSweep:
+    """A stacked sweep gives each row the bits of that row run alone."""
+
+    @pytest.mark.parametrize("budget", [None, 2048], ids=["one-window", "small-windows"])
+    @pytest.mark.parametrize("batch", [64, None])
+    @pytest.mark.parametrize("model, pot, N", SWEEP_CASES, ids=SWEEP_IDS)
+    def test_each_row_has_the_bits_of_the_row_alone(self, model, pot, N, batch, budget,
+                                                    monkeypatch):
+        # 20, 58 and 134 steps, so the rows leave the stack at different
+        # steps, partway through a normal window; 150 replicas end in a
+        # short block.  At the small budget the windows are a few steps
+        # wide and widen as the rows retire.
+        if budget is not None:
+            monkeypatch.setattr(_rng, "DRAW_BUDGET", budget)
+        runs = _sweep_runs(model, N)
+        assert [_n_steps(rc.T, rc.eps_step) for rc in runs] == [20, 58, 134]
+        init, paths = InitialLaw(velocity=0.3), [(_rng.EPS_RUN, i) for i in range(3)]
+        X, Y = run_eps_sweep(runs, model, pot, "exponential", init, range(150), paths,
+                             batch_size=batch)
+        assert X.shape == Y.shape == (3, 150, N, model.d)
+        for rc, path, Xr, Yr in zip(runs, paths, X, Y):
+            Xa, Ya = run_eps_replicas(rc, model, pot, "exponential", init, range(150),
+                                      path, batch_size=batch)
+            assert Xr.tobytes() == Xa.tobytes() and Yr.tobytes() == Ya.tobytes(), rc.eps
+            # and the bits of the one-step reference, replica by replica
+            replays = _replays(rc, model, path, 150)
+            for r in (0, 149):
+                ens, _ = _step_loop(rc, model, pot, init, replays[r])
+                assert np.array_equal(ens.positions, Xr[r])
+                assert np.array_equal(ens.velocities, Yr[r])
+
+    @pytest.mark.parametrize("model, pot, N", SWEEP_CASES, ids=SWEEP_IDS)
+    def test_dropping_a_row_moves_no_other_row(self, model, pot, N):
+        init = InitialLaw()
+        paths = [(_rng.EPS_RUN, i) for i in range(3)]
+        X, Y = run_eps_sweep(_sweep_runs(model, N), model, pot, "exponential", init,
+                             range(150), paths, batch_size=64)
+        for keep in ([0, 2], [1, 2], [0, 1], [2]):
+            runs = _sweep_runs(model, N, [SWEEP_GRID[i] for i in keep])
+            Xk, Yk = run_eps_sweep(runs, model, pot, "exponential", init, range(150),
+                                   [paths[i] for i in keep], batch_size=64)
+            assert Xk.tobytes() == X[keep].tobytes() and Yk.tobytes() == Y[keep].tobytes()
+
+    def test_rows_in_any_order(self):
+        # the stack runs in descending step count; the result follows the
+        # order of the runs
+        model, pot, N = SWEEP_CASES[0]
+        runs, paths = _sweep_runs(model, N), [(_rng.EPS_RUN, i) for i in range(3)]
+        X, _ = run_eps_sweep(runs, model, pot, "exponential", InitialLaw(), range(70), paths)
+        Xr, _ = run_eps_sweep(runs[::-1], model, pot, "exponential", InitialLaw(),
+                              range(70), paths[::-1])
+        assert Xr.tobytes() == X[::-1].tobytes()
+
+    def test_non_finite_row_names_its_eps_and_replica(self):
+        # Replica 66 of the eps = 0.07 row starts at infinity: the error
+        # names that row's eps and replica, not the row of the stack, and
+        # the rows around it are finite.
+        model, pot, N = SWEEP_CASES[1]
+        runs = _sweep_runs(model, N)
+        # the SFC64 state of that row's second block before its first draw
+        bad = _rng.stream(runs[0].seed, _rng.EPS_RUN, 1, 1).bit_generator.state["state"]
+
+        class OneBadRow(InitialLaw):
+            def draw_positions(self, n, d, rng, reps=None):
+                hit = np.array_equal(rng.bit_generator.state["state"]["state"], bad["state"])
+                x = super().draw_positions(n, d, rng, reps)
+                if hit:
+                    x[2, 0, 0] = np.inf
+                return x
+
+        with pytest.raises(NumericError, match=r"eps=0\.07, replica=66") as err, \
+                np.errstate(invalid="ignore", over="ignore"):
+            run_eps_sweep(runs, model, pot, "exponential", OneBadRow(), range(130),
+                          [(_rng.EPS_RUN, i) for i in range(3)])
+        assert err.value.replica == 66 and err.value.eps == 0.07
+
+    def test_recorder_needs_one_row(self):
+        model, pot, N = SWEEP_CASES[0]
+        with pytest.raises(UsageError, match="a recorder follows one row; the sweep has 3"):
+            run_eps_sweep(_sweep_runs(model, N), model, pot, "exponential", InitialLaw(),
+                          range(8), [(_rng.EPS_RUN, i) for i in range(3)],
+                          recorder=lambda *args: None)
+
+    @pytest.mark.parametrize("change", [{"N": 2}, {"alpha": 1.0}, {"T": 0.3}, {"seed": 2}])
+    def test_rows_differ_only_by_eps_and_step(self, change):
+        model, pot, N = SWEEP_CASES[0]
+        runs = _sweep_runs(model, N)
+        runs[1] = replace(runs[1], **change)
+        with pytest.raises(UsageError, match="differ only by eps and h0"):
+            run_eps_sweep(runs, model, pot, "exponential", InitialLaw(), range(8),
+                          [(_rng.EPS_RUN, i) for i in range(3)])
+
+    def test_one_stream_path_per_run(self):
+        model, pot, N = SWEEP_CASES[0]
+        with pytest.raises(UsageError, match="one stream path per run"):
+            run_eps_sweep(_sweep_runs(model, N), model, pot, "exponential", InitialLaw(),
+                          range(8), [(_rng.EPS_RUN, 0)])
 
 
 class TestStepContracts:

@@ -172,6 +172,45 @@ class TestNormalWindows:
             assert gen.standard_normal() == full.standard_normal()
 
 
+class TestSweepWindows:
+    @pytest.mark.parametrize("budget", [None, 1, 12, 30, 40], ids=[
+        "one-window", "below-one-step", "single-step", "uneven", "widening"])
+    def test_each_row_draws_what_it_draws_alone(self, budget, monkeypatch):
+        # three rows of 10, 7 and 3 steps over blocks of 2 and 1 replicas:
+        # step k holds the rows still running, each row's slab is its own
+        # blocks' k-th draw, and every block draws its row's steps and no
+        # more, whatever the window
+        if budget is not None:
+            monkeypatch.setattr(_rng, "DRAW_BUDGET", budget)
+        steps, sizes, shape = [10, 7, 3], (2, 1), (2,)
+        rows = [[(_rng.stream(5, _rng.EPS_RUN, j, b), s) for b, s in enumerate(sizes)]
+                for j in range(3)]
+        got = [z.copy() for z in _rng.sweep_windows(rows, steps, shape)]
+        assert [z.shape for z in got] == [(sum(k < n for n in steps), 3) + shape
+                                          for k in range(10)]
+        for j, n in enumerate(steps):
+            want = np.concatenate([_rng.stream(5, _rng.EPS_RUN, j, b).standard_normal(
+                (n, s) + shape) for b, s in enumerate(sizes)], axis=1)
+            assert np.array_equal(np.stack([z[j] for z in got[:n]]), want)
+            for (gen, s), b in zip(rows[j], range(2)):
+                full = _rng.stream(5, _rng.EPS_RUN, j, b)
+                full.standard_normal((n, s) + shape)
+                assert gen.standard_normal() == full.standard_normal()
+
+    def test_sweep_draws_stack_each_rows_block_draws(self):
+        paths = [(_rng.EPS_RUN, j) for j in range(3)]
+        X, xi, steps = _rng.sweep_draws(9, paths, range(70), [6, 4, 4], (2, 4),
+                                        _positions, _drivers)
+        got = [z.copy() for z in steps]
+        assert X.shape == (3, 70, 3, 2) and xi.shape == (3, 70, 2, 4)
+        for j, (path, n) in enumerate(zip(paths, [6, 4, 4])):
+            want_X, want_xi, want_steps = _rng.block_draws(9, path, range(70), n, (2, 4),
+                                                          _positions, _drivers)
+            assert np.array_equal(X[j], want_X) and np.array_equal(xi[j], want_xi)
+            assert np.array_equal(np.stack([z[j] for z in got[:n]]),
+                                  np.stack([z.copy() for z in want_steps]))
+
+
 def _positions(gen, s):
     return gen.standard_normal((s, 3, 2))
 
