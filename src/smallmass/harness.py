@@ -277,6 +277,7 @@ class _Pool:
     def __init__(self, samples):
         self._items = [[(s, ids) for ids in _batches(s.reps)] for s in samples]
         self._futures = self._pool = None
+        self._collected = {}
 
     def __enter__(self):
         n = max(map(len, self._items))
@@ -296,12 +297,14 @@ class _Pool:
 
     def collect(self, k: int) -> np.ndarray:
         """Sample k's points, (rows, points, d), the points of its batches
-        joined in replica order."""
-        if self._futures is None:
-            parts = [_run_batch(item) for item in self._items[k]]
-        else:
-            parts = [f.result() for f in self._futures[k]]
-        return np.concatenate(parts, axis=-2)
+        joined in replica order; collected once, on first use."""
+        if k not in self._collected:
+            if self._futures is None:
+                parts = [_run_batch(item) for item in self._items[k]]
+            else:
+                parts = [f.result() for f in self._futures[k]]
+            self._collected[k] = np.concatenate(parts, axis=-2)
+        return self._collected[k]
 
     def map(self, fn, items) -> list:
         """``[fn(item) for item in items]``, the calls on the pool where
@@ -418,12 +421,14 @@ def run_convergence(cfg: Config) -> ConvergenceReport:
     row_samples = ([_limit_sample(cfg, diffs[modes[0]], (_rng.SELF_TEST, i),
                                   v["run.replicas"], spr) for i in grid]
                    if v["run.self_test"] else [_eps_sample(cfg, grid)])
+    # Sample and row of each eps row's points in the pool.
+    at = [(len(modes) + i, 0) if v["run.self_test"] else (len(modes), i) for i in grid]
     rows = []
     with _Pool(limit + row_samples) as pool:
         limit_samples = [pool_limit_samples(cfg, diffs[mode], lambda k=k: pool.collect(k)[0])
                          for k, mode in enumerate(modes)]
-        swept = [row for k in range(len(row_samples)) for row in pool.collect(len(modes) + k)]
-        eps_samples = [pool_eps_samples(cfg, i, lambda i=i: swept[i]) for i in grid]
+        eps_samples = [pool_eps_samples(cfg, i, lambda k=k, j=j: pool.collect(k)[j])
+                       for i, (k, j) in zip(grid, at)]
         scores = pool.map(_score_row, [(eps_samples[i], spr, limit_samples, cfg.seed, i)
                                        for i in grid])
     for eps, eps_sample, (values, method, half, vals) in zip(cfg.eps_grid, eps_samples,

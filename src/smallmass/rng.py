@@ -36,7 +36,7 @@ batches on block boundaries.  ``BLOCK`` and ``_BLOCKED`` are
 part of the reproducibility contract, not settings.
 
 The kernels draw each step's normals through ``normal_windows`` (one
-row) or ``sweep_windows`` (a stack of rows), a window of steps at a time
+row) or ``sweep_draws`` (a stack of rows), a window of steps at a time
 under one fixed budget of ``DRAW_BUDGET`` doubles (512 KiB), so the
 memory they hold for normals does not grow with the horizon, the batch
 size or the number of rows.  A window holds every row still running at
@@ -169,13 +169,16 @@ def sweep_draws(seed: int, paths, replica_ids, steps, shape: tuple, *starts):
     Row j draws on ``paths[j]`` and runs ``steps[j]`` steps, which must not
     increase from row to row; ``replica_ids`` must not be empty.  Row after
     row, the blocks of each draw their starts as ``block_draws`` would.
-    Returns each start stacked to ``(rows, B, ...)``, followed by
-    ``sweep_windows`` over the rows' blocks, so every row draws exactly
-    what ``block_draws`` on its own path draws.
+    Returns each start stacked to ``(rows, B, ...)``, followed by the
+    iterator of the rows' per-step normals: step k's array has shape
+    ``(a, B) + shape``, where the first a rows are those still running at
+    step k, and its slab j is what ``normal_windows`` over row j's blocks
+    yields at step k.  So every row draws exactly what ``block_draws`` on
+    its own path draws.
     """
     rows = [block_streams(seed, path, replica_ids) for path in paths]
     drawn = [_draw_starts(seed, path, blocks, starts) for path, blocks in zip(paths, rows)]
-    return (*map(np.stack, zip(*drawn)), sweep_windows(rows, steps, shape))
+    return (*map(np.stack, zip(*drawn)), _windows(rows, steps, shape, stacked=True))
 
 
 def normal_windows(blocks, n: int, shape: tuple):
@@ -185,28 +188,17 @@ def normal_windows(blocks, n: int, shape: tuple):
     Step k's array has shape ``(B,) + shape`` with B the sum of the s; its
     rows follow the blocks in order, and row j of a block holds that
     block's k-th ``(s,) + shape`` draw.  The windows are those of
-    ``sweep_windows`` over this one row.  With no blocks there is nothing
-    to draw, and nothing is yielded.
+    ``sweep_draws`` for this one row.  With no blocks there is nothing to
+    draw, and nothing is yielded.
     """
     if sum(s for _, s in blocks):
         yield from _windows([blocks], [n], shape, stacked=False)
 
 
-def sweep_windows(rows, steps, shape: tuple):
-    """Yield the normals of a stack of rows, drawn a window of steps at a
-    time; row j runs ``steps[j]`` steps, which must not increase.
-
-    ``rows`` holds each row's blocks, as from ``block_streams``, and every
-    row has the same B replicas.  Step k's array has shape
-    ``(a, B) + shape``, where the first a rows are those still running at
-    step k; its slab j is what ``normal_windows`` over row j's blocks
-    yields at step k.
-    """
-    yield from _windows(rows, steps, shape, stacked=True)
-
-
 def _windows(rows, steps, shape: tuple, stacked: bool):
-    """The window loop of ``normal_windows`` and ``sweep_windows``.
+    """The window loop of ``normal_windows`` and ``sweep_draws``: ``rows``
+    holds each row's blocks, every row with the same B replicas, and row j
+    runs ``steps[j]`` steps, which must not increase.
 
     Each window holds every row still running at its first step.  Its
     width W is the most steps that fit ``DRAW_BUDGET`` doubles (at least

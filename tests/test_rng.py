@@ -172,30 +172,41 @@ class TestNormalWindows:
             assert gen.standard_normal() == full.standard_normal()
 
 
-class TestSweepWindows:
-    @pytest.mark.parametrize("budget", [None, 1, 12, 30, 40], ids=[
-        "one-window", "below-one-step", "single-step", "uneven", "widening"])
+class TestSweepDraws:
+    @pytest.mark.parametrize("budget", [None, 1, 12, 400, 1000], ids=[
+        "one-window", "below-one-step", "single-step", "widening", "uneven"])
     def test_each_row_draws_what_it_draws_alone(self, budget, monkeypatch):
-        # three rows of 10, 7 and 3 steps over blocks of 2 and 1 replicas:
-        # step k holds the rows still running, each row's slab is its own
-        # blocks' k-th draw, and every block draws its row's steps and no
-        # more, whatever the window
+        # three rows of 10, 7 and 3 steps over 66 replicas, blocks of 64
+        # and 2, shape (2,): step k holds the rows still running, each
+        # row's slab is its own blocks' k-th draw, and every block draws its
+        # row's steps and no more, whatever the window.  A step of three
+        # rows is 396 doubles, of one row 132, so the budget of 400 gives
+        # windows of 1, 1 and 3 steps as the rows retire.
         if budget is not None:
             monkeypatch.setattr(_rng, "DRAW_BUDGET", budget)
-        steps, sizes, shape = [10, 7, 3], (2, 1), (2,)
-        rows = [[(_rng.stream(5, _rng.EPS_RUN, j, b), s) for b, s in enumerate(sizes)]
-                for j in range(3)]
-        got = [z.copy() for z in _rng.sweep_windows(rows, steps, shape)]
-        assert [z.shape for z in got] == [(sum(k < n for n in steps), 3) + shape
+        steps, sizes, shape = [10, 7, 3], (64, 2), (2,)
+        paths = [(_rng.EPS_RUN, j) for j in range(3)]
+        opened = []
+        stream = _rng.stream
+
+        def keep(*args):
+            opened.append(stream(*args))
+            return opened[-1]
+
+        monkeypatch.setattr(_rng, "stream", keep)
+        (windows,) = _rng.sweep_draws(5, paths, range(66), steps, shape)
+        got = [z.copy() for z in windows]
+        assert [z.shape for z in got] == [(sum(k < n for n in steps), 66) + shape
                                           for k in range(10)]
+        assert all(z.flags.c_contiguous for z in got)
         for j, n in enumerate(steps):
-            want = np.concatenate([_rng.stream(5, _rng.EPS_RUN, j, b).standard_normal(
-                (n, s) + shape) for b, s in enumerate(sizes)], axis=1)
+            want = np.concatenate([stream(5, *paths[j], b).standard_normal((n, s) + shape)
+                                   for b, s in enumerate(sizes)], axis=1)
             assert np.array_equal(np.stack([z[j] for z in got[:n]]), want)
-            for (gen, s), b in zip(rows[j], range(2)):
-                full = _rng.stream(5, _rng.EPS_RUN, j, b)
+            for b, s in enumerate(sizes):
+                full = stream(5, *paths[j], b)
                 full.standard_normal((n, s) + shape)
-                assert gen.standard_normal() == full.standard_normal()
+                assert opened[2 * j + b].standard_normal() == full.standard_normal()
 
     def test_sweep_draws_stack_each_rows_block_draws(self):
         paths = [(_rng.EPS_RUN, j) for j in range(3)]
