@@ -377,17 +377,17 @@ class _UvStream:
 def _driver_paths(model, seed, path, reps, n, delta_s):
     """Yield the driver values of ``reps`` stationary paths at steps 0..n-1.
 
-    The replicas draw by blocks, in the order that ``rng.block_draws``
-    carries out: its one start is the driver values, and its per-step
-    normals are driver-shaped; the paths are advanced in lock-step by
-    ``delta_s``.  Under ``GK_RUN`` the blocks hold one replica each, so
-    replica r draws from ``(seed, *path, r)`` alone.  The driver advances
-    in place: the one (reps,) + driver_shape array yielded at every step
-    holds the next step's values once the generator resumes.
+    The replicas draw by blocks, in the order that ``rng.sweep_draws``
+    carries out for one row: its one start is the driver values, and its
+    per-step normals are driver-shaped; the paths are advanced in
+    lock-step by ``delta_s``.  Under ``GK_RUN`` the blocks hold one
+    replica each, so replica r draws from ``(seed, *path, r)`` alone.  The
+    driver advances in place: the one (reps,) + driver_shape array yielded
+    at every step holds the next step's values once the generator resumes.
     """
-    xi, steps = _rng.block_draws(seed, path, range(reps), n, model.driver_shape,
-                                 lambda gen, s: stationary_xi(model, gen, reps=s))
-    for z in steps:
+    (xi,), steps = _rng.sweep_draws(seed, [path], range(reps), [n], model.driver_shape,
+                                    lambda gen, s: stationary_xi(model, gen, reps=s))
+    for (z,) in steps:
         yield xi
         advance_xi(xi, model, delta_s, z, out=xi)
 

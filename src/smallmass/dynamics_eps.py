@@ -161,8 +161,8 @@ class _Advance:
 
     The step constants are computed once, from one row's h and eps, by the
     scalar ``math`` expressions below; ``rows`` lays several rows'
-    constants out for a stacked state.  Each call overwrites X, Y, the
-    force F and the scratch buffer ``tmp`` (all of one shape), with the
+    constants out over a state of those rows.  Each call overwrites X, Y,
+    the force F and the scratch buffer ``tmp`` (all of one shape), with the
     floating-point operations in the order of the closed forms in the
     module docstring, so the results do not depend on buffering or on the
     other rows.
@@ -180,7 +180,7 @@ class _Advance:
 
     @classmethod
     def rows(cls, advances, shape) -> "_Advance":
-        """The step of a stacked state of ``shape`` whose row j steps as
+        """The step of a many-row state of ``shape`` whose row j steps as
         ``advances[j]``; its constants are ``_row_constant``s."""
         out = cls.__new__(cls)
         for name in cls.CONSTANTS:
@@ -201,7 +201,7 @@ class _Advance:
 
 def _row_constant(values, shape) -> np.ndarray:
     """Per-row floats ``values`` as the factor that scales each row of a
-    stacked array of ``shape`` (rows first) by its own value: a 0-d array
+    many-row array of ``shape`` (rows first) by its own value: a 0-d array
     where every row has the same value, else a contiguous array of
     ``shape`` holding each row's value over its row.
 
@@ -275,25 +275,24 @@ def _check_finite(message, ids, eps, *state):
         raise NumericError(message, replica=ids[int(np.argmin(finite))], eps=eps)
 
 
-def run_eps_sweep(runs, model: NoiseModel, pot: PotentialSpec, sch_kind: str,
-                  init: InitialLaw, replica_ids, stream_paths, *,
-                  batch_size: int | None = None, recorder=None):
+def run_eps_sweep(runs, model: NoiseModel, pot: PotentialSpec, init: InitialLaw,
+                  replica_ids, stream_paths, *, batch_size: int | None = None,
+                  recorder=None):
     """Replica sweep of the second-order system over a stack of rows,
-    advanced in lock-step by the exponential scheme (``sch_kind``
-    "exponential", its only value).
+    advanced in lock-step by the exponential scheme.
 
-    Row j is the run ``runs[j]`` drawn on ``stream_paths[j]``; the rows
-    differ only by eps and h0, and each gives ``replica_ids`` the bits
-    that ``run_eps_replicas`` gives them on that row alone.  Each stream
-    path is a tuple prefix (purpose code plus optional indices) under which
-    the replicas draw by blocks, in the order that ``rng.sweep_draws``
-    carries out: its starts are the positions (s, N, d) and then the driver
-    values (s,) + driver shape, and its per-step normals are driver-shaped.
-    So ``replica_ids`` must be whole blocks, consecutive from a multiple of
-    the block size, and only the sample's last block may be short.  The
-    replicas are advanced ``batch_size`` at a time (a multiple of the block
-    size), all of them in one batch when it is ``None``; the results do not
-    depend on the batch.
+    Row j is the run ``runs[j]`` drawn on ``stream_paths[j]`` and stepped
+    by its ``eps_step``; the rows differ only by eps and h0, and each gives
+    ``replica_ids`` the bits that ``run_eps_replicas`` gives them on that
+    row alone.  Each stream path is a tuple prefix (purpose code plus
+    optional indices) under which the replicas draw by blocks, in the
+    order that ``rng.sweep_draws`` carries out: its starts are the
+    positions (s, N, d) and then the driver values (s,) + driver shape,
+    and its per-step normals are driver-shaped.  So ``replica_ids`` must be
+    whole blocks, consecutive from a multiple of the block size, and only
+    the sample's last block may be short.  The replicas are advanced
+    ``batch_size`` at a time (a multiple of the block size), all of them in
+    one batch when it is ``None``; the results do not depend on the batch.
 
     The rows share one step loop on a (rows, B, N, d) state, ordered by
     descending step count, so the rows still running are a prefix: each
@@ -331,15 +330,14 @@ def run_eps_sweep(runs, model: NoiseModel, pot: PotentialSpec, sch_kind: str,
     if batch_size is not None and batch_size % block:
         raise UsageError(f"batch_size {batch_size} is not a multiple of the "
                          f"{block}-replica stream block")
-    schs = [EpsScheme(sch_kind, rc.eps_step) for rc in runs]
-    counts = [_n_steps(rc.T, sch.h) for rc, sch in zip(runs, schs)]
+    counts = [_n_steps(rc.T, rc.eps_step) for rc in runs]
     order = sorted(range(len(runs)), key=lambda j: -counts[j])
     at = np.argsort(order)  # row j of ``runs`` is row at[j] of the stack
     n = [counts[j] for j in order]
-    h = schs[order[0]].h
-    advances = [_Advance(schs[j].h, runs[j].eps, base.alpha) for j in order]
+    h = runs[order[0]].eps_step
+    advances = [_Advance(runs[j].eps_step, runs[j].eps, base.alpha) for j in order]
     scales = [1.0 / math.sqrt(runs[j].eps) for j in order]
-    drives = [driver_step(model, schs[j].h / runs[j].eps) for j in order]
+    drives = [driver_step(model, runs[j].eps_step / runs[j].eps) for j in order]
 
     def prefix(a, X, Y, F, tmp, xi):
         """The first a rows of the state, and their step constants."""
@@ -402,8 +400,10 @@ def run_eps_replicas(cfg: RunConfig, model: NoiseModel, pot: PotentialSpec,
                      sch_kind: str, init: InitialLaw, replica_ids,
                      stream_path, *, batch_size: int | None = None, recorder=None):
     """``run_eps_sweep`` over the one row ``cfg`` on ``stream_path``;
-    returns its terminal positions and velocities, each of shape (R, N, d)."""
-    pos, vel = run_eps_sweep([cfg], model, pot, sch_kind, init, replica_ids, [stream_path],
+    returns its terminal positions and velocities, each of shape (R, N, d).
+    ``sch_kind`` must be "exponential", the sweep's scheme."""
+    EpsScheme(sch_kind, cfg.eps_step)
+    pos, vel = run_eps_sweep([cfg], model, pot, init, replica_ids, [stream_path],
                              batch_size=batch_size, recorder=recorder)
     return pos[0], vel[0]
 

@@ -90,8 +90,8 @@ def run_limit_replicas(cfg: RunConfig, pot: PotentialSpec, diff: DiffusionSpec,
     """Terminal positions over independent replicas, stepped in lock-step.
 
     The replicas draw by blocks under ``stream_path``, in the order that
-    ``rng.block_draws`` carries out: its one start is the positions
-    (s, N, d), and its per-step normals are (N, d)-shaped.  So
+    ``rng.sweep_draws`` carries out for one row: its one start is the
+    positions (s, N, d), and its per-step normals are (N, d)-shaped.  So
     ``replica_ids`` must be whole blocks, and every replica gets the same
     bits whatever other blocks share the call.
     The step count follows the eps system's rule: when ``h`` does not
@@ -104,16 +104,16 @@ def run_limit_replicas(cfg: RunConfig, pot: PotentialSpec, diff: DiffusionSpec,
     sch = sch or default_limit_scheme(cfg, pot)
     sch.validate(cfg.alpha, pot)
     N, d = cfg.N, cfg.d
-    X, steps = _rng.block_draws(cfg.seed, stream_path, replica_ids,
-                                _n_steps(cfg.T, sch.h), (N, d),
-                                lambda gen, s: init.draw_positions(N, d, gen, reps=s))
+    (X,), steps = _rng.sweep_draws(cfg.seed, [stream_path], replica_ids,
+                                   [_n_steps(cfg.T, sch.h)], (N, d),
+                                   lambda gen, s: init.draw_positions(N, d, gen, reps=s))
     root_h, root_d = math.sqrt(sch.h), math.sqrt(diff.d_eff)
     G, tmp = np.empty_like(X), np.empty_like(X)
     t = 0.0
     if recorder is not None:
         recorder(replica_ids, 0, t, X)
     try:
-        for k, z in enumerate(steps):
+        for k, (z,) in enumerate(steps):
             grad_v_batch(pot, X, out=G, tmp=tmp)
             G *= sch.h / cfg.alpha
             X -= G

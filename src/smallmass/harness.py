@@ -164,8 +164,7 @@ def _eps_sample(cfg: Config, eps_indices) -> _Sample:
     v = cfg.values
     spr = v["run.samples_per_replica"]
     runs = tuple(_sample_run(cfg, cfg.eps_grid[i], spr, "eps") for i in eps_indices)
-    return _Sample("eps", (runs, cfg.noise_model(), cfg.potential(), "exponential",
-                           cfg.init_law()),
+    return _Sample("eps", (runs, cfg.noise_model(), cfg.potential(), cfg.init_law()),
                    tuple((_rng.EPS_RUN, i) for i in eps_indices), v["run.replicas"], spr)
 
 

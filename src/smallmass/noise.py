@@ -194,7 +194,7 @@ def _fourier_basis(model: NoiseModel, points: np.ndarray) -> np.ndarray:
     Each mode is taken in its phase-shift form R_k cos(w_k . x - phi_k),
     with R_k = hypot(a_k, b_k) and phi_k = arctan2(b_k, a_k) set once per
     model: one cosine per point and mode.  The phases come from one
-    stacked ``points @ omegas.T`` matmul, one product per batch entry, so
+    batched ``points @ omegas.T`` matmul, one product per batch entry, so
     an entry's bits do not depend on its batch (one product over every
     row would not keep that: at one point per entry, a 1-row product and
     a row of a longer one can differ in the last bit).  The shift writes

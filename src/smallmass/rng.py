@@ -23,29 +23,28 @@ for the last block of a sample, which ends at the sample's last replica.
 The other purposes keep one replica per stream (blocks of one).  Block b
 draws, in this order, the initial positions of its s replicas in one
 ``(s, N, d)`` call, their stationary drivers in one ``(s,) + driver_shape``
-call, and then its per-step normals step-major, ``(steps, s) + shape``;
-``block_draws`` is the one function that carries out this order, for
+call, and then its per-step normals step-major, ``(steps, s) + shape``.
+``sweep_draws`` is the one function that carries out this order, for
 every caller's own starts (the limit kernel draws no drivers, the driver
-paths of ``diagnostics`` no positions), and ``sweep_draws`` carries it
-out row after row for the eps rows that one sweep advances together.  A
-block of one replica
-therefore draws exactly what a per-replica stream drew.  A replica's
-values depend on its block (its index and its size s), never on how the
-blocks were cut into batches or spread over workers; the callers cut
-batches on block boundaries.  ``BLOCK`` and ``_BLOCKED`` are
-part of the reproducibility contract, not settings.
+paths of ``diagnostics`` no positions), row after row for the eps rows
+that one sweep advances together and for the one row of every other
+kernel.  A block of one replica therefore draws exactly what a
+per-replica stream drew.  A replica's values depend on its block (its
+index and its size s), never on how the blocks were cut into batches or
+spread over workers; the callers cut batches on block boundaries.
+``BLOCK`` and ``_BLOCKED`` are part of the reproducibility contract, not
+settings.
 
-The kernels draw each step's normals through ``normal_windows`` (one
-row) or ``sweep_draws`` (a stack of rows), a window of steps at a time
-under one fixed budget of ``DRAW_BUDGET`` doubles (512 KiB), so the
-memory they hold for normals does not grow with the horizon, the batch
-size or the number of rows.  A window holds every row still running at
-its first step and is laid out step-major: each block draws its ``(w, s)
-+ shape`` piece in one call, w its own row's steps left in the window,
-and step k is the contiguous ``(a, B) + shape`` slab of the a rows still
-running (``(B,) + shape`` for one row).  A block's values are those of one
-full-length draw, so neither the window size nor the other rows move a
-byte.  Every normal drawn is used.
+The iterator of ``sweep_draws`` yields each step's normals a window of
+steps at a time, under one fixed budget of ``DRAW_BUDGET`` doubles (512 KiB), so the
+memory the kernels hold for normals does not grow with the horizon, the
+batch size or the number of rows.  A window holds every row still
+running at its first step and is laid out step-major: each block draws
+its ``(w, s) + shape`` piece in one call, w its own row's steps left in
+the window, and step k is the contiguous ``(a, B) + shape`` slab of the a
+rows still running (``(1, B) + shape`` for one row).  A block's values are
+those of one full-length draw, so neither the window size nor the other
+rows move a byte.  Every normal drawn is used.
 """
 
 from __future__ import annotations
@@ -78,7 +77,7 @@ _SEED_MAX = (1 << 64) - 1
 BLOCK = 64
 _BLOCKED = frozenset({EPS_RUN, LIMIT_RUN, UV_RUN, MOMENT_RUN, SELF_TEST})
 
-# Normals (float64) held at once by one ``normal_windows`` caller: 512 KiB.
+# Normals (float64) held at once by one ``sweep_draws`` caller: 512 KiB.
 # The window size moves no byte of any output, only the memory held.
 DRAW_BUDGET = 1 << 16
 
@@ -139,7 +138,7 @@ def block_streams(seed: int, path: tuple, replica_ids) -> list:
 
 
 def _draw_starts(seed: int, path: tuple, blocks, starts) -> list:
-    """Each start drawn block after block, in the order given, and stacked
+    """Each start drawn block after block, in the order given, and joined
     over the blocks to ``(B, ...)``.  With no blocks each start is drawn
     for an empty block on block 0's stream, so it keeps its shape and
     nothing is drawn."""
@@ -148,57 +147,31 @@ def _draw_starts(seed: int, path: tuple, blocks, starts) -> list:
     return list(map(np.concatenate, zip(*drawn)))
 
 
-def block_draws(seed: int, path: tuple, replica_ids, n: int, shape: tuple, *starts):
-    """Open the blocks of ``replica_ids`` and draw them in contract order.
-
-    Each ``start(gen, s)`` draws one start array of a block's s replicas,
-    ``(s, ...)``; block after block, every start is drawn in the order
-    given.  Returns each start stacked over the blocks to ``(B, ...)``,
-    followed by ``normal_windows(blocks, n, shape)``, the iterator of the
-    blocks' per-step normals.  With no replicas each start is drawn for an
-    empty block on block 0's stream, so it keeps its shape and nothing is
-    drawn.
-    """
-    blocks = block_streams(seed, path, replica_ids)
-    return (*_draw_starts(seed, path, blocks, starts), normal_windows(blocks, n, shape))
-
-
 def sweep_draws(seed: int, paths, replica_ids, steps, shape: tuple, *starts):
-    """``block_draws`` for a stack of rows that share ``replica_ids``.
+    """Open the blocks of ``replica_ids`` on each row's path and draw them
+    in contract order: the one draw function of every kernel.
 
     Row j draws on ``paths[j]`` and runs ``steps[j]`` steps, which must not
-    increase from row to row; ``replica_ids`` must not be empty.  Row after
-    row, the blocks of each draw their starts as ``block_draws`` would.
-    Returns each start stacked to ``(rows, B, ...)``, followed by the
-    iterator of the rows' per-step normals: step k's array has shape
-    ``(a, B) + shape``, where the first a rows are those still running at
-    step k, and its slab j is what ``normal_windows`` over row j's blocks
-    yields at step k.  So every row draws exactly what ``block_draws`` on
-    its own path draws.
+    increase from row to row; a kernel of one row passes one path and one
+    step count.  Each ``start(gen, s)`` draws one start array of a block's
+    s replicas, ``(s, ...)``; row after row and block after block, every
+    start is drawn in the order given.  Returns each start with its rows
+    and blocks joined to ``(rows, B, ...)``, followed by ``_windows`` over
+    the rows' blocks, the iterator of their per-step normals.  With no
+    replicas each start is drawn for an empty block on block 0's stream,
+    so it keeps its shape and nothing is drawn, and no step is yielded.
     """
     rows = [block_streams(seed, path, replica_ids) for path in paths]
     drawn = [_draw_starts(seed, path, blocks, starts) for path, blocks in zip(paths, rows)]
-    return (*map(np.stack, zip(*drawn)), _windows(rows, steps, shape, stacked=True))
+    return (*map(np.stack, zip(*drawn)), _windows(rows, steps, shape))
 
 
-def normal_windows(blocks, n: int, shape: tuple):
-    """Yield the normals of steps 0..n-1, drawn a window of steps at a time.
-
-    ``blocks`` holds ``(generator, s)`` pairs, as from ``block_streams``.
-    Step k's array has shape ``(B,) + shape`` with B the sum of the s; its
-    rows follow the blocks in order, and row j of a block holds that
-    block's k-th ``(s,) + shape`` draw.  The windows are those of
-    ``sweep_draws`` for this one row.  With no blocks there is nothing to
-    draw, and nothing is yielded.
-    """
-    if sum(s for _, s in blocks):
-        yield from _windows([blocks], [n], shape, stacked=False)
-
-
-def _windows(rows, steps, shape: tuple, stacked: bool):
-    """The window loop of ``normal_windows`` and ``sweep_draws``: ``rows``
-    holds each row's blocks, every row with the same B replicas, and row j
-    runs ``steps[j]`` steps, which must not increase.
+def _windows(rows, steps, shape: tuple):
+    """Yield the normals of every row's steps, drawn a window of steps at
+    a time: ``rows`` holds each row's ``(generator, s)`` blocks, as from
+    ``block_streams``, every row with the same B replicas, and row j runs
+    ``steps[j]`` steps, which must not increase.  With no replicas there is
+    nothing to draw, and nothing is yielded.
 
     Each window holds every row still running at its first step.  Its
     width W is the most steps that fit ``DRAW_BUDGET`` doubles (at least
@@ -208,11 +181,14 @@ def _windows(rows, steps, shape: tuple, stacked: bool):
     draw would, so the values depend on neither W nor the other rows.
     With more than one block in the window a piece is drawn into a
     scratch array and copied into the step-major window.  Step k is the
-    view ``window[k, :a]`` (``window[k, 0]`` unstacked), contiguous; it is
-    overwritten when the next window is drawn, and its caller may
-    overwrite it too.  Every normal drawn is used.
+    view ``window[k, :a]``, shape ``(a, B) + shape``, of the a rows still
+    running; its slab j holds row j's blocks' k-th draws, block after
+    block.  It is contiguous, overwritten when the next window is drawn,
+    and its caller may overwrite it too.  Every normal drawn is used.
     """
     B = sum(s for _, s in rows[0])
+    if not B:
+        return
     size = math.prod(shape)
     per_row = B * size
     n = steps[0]
@@ -246,7 +222,6 @@ def _windows(rows, steps, shape: tuple, stacked: bool):
             while steps[a - 1] <= k:
                 a -= 1
             stop = min(end, steps[a - 1])
-            yield from (window[k - start : stop - start, :a] if stacked
-                        else window[k - start : stop - start, 0])
+            yield from window[k - start : stop - start, :a]
             k = stop
         start = end

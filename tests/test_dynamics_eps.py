@@ -294,7 +294,7 @@ def _sweep_runs(model, N, grid=SWEEP_GRID):
 
 
 class TestSweep:
-    """A stacked sweep gives each row the bits of that row run alone."""
+    """A sweep of several rows gives each row the bits of that row run alone."""
 
     @pytest.mark.parametrize("budget", [None, 2048], ids=["one-window", "small-windows"])
     @pytest.mark.parametrize("batch", [64, None])
@@ -310,8 +310,7 @@ class TestSweep:
         runs = _sweep_runs(model, N)
         assert [_n_steps(rc.T, rc.eps_step) for rc in runs] == [20, 58, 134]
         init, paths = InitialLaw(velocity=0.3), [(_rng.EPS_RUN, i) for i in range(3)]
-        X, Y = run_eps_sweep(runs, model, pot, "exponential", init, range(150), paths,
-                             batch_size=batch)
+        X, Y = run_eps_sweep(runs, model, pot, init, range(150), paths, batch_size=batch)
         assert X.shape == Y.shape == (3, 150, N, model.d)
         for rc, path, Xr, Yr in zip(runs, paths, X, Y):
             Xa, Ya = run_eps_replicas(rc, model, pot, "exponential", init, range(150),
@@ -328,11 +327,11 @@ class TestSweep:
     def test_dropping_a_row_moves_no_other_row(self, model, pot, N):
         init = InitialLaw()
         paths = [(_rng.EPS_RUN, i) for i in range(3)]
-        X, Y = run_eps_sweep(_sweep_runs(model, N), model, pot, "exponential", init,
-                             range(150), paths, batch_size=64)
+        X, Y = run_eps_sweep(_sweep_runs(model, N), model, pot, init, range(150), paths,
+                             batch_size=64)
         for keep in ([0, 2], [1, 2], [0, 1], [2]):
             runs = _sweep_runs(model, N, [SWEEP_GRID[i] for i in keep])
-            Xk, Yk = run_eps_sweep(runs, model, pot, "exponential", init, range(150),
+            Xk, Yk = run_eps_sweep(runs, model, pot, init, range(150),
                                    [paths[i] for i in keep], batch_size=64)
             assert Xk.tobytes() == X[keep].tobytes() and Yk.tobytes() == Y[keep].tobytes()
 
@@ -341,9 +340,8 @@ class TestSweep:
         # order of the runs
         model, pot, N = SWEEP_CASES[0]
         runs, paths = _sweep_runs(model, N), [(_rng.EPS_RUN, i) for i in range(3)]
-        X, _ = run_eps_sweep(runs, model, pot, "exponential", InitialLaw(), range(70), paths)
-        Xr, _ = run_eps_sweep(runs[::-1], model, pot, "exponential", InitialLaw(),
-                              range(70), paths[::-1])
+        X, _ = run_eps_sweep(runs, model, pot, InitialLaw(), range(70), paths)
+        Xr, _ = run_eps_sweep(runs[::-1], model, pot, InitialLaw(), range(70), paths[::-1])
         assert Xr.tobytes() == X[::-1].tobytes()
 
     def test_non_finite_row_names_its_eps_and_replica(self):
@@ -365,16 +363,15 @@ class TestSweep:
 
         with pytest.raises(NumericError, match=r"eps=0\.07, replica=66") as err, \
                 np.errstate(invalid="ignore", over="ignore"):
-            run_eps_sweep(runs, model, pot, "exponential", OneBadRow(), range(130),
+            run_eps_sweep(runs, model, pot, OneBadRow(), range(130),
                           [(_rng.EPS_RUN, i) for i in range(3)])
         assert err.value.replica == 66 and err.value.eps == 0.07
 
     def test_recorder_needs_one_row(self):
         model, pot, N = SWEEP_CASES[0]
         with pytest.raises(UsageError, match="a recorder follows one row; the sweep has 3"):
-            run_eps_sweep(_sweep_runs(model, N), model, pot, "exponential", InitialLaw(),
-                          range(8), [(_rng.EPS_RUN, i) for i in range(3)],
-                          recorder=lambda *args: None)
+            run_eps_sweep(_sweep_runs(model, N), model, pot, InitialLaw(), range(8),
+                          [(_rng.EPS_RUN, i) for i in range(3)], recorder=lambda *args: None)
 
     @pytest.mark.parametrize("change", [{"N": 2}, {"alpha": 1.0}, {"T": 0.3}, {"seed": 2}])
     def test_rows_differ_only_by_eps_and_step(self, change):
@@ -382,14 +379,14 @@ class TestSweep:
         runs = _sweep_runs(model, N)
         runs[1] = replace(runs[1], **change)
         with pytest.raises(UsageError, match="differ only by eps and h0"):
-            run_eps_sweep(runs, model, pot, "exponential", InitialLaw(), range(8),
+            run_eps_sweep(runs, model, pot, InitialLaw(), range(8),
                           [(_rng.EPS_RUN, i) for i in range(3)])
 
     def test_one_stream_path_per_run(self):
         model, pot, N = SWEEP_CASES[0]
         with pytest.raises(UsageError, match="one stream path per run"):
-            run_eps_sweep(_sweep_runs(model, N), model, pot, "exponential", InitialLaw(),
-                          range(8), [(_rng.EPS_RUN, 0)])
+            run_eps_sweep(_sweep_runs(model, N), model, pot, InitialLaw(), range(8),
+                          [(_rng.EPS_RUN, 0)])
 
 
 class TestStepContracts:
@@ -480,6 +477,12 @@ class TestStepContracts:
     def test_only_the_exponential_scheme_is_built(self):
         with pytest.raises(UsageError, match="unknown scheme kind"):
             EpsScheme("euler", 0.01)
+
+    def test_the_replica_kernel_rejects_another_scheme(self):
+        cfg = RunConfig(d=1, N=2, eps=0.1, alpha=1.0, T=0.5, h0=0.05, seed=0)
+        with pytest.raises(UsageError, match="unknown scheme kind: 'euler'"):
+            run_eps_replicas(cfg, SILENT, ZERO_POT, "euler", InitialLaw(), range(2),
+                             (_rng.EPS_RUN, 0))
 
     def test_driver_clock_mismatch_rejected(self):
         ens = ParticleEnsemble(np.zeros((1, 1)), np.zeros((1, 1)), 1.0, 0.1)

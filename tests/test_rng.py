@@ -129,14 +129,15 @@ class TestBlocks:
             _rng.block_streams(0, (_rng.LIMIT_RUN, 0), ids)
 
 
-class TestNormalWindows:
+class TestWindows:
     @pytest.mark.parametrize("budget", [None, 1, 12, 48, 80], ids=[
         "one-window", "below-one-step", "single-step", "partial-last", "uneven"])
     @pytest.mark.parametrize("shape", [(2,), (3, 2)])
     def test_equals_one_full_draw_per_generator(self, budget, shape, monkeypatch):
-        # blocks of 2, 1 and 3 replicas over 10 steps; with shape (2,) a
-        # step is 12 doubles, so the budgets give windows of 10, 1, 1, 4
-        # and 6 steps.  Each step is one contiguous slab, block after block.
+        # one row of blocks of 2, 1 and 3 replicas over 10 steps; with shape
+        # (2,) a step is 12 doubles, so the budgets give windows of 10, 1,
+        # 1, 4 and 6 steps.  Each step is one contiguous slab, block after
+        # block.
         if budget is not None:
             monkeypatch.setattr(_rng, "DRAW_BUDGET", budget)
         n, path, sizes = 10, (5, _rng.EPS_RUN, 2), (2, 1, 3)
@@ -144,27 +145,28 @@ class TestNormalWindows:
                                for b, s in enumerate(sizes)], axis=1)
         blocks = [(_rng.stream(*path, b), s) for b, s in enumerate(sizes)]
         got = []
-        for z in _rng.normal_windows(blocks, n, shape):
-            assert z.shape == (6,) + shape and z.flags.c_contiguous
-            got.append(z.copy())
+        for z in _rng._windows([blocks], [n], shape):
+            assert z.shape == (1, 6) + shape and z.flags.c_contiguous
+            got.append(z[0].copy())
         assert len(got) == n
         assert np.array_equal(np.stack(got), want)
 
     def test_block_of_one_draws_the_replica_stream(self):
         # one replica per block: each stream gives its (n,) + shape draw
         gens = [(_rng.stream(3, _rng.GK_RUN, r), 1) for r in range(3)]
-        got = np.stack([z.copy() for z in _rng.normal_windows(gens, 7, (2,))])
+        got = np.stack([z[0].copy() for z in _rng._windows([gens], [7], (2,))])
         want = np.stack([_rng.stream(3, _rng.GK_RUN, r).standard_normal((7, 2))
                          for r in range(3)], axis=1)
         assert np.array_equal(got, want)
 
     def test_no_blocks_yield_nothing(self):
-        assert list(_rng.normal_windows([], 7, (3, 2))) == []
+        assert list(_rng._windows([[]], [7], (3, 2))) == []
+        assert list(_rng._windows([[], []], [7, 4], (3, 2))) == []
 
     def test_generators_continue_after_the_windows(self):
         # the windows draw exactly n steps from each stream and no more
         blocks = [(_rng.stream(3, _rng.LIMIT_RUN, 0, b), s) for b, s in enumerate((4, 1))]
-        for _ in _rng.normal_windows(blocks, 7, (1,)):
+        for _ in _rng._windows([blocks], [7], (1,)):
             pass
         for (gen, s), b in zip(blocks, range(2)):
             full = _rng.stream(3, _rng.LIMIT_RUN, 0, b)
@@ -208,18 +210,18 @@ class TestSweepDraws:
                 full.standard_normal((n, s) + shape)
                 assert opened[2 * j + b].standard_normal() == full.standard_normal()
 
-    def test_sweep_draws_stack_each_rows_block_draws(self):
+    def test_rows_draw_what_each_draws_alone(self):
         paths = [(_rng.EPS_RUN, j) for j in range(3)]
         X, xi, steps = _rng.sweep_draws(9, paths, range(70), [6, 4, 4], (2, 4),
                                         _positions, _drivers)
         got = [z.copy() for z in steps]
         assert X.shape == (3, 70, 3, 2) and xi.shape == (3, 70, 2, 4)
         for j, (path, n) in enumerate(zip(paths, [6, 4, 4])):
-            want_X, want_xi, want_steps = _rng.block_draws(9, path, range(70), n, (2, 4),
-                                                          _positions, _drivers)
+            (want_X,), (want_xi,), want_steps = _rng.sweep_draws(9, [path], range(70), [n],
+                                                                 (2, 4), _positions, _drivers)
             assert np.array_equal(X[j], want_X) and np.array_equal(xi[j], want_xi)
             assert np.array_equal(np.stack([z[j] for z in got[:n]]),
-                                  np.stack([z.copy() for z in want_steps]))
+                                  np.stack([z[0].copy() for z in want_steps]))
 
 
 def _positions(gen, s):
@@ -230,19 +232,22 @@ def _drivers(gen, s):
     return 2.0 * gen.standard_normal((s, 2, 4))
 
 
-class TestBlockDraws:
+class TestOneRow:
+    """``sweep_draws`` over one path, as the limit kernel and the driver
+    paths call it."""
+
     @staticmethod
     def _reference(seed, path, ids, n, shape):
         """The per-block loop the kernels ran before: each block draws its
         positions, then its drivers, into preallocated rows, and the steps
-        come from ``normal_windows`` over the same blocks."""
+        come from the windows over the same blocks."""
         blocks = _rng.block_streams(seed, path, ids)
         X, xi, row = np.empty((len(ids), 3, 2)), np.empty((len(ids), 2, 4)), 0
         for gen, s in blocks:
             X[row : row + s] = _positions(gen, s)
             xi[row : row + s] = _drivers(gen, s)
             row += s
-        return X, xi, [z.copy() for z in _rng.normal_windows(blocks, n, shape)]
+        return X, xi, [z[0].copy() for z in _rng._windows([blocks], [n], shape)]
 
     @pytest.mark.parametrize("path, ids", [
         ((_rng.EPS_RUN, 3), range(150)), ((_rng.EPS_RUN, 3), range(64, 150)),
@@ -251,20 +256,21 @@ class TestBlockDraws:
     ], ids=["short-last-block", "from-block-1", "one-whole-block", "blocks-of-one",
             "blocks-of-one-unordered"])
     def test_equals_the_per_block_loop(self, path, ids):
-        X, xi, steps = _rng.block_draws(9, path, ids, 6, (2, 4), _positions, _drivers)
+        (X,), (xi,), steps = _rng.sweep_draws(9, [path], ids, [6], (2, 4),
+                                              _positions, _drivers)
         want_X, want_xi, want_steps = self._reference(9, path, list(ids), 6, (2, 4))
         assert X.shape == (len(ids), 3, 2) and xi.shape == (len(ids), 2, 4)
         assert np.array_equal(X, want_X) and np.array_equal(xi, want_xi)
-        got = [z.copy() for z in steps]
+        got = [z[0].copy() for z in steps]
         assert len(got) == 6
         assert np.array_equal(np.stack(got), np.stack(want_steps))
 
     def test_block_of_one_draws_the_replica_stream(self):
         # under GK_RUN replica r draws its start and then its steps from
         # (seed, GK_RUN, r) alone
-        xi, steps = _rng.block_draws(3, (_rng.GK_RUN,), range(3), 4, (2,),
-                                     lambda gen, s: gen.standard_normal((s, 2)))
-        got = np.stack([z.copy() for z in steps], axis=1)
+        (xi,), steps = _rng.sweep_draws(3, [(_rng.GK_RUN,)], range(3), [4], (2,),
+                                        lambda gen, s: gen.standard_normal((s, 2)))
+        got = np.stack([z[0].copy() for z in steps], axis=1)
         for r in range(3):
             gen = _rng.stream(3, _rng.GK_RUN, r)
             assert np.array_equal(xi[r], gen.standard_normal((1, 2))[0])
@@ -279,8 +285,8 @@ class TestBlockDraws:
                 return np.full((s, 1), float(len(calls)))
             return draw
 
-        a, b, steps = _rng.block_draws(0, (_rng.UV_RUN, 0), range(130), 1, (1,),
-                                       start("a"), start("b"))
+        (a,), (b,), steps = _rng.sweep_draws(0, [(_rng.UV_RUN, 0)], range(130), [1], (1,),
+                                             start("a"), start("b"))
         assert calls == [("a", 64), ("b", 64), ("a", 64), ("b", 64), ("a", 2), ("b", 2)]
         assert np.array_equal(a[:, 0], np.repeat([1.0, 3.0, 5.0], [64, 64, 2]))
         assert np.array_equal(b[:, 0], np.repeat([2.0, 4.0, 6.0], [64, 64, 2]))
@@ -288,6 +294,6 @@ class TestBlockDraws:
 
     @pytest.mark.parametrize("path", [(_rng.LIMIT_RUN, 2), (_rng.GK_RUN,)])
     def test_no_replicas_keep_the_start_shapes_and_draw_nothing(self, path):
-        X, xi, steps = _rng.block_draws(1, path, [], 5, (2, 4), _positions, _drivers)
-        assert X.shape == (0, 3, 2) and xi.shape == (0, 2, 4)
+        X, xi, steps = _rng.sweep_draws(1, [path], [], [5], (2, 4), _positions, _drivers)
+        assert X.shape == (1, 0, 3, 2) and xi.shape == (1, 0, 2, 4)
         assert list(steps) == []
