@@ -432,14 +432,14 @@ def run_convergence(cfg: Config) -> ConvergenceReport:
                        for i, (k, j) in zip(grid, at)]
         scores = pool.map(_score_row, [(eps_samples[i], spr, limit_samples, cfg.seed, i)
                                        for i in grid])
-    for eps, eps_sample, (values, method, half, vals) in zip(cfg.eps_grid, eps_samples,
-                                                              scores):
+    for eps, eps_sample, (values, method, half, _) in zip(cfg.eps_grid, eps_samples, scores):
         row = {"eps": eps, "w2_paper_mode": float("nan"), "w2_gk_mode": float("nan"),
                "n_samples": eps_sample.shape[0], "ci_halfwidth": half, "w2_method": method}
         row.update((MODE_COLUMN[mode], value) for mode, value in zip(modes, values))
         require_finite("a W2 value or its bootstrap halfwidth", half, *values, eps=eps)
         rows.append(row)
-    meta.update(_mode_verdict({mode: rows[-1][MODE_COLUMN[mode]] for mode in modes}, vals))
+    meta.update(_mode_verdict({mode: rows[-1][MODE_COLUMN[mode]] for mode in modes},
+                              scores[-1][3]))
     return ConvergenceReport(rows=rows, metadata=meta)
 
 
