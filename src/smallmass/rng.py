@@ -36,15 +36,15 @@ spread over workers; the callers cut batches on block boundaries.
 settings.
 
 The iterator of ``sweep_draws`` yields each step's normals a window of
-steps at a time, under one fixed budget of ``DRAW_BUDGET`` doubles (512 KiB), so the
-memory the kernels hold for normals does not grow with the horizon, the
-batch size or the number of rows.  A window holds every row still
-running at its first step and is laid out step-major: each block draws
-its ``(w, s) + shape`` piece in one call, w its own row's steps left in
-the window, and step k is the contiguous ``(a, B) + shape`` slab of the a
-rows still running (``(1, B) + shape`` for one row).  A block's values are
-those of one full-length draw, so neither the window size nor the other
-rows move a byte.  Every normal drawn is used.
+steps at a time, under one fixed budget of ``DRAW_BUDGET`` doubles
+(512 KiB), so the memory the kernels hold for normals does not grow with
+the horizon, the batch size or the number of rows.  A window holds every
+row still running at its first step and is laid out step-major: each
+block draws its ``(w, s) + shape`` piece in one call, w its own row's
+steps left in the window, and step k is the contiguous ``(a, B) + shape``
+slab of the a rows still running (``(1, B) + shape`` for one row).  A
+block's values are those of one full-length draw, so neither the window
+size nor the other rows move a byte.  Every normal drawn is used.
 """
 
 from __future__ import annotations
