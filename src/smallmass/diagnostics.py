@@ -3,8 +3,11 @@
 These diagnostics make the qualitative estimates behind the zero-mass
 limit falsifiable at desk scale:
 
-* ``moment_table``: the scaled moments E||sqrt(eps) X||^{2,4} and
-  E||sqrt(eps) Y||^{2,4} stay bounded uniformly over the eps grid;
+* ``moment_tables``: the scaled moments E||sqrt(eps) X||^{2,4} and
+  E||sqrt(eps) Y||^{2,4} stay bounded uniformly over the eps grid.  The
+  rows of the grid run in one lock-step sweep (``run_eps_sweep``), each
+  with its own recorder, and each row's table has the bits of that row
+  run alone, which is what ``moment_table`` does;
 * ``uv_check``: the integrated forcing u and its exponentially filtered
   part v, computed with the integrator's own quadrature (left-endpoint
   forcing, exact exponential weights for v).  For law-dependent fields
@@ -38,7 +41,8 @@ import numpy as np
 
 from . import rng as _rng
 from .core import EmpiricalMeasure, PotentialSpec, RunConfig
-from .dynamics_eps import MAX_STEPS, InitialLaw, _Advance, _n_steps, run_eps_replicas
+from .dynamics_eps import (MAX_STEPS, InitialLaw, _Advance, _n_steps, run_eps_replicas,
+                           run_eps_sweep)
 from .errors import UsageError, require_finite
 from .noise import NoiseModel, _contract_forcing, _factor_mean, advance_xi, stationary_xi
 
@@ -50,6 +54,7 @@ __all__ = [
     "dyadic_lags",
     "green_kubo",
     "moment_table",
+    "moment_tables",
     "uv_check",
 ]
 
@@ -157,6 +162,24 @@ class _MomentRecorder:
         # 512 ids on a 2-vCPU Xeon VM
         self.values[ids[0]:ids[-1] + 1, slot] = block
 
+    def table(self, n_particles: int) -> MomentTable:
+        """The sup over the grid of each moment's replica mean, with the
+        95% halfwidth of the sup-attaining entry; raises ``NumericError``
+        where one is not finite."""
+        per_rep = self.values  # (R, G, 4)
+        reps = per_rep.shape[0]
+        est = per_rep.mean(axis=0)  # (G, 4)
+        sup_slots = est.argmax(axis=0)
+        sup, ci = {}, {}
+        for j, key in enumerate(_MOMENT_KEYS):
+            slot = int(sup_slots[j])
+            sup[key] = float(est[slot, j])
+            ci[key] = float(1.96 * per_rep[:, slot, j].std(ddof=1) / math.sqrt(reps))
+        require_finite("a moment_table sup or halfwidth", *sup.values(), *ci.values(),
+                       eps=self.eps)
+        return MomentTable(eps=self.eps, sup=sup, ci=ci, n_replicas=reps,
+                           n_particles=n_particles, grid_times=self.times)
+
 
 def _sq_norm(A):
     """||a||^2 over the last axis of ``A``; in d = 1 the square itself,
@@ -166,41 +189,46 @@ def _sq_norm(A):
     return sq[..., 0] if sq.shape[-1] == 1 else np.sum(sq, axis=-1)
 
 
-def moment_table(cfg: RunConfig, model: NoiseModel, pot: PotentialSpec, *,
-                 reps: int = 256, init: InitialLaw | None = None, eps_index: int = 0,
-                 batch_size: int | None = None) -> MomentTable:
-    """Estimate sup_t of the scaled moments over ``reps`` replicas, t
-    every ``n // (_MOMENT_GRID - 1)``-th of the run's n steps (every step
-    where n is shorter) and the last.
+def moment_tables(cfgs, model: NoiseModel, pot: PotentialSpec, *, reps: int,
+                  init: InitialLaw | None, eps_indices,
+                  batch_size: int | None = None) -> list[MomentTable]:
+    """Estimate sup_t of the scaled moments over ``reps`` replicas for each
+    run of ``cfgs``, t every ``n // (_MOMENT_GRID - 1)``-th of the run's n
+    steps (every step where n is shorter) and the last; one table per run,
+    in the order of ``cfgs``.
 
-    Particles within a replica share one driver path, so the effective
-    sample size is the replica count; confidence halfwidths are computed
-    across replicas.  The replicas run through ``run_eps_replicas``
+    Run j draws on the stream path ``(MOMENT_RUN, eps_indices[j])``.  The
+    runs may differ only by eps and h0, and they advance in one
+    ``run_eps_sweep``, one recorder per row, so each table has the bits of
+    its run swept alone.  Particles within a replica share one driver
+    path, so the effective sample size is the replica count; confidence
+    halfwidths are computed across replicas.  The replicas run
     ``batch_size`` (a multiple of ``rng.BLOCK``) at a time, all in one
     lock-step batch by default: the kernel's normals are drawn in windows
     under a fixed budget, so a larger batch costs state memory only, and
-    the values do not depend on it.  A sup or halfwidth that is not finite
-    raises ``NumericError``.
+    the values do not depend on it.  A sup or halfwidth that is not
+    finite raises ``NumericError``, naming the eps of the first such run
+    in the order of ``cfgs``.
     """
     if reps < 2:
         raise UsageError(f"moment_table needs reps >= 2 for its confidence halfwidths, "
                          f"got {reps}")
-    init = init or InitialLaw()
-    rec = _MomentRecorder(_n_steps(cfg.T, cfg.eps_step), cfg.eps, reps)
-    run_eps_replicas(cfg, model, pot, "exponential", init, range(reps),
-                     (_rng.MOMENT_RUN, eps_index), batch_size=batch_size,
-                     recorder=rec)
-    per_rep = rec.values  # (R, G, 4)
-    est = per_rep.mean(axis=0)  # (G, 4)
-    sup_slots = est.argmax(axis=0)
-    sup, ci = {}, {}
-    for j, key in enumerate(_MOMENT_KEYS):
-        slot = int(sup_slots[j])
-        sup[key] = float(est[slot, j])
-        ci[key] = float(1.96 * per_rep[:, slot, j].std(ddof=1) / math.sqrt(reps))
-    require_finite("a moment_table sup or halfwidth", *sup.values(), *ci.values(), eps=cfg.eps)
-    return MomentTable(eps=cfg.eps, sup=sup, ci=ci, n_replicas=reps,
-                       n_particles=cfg.N, grid_times=rec.times)
+    cfgs = list(cfgs)
+    recs = [_MomentRecorder(_n_steps(rc.T, rc.eps_step), rc.eps, reps) for rc in cfgs]
+    run_eps_sweep(cfgs, model, pot, init or InitialLaw(), range(reps),
+                  [(_rng.MOMENT_RUN, i) for i in eps_indices], batch_size=batch_size,
+                  recorders=recs)
+    return [rec.table(rc.N) for rc, rec in zip(cfgs, recs)]
+
+
+def moment_table(cfg: RunConfig, model: NoiseModel, pot: PotentialSpec, *,
+                 reps: int = 256, init: InitialLaw | None = None, eps_index: int = 0,
+                 batch_size: int | None = None) -> MomentTable:
+    """``moment_tables`` of the one run ``cfg``, drawn on the stream path
+    ``(MOMENT_RUN, eps_index)``."""
+    (table,) = moment_tables([cfg], model, pot, reps=reps, init=init,
+                             eps_indices=[eps_index], batch_size=batch_size)
+    return table
 
 
 def dyadic_lags(lo: float = 0.01, hi: float = 1.0) -> list[float]:

@@ -10,7 +10,7 @@ where mu_hat is the ensemble's empirical measure and eta_bar(s, mu_hat) is
 the mixing field averaged over mu_hat (``noise.averaged_forcing_xi``): one
 shared draw evaluated under the fast clock s = t/eps.  Each step evaluates
 it once, in ``_forcing``, which spreads it over the particles and hands it
-to the force, the recorder of ``run_eps_replicas``, the step report and
+to the force, the recorders of ``run_eps_sweep``, the step report and
 the Euler half of ``paired_scheme_gap``.  Giving each particle its own
 driver changes that one helper and the draw shapes.
 
@@ -40,7 +40,10 @@ from the scalar expressions of ``_Advance`` and ``noise.driver_step`` and
 scale that row alone (``_row_constant``), and the rows run in descending
 step count, so those still running are a prefix of the stack.  A row
 therefore gets the bits it gets when it runs alone, which is what
-``run_eps_replicas`` does: the same loop over one row.  The kernel
+``run_eps_replicas`` does: the same loop over one row.  Each row may
+have a recorder of its own, which gets the calls, times and arrays it
+gets when its row runs alone; without recorders the loop does no
+per-step work for them.  The kernel
 integrates exactly the N particles it is handed: how many particles a
 sample needs is decided by the caller (``harness``), not here.
 """
@@ -277,7 +280,7 @@ def _check_finite(message, ids, eps, *state):
 
 def run_eps_sweep(runs, model: NoiseModel, pot: PotentialSpec, init: InitialLaw,
                   replica_ids, stream_paths, *, batch_size: int | None = None,
-                  recorder=None):
+                  recorders=None):
     """Replica sweep of the second-order system over a stack of rows,
     advanced in lock-step by the exponential scheme.
 
@@ -301,15 +304,18 @@ def run_eps_sweep(runs, model: NoiseModel, pot: PotentialSpec, init: InitialLaw,
     again.  The state of all rows is held at once, so a batch holds rows
     times the memory of one row.
 
-    ``recorder`` follows one row, so it needs ``runs`` of length one.  It
-    is called as ``recorder(replica_ids_batch, k, time, X, Y, xi,
-    forcing)`` once per step k = 0..n-1, after the step's force is
-    evaluated and before the advance, and once more at k = n after the
-    last step.  X, Y and ``xi`` (shape (B,) + driver shape) are the state
-    at that time, and ``forcing`` (B, d) is the unscaled law-averaged
-    forcing that drives step k (``_forcing``), ``None`` at k = n, which
-    drives nothing.  The arrays are updated in place afterwards, so a
-    recorder copies whatever it keeps.
+    ``recorders`` is ``None`` or one entry per run, in the order of
+    ``runs``: a callable that follows that row, or ``None``.  Row j's
+    recorder gets the calls it gets when the row runs alone:
+    ``recorder(replica_ids_batch, k, time, X, Y, xi, forcing)`` once per
+    step k = 0..n_j-1 of the row, after the step's force is evaluated and
+    before the advance, and once more at k = n_j, when the row leaves the
+    prefix (after the loop for the longest rows).  ``time`` adds up the
+    row's own ``eps_step``.  X, Y and ``xi`` (shape (B,) + driver shape)
+    are the row's state at that time, and ``forcing`` (B, d) is the
+    unscaled law-averaged forcing that drives step k (``_forcing``),
+    ``None`` at k = n_j, which drives nothing.  The arrays are updated in
+    place afterwards, so a recorder copies whatever it keeps.
 
     Returns terminal positions and velocities, each of shape
     (rows, R, N, d), rows in the order of ``runs``.  A non-finite state
@@ -323,8 +329,10 @@ def run_eps_sweep(runs, model: NoiseModel, pot: PotentialSpec, init: InitialLaw,
     base = runs[0]
     if any(replace(rc, eps=base.eps, h0=base.h0) != base for rc in runs):
         raise UsageError("the runs of a sweep may differ only by eps and h0")
-    if recorder is not None and len(runs) > 1:
-        raise UsageError(f"a recorder follows one row; the sweep has {len(runs)}")
+    recorders = [None] * len(runs) if recorders is None else list(recorders)
+    if len(recorders) != len(runs):
+        raise UsageError(f"a sweep takes one recorder per run, got {len(recorders)} "
+                         f"recorders for {len(runs)} runs")
     replica_ids = list(replica_ids)
     block = _rng.block_size(paths[0][0])
     if batch_size is not None and batch_size % block:
@@ -334,7 +342,9 @@ def run_eps_sweep(runs, model: NoiseModel, pot: PotentialSpec, init: InitialLaw,
     order = sorted(range(len(runs)), key=lambda j: -counts[j])
     at = np.argsort(order)  # row j of ``runs`` is row at[j] of the stack
     n = [counts[j] for j in order]
-    h = runs[order[0]].eps_step
+    # (stack row, recorder, step) of each recorded row, in stack order
+    watched = sorted((int(at[j]), rec, runs[j].eps_step)
+                     for j, rec in enumerate(recorders) if rec is not None)
     advances = [_Advance(runs[j].eps_step, runs[j].eps, base.alpha) for j in order]
     scales = [1.0 / math.sqrt(runs[j].eps) for j in order]
     drives = [driver_step(model, runs[j].eps_step / runs[j].eps) for j in order]
@@ -362,28 +372,32 @@ def run_eps_sweep(runs, model: NoiseModel, pot: PotentialSpec, init: InitialLaw,
         F, tmp = np.empty_like(X), np.empty_like(X)
         a = len(n)
         state, consts = prefix(a, X, Y, F, tmp, xi)
-        if recorder is not None:
-            seen = X[0], Y[0], xi[0]
-        t = 0.0
+        # the recorded rows still running, with their state and their times
+        live = [(s, rec, h, (X[s], Y[s], xi[s])) for s, rec, h in watched]
+        times = [0.0] * len(live)
         try:
             for k, z in enumerate(normals):
                 if k == n[a - 1]:
                     while n[a - 1] == k:
                         a -= 1
                     state, consts = prefix(a, X, Y, F, tmp, xi)
+                    while live and live[-1][0] >= a:
+                        _, rec, _, seen = live.pop()
+                        rec(ids, k, times.pop(), *seen, None)
                 Xa, Ya, Fa, tmpa, xia = state
                 advance, scale, decay, kick = consts
                 bar, spread = _forcing(model, Xa, xia, scale)
                 _total_force(pot, Xa, spread, Fa, tmpa)
-                if recorder is not None:
-                    recorder(ids, k, t, *seen, bar[0])
+                if live:
+                    for i, (s, rec, h, seen) in enumerate(live):
+                        rec(ids, k, times[i], *seen, bar[s])
+                        times[i] += h
                 advance(Xa, Ya, Fa, tmpa)
                 xia *= decay
                 z *= kick
                 xia += z
-                t += h
-            if recorder is not None:
-                recorder(ids, n[0], t, *seen, None)
+            for (_, rec, _, seen), t in zip(live, times):
+                rec(ids, n[0], t, *seen, None)
         except NumericError as err:
             for j, rc in enumerate(runs):
                 _check_finite(str(err), ids, rc.eps, X[at[j]], Y[at[j]])
@@ -404,7 +418,7 @@ def run_eps_replicas(cfg: RunConfig, model: NoiseModel, pot: PotentialSpec,
     ``sch_kind`` must be "exponential", the sweep's scheme."""
     EpsScheme(sch_kind, cfg.eps_step)
     pos, vel = run_eps_sweep([cfg], model, pot, init, replica_ids, [stream_path],
-                             batch_size=batch_size, recorder=recorder)
+                             batch_size=batch_size, recorders=[recorder])
     return pos[0], vel[0]
 
 

@@ -76,7 +76,7 @@ from . import rng as _rng
 from ._version import __version__ as _version
 from .config import MODE_COLUMN, Config
 from .core import RunConfig
-from .diagnostics import (GkEstimate, _uv_steps, dyadic_lags, green_kubo, moment_table,
+from .diagnostics import (GkEstimate, _uv_steps, dyadic_lags, green_kubo, moment_tables,
                           uv_check)
 # run_eps_replicas stays bound here, unused: the benchmark's tracer wraps it
 # at every smallmass name that holds it, and its tests read it from here.
@@ -142,9 +142,11 @@ class _Sample:
     def run(self, ids, recorder=None) -> np.ndarray:
         """The terminal positions of the ``spr`` kept particles of each
         replica in ``ids``, (rows, points, d) with the points in replica
-        order; ``recorder`` goes to the kernel."""
+        order; ``recorder`` goes to the kernel, and on the eps system
+        follows the sample's one row."""
         if self.system == "eps":
-            pos, _ = run_eps_sweep(*self.args, ids, self.path, recorder=recorder)
+            pos, _ = run_eps_sweep(*self.args, ids, self.path,
+                                   recorders=None if recorder is None else [recorder])
         else:
             rc, pot, diff, init, sch = self.args
             pos = run_limit_replicas(rc, pot, diff, init, ids, self.path, sch,
@@ -465,10 +467,12 @@ def run_diagnose(cfg: Config):
     # simulates.
     for eps in cfg.eps_grid:
         _uv_steps(cfg.run_config(eps), lags, v["diag.reps"])
-    for eps_index, eps in enumerate(cfg.eps_grid):
-        rc_small = replace(cfg.run_config(eps), N=v["diag.N"])
-        mt = moment_table(rc_small, model, pot, reps=v["diag.moment_reps"], init=init,
-                          eps_index=eps_index)
+    small = [replace(cfg.run_config(eps), N=v["diag.N"]) for eps in cfg.eps_grid]
+    # every row's moment table in one sweep, so a non-finite table raises
+    # before any u/v row runs
+    tables = moment_tables(small, model, pot, reps=v["diag.moment_reps"], init=init,
+                           eps_indices=range(len(small)))
+    for eps_index, (eps, rc_small, mt) in enumerate(zip(cfg.eps_grid, small, tables)):
         for key in ("sx2", "sx4", "sy2", "sy4"):
             rows.append(("moment_table", eps, f"sup_{key}", mt.sup[key], mt.ci[key]))
         uv = uv_check(rc_small, model, reps=v["diag.reps"], lags=lags, init=init,

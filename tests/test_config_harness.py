@@ -592,7 +592,7 @@ class TestOtherEntryPoints:
         def no_simulation(*args, **kwargs):
             raise AssertionError("a moment table ran before the horizon was checked")
 
-        monkeypatch.setattr(harness, "moment_table", no_simulation)
+        monkeypatch.setattr(harness, "moment_tables", no_simulation)
         doc = dict(small_config_dict, **extra)
         with pytest.raises(UsageError, match=message):
             run_diagnose(parse_config(doc))
@@ -691,7 +691,7 @@ class TestOtherEntryPoints:
         def no_simulation(*args, **kwargs):
             raise AssertionError("simulated before the Green-Kubo grid was checked")
 
-        monkeypatch.setattr(harness, "moment_table", no_simulation)
+        monkeypatch.setattr(harness, "moment_tables", no_simulation)
         doc = dict(TINY, **{key: value})
         with pytest.raises(ConfigError, match=f"^{message}"):
             parse_config(doc)

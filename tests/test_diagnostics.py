@@ -9,7 +9,8 @@ from smallmass import diagnostics, noise
 from smallmass import rng as _rng
 from smallmass.core import EmpiricalMeasure, ParticleEnsemble, PotentialSpec, RunConfig
 from smallmass.diagnostics import (CHUNK, _uv_ensemble, _uv_scalar, _UvStream, bm_proxy,
-                                   dyadic_lags, green_kubo, moment_table, uv_check)
+                                   dyadic_lags, green_kubo, moment_table, moment_tables,
+                                   uv_check)
 from smallmass.dynamics_eps import EpsScheme, InitialLaw, _n_steps, step
 from smallmass.errors import NumericError, UsageError
 from smallmass.noise import (DriverState, NoiseModel, _contract_forcing, _factor_mean,
@@ -483,6 +484,26 @@ class TestMomentTable:
         one, many = (moment_table(cfg, model, pot, reps=150, batch_size=b)
                      for b in (None, BLOCK))
         assert one.sup == many.sup and one.ci == many.ci
+
+    @pytest.mark.parametrize("batch", [None, BLOCK])
+    def test_tables_of_a_sweep_are_the_rows_alone(self, batch):
+        # 20, 58 and 134 steps, so the rows leave the sweep at different
+        # steps; 150 replicas end in a short block
+        model = NoiseModel.separable(2, gamma=1.0, sigma=1.0, g_name="gauss")
+        pot, init = PotentialSpec.curie_weiss(1.0, 0.5), InitialLaw(velocity=0.3)
+        cfgs = [RunConfig(d=2, N=3, eps=eps, alpha=1.2, T=0.2, h0=0.05, seed=4)
+                for eps in (0.2, 0.07, 0.03)]
+        tables = moment_tables(cfgs, model, pot, reps=150, init=init,
+                               eps_indices=range(3), batch_size=batch)
+        assert len(tables) == 3
+        for i, (cfg, got) in enumerate(zip(cfgs, tables)):
+            want = moment_table(cfg, model, pot, reps=150, init=init, eps_index=i,
+                                batch_size=batch)
+            assert got.eps == want.eps == cfg.eps
+            assert got.sup == want.sup and got.ci == want.ci
+            assert _same_bits(got.grid_times, want.grid_times)
+            assert (got.n_replicas, got.n_particles) == (want.n_replicas,
+                                                         want.n_particles) == (150, 3)
 
     def test_needs_two_replicas(self):
         # one replica gives a NaN confidence halfwidth

@@ -293,6 +293,18 @@ def _sweep_runs(model, N, grid=SWEEP_GRID):
             for eps in grid]
 
 
+def _logger(log):
+    """A recorder appending each call to ``log``, its arrays as their
+    shapes and bytes."""
+    def bits(a):
+        return None if a is None else (a.shape, a.tobytes())
+
+    def record(ids, k, t, X, Y, xi, forcing):
+        log.append((list(ids), k, t, bits(X), bits(Y), bits(xi), bits(forcing)))
+
+    return record
+
+
 class TestSweep:
     """A sweep of several rows gives each row the bits of that row run alone."""
 
@@ -367,11 +379,58 @@ class TestSweep:
                           [(_rng.EPS_RUN, i) for i in range(3)])
         assert err.value.replica == 66 and err.value.eps == 0.07
 
-    def test_recorder_needs_one_row(self):
+    @pytest.mark.parametrize("batch", [64, None])
+    @pytest.mark.parametrize("model, pot, N", SWEEP_CASES, ids=SWEEP_IDS)
+    def test_each_rows_recorder_sees_the_row_alone(self, model, pot, N, batch):
+        # Each row's recorder gets the calls of its row run alone, bit for
+        # bit: k, t (its own steps added up), X, Y, xi, the forcing, and
+        # the last call at k = n when the row leaves the loop (20 and 58
+        # steps) or when the loop ends (134).  70 replicas are two batches
+        # at 64.
+        runs = _sweep_runs(model, N)
+        init, paths = InitialLaw(velocity=0.3), [(_rng.EPS_RUN, i) for i in range(3)]
+        swept = [[] for _ in runs]
+        X, Y = run_eps_sweep(runs, model, pot, init, range(70), paths, batch_size=batch,
+                             recorders=[_logger(log) for log in swept])
+        for rc, path, log in zip(runs, paths, swept):
+            alone = []
+            run_eps_replicas(rc, model, pot, "exponential", init, range(70), path,
+                             batch_size=batch, recorder=_logger(alone))
+            n = _n_steps(rc.T, rc.eps_step)
+            assert [call[1] for call in log] == (list(range(n + 1))
+                                                 * (1 if batch is None else 2))
+            assert log == alone, rc.eps
+        # and recording moves no terminal bit
+        Xq, Yq = run_eps_sweep(runs, model, pot, init, range(70), paths, batch_size=batch)
+        assert Xq.tobytes() == X.tobytes() and Yq.tobytes() == Y.tobytes()
+
+    def test_rows_of_equal_step_counts_record_alone(self):
+        # Two rows of 40 steps leave the loop together, two of 134 end it;
+        # each pair differs in eps and h0.  The second row has no recorder.
+        model, pot, N = SWEEP_CASES[1]
+        runs = [replace(rc, eps=eps, h0=h0) for rc, (eps, h0) in
+                zip(_sweep_runs(model, N, [0.2] * 4),
+                    [(0.2, 0.025), (0.1, 0.05), (0.03, 0.05), (0.015, 0.1)])]
+        assert [_n_steps(rc.T, rc.eps_step) for rc in runs] == [40, 40, 134, 134]
+        paths = [(_rng.EPS_RUN, i) for i in range(4)]
+        swept = [[], None, [], []]
+        run_eps_sweep(runs, model, pot, InitialLaw(), range(70), paths,
+                      recorders=[log if log is None else _logger(log) for log in swept])
+        for j in (0, 2, 3):
+            alone = []
+            run_eps_replicas(runs[j], model, pot, "exponential", InitialLaw(), range(70),
+                             paths[j], recorder=_logger(alone))
+            assert len(alone) == _n_steps(runs[j].T, runs[j].eps_step) + 1
+            assert swept[j] == alone, runs[j].eps
+
+    @pytest.mark.parametrize("count", [1, 2, 4])
+    def test_one_recorder_per_run(self, count):
         model, pot, N = SWEEP_CASES[0]
-        with pytest.raises(UsageError, match="a recorder follows one row; the sweep has 3"):
+        with pytest.raises(UsageError, match=f"one recorder per run, got {count} recorders "
+                                             "for 3 runs"):
             run_eps_sweep(_sweep_runs(model, N), model, pot, InitialLaw(), range(8),
-                          [(_rng.EPS_RUN, i) for i in range(3)], recorder=lambda *args: None)
+                          [(_rng.EPS_RUN, i) for i in range(3)],
+                          recorders=[lambda *args: None] * count)
 
     @pytest.mark.parametrize("change", [{"N": 2}, {"alpha": 1.0}, {"T": 0.3}, {"seed": 2}])
     def test_rows_differ_only_by_eps_and_step(self, change):
